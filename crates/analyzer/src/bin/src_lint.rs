@@ -8,8 +8,10 @@
 //!    default to SipHash, which an earlier perf PR deliberately replaced
 //!    with `FxHashMap`/`FxHashSet`. New code must not regress this.
 //! 2. **No panics on the tuple hot path** — `store.rs`, `tuple.rs`,
-//!    `shard.rs` and `segment.rs` process every stored/probed tuple; an
-//!    `unwrap()` or `panic!` there takes a worker thread down mid-stream.
+//!    `shard.rs` and `segment.rs` process every stored/probed tuple of
+//!    both engines (`shard.rs` is the one rule kernel); an `unwrap()`,
+//!    `expect(..)` or `panic!` there takes the engine or a worker thread
+//!    down mid-stream.
 //! 3. **No wall clock off the stream clock** — event time comes from tuple
 //!    timestamps and the trace clock; `SystemTime::now` anywhere in
 //!    `crates/` silently mixes wall time into windowing or telemetry.
@@ -163,7 +165,9 @@ fn lint_file(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
             });
         }
 
-        if hot_path && (line.contains(".unwrap()") || line.contains("panic!")) {
+        let panics =
+            line.contains(".unwrap()") || line.contains(".expect(") || line.contains("panic!");
+        if hot_path && panics {
             findings.push(Finding {
                 file: rel.to_path_buf(),
                 line: lineno,

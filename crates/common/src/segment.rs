@@ -30,7 +30,7 @@
 //! leaf buffers back to the thread-local pool (see [`crate::arena`]),
 //! where the hot insert path immediately reuses them.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::bloom::BloomFilter;
 use crate::fxhash::{fx_hash, FxHashMap};
@@ -153,7 +153,10 @@ impl FrozenSegment {
             relations.push(tuple.relations);
             byte_prefix.push(byte_prefix[row] + tuple.approx_size_bytes());
             for (attr, value) in tuple.iter() {
-                let col = columns.binary_search(&attr).expect("column was discovered");
+                // `columns` was gathered from these same tuples.
+                let Ok(col) = columns.binary_search(&attr) else {
+                    continue;
+                };
                 // `Value::Str` clones share their `Arc<str>` payload.
                 values[col * len + row] = value.clone();
                 present[col * words + row / 64] |= 1 << (row % 64);
@@ -237,7 +240,9 @@ impl FrozenSegment {
             return f(index.candidates(hash));
         }
         let index = {
-            let mut lazy = self.lazy.lock().expect("lazy index lock poisoned");
+            // The map only ever gains fully built indexes, so it stays
+            // usable after a panic elsewhere poisoned the lock.
+            let mut lazy = self.lazy.lock().unwrap_or_else(PoisonError::into_inner);
             lazy.entry(pos)
                 .or_insert_with(|| Arc::new(self.build_index(accessor)))
                 .clone()
@@ -274,8 +279,9 @@ impl FrozenSegment {
     /// [`Tuple::from_flattened`]). Content-equal to the tuple that was
     /// frozen — flattened values, timestamps and relation set all round-
     /// trip — so emitting reconstructed matches preserves the engines'
-    /// result multisets exactly.
-    pub fn tuple_at(&self, row: usize) -> Tuple {
+    /// result multisets exactly. `None` only if the row's columns no
+    /// longer form a tuple, which freezing a valid tuple cannot produce.
+    pub fn tuple_at(&self, row: usize) -> Option<Tuple> {
         // Single-relation rows — every base tuple, i.e. the entire
         // contents of a store that never holds partial join results —
         // skip the pair gather and `from_flattened`'s relation
@@ -291,7 +297,7 @@ impl FrozenSegment {
                     break;
                 }
             }
-            return Tuple::from_slots(
+            return Some(Tuple::from_slots(
                 self.ts[row],
                 self.ingest_ts[row],
                 relation,
@@ -301,7 +307,7 @@ impl FrozenSegment {
                     debug_assert_eq!(attr.relation, relation);
                     Some((attr.attr.index(), value.clone()))
                 }),
-            );
+            ));
         }
         let mut pairs: Vec<(AttrRef, Value)> = Vec::with_capacity(self.columns.len());
         for (col, attr) in self.columns.iter().enumerate() {
@@ -315,7 +321,7 @@ impl FrozenSegment {
             self.relations[row],
             pairs,
         )
-        .expect("a frozen row always reconstructs")
+        .ok()
     }
 
     /// Expires rows older than `horizon` by advancing the start cursor
@@ -413,7 +419,7 @@ mod tests {
         assert_eq!(ts, vec![100, 200, 300, 400]);
         // Row 1 is the (1, 30, 200) tuple; it must reconstruct content-equal.
         let rebuilt = segment.tuple_at(1);
-        assert_eq!(rebuilt, tuple(1, 30, 200));
+        assert_eq!(rebuilt, Some(tuple(1, 30, 200)));
         assert_eq!(segment.seq(1), 9, "seqs follow the ts permutation");
     }
 

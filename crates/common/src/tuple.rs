@@ -726,7 +726,9 @@ impl<'a> WireReader<'a> {
     }
 
     fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        Ok(self.bytes(N)?.try_into().expect("exact length"))
+        self.bytes(N)?
+            .try_into()
+            .map_err(|_| ClashError::Runtime("truncated tuple wire data".into()))
     }
 
     fn u8(&mut self) -> Result<u8> {

@@ -19,7 +19,8 @@ use crate::candidate::DecoratedProbeOrder;
 use crate::ilp_builder::Selection;
 use crate::store::StoreDescriptor;
 use clash_common::{
-    AttrRef, ClashError, Diagnostic, EdgeId, QueryId, RelationId, RelationSet, Result, StoreId,
+    AttrRef, ClashError, Diagnostic, EdgeId, FxHashMap, QueryId, RelationId, RelationSet, Result,
+    StoreId,
 };
 use clash_query::{EquiPredicate, JoinQuery};
 use serde::{Deserialize, Serialize};
@@ -89,8 +90,10 @@ pub struct IngestRoute {
 pub struct TopologyPlan {
     /// All stores.
     pub stores: Vec<StoreDef>,
-    /// Rule sets, keyed by `(store, incoming edge)`.
-    pub rules: HashMap<(StoreId, EdgeId), Vec<Rule>>,
+    /// Rule sets, keyed by `(store, incoming edge)`. Fx-hashed: the runtime
+    /// looks a rule set up per delivery, on the sending and on the
+    /// receiving side, and the keys are trusted internal ids.
+    pub rules: FxHashMap<(StoreId, EdgeId), Vec<Rule>>,
     /// Ingest routing per input relation.
     pub ingest: Vec<IngestRoute>,
     /// Queries answered by this plan.
@@ -145,7 +148,7 @@ pub struct TopologyBuilder<'a> {
 struct PlanState {
     stores: Vec<StoreDef>,
     store_index: HashMap<String, StoreId>,
-    rules: HashMap<(StoreId, EdgeId), Vec<Rule>>,
+    rules: FxHashMap<(StoreId, EdgeId), Vec<Rule>>,
     ingest: HashMap<RelationId, Vec<SendTarget>>,
     next_edge: u32,
 }
@@ -155,7 +158,7 @@ impl PlanState {
         PlanState {
             stores: Vec::new(),
             store_index: HashMap::new(),
-            rules: HashMap::new(),
+            rules: FxHashMap::default(),
             ingest: HashMap::new(),
             next_edge: 0,
         }

@@ -1,4 +1,5 @@
-//! The execution engine: rule-driven processing of a topology plan.
+//! The sequential engine: engine configuration, the control trait shared
+//! with the sharded runtime, and [`LocalEngine`].
 //!
 //! The engine is a deterministic, single-process substitute for the Apache
 //! Storm cluster of the paper (see DESIGN.md): stores, partitions, rule
@@ -9,17 +10,21 @@
 //! Probe cost (tuple copies sent), store memory and per-result latency —
 //! the quantities the paper's evaluation reports — are tracked exactly as
 //! a distributed deployment would observe them.
+//!
+//! The rules themselves are executed by the one kernel both engines share,
+//! `parallel/shard.rs`; `LocalEngine` is its single-shard driver.
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
+use crate::parallel::router::fan_out;
+use crate::parallel::shard::{ShardState, StoreLayout};
+use crate::parallel::worker::Delivery;
 use crate::stats_collector::StatsCollector;
-use crate::store::{partition_hash, StoreInstance};
 use clash_catalog::Catalog;
 use clash_common::{
-    arena_stats, chrome_trace_json, trace_clock_us, ClashError, Epoch, EpochConfig, Exposition,
-    FxHashMap, QueryId, Result, StoreId, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple,
-    Window,
+    arena_stats, chrome_trace_json, trace_clock_us, ClashError, EpochConfig, Exposition, QueryId,
+    Result, StoreId, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Window,
 };
-use clash_optimizer::{OutputAction, Rule, SendTarget, TopologyPlan};
+use clash_optimizer::{Rule, TopologyPlan};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,12 +60,6 @@ pub struct EngineConfig {
     /// concurrent producers can overshoot the bound by at most one root
     /// each. `0` disables the bound.
     pub max_inflight_roots: usize,
-    /// Parallel runtime only: poll cadence of the control-plane epoch
-    /// driver (`ParallelEngine::start_epoch_driver`). Each tick is one
-    /// atomic read of the stream clock; the expensive work (collection
-    /// barrier + re-planning) only runs when the clock crossed an epoch
-    /// boundary. Clamped to `[100µs, 1s]`.
-    pub epoch_tick: std::time::Duration,
     /// Capacity of each thread's trace-event ring (ingest/probe/insert/
     /// barrier/... events drainable as Chrome trace JSON). A full ring
     /// overwrites its oldest events, so tracing can stay on permanently;
@@ -83,7 +82,6 @@ impl Default for EngineConfig {
             micro_batch: 64,
             micro_batch_max_delay: std::time::Duration::from_millis(5),
             max_inflight_roots: 1 << 16,
-            epoch_tick: std::time::Duration::from_millis(1),
             trace_capacity: 4096,
             freeze_after_epochs: 1,
         }
@@ -156,30 +154,32 @@ pub(crate) fn indexed_attrs(plan: &TopologyPlan, store: StoreId) -> Vec<clash_co
     out
 }
 
-/// Deterministic local execution engine for a [`TopologyPlan`].
+/// Deterministic local execution engine for a [`TopologyPlan`]: a
+/// sequential driver over **one** `ShardState` that owns every partition
+/// of every store (`workers = 1`, no symmetric stores, hence no pending
+/// probers). Each ingested tuple is run to completion before the next —
+/// the kernel's `Forward` outputs land in an inline work queue instead of
+/// worker channels — so the arrival position is the sequence guard and
+/// nothing is ever in flight between calls.
 pub struct LocalEngine {
     catalog: Catalog,
     config: EngineConfig,
-    /// The installed plan, shared so rule sets can be borrowed on the
-    /// delivery hot path without cloning them per delivered tuple.
-    plan: Arc<TopologyPlan>,
-    stores: FxHashMap<StoreId, StoreInstance>,
-    metrics: EngineMetrics,
-    stats: StatsCollector,
-    results: Vec<(QueryId, Tuple)>,
-    sink: Option<ResultSink>,
+    /// The rule kernel and all store state (trace lane 0).
+    shard: ShardState,
+    /// Inline work queue of the tuple being ingested (empty between calls).
+    queue: Vec<Delivery>,
+    /// Arrival position of the last ingested tuple: its sequence guard.
+    seq: u64,
     max_ts: Timestamp,
     since_expiry: u64,
-    /// The engine thread's trace-event ring (lane 0).
-    trace: TraceRing,
 }
 
 impl std::fmt::Debug for LocalEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocalEngine")
-            .field("stores", &self.stores.len())
-            .field("queries", &self.plan.queries.len())
-            .field("ingested", &self.metrics.tuples_ingested)
+            .field("stores", &self.shard.stores().count())
+            .field("queries", &self.plan().queries.len())
+            .field("ingested", &self.shard.metrics.tuples_ingested)
             .finish()
     }
 }
@@ -187,29 +187,32 @@ impl std::fmt::Debug for LocalEngine {
 impl LocalEngine {
     /// Creates an engine executing the given plan.
     pub fn new(catalog: Catalog, plan: TopologyPlan, config: EngineConfig) -> Self {
-        let stats = StatsCollector::new(config.epoch.length);
-        let mut engine = LocalEngine {
+        clash_analyzer::gate(&catalog, &plan).expect("initial plan failed static verification");
+        let layout = StoreLayout::derive(&catalog, &plan);
+        let shard = ShardState::new(
+            1,
+            Arc::new(plan),
+            &layout,
+            Arc::default(),
+            config.epoch,
+            config.freeze_after_epochs,
+            config.collect_results,
+            TraceRing::new(config.trace_capacity, 0),
+        );
+        LocalEngine {
             catalog,
             config,
-            plan: Arc::new(TopologyPlan::default()),
-            stores: FxHashMap::default(),
-            metrics: EngineMetrics::default(),
-            stats,
-            results: Vec::new(),
-            sink: None,
+            shard,
+            queue: Vec::new(),
+            seq: 0,
             max_ts: Timestamp::ZERO,
             since_expiry: 0,
-            trace: TraceRing::new(config.trace_capacity, 0),
-        };
-        engine
-            .install_plan(plan)
-            .expect("initial plan failed static verification");
-        engine
+        }
     }
 
     /// Registers a sink invoked for every emitted result.
     pub fn set_sink(&mut self, sink: ResultSink) {
-        self.sink = Some(sink);
+        self.shard.sink = Some(sink);
     }
 
     /// Installs (or replaces) the plan. Stores whose descriptor key matches
@@ -222,54 +225,27 @@ impl LocalEngine {
     /// is touched, so the previously installed plan keeps running.
     pub fn install_plan(&mut self, plan: TopologyPlan) -> Result<()> {
         if let Err(e) = clash_analyzer::gate(&self.catalog, &plan) {
-            self.metrics.plan_rejections += 1;
+            self.shard.metrics.plan_rejections += 1;
             return Err(e);
         }
-        let mut new_stores: FxHashMap<StoreId, StoreInstance> = FxHashMap::default();
-        // Index existing stores by descriptor key for state carry-over.
-        let mut existing: FxHashMap<String, StoreInstance> = self
-            .stores
-            .drain()
-            .map(|(_, s)| (s.descriptor.key(), s))
-            .collect();
-        for def in &plan.stores {
-            let window = store_window(&self.catalog, def.descriptor.relations);
-            let indexed = indexed_attrs(&plan, def.id);
-            let instance = match existing.remove(&def.descriptor.key()) {
-                Some(mut s) => {
-                    for attr in indexed {
-                        s.add_indexed_attr(attr);
-                    }
-                    s.window = window;
-                    s
-                }
-                None => StoreInstance::new(def.descriptor, window, indexed),
-            };
-            new_stores.insert(def.id, instance);
-        }
-        self.stores = new_stores;
-        self.plan = Arc::new(plan);
-        self.trace.record(
-            TraceEventKind::PlanInstall,
-            self.metrics.tuples_ingested,
-            self.plan.stores.len() as u64,
-        );
+        let layout = StoreLayout::derive(&self.catalog, &plan);
+        self.shard.install(Arc::new(plan), &layout, Arc::default());
         Ok(())
     }
 
     /// The currently installed plan.
     pub fn plan(&self) -> &TopologyPlan {
-        &self.plan
+        self.shard.plan()
     }
 
     /// The statistics collector (read by the adaptive controller).
     pub fn stats_collector(&self) -> &StatsCollector {
-        &self.stats
+        &self.shard.stats
     }
 
     /// Mutable access to the statistics collector (pruning).
     pub fn stats_collector_mut(&mut self) -> &mut StatsCollector {
-        &mut self.stats
+        &mut self.shard.stats
     }
 
     /// Epoch configuration in use.
@@ -279,12 +255,12 @@ impl LocalEngine {
 
     /// Emitted results collected so far (only when `collect_results`).
     pub fn results(&self) -> &[(QueryId, Tuple)] {
-        &self.results
+        &self.shard.results
     }
 
     /// Clears collected results (between experiment phases).
     pub fn clear_results(&mut self) {
-        self.results.clear();
+        self.shard.results.clear();
     }
 
     /// Ingests one input tuple of the given relation, running all routing,
@@ -295,31 +271,39 @@ impl LocalEngine {
         if self.catalog.relation(relation).is_err() {
             return Err(ClashError::unknown(format!("relation {relation}")));
         }
-        let trace_started = if self.trace.enabled() {
+        let trace_started = if self.shard.trace.enabled() {
             trace_clock_us()
         } else {
             0
         };
-        self.metrics.tuples_ingested += 1;
+        self.shard.metrics.tuples_ingested += 1;
+        self.seq += 1;
         self.max_ts = self.max_ts.max(tuple.ts);
         let epoch = self.config.epoch.epoch_of(tuple.ts);
-        self.stats.record_arrival(epoch, relation);
+        self.shard.stats.record_arrival(epoch, relation);
 
+        let plan = Arc::clone(self.shard.plan());
+        for target in plan.ingest_for(relation) {
+            fan_out(
+                &plan,
+                1,
+                *target,
+                &tuple,
+                self.seq,
+                started,
+                &mut self.shard.metrics,
+                |_, delivery| self.queue.push(delivery),
+            );
+        }
         let mut emitted = 0u64;
-        // Work queue of (target, tuple) deliveries.
-        let mut queue: Vec<(SendTarget, Tuple)> = self
-            .plan
-            .ingest_for(relation)
-            .iter()
-            .map(|t| (*t, tuple.clone()))
-            .collect();
-
-        while let Some((target, tuple)) = queue.pop() {
-            emitted += self.deliver(target, tuple, started, &mut queue);
+        while let Some(delivery) = self.queue.pop() {
+            emitted += self
+                .shard
+                .process(&delivery, &mut |_, forwarded| self.queue.push(forwarded));
         }
 
-        self.metrics.busy += started.elapsed();
-        self.trace.record_span(
+        self.shard.metrics.busy += started.elapsed();
+        self.shard.trace.record_span(
             TraceEventKind::Ingest,
             trace_started,
             u64::from(relation.0),
@@ -333,174 +317,47 @@ impl LocalEngine {
         Ok(emitted)
     }
 
-    /// Delivers one tuple to one store along one edge, applying the rules
-    /// registered for that edge (Algorithm 3/4). Newly produced partial
-    /// results are pushed onto `queue`.
-    fn deliver(
-        &mut self,
-        target: SendTarget,
-        tuple: Tuple,
-        ingest_started: Instant,
-        queue: &mut Vec<(SendTarget, Tuple)>,
-    ) -> u64 {
-        // Borrow the rule set through a local Arc handle: no per-delivery
-        // clone of the rules (predicates, outputs) on the hot path.
-        let plan = Arc::clone(&self.plan);
-        let Some(rules) = plan.rules.get(&(target.store, target.edge)) else {
-            return 0;
-        };
-        let Some(store) = self.stores.get(&target.store) else {
-            return 0;
-        };
-        let parallelism = store.parallelism();
-        // Resolve the receiving partitions: route by the hash of the
-        // routing-key attribute when the sending tuple carries it,
-        // otherwise broadcast to every partition (the χ factor of Eq. 1).
-        let partitions: Vec<usize> = match target.routing_key.and_then(|a| tuple.get(&a).cloned()) {
-            Some(value) => vec![partition_hash(&value, parallelism)],
-            None => {
-                if parallelism > 1 {
-                    self.metrics.broadcasts += 1;
-                }
-                (0..parallelism).collect()
-            }
-        };
-        self.metrics.tuples_sent += partitions.len() as u64;
-
-        let epoch = self.config.epoch.epoch_of(tuple.ts);
-        let mut emitted = 0u64;
-        for rule in rules {
-            match rule {
-                Rule::Store => {
-                    let store = self.stores.get_mut(&target.store).expect("store exists");
-                    // Storing happens in exactly one partition: the one the
-                    // partition attribute hashes to (or partition 0).
-                    let p = if partitions.len() == 1 {
-                        partitions[0]
-                    } else {
-                        store.partition_for(&tuple)
-                    };
-                    store.insert(p, epoch, tuple.clone());
-                    self.trace
-                        .record(TraceEventKind::Insert, u64::from(target.store.0), 0);
-                }
-                Rule::Probe {
-                    predicates,
-                    outputs,
-                } => {
-                    let store = self.stores.get(&target.store).expect("store exists");
-                    let window = store.window;
-                    // Epochs that may contain partners: everything from the
-                    // window horizon up to the probing tuple's own epoch.
-                    let lo = self.config.epoch.epoch_of(window.horizon(tuple.ts));
-                    let hi = epoch;
-                    let epochs: Vec<Epoch> = (lo.0..=hi.0).map(Epoch).collect();
-                    let store_size = store.len() as u64;
-                    let mut matches = Vec::new();
-                    for &p in &partitions {
-                        matches.extend(store.probe(p, &epochs, &tuple, predicates));
-                    }
-                    self.metrics.probes += 1;
-                    self.trace.record(
-                        TraceEventKind::Probe,
-                        u64::from(target.store.0),
-                        matches.len() as u64,
-                    );
-                    self.stats
-                        .record_probe(epoch, predicates, matches.len() as u64, store_size);
-                    for matched in matches {
-                        let Some(joined) = tuple.join(&matched) else {
-                            continue;
-                        };
-                        for action in outputs {
-                            match action {
-                                OutputAction::Emit { query } => {
-                                    emitted += 1;
-                                    *self.metrics.results.entry(*query).or_default() += 1;
-                                    self.metrics
-                                        .record_latency(*query, ingest_started.elapsed());
-                                    if self.config.collect_results {
-                                        self.results.push((*query, joined.clone()));
-                                    }
-                                    if let Some(sink) = &mut self.sink {
-                                        sink(*query, &joined);
-                                    }
-                                }
-                                OutputAction::Forward(next) => {
-                                    queue.push((*next, joined.clone()));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        emitted
-    }
-
     /// Expires out-of-window tuples from every store. Before expiring,
     /// epochs that have fallen [`EngineConfig::freeze_after_epochs`]
     /// behind the stream clock are compacted into frozen columnar
-    /// segments (so cold state is probed in its read-optimized form and
-    /// expires by segment drop, not per-tuple work).
+    /// segments.
     pub fn expire_stores(&mut self) -> usize {
-        if self.config.freeze_after_epochs > 0 {
-            let clock = self.config.epoch.epoch_of(self.max_ts);
-            let freeze_horizon = Epoch(clock.0.saturating_sub(self.config.freeze_after_epochs));
-            for (id, store) in self.stores.iter_mut() {
-                let built = store.freeze_before(freeze_horizon);
-                if built > 0 {
-                    self.trace
-                        .record(TraceEventKind::Compaction, u64::from(id.0), built as u64);
-                }
-            }
-        }
-        let mut removed = 0;
-        for store in self.stores.values_mut() {
-            let horizon = store.window.horizon(self.max_ts);
-            removed += store.expire(horizon);
-        }
-        self.trace.record(TraceEventKind::Expire, removed as u64, 0);
-        removed
+        self.shard.expire(self.max_ts)
     }
 
     /// Total bytes held across all stores (Fig. 7c).
     pub fn store_bytes(&self) -> usize {
-        self.stores.values().map(|s| s.bytes()).sum()
+        self.shard.stores().map(|s| s.bytes()).sum()
     }
 
     /// Total tuples held across all stores.
     pub fn store_tuples(&self) -> usize {
-        self.stores.values().map(|s| s.len()).sum()
+        self.shard.stores().map(|s| s.len()).sum()
     }
 
     /// Frozen segments built across all stores since startup.
     pub fn store_compactions(&self) -> u64 {
-        self.stores.values().map(|s| s.compactions()).sum()
+        self.shard.stores().map(|s| s.compactions()).sum()
     }
 
     /// Metrics snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let busy = self.metrics.busy.as_secs_f64();
+        let metrics = &self.shard.metrics;
+        let busy = metrics.busy.as_secs_f64();
         MetricsSnapshot {
-            tuples_ingested: self.metrics.tuples_ingested,
-            tuples_sent: self.metrics.tuples_sent,
-            broadcasts: self.metrics.broadcasts,
-            probes: self.metrics.probes,
-            results: self
-                .metrics
-                .results
-                .iter()
-                .map(|(q, n)| (q.0, *n))
-                .collect(),
-            latency: self.metrics.latency(),
-            latency_per_query: self.metrics.latency_per_query_stats(),
+            tuples_ingested: metrics.tuples_ingested,
+            tuples_sent: metrics.tuples_sent,
+            broadcasts: metrics.broadcasts,
+            probes: metrics.probes,
+            results: metrics.results.iter().map(|(q, n)| (q.0, *n)).collect(),
+            latency: metrics.latency(),
+            latency_per_query: metrics.latency_per_query_stats(),
             store_bytes: self.store_bytes(),
             store_tuples: self.store_tuples(),
-            num_stores: self.stores.len(),
+            num_stores: self.shard.stores().count(),
             busy_secs: busy,
             throughput_tps: if busy > 0.0 {
-                self.metrics.tuples_ingested as f64 / busy
+                metrics.tuples_ingested as f64 / busy
             } else {
                 0.0
             },
@@ -510,14 +367,14 @@ impl LocalEngine {
     /// Resets metrics (between experiment phases) without touching store
     /// state.
     pub fn reset_metrics(&mut self) {
-        self.metrics = EngineMetrics::default();
-        self.results.clear();
+        self.shard.metrics = EngineMetrics::default();
+        self.shard.results.clear();
     }
 
     /// Takes every buffered trace event (record order), leaving the ring
     /// empty. Empty when `EngineConfig::trace_capacity` is `0`.
     pub fn drain_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.drain()
+        self.shard.trace.drain()
     }
 
     /// Drains the trace ring rendered as Chrome trace-event JSON
@@ -532,27 +389,8 @@ impl LocalEngine {
     /// gauges, and this thread's arena counters.
     pub fn telemetry_snapshot(&self) -> String {
         let mut page = Exposition::new();
-        crate::exposition::engine_sections(&mut page, &self.metrics);
-        let mut details: Vec<crate::parallel::shard::StoreDetail> = self
-            .stores
-            .iter()
-            .map(|(id, store)| {
-                let (posting_lists, spilled_postings) = store.posting_stats();
-                let (segments, segment_bytes) = store.segment_stats();
-                crate::parallel::shard::StoreDetail {
-                    store: *id,
-                    tuples: store.len(),
-                    bytes: store.bytes(),
-                    posting_lists,
-                    spilled_postings,
-                    segments,
-                    segment_bytes,
-                    compactions: store.compactions(),
-                }
-            })
-            .collect();
-        details.sort_by_key(|d| d.store.0);
-        crate::exposition::store_sections(&mut page, &details);
+        crate::exposition::engine_sections(&mut page, &self.shard.metrics);
+        crate::exposition::store_sections(&mut page, &self.shard.store_detail());
         let arena = arena_stats();
         crate::exposition::arena_sections(
             &mut page,

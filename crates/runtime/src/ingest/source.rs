@@ -191,7 +191,6 @@ impl SourceHandle {
             self.senders.len(),
             relation,
             &tuple,
-            seq,
             &root,
             started,
             &mut inner.metrics,

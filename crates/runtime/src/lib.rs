@@ -9,12 +9,13 @@
 //!
 //! * [`StoreInstance`] — a partitioned, epoch-versioned, window-expiring
 //!   relation store with per-attribute hash indexes,
-//! * [`LocalEngine`] — a deterministic, single-process executor that
-//!   ingests input tuples, walks the routing rules of a
+//! * one rule kernel (`parallel::shard`) that walks the routing rules of a
 //!   [`clash_optimizer::TopologyPlan`] (Algorithm 3 / 4 of the paper),
 //!   maintains intermediate-result stores, emits join results and tracks
 //!   the metrics the evaluation reports (tuples sent, store memory,
-//!   per-result latency, throughput),
+//!   per-result latency, throughput), driven by two engines:
+//! * [`LocalEngine`] — a deterministic, single-process executor: one shard
+//!   holding every partition, each ingested tuple run to completion,
 //! * [`ParallelEngine`] — the sharded counterpart: one worker thread per
 //!   store shard, `partition_hash` routing over channels, and epoch
 //!   barriers that aggregate per-worker metrics/statistics while keeping

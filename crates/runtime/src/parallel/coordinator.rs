@@ -457,7 +457,6 @@ impl ParallelEngine {
             self.shared.clone(),
             controller,
             self.config.epoch,
-            self.config.epoch_tick,
         ));
     }
 
@@ -670,7 +669,6 @@ impl EngineCore {
                 self.workers,
                 relation,
                 &tuple,
-                seq,
                 &root,
                 started,
                 &mut self.metrics,
@@ -699,12 +697,10 @@ impl EngineCore {
 
         self.since_expiry += 1;
         if self.config.expire_every > 0 && self.since_expiry >= self.config.expire_every {
-            // Keep channel order: buffered inserts must reach the workers
-            // before the expiry that might otherwise run ahead of them.
-            self.coord_buf.flush_to(&self.senders);
-            for s in &self.senders {
-                let _ = s.send(WorkerMsg::Expire { upto: self.max_ts });
-            }
+            // The drain-then-collect barrier, not a message racing the
+            // batches: an expiry sent ahead of in-flight worker-to-worker
+            // forwards would remove state their probes still have to see.
+            self.expire_stores();
             self.since_expiry = 0;
         }
         Ok(0)

@@ -29,6 +29,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration as StdDuration;
 
+/// Poll cadence of the driver thread. Each tick is one atomic read of the
+/// stream clock; the expensive work (collection barrier + re-planning)
+/// only runs when the clock crossed an epoch boundary.
+const EPOCH_TICK: StdDuration = StdDuration::from_millis(1);
+
 /// Handle to the running epoch-driver thread (engine-owned).
 #[derive(Debug)]
 pub(crate) struct EpochDriver {
@@ -47,19 +52,17 @@ impl EpochDriver {
         shared: Arc<ControlShared>,
         controller: Arc<Mutex<AdaptiveController>>,
         epoch: EpochConfig,
-        tick: StdDuration,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let error = Arc::new(Mutex::new(None));
         let stop_flag = stop.clone();
         let error_slot = error.clone();
-        let tick = tick.clamp(StdDuration::from_micros(100), StdDuration::from_secs(1));
         let handle = std::thread::Builder::new()
             .name("clash-epoch-driver".into())
             .spawn(move || {
                 let mut last_epoch = Epoch::ZERO;
                 while !stop_flag.load(Ordering::Acquire) {
-                    std::thread::sleep(tick);
+                    std::thread::sleep(EPOCH_TICK);
                     if shared.is_shutdown() {
                         break;
                     }
@@ -161,11 +164,7 @@ mod tests {
         let (controller, plan) =
             AdaptiveController::new(catalog.clone(), vec![q1], stats, AdaptiveConfig::default())
                 .unwrap();
-        let config = EngineConfig {
-            epoch_tick: StdDuration::from_millis(1),
-            ..EngineConfig::default()
-        };
-        let mut engine = ParallelEngine::new(catalog.clone(), plan, config, 2);
+        let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
         let controller = Arc::new(Mutex::new(controller));
         engine.start_epoch_driver(controller.clone());
         let mut handle = engine.open_source();

@@ -1,11 +1,12 @@
-//! Sharded parallel runtime: executes [`clash_optimizer::TopologyPlan`]s
-//! across real worker threads.
+//! The rule kernel and the sharded parallel runtime built on it.
 //!
 //! The paper deploys its topologies on an Apache Storm cluster where every
-//! store partition is a parallel task. The sequential
-//! [`crate::LocalEngine`] collapses that into one thread; this module
-//! restores genuine parallelism while keeping the results **bit-identical**
-//! to sequential execution on the same input:
+//! store partition is a parallel task. [`shard`] holds the one interpreter
+//! of a [`clash_optimizer::TopologyPlan`]'s rule sets; the sequential
+//! [`crate::LocalEngine`] drives a single shard holding every partition,
+//! and this module's [`coordinator::ParallelEngine`] restores genuine
+//! parallelism — one shard per worker thread — while keeping the results
+//! **bit-identical** to sequential execution on the same input:
 //!
 //! * [`coordinator::ParallelEngine`] — the public engine. Consumes the
 //!   same `TopologyPlan`, spawns one worker thread per shard (store
@@ -13,21 +14,23 @@
 //!   `parallelism` field), and aggregates per-worker metrics and
 //!   statistics at epoch barriers so the adaptive controller keeps
 //!   working unchanged.
-//! * [`router`] — partition routing (the same `partition_hash` as the
-//!   stores) plus the ordering machinery: per-root completion counters, a
-//!   global completion watermark, and the static analysis of which rule
-//!   keys need deferral.
-//! * [`worker`] — the thread loop and message protocol (deliveries,
-//!   collection barriers, plan installs, expiry).
-//! * [`shard`] — per-worker store partitions and rule execution
+//! * [`router`] — partition routing for both engines (the same
+//!   `partition_hash` as the stores) plus the sharded ordering machinery:
+//!   per-root completion counters, a global completion watermark, and the
+//!   static analysis of which stores need symmetric probing.
+//! * [`worker`] — the kernel's unit of work, and the thread loop and
+//!   message protocol (deliveries, collection barriers with optional
+//!   expiry, plan installs).
+//! * [`shard`] — the kernel: a shard's store partitions and rule execution
 //!   (Algorithm 3/4 scoped to owned partitions, with epoch-scoped state).
 //!
-//! # Why the results are exactly those of `LocalEngine`
+//! # Why the results are exactly those of sequential execution
 //!
 //! Sequential execution processes each input tuple (a *root*) to
 //! completion before the next; a probe therefore sees exactly the tuples
 //! stored by earlier roots (further filtered by timestamp and window).
-//! Sharded execution reproduces this through three mechanisms:
+//! `LocalEngine` has that by construction. Sharded execution runs the same
+//! kernel and reproduces it through three mechanisms:
 //!
 //! 1. **Per-partition FIFO.** The coordinator fans out roots in arrival
 //!    order and every (store, partition) is owned by exactly one worker,
@@ -37,7 +40,7 @@
 //! 2. **Sequence guard.** Stored tuples carry the sequence number of
 //!    their root; probes skip tuples with `stored_seq >= probe_seq`.
 //!    A shard that races ahead may observe *later* insertions, but the
-//!    guard excludes them — matching what the sequential engine would
+//!    guard excludes them — matching what arrival-order processing would
 //!    have seen.
 //! 3. **Symmetric pending probers.** Stores fed by `Forward` actions
 //!    (materialized intermediate results) receive insertions from worker
@@ -51,7 +54,6 @@
 //!    insert was already applied, retroactively otherwise — and nothing
 //!    ever waits. The completion watermark only garbage-collects probers
 //!    that can no longer receive late inserts.
-
 //!
 //! # Multi-producer ingestion
 //!

@@ -1,12 +1,12 @@
-//! Partition routing and ordering bookkeeping for the sharded runtime.
+//! Partition routing and ordering bookkeeping.
 //!
-//! Routing itself reuses the exact decisions of the sequential engine: a
-//! delivery either hashes its routing-key attribute to one partition
-//! ([`partition_hash`]) or broadcasts to every partition of the target
-//! store (the χ factor of Equation 1). Partitions are mapped onto worker
-//! threads round-robin (`partition % workers`), so with `workers` equal to
-//! a store's catalog parallelism every store partition gets its own
-//! dedicated thread.
+//! Routing is one decision, made in [`resolve`] / [`fan_out`] for both
+//! engines: a delivery either hashes its routing-key attribute to one
+//! partition ([`partition_hash`]) or broadcasts to every partition of the
+//! target store (the χ factor of Equation 1). Partitions are mapped onto
+//! worker threads round-robin (`partition % workers`), so with `workers`
+//! equal to a store's catalog parallelism every store partition gets its
+//! own dedicated thread; `LocalEngine` routes with `workers = 1`.
 //!
 //! The module also owns the two pieces of machinery that make sharded
 //! execution *bit-identical* to sequential execution:
@@ -30,7 +30,8 @@
 //! The watermark doubles as the garbage-collection horizon for pending
 //! probers and as the drain condition for barriers.
 
-use crate::parallel::worker::{Delivery, WorkerMsg};
+use crate::metrics::EngineMetrics;
+use crate::parallel::worker::{Delivery, Rooted, WorkerMsg};
 use crate::store::partition_hash;
 use clash_common::{FxHashSet, StoreId, Tuple};
 use clash_optimizer::{OutputAction, Rule, SendTarget, TopologyPlan};
@@ -40,28 +41,37 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// How a delivery maps onto the partitions of its target store.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct RouteSpec {
-    /// Partitions a probe rule must inspect (one when hashed, all when
-    /// broadcast).
-    pub probe_partitions: Vec<usize>,
+    /// The one partition the routing key hashes to; `None` when the tuple
+    /// does not carry the key and every partition must be probed.
+    pub hashed: Option<usize>,
+    /// Number of partitions of the target store.
+    pub parallelism: usize,
     /// Partition a store rule inserts into.
     pub store_partition: usize,
-    /// `true` when the delivery is a broadcast across > 1 partitions.
-    pub broadcast: bool,
 }
 
 impl RouteSpec {
     /// Number of partition copies this delivery sends (the probe-cost
-    /// `tuples_sent` unit of the sequential engine).
+    /// unit behind `tuples_sent`, the χ factor of Equation 1).
     pub fn copies(&self) -> u64 {
-        self.probe_partitions.len() as u64
+        match self.hashed {
+            Some(_) => 1,
+            None => self.parallelism as u64,
+        }
+    }
+
+    /// `true` when the delivery is a broadcast across > 1 partitions.
+    pub fn broadcast(&self) -> bool {
+        self.hashed.is_none() && self.parallelism > 1
     }
 }
 
-/// Resolves the partitions of `target` that `tuple` must reach, mirroring
-/// the sequential engine: hash the routing key when the tuple carries it,
-/// otherwise broadcast (and store into the partition-attribute partition).
+/// Resolves the partitions of `target` that `tuple` must reach — the only
+/// place a [`SendTarget`] is turned into partitions: hash the routing key
+/// when the tuple carries it, otherwise broadcast (and store into the
+/// partition-attribute partition).
 pub(crate) fn resolve(
     plan: &TopologyPlan,
     target: &SendTarget,
@@ -69,29 +79,22 @@ pub(crate) fn resolve(
 ) -> Option<RouteSpec> {
     let def = plan.store(target.store)?;
     let parallelism = def.descriptor.parallelism.max(1);
-    match target.routing_key.and_then(|a| tuple.get(&a)) {
-        Some(value) => {
-            let p = partition_hash(value, parallelism);
-            Some(RouteSpec {
-                probe_partitions: vec![p],
-                store_partition: p,
-                broadcast: false,
-            })
-        }
-        None => {
-            let store_partition = def
-                .descriptor
-                .partition
-                .and_then(|a| tuple.get(&a))
-                .map(|v| partition_hash(v, parallelism))
-                .unwrap_or(0);
-            Some(RouteSpec {
-                probe_partitions: (0..parallelism).collect(),
-                store_partition,
-                broadcast: parallelism > 1,
-            })
-        }
-    }
+    let hashed = target
+        .routing_key
+        .and_then(|a| tuple.get(&a))
+        .map(|value| partition_hash(value, parallelism));
+    let store_partition = hashed.unwrap_or_else(|| {
+        def.descriptor
+            .partition
+            .and_then(|a| tuple.get(&a))
+            .map(|v| partition_hash(v, parallelism))
+            .unwrap_or(0)
+    });
+    Some(RouteSpec {
+        hashed,
+        parallelism,
+        store_partition,
+    })
 }
 
 /// The worker thread owning a partition: round-robin assignment.
@@ -99,105 +102,115 @@ pub(crate) fn owner_of(partition: usize, workers: usize) -> usize {
     partition % workers
 }
 
-/// Splits the route of `target` into per-worker deliveries, registering
-/// each with the root's completion counter. Returns `None` when the plan
-/// has no rules for the target (the sequential engine ignores such sends
-/// without accounting them). Probe partitions go to their owners; the
-/// store partition goes to its owner only when the rule set actually
-/// stores. `guard` is the logical sequence position the delivery acts at
-/// (the originating root for normal sends, the original prober's position
-/// for retro-produced results).
+/// The partitions of one store that one worker probes along a route.
+/// Round-robin ownership makes every worker's share an arithmetic
+/// progression (`w, w + workers, …`), so a delivery carries it by value
+/// instead of an allocated list.
+pub(crate) type Partitions = std::iter::StepBy<std::ops::Range<usize>>;
+
+/// Routes one send: splits the route of `target` into one [`Delivery`] per
+/// owning worker, handed to `deliver`, and accounts the send in `metrics`
+/// (`tuples_sent` per partition copy, the broadcast counter). Sends the
+/// plan has no rules for are ignored without accounting. Probe partitions
+/// go to their owners; the store partition goes to its owner only when the
+/// rule set actually stores. `guard` is the logical sequence position the
+/// delivery acts at (the originating root for normal sends, the original
+/// prober's position for retro-produced results). Every producer — engine
+/// ingest, source pushes and the kernel's `Forward` outputs, on one worker
+/// or many — routes through here, so routing and probe-cost accounting
+/// cannot diverge between them.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn fan_out(
     plan: &TopologyPlan,
     workers: usize,
     target: SendTarget,
-    tuple: Tuple,
+    tuple: &Tuple,
     guard: u64,
-    root: &Arc<RootHandle>,
     started: Instant,
-) -> Option<(RouteSpec, Vec<(usize, Delivery)>)> {
-    let rules = plan.rules.get(&(target.store, target.edge))?;
+    metrics: &mut EngineMetrics,
+    mut deliver: impl FnMut(usize, Delivery),
+) {
+    let Some(rules) = plan.rules.get(&(target.store, target.edge)) else {
+        return;
+    };
     let has_store = rules.iter().any(|r| matches!(r, Rule::Store));
     let has_probe = rules.iter().any(|r| matches!(r, Rule::Probe { .. }));
     if !has_store && !has_probe {
-        return None;
+        return;
     }
-    let spec = resolve(plan, &target, &tuple)?;
-    let mut per_worker: Vec<Option<Delivery>> = (0..workers).map(|_| None).collect();
-    if has_probe {
-        for &p in &spec.probe_partitions {
-            per_worker[owner_of(p, workers)]
-                .get_or_insert_with(|| Delivery {
-                    target,
-                    tuple: tuple.clone(),
-                    probe_partitions: Vec::new(),
-                    store_partition: None,
-                    broadcast: spec.broadcast,
-                    guard,
-                    root: root.clone(),
-                    started,
-                })
-                .probe_partitions
-                .push(p);
+    let Some(spec) = resolve(plan, &target, tuple) else {
+        return;
+    };
+    metrics.tuples_sent += spec.copies();
+    if spec.broadcast() {
+        metrics.broadcasts += 1;
+    }
+    let probe = |partitions: Partitions| {
+        if has_probe {
+            partitions
+        } else {
+            (0..0).step_by(1)
+        }
+    };
+    let delivery = |probe_partitions, store_partition| Delivery {
+        target,
+        tuple: tuple.clone(),
+        probe_partitions,
+        store_partition,
+        broadcast: spec.broadcast(),
+        guard,
+        started,
+    };
+    match spec.hashed {
+        Some(p) => deliver(
+            owner_of(p, workers),
+            delivery(probe((p..p + 1).step_by(1)), has_store.then_some(p)),
+        ),
+        None => {
+            let store_owner = has_store.then(|| owner_of(spec.store_partition, workers));
+            for worker in 0..workers.min(spec.parallelism) {
+                let stores_here = store_owner == Some(worker);
+                if has_probe || stores_here {
+                    deliver(
+                        worker,
+                        delivery(
+                            probe((worker..spec.parallelism).step_by(workers)),
+                            stores_here.then_some(spec.store_partition),
+                        ),
+                    );
+                }
+            }
         }
     }
-    if has_store {
-        per_worker[owner_of(spec.store_partition, workers)]
-            .get_or_insert_with(|| Delivery {
-                target,
-                tuple: tuple.clone(),
-                probe_partitions: Vec::new(),
-                store_partition: None,
-                broadcast: spec.broadcast,
-                guard,
-                root: root.clone(),
-                started,
-            })
-            .store_partition = Some(spec.store_partition);
-    }
-    let deliveries: Vec<(usize, Delivery)> = per_worker
-        .into_iter()
-        .enumerate()
-        .filter_map(|(worker, d)| d.map(|d| (worker, d)))
-        .collect();
-    for _ in &deliveries {
-        root.register();
-    }
-    Some((spec, deliveries))
 }
 
-/// Routes one ingested root to every target store of its relation: the
-/// shared front half of `ParallelEngine::ingest` and
-/// [`crate::ingest::SourceHandle`] pushes. Fans out each target, accounts
-/// `tuples_sent`/`broadcasts` exactly like the sequential engine, buffers
-/// the deliveries and releases the root's creator bias. Keeping both
-/// producers on this single path means a change to routing or accounting
-/// cannot silently diverge between them.
+/// Routes one ingested root of the sharded runtime to every target store
+/// of its relation: the shared front half of `ParallelEngine::ingest` and
+/// [`crate::ingest::SourceHandle`] pushes. Registers every delivery with
+/// the root's completion counter, buffers it and releases the root's
+/// creator bias.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_root(
     plan: &TopologyPlan,
     workers: usize,
     relation: clash_common::RelationId,
     tuple: &Tuple,
-    seq: u64,
     root: &Arc<RootHandle>,
     started: Instant,
-    metrics: &mut crate::metrics::EngineMetrics,
+    metrics: &mut EngineMetrics,
     buf: &mut BatchBuffer,
 ) {
     for target in plan.ingest_for(relation) {
-        let Some((spec, deliveries)) =
-            fan_out(plan, workers, *target, tuple.clone(), seq, root, started)
-        else {
-            continue;
-        };
-        metrics.tuples_sent += spec.copies();
-        if spec.broadcast {
-            metrics.broadcasts += 1;
-        }
-        for (worker, delivery) in deliveries {
-            buf.push(worker, delivery);
-        }
+        fan_out(
+            plan,
+            workers,
+            *target,
+            tuple,
+            root.seq,
+            started,
+            metrics,
+            |worker, delivery| buf.push(worker, (delivery, root.register())),
+        );
     }
     root.release_bias();
 }
@@ -215,7 +228,7 @@ pub(crate) fn route_root(
 /// messages, so no delivery can be stranded behind a barrier.
 #[derive(Debug)]
 pub(crate) struct BatchBuffer {
-    per_worker: Vec<Vec<Delivery>>,
+    per_worker: Vec<Vec<Rooted>>,
     buffered: usize,
     /// Size trigger: flush once this many deliveries are buffered
     /// (`<= 1` restores the seed's send-per-ingest behavior).
@@ -240,7 +253,7 @@ impl BatchBuffer {
     }
 
     /// Appends one delivery for `worker`.
-    pub fn push(&mut self, worker: usize, delivery: Delivery) {
+    pub fn push(&mut self, worker: usize, delivery: Rooted) {
         self.per_worker[worker].push(delivery);
         self.buffered += 1;
         if self.since.is_none() {
@@ -483,9 +496,11 @@ impl RootHandle {
         })
     }
 
-    /// Registers one more outstanding delivery.
-    pub fn register(&self) {
+    /// Registers one more outstanding delivery and returns the handle
+    /// that travels with it.
+    pub fn register(self: &Arc<Self>) -> Arc<Self> {
         self.remaining.fetch_add(1, Ordering::AcqRel);
+        Arc::clone(self)
     }
 
     /// Marks one delivery processed; completes the root when the count

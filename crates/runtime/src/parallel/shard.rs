@@ -1,10 +1,17 @@
-//! Per-worker shard state: the partitions a worker owns of every store,
-//! plus its private metrics and statistics accumulators.
+//! The rule kernel: one shard's store partitions plus the only
+//! interpreter of `Rule::{Store, Probe}` / `OutputAction::{Emit, Forward}`
+//! (Algorithm 3/4) in this crate, with its private metrics and statistics
+//! accumulators.
 //!
-//! A shard executes the same rule sets (Algorithm 3/4) as the sequential
-//! engine, restricted to the partitions assigned to its worker. Two
-//! mechanisms make the union of all shards' results equal to the
-//! sequential engine's result set:
+//! Both engines run it. `LocalEngine` owns a single shard holding every
+//! partition (`workers = 1`, empty symmetric set) and feeds the kernel's
+//! forwards back into an inline work queue; `ParallelEngine` runs one shard
+//! per worker thread, restricted to the partitions assigned to that worker,
+//! and ships forwards through the routed `Outbox`. Two mechanisms make the
+//! union of all shards' results equal to sequential execution's result set
+//! (both are vacuous in the single-shard instance, where every tuple an
+//! earlier root stored already carries a smaller guard than any probe that
+//! meets it, and no store is symmetric):
 //!
 //! * **Sequence guard** — inserts are tagged with the logical sequence
 //!   position (`guard`) of the root that produced them and probes skip
@@ -24,10 +31,10 @@
 //!   otherwise. Probers are garbage-collected once the completion
 //!   watermark proves no earlier root can still insert.
 
-use crate::engine::{indexed_attrs, store_window};
+use crate::engine::{indexed_attrs, store_window, ResultSink};
 use crate::metrics::EngineMetrics;
-use crate::parallel::router::workers_of_store;
-use crate::parallel::worker::{Delivery, Outbox};
+use crate::parallel::router::{fan_out, workers_of_store, Partitions};
+use crate::parallel::worker::Delivery;
 use crate::stats_collector::StatsCollector;
 use crate::store::StoreInstance;
 use clash_catalog::Catalog;
@@ -36,13 +43,12 @@ use clash_common::{
     Timestamp, TraceEventKind, TraceRing, Tuple, Value, Window,
 };
 use clash_optimizer::{OutputAction, Rule, TopologyPlan};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-store construction data shipped by the coordinator on (re)install:
-/// expiry windows and indexed attributes, both derived from the catalog
-/// and the plan exactly as the sequential engine derives them.
+/// Per-store construction data of a plan, handed to every shard on
+/// (re)install: expiry windows and indexed attributes, both derived from
+/// the catalog and the plan.
 #[derive(Debug, Clone)]
 pub(crate) struct StoreLayout {
     /// Expiry window per store.
@@ -73,7 +79,7 @@ struct PendingProber {
     /// The probing tuple.
     tuple: Tuple,
     /// Partitions (owned by this worker) the probe inspected.
-    partitions: Vec<usize>,
+    partitions: Partitions,
     /// Rule key whose probe rules (predicates, outputs) apply.
     key: (StoreId, EdgeId),
     /// Wall-clock ingest instant of the probe's root.
@@ -148,35 +154,8 @@ impl PendingSet {
     }
 }
 
-/// Records one emitted join result: counts it, streams it to the
-/// subscription (clearing a hung-up subscriber) and retains it for the
-/// coordinator when requested. The single emission path of both the
-/// probe-time and the retroactive match — a free function over disjoint
-/// fields so call sites holding store/pending borrows can still use it.
-fn emit_result(
-    metrics: &mut EngineMetrics,
-    results: &mut Vec<(QueryId, Tuple)>,
-    subscription: &mut Option<Sender<(QueryId, Tuple)>>,
-    forward_results: bool,
-    query: QueryId,
-    joined: &Tuple,
-    started: Instant,
-) {
-    *metrics.results.entry(query).or_default() += 1;
-    metrics.record_latency(query, started.elapsed());
-    if let Some(tx) = subscription {
-        if tx.send((query, joined.clone())).is_err() {
-            // The subscriber hung up: stop paying the per-result clone.
-            *subscription = None;
-        }
-    }
-    if forward_results {
-        results.push((query, joined.clone()));
-    }
-}
-
-/// The state owned by one worker thread.
-#[derive(Debug)]
+/// The state owned by one shard: a worker thread's, or the whole of a
+/// `LocalEngine`.
 pub(crate) struct ShardState {
     workers: usize,
     plan: Arc<TopologyPlan>,
@@ -189,19 +168,20 @@ pub(crate) struct ShardState {
     /// Epoch lag before cold epochs freeze into columnar segments
     /// (`EngineConfig::freeze_after_epochs`; `0` disables the cold tier).
     freeze_after: u64,
-    /// Metrics delta since the last collection barrier.
+    /// Metrics accumulated since they were last taken (a collection
+    /// barrier; never, in the local instance).
     pub metrics: EngineMetrics,
-    /// Statistics delta since the last collection barrier.
+    /// Statistics accumulated since they were last taken.
     pub stats: StatsCollector,
-    /// Emitted results since the last collection barrier (only filled when
-    /// the coordinator collects results or has a sink registered).
+    /// Emitted results since they were last taken (only filled while
+    /// `forward_results` is set).
     pub results: Vec<(QueryId, Tuple)>,
-    /// Whether emitted result tuples are retained for the coordinator.
+    /// Whether emitted result tuples are retained in `results`.
     pub forward_results: bool,
-    /// Streaming result subscription: emitted results are sent here the
-    /// moment they are produced, without waiting for a barrier.
-    pub subscription: Option<Sender<(QueryId, Tuple)>>,
-    /// This worker's trace-event ring (drained into barrier acks).
+    /// Invoked for every emitted result the moment it is produced: the
+    /// local engine's sink, or a worker's streaming subscription.
+    pub sink: Option<ResultSink>,
+    /// This shard's trace-event ring.
     pub trace: TraceRing,
 }
 
@@ -230,7 +210,7 @@ impl ShardState {
             stats: StatsCollector::new(epoch.length),
             results: Vec::new(),
             forward_results,
-            subscription: None,
+            sink: None,
             trace,
         };
         shard.install(plan, layout, symmetric);
@@ -245,10 +225,21 @@ impl ShardState {
         self.symmetric = symmetric;
     }
 
-    /// Installs a plan, carrying over the state of stores whose descriptor
-    /// key matches (Section VI-A) and dropping the rest — the same
-    /// carry-over rule as the sequential engine, applied shard-locally.
-    /// Installs only happen after a full drain, so no probers are pending.
+    /// The installed plan.
+    pub fn plan(&self) -> &Arc<TopologyPlan> {
+        &self.plan
+    }
+
+    /// The store instances of this shard.
+    pub fn stores(&self) -> impl Iterator<Item = &StoreInstance> {
+        self.stores.values()
+    }
+
+    /// Installs a plan. Stores whose descriptor key matches an existing
+    /// store keep their state (Section VI-A: rewiring without losing
+    /// results); stores that no longer appear are dropped (reference count
+    /// reaching zero in Section VI-B). Installs only happen with nothing in
+    /// flight, so no probers are pending.
     pub fn install(
         &mut self,
         plan: Arc<TopologyPlan>,
@@ -282,15 +273,22 @@ impl ShardState {
             .record(TraceEventKind::PlanInstall, 0, self.stores.len() as u64);
     }
 
-    /// Executes the rules of one delivery, pushing generated forwards into
-    /// `out` and recording emissions locally.
-    pub fn process(&mut self, delivery: &Delivery, out: &mut Outbox) {
+    /// Delivers one tuple to one store along one edge, applying the rules
+    /// registered for that edge (Algorithm 3/4) to the partitions this
+    /// shard owns. `Forward` outputs are routed and handed to `out` as
+    /// `(owning worker, delivery)`; emissions are recorded locally.
+    /// Returns the number of results emitted.
+    pub fn process(&mut self, delivery: &Delivery, out: &mut impl FnMut(usize, Delivery)) -> u64 {
+        // Borrow the rule set through a local Arc handle: no per-delivery
+        // clone of the rules (predicates, outputs) on the hot path.
         let plan = Arc::clone(&self.plan);
         let key = (delivery.target.store, delivery.target.edge);
         let Some(rules) = plan.rules.get(&key) else {
-            return;
+            return 0;
         };
         let epoch = self.epoch.epoch_of(delivery.tuple.ts);
+        let symmetric = self.symmetric.contains(&delivery.target.store);
+        let mut emitted = 0;
         let mut probed = false;
         // Join-key of the probe for pending-prober indexing: stored-side
         // accessor and probe-side value of the first predicate.
@@ -301,33 +299,31 @@ impl ShardState {
                     let Some(partition) = delivery.store_partition else {
                         continue;
                     };
-                    let store = self
-                        .stores
-                        .get_mut(&delivery.target.store)
-                        .expect("store exists");
+                    let Some(store) = self.stores.get_mut(&delivery.target.store) else {
+                        return emitted;
+                    };
                     store.insert_seq(partition, epoch, delivery.tuple.clone(), delivery.guard);
                     self.trace.record(
                         TraceEventKind::Insert,
                         u64::from(delivery.target.store.0),
                         delivery.guard,
                     );
-                    if self.symmetric.contains(&delivery.target.store) {
-                        self.retro_probe(&plan, delivery.target.store, partition, delivery, out);
+                    if symmetric {
+                        emitted += self.retro_probe(&plan, partition, delivery, out);
                     }
                 }
                 Rule::Probe {
                     predicates,
                     outputs,
                 } => {
-                    if delivery.probe_partitions.is_empty() {
+                    if delivery.probe_partitions.len() == 0 {
                         continue;
                     }
+                    let Some(store) = self.stores.get(&delivery.target.store) else {
+                        return emitted;
+                    };
                     probed = true;
-                    let store = self
-                        .stores
-                        .get(&delivery.target.store)
-                        .expect("store exists");
-                    if probe_key.is_none() && self.symmetric.contains(&delivery.target.store) {
+                    if symmetric && probe_key.is_none() {
                         probe_key = store.predicate_sides(predicates).next().and_then(
                             |(stored_side, probe_side)| {
                                 SlotAccessor::of(&probe_side)
@@ -336,20 +332,20 @@ impl ShardState {
                             },
                         );
                     }
-                    let window = store.window;
-                    let lo = self.epoch.epoch_of(window.horizon(delivery.tuple.ts));
-                    let epochs: Vec<Epoch> = (lo.0..=epoch.0).map(Epoch).collect();
-                    // Statistics must aggregate to what the sequential
-                    // engine records: one probe observation against the
+                    // Epochs that may contain partners: everything from the
+                    // window horizon up to the probing tuple's own epoch.
+                    let lo = self.epoch.epoch_of(store.window.horizon(delivery.tuple.ts));
+                    // Statistics record one probe observation against the
                     // whole-store size per logical probe. A broadcast probe
                     // is split across the sharing workers, so each
                     // contributes its local store slice (the slices sum to
                     // the whole store) and only the worker holding
                     // partition 0 counts the probe itself. A hashed probe
                     // runs on one worker, which extrapolates the whole
-                    // store size from its shard.
+                    // store size from its shard. (One shard holding every
+                    // partition counts each probe once, at its true size.)
                     let counts_probe =
-                        !delivery.broadcast || delivery.probe_partitions.contains(&0);
+                        !delivery.broadcast || delivery.probe_partitions.clone().next() == Some(0);
                     let est_size = if delivery.broadcast {
                         store.len() as u64
                     } else {
@@ -357,14 +353,15 @@ impl ShardState {
                         store.len() as u64 * sharing
                     };
                     let mut matches = Vec::new();
-                    for &p in &delivery.probe_partitions {
-                        matches.extend(store.probe_seq(
+                    for p in delivery.probe_partitions.clone() {
+                        store.probe_seq(
                             p,
-                            &epochs,
+                            (lo.0..=epoch.0).map(Epoch),
                             &delivery.tuple,
                             predicates,
                             Some(delivery.guard),
-                        ));
+                            &mut matches,
+                        );
                     }
                     if counts_probe {
                         self.metrics.probes += 1;
@@ -382,35 +379,15 @@ impl ShardState {
                         est_size,
                     );
                     for matched in matches {
-                        let Some(joined) = delivery.tuple.join(&matched) else {
-                            continue;
-                        };
-                        for action in outputs {
-                            match action {
-                                OutputAction::Emit { query } => {
-                                    emit_result(
-                                        &mut self.metrics,
-                                        &mut self.results,
-                                        &mut self.subscription,
-                                        self.forward_results,
-                                        *query,
-                                        &joined,
-                                        delivery.started,
-                                    );
-                                }
-                                OutputAction::Forward(next) => {
-                                    out.forward(
-                                        &plan,
-                                        self.workers,
-                                        *next,
-                                        joined.clone(),
-                                        delivery.guard,
-                                        &delivery.root,
-                                        delivery.started,
-                                        &mut self.metrics,
-                                    );
-                                }
-                            }
+                        if let Some(joined) = delivery.tuple.join(&matched) {
+                            emitted += self.dispatch(
+                                &plan,
+                                outputs,
+                                &joined,
+                                delivery.guard,
+                                delivery.started,
+                                out,
+                            );
                         }
                     }
                 }
@@ -419,7 +396,7 @@ impl ShardState {
         // Register the probe for symmetric completion: a later-arriving
         // insert with a smaller guard must still find it (via the join-key
         // index when the probe carries one).
-        if probed && self.symmetric.contains(&delivery.target.store) {
+        if probed && symmetric {
             self.pending
                 .entry(delivery.target.store)
                 .or_default()
@@ -434,6 +411,50 @@ impl ShardState {
                     probe_key,
                 );
         }
+        emitted
+    }
+
+    /// Applies a probe rule's outputs to one join result — the only place
+    /// `OutputAction`s are interpreted, for probe-time and retroactive
+    /// matches alike. `Emit` counts the result, hands it to the sink and
+    /// retains it when requested; `Forward` routes it on through `out` at
+    /// the logical position `guard`. Returns the number of results emitted.
+    fn dispatch(
+        &mut self,
+        plan: &TopologyPlan,
+        outputs: &[OutputAction],
+        joined: &Tuple,
+        guard: u64,
+        started: Instant,
+        out: &mut impl FnMut(usize, Delivery),
+    ) -> u64 {
+        let mut emitted = 0;
+        for action in outputs {
+            match action {
+                OutputAction::Emit { query } => {
+                    emitted += 1;
+                    *self.metrics.results.entry(*query).or_default() += 1;
+                    self.metrics.record_latency(*query, started.elapsed());
+                    if let Some(sink) = &mut self.sink {
+                        sink(*query, joined);
+                    }
+                    if self.forward_results {
+                        self.results.push((*query, joined.clone()));
+                    }
+                }
+                OutputAction::Forward(next) => fan_out(
+                    plan,
+                    self.workers,
+                    *next,
+                    joined,
+                    guard,
+                    started,
+                    &mut self.metrics,
+                    &mut *out,
+                ),
+            }
+        }
+        emitted
     }
 
     /// Matches a just-applied insert against the registered pending
@@ -443,18 +464,21 @@ impl ShardState {
     /// `StoreInstance::probe` exactly. Candidates come from the join-key
     /// index (plus the unkeyed scan list), so the cost is proportional to
     /// the probers that can actually match, not to everything in flight.
+    /// Missed results leave through the original prober's outputs, at its
+    /// guard. Returns the number of results emitted.
     fn retro_probe(
         &mut self,
         plan: &TopologyPlan,
-        store_id: StoreId,
         partition: usize,
         delivery: &Delivery,
-        out: &mut Outbox,
-    ) {
-        let Some(pending) = self.pending.get(&store_id) else {
-            return;
+        out: &mut impl FnMut(usize, Delivery),
+    ) -> u64 {
+        let store_id = delivery.target.store;
+        let (Some(pending), Some(store)) =
+            (self.pending.get(&store_id), self.stores.get(&store_id))
+        else {
+            return 0;
         };
-        let store = self.stores.get(&store_id).expect("store exists");
         let inserted = &delivery.tuple;
         let mut candidates: Vec<&PendingProber> = Vec::new();
         for (edge, stored_slot) in &pending.edge_keys {
@@ -469,8 +493,12 @@ impl ShardState {
             }
         }
         candidates.extend(pending.unkeyed.iter());
+        // (join result, outputs, prober guard, prober start): dispatched
+        // once the borrows of the pending set and the store end.
+        let mut hits: Vec<(Tuple, &[OutputAction], u64, Instant)> = Vec::new();
         for prober in candidates {
-            if delivery.guard >= prober.guard || !prober.partitions.contains(&partition) {
+            if delivery.guard >= prober.guard || !prober.partitions.clone().any(|p| p == partition)
+            {
                 continue;
             }
             if inserted.ts >= prober.tuple.ts
@@ -504,7 +532,7 @@ impl ShardState {
                 let Some(joined) = prober.tuple.join(inserted) else {
                     continue;
                 };
-                // The sequential engine would have counted this match
+                // In arrival order this match would have been counted
                 // inside the original probe's observation, so contribute
                 // the match without another probe count or size share.
                 self.stats.record_probe_obs(
@@ -514,35 +542,14 @@ impl ShardState {
                     1,
                     0,
                 );
-                for action in outputs {
-                    match action {
-                        OutputAction::Emit { query } => {
-                            emit_result(
-                                &mut self.metrics,
-                                &mut self.results,
-                                &mut self.subscription,
-                                self.forward_results,
-                                *query,
-                                &joined,
-                                prober.started,
-                            );
-                        }
-                        OutputAction::Forward(next) => {
-                            out.forward(
-                                plan,
-                                self.workers,
-                                *next,
-                                joined.clone(),
-                                prober.guard,
-                                &delivery.root,
-                                prober.started,
-                                &mut self.metrics,
-                            );
-                        }
-                    }
-                }
+                hits.push((joined, outputs, prober.guard, prober.started));
             }
         }
+        let mut emitted = 0;
+        for (joined, outputs, guard, started) in hits {
+            emitted += self.dispatch(plan, outputs, &joined, guard, started, out);
+        }
+        emitted
     }
 
     /// Drops pending probers that can no longer receive late inserts: all
@@ -555,10 +562,11 @@ impl ShardState {
     }
 
     /// Expires out-of-window tuples from every owned partition, given the
-    /// maximum stream timestamp observed by the coordinator. Epochs that
-    /// lag the stream clock by `freeze_after` epochs are first compacted
-    /// into frozen columnar segments (the pass rides the same expiry /
-    /// collection barriers the epoch driver already triggers).
+    /// maximum stream timestamp observed so far. Epochs that lag the
+    /// stream clock by `freeze_after` epochs are first compacted into
+    /// frozen columnar segments (so cold state is probed in its
+    /// read-optimized form and expires by segment drop, not per-tuple
+    /// work).
     pub fn expire(&mut self, upto: Timestamp) -> usize {
         if self.freeze_after > 0 {
             let clock = self.epoch.epoch_of(upto);
@@ -583,13 +591,13 @@ impl ShardState {
     /// `(tuples, bytes)` currently held by this shard.
     pub fn store_totals(&self) -> (usize, usize) {
         (
-            self.stores.values().map(|s| s.len()).sum(),
-            self.stores.values().map(|s| s.bytes()).sum(),
+            self.stores().map(|s| s.len()).sum(),
+            self.stores().map(|s| s.bytes()).sum(),
         )
     }
 
     /// Per-store size and index shape of this shard, sorted by store id —
-    /// shipped in barrier acks for the telemetry surface.
+    /// the telemetry surface's per-store gauges.
     pub fn store_detail(&self) -> Vec<StoreDetail> {
         let mut detail: Vec<StoreDetail> = self
             .stores

@@ -1,4 +1,5 @@
-//! Worker threads: message protocol, fan-out outbox and the thread loop.
+//! The kernel's unit of work ([`Delivery`]) and the worker threads around
+//! it: message protocol, fan-out outbox and the thread loop.
 //!
 //! Every worker owns one mpsc receiver; the coordinator and all other
 //! workers hold senders to it. Per-sender FIFO plus the router's
@@ -8,7 +9,7 @@
 //! remaining races.
 
 use crate::metrics::EngineMetrics;
-use crate::parallel::router::{fan_out, DepthGauges, Progress, RootHandle};
+use crate::parallel::router::{DepthGauges, Partitions, Progress, RootHandle};
 use crate::parallel::shard::{ShardState, StoreDetail, StoreLayout};
 use crate::stats_collector::StatsCollector;
 use clash_common::{
@@ -21,8 +22,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One tuple delivery to the partitions of one store that a single worker
-/// owns. `probe_partitions` drive `Probe` rules; `store_partition` (when
-/// the receiving worker owns it) drives `Store` rules.
+/// owns: everything the rule kernel (`ShardState::process`) needs.
+/// `probe_partitions` drive `Probe` rules; `store_partition` (when the
+/// receiving worker owns it) drives `Store` rules.
 #[derive(Debug, Clone)]
 pub(crate) struct Delivery {
     /// Target store and edge label (selects the rule set).
@@ -30,7 +32,7 @@ pub(crate) struct Delivery {
     /// The tuple or partial join result being delivered.
     pub tuple: Tuple,
     /// Owned partitions to probe (empty for store-only deliveries).
-    pub probe_partitions: Vec<usize>,
+    pub probe_partitions: Partitions,
     /// Owned partition to insert into, if any.
     pub store_partition: Option<usize>,
     /// `true` when the route broadcast to every partition of the store
@@ -41,19 +43,21 @@ pub(crate) struct Delivery {
     /// normal deliveries this is the root's sequence number; results
     /// retro-produced by a late insert inherit the original prober's guard.
     pub guard: u64,
-    /// Completion handle of the root whose processing produced this
-    /// delivery (accounting only — may differ from `guard` for
-    /// retro-produced results).
-    pub root: Arc<RootHandle>,
     /// Wall-clock ingest instant of the root (for latency metrics).
     pub started: Instant,
 }
+
+/// A delivery on its way to a worker thread, with the completion handle of
+/// the root whose processing produced it (accounting only — its `seq` may
+/// differ from the delivery's `guard` for retro-produced results). The
+/// kernel never sees the handle: the worker loop registers and finishes it.
+pub(crate) type Rooted = (Delivery, Arc<RootHandle>);
 
 /// Messages from the coordinator (and, for `Batch`, from peer workers).
 #[derive(Debug)]
 pub(crate) enum WorkerMsg {
     /// Deliveries to process in order.
-    Batch(Vec<Delivery>),
+    Batch(Vec<Rooted>),
     /// Collection barrier: reply with an [`WorkerAck`] carrying all deltas
     /// accumulated since the previous barrier; optionally run a counted
     /// expiry first.
@@ -73,11 +77,6 @@ pub(crate) enum WorkerMsg {
         layout: Arc<StoreLayout>,
         /// Forward-fed stores of the new plan (symmetric probing).
         symmetric: Arc<FxHashSet<StoreId>>,
-    },
-    /// Fire-and-forget expiry (the engine's periodic cadence).
-    Expire {
-        /// Expire up to this stream time.
-        upto: Timestamp,
     },
     /// Toggles retention of emitted result tuples for the coordinator.
     ForwardResults(bool),
@@ -122,7 +121,7 @@ pub(crate) struct WorkerAck {
 /// Collects the deliveries generated while processing one message and
 /// ships them per target worker in one go.
 pub(crate) struct Outbox {
-    direct: Vec<Vec<Delivery>>,
+    direct: Vec<Vec<Rooted>>,
     gauges: Arc<DepthGauges>,
 }
 
@@ -135,32 +134,10 @@ impl Outbox {
         }
     }
 
-    /// Routes one forwarded tuple, accounting the send in `metrics`
-    /// exactly as the sequential engine would (copies per partition,
-    /// broadcast counter).
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward(
-        &mut self,
-        plan: &TopologyPlan,
-        workers: usize,
-        target: SendTarget,
-        tuple: Tuple,
-        guard: u64,
-        root: &Arc<RootHandle>,
-        started: Instant,
-        metrics: &mut EngineMetrics,
-    ) {
-        let Some((spec, deliveries)) = fan_out(plan, workers, target, tuple, guard, root, started)
-        else {
-            return;
-        };
-        metrics.tuples_sent += spec.copies();
-        if spec.broadcast {
-            metrics.broadcasts += 1;
-        }
-        for (worker, delivery) in deliveries {
-            self.direct[worker].push(delivery);
-        }
+    /// Queues one forwarded delivery for `worker`, registered with the
+    /// root whose processing produced it.
+    pub fn push(&mut self, worker: usize, delivery: Delivery, root: &Arc<RootHandle>) {
+        self.direct[worker].push((delivery, root.register()));
     }
 
     /// Ships everything to the target workers.
@@ -240,9 +217,11 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
             WorkerMsg::Batch(deliveries) => {
                 let started = Instant::now();
                 let mut out = Outbox::new(workers, depth.clone());
-                for delivery in &deliveries {
-                    shard.process(delivery, &mut out);
-                    delivery.root.finish_one();
+                for (delivery, root) in &deliveries {
+                    shard.process(delivery, &mut |worker, forwarded| {
+                        out.push(worker, forwarded, root)
+                    });
+                    root.finish_one();
                 }
                 out.flush(&senders);
                 depth.processed(index, deliveries.len() as u64);
@@ -274,14 +253,20 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
                     break;
                 }
             }
-            WorkerMsg::Expire { upto } => {
-                shard.expire(upto);
-            }
             WorkerMsg::ForwardResults(on) => {
                 shard.forward_results = on;
             }
             WorkerMsg::Subscribe(tx) => {
-                shard.subscription = Some(tx);
+                // Dropping the sender on the first failed send stops the
+                // per-result clone once the subscriber hung up.
+                let mut tx = Some(tx);
+                shard.sink = Some(Box::new(move |query, tuple| {
+                    if let Some(live) = &tx {
+                        if live.send((query, tuple.clone())).is_err() {
+                            tx = None;
+                        }
+                    }
+                }));
             }
             WorkerMsg::SetSymmetric(symmetric) => {
                 shard.set_symmetric(symmetric);

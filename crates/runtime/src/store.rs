@@ -66,8 +66,7 @@ enum Candidates<'a> {
 struct EpochContainer {
     tuples: Vec<Tuple>,
     /// Ingest sequence number of the root tuple that caused each insertion
-    /// (parallel runtime; `0` for the sequential engine, which needs no
-    /// ordering guard beyond timestamps).
+    /// (the rule kernel's ordering guard; `0` for direct [`StoreInstance::insert`]s).
     seqs: Vec<u64>,
     /// Per-attribute value indexes, positionally aligned with the store's
     /// `indexed_attrs` (inserting keys by position avoids hashing an
@@ -276,15 +275,13 @@ impl StoreInstance {
         let segments: Vec<&FrozenSegment> = self.frozen[p].values().collect();
         self.frozen_blooms[p] = (0..self.indexed_attrs.len())
             .map(|pos| {
-                let mut total = 0usize;
-                for segment in &segments {
-                    total += segment.index_hashes(pos)?.len();
-                }
-                let mut bloom = BloomFilter::with_capacity(total);
-                for segment in &segments {
-                    for &hash in segment.index_hashes(pos).expect("checked above") {
-                        bloom.insert_hash(hash);
-                    }
+                let hashes: Vec<&[u64]> = segments
+                    .iter()
+                    .map(|segment| segment.index_hashes(pos))
+                    .collect::<Option<_>>()?;
+                let mut bloom = BloomFilter::with_capacity(hashes.iter().map(|h| h.len()).sum());
+                for &hash in hashes.into_iter().flatten() {
+                    bloom.insert_hash(hash);
                 }
                 Some(bloom)
             })
@@ -382,9 +379,8 @@ impl StoreInstance {
     }
 
     /// Inserts a tuple tagged with the ingest sequence number of its root
-    /// input tuple. The parallel runtime uses the tag to restrict probes to
-    /// strictly earlier arrivals (see [`Self::probe_seq`]); the sequential
-    /// engine always passes `0`.
+    /// input tuple; the rule kernel uses the tag to restrict probes to
+    /// strictly earlier arrivals (see [`Self::probe_seq`]).
     pub fn insert_seq(&mut self, partition: usize, epoch: Epoch, tuple: Tuple, seq: u64) {
         let p = partition.min(self.partitions.len().saturating_sub(1));
         self.partitions[p]
@@ -406,7 +402,16 @@ impl StoreInstance {
         probe: &Tuple,
         predicates: &[EquiPredicate],
     ) -> Vec<Tuple> {
-        self.probe_seq(partition, epochs, probe, predicates, None)
+        let mut results = Vec::new();
+        self.probe_seq(
+            partition,
+            epochs.iter().copied(),
+            probe,
+            predicates,
+            None,
+            &mut results,
+        );
+        results
     }
 
     /// Resolves, for each predicate, which attribute lives on this store's
@@ -427,22 +432,22 @@ impl StoreInstance {
         })
     }
 
-    /// Like [`Self::probe`], but additionally restricted to tuples stored
-    /// by roots with a strictly smaller ingest sequence number. The
-    /// parallel runtime relies on this to reproduce the sequential engine's
-    /// "probe only earlier arrivals" semantics when shards race ahead of
-    /// each other; timestamps alone cannot express arrival order for
-    /// out-of-order streams.
+    /// Like [`Self::probe`], but appending the matches to `results` and
+    /// additionally restricted to tuples stored by roots with a strictly
+    /// smaller ingest sequence number: "probe only earlier arrivals", which
+    /// holds by construction when tuples are processed one at a time and
+    /// must be enforced when shards race ahead of each other (timestamps
+    /// alone cannot express arrival order for out-of-order streams).
     pub fn probe_seq(
         &self,
         partition: usize,
-        epochs: &[Epoch],
+        epochs: impl IntoIterator<Item = Epoch>,
         probe: &Tuple,
         predicates: &[EquiPredicate],
         probe_seq: Option<u64>,
-    ) -> Vec<Tuple> {
+        results: &mut Vec<Tuple>,
+    ) {
         let p = partition.min(self.partitions.len().saturating_sub(1));
-        let mut results = Vec::new();
         // Resolve, per predicate, which side belongs to the stored relation
         // (as a positional accessor) and which value the probing tuple
         // supplies; probe values are borrowed, never cloned.
@@ -454,13 +459,13 @@ impl StoreInstance {
                     first_stored.get_or_insert(stored_side);
                     resolved.push((SlotAccessor::of(&stored_side), v));
                 }
-                None => return results,
+                None => return,
             }
         }
         // `Null` never `join_eq`-matches anything: a probe carrying a Null
         // predicate value is answered empty without touching state.
         if resolved.iter().any(|(_, v)| v.is_null()) {
-            return results;
+            return;
         }
         // The index position of the driving predicate's stored-side
         // attribute, resolved once per probe (not re-hashed per epoch).
@@ -485,7 +490,7 @@ impl StoreInstance {
             }
         }
         for epoch in epochs {
-            if let Some(container) = self.partitions[p].get(epoch) {
+            if let Some(container) = self.partitions[p].get(&epoch) {
                 let candidates = match (index_pos, resolved.first()) {
                     (Some(pos), Some((_, value))) => container.candidates(pos, value),
                     _ => Candidates::Scan,
@@ -533,7 +538,7 @@ impl StoreInstance {
                     }
                 }
             }
-            if let Some(segment) = try_frozen.then(|| self.frozen[p].get(epoch)).flatten() {
+            if let Some(segment) = try_frozen.then(|| self.frozen[p].get(&epoch)).flatten() {
                 self.probe_frozen(
                     segment,
                     probe,
@@ -542,11 +547,10 @@ impl StoreInstance {
                     index_pos,
                     &mut drive_hash,
                     &mut frozen_cols,
-                    &mut results,
+                    results,
                 );
             }
         }
-        results
     }
 
     /// Probes one frozen segment. Candidates come from the segment's
@@ -621,7 +625,7 @@ impl StoreInstance {
                     }
                     for &row in run {
                         if check(cols, row as usize) {
-                            results.push(segment.tuple_at(row as usize));
+                            results.extend(segment.tuple_at(row as usize));
                         }
                     }
                 });
@@ -632,7 +636,7 @@ impl StoreInstance {
                 }
                 for row in segment.first_live()..segment.len() {
                     if check(cols, row) {
-                        results.push(segment.tuple_at(row));
+                        results.extend(segment.tuple_at(row));
                     }
                 }
             }

@@ -2,20 +2,41 @@
 //! optimizer → runtime) must produce exactly the results of a naive
 //! reference join, for every planning strategy, on randomized streams.
 
-use clash_common::{QueryId, RelationId, Timestamp, Tuple, TupleBuilder, Value, Window};
+use clash_common::{
+    Duration, EpochConfig, QueryId, RelationId, Timestamp, Tuple, TupleBuilder, Value, Window,
+};
 use clash_core::{ClashSystem, Strategy, SystemConfig};
 use clash_datagen::{SyntheticEnv, SyntheticWorkloadConfig, TpchGenerator, TpchWorkload};
-use clash_optimizer::Planner;
+use clash_optimizer::{Planner, TopologyPlan};
 use clash_query::JoinQuery;
-use clash_runtime::{EngineConfig, LocalEngine};
+use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Naive reference implementation: for a query and a list of `(relation,
-/// tuple)` arrivals, count every combination of one tuple per query
-/// relation that satisfies all predicates — the timestamp semantics
-/// (each result counted once, unbounded window) match the engine's.
-fn reference_result_count(query: &JoinQuery, stream: &[(RelationId, Tuple)]) -> u64 {
+/// Canonical rendering of one join result: its flattened attribute values
+/// in attribute order, independent of how the constituents were joined.
+fn render<'a>(constituents: impl IntoIterator<Item = &'a Tuple>) -> String {
+    let mut attrs: Vec<String> = constituents
+        .into_iter()
+        .flat_map(|t| t.iter())
+        .map(|(a, v)| format!("{a}={v}"))
+        .collect();
+    attrs.sort();
+    attrs.join(",")
+}
+
+/// Naive reference implementation, sharing nothing with the engines (no
+/// plans, stores, epochs, probe orders or rule kernel): for a query and a
+/// list of `(relation, tuple)` arrivals, every combination of one tuple
+/// per query relation that satisfies all predicates and whose constituents
+/// all lie within `window` of the newest one is a result, exactly once.
+/// Returns the sorted result multiset. Both engines run the same kernel,
+/// so this is what keeps their agreement from being circular.
+fn reference_results(
+    query: &JoinQuery,
+    stream: &[(RelationId, Tuple)],
+    window: Window,
+) -> Vec<String> {
     let relations: Vec<RelationId> = query.relations.iter().collect();
     let per_relation: Vec<Vec<&Tuple>> = relations
         .iter()
@@ -28,46 +49,117 @@ fn reference_result_count(query: &JoinQuery, stream: &[(RelationId, Tuple)]) -> 
         })
         .collect();
     // Backtracking over one tuple per relation.
-    fn recurse(
+    fn recurse<'a>(
         query: &JoinQuery,
-        per_relation: &[Vec<&Tuple>],
-        chosen: &mut Vec<Tuple>,
-        depth: usize,
-        count: &mut u64,
+        window: Window,
+        per_relation: &[Vec<&'a Tuple>],
+        chosen: &mut Vec<&'a Tuple>,
+        out: &mut Vec<String>,
     ) {
-        if depth == per_relation.len() {
-            *count += 1;
+        if chosen.len() == per_relation.len() {
+            let newest = chosen.iter().map(|t| t.ts).max().unwrap_or_default();
+            if chosen.iter().all(|t| window.contains(newest, t.ts)) {
+                out.push(render(chosen.iter().copied()));
+            }
             return;
         }
-        'next: for t in &per_relation[depth] {
+        'next: for t in &per_relation[chosen.len()] {
             // All timestamps must be distinct for the "probe only earlier
             // tuples" semantics to count each result exactly once; the
             // generators used here guarantee that.
             for p in &query.predicates {
-                let mut left = None;
-                let mut right = None;
-                for prev in chosen.iter().chain(std::iter::once(*t)) {
-                    if let Some(v) = prev.get(&p.left) {
-                        left = Some(v.clone());
-                    }
-                    if let Some(v) = prev.get(&p.right) {
-                        right = Some(v.clone());
-                    }
-                }
-                if let (Some(l), Some(r)) = (left, right) {
-                    if !l.join_eq(&r) {
+                let side = |attr| {
+                    chosen
+                        .iter()
+                        .chain(std::iter::once(t))
+                        .find_map(|c| c.get(attr))
+                };
+                if let (Some(l), Some(r)) = (side(&p.left), side(&p.right)) {
+                    if !l.join_eq(r) {
                         continue 'next;
                     }
                 }
             }
-            chosen.push((*t).clone());
-            recurse(query, per_relation, chosen, depth + 1, count);
+            chosen.push(t);
+            recurse(query, window, per_relation, chosen, out);
             chosen.pop();
         }
     }
-    let mut count = 0;
-    recurse(query, &per_relation, &mut Vec::new(), 0, &mut count);
-    count
+    let mut out = Vec::new();
+    recurse(query, window, &per_relation, &mut Vec::new(), &mut out);
+    out.sort();
+    out
+}
+
+/// The sorted result multiset an engine collected for one query.
+fn collected(results: &[(QueryId, Tuple)], query: QueryId) -> Vec<String> {
+    let mut out: Vec<String> = results
+        .iter()
+        .filter(|(q, _)| *q == query)
+        .map(|(_, t)| render([t]))
+        .collect();
+    out.sort();
+    out
+}
+
+/// Every way a stream can enter an engine: `LocalEngine`, and
+/// `ParallelEngine` with 1, 2 and 4 workers through the coordinator's
+/// `ingest()` and through a `SourceHandle`. Returns each path's collected
+/// results under a label. A source-fed engine never expires on its own, so
+/// that path runs the `expire_stores()` barrier at the same cadence.
+fn run_everywhere(
+    catalog: &clash_catalog::Catalog,
+    plan: &TopologyPlan,
+    config: EngineConfig,
+    stream: &[(RelationId, Tuple)],
+) -> Vec<(String, Vec<(QueryId, Tuple)>)> {
+    let mut runs = Vec::new();
+    let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    for (relation, tuple) in stream {
+        local.ingest(*relation, tuple.clone()).unwrap();
+    }
+    runs.push(("LocalEngine".to_string(), local.results().to_vec()));
+    for workers in [1usize, 2, 4] {
+        let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
+        for (relation, tuple) in stream {
+            engine.ingest(*relation, tuple.clone()).unwrap();
+        }
+        engine.flush();
+        runs.push((
+            format!("ParallelEngine({workers}) ingest()"),
+            engine.results(),
+        ));
+
+        let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
+        let mut source = engine.open_source();
+        for (i, (relation, tuple)) in stream.iter().enumerate() {
+            source.push(*relation, tuple.clone()).unwrap();
+            if config.expire_every > 0 && (i as u64 + 1).is_multiple_of(config.expire_every) {
+                engine.expire_stores();
+            }
+        }
+        source.flush();
+        engine.flush();
+        runs.push((
+            format!("ParallelEngine({workers}) source"),
+            engine.results(),
+        ));
+    }
+    runs
+}
+
+/// A(x) ⋈ B(x,y) ⋈ C(y) and B(y) ⋈ C(y,z) ⋈ D(z) over one window.
+fn two_chain_queries(window: Window) -> (clash_catalog::Catalog, Vec<JoinQuery>) {
+    let mut catalog = clash_catalog::Catalog::new();
+    catalog.register("A", ["x"], window, 2).unwrap();
+    catalog.register("B", ["x", "y"], window, 2).unwrap();
+    catalog.register("C", ["y", "z"], window, 1).unwrap();
+    catalog.register("D", ["z"], window, 1).unwrap();
+    let q1 =
+        clash_query::parse_query(&catalog, QueryId::new(0), "q1", "A(x), B(x,y), C(y)").unwrap();
+    let q2 =
+        clash_query::parse_query(&catalog, QueryId::new(1), "q2", "B(y), C(y,z), D(z)").unwrap();
+    (catalog, vec![q1, q2])
 }
 
 fn random_stream(
@@ -97,50 +189,76 @@ fn random_stream(
 
 #[test]
 fn engine_matches_reference_join_for_all_strategies() {
-    let mut catalog = clash_catalog::Catalog::new();
-    catalog
-        .register("A", ["x"], Window::unbounded(), 2)
-        .unwrap();
-    catalog
-        .register("B", ["x", "y"], Window::unbounded(), 2)
-        .unwrap();
-    catalog
-        .register("C", ["y", "z"], Window::unbounded(), 1)
-        .unwrap();
-    catalog
-        .register("D", ["z"], Window::unbounded(), 1)
-        .unwrap();
+    let (catalog, queries) = two_chain_queries(Window::unbounded());
     let stats = clash_catalog::Statistics::new();
-    let q1 =
-        clash_query::parse_query(&catalog, QueryId::new(0), "q1", "A(x), B(x,y), C(y)").unwrap();
-    let q2 =
-        clash_query::parse_query(&catalog, QueryId::new(1), "q2", "B(y), C(y,z), D(z)").unwrap();
-    let queries = vec![q1.clone(), q2.clone()];
-
     let stream = random_stream(&catalog, &["A", "B", "C", "D"], 30, 6, 99);
-    let expected_q1 = reference_result_count(&q1, &stream);
-    let expected_q2 = reference_result_count(&q2, &stream);
-    assert!(expected_q1 > 0, "workload must produce q1 results");
-    assert!(expected_q2 > 0, "workload must produce q2 results");
+    let expected: Vec<Vec<String>> = queries
+        .iter()
+        .map(|q| reference_results(q, &stream, Window::unbounded()))
+        .collect();
+    assert!(!expected[0].is_empty(), "workload must produce q1 results");
+    assert!(!expected[1].is_empty(), "workload must produce q2 results");
 
     let planner = Planner::with_defaults(&catalog, &stats);
+    let config = EngineConfig {
+        collect_results: true,
+        ..EngineConfig::default()
+    };
     for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
         let report = planner.plan(&queries, strategy).unwrap();
-        let mut engine = LocalEngine::new(catalog.clone(), report.plan, EngineConfig::default());
-        for (relation, tuple) in &stream {
-            engine.ingest(*relation, tuple.clone()).unwrap();
+        for (path, results) in run_everywhere(&catalog, &report.plan, config, &stream) {
+            for (query, expected) in queries.iter().zip(&expected) {
+                assert_eq!(
+                    &collected(&results, query.id),
+                    expected,
+                    "{strategy:?} on {path}: {} result multiset",
+                    query.name
+                );
+            }
         }
-        let snap = engine.snapshot();
-        assert_eq!(
-            snap.results_for(QueryId::new(0)),
-            expected_q1,
-            "{strategy:?} q1 result count"
-        );
-        assert_eq!(
-            snap.results_for(QueryId::new(1)),
-            expected_q2,
-            "{strategy:?} q2 result count"
-        );
+    }
+}
+
+#[test]
+fn finite_window_results_match_reference_under_frequent_expiry() {
+    // 40 ms windows over 1 ms arrivals: most combinations fall outside the
+    // window, state turns over many times, and with expiry every 8 tuples
+    // and 16 ms epochs the stores expire and freeze throughout. An expiry
+    // that runs ahead of work still in flight (the coordinator's former
+    // fire-and-forget `Expire`) loses results here.
+    let window = Window::new(Duration::from_millis(40));
+    let (catalog, queries) = two_chain_queries(window);
+    let stats = clash_catalog::Statistics::new();
+    let stream = random_stream(&catalog, &["A", "B", "C", "D"], 150, 4, 7);
+    let expected: Vec<Vec<String>> = queries
+        .iter()
+        .map(|q| reference_results(q, &stream, window))
+        .collect();
+    let unbounded = reference_results(&queries[0], &stream, Window::unbounded());
+    assert!(expected[0].len() > 100, "workload must produce q1 results");
+    assert!(expected[1].len() > 100, "workload must produce q2 results");
+    assert!(
+        expected[0].len() * 4 < unbounded.len(),
+        "the window must exclude most combinations"
+    );
+
+    let planner = Planner::with_defaults(&catalog, &stats);
+    let report = planner.plan(&queries, Strategy::Independent).unwrap();
+    let config = EngineConfig {
+        collect_results: true,
+        expire_every: 8,
+        epoch: EpochConfig::new(Duration::from_millis(16)),
+        ..EngineConfig::default()
+    };
+    for (path, results) in run_everywhere(&catalog, &report.plan, config, &stream) {
+        for (query, expected) in queries.iter().zip(&expected) {
+            assert_eq!(
+                &collected(&results, query.id),
+                expected,
+                "Independent on {path}: {} result multiset",
+                query.name
+            );
+        }
     }
 }
 
