@@ -997,8 +997,10 @@ pub fn bench_store_probe_cold(n: usize, probes: usize) -> MicroRow {
 /// Skewed-store probing: stored keys drawn Zipf(s = 1) — a few hot keys
 /// own most of the stream — probed uniformly over the key domain, so
 /// most probes land on sparse tail keys with the occasional hot-key hit.
-/// Exercises the frozen tier's sorted hash runs and its per-match tuple
-/// reconstruction against the hot tier's posting lists.
+/// Exercises the frozen tier's sorted hash runs and its per-match
+/// segment-backed leaves (one node allocation each; the matches are never
+/// joined, so nothing amortizes it) against the hot tier's posting lists
+/// and refcount-bump clones.
 pub fn bench_store_probe_skewed(n: usize, probes: usize) -> MicroRow {
     let (stored_key, _, _) = store_fixture();
     let window = Window::secs(3_600);

@@ -10,9 +10,9 @@
 //! * values live **columnar per attribute slot** in one contiguous
 //!   allocation (`cols × rows`), with a presence bitmap per column —
 //!   probes touch exactly the columns their predicates name;
-//! * rows are **sorted by timestamp**, so window expiry is a
-//!   `partition_point` advancing a start cursor (no per-tuple work) and
-//!   dropping a fully expired segment is one map-entry removal;
+//! * rows are **sorted by timestamp**, so the rows a window has left
+//!   behind are a prefix found by `partition_point` (no per-tuple work)
+//!   and dropping a fully expired segment is one map-entry removal;
 //! * per-indexed-attribute postings are rebuilt as **sorted dense hash
 //!   runs** (`hashes` / `starts` / `offsets`) probed by binary search,
 //!   fronted by a small [`BloomFilter`] so non-matching probes answer in
@@ -26,14 +26,33 @@
 //! so two processes freezing the same rows build bit-identical segments
 //! and filters.
 //!
+//! # Memory model
+//!
+//! A segment is **immutable and `Arc`-shared**. A probe hit does not
+//! rebuild the matching tuple: [`FrozenSegment::tuple_at`] returns a
+//! segment-backed [`Tuple`] leaf — the segment reference plus a row
+//! number — whose accessors read the columns in place (slot → column by
+//! a per-relation table, so a key read is O(1)). Those leaves travel
+//! inside join results, across worker threads and into result sinks, and
+//! each keeps the segment alive until it drops; that is why nothing here
+//! mutates after `freeze`, and why the expiry cursor is not a field of
+//! the segment: it belongs to the store that owns the window
+//! ([`FrozenSegment::expired_before`] tells it where the cursor goes),
+//! and rows below it must stay readable for leaves that still point at
+//! them. Per-row arity and flattened size are recorded at freeze time, so
+//! a leaf reports exactly what the frozen tuple did.
+//!
 //! Freezing consumes the live tuples; dropping them releases their arena
 //! leaf buffers back to the thread-local pool (see [`crate::arena`]),
-//! where the hot insert path immediately reuses them.
+//! where the hot insert path immediately reuses them, and releases the
+//! pin of any tuple that was itself segment-backed (a partial result an
+//! MIR store held) — its values now live in the new segment's columns.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::bloom::BloomFilter;
 use crate::fxhash::{fx_hash, FxHashMap};
+use crate::ids::RelationId;
 use crate::relation_set::RelationSet;
 use crate::schema::AttrRef;
 use crate::time::Timestamp;
@@ -79,30 +98,106 @@ impl AttrIndex {
     }
 }
 
-/// A read-only columnar rewrite of one epoch's stored tuples. Built by
-/// [`FrozenSegment::freeze`], probed through [`FrozenSegment::with_candidates`]
-/// / [`FrozenSegment::value_at`], expired by advancing a start cursor.
+/// Slot → column table of one relation the segment covers. Columns are
+/// sorted by attribute, so a relation's columns are contiguous; the table
+/// makes "which column holds slot `s` of relation `r`" one indexed read.
+#[derive(Debug)]
+struct RelationColumns {
+    relation: RelationId,
+    /// Column id per attribute slot; [`NO_COLUMN`] where no row carries
+    /// the attribute.
+    by_slot: Box<[u16]>,
+}
+
+const NO_COLUMN: u16 = u16::MAX;
+
+impl RelationColumns {
+    /// The tables over a sorted column list, one per distinct relation.
+    fn over(columns: &[AttrRef]) -> Box<[RelationColumns]> {
+        let mut tables: Vec<(RelationId, Vec<u16>)> = Vec::new();
+        for (col, attr) in columns.iter().enumerate() {
+            if tables.last().map(|(r, _)| *r) != Some(attr.relation) {
+                tables.push((attr.relation, Vec::new()));
+            }
+            if let Some((_, by_slot)) = tables.last_mut() {
+                // Sorted columns: the relation's highest slot so far.
+                by_slot.resize(attr.attr.index() + 1, NO_COLUMN);
+                by_slot[attr.attr.index()] = col as u16;
+            }
+        }
+        tables
+            .into_iter()
+            .map(|(relation, by_slot)| RelationColumns {
+                relation,
+                by_slot: by_slot.into_boxed_slice(),
+            })
+            .collect()
+    }
+
+    /// Column holding slot `slot` of `relation`: a scan over the covered
+    /// relations (one comparison in a base store's segment) and one table
+    /// read — no search over the column list.
+    #[inline]
+    fn column(tables: &[RelationColumns], relation: RelationId, slot: usize) -> Option<usize> {
+        let table = tables.iter().find(|t| t.relation == relation)?;
+        match table.by_slot.get(slot) {
+            Some(&col) if col != NO_COLUMN => Some(col as usize),
+            _ => None,
+        }
+    }
+}
+
+/// Everything about a row that is not an attribute value, side by side:
+/// what a probe checks before it touches a value column (`ts`, `seq`) and
+/// what a segment-backed tuple carries or caches (`ingest_ts`,
+/// `relations`, arity, size). One cache line per probed row instead of
+/// one per field.
+#[derive(Debug, Clone, Copy)]
+struct RowHeader {
+    relations: RelationSet,
+    ts: Timestamp,
+    ingest_ts: Timestamp,
+    /// Ingest sequence number (parallel runtime ordering guard).
+    seq: u64,
+    /// [`Tuple::approx_size_bytes`] of the frozen tuple, or
+    /// [`SIZE_IN_PREFIX`] when it does not fit (the byte prefix sums
+    /// always have it).
+    size: u32,
+    /// Attribute count (at most 64 per relation × 128 relations).
+    arity: u16,
+}
+
+const SIZE_IN_PREFIX: u32 = u32::MAX;
+
+/// An immutable columnar rewrite of one epoch's stored tuples. Built by
+/// [`FrozenSegment::freeze`], probed through
+/// [`FrozenSegment::with_candidates`] / [`FrozenSegment::value_at`], and
+/// handed out row by row as segment-backed tuples
+/// ([`FrozenSegment::tuple_at`]). Nothing in it changes after `freeze`
+/// (the lazy index cache only ever gains entries), which is what lets a
+/// store and any number of in-flight tuples share it behind one `Arc`;
+/// how far window expiry has advanced over the rows is the owning store's
+/// state, not the segment's.
 #[derive(Debug)]
 pub struct FrozenSegment {
-    /// Total rows (live and expired).
+    /// Total rows.
     len: usize,
-    /// First live row; rows `< start` are expired. Rows are ts-sorted, so
-    /// the cursor only moves forward.
-    start: usize,
-    ts: Box<[Timestamp]>,
-    ingest_ts: Box<[Timestamp]>,
-    /// Ingest sequence numbers (parallel runtime ordering guard).
-    seqs: Box<[u64]>,
-    relations: Box<[RelationSet]>,
+    /// Per-row headers, ts-sorted.
+    rows: Box<[RowHeader]>,
     /// Sorted attribute set of the segment; position = column id.
     columns: Box<[AttrRef]>,
+    /// Per covered relation (a base store's segment has exactly one), the
+    /// slot → column table over `columns`.
+    tables: Box<[RelationColumns]>,
     /// Column-major values in one contiguous allocation: column `c` spans
     /// `values[c * len .. (c + 1) * len]`.
     values: Box<[Value]>,
-    /// Presence bitmap, `words_per_col` words per column.
+    /// Presence bitmap, `words` words per column.
     present: Box<[u64]>,
-    /// Flattened-size prefix sums (`len + 1` entries), so live bytes after
-    /// any expiry cursor position is a subtraction.
+    /// Bitmap words per column (`len.div_ceil(64)`).
+    words: usize,
+    /// Prefix sums of the rows' sizes (`len + 1` entries): the bytes from
+    /// any expiry cursor position onward are one subtraction.
     byte_prefix: Box<[usize]>,
     /// Indexes built at freeze time, positionally aligned with the store's
     /// `indexed_attrs` at that moment (the list is append-only).
@@ -136,25 +231,30 @@ impl FrozenSegment {
         }
         columns.sort_unstable();
         let cols = columns.len();
+        assert!(cols < NO_COLUMN as usize, "segment has {cols} columns");
+        let tables = RelationColumns::over(&columns);
         let words = len.div_ceil(64);
         let mut values = vec![Value::Null; cols * len].into_boxed_slice();
         let mut present = vec![0u64; cols * words].into_boxed_slice();
-        let mut ts = Vec::with_capacity(len);
-        let mut ingest_ts = Vec::with_capacity(len);
-        let mut out_seqs = Vec::with_capacity(len);
-        let mut relations = Vec::with_capacity(len);
+        let mut rows = Vec::with_capacity(len);
         let mut byte_prefix = Vec::with_capacity(len + 1);
         byte_prefix.push(0usize);
         for (row, &old) in order.iter().enumerate() {
             let tuple = &tuples[old];
-            ts.push(tuple.ts);
-            ingest_ts.push(tuple.ingest_ts);
-            out_seqs.push(seqs[old]);
-            relations.push(tuple.relations);
-            byte_prefix.push(byte_prefix[row] + tuple.approx_size_bytes());
+            let size = tuple.approx_size_bytes();
+            rows.push(RowHeader {
+                relations: tuple.relations,
+                ts: tuple.ts,
+                ingest_ts: tuple.ingest_ts,
+                seq: seqs[old],
+                size: u32::try_from(size).unwrap_or(SIZE_IN_PREFIX),
+                arity: tuple.arity() as u16,
+            });
+            byte_prefix.push(byte_prefix[row] + size);
             for (attr, value) in tuple.iter() {
                 // `columns` was gathered from these same tuples.
-                let Ok(col) = columns.binary_search(&attr) else {
+                let Some(col) = RelationColumns::column(&tables, attr.relation, attr.attr.index())
+                else {
                     continue;
                 };
                 // `Value::Str` clones share their `Arc<str>` payload.
@@ -162,18 +262,19 @@ impl FrozenSegment {
                 present[col * words + row / 64] |= 1 << (row % 64);
             }
         }
-        // Drop the live ropes: base-leaf buffers recycle to the arena.
+        // Drop the live ropes: base-leaf buffers recycle to the arena, and
+        // rows that were themselves segment-backed (partial results stored
+        // in an MIR store) release their pin on the segments they came
+        // from — their values now live in this segment's columns.
         drop(tuples);
         let mut segment = FrozenSegment {
             len,
-            start: 0,
-            ts: ts.into_boxed_slice(),
-            ingest_ts: ingest_ts.into_boxed_slice(),
-            seqs: out_seqs.into_boxed_slice(),
-            relations: relations.into_boxed_slice(),
+            rows: rows.into_boxed_slice(),
             columns: columns.into_boxed_slice(),
+            tables,
             values,
             present,
+            words,
             byte_prefix: byte_prefix.into_boxed_slice(),
             eager: Box::new([]),
             lazy: Mutex::new(FxHashMap::default()),
@@ -228,7 +329,7 @@ impl FrozenSegment {
     /// freeze time hit the eager indexes lock-free; later positions build
     /// their run on first use (shared thereafter). Candidates may contain
     /// hash-collided and expired rows — callers must verify predicates
-    /// against the columns and skip rows below [`Self::first_live`].
+    /// against the columns and skip rows below their expiry cursor.
     pub fn with_candidates<R>(
         &self,
         pos: usize,
@@ -258,122 +359,112 @@ impl FrozenSegment {
         self.eager.get(pos).map(|index| &*index.hashes)
     }
 
-    /// Column id of an attribute, if any row carries it.
+    /// Column id of an attribute, if any row carries it: a read of the
+    /// relation's slot → column table, not a search over the column list.
     #[inline]
     pub fn column_of(&self, attr: &AttrRef) -> Option<usize> {
-        self.columns.binary_search(attr).ok()
+        RelationColumns::column(&self.tables, attr.relation, attr.attr.index())
+    }
+
+    /// The sorted attribute set; position = column id.
+    #[inline]
+    pub(crate) fn columns(&self) -> &[AttrRef] {
+        &self.columns
     }
 
     /// The value of column `col` in `row`, if present.
     #[inline]
     pub fn value_at(&self, col: usize, row: usize) -> Option<&Value> {
-        let words = self.len.div_ceil(64);
-        if self.present[col * words + row / 64] & (1 << (row % 64)) != 0 {
+        if self.present[col * self.words + row / 64] & (1 << (row % 64)) != 0 {
             Some(&self.values[col * self.len + row])
         } else {
             None
         }
     }
 
-    /// Reconstructs the full tuple of `row` (attribute gather +
-    /// [`Tuple::from_flattened`]). Content-equal to the tuple that was
-    /// frozen — flattened values, timestamps and relation set all round-
-    /// trip — so emitting reconstructed matches preserves the engines'
-    /// result multisets exactly. `None` only if the row's columns no
-    /// longer form a tuple, which freezing a valid tuple cannot produce.
-    pub fn tuple_at(&self, row: usize) -> Option<Tuple> {
-        // Single-relation rows — every base tuple, i.e. the entire
-        // contents of a store that never holds partial join results —
-        // skip the pair gather and `from_flattened`'s relation
-        // bookkeeping: write the present values straight into one arena
-        // leaf at their slot positions. A row's present columns all
-        // belong to its own relation set, so the leaf width is just the
-        // highest present slot + 1.
-        if let Some(relation) = self.relations[row].as_singleton() {
-            let mut width = 0usize;
-            for (col, attr) in self.columns.iter().enumerate().rev() {
-                if self.value_at(col, row).is_some() {
-                    width = attr.attr.index() + 1;
-                    break;
-                }
-            }
-            return Some(Tuple::from_slots(
-                self.ts[row],
-                self.ingest_ts[row],
-                relation,
-                width,
-                self.columns.iter().enumerate().filter_map(|(col, attr)| {
-                    let value = self.value_at(col, row)?;
-                    debug_assert_eq!(attr.relation, relation);
-                    Some((attr.attr.index(), value.clone()))
-                }),
-            ));
-        }
-        let mut pairs: Vec<(AttrRef, Value)> = Vec::with_capacity(self.columns.len());
-        for (col, attr) in self.columns.iter().enumerate() {
-            if let Some(value) = self.value_at(col, row) {
-                pairs.push((*attr, value.clone()));
-            }
-        }
-        Tuple::from_flattened(
-            self.ts[row],
-            self.ingest_ts[row],
-            self.relations[row],
-            pairs,
-        )
-        .ok()
+    /// The value `row` carries at attribute slot `slot` of `relation` —
+    /// what [`SlotAccessor::get`] reads on a segment-backed tuple.
+    /// Deliberately out of line: inlined, its table walk and bounds checks
+    /// bloat every `SlotAccessor::get` call site enough that the
+    /// optimizer stops unrolling lookup loops over hot-tier tuples
+    /// (`probe_get` lost 11 %); a call costs a frozen read about 1 ns.
+    #[inline(never)]
+    pub(crate) fn get(&self, relation: RelationId, slot: usize, row: usize) -> Option<&Value> {
+        self.value_at(RelationColumns::column(&self.tables, relation, slot)?, row)
     }
 
-    /// Expires rows older than `horizon` by advancing the start cursor
-    /// (`partition_point` on the sorted ts column — no per-tuple work).
-    /// Returns how many rows this call expired; exact, so engine removal
-    /// accounting matches the live tier's.
-    pub fn expire(&mut self, horizon: Timestamp) -> usize {
-        let new_start = self.ts.partition_point(|&t| t < horizon).max(self.start);
-        let removed = new_start - self.start;
-        self.start = new_start;
-        removed
+    /// The tuple that was frozen into `row`, as a segment-backed leaf
+    /// sharing this segment: one reference-count bump and one small node
+    /// allocation; no value copied, no arena buffer taken.
+    /// Indistinguishable from the original through every `Tuple`
+    /// accessor, so emitting it preserves the engines' result multisets
+    /// exactly.
+    #[inline]
+    pub fn tuple_at(self: &Arc<Self>, row: usize) -> Tuple {
+        Tuple::from_segment_row(Arc::clone(self), row)
+    }
+
+    /// Rows older than `horizon`: they form a prefix because rows are
+    /// ts-sorted (`partition_point`, no per-tuple work). The owning store
+    /// advances its expiry cursor to this position.
+    pub fn expired_before(&self, horizon: Timestamp) -> usize {
+        self.rows.partition_point(|r| r.ts < horizon)
     }
 
     /// Timestamp of `row`.
     #[inline]
     pub fn ts(&self, row: usize) -> Timestamp {
-        self.ts[row]
+        self.rows[row].ts
+    }
+
+    /// Ingestion timestamp of `row`.
+    #[inline]
+    pub(crate) fn ingest_ts(&self, row: usize) -> Timestamp {
+        self.rows[row].ingest_ts
+    }
+
+    /// Relations `row` covers.
+    #[inline]
+    pub(crate) fn relations(&self, row: usize) -> RelationSet {
+        self.rows[row].relations
     }
 
     /// Ingest sequence number of `row`.
     #[inline]
     pub fn seq(&self, row: usize) -> u64 {
-        self.seqs[row]
+        self.rows[row].seq
     }
 
-    /// Total rows, including expired ones below the cursor.
+    /// Attribute count of `row`.
+    #[inline]
+    pub(crate) fn row_arity(&self, row: usize) -> usize {
+        self.rows[row].arity as usize
+    }
+
+    /// [`Tuple::approx_size_bytes`] of the tuple frozen into `row`.
+    #[inline]
+    pub(crate) fn row_size_bytes(&self, row: usize) -> usize {
+        match self.rows[row].size {
+            SIZE_IN_PREFIX => self.byte_prefix[row + 1] - self.byte_prefix[row],
+            size => size as usize,
+        }
+    }
+
+    /// Total rows.
     #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// `true` when every row has expired (the caller should drop the
-    /// segment wholesale).
+    /// `true` when the segment holds no rows (stores never build one).
     pub fn is_empty(&self) -> bool {
-        self.start == self.len
+        self.len == 0
     }
 
-    /// First live row — scans start here; index runs skip below it.
-    #[inline]
-    pub fn first_live(&self) -> usize {
-        self.start
-    }
-
-    /// Live (unexpired) row count.
-    pub fn live_len(&self) -> usize {
-        self.len - self.start
-    }
-
-    /// Flattened payload bytes of the live rows (same accounting as the
+    /// Flattened payload bytes of rows `start..` (same accounting as the
     /// live tier, so freezing does not distort the Fig. 7c memory story).
-    pub fn bytes(&self) -> usize {
-        self.byte_prefix[self.len] - self.byte_prefix[self.start]
+    pub fn bytes_from(&self, start: usize) -> usize {
+        self.byte_prefix[self.len] - self.byte_prefix[start]
     }
 }
 
@@ -399,7 +490,7 @@ mod tests {
         AttrRef::new(RelationId::new(3), AttrId::new(slot))
     }
 
-    fn freeze_fixture() -> FrozenSegment {
+    fn freeze_fixture() -> Arc<FrozenSegment> {
         // Out-of-order timestamps: the segment must ts-sort them.
         let tuples = vec![
             tuple(1, 10, 300),
@@ -408,7 +499,11 @@ mod tests {
             tuple(3, 40, 400),
         ];
         let seqs = vec![7, 8, 9, 10];
-        FrozenSegment::freeze(tuples, seqs, &[SlotAccessor::of(&attr(0))])
+        Arc::new(FrozenSegment::freeze(
+            tuples,
+            seqs,
+            &[SlotAccessor::of(&attr(0))],
+        ))
     }
 
     #[test]
@@ -417,9 +512,8 @@ mod tests {
         assert_eq!(segment.len(), 4);
         let ts: Vec<u64> = (0..4).map(|r| segment.ts(r).as_millis()).collect();
         assert_eq!(ts, vec![100, 200, 300, 400]);
-        // Row 1 is the (1, 30, 200) tuple; it must reconstruct content-equal.
-        let rebuilt = segment.tuple_at(1);
-        assert_eq!(rebuilt, Some(tuple(1, 30, 200)));
+        // Row 1 is the (1, 30, 200) tuple; its leaf must be content-equal.
+        assert_eq!(segment.tuple_at(1), tuple(1, 30, 200));
         assert_eq!(segment.seq(1), 9, "seqs follow the ts permutation");
     }
 
@@ -452,19 +546,35 @@ mod tests {
     }
 
     #[test]
-    fn expiry_advances_the_cursor_exactly_and_empties_wholesale() {
-        let mut segment = freeze_fixture();
-        let live_bytes = segment.bytes();
-        assert_eq!(segment.expire(Timestamp::from_millis(250)), 2);
-        assert_eq!(segment.first_live(), 2);
-        assert_eq!(segment.live_len(), 2);
-        assert!(segment.bytes() < live_bytes);
-        // Re-expiring at the same horizon removes nothing.
-        assert_eq!(segment.expire(Timestamp::from_millis(250)), 0);
-        // Expiring everything empties the segment (caller drops it).
-        assert_eq!(segment.expire(Timestamp::from_millis(10_000)), 2);
-        assert!(segment.is_empty());
-        assert_eq!(segment.bytes(), 0);
+    fn expiry_positions_are_exact_prefixes_with_their_bytes() {
+        let segment = freeze_fixture();
+        let live_bytes = segment.bytes_from(0);
+        // Two rows (ts 100, 200) precede the 250 ms horizon.
+        assert_eq!(segment.expired_before(Timestamp::from_millis(250)), 2);
+        assert!(segment.bytes_from(2) < live_bytes);
+        assert_eq!(
+            live_bytes - segment.bytes_from(2),
+            segment.row_size_bytes(0) + segment.row_size_bytes(1)
+        );
+        // Asking again at the same horizon answers the same position.
+        assert_eq!(segment.expired_before(Timestamp::from_millis(250)), 2);
+        // A horizon past every row covers the whole segment: nothing left.
+        assert_eq!(segment.expired_before(Timestamp::from_millis(10_000)), 4);
+        assert_eq!(segment.bytes_from(segment.len()), 0);
+    }
+
+    /// A leaf outlives the store's reference to its segment: the rows stay
+    /// readable for as long as any tuple pins them.
+    #[test]
+    fn a_leaf_keeps_its_segment_readable_after_the_owner_drops_it() {
+        let segment = freeze_fixture();
+        let leaf = segment.tuple_at(3);
+        drop(segment);
+        assert_eq!(leaf, tuple(3, 40, 400));
+        assert_eq!(
+            leaf.approx_size_bytes(),
+            tuple(3, 40, 400).approx_size_bytes()
+        );
     }
 
     #[test]

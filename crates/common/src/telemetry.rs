@@ -282,8 +282,18 @@ pub struct TraceEvent {
 /// All rings share this base, so events from different threads order
 /// correctly in one merged trace.
 pub fn trace_clock_us() -> u64 {
+    trace_us_at(Instant::now())
+}
+
+/// The trace clock's reading at an `Instant` the caller already took, so
+/// one clock read can stamp a trace event *and* serve another purpose
+/// (the rule kernel shares it with its latency samples). Instants from
+/// before the trace clock started read as `0`.
+#[inline]
+fn trace_us_at(now: Instant) -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
+    now.saturating_duration_since(*EPOCH.get_or_init(Instant::now))
+        .as_micros() as u64
 }
 
 /// A fixed-capacity ring buffer of [`TraceEvent`]s owned by one thread.
@@ -329,10 +339,20 @@ impl TraceRing {
         if self.capacity == 0 {
             return;
         }
+        self.record_at(kind, Instant::now(), a, b);
+    }
+
+    /// [`Self::record`] stamped with a clock reading the caller already
+    /// holds, instead of taking another.
+    #[inline]
+    pub fn record_at(&mut self, kind: TraceEventKind, now: Instant, a: u64, b: u64) {
+        if self.capacity == 0 {
+            return;
+        }
         self.write(TraceEvent {
             kind,
             tid: self.tid,
-            ts_us: trace_clock_us(),
+            ts_us: trace_us_at(now),
             dur_us: 0,
             a,
             b,

@@ -12,39 +12,60 @@
 //!
 //! # Memory model
 //!
-//! The payload is a **rope**: a leaf holds the values of one base
-//! relation densely indexed by [`AttrId`](crate::ids::AttrId), and a join
-//! node holds two `Arc`ed sub-ropes. [`Tuple::join`] therefore performs a
-//! single allocation (the new join node) and two reference-count bumps,
-//! never copying attribute values — the per-hop cost of a probe order is
-//! O(1) instead of O(total arity). Every store a partial result is routed
-//! to shares the same leaves.
+//! The payload is a **rope** of `Arc`ed nodes, of three kinds:
 //!
-//! Lookup is positional: a leaf stores its values at their schema slot, so
-//! [`Tuple::get`] descends the rope by relation-set membership (O(join
-//! depth), at most the number of constituent relations) and then indexes
-//! the leaf directly — no linear scan over `(AttrRef, Value)` pairs.
-//! [`SlotAccessor`] packages the precomputed slot of one attribute so hot
-//! paths (index maintenance, probe predicates) resolve the offset once per
-//! store instead of once per lookup.
+//! * a **base leaf** — the values of one base relation, densely indexed
+//!   by [`AttrId`] in an arena-backed buffer;
+//! * a **segment-backed leaf** — one row of a
+//!   [`FrozenSegment`], referenced as
+//!   `(Arc<FrozenSegment>, row)` and read in place from the segment's
+//!   columns. This is what a probe hit in the frozen tier returns; the
+//!   row may cover several relations (a frozen partial result) and is
+//!   still a leaf;
+//! * a **join node** — two `Arc`ed sub-ropes.
 //!
-//! Sizes are cached bottom-up at construction, so
-//! [`Tuple::approx_size_bytes`] is O(1) and reports the *flattened*
-//! (logical / serialized) payload size — the bytes a distributed
-//! deployment would ship and store, regardless of structural sharing.
+//! No path copies attribute values. A hit in the hot tier clones the
+//! stored tuple (a reference-count bump on its node); a hit in the frozen
+//! tier makes a segment-backed leaf (a reference-count bump on the
+//! segment plus one small node allocation — no arena buffer, no `Value`
+//! clone); and [`Tuple::join`] performs a single allocation (the new join
+//! node) and two reference-count bumps — the per-hop cost of a probe
+//! order is O(1) instead of O(total arity). Every store a partial result
+//! is routed to shares the same leaves.
 //!
-//! Construction is arena-backed: leaf value buffers come from the
+//! A segment-backed leaf pins its segment: the segment's memory lives
+//! until the last tuple pointing into it drops, even after the owning
+//! store expired it. DESIGN.md ("The pin bound") states who can hold such
+//! a leaf and for how long.
+//!
+//! Lookup is positional: [`Tuple::get`] descends the rope by relation-set
+//! membership (O(join depth), at most the number of constituent
+//! relations) and then reads the leaf directly — a base leaf at the
+//! attribute's schema slot, a segment-backed leaf through the segment's
+//! slot → column table — with no linear scan over `(AttrRef, Value)`
+//! pairs. [`SlotAccessor`] packages the precomputed slot of one attribute
+//! so hot paths (index maintenance, probe predicates) resolve the offset
+//! once per store instead of once per lookup.
+//!
+//! Sizes are cached bottom-up at construction (a segment keeps each
+//! row's), so [`Tuple::approx_size_bytes`] is O(1) and reports the
+//! *flattened* (logical / serialized) payload size — the bytes a
+//! distributed deployment would ship and store, regardless of structural
+//! sharing and of which kind of leaf holds the values.
+//!
+//! Base-leaf construction is arena-backed: value buffers come from the
 //! thread-local pool in [`crate::arena`] and return there when a leaf is
-//! dropped (most commonly at window expiry), so steady-state ingest
-//! reuses memory instead of allocating per tuple. [`TupleBuilder`] writes
-//! values positionally into such a buffer — optionally resolving names
-//! through a catalog-cached [`LeafLayout`] — with no intermediate
+//! dropped (at window expiry, or when its epoch freezes), so steady-state
+//! ingest reuses memory instead of allocating per tuple. [`TupleBuilder`]
+//! writes values positionally into such a buffer — optionally resolving
+//! names through a catalog-cached [`LeafLayout`] — with no intermediate
 //! `(AttrRef, Value)` vector and no re-scan at build time.
 
 use crate::error::{ClashError, Result};
 use crate::ids::{AttrId, RelationId};
 use crate::relation_set::RelationSet;
 use crate::schema::{AttrRef, Schema};
+use crate::segment::FrozenSegment;
 use crate::time::Timestamp;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -190,11 +211,30 @@ impl Drop for BaseLeaf {
     }
 }
 
+/// A leaf of the payload rope. Nested inside [`Node`] (rather than being
+/// two of its variants) so that neither enum needs a tag: the frozen kind
+/// hides in the null niche of the base leaf's buffer pointer, and a leaf
+/// as a whole in the null niche of a join's child pointer. A node stays
+/// 48 bytes — with its `Arc` header exactly one cache line — and the rope
+/// descent tests one pointer per level, as it did before frozen leaves
+/// existed (a unit test pins the size).
+#[derive(Debug)]
+enum Leaf {
+    /// Values of one base relation, owned by an arena-backed buffer.
+    Base(BaseLeaf),
+    /// One row of a frozen columnar segment: the values stay in the
+    /// segment's columns and are read in place. The row may cover several
+    /// relations (a frozen partial join result); it is still a leaf.
+    Frozen {
+        segment: Arc<FrozenSegment>,
+        row: u32,
+    },
+}
+
 /// A node of the payload rope.
 #[derive(Debug)]
 enum Node {
-    /// Values of one base relation.
-    Base(BaseLeaf),
+    Leaf(Leaf),
     /// Concatenation of two disjoint sub-ropes.
     Join {
         left: Arc<Node>,
@@ -209,16 +249,38 @@ enum Node {
 }
 
 impl Node {
+    #[inline]
+    fn base(leaf: BaseLeaf) -> Node {
+        Node::Leaf(Leaf::Base(leaf))
+    }
+
+    #[inline]
+    fn join(left: Arc<Node>, left_relations: RelationSet, right: Arc<Node>) -> Node {
+        Node::Join {
+            arity: left.arity() + right.arity(),
+            bytes: left.bytes() + right.bytes(),
+            left,
+            left_relations,
+            right,
+        }
+    }
+
     fn arity(&self) -> usize {
         match self {
-            Node::Base(leaf) => leaf.arity(),
+            Node::Leaf(Leaf::Base(leaf)) => leaf.arity(),
+            Node::Leaf(Leaf::Frozen { segment, row }) => segment.row_arity(*row as usize),
             Node::Join { arity, .. } => *arity,
         }
     }
 
+    /// Flattened payload bytes (what [`write_slot`] accounted when the
+    /// values were first written; a frozen row remembers its tuple's).
     fn bytes(&self) -> usize {
         match self {
-            Node::Base(leaf) => leaf.bytes,
+            Node::Leaf(Leaf::Base(leaf)) => leaf.bytes,
+            Node::Leaf(Leaf::Frozen { segment, row }) => {
+                segment.row_size_bytes(*row as usize) - SIZE_HEADER
+            }
             Node::Join { bytes, .. } => *bytes,
         }
     }
@@ -246,7 +308,27 @@ impl Tuple {
             ts,
             ingest_ts: ts,
             relations: RelationSet::singleton(relation),
-            node: Arc::new(Node::Base(BaseLeaf::new(relation, values))),
+            node: Arc::new(Node::base(BaseLeaf::new(relation, values))),
+        }
+    }
+
+    /// The tuple stored in `row` of a frozen segment, as a segment-backed
+    /// leaf: no value is copied and no arena buffer is taken — the leaf is
+    /// the segment reference plus the row number (one small node
+    /// allocation), and the header fields are read from the row's header.
+    /// The tuple keeps the segment alive for as long as it (or any join
+    /// result sharing it) lives.
+    #[inline]
+    pub(crate) fn from_segment_row(segment: Arc<FrozenSegment>, row: usize) -> Tuple {
+        assert!(row < segment.len(), "row {row} outside the segment");
+        Tuple {
+            ts: segment.ts(row),
+            ingest_ts: segment.ingest_ts(row),
+            relations: segment.relations(row),
+            node: Arc::new(Node::Leaf(Leaf::Frozen {
+                segment,
+                row: row as u32,
+            })),
         }
     }
 
@@ -269,7 +351,7 @@ impl Tuple {
     pub fn depth(&self) -> usize {
         fn depth_of(node: &Node) -> usize {
             match node {
-                Node::Base(_) => 0,
+                Node::Leaf(_) => 0,
                 Node::Join { left, right, .. } => 1 + depth_of(left).max(depth_of(right)),
             }
         }
@@ -319,13 +401,11 @@ impl Tuple {
             ts: self.ts.max(other.ts),
             ingest_ts: self.ingest_ts.max(other.ingest_ts),
             relations: self.relations.union(&other.relations),
-            node: Arc::new(Node::Join {
-                left: Arc::clone(&self.node),
-                left_relations: self.relations,
-                right: Arc::clone(&other.node),
-                arity: self.node.arity() + other.node.arity(),
-                bytes: self.node.bytes() + other.node.bytes(),
-            }),
+            node: Arc::new(Node::join(
+                Arc::clone(&self.node),
+                self.relations,
+                Arc::clone(&other.node),
+            )),
         })
     }
 
@@ -337,7 +417,7 @@ impl Tuple {
                 return true;
             }
             match &**node {
-                Node::Base(_) => false,
+                Node::Leaf(_) => false,
                 Node::Join { left, right, .. } => contains(left, needle) || contains(right, needle),
             }
         }
@@ -421,9 +501,9 @@ impl Tuple {
     /// Rebuilds a tuple from its flattened `(attribute, value)` pairs: one
     /// leaf per relation of the set (joined left-to-right in relation-id
     /// order; relations carrying no attributes still contribute an empty
-    /// leaf so the set survives). Shared by [`Tuple::from_wire`] and the
-    /// frozen-segment row reconstruction — equality with the original is
-    /// preserved because [`PartialEq`] compares flattened content.
+    /// leaf so the set survives). The decode half of the wire codec —
+    /// equality with the original is preserved because [`PartialEq`]
+    /// compares flattened content.
     pub fn from_flattened(
         ts: Timestamp,
         ingest_ts: Timestamp,
@@ -455,24 +535,15 @@ impl Tuple {
                     std::mem::replace(value, Value::Null),
                 );
             }
-            let leaf = Arc::new(Node::Base(BaseLeaf::from_parts(
+            let leaf = Arc::new(Node::base(BaseLeaf::from_parts(
                 relation, present, values, leaf_bytes,
             )));
             node = Some(match node {
                 None => (leaf, RelationSet::singleton(relation)),
                 Some((left, left_relations)) => {
-                    let arity = left.arity() + leaf.arity();
-                    let bytes = left.bytes() + leaf.bytes();
-                    let joined = Arc::new(Node::Join {
-                        left,
-                        left_relations,
-                        right: leaf,
-                        arity,
-                        bytes,
-                    });
                     let mut covered = left_relations;
                     covered.insert(relation);
-                    (joined, covered)
+                    (Arc::new(Node::join(left, left_relations, leaf)), covered)
                 }
             });
         }
@@ -490,35 +561,6 @@ impl Tuple {
             relations,
             node,
         })
-    }
-
-    /// Assembles a single-relation tuple directly from positional slot
-    /// writes — the frozen tier's reconstruction fast path. Skips the
-    /// intermediate pair vector (and its relation bookkeeping) that
-    /// [`Tuple::from_flattened`] needs for multi-relation rows; the
-    /// caller guarantees every slot belongs to `relation` and that
-    /// `width` covers the highest written slot.
-    pub(crate) fn from_slots(
-        ts: Timestamp,
-        ingest_ts: Timestamp,
-        relation: RelationId,
-        width: usize,
-        slots: impl Iterator<Item = (usize, Value)>,
-    ) -> Tuple {
-        let mut values = crate::arena::take_buffer(width);
-        let mut present = 0u64;
-        let mut bytes = 0usize;
-        for (slot, value) in slots {
-            write_slot(&mut values, &mut present, &mut bytes, slot, value);
-        }
-        Tuple {
-            ts,
-            ingest_ts,
-            relations: RelationSet::singleton(relation),
-            node: Arc::new(Node::Base(BaseLeaf::from_parts(
-                relation, present, values, bytes,
-            ))),
-        }
     }
 }
 
@@ -546,8 +588,20 @@ impl Eq for Tuple {}
 pub struct TupleIter<'a> {
     /// Unvisited sub-ropes, rightmost at the bottom.
     stack: Vec<&'a Arc<Node>>,
-    /// Leaf currently being drained: (leaf, next slot).
-    leaf: Option<(&'a BaseLeaf, usize)>,
+    /// Leaf currently being drained.
+    leaf: Option<LeafCursor<'a>>,
+}
+
+/// Position inside the leaf a [`TupleIter`] is draining.
+#[derive(Debug)]
+enum LeafCursor<'a> {
+    /// Next slot of a base leaf.
+    Base(&'a BaseLeaf, usize),
+    /// Next column of a frozen row. Columns are sorted by attribute, so a
+    /// single-relation row yields schema-slot order like a base leaf, and
+    /// a multi-relation row yields its relations in id order (the order
+    /// [`Tuple::from_flattened`] rebuilds them in).
+    Frozen(&'a FrozenSegment, usize, usize),
 }
 
 impl<'a> Iterator for TupleIter<'a> {
@@ -555,22 +609,36 @@ impl<'a> Iterator for TupleIter<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some((leaf, slot)) = &mut self.leaf {
-                while *slot < leaf.values.len() {
-                    let s = *slot;
-                    *slot += 1;
-                    if leaf.present & (1u64 << s) != 0 {
-                        return Some((
-                            AttrRef::new(leaf.relation, AttrId::new(s as u32)),
-                            &leaf.values[s],
-                        ));
+            match &mut self.leaf {
+                Some(LeafCursor::Base(leaf, slot)) => {
+                    while *slot < leaf.values.len() {
+                        let s = *slot;
+                        *slot += 1;
+                        if leaf.present & (1u64 << s) != 0 {
+                            return Some((
+                                AttrRef::new(leaf.relation, AttrId::new(s as u32)),
+                                &leaf.values[s],
+                            ));
+                        }
                     }
                 }
-                self.leaf = None;
+                Some(LeafCursor::Frozen(segment, row, col)) => {
+                    while *col < segment.columns().len() {
+                        let c = *col;
+                        *col += 1;
+                        if let Some(value) = segment.value_at(c, *row) {
+                            return Some((segment.columns()[c], value));
+                        }
+                    }
+                }
+                None => {}
             }
-            let node = self.stack.pop()?;
-            match &**node {
-                Node::Base(leaf) => self.leaf = Some((leaf, 0)),
+            self.leaf = None;
+            match &**self.stack.pop()? {
+                Node::Leaf(Leaf::Base(leaf)) => self.leaf = Some(LeafCursor::Base(leaf, 0)),
+                Node::Leaf(Leaf::Frozen { segment, row }) => {
+                    self.leaf = Some(LeafCursor::Frozen(segment, *row as usize, 0));
+                }
                 Node::Join { left, right, .. } => {
                     self.stack.push(right);
                     self.stack.push(left);
@@ -631,12 +699,17 @@ impl SlotAccessor {
         let mut node = &*tuple.node;
         loop {
             match node {
-                Node::Base(leaf) => {
+                Node::Leaf(Leaf::Base(leaf)) => {
                     return if leaf.relation == self.relation {
                         leaf.slot(self.slot)
                     } else {
                         None
                     };
+                }
+                // A frozen row answers for every relation it covers
+                // through the segment's slot → column tables.
+                Node::Leaf(Leaf::Frozen { segment, row }) => {
+                    return segment.get(self.relation, self.slot, *row as usize);
                 }
                 Node::Join {
                     left,
@@ -926,7 +999,7 @@ impl<'a> TupleBuilder<'a> {
             ts,
             ingest_ts: ts,
             relations: RelationSet::singleton(relation),
-            node: Arc::new(Node::Base(leaf)),
+            node: Arc::new(Node::base(leaf)),
         }
     }
 }
@@ -1166,5 +1239,16 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("=3"));
         assert!(s.contains("τ=5ms"));
+    }
+
+    /// The layout the rope's speed rests on: leaf kinds and node kinds are
+    /// told apart by pointer niches, not tags, so a node plus its `Arc`
+    /// header is one 64-byte cache line. Adding a field or a variant that
+    /// breaks this costs every hot-tier `get`, `join` and build ~10 %
+    /// (measured in PR 13) — if this fails, re-measure before relaxing it.
+    #[test]
+    fn a_node_with_its_arc_header_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Leaf>(), std::mem::size_of::<BaseLeaf>());
+        assert!(std::mem::size_of::<Node>() <= 48);
     }
 }

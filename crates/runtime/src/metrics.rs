@@ -69,7 +69,10 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Records the latency of one result emitted for `query`.
+    /// Records the latency of one result emitted for `query`. The rule
+    /// kernel takes `latency` from one clock read per probe-rule
+    /// evaluation, shared by all of that evaluation's results, so the
+    /// histogram resolves per probe, not per result.
     #[inline]
     pub fn record_latency(&mut self, query: QueryId, latency: Duration) {
         self.latency.entry(query).or_default().record(latency);

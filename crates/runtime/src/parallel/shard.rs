@@ -46,6 +46,29 @@ use clash_optimizer::{OutputAction, Rule, TopologyPlan};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Completed roots between two sweeps of the pending probers outside
+/// barriers. A sweep `retain`s every registered prober, so running one
+/// after every worker message costs O(everything in flight) per `Batch`;
+/// striding it keeps at most this many roots' worth of already-dead
+/// probers around instead. Late collection cannot change a result: a dead
+/// prober only stays a retro-probe *candidate*, and every candidate still
+/// passes the guard check (`insert guard < prober guard`), which no insert
+/// arriving after the watermark passed the prober can satisfy — the
+/// exactly-once argument never relied on when probers are dropped.
+const PROBER_GC_STRIDE: u64 = 256;
+
+/// The two instants a result's latency is taken between: when its root
+/// entered the engine, and the single clock read taken after the rule
+/// evaluation that produced it collected its matches. Every result of one
+/// evaluation (≈ 400 per input tuple on fan-out-heavy plans) shares that
+/// read, as does the evaluation's `Probe` trace event, so the engine's
+/// latency histogram resolves per probe, not per result.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    started: Instant,
+    now: Instant,
+}
+
 /// Per-store construction data of a plan, handed to every shard on
 /// (re)install: expiry windows and indexed attributes, both derived from
 /// the catalog and the plan.
@@ -164,6 +187,8 @@ pub(crate) struct ShardState {
     symmetric: Arc<FxHashSet<StoreId>>,
     /// Pending probers per forward-fed store, indexed by join-key value.
     pending: FxHashMap<StoreId, PendingSet>,
+    /// Completion watermark at the last prober sweep.
+    swept_at: u64,
     epoch: EpochConfig,
     /// Epoch lag before cold epochs freeze into columnar segments
     /// (`EngineConfig::freeze_after_epochs`; `0` disables the cold tier).
@@ -204,6 +229,7 @@ impl ShardState {
             stores: FxHashMap::default(),
             symmetric: Arc::new(FxHashSet::default()),
             pending: FxHashMap::default(),
+            swept_at: 0,
             epoch,
             freeze_after,
             metrics: EngineMetrics::default(),
@@ -366,8 +392,13 @@ impl ShardState {
                     if counts_probe {
                         self.metrics.probes += 1;
                     }
-                    self.trace.record(
+                    let timing = Timing {
+                        started: delivery.started,
+                        now: Instant::now(),
+                    };
+                    self.trace.record_at(
                         TraceEventKind::Probe,
+                        timing.now,
                         u64::from(delivery.target.store.0),
                         matches.len() as u64,
                     );
@@ -380,14 +411,8 @@ impl ShardState {
                     );
                     for matched in matches {
                         if let Some(joined) = delivery.tuple.join(&matched) {
-                            emitted += self.dispatch(
-                                &plan,
-                                outputs,
-                                &joined,
-                                delivery.guard,
-                                delivery.started,
-                                out,
-                            );
+                            emitted +=
+                                self.dispatch(&plan, outputs, &joined, delivery.guard, timing, out);
                         }
                     }
                 }
@@ -425,7 +450,7 @@ impl ShardState {
         outputs: &[OutputAction],
         joined: &Tuple,
         guard: u64,
-        started: Instant,
+        timing: Timing,
         out: &mut impl FnMut(usize, Delivery),
     ) -> u64 {
         let mut emitted = 0;
@@ -434,7 +459,10 @@ impl ShardState {
                 OutputAction::Emit { query } => {
                     emitted += 1;
                     *self.metrics.results.entry(*query).or_default() += 1;
-                    self.metrics.record_latency(*query, started.elapsed());
+                    self.metrics.record_latency(
+                        *query,
+                        timing.now.saturating_duration_since(timing.started),
+                    );
                     if let Some(sink) = &mut self.sink {
                         sink(*query, joined);
                     }
@@ -448,7 +476,7 @@ impl ShardState {
                     *next,
                     joined,
                     guard,
-                    started,
+                    timing.started,
                     &mut self.metrics,
                     &mut *out,
                 ),
@@ -545,16 +573,33 @@ impl ShardState {
                 hits.push((joined, outputs, prober.guard, prober.started));
             }
         }
+        if hits.is_empty() {
+            return 0;
+        }
         let mut emitted = 0;
+        // Retroactive hits of one insert share one clock read, too.
+        let now = Instant::now();
         for (joined, outputs, guard, started) in hits {
-            emitted += self.dispatch(plan, outputs, &joined, guard, started, out);
+            let timing = Timing { started, now };
+            emitted += self.dispatch(plan, outputs, &joined, guard, timing, out);
         }
         emitted
     }
 
+    /// [`Self::sweep_probers`], amortized for the per-message path: skipped
+    /// until [`PROBER_GC_STRIDE`] more roots have completed since the last
+    /// sweep (which also covers "the watermark has not moved").
+    pub fn gc_probers(&mut self, watermark: u64) {
+        if watermark >= self.swept_at + PROBER_GC_STRIDE {
+            self.sweep_probers(watermark);
+        }
+    }
+
     /// Drops pending probers that can no longer receive late inserts: all
     /// roots below their guard have completed (watermark >= guard - 1).
-    pub fn gc_probers(&mut self, watermark: u64) {
+    /// Barriers call this directly, so a drained engine holds no probers.
+    pub fn sweep_probers(&mut self, watermark: u64) {
+        self.swept_at = watermark;
         for pending in self.pending.values_mut() {
             pending.gc(watermark);
         }

@@ -230,7 +230,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
             }
             WorkerMsg::Collect { token, expire_upto } => {
                 let expired = expire_upto.map(|upto| shard.expire(upto)).unwrap_or(0);
-                shard.gc_probers(progress.watermark());
+                shard.sweep_probers(progress.watermark());
                 shard
                     .trace
                     .record(TraceEventKind::Barrier, token, expired as u64);

@@ -27,6 +27,7 @@ use clash_common::{
 };
 use clash_optimizer::StoreDescriptor;
 use clash_query::EquiPredicate;
+use std::sync::Arc;
 
 /// An attribute a store maintains a hash index over, with its precomputed
 /// positional accessor (resolved once per store, reused for every insert
@@ -211,6 +212,38 @@ impl EpochContainer {
     }
 }
 
+/// One frozen epoch of a partition: the immutable segment — shared with
+/// every tuple a probe hit handed out of it — plus this store's expiry
+/// cursor over its ts-sorted rows. The cursor lives here because expiry is
+/// the store's decision; the segment's rows stay readable below it for as
+/// long as a leaf pins them.
+#[derive(Debug)]
+struct ColdEpoch {
+    segment: Arc<FrozenSegment>,
+    /// First live row; rows `< start` are expired. Only moves forward.
+    start: usize,
+}
+
+impl ColdEpoch {
+    fn live_len(&self) -> usize {
+        self.segment.len() - self.start
+    }
+
+    fn bytes(&self) -> usize {
+        self.segment.bytes_from(self.start)
+    }
+
+    /// Advances the cursor past rows older than `horizon`; returns how
+    /// many rows this call expired (exact, so engine removal accounting
+    /// matches the live tier's).
+    fn expire(&mut self, horizon: Timestamp) -> usize {
+        let new_start = self.segment.expired_before(horizon).max(self.start);
+        let removed = new_start - self.start;
+        self.start = new_start;
+        removed
+    }
+}
+
 /// A store holding the tuples of one (possibly intermediate) relation,
 /// split into `parallelism` partitions, each keeping an independent
 /// container per epoch (Algorithm 4 stores and probes "with respect to an
@@ -228,7 +261,7 @@ pub struct StoreInstance {
     /// Cold tier: partition -> epoch -> frozen columnar segment (built by
     /// [`Self::freeze_before`]). An epoch may appear in both tiers when a
     /// late tuple arrives after its freeze — probes check both.
-    frozen: Vec<FxHashMap<Epoch, FrozenSegment>>,
+    frozen: Vec<FxHashMap<Epoch, ColdEpoch>>,
     /// Tier-level probe pruning: per partition, per indexed-attribute
     /// position, a bloom over the union of every frozen segment's index
     /// hashes. One check answers "no frozen segment of this partition
@@ -239,6 +272,11 @@ pub struct StoreInstance {
     frozen_blooms: Vec<Vec<Option<BloomFilter>>>,
     /// Segments built over the store's lifetime (monotone counter).
     compactions: u64,
+    /// Live tuples across both tiers, maintained by insert and expiry
+    /// (freezing moves tuples between tiers without changing the count),
+    /// so [`Self::len`] — read once per probe for the statistics
+    /// observation — never walks the containers.
+    tuples: usize,
 }
 
 /// Hash used for partition routing (stable across the process — and, with
@@ -264,6 +302,7 @@ impl StoreInstance {
             frozen: (0..parallelism).map(|_| FxHashMap::default()).collect(),
             frozen_blooms: (0..parallelism).map(|_| Vec::new()).collect(),
             compactions: 0,
+            tuples: 0,
         }
     }
 
@@ -272,7 +311,7 @@ impl StoreInstance {
     /// per probe; within-segment expiry only advances cursors and leaves
     /// the blooms a safe superset.
     fn rebuild_frozen_blooms(&mut self, p: usize) {
-        let segments: Vec<&FrozenSegment> = self.frozen[p].values().collect();
+        let segments: Vec<&FrozenSegment> = self.frozen[p].values().map(|c| &*c.segment).collect();
         self.frozen_blooms[p] = (0..self.indexed_attrs.len())
             .map(|pos| {
                 let hashes: Vec<&[u64]> = segments
@@ -315,9 +354,13 @@ impl StoreInstance {
                 if container.tuples.is_empty() {
                     continue;
                 }
+                let segment = FrozenSegment::freeze(container.tuples, container.seqs, &slots);
                 frozen.insert(
                     epoch,
-                    FrozenSegment::freeze(container.tuples, container.seqs, &slots),
+                    ColdEpoch {
+                        segment: Arc::new(segment),
+                        start: 0,
+                    },
                 );
                 built += 1;
             }
@@ -329,6 +372,7 @@ impl StoreInstance {
             self.rebuild_frozen_blooms(p);
         }
         self.compactions += built as u64;
+        debug_assert_eq!(self.tuples, self.walked_len());
         built
     }
 
@@ -387,6 +431,7 @@ impl StoreInstance {
             .entry(epoch)
             .or_default()
             .insert(tuple, seq, &self.indexed_attrs);
+        self.tuples += 1;
     }
 
     /// Probes one partition across the given epochs: returns all stored
@@ -538,9 +583,9 @@ impl StoreInstance {
                     }
                 }
             }
-            if let Some(segment) = try_frozen.then(|| self.frozen[p].get(&epoch)).flatten() {
+            if let Some(cold) = try_frozen.then(|| self.frozen[p].get(&epoch)).flatten() {
                 self.probe_frozen(
-                    segment,
+                    cold,
                     probe,
                     probe_seq,
                     &resolved,
@@ -557,13 +602,14 @@ impl StoreInstance {
     /// hash-run indexes (bloom-gated binary search) or a cursor-bounded
     /// scan; **every** predicate — including the driving one — is
     /// re-verified against the columns, because hash runs group by
-    /// `fx_hash(value)` and distinct values can collide. Matches are
-    /// reconstructed into content-equal tuples, so emitted results are
-    /// indistinguishable from live-tier matches.
+    /// `fx_hash(value)` and distinct values can collide. A match is
+    /// returned as a segment-backed leaf: the segment's reference count
+    /// goes up by one and a leaf node is allocated, but no value moves and
+    /// no arena buffer is taken.
     #[allow(clippy::too_many_arguments)]
     fn probe_frozen<'v>(
         &self,
-        segment: &FrozenSegment,
+        cold: &ColdEpoch,
         probe: &Tuple,
         probe_seq: Option<u64>,
         resolved: &[(SlotAccessor, &'v Value)],
@@ -572,6 +618,7 @@ impl StoreInstance {
         cols: &mut Vec<(usize, &'v Value)>,
         results: &mut Vec<Tuple>,
     ) {
+        let segment = &cold.segment;
         // Resolves each predicate's column id into `cols`; `false` means
         // no row of the segment carries some predicate's attribute, so
         // nothing can match.
@@ -616,16 +663,17 @@ impl StoreInstance {
                     // cursor form a prefix — skip it with one
                     // `partition_point` (the frozen analogue of the live
                     // tier's posting-list remap).
-                    let begin = run.partition_point(|&r| (r as usize) < segment.first_live());
+                    let begin = run.partition_point(|&r| (r as usize) < cold.start);
                     let run = &run[begin..];
                     // Misses (the common case under bloom gating) exit
                     // before predicate columns are even resolved.
                     if run.is_empty() || !resolve(segment, resolved, cols) {
                         return;
                     }
+                    results.reserve(run.len());
                     for &row in run {
                         if check(cols, row as usize) {
-                            results.extend(segment.tuple_at(row as usize));
+                            results.push(segment.tuple_at(row as usize));
                         }
                     }
                 });
@@ -634,9 +682,9 @@ impl StoreInstance {
                 if !resolve(segment, resolved, cols) {
                     return;
                 }
-                for row in segment.first_live()..segment.len() {
+                for row in cold.start..segment.len() {
                     if check(cols, row) {
-                        results.extend(segment.tuple_at(row));
+                        results.push(segment.tuple_at(row));
                     }
                 }
             }
@@ -663,9 +711,9 @@ impl StoreInstance {
         let mut changed: Vec<usize> = Vec::new();
         for (p, frozen) in self.frozen.iter_mut().enumerate() {
             let before = frozen.len();
-            frozen.retain(|_, segment| {
-                removed += segment.expire(horizon);
-                !segment.is_empty()
+            frozen.retain(|_, cold| {
+                removed += cold.expire(horizon);
+                cold.live_len() > 0
             });
             if frozen.len() < before {
                 changed.push(p);
@@ -674,11 +722,20 @@ impl StoreInstance {
         for p in changed {
             self.rebuild_frozen_blooms(p);
         }
+        self.tuples -= removed;
+        debug_assert_eq!(self.tuples, self.walked_len());
         removed
     }
 
-    /// Number of stored tuples across partitions and epochs, both tiers.
+    /// Number of stored tuples across partitions and epochs, both tiers
+    /// (a maintained count: O(1)).
     pub fn len(&self) -> usize {
+        self.tuples
+    }
+
+    /// [`Self::len`] recounted from the containers — what the maintained
+    /// count is checked against in debug builds and tests.
+    fn walked_len(&self) -> usize {
         let hot: usize = self
             .partitions
             .iter()
@@ -689,7 +746,7 @@ impl StoreInstance {
             .frozen
             .iter()
             .flat_map(|p| p.values())
-            .map(|s| s.live_len())
+            .map(|c| c.live_len())
             .sum();
         hot + cold
     }
@@ -712,7 +769,7 @@ impl StoreInstance {
             .frozen
             .iter()
             .flat_map(|p| p.values())
-            .map(|s| s.bytes())
+            .map(|c| c.bytes())
             .sum();
         hot + cold
     }
@@ -724,7 +781,7 @@ impl StoreInstance {
             .frozen
             .iter()
             .flat_map(|p| p.values())
-            .map(|s| s.bytes())
+            .map(|c| c.bytes())
             .sum();
         (segments, bytes)
     }
@@ -1015,8 +1072,20 @@ mod tests {
         assert_eq!(store.probe(0, &[Epoch(0)], &probe, &[pred]).len(), 1);
     }
 
+    /// Results as a multiset of flattened values: what a consumer reading
+    /// `(attribute, value)` pairs observes, independent of representation.
+    fn flattened_multiset(tuples: &[Tuple]) -> Vec<String> {
+        let mut rendered: Vec<String> = tuples
+            .iter()
+            .map(|t| format!("{}|{}|{:?}", t.ts, t.ingest_ts, t.flatten()))
+            .collect();
+        rendered.sort();
+        rendered
+    }
+
     /// Freezing must be invisible to probes: same matches before and
-    /// after, with reconstructed tuples content-equal to the originals.
+    /// after, with segment-backed matches content-equal to the originals
+    /// and flattening to the same values.
     #[test]
     fn frozen_probe_matches_live_probe_exactly() {
         let mut live = s_store(1);
@@ -1038,7 +1107,95 @@ mod tests {
             expect.sort_by_key(|t| t.ts);
             got.sort_by_key(|t| t.ts);
             assert_eq!(got, expect, "key {key}");
+            assert_eq!(
+                flattened_multiset(&got),
+                flattened_multiset(&expect),
+                "key {key}"
+            );
+            let sizes = |ts: &[Tuple]| ts.iter().map(Tuple::approx_size_bytes).sum::<usize>();
+            assert_eq!(sizes(&got), sizes(&expect), "key {key}");
         }
+    }
+
+    /// A frozen hit hands out a reference into the segment: no arena
+    /// buffer is taken for it, and it stays readable after expiry dropped
+    /// the store's own reference to the segment.
+    #[test]
+    fn frozen_hits_take_no_arena_buffer_and_outlive_their_segment() {
+        let mut store = s_store(1);
+        for i in 0..8 {
+            store.insert(0, Epoch(0), s_tuple(1, i, 100 + i as u64));
+        }
+        assert_eq!(store.freeze_before(Epoch(1)), 1);
+        let probe = r_tuple(1, 5_000);
+        let takes = || {
+            let stats = clash_common::arena_stats();
+            stats.reused + stats.allocated
+        };
+        let before = takes();
+        let hits = store.probe(0, &[Epoch(0)], &probe, &[pred_ra_sa()]);
+        let joined: Vec<Tuple> = hits.iter().filter_map(|hit| probe.join(hit)).collect();
+        assert_eq!(takes(), before, "frozen hits and their joins build no leaf");
+        assert_eq!(hits.len(), 8);
+        assert_eq!(store.expire(Timestamp::from_millis(100_000)), 8);
+        assert_eq!(
+            store.segment_stats(),
+            (0, 0),
+            "the store let the segment go"
+        );
+        let b = AttrRef::new(RelationId::new(1), AttrId::new(1));
+        let mut values: Vec<i64> = joined
+            .iter()
+            .filter_map(|t| t.get(&b).and_then(Value::as_int))
+            .collect();
+        values.sort_unstable();
+        assert_eq!(values, (0..8).collect::<Vec<i64>>());
+        for (hit, joined) in hits.iter().zip(&joined) {
+            assert!(joined.shares_payload_with(hit));
+            assert_eq!(joined.arity(), 3);
+        }
+    }
+
+    /// `len()` is a maintained count; it must equal the recount after any
+    /// interleaving of inserts (late ones into frozen epochs included),
+    /// freezes and expiries.
+    #[test]
+    fn maintained_len_equals_the_walk_under_random_operations() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut store = s_store(3);
+        let mut clock = 0u64;
+        for _ in 0..2_000 {
+            match next(10) {
+                0 => {
+                    store.freeze_before(Epoch((clock / 1_000).saturating_sub(next(3))));
+                }
+                1 => {
+                    store.expire(Timestamp::from_millis(clock.saturating_sub(next(6_000))));
+                }
+                _ => {
+                    clock += next(40);
+                    // Up to 2 s late: lands in epochs that may be frozen.
+                    let ts = clock.saturating_sub(next(2_000));
+                    let t = s_tuple(next(16) as i64, 0, ts);
+                    let p = store.partition_for(&t);
+                    store.insert(p, Epoch(ts / 1_000), t);
+                }
+            }
+            assert_eq!(store.len(), store.walked_len());
+            assert_eq!(store.is_empty(), store.walked_len() == 0);
+        }
+        assert!(
+            store.compactions() > 0 && !store.is_empty(),
+            "sequence too tame"
+        );
+        store.expire(Timestamp::from_millis(u64::MAX / 2));
+        assert_eq!((store.len(), store.walked_len()), (0, 0));
     }
 
     /// Late arrivals into an already-frozen epoch stay hot; probes merge
