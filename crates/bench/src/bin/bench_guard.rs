@@ -1,7 +1,8 @@
 //! Bench regression guard: fails when `BENCH_hotpath.json` reports a
 //! micro-row speedup below its checked-in floor (`ci/bench_floors.json`),
-//! an ingest allocation count above the allowed ceiling, or a telemetry
-//! throughput ratio below the overhead floor.
+//! an ingest allocation count above the allowed ceiling, a telemetry
+//! throughput ratio below the overhead floor, or an open-loop median
+//! latency (the `paced` multi_source row) above its absolute ceiling.
 //!
 //! Usage:
 //!   cargo run -p clash-bench --bin bench_guard -- \
@@ -169,6 +170,28 @@ fn main() -> ExitCode {
                 }
             }
             _ => violations.push("telemetry throughput ratio or floor missing".to_string()),
+        }
+
+        // Open-loop latency: the `paced` multi_source row's median (due
+        // time to subscriber at a fixed offered load) must stay under an
+        // absolute ceiling. A timing metric too: committed report only.
+        let median = report
+            .find("\"mode\": \"paced\"")
+            .and_then(|at| number_after(&report, "latency_p50_ms", at).map(|(v, _)| v));
+        let ceiling = number_after(&floors, "max_paced_latency_p50_ms", 0).map(|(v, _)| v);
+        match (median, ceiling) {
+            (Some(got), Some(ceiling)) => {
+                checks += 1;
+                if got <= ceiling {
+                    println!("ok    paced latency p50: {got:.3} ms <= ceiling {ceiling:.3} ms");
+                } else {
+                    violations.push(format!(
+                        "paced multi_source row answers in {got:.3} ms at the median, above \
+                         the {ceiling:.3} ms ceiling (a batch is waiting for a timer again?)"
+                    ));
+                }
+            }
+            _ => violations.push("paced latency row or ceiling missing".to_string()),
         }
     }
 

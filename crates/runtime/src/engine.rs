@@ -38,18 +38,20 @@ pub struct EngineConfig {
     /// Keep emitted results in memory (useful for tests; experiments
     /// normally only count them).
     pub collect_results: bool,
-    /// Parallel runtime only: number of buffered root deliveries that
-    /// triggers a router flush. The coordinator coalesces per-ingest
-    /// `Batch` messages across ingests up to this size (epoch barriers
-    /// always flush); `1` restores send-per-ingest.
+    /// Parallel runtime only: the most deliveries a producer's
+    /// micro-batch gathers before it ships (the size trigger). Every
+    /// producer coalesces per-root `Batch` messages up to this size while
+    /// the workers they are for are busy; a batch ships earlier the
+    /// moment one of them is idle, and barriers always flush. `1`
+    /// restores send-per-ingest.
     pub micro_batch: usize,
     /// Parallel runtime only: maximum wall-clock age a buffered
     /// micro-batch may reach before it is flushed regardless of the size
-    /// trigger, so sparse streams do not hold deliveries (and the results
-    /// they would produce) until the next barrier. The coordinator checks
-    /// the age on every ingest; open sources are additionally swept by a
-    /// background flusher thread, which covers streams that go fully
-    /// idle. `Duration::ZERO` disables the time trigger.
+    /// trigger, so deliveries left behind a busy worker by a producer
+    /// that then goes quiet are not held (with the results they would
+    /// produce) until the next barrier. Every producer checks the age on
+    /// every root it routes; a background flusher thread covers the
+    /// producers that stopped. `Duration::ZERO` disables the time trigger.
     pub micro_batch_max_delay: std::time::Duration,
     /// Parallel runtime only: bound on in-flight roots (ingested input
     /// tuples whose deliveries have not all been processed yet). Both the
@@ -295,11 +297,16 @@ impl LocalEngine {
                 |_, delivery| self.queue.push(delivery),
             );
         }
+        // Tuples run to completion one at a time: every earlier root has
+        // completed, which is this engine's completion watermark.
+        let watermark = self.seq - 1;
         let mut emitted = 0u64;
         while let Some(delivery) = self.queue.pop() {
             emitted += self
                 .shard
-                .process(&delivery, &mut |_, forwarded| self.queue.push(forwarded));
+                .process(&delivery, watermark, &mut |_, forwarded| {
+                    self.queue.push(forwarded)
+                });
         }
 
         self.shard.metrics.busy += started.elapsed();

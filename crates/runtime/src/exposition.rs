@@ -8,6 +8,7 @@
 //! installs) are appended by the respective engine.
 
 use crate::metrics::EngineMetrics;
+use crate::parallel::router::FlushTrigger;
 use crate::parallel::shard::StoreDetail;
 use clash_common::{ArenaStats, Exposition};
 
@@ -91,6 +92,18 @@ pub(crate) fn engine_sections(page: &mut Exposition, metrics: &EngineMetrics) {
         "summary",
     );
     page.quantiles("clash_flush_age_us", &[], &metrics.flush_age);
+    page.declare(
+        "clash_flushes_total",
+        "Micro-batch flushes by what triggered them.",
+        "counter",
+    );
+    for trigger in FlushTrigger::ALL {
+        page.sample(
+            "clash_flushes_total",
+            &[("trigger", trigger.label())],
+            metrics.flushes[trigger as usize] as f64,
+        );
+    }
 
     page.declare(
         "clash_plan_rejections_total",

@@ -21,11 +21,11 @@
 //!   the number of in-flight roots (`EngineConfig::max_inflight_roots`)
 //!   against the global completion watermark, so a slow consumer throttles
 //!   producers instead of letting worker queues grow without limit.
-//! * [`flusher`] — a background thread sweeping the open sources' batch
-//!   buffers on the time trigger (`EngineConfig::micro_batch_max_delay`),
-//!   so a stream that goes sparse or idle cannot strand buffered
-//!   deliveries (and the results they would produce) until the next
-//!   barrier.
+//! * [`flusher`] — a background thread enforcing the time trigger
+//!   (`EngineConfig::micro_batch_max_delay`) on every producer's batch
+//!   buffer, so a producer that left deliveries behind a busy worker and
+//!   then went quiet cannot strand them (and the results they would
+//!   produce) until the next barrier. It parks while nothing is buffered.
 //!
 //! # Exactness under concurrent producers: linearizability
 //!

@@ -4,10 +4,19 @@
 //! flag, the source registry and the [`QuiesceGate`] that makes plan
 //! installs lossless under concurrent producers.
 
+use crate::ingest::flusher::FlusherSignal;
 use crate::ingest::source::SourceSlot;
 use crate::parallel::router::{DepthGauges, Progress};
+use crate::parallel::worker::WorkerMsg;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
+
+/// Longest a blocked admission gate or drain barrier sleeps on its
+/// watermark target before it re-checks that the engine is still alive
+/// (shutdown flag, worker liveness, stall deadline).
+pub(crate) const LIVENESS_TICK: Duration = Duration::from_secs(1);
 
 /// The two-phase admission gate of the quiesce protocol.
 ///
@@ -129,8 +138,10 @@ pub(crate) struct ControlShared {
     pub sources: Mutex<Vec<Arc<SourceSlot>>>,
     /// Per-worker channel-depth gauges shared by every batch buffer
     /// (producers bump the enqueue side) and every worker thread (drain
-    /// side); read by the telemetry surface.
+    /// side); read by the idle flush trigger and the telemetry surface.
     pub depth: Arc<DepthGauges>,
+    /// Wake-up line to the time-trigger flusher thread.
+    pub flusher: FlusherSignal,
 }
 
 impl ControlShared {
@@ -144,6 +155,7 @@ impl ControlShared {
             progress: Arc::new(Progress::default()),
             sources: Mutex::new(Vec::new()),
             depth: Arc::new(DepthGauges::new(workers)),
+            flusher: FlusherSignal::default(),
         }
     }
 
@@ -166,6 +178,39 @@ impl ControlShared {
     /// clone).
     pub fn slots(&self) -> Vec<Arc<SourceSlot>> {
         self.sources.lock().expect("source registry").clone()
+    }
+
+    /// Ships every registered slot's buffered deliveries — the
+    /// coordinator's own micro-batch buffer and every open source's.
+    /// Every producer allocates a root's sequence number and buffers its
+    /// deliveries inside one critical section of its slot lock, so once
+    /// this sweep returns, every root sequenced before it began is on the
+    /// worker channels: a waiter whose watermark target was read before
+    /// the sweep cannot be waiting on a buffered delivery.
+    pub fn flush_slots(&self, senders: &[Sender<WorkerMsg>]) {
+        for slot in self.slots() {
+            slot.flush_to(senders);
+        }
+    }
+
+    /// One step of the in-flight-roots gate (`cap` roots, `0` =
+    /// unbounded), shared by the coordinator's `ingest` and every
+    /// [`crate::ingest::SourceHandle`]: `true` when a new root may be
+    /// sequenced. Otherwise ships whatever the watermark could be stuck
+    /// on, sleeps until the watermark reaches the value that brings the
+    /// roots sequenced so far back under the bound (or
+    /// [`LIVENESS_TICK`] passes) and returns `false`: the caller checks
+    /// that the engine is alive and asks again.
+    pub fn admit(&self, cap: usize, senders: &[Sender<WorkerMsg>]) -> bool {
+        let sequenced = self.sequenced();
+        let allowed = cap as u64;
+        if cap == 0 || sequenced.saturating_sub(self.progress.watermark()) < allowed {
+            return true;
+        }
+        self.flush_slots(senders);
+        self.progress
+            .wait_until(sequenced + 1 - allowed, LIVENESS_TICK);
+        false
     }
 }
 

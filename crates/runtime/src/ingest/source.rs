@@ -3,7 +3,7 @@
 
 use crate::ingest::shared::ControlShared;
 use crate::metrics::EngineMetrics;
-use crate::parallel::router::{route_root, BatchBuffer, DepthGauges, RootHandle};
+use crate::parallel::router::{route_root, BatchBuffer, DepthGauges, FlushTrigger, RootHandle};
 use crate::parallel::worker::WorkerMsg;
 use crate::stats_collector::StatsCollector;
 use clash_catalog::Catalog;
@@ -38,12 +38,45 @@ pub(crate) struct SourceInner {
 }
 
 impl SourceInner {
-    /// Ships everything buffered, recording the flush age (how long the
-    /// oldest delivery waited) into this slot's metrics delta so the
-    /// engine's `flush_age` histogram sees every producer path.
-    pub fn flush(&mut self, senders: &[Sender<WorkerMsg>]) {
-        if let Some(age) = self.buf.flush(senders) {
-            self.metrics.flush_age.record(age);
+    /// Ships everything buffered, recording why and how long the oldest
+    /// delivery waited into this slot's metrics delta, so the engine's
+    /// `flushes` counters and `flush_age` histogram see every producer
+    /// path. Returns the deliveries shipped and that age.
+    pub fn flush(
+        &mut self,
+        senders: &[Sender<WorkerMsg>],
+        trigger: FlushTrigger,
+    ) -> Option<(usize, StdDuration)> {
+        let flushed = self.buf.flush(senders)?;
+        self.metrics.flushes[trigger as usize] += 1;
+        self.metrics.flush_age.record(flushed.1);
+        Some(flushed)
+    }
+
+    /// The end of every routed root, on every producer path: ships the
+    /// buffer if [`BatchBuffer::due`] names a trigger at `now` (the root's
+    /// ingest instant); otherwise, if this root's deliveries are the
+    /// first left behind, tells the flusher thread that a time trigger is
+    /// now pending somewhere.
+    pub fn flush_if_due(
+        &mut self,
+        senders: &[Sender<WorkerMsg>],
+        shared: &ControlShared,
+        now: Instant,
+        max_delay: StdDuration,
+    ) -> Option<(FlushTrigger, usize, StdDuration)> {
+        match self.buf.due(now, max_delay) {
+            Some(trigger) => self
+                .flush(senders, trigger)
+                .map(|(shipped, age)| (trigger, shipped, age)),
+            None => {
+                // The buffer's age counts from its oldest root's ingest
+                // instant: it is `now` iff the buffer was empty before.
+                if self.buf.since() == Some(now) {
+                    shared.flusher.buffered();
+                }
+                None
+            }
         }
     }
 }
@@ -77,9 +110,12 @@ impl SourceSlot {
         }
     }
 
-    /// Ships everything currently buffered in this slot.
+    /// Ships everything currently buffered in this slot (a forced flush).
     pub fn flush_to(&self, senders: &[Sender<WorkerMsg>]) {
-        self.inner.lock().expect("source slot").flush(senders);
+        self.inner
+            .lock()
+            .expect("source slot")
+            .flush(senders, FlushTrigger::Barrier);
     }
 }
 
@@ -180,9 +216,9 @@ impl SourceHandle {
         let epoch = self.epoch.epoch_of(tuple.ts);
         inner.stats.record_arrival(epoch, relation);
 
-        // Sequence allocation happens under the slot lock, so a barrier
+        // Sequence allocation happens under the slot lock, so a sweep
         // that flushed this slot has shipped every seq allocated before it
-        // acquired the lock (its drain loop re-flushes for stragglers).
+        // acquired the lock.
         let seq = self.shared.next_seq.fetch_add(1, Ordering::SeqCst);
         let root = RootHandle::new(seq, self.shared.progress.clone());
         let plan = Arc::clone(&inner.plan);
@@ -196,14 +232,12 @@ impl SourceHandle {
             &mut inner.metrics,
             &mut inner.buf,
         );
-        if inner.buf.is_full() || inner.buf.is_stale(self.max_delay) {
-            inner.flush(&self.senders);
-        }
+        inner.flush_if_due(&self.senders, &self.shared, started, self.max_delay);
         Ok(seq)
     }
 
     /// Ships any locally buffered deliveries immediately instead of
-    /// waiting for the size trigger, the time trigger or a barrier.
+    /// waiting for a flush trigger or a barrier.
     pub fn flush(&mut self) {
         self.slot.flush_to(&self.senders);
     }
@@ -215,49 +249,27 @@ impl SourceHandle {
         if self.shared.is_shutdown() {
             return Err(ClashError::Shutdown);
         }
-        if self.capacity == 0 {
-            return Ok(());
-        }
-        let stalled_after = StdDuration::from_secs(30);
         let started = Instant::now();
-        loop {
-            let inflight = self
-                .shared
-                .sequenced()
-                .saturating_sub(self.shared.progress.watermark());
-            if (inflight as usize) < self.capacity {
-                return Ok(());
-            }
+        while !self.shared.admit(self.capacity, &self.senders) {
             if self.shared.is_shutdown() {
                 return Err(ClashError::Shutdown);
             }
-            // Any registered source's buffered deliveries (ours included)
-            // can be what the watermark is stuck on, and other producers
-            // keep admitting and buffering while we wait — sweep every
-            // iteration (cheap when the buffers are empty).
-            for slot in self.shared.slots() {
-                slot.flush_to(&self.senders);
-            }
-            self.shared
-                .progress
-                .wait_for_change(StdDuration::from_millis(1));
-            if started.elapsed() >= stalled_after {
+            if started.elapsed() >= StdDuration::from_secs(30) {
                 return Err(ClashError::Runtime(
                     "source backpressure stalled for 30s: workers are not draining \
-                     roots (worker death, or deliveries stranded in the engine \
-                     thread's micro-batch buffer — run a barrier or ingest to ship \
-                     them)"
+                     roots (a worker thread died)"
                         .into(),
                 ));
             }
         }
+        Ok(())
     }
 }
 
 impl Drop for SourceHandle {
     fn drop(&mut self) {
         let mut inner = self.slot.inner.lock().expect("source slot");
-        inner.flush(&self.senders);
+        inner.flush(&self.senders, FlushTrigger::Barrier);
         inner.closed = true;
     }
 }

@@ -62,6 +62,9 @@ pub struct EngineMetrics {
     /// Age of micro-batch buffers when they were flushed (how long the
     /// oldest buffered delivery waited for the size or time trigger).
     pub flush_age: LatencyHistogram,
+    /// Micro-batch flushes by what triggered them, indexed by
+    /// `FlushTrigger` (size, idle, time, barrier).
+    pub flushes: [u64; 4],
     /// Wall-clock processing time spent inside `ingest`.
     pub busy: Duration,
     /// Candidate plans rejected by the static analyzer at install time.
@@ -135,6 +138,9 @@ impl EngineMetrics {
             self.latency.entry(*query).or_default().merge(hist);
         }
         self.flush_age.merge(&other.flush_age);
+        for (mine, theirs) in self.flushes.iter_mut().zip(other.flushes) {
+            *mine += theirs;
+        }
         self.busy += other.busy;
         self.plan_rejections += other.plan_rejections;
     }

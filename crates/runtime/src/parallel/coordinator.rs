@@ -17,11 +17,13 @@
 use crate::adaptive::{AdaptiveController, ControllerDecision};
 use crate::engine::{EngineConfig, EngineControl, ResultSink};
 use crate::ingest::flusher::Flusher;
-use crate::ingest::shared::ControlShared;
+use crate::ingest::shared::{ControlShared, LIVENESS_TICK};
 use crate::ingest::{SourceHandle, SourceSlot};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::parallel::driver::EpochDriver;
-use crate::parallel::router::{route_root, symmetric_stores, symmetric_stores_multi, RootHandle};
+use crate::parallel::router::{
+    route_root, symmetric_stores, symmetric_stores_multi, FlushTrigger, RootHandle,
+};
 use crate::parallel::shard::{StoreDetail, StoreLayout};
 use crate::parallel::worker::{run_worker, WorkerAck, WorkerCtx, WorkerMsg};
 use crate::stats_collector::StatsCollector;
@@ -594,41 +596,22 @@ impl EngineCore {
     }
 
     /// Backpressure gate of the coordinator's own ingest path (the
-    /// source-side equivalent lives in [`SourceHandle`]).
-    fn wait_admission(&mut self) {
-        let cap = self.config.max_inflight_roots;
-        if cap == 0 {
-            return;
-        }
-        let mut since_liveness_check = Instant::now();
-        loop {
-            let inflight = self
-                .shared
-                .sequenced()
-                .saturating_sub(self.shared.progress.watermark());
-            if (inflight as usize) < cap {
-                return;
-            }
-            // Any registered slot's buffered deliveries (our own
-            // included) can be what the watermark is stuck on, and
-            // sources keep admitting and buffering while we wait — sweep
-            // every iteration (cheap when the buffers are empty), exactly
-            // like the drain barrier's straggler sweep.
-            self.flush_sources();
-            self.shared
-                .progress
-                .wait_for_change(StdDuration::from_millis(1));
-            if since_liveness_check.elapsed() >= StdDuration::from_secs(1) {
-                since_liveness_check = Instant::now();
-                if let Some(dead) = self.handles.iter().position(|h| h.is_finished()) {
-                    panic!(
-                        "parallel engine backpressure stalled: worker {dead} died \
-                         (watermark {})",
-                        self.shared.progress.watermark()
-                    );
-                }
+    /// source-side twin lives in [`SourceHandle`]; both step
+    /// [`ControlShared::admit`]).
+    fn wait_admission(&self) -> Result<()> {
+        while !self
+            .shared
+            .admit(self.config.max_inflight_roots, &self.senders)
+        {
+            if let Some(dead) = self.handles.iter().position(|h| h.is_finished()) {
+                return Err(ClashError::Runtime(format!(
+                    "parallel engine backpressure stalled: worker {dead} died \
+                     (watermark {})",
+                    self.shared.progress.watermark()
+                )));
             }
         }
+        Ok(())
     }
 
     fn ingest(&mut self, relation: clash_common::RelationId, tuple: Tuple) -> Result<u64> {
@@ -644,7 +627,7 @@ impl EngineCore {
             // delivery can race a source's.
             self.widen_symmetric();
         }
-        self.wait_admission();
+        self.wait_admission()?;
         if self.active_since.is_none() {
             self.active_since = Some(Instant::now());
         }
@@ -660,10 +643,13 @@ impl EngineCore {
         let epoch = self.config.epoch.epoch_of(tuple.ts);
         self.stats.record_arrival(epoch, relation);
 
-        let seq = self.shared.next_seq.fetch_add(1, Ordering::SeqCst);
-        let root = RootHandle::new(seq, self.shared.progress.clone());
-        {
+        let seq = {
+            // Sequence allocation and buffering form one critical section
+            // of the slot lock, like a source push, so another producer's
+            // admission sweep cannot pass between them.
             let mut inner = self.coord_buf.inner.lock().expect("coordinator buffer");
+            let seq = self.shared.next_seq.fetch_add(1, Ordering::SeqCst);
+            let root = RootHandle::new(seq, self.shared.progress.clone());
             route_root(
                 &self.plan,
                 self.workers,
@@ -674,20 +660,22 @@ impl EngineCore {
                 &mut self.metrics,
                 &mut inner.buf,
             );
-            // Micro-batching: ship the buffered deliveries only once the
-            // size or time trigger fires (or at the next barrier/expiry),
-            // coalescing many ingests into one channel message per worker.
-            // The flusher thread sweeps this buffer too, covering the
-            // idle-coordinator case this check cannot.
-            if inner.buf.is_full() || inner.buf.is_stale(self.config.micro_batch_max_delay) {
-                let buffered = inner.buf.len() as u64;
-                if let Some(age) = inner.buf.flush(&self.senders) {
-                    inner.metrics.flush_age.record(age);
-                    self.trace
-                        .record(TraceEventKind::Flush, buffered, age.as_micros() as u64);
-                }
+            let flushed = inner.flush_if_due(
+                &self.senders,
+                &self.shared,
+                started,
+                self.config.micro_batch_max_delay,
+            );
+            if let Some((trigger, shipped, age)) = flushed.filter(|_| self.trace.enabled()) {
+                self.trace.record_span(
+                    TraceEventKind::Flush,
+                    trace_clock_us().saturating_sub(age.as_micros() as u64),
+                    shipped as u64,
+                    trigger as u64,
+                );
             }
-        }
+            seq
+        };
         self.trace.record_span(
             TraceEventKind::Route,
             trace_started,
@@ -706,16 +694,6 @@ impl EngineCore {
         Ok(0)
     }
 
-    /// Flushes every registered slot's locally buffered deliveries to
-    /// the workers — the coordinator's own micro-batch buffer and every
-    /// open source (barrier prelude; re-run inside drain loops so a push
-    /// that raced the first pass still ships).
-    fn flush_sources(&self) {
-        for slot in self.shared.slots() {
-            slot.flush_to(&self.senders);
-        }
-    }
-
     /// Drains every source slot's metrics/statistics deltas into the
     /// coordinator aggregates and prunes slots whose handle was dropped
     /// and whose buffer is empty.
@@ -724,7 +702,7 @@ impl EngineCore {
         let mut any_closed = false;
         for slot in &slots {
             let mut inner = slot.inner.lock().expect("source slot");
-            inner.flush(&self.senders);
+            inner.flush(&self.senders, FlushTrigger::Barrier);
             self.metrics.merge(&std::mem::take(&mut inner.metrics));
             self.stats.merge(inner.stats.take_delta());
             self.max_ts = self.max_ts.max(inner.max_ts);
@@ -742,38 +720,30 @@ impl EngineCore {
         }
     }
 
-    /// The drain loop behind every barrier and the shutdown path. Ships
-    /// the coordinator's and every source's buffered deliveries, then
-    /// waits for the completion watermark to cover every root allocated
-    /// so far. Returns `false` (instead of panicking) when a worker died
-    /// or `deadline` elapsed.
+    /// The drain behind every barrier and the shutdown path: waits for
+    /// the completion watermark to cover every root sequenced before the
+    /// call, after shipping every slot's buffered deliveries (the target
+    /// is read first, so the sweep leaves none of those roots behind —
+    /// see [`ControlShared::flush_slots`]). One sleep on that target, one
+    /// wake. Returns `false` (instead of panicking) when a worker died or
+    /// `deadline` elapsed.
     fn try_drain(&mut self, deadline: Option<StdDuration>) -> bool {
-        // Ship any micro-batched deliveries first (the coordinator's own
-        // slot included), or their roots could never complete and the
-        // drain would stall.
-        self.flush_sources();
         let last = self.shared.sequenced();
+        self.shared.flush_slots(&self.senders);
         let started = Instant::now();
-        let mut since_liveness_check = Instant::now();
-        while self.shared.progress.watermark() < last {
-            self.shared
-                .progress
-                .wait_for_change(StdDuration::from_millis(1));
-            // A producer may have allocated a sequence number covered by
-            // `last` but buffered its deliveries after the prelude flush;
-            // keep sweeping so those roots can complete.
-            self.flush_sources();
-            if deadline.is_some_and(|d| started.elapsed() >= d) {
+        loop {
+            let patience = deadline.map_or(LIVENESS_TICK, |d| {
+                d.saturating_sub(started.elapsed()).min(LIVENESS_TICK)
+            });
+            if self.shared.progress.wait_until(last, patience) {
+                return true;
+            }
+            if deadline.is_some_and(|d| started.elapsed() >= d)
+                || self.handles.iter().any(|h| h.is_finished())
+            {
                 return false;
             }
-            if since_liveness_check.elapsed() >= StdDuration::from_secs(1) {
-                since_liveness_check = Instant::now();
-                if self.handles.iter().any(|h| h.is_finished()) {
-                    return false;
-                }
-            }
         }
-        true
     }
 
     /// Runs a collection round: every worker replies with its deltas,
@@ -972,7 +942,7 @@ impl EngineCore {
                 inner.buf.is_empty(),
                 "source slot still buffered after quiesce drain"
             );
-            inner.flush(&self.senders);
+            inner.flush(&self.senders, FlushTrigger::Barrier);
             inner.plan = plan.clone();
         }
         self.token += 1;
@@ -1488,6 +1458,68 @@ mod tests {
             pr.sort();
             assert_eq!(lr, pr, "micro_batch={micro_batch} result multisets");
         }
+    }
+
+    #[test]
+    fn ingest_past_a_dead_worker_is_a_typed_error() {
+        let (catalog, queries, stats) = setup(2);
+        let planner = Planner::with_defaults(&catalog, &stats);
+        let report = planner.plan(&queries, Strategy::Shared).unwrap();
+        let config = EngineConfig {
+            max_inflight_roots: 2,
+            ..EngineConfig::default()
+        };
+        let mut engine = ParallelEngine::new(catalog.clone(), report.plan, config, 2);
+        // Stop worker 0 behind the engine's back and wait for its thread
+        // to exit: its share of every later root is never processed.
+        engine.senders[0].send(WorkerMsg::Shutdown).unwrap();
+        while !engine.core().handles[0].is_finished() {
+            std::thread::yield_now();
+        }
+        let outcome = workload(&catalog)
+            .into_iter()
+            .map(|(relation, t)| engine.ingest(relation, t))
+            .find(|r| r.is_err());
+        match outcome {
+            Some(Err(ClashError::Runtime(msg))) => {
+                assert!(msg.contains("worker 0 died"), "{msg}")
+            }
+            other => panic!("expected a backpressure error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn time_trigger_ships_what_a_push_left_behind_busy_workers() {
+        let (catalog, queries, stats) = setup(2);
+        let planner = Planner::with_defaults(&catalog, &stats);
+        let report = planner.plan(&queries, Strategy::Shared).unwrap();
+        let config = EngineConfig {
+            micro_batch: 1 << 20,
+            micro_batch_max_delay: StdDuration::from_millis(5),
+            ..EngineConfig::default()
+        };
+        let mut engine = ParallelEngine::new(catalog.clone(), report.plan, config, 2);
+        let results = engine.subscribe();
+        let mut source = engine.open_source();
+        // A phantom queued delivery per worker: no queue ever reads empty,
+        // so neither the size nor the idle trigger can fire, and after
+        // the last push only the (parked, then woken) flusher thread is
+        // left to ship the buffer.
+        for worker in 0..2 {
+            engine.shared.depth.enqueued(worker, 1);
+        }
+        for (relation, t) in workload(&catalog) {
+            source.push(relation, t).unwrap();
+        }
+        results
+            .recv_timeout(StdDuration::from_secs(10))
+            .expect("the flusher never shipped the stranded deliveries");
+        let page = engine.telemetry_snapshot();
+        assert!(
+            !page.contains("clash_flushes_total{trigger=\"time\"} 0\n"),
+            "{page}"
+        );
+        assert!(page.contains("clash_flushes_total{trigger=\"idle\"} 0\n"));
     }
 
     #[test]

@@ -215,28 +215,66 @@ pub(crate) fn route_root(
     root.release_bias();
 }
 
-/// Coalesces the coordinator's per-ingest deliveries into larger
-/// per-worker `Batch` messages, cutting per-message channel overhead on
-/// the ingest hot path (ROADMAP: micro-batching across ingests).
+/// Why a micro-batch buffer shipped (the label of `clash_flushes_total`
+/// and the `b` word of the `Flush` trace event).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FlushTrigger {
+    /// `EngineConfig::micro_batch` deliveries were buffered.
+    Size,
+    /// A worker the buffer held deliveries for had an empty queue.
+    Idle,
+    /// The oldest buffered delivery reached
+    /// `EngineConfig::micro_batch_max_delay`.
+    Time,
+    /// Forced: a barrier, an admission sweep, an explicit
+    /// `SourceHandle::flush` or a dropped handle.
+    Barrier,
+}
+
+impl FlushTrigger {
+    /// Every trigger, in discriminant order (which indexes
+    /// `EngineMetrics::flushes`).
+    pub const ALL: [FlushTrigger; 4] = [
+        FlushTrigger::Size,
+        FlushTrigger::Idle,
+        FlushTrigger::Time,
+        FlushTrigger::Barrier,
+    ];
+
+    /// The `trigger` label value.
+    pub fn label(self) -> &'static str {
+        match self {
+            FlushTrigger::Size => "size",
+            FlushTrigger::Idle => "idle",
+            FlushTrigger::Time => "time",
+            FlushTrigger::Barrier => "barrier",
+        }
+    }
+}
+
+/// Coalesces a producer's per-root deliveries into larger per-worker
+/// `Batch` messages, cutting per-message channel overhead on the ingest
+/// hot path.
 ///
 /// Deliveries append in ingest order and flush in ingest order, so the
 /// per-(store, partition) FIFO guarantee the correctness argument rests
 /// on is unchanged — batching only delays *when* a contiguous run of
-/// deliveries is handed to a worker, never reorders it. The coordinator
-/// flushes on the size trigger ([`BatchBuffer::is_full`]), before every
-/// drain barrier (epoch boundary, snapshot, install) and before expiry
-/// messages, so no delivery can be stranded behind a barrier.
+/// deliveries is handed to a worker, never reorders it. When a batch
+/// ships is decided in one place, [`BatchBuffer::due`]; barriers, expiry
+/// messages and admission sweeps flush unconditionally, so no delivery
+/// can be stranded behind them.
 #[derive(Debug)]
 pub(crate) struct BatchBuffer {
     per_worker: Vec<Vec<Rooted>>,
     buffered: usize,
-    /// Size trigger: flush once this many deliveries are buffered
-    /// (`<= 1` restores the seed's send-per-ingest behavior).
+    /// Size trigger: the most deliveries a batch may gather (`<= 1`
+    /// restores the seed's send-per-ingest behavior).
     capacity: usize,
-    /// Wall-clock instant of the oldest buffered delivery (the time
-    /// trigger `EngineConfig::micro_batch_max_delay` measures from).
+    /// Ingest instant of the root of the oldest buffered delivery (what
+    /// the time trigger and the flush age measure from).
     since: Option<Instant>,
-    /// Shared queue-depth gauges, bumped on the enqueue side per flush.
+    /// Shared queue-depth gauges: bumped on the enqueue side per flush,
+    /// read by the idle trigger.
     gauges: Arc<DepthGauges>,
 }
 
@@ -254,16 +292,9 @@ impl BatchBuffer {
 
     /// Appends one delivery for `worker`.
     pub fn push(&mut self, worker: usize, delivery: Rooted) {
+        self.since.get_or_insert(delivery.0.started);
         self.per_worker[worker].push(delivery);
         self.buffered += 1;
-        if self.since.is_none() {
-            self.since = Some(Instant::now());
-        }
-    }
-
-    /// `true` once the size trigger is reached.
-    pub fn is_full(&self) -> bool {
-        self.buffered >= self.capacity
     }
 
     /// `true` when nothing is buffered.
@@ -271,28 +302,53 @@ impl BatchBuffer {
         self.buffered == 0
     }
 
-    /// Number of buffered deliveries.
-    pub fn len(&self) -> usize {
-        self.buffered
+    /// Ingest instant of the oldest buffered delivery's root.
+    pub fn since(&self) -> Option<Instant> {
+        self.since
     }
 
-    /// `true` once the oldest buffered delivery is older than `max_delay`
-    /// (the time trigger; `ZERO` disables it).
-    pub fn is_stale(&self, max_delay: std::time::Duration) -> bool {
-        max_delay > std::time::Duration::ZERO
-            && self.since.is_some_and(|since| since.elapsed() >= max_delay)
+    /// The flush predicate of every producer path: whether the buffer
+    /// should ship at `now`, and why. Checked after each routed root (with
+    /// the root's ingest instant for `now`, sparing a clock read) and by
+    /// the flusher thread.
+    ///
+    /// * **size** — `capacity` deliveries are buffered: the cap on batch
+    ///   growth, and the trigger under saturation, where no queue is ever
+    ///   empty.
+    /// * **time** — the oldest delivery is `max_delay` old (`ZERO`
+    ///   disables): the liveness fallback for deliveries a producer left
+    ///   behind a busy worker before it went quiet. Reported ahead of
+    ///   `idle` so the counter tells how often a delivery really waited
+    ///   that long.
+    /// * **idle** — a worker this buffer holds deliveries for has nothing
+    ///   queued and nothing in progress (`DepthGauges::depth == 0`):
+    ///   holding them back could only add latency, as there is no backlog
+    ///   for a larger batch to amortize. Under light load this fires on
+    ///   every root, so nothing waits for a timer.
+    pub fn due(&self, now: Instant, max_delay: std::time::Duration) -> Option<FlushTrigger> {
+        let since = self.since?;
+        if self.buffered >= self.capacity {
+            return Some(FlushTrigger::Size);
+        }
+        if max_delay > std::time::Duration::ZERO
+            && now.saturating_duration_since(since) >= max_delay
+        {
+            return Some(FlushTrigger::Time);
+        }
+        self.per_worker
+            .iter()
+            .enumerate()
+            .any(|(worker, batch)| !batch.is_empty() && self.gauges.depth(worker) == 0)
+            .then_some(FlushTrigger::Idle)
     }
 
     /// Ships every buffered delivery as one `Batch` message per worker.
-    /// Returns the age of the oldest buffered delivery (how long it sat
-    /// waiting for the size or time trigger) when anything was shipped —
+    /// Returns the number of deliveries shipped and the age of the oldest
+    /// one (how long it waited for a trigger) when anything was buffered —
     /// the sample behind the `flush_age` telemetry histogram.
-    pub fn flush(&mut self, senders: &[Sender<WorkerMsg>]) -> Option<std::time::Duration> {
-        if self.buffered == 0 {
-            return None;
-        }
-        self.buffered = 0;
-        let age = self.since.take().map(|since| since.elapsed());
+    pub fn flush(&mut self, senders: &[Sender<WorkerMsg>]) -> Option<(usize, std::time::Duration)> {
+        let since = self.since.take()?;
+        let shipped = std::mem::take(&mut self.buffered);
         for (worker, batch) in self.per_worker.iter_mut().enumerate() {
             if !batch.is_empty() {
                 self.gauges.enqueued(worker, batch.len() as u64);
@@ -300,7 +356,7 @@ impl BatchBuffer {
                 let _ = senders[worker].send(WorkerMsg::Batch(std::mem::take(batch)));
             }
         }
-        age
+        Some((shipped, since.elapsed()))
     }
 }
 
@@ -432,12 +488,32 @@ pub(crate) fn symmetric_stores_multi(plan: &TopologyPlan) -> FxHashSet<StoreId> 
 
 /// Global completion progress: the watermark `w` means every root with
 /// sequence number `<= w` has been fully processed on every worker.
+///
+/// **Wake protocol.** A thread that needs the watermark to reach a value
+/// (the drain barrier: every root sequenced so far; an admission gate:
+/// enough roots to get back under `max_inflight_roots`) registers that
+/// value as its *target* and sleeps on the condvar. [`Self::complete`]
+/// runs under the same mutex, and notifies only when the watermark it
+/// just stored reaches a registered target — removing every reached
+/// target as it does, so one barrier costs one wake, not one per
+/// completed root. Several waiters with different targets may sleep at
+/// once (the notification is a broadcast, and a waiter whose target is
+/// still ahead goes back to sleep with its target still registered), so
+/// none can consume another's wake-up.
 #[derive(Debug, Default)]
 pub(crate) struct Progress {
     watermark: AtomicU64,
-    /// Completed root seqs above the watermark, awaiting contiguity.
-    completed: Mutex<FxHashSet<u64>>,
+    state: Mutex<ProgressState>,
     condvar: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct ProgressState {
+    /// Completed root seqs above the watermark, awaiting contiguity.
+    completed: FxHashSet<u64>,
+    /// Watermark values sleeping waiters are waiting for (one entry per
+    /// waiter; all above the watermark).
+    targets: Vec<u64>,
 }
 
 impl Progress {
@@ -447,31 +523,53 @@ impl Progress {
     }
 
     /// Marks one root complete and advances the watermark over any now
-    /// contiguous prefix.
+    /// contiguous prefix, waking the waiters whose target it reached.
     pub fn complete(&self, seq: u64) {
-        let mut done = self.completed.lock().expect("progress lock");
-        done.insert(seq);
+        let mut state = self.state.lock().expect("progress lock");
+        state.completed.insert(seq);
         let mut w = self.watermark.load(Ordering::Acquire);
-        while done.remove(&(w + 1)) {
+        while state.completed.remove(&(w + 1)) {
             w += 1;
         }
         self.watermark.store(w, Ordering::Release);
-        self.condvar.notify_all();
+        if state.targets.iter().any(|target| *target <= w) {
+            state.targets.retain(|target| *target > w);
+            self.condvar.notify_all();
+        }
     }
 
-    /// Blocks until the watermark changes or `timeout` elapses; returns the
-    /// watermark afterwards.
-    pub fn wait_for_change(&self, timeout: std::time::Duration) -> u64 {
-        let before = self.watermark();
-        let guard = self.completed.lock().expect("progress lock");
-        if self.watermark() != before {
-            return self.watermark();
+    /// Blocks until the watermark reaches `target` or `timeout` elapses;
+    /// `true` when it was reached.
+    pub fn wait_until(&self, target: u64, timeout: std::time::Duration) -> bool {
+        if self.watermark() >= target {
+            return true;
         }
-        let _unused = self
-            .condvar
-            .wait_timeout(guard, timeout)
-            .expect("progress wait");
-        self.watermark()
+        let deadline = Instant::now() + timeout;
+        let mut state = self.state.lock().expect("progress lock");
+        // The watermark only moves under this lock, so from here on a
+        // completion that reaches `target` finds it registered.
+        if self.watermark() >= target {
+            return true;
+        }
+        state.targets.push(target);
+        loop {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                // Still registered: `complete` removes reached targets only.
+                if let Some(at) = state.targets.iter().position(|t| *t == target) {
+                    state.targets.swap_remove(at);
+                }
+                return false;
+            }
+            state = self
+                .condvar
+                .wait_timeout(state, remaining)
+                .expect("progress wait")
+                .0;
+            if self.watermark() >= target {
+                return true;
+            }
+        }
     }
 }
 
@@ -520,6 +618,7 @@ impl RootHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn watermark_advances_only_over_contiguous_roots() {
@@ -531,6 +630,72 @@ mod tests {
         assert_eq!(progress.watermark(), 2, "contiguous prefix collapses");
         progress.complete(3);
         assert_eq!(progress.watermark(), 3);
+    }
+
+    #[test]
+    fn wait_until_returns_at_once_when_reached_and_times_out_otherwise() {
+        let progress = Progress::default();
+        progress.complete(1);
+        let started = Instant::now();
+        assert!(progress.wait_until(1, Duration::from_secs(10)));
+        assert!(progress.wait_until(0, Duration::from_secs(10)));
+        assert!(started.elapsed() < Duration::from_secs(5), "must not sleep");
+        assert!(!progress.wait_until(2, Duration::from_millis(20)));
+        assert!(
+            progress.state.lock().unwrap().targets.is_empty(),
+            "a timed-out waiter deregisters its target"
+        );
+    }
+
+    /// Spawns a thread sleeping on `target`; returns once it is registered
+    /// (the interleaving under test is "waiter asleep, then completions").
+    fn sleeper(progress: &Arc<Progress>, target: u64) -> std::thread::JoinHandle<(bool, u64)> {
+        let registered = progress.state.lock().unwrap().targets.len() + 1;
+        let p = progress.clone();
+        let handle = std::thread::spawn(move || {
+            let reached = p.wait_until(target, Duration::from_secs(30));
+            (reached, p.watermark())
+        });
+        while progress.state.lock().unwrap().targets.len() < registered {
+            std::thread::yield_now();
+        }
+        handle
+    }
+
+    #[test]
+    fn wait_until_wakes_when_out_of_order_completions_close_the_gap() {
+        let progress = Arc::new(Progress::default());
+        let waiter = sleeper(&progress, 3);
+        progress.complete(3);
+        progress.complete(2);
+        assert_eq!(progress.watermark(), 0, "gap at 1: nothing to wake for");
+        assert_eq!(progress.state.lock().unwrap().targets, vec![3]);
+        progress.complete(1);
+        assert_eq!(waiter.join().unwrap(), (true, 3));
+        assert!(progress.state.lock().unwrap().targets.is_empty());
+    }
+
+    #[test]
+    fn concurrent_waiters_with_different_targets_each_wake_at_theirs() {
+        // An admission waiter (small target) and a drain barrier (large
+        // target) sleep at once: reaching the small target must neither
+        // release the large one early nor swallow its later wake-up.
+        let progress = Arc::new(Progress::default());
+        let near = sleeper(&progress, 2);
+        let far = sleeper(&progress, 5);
+        progress.complete(1);
+        progress.complete(2);
+        assert!(near.join().unwrap().0);
+        assert_eq!(
+            progress.state.lock().unwrap().targets,
+            vec![5],
+            "the far waiter stays registered across the near one's wake"
+        );
+        assert!(!far.is_finished());
+        for seq in 3..=5 {
+            progress.complete(seq);
+        }
+        assert_eq!(far.join().unwrap(), (true, 5));
     }
 
     #[test]

@@ -303,8 +303,16 @@ impl ShardState {
     /// registered for that edge (Algorithm 3/4) to the partitions this
     /// shard owns. `Forward` outputs are routed and handed to `out` as
     /// `(owning worker, delivery)`; emissions are recorded locally.
-    /// Returns the number of results emitted.
-    pub fn process(&mut self, delivery: &Delivery, out: &mut impl FnMut(usize, Delivery)) -> u64 {
+    /// `watermark` is a completion watermark the driver read at any point
+    /// before the call (every root at or below it has completed on every
+    /// shard; it only ever grows, so an older reading is merely
+    /// conservative). Returns the number of results emitted.
+    pub fn process(
+        &mut self,
+        delivery: &Delivery,
+        watermark: u64,
+        out: &mut impl FnMut(usize, Delivery),
+    ) -> u64 {
         // Borrow the rule set through a local Arc handle: no per-delivery
         // clone of the rules (predicates, outputs) on the hot path.
         let plan = Arc::clone(&self.plan);
@@ -420,8 +428,14 @@ impl ShardState {
         }
         // Register the probe for symmetric completion: a later-arriving
         // insert with a smaller guard must still find it (via the join-key
-        // index when the probe carries one).
-        if probed && symmetric {
+        // index when the probe carries one) — if one can still arrive.
+        // Every delivery is accounted to a root at or below its guard (a
+        // retro-produced result carries the prober's guard, which exceeds
+        // the late insert's root), so once every root below `guard` has
+        // completed (`watermark >= guard - 1`) nothing in flight or yet to
+        // be produced has a smaller guard: the prober is already dead by
+        // the rule `PendingSet::gc` drops it under, and is not registered.
+        if probed && symmetric && delivery.guard > watermark + 1 {
             self.pending
                 .entry(delivery.target.store)
                 .or_default()
@@ -687,4 +701,130 @@ pub(crate) struct StoreDetail {
     pub segment_bytes: usize,
     /// Segments built by this shard's stores since startup (monotone).
     pub compactions: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parallel::router::symmetric_stores_multi;
+    use clash_catalog::Statistics;
+    use clash_common::{RelationId, TupleBuilder};
+    use clash_optimizer::{Planner, Strategy};
+    use clash_query::parse_query;
+
+    /// One shard owning every partition of `R(a) ⋈ S(a)`, with every
+    /// store symmetric (the multi-producer set), and the two relations.
+    fn two_way_shard() -> (Catalog, ShardState, RelationId, RelationId) {
+        let mut catalog = Catalog::new();
+        catalog.register("R", ["a"], Window::secs(3600), 2).unwrap();
+        catalog.register("S", ["a"], Window::secs(3600), 2).unwrap();
+        let query = parse_query(&catalog, QueryId::new(0), "q", "R(a), S(a)").unwrap();
+        let stats = Statistics::new();
+        let plan = Planner::with_defaults(&catalog, &stats)
+            .plan(&[query], Strategy::Shared)
+            .unwrap()
+            .plan;
+        let symmetric = Arc::new(symmetric_stores_multi(&plan));
+        assert!(!symmetric.is_empty());
+        let layout = StoreLayout::derive(&catalog, &plan);
+        let shard = ShardState::new(
+            1,
+            Arc::new(plan),
+            &layout,
+            symmetric,
+            EpochConfig::default(),
+            0,
+            false,
+            TraceRing::new(0, 0),
+        );
+        let r = catalog.relation_id("R").unwrap();
+        let s = catalog.relation_id("S").unwrap();
+        (catalog, shard, r, s)
+    }
+
+    /// Routes one root like an ingest would and runs its deliveries
+    /// through the kernel at `watermark`; returns the results emitted.
+    fn ingest(
+        catalog: &Catalog,
+        shard: &mut ShardState,
+        relation: RelationId,
+        ts: u64,
+        guard: u64,
+        watermark: u64,
+    ) -> u64 {
+        let schema = &catalog.relation(relation).unwrap().schema;
+        let tuple = TupleBuilder::new(schema, Timestamp::from_millis(ts))
+            .set("a", 7i64)
+            .build();
+        let plan = Arc::clone(shard.plan());
+        let mut deliveries = Vec::new();
+        for target in plan.ingest_for(relation) {
+            fan_out(
+                &plan,
+                1,
+                *target,
+                &tuple,
+                guard,
+                Instant::now(),
+                &mut EngineMetrics::default(),
+                |_, delivery| deliveries.push(delivery),
+            );
+        }
+        deliveries
+            .iter()
+            .map(|d| {
+                shard.process(d, watermark, &mut |_, _| {
+                    panic!("two-way plans forward nothing")
+                })
+            })
+            .sum()
+    }
+
+    fn registered(shard: &ShardState) -> usize {
+        shard
+            .pending
+            .values()
+            .map(|p| {
+                p.unkeyed.len()
+                    + p.keyed
+                        .values()
+                        .flatten()
+                        .map(|(_, v)| v.len())
+                        .sum::<usize>()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn a_probe_no_late_insert_can_reach_is_not_registered() {
+        // Watermark 5: every root up to 5 has completed everywhere. A
+        // probe at guard 6 could only be retro-matched by an insert with
+        // guard <= 5, and none can still arrive.
+        let (catalog, mut shard, r, _) = two_way_shard();
+        assert_eq!(ingest(&catalog, &mut shard, r, 20, 6, 5), 0);
+        assert!(shard.pending.is_empty(), "guard == watermark + 1");
+    }
+
+    #[test]
+    fn a_reachable_probe_registers_and_is_retro_matched_exactly_once() {
+        let (catalog, mut shard, r, s) = two_way_shard();
+        // Root 6 is still in flight somewhere, so the probe of root 7
+        // must wait for it.
+        assert_eq!(ingest(&catalog, &mut shard, r, 20, 7, 5), 0);
+        assert_eq!(registered(&shard), 1, "guard == watermark + 2");
+        // Root 6's insert arrives late (older timestamp, smaller guard):
+        // it finds nothing stored to probe, and retro-matches root 7.
+        assert_eq!(ingest(&catalog, &mut shard, s, 10, 6, 5), 1);
+        // The pair is now settled: sweeping, re-sweeping and later probes
+        // see the insert in the store, never the prober again.
+        shard.sweep_probers(6);
+        assert!(shard.pending.is_empty(), "dropped by the mirrored rule");
+        assert_eq!(ingest(&catalog, &mut shard, s, 30, 8, 7), 1, "S@8 x R@7");
+        assert_eq!(
+            ingest(&catalog, &mut shard, r, 40, 9, 8),
+            2,
+            "R@9 x S@6, S@8"
+        );
+        assert_eq!(shard.metrics.total_results(), 4);
+    }
 }

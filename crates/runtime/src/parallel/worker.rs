@@ -218,7 +218,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
                 let started = Instant::now();
                 let mut out = Outbox::new(workers, depth.clone());
                 for (delivery, root) in &deliveries {
-                    shard.process(delivery, &mut |worker, forwarded| {
+                    shard.process(delivery, progress.watermark(), &mut |worker, forwarded| {
                         out.push(worker, forwarded, root)
                     });
                     root.finish_one();

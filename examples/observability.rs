@@ -114,6 +114,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         page.contains("clash_store_tuples{store=") && page.contains("clash_arena_reused_total"),
         "store/arena sections missing"
     );
+    // Every micro-batch flush is attributed to what released it.
+    let flushes: f64 = ["size", "idle", "time", "barrier"]
+        .iter()
+        .map(|trigger| {
+            let sample = format!("clash_flushes_total{{trigger=\"{trigger}\"}} ");
+            page.lines()
+                .find_map(|l| l.strip_prefix(&sample)?.parse::<f64>().ok())
+                .unwrap_or_else(|| panic!("flush trigger {trigger} missing"))
+        })
+        .sum();
+    assert!(flushes > 0.0, "no flush was attributed to a trigger");
     // The install gate must surface its rejection counter (zero here:
     // every installed plan verified clean).
     assert!(

@@ -117,6 +117,21 @@ fn collecting_config() -> EngineConfig {
     }
 }
 
+/// How a producer thread spaces its pushes.
+#[derive(Debug, Clone, Copy)]
+enum Pacing {
+    /// Back to back: the workers stay behind, batches fill.
+    Flood,
+    /// `burst` pushes back to back, then a pause long enough for the
+    /// workers to drain and for anything left in the buffer to reach the
+    /// time trigger — so one run sees batches leave on the size trigger
+    /// (inside a burst), on the idle trigger (first push after a pause)
+    /// and on the time trigger (what a burst's last push left behind a
+    /// busy worker), and probes that arrive with earlier roots still in
+    /// flight (registered) as well as with none (skipped).
+    Bursty { burst: usize, pause: Duration },
+}
+
 /// Splits `stream` round-robin across `sources` producer threads, each
 /// pushing its slice through its own `SourceHandle` while recording the
 /// sequence numbers `push` returns. Returns the collected multiset plus
@@ -129,6 +144,29 @@ fn run_multi_source_recorded(
     workers: usize,
     config: EngineConfig,
 ) -> (Vec<String>, Vec<(RelationId, Tuple)>) {
+    let (multiset, realized, _) = run_multi_source_paced(
+        catalog,
+        plan,
+        stream,
+        sources,
+        workers,
+        config,
+        Pacing::Flood,
+    );
+    (multiset, realized)
+}
+
+/// [`run_multi_source_recorded`] under a [`Pacing`]; additionally returns
+/// the engine's telemetry page after the final barrier.
+fn run_multi_source_paced(
+    catalog: &Catalog,
+    plan: &TopologyPlan,
+    stream: &[(RelationId, Tuple)],
+    sources: usize,
+    workers: usize,
+    config: EngineConfig,
+    pacing: Pacing,
+) -> (Vec<String>, Vec<(RelationId, Tuple)>, String) {
     let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
     let mut slices: Vec<Vec<(RelationId, Tuple)>> = (0..sources).map(|_| Vec::new()).collect();
     for (idx, entry) in stream.iter().enumerate() {
@@ -140,7 +178,12 @@ fn run_multi_source_recorded(
             let mut handle = engine.open_source();
             std::thread::spawn(move || {
                 let mut log = Vec::with_capacity(slice.len());
-                for (relation, tuple) in slice {
+                for (i, (relation, tuple)) in slice.into_iter().enumerate() {
+                    if let Pacing::Bursty { burst, pause } = pacing {
+                        if i > 0 && i % burst == 0 {
+                            std::thread::sleep(pause);
+                        }
+                    }
                     let seq = handle.push(relation, tuple.clone()).unwrap();
                     log.push((seq, relation, tuple));
                 }
@@ -153,11 +196,23 @@ fn run_multi_source_recorded(
         realized.extend(producer.join().expect("producer thread"));
     }
     realized.sort_by_key(|(seq, _, _)| *seq);
-    engine.flush();
+    let page = engine.telemetry_snapshot();
     (
         result_multiset(&engine.results()),
         realized.into_iter().map(|(_, r, t)| (r, t)).collect(),
+        page,
     )
+}
+
+/// The value of `clash_flushes_total{trigger="<trigger>"}` on a
+/// telemetry page.
+fn flushes(page: &str, trigger: &str) -> u64 {
+    let sample = format!("clash_flushes_total{{trigger=\"{trigger}\"}} ");
+    page.lines()
+        .find_map(|line| line.strip_prefix(&sample))
+        .unwrap_or_else(|| panic!("no {sample} on the page"))
+        .parse::<f64>()
+        .expect("sample value") as u64
 }
 
 proptest! {
@@ -179,6 +234,33 @@ proptest! {
         prop_assert_eq!(realized.len(), stream.len(), "every push sequenced exactly once");
         let local = run_local(&catalog, &plan, &realized);
         prop_assert_eq!(local, multi, "seed {}, {} sources", seed, sources);
+    }
+
+    /// The same property under bursty producers: whichever of the three
+    /// flush triggers ships a batch, and whether or not a probe had to
+    /// register for late inserts, the multiset is that of the realized
+    /// serial order.
+    #[test]
+    fn bursty_sources_are_linearizable(
+        seed in 0u64..10_000,
+        sources in 1usize..4,
+        burst in 3usize..12,
+    ) {
+        let (catalog, queries) = catalog_with_parallelism(4);
+        let plan = planned(&catalog, &queries, Strategy::Shared);
+        let stream = random_stream(&catalog, 12, 0, 5, seed);
+        let config = EngineConfig {
+            micro_batch: 8,
+            micro_batch_max_delay: Duration::from_micros(500),
+            ..collecting_config()
+        };
+        let pacing = Pacing::Bursty { burst, pause: Duration::from_millis(2) };
+        let (multi, realized, page) =
+            run_multi_source_paced(&catalog, &plan, &stream, sources, 4, config, pacing);
+        prop_assert_eq!(realized.len(), stream.len(), "every push sequenced exactly once");
+        prop_assert!(flushes(&page, "idle") > 0, "a push after a pause finds idle workers");
+        let local = run_local(&catalog, &plan, &realized);
+        prop_assert_eq!(local, multi, "seed {}, {} sources, bursts of {}", seed, sources, burst);
     }
 
     /// Sources with disjoint join keys produce one deterministic multiset
@@ -343,6 +425,85 @@ fn subscription_streams_results_before_any_barrier() {
         rx.try_recv().is_err(),
         "subscription delivered more results than the sequential engine produces"
     );
+}
+
+#[test]
+fn results_arrive_without_a_timer_or_a_barrier() {
+    // Neither the size trigger (a million deliveries) nor the time
+    // trigger (10 s) can fire within this test's patience: the batches
+    // ship because the workers they are for have nothing to do.
+    let (catalog, queries) = catalog_with_parallelism(2);
+    let plan = planned(&catalog, &queries, Strategy::Shared);
+    let stream = random_stream(&catalog, 30, 0, 4, 3);
+    let expected = run_local(&catalog, &plan, &stream).len();
+    assert!(expected > 0);
+    let config = EngineConfig {
+        micro_batch: 1 << 20,
+        micro_batch_max_delay: Duration::from_secs(10),
+        ..EngineConfig::default()
+    };
+    let mut engine = ParallelEngine::new(catalog.clone(), plan, config, 2);
+    let rx = engine.subscribe();
+    let mut handle = engine.open_source();
+    for (relation, tuple) in stream {
+        handle.push(relation, tuple).unwrap();
+    }
+    // A push that finds its workers busy leaves its deliveries behind for
+    // the next push that finds one idle. A stream does not end, so keep
+    // it going with tuples that join nothing until everything is out.
+    let d = catalog.relation_by_name("D").unwrap();
+    let pushed = Instant::now();
+    let mut streamed = 0usize;
+    while streamed < expected {
+        while rx.try_recv().is_ok() {
+            streamed += 1;
+        }
+        assert!(
+            pushed.elapsed() < Duration::from_secs(1),
+            "{streamed}/{expected} results after 1 s: a batch waited for a timer"
+        );
+        let filler = TupleBuilder::new(&d.schema, Timestamp::from_millis(10_000))
+            .set("z", 1_000_000i64)
+            .build();
+        handle.push(d.id, filler).unwrap();
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+#[test]
+fn bursty_producers_exercise_every_flush_trigger_and_stay_exact() {
+    // Deterministic sweep over the bursty mode (the proptest above fixes
+    // the strategy for case volume): long enough that every trigger has
+    // fired by the end, and exact whichever did.
+    let (catalog, queries) = catalog_with_parallelism(4);
+    let config = EngineConfig {
+        micro_batch: 8,
+        micro_batch_max_delay: Duration::from_micros(500),
+        ..collecting_config()
+    };
+    let pacing = Pacing::Bursty {
+        burst: 16,
+        pause: Duration::from_millis(2),
+    };
+    let (mut size, mut idle) = (0, 0);
+    for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
+        let plan = planned(&catalog, &queries, strategy);
+        let stream = random_stream(&catalog, 60, 0, 6, 0xB0057);
+        for (sources, workers) in [(1, 2), (2, 4), (3, 4)] {
+            let (multi, realized, page) =
+                run_multi_source_paced(&catalog, &plan, &stream, sources, workers, config, pacing);
+            let local = run_local(&catalog, &plan, &realized);
+            assert!(!local.is_empty(), "workload must produce results");
+            assert_eq!(
+                local, multi,
+                "{strategy:?}, {sources} bursty sources, {workers} workers"
+            );
+            size += flushes(&page, "size");
+            idle += flushes(&page, "idle");
+        }
+    }
+    assert!(size > 0, "no burst ever filled a micro-batch");
+    assert!(idle > 0, "no push ever found an idle worker");
 }
 
 #[test]
