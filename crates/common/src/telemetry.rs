@@ -234,7 +234,7 @@ pub enum TraceEventKind {
     /// A micro-batch buffer was flushed: a span from the ingest of its
     /// oldest delivery's root to the flush — the time that delivery spent
     /// in the queue stage (`a` = deliveries shipped, `b` = trigger:
-    /// 0 size, 1 idle, 2 time, 3 barrier).
+    /// 0 size, 1 idle, 2 barrier).
     Flush,
     /// Cold epochs of a store were frozen into columnar segments
     /// (`a` = raw store id, `b` = segments built by this pass).

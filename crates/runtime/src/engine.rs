@@ -42,17 +42,10 @@ pub struct EngineConfig {
     /// micro-batch gathers before it ships (the size trigger). Every
     /// producer coalesces per-root `Batch` messages up to this size while
     /// the workers they are for are busy; a batch ships earlier the
-    /// moment one of them is idle, and barriers always flush. `1`
-    /// restores send-per-ingest.
+    /// moment one of them is idle (as seen by the push, or by the worker
+    /// itself when it runs dry), and barriers always flush. `1` restores
+    /// send-per-ingest.
     pub micro_batch: usize,
-    /// Parallel runtime only: maximum wall-clock age a buffered
-    /// micro-batch may reach before it is flushed regardless of the size
-    /// trigger, so deliveries left behind a busy worker by a producer
-    /// that then goes quiet are not held (with the results they would
-    /// produce) until the next barrier. Every producer checks the age on
-    /// every root it routes; a background flusher thread covers the
-    /// producers that stopped. `Duration::ZERO` disables the time trigger.
-    pub micro_batch_max_delay: std::time::Duration,
     /// Parallel runtime only: bound on in-flight roots (ingested input
     /// tuples whose deliveries have not all been processed yet). Both the
     /// coordinator's `ingest` and every [`crate::ingest::SourceHandle`]
@@ -82,7 +75,6 @@ impl Default for EngineConfig {
             expire_every: 1024,
             collect_results: false,
             micro_batch: 64,
-            micro_batch_max_delay: std::time::Duration::from_millis(5),
             max_inflight_roots: 1 << 16,
             trace_capacity: 4096,
             freeze_after_epochs: 1,

@@ -10,22 +10,26 @@
 //!
 //! * [`SourceHandle`] — the producer-side API handed out by
 //!   `ParallelEngine::open_source`. Each handle owns a private ingress
-//!   router: it resolves partition routing with the same
-//!   [`crate::parallel::router::fan_out`] as the coordinator, micro-batches
-//!   deliveries in its own [`crate::parallel::router::BatchBuffer`] (the
-//!   PR 2 batching machinery) and ships them straight to the worker
-//!   shards — no hop through the coordinator thread. Handles never share
-//!   hot state: every slot has its own lock, so producers block each other
-//!   only if the caller shares one handle across threads.
+//!   router: it resolves partition routing with
+//!   [`crate::parallel::router::fan_out`], micro-batches deliveries in its
+//!   own [`crate::parallel::router::BatchBuffer`] (the PR 2 batching
+//!   machinery) and ships them straight to the worker shards — no hop
+//!   through the coordinator thread. The coordinator's own `ingest`
+//!   pushes through a handle it keeps for itself, so this is the only
+//!   producer path. Handles never share hot state: every slot has its own
+//!   lock, so producers block each other only if the caller shares one
+//!   handle across threads.
 //! * **Backpressure** — every push first passes an admission gate bounding
 //!   the number of in-flight roots (`EngineConfig::max_inflight_roots`)
 //!   against the global completion watermark, so a slow consumer throttles
 //!   producers instead of letting worker queues grow without limit.
-//! * [`flusher`] — a background thread enforcing the time trigger
-//!   (`EngineConfig::micro_batch_max_delay`) on every producer's batch
-//!   buffer, so a producer that left deliveries behind a busy worker and
-//!   then went quiet cannot strand them (and the results they would
-//!   produce) until the next barrier. It parks while nothing is buffered.
+//! * **Demand-driven shipping** — a batch ships when a worker it holds
+//!   deliveries for is idle: the push that buffered them checks, and a
+//!   worker whose queue runs dry pulls whatever the producers still hold
+//!   for it ([`shared::ControlShared::ship_held_for`]), so a producer that
+//!   left deliveries behind a busy worker and then went quiet cannot
+//!   strand them (and the results they would produce) until the next
+//!   barrier. No timer and no thread besides the workers is involved.
 //!
 //! # Exactness under concurrent producers: linearizability
 //!
@@ -76,9 +80,7 @@
 //! never dropped by a worker that already switched. See
 //! `ParallelEngine::install_plan` and DESIGN.md.
 
-pub(crate) mod flusher;
 pub(crate) mod shared;
 mod source;
 
 pub use source::SourceHandle;
-pub(crate) use source::SourceSlot;

@@ -1,13 +1,13 @@
 //! Control-plane state shared between the coordinator, every open
-//! [`crate::ingest::SourceHandle`], the time-trigger flusher and the
-//! epoch driver: the sequence allocator, the stream clock, the shutdown
-//! flag, the source registry and the [`QuiesceGate`] that makes plan
-//! installs lossless under concurrent producers.
+//! [`crate::ingest::SourceHandle`], the worker threads and the epoch
+//! driver: the sequence allocator, the stream clock, the shutdown flag,
+//! the source registry and the [`QuiesceGate`] that makes plan installs
+//! lossless under concurrent producers.
 
-use crate::ingest::flusher::FlusherSignal;
 use crate::ingest::source::SourceSlot;
-use crate::parallel::router::{DepthGauges, Progress};
+use crate::parallel::router::{DepthGauges, FlushTrigger, Progress};
 use crate::parallel::worker::WorkerMsg;
+use clash_common::{ClashError, Result};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
@@ -133,15 +133,16 @@ pub(crate) struct ControlShared {
     /// Global completion progress (watermark over fully processed roots).
     pub progress: Arc<Progress>,
     /// Every registered producer slot — the coordinator's own micro-batch
-    /// buffer plus one per open source — swept by the flusher and the
-    /// admission/drain loops.
+    /// buffer plus one per open source — swept by workers that ran dry
+    /// and by the admission/drain loops.
     pub sources: Mutex<Vec<Arc<SourceSlot>>>,
     /// Per-worker channel-depth gauges shared by every batch buffer
     /// (producers bump the enqueue side) and every worker thread (drain
     /// side); read by the idle flush trigger and the telemetry surface.
     pub depth: Arc<DepthGauges>,
-    /// Wake-up line to the time-trigger flusher thread.
-    pub flusher: FlusherSignal,
+    /// Set per worker when its thread exits, for whatever reason; before
+    /// shutdown that means it died and the watermark is stuck for good.
+    exited: Vec<AtomicBool>,
 }
 
 impl ControlShared {
@@ -155,7 +156,7 @@ impl ControlShared {
             progress: Arc::new(Progress::default()),
             sources: Mutex::new(Vec::new()),
             depth: Arc::new(DepthGauges::new(workers)),
-            flusher: FlusherSignal::default(),
+            exited: (0..workers).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -172,6 +173,17 @@ impl ControlShared {
     /// Whether the engine has been shut down.
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Records that `worker`'s thread is exiting (its drop guard calls
+    /// this, so a panic counts).
+    pub fn worker_exited(&self, worker: usize) {
+        self.exited[worker].store(true, Ordering::Release);
+    }
+
+    /// The first worker whose thread has exited, if any.
+    pub fn dead_worker(&self) -> Option<usize> {
+        self.exited.iter().position(|e| e.load(Ordering::Acquire))
     }
 
     /// Snapshot of the registered slots (registry lock held only for the
@@ -193,24 +205,60 @@ impl ControlShared {
         }
     }
 
-    /// One step of the in-flight-roots gate (`cap` roots, `0` =
-    /// unbounded), shared by the coordinator's `ingest` and every
-    /// [`crate::ingest::SourceHandle`]: `true` when a new root may be
-    /// sequenced. Otherwise ships whatever the watermark could be stuck
-    /// on, sleeps until the watermark reaches the value that brings the
-    /// roots sequenced so far back under the bound (or
-    /// [`LIVENESS_TICK`] passes) and returns `false`: the caller checks
-    /// that the engine is alive and asks again.
-    pub fn admit(&self, cap: usize, senders: &[Sender<WorkerMsg>]) -> bool {
-        let sequenced = self.sequenced();
-        let allowed = cap as u64;
-        if cap == 0 || sequenced.saturating_sub(self.progress.watermark()) < allowed {
-            return true;
+    /// The worker side of the idle flush rule: `worker` found its queue
+    /// empty, so every buffer holding deliveries for it ships them — as
+    /// ordinary `Batch` messages through the channels, like a push that
+    /// had found the worker idle.
+    ///
+    /// No wake-up can be lost between this and a push's own check
+    /// (`BatchBuffer::due`), because both run under the slot lock. If
+    /// the push's critical section comes first, this sweep finds what it
+    /// left behind. If the sweep comes first, the worker's `processed`
+    /// bump happened before the push took the lock, so the push sees the
+    /// worker idle and ships its deliveries itself.
+    ///
+    /// Locks registry → slot like every other sweep and blocks on
+    /// neither for longer than one push; the sends are to unbounded
+    /// channels.
+    pub fn ship_held_for(&self, worker: usize, senders: &[Sender<WorkerMsg>]) {
+        let registry = self.sources.lock().expect("source registry");
+        for slot in registry.iter() {
+            let mut inner = slot.inner.lock().expect("source slot");
+            if inner.buf.holds_for(worker) {
+                inner.flush(senders, FlushTrigger::Idle);
+            }
         }
-        self.flush_slots(senders);
-        self.progress
-            .wait_until(sequenced + 1 - allowed, LIVENESS_TICK);
-        false
+    }
+
+    /// The backpressure gate of every producer: blocks until fewer than
+    /// `cap` roots (`0` = unbounded) are in flight — allocated sequence
+    /// numbers against the completion watermark, so the bound holds
+    /// across all producers combined. While over the bound it ships
+    /// whatever the watermark could be stuck on and sleeps until the
+    /// watermark reaches the value that brings the roots sequenced so far
+    /// back under it, waking every [`LIVENESS_TICK`] to check that the
+    /// engine is still there: [`ClashError::Shutdown`] after shutdown, a
+    /// runtime error naming the worker once one has died.
+    pub fn wait_admission(&self, cap: usize, senders: &[Sender<WorkerMsg>]) -> Result<()> {
+        loop {
+            if self.is_shutdown() {
+                return Err(ClashError::Shutdown);
+            }
+            let sequenced = self.sequenced();
+            let allowed = cap as u64;
+            if cap == 0 || sequenced.saturating_sub(self.progress.watermark()) < allowed {
+                return Ok(());
+            }
+            if let Some(dead) = self.dead_worker() {
+                return Err(ClashError::Runtime(format!(
+                    "backpressure stalled: worker {dead} died (watermark {})",
+                    self.progress.watermark()
+                )));
+            }
+            self.flush_slots(senders);
+            self.progress
+                .wait_until(sequenced + 1 - allowed, LIVENESS_TICK);
+        }
     }
 }
 

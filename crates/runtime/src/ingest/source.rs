@@ -1,9 +1,10 @@
 //! The producer-side ingestion API: [`SourceHandle`] and the per-source
-//! slot state the engine and the time-trigger flusher cooperate on.
+//! slot state the producer, the engine and the workers cooperate on.
 
+use crate::engine::EngineConfig;
 use crate::ingest::shared::ControlShared;
 use crate::metrics::EngineMetrics;
-use crate::parallel::router::{route_root, BatchBuffer, DepthGauges, FlushTrigger, RootHandle};
+use crate::parallel::router::{route_root, BatchBuffer, FlushTrigger, RootHandle};
 use crate::parallel::worker::WorkerMsg;
 use crate::stats_collector::StatsCollector;
 use clash_catalog::Catalog;
@@ -14,11 +15,15 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
+/// What a flush shipped: the trigger, the number of deliveries and the
+/// age of the oldest one.
+pub(crate) type Flushed = (FlushTrigger, usize, StdDuration);
+
 /// Per-source state shared between the producer thread (pushes), the
-/// engine (barrier flush + delta collection, plan swaps) and the
-/// time-trigger flusher. Every source has its own slot and lock, so
-/// producers never contend with each other — only with the rare barrier
-/// or flusher sweep of their own slot.
+/// engine (barrier flush + delta collection, plan swaps) and the workers
+/// (a worker that ran dry ships what the slot holds for it). Every source
+/// has its own slot and lock, so producers never contend with each other
+/// — only with a barrier's or an idle worker's sweep of their own slot.
 #[derive(Debug)]
 pub(crate) struct SourceInner {
     /// The plan this source routes against (swapped under the quiesce
@@ -53,31 +58,12 @@ impl SourceInner {
         Some(flushed)
     }
 
-    /// The end of every routed root, on every producer path: ships the
-    /// buffer if [`BatchBuffer::due`] names a trigger at `now` (the root's
-    /// ingest instant); otherwise, if this root's deliveries are the
-    /// first left behind, tells the flusher thread that a time trigger is
-    /// now pending somewhere.
-    pub fn flush_if_due(
-        &mut self,
-        senders: &[Sender<WorkerMsg>],
-        shared: &ControlShared,
-        now: Instant,
-        max_delay: StdDuration,
-    ) -> Option<(FlushTrigger, usize, StdDuration)> {
-        match self.buf.due(now, max_delay) {
-            Some(trigger) => self
-                .flush(senders, trigger)
-                .map(|(shipped, age)| (trigger, shipped, age)),
-            None => {
-                // The buffer's age counts from its oldest root's ingest
-                // instant: it is `now` iff the buffer was empty before.
-                if self.buf.since() == Some(now) {
-                    shared.flusher.buffered();
-                }
-                None
-            }
-        }
+    /// The end of every routed root: ships the buffer if
+    /// [`BatchBuffer::due`] names a trigger.
+    fn flush_if_due(&mut self, senders: &[Sender<WorkerMsg>]) -> Option<Flushed> {
+        let trigger = self.buf.due()?;
+        self.flush(senders, trigger)
+            .map(|(shipped, age)| (trigger, shipped, age))
     }
 }
 
@@ -90,26 +76,6 @@ pub(crate) struct SourceSlot {
 }
 
 impl SourceSlot {
-    /// A fresh slot routing against `plan`.
-    pub fn new(
-        plan: Arc<TopologyPlan>,
-        workers: usize,
-        micro_batch: usize,
-        epoch: EpochConfig,
-        gauges: Arc<DepthGauges>,
-    ) -> Self {
-        SourceSlot {
-            inner: Mutex::new(SourceInner {
-                plan,
-                buf: BatchBuffer::new(workers, micro_batch, gauges),
-                metrics: EngineMetrics::default(),
-                stats: StatsCollector::new(epoch.length),
-                max_ts: Timestamp::ZERO,
-                closed: false,
-            }),
-        }
-    }
-
     /// Ships everything currently buffered in this slot (a forced flush).
     pub fn flush_to(&self, senders: &[Sender<WorkerMsg>]) {
         self.inner
@@ -124,9 +90,9 @@ impl SourceSlot {
 /// `ParallelEngine::open_source` and movable to a producer thread.
 ///
 /// Each handle is an independent ingress router: pushes hash-partition
-/// the tuple with the same routing decisions as the engine's own
-/// `ingest`, micro-batch locally and deliver straight to the worker
-/// shards. Any number of handles (plus the coordinator itself) may push
+/// the tuple, micro-batch locally and deliver straight to the worker
+/// shards. The engine's own `ingest` pushes through a handle of its own,
+/// so there is one producer path. Any number of handles may push
 /// concurrently; the result multiset stays exactly that of sequential
 /// execution (see [`crate::ingest`]).
 ///
@@ -149,29 +115,40 @@ pub struct SourceHandle {
     epoch: EpochConfig,
     /// In-flight-roots bound (0 = unbounded).
     capacity: usize,
-    /// Time trigger for the local micro-batch buffer.
-    max_delay: StdDuration,
 }
 
 impl SourceHandle {
-    /// Wires a handle to its slot (engine-internal).
-    pub(crate) fn new(
-        slot: Arc<SourceSlot>,
+    /// Registers a fresh slot routing against `plan` and wires a handle
+    /// to it (engine-internal).
+    pub(crate) fn open(
         shared: Arc<ControlShared>,
         senders: Vec<Sender<WorkerMsg>>,
         catalog: Arc<Catalog>,
-        epoch: EpochConfig,
-        capacity: usize,
-        max_delay: StdDuration,
+        plan: Arc<TopologyPlan>,
+        config: &EngineConfig,
     ) -> Self {
+        let slot = Arc::new(SourceSlot {
+            inner: Mutex::new(SourceInner {
+                plan,
+                buf: BatchBuffer::new(senders.len(), config.micro_batch, shared.depth.clone()),
+                metrics: EngineMetrics::default(),
+                stats: StatsCollector::new(config.epoch.length),
+                max_ts: Timestamp::ZERO,
+                closed: false,
+            }),
+        });
+        shared
+            .sources
+            .lock()
+            .expect("source registry")
+            .push(slot.clone());
         SourceHandle {
             slot,
             shared,
             senders,
             catalog,
-            epoch,
-            capacity,
-            max_delay,
+            epoch: config.epoch,
+            capacity: config.max_inflight_roots,
         }
     }
 
@@ -193,10 +170,28 @@ impl SourceHandle {
     /// down ([`ClashError::Shutdown`]), or when the backpressure gate
     /// stalls because the engine died underneath the handle.
     pub fn push(&mut self, relation: RelationId, tuple: Tuple) -> Result<u64> {
+        self.admit(relation)?;
+        self.route(relation, &tuple).map(|(seq, _)| seq)
+    }
+
+    /// The front half of a push: rejects unknown relations, then blocks
+    /// until the in-flight-roots bound admits a new root.
+    pub(crate) fn admit(&self, relation: RelationId) -> Result<()> {
         if self.catalog.relation(relation).is_err() {
             return Err(ClashError::unknown(format!("relation {relation}")));
         }
-        self.wait_admission()?;
+        self.shared.wait_admission(self.capacity, &self.senders)
+    }
+
+    /// The back half of a push, and the one producer critical section:
+    /// allocates the root's sequence number, routes it into the slot's
+    /// buffer and ships the buffer if a flush trigger is due. Returns the
+    /// sequence number and what was shipped.
+    pub(crate) fn route(
+        &self,
+        relation: RelationId,
+        tuple: &Tuple,
+    ) -> Result<(u64, Option<Flushed>)> {
         // The quiesce gate: held across sequence allocation, routing and
         // buffering, so a plan install either happens-before this push
         // (which then routes against the new plan) or waits for it (the
@@ -226,43 +221,19 @@ impl SourceHandle {
             &plan,
             self.senders.len(),
             relation,
-            &tuple,
+            tuple,
             &root,
             started,
             &mut inner.metrics,
             &mut inner.buf,
         );
-        inner.flush_if_due(&self.senders, &self.shared, started, self.max_delay);
-        Ok(seq)
+        Ok((seq, inner.flush_if_due(&self.senders)))
     }
 
     /// Ships any locally buffered deliveries immediately instead of
     /// waiting for a flush trigger or a barrier.
     pub fn flush(&mut self) {
         self.slot.flush_to(&self.senders);
-    }
-
-    /// Blocks until the in-flight-roots bound admits a new root. The gate
-    /// compares allocated sequence numbers against the completion
-    /// watermark, so it bounds memory across *all* producers combined.
-    fn wait_admission(&self) -> Result<()> {
-        if self.shared.is_shutdown() {
-            return Err(ClashError::Shutdown);
-        }
-        let started = Instant::now();
-        while !self.shared.admit(self.capacity, &self.senders) {
-            if self.shared.is_shutdown() {
-                return Err(ClashError::Shutdown);
-            }
-            if started.elapsed() >= StdDuration::from_secs(30) {
-                return Err(ClashError::Runtime(
-                    "source backpressure stalled for 30s: workers are not draining \
-                     roots (a worker thread died)"
-                        .into(),
-                ));
-            }
-        }
-        Ok(())
     }
 }
 

@@ -60,11 +60,11 @@ pub struct EngineMetrics {
     /// query (keyed like `results`; merged bucket-wise at epoch barriers).
     latency: FxHashMap<QueryId, LatencyHistogram>,
     /// Age of micro-batch buffers when they were flushed (how long the
-    /// oldest buffered delivery waited for the size or time trigger).
+    /// oldest buffered delivery waited for a flush trigger).
     pub flush_age: LatencyHistogram,
     /// Micro-batch flushes by what triggered them, indexed by
-    /// `FlushTrigger` (size, idle, time, barrier).
-    pub flushes: [u64; 4],
+    /// `FlushTrigger` (size, idle, barrier).
+    pub flushes: [u64; 3],
     /// Wall-clock processing time spent inside `ingest`.
     pub busy: Duration,
     /// Candidate plans rejected by the static analyzer at install time.

@@ -16,14 +16,11 @@
 
 use crate::adaptive::{AdaptiveController, ControllerDecision};
 use crate::engine::{EngineConfig, EngineControl, ResultSink};
-use crate::ingest::flusher::Flusher;
 use crate::ingest::shared::{ControlShared, LIVENESS_TICK};
-use crate::ingest::{SourceHandle, SourceSlot};
+use crate::ingest::SourceHandle;
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::parallel::driver::EpochDriver;
-use crate::parallel::router::{
-    route_root, symmetric_stores, symmetric_stores_multi, FlushTrigger, RootHandle,
-};
+use crate::parallel::router::{symmetric_stores, symmetric_stores_multi, FlushTrigger};
 use crate::parallel::shard::{StoreDetail, StoreLayout};
 use crate::parallel::worker::{run_worker, WorkerAck, WorkerCtx, WorkerMsg};
 use crate::stats_collector::StatsCollector;
@@ -34,7 +31,6 @@ use clash_common::{
     TraceRing, Tuple,
 };
 use clash_optimizer::TopologyPlan;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -65,8 +61,6 @@ pub struct ParallelEngine {
     config: EngineConfig,
     workers: usize,
     core: Arc<Mutex<EngineCore>>,
-    /// Background time-trigger flusher sweeping all registered slots.
-    flusher: Option<Flusher>,
     /// Background control-plane thread firing the adaptive controller at
     /// epoch boundaries of the stream clock (see
     /// [`Self::start_epoch_driver`]).
@@ -93,15 +87,19 @@ pub(crate) struct EngineCore {
     sources_opened: usize,
     /// Whether the widened multi-producer symmetric set is installed.
     multi_symmetric: bool,
-    /// The coordinator's own producer slot: micro-batch buffer coalescing
-    /// per-ingest sends across ingests. Registered in the shared registry
-    /// so the flusher and admission sweeps cover it like any source's.
-    coord_buf: Arc<SourceSlot>,
+    /// The coordinator's own producer: `ingest` pushes through a source
+    /// like any other, registered in the shared registry so every sweep
+    /// covers its micro-batch buffer too.
+    coord: SourceHandle,
+    /// Aggregates of everything merged at barriers so far: the workers'
+    /// deltas and every producer slot's, the coordinator's own included.
     metrics: EngineMetrics,
     stats: StatsCollector,
     results: Vec<(QueryId, Tuple)>,
     sink: Option<ResultSink>,
     forward_results: bool,
+    /// Maximum stream timestamp pushed through any producer, as of the
+    /// last drain of the slots' deltas.
     max_ts: Timestamp,
     since_expiry: u64,
     token: u64,
@@ -166,7 +164,7 @@ impl ParallelEngine {
                 workers,
                 senders: senders.clone(),
                 ack_tx: ack_tx.clone(),
-                progress: shared.progress.clone(),
+                shared: shared.clone(),
                 symmetric: symmetric.clone(),
                 epoch: config.epoch,
                 freeze_after: config.freeze_after_epochs,
@@ -174,7 +172,6 @@ impl ParallelEngine {
                 layout: layout.clone(),
                 forward_results,
                 trace_capacity: config.trace_capacity,
-                depth: shared.depth.clone(),
             };
             let handle = std::thread::Builder::new()
                 .name(format!("clash-worker-{index}"))
@@ -182,30 +179,16 @@ impl ParallelEngine {
                 .expect("spawn worker thread");
             handles.push(handle);
         }
-        let coord_buf = Arc::new(SourceSlot::new(
+        let catalog = Arc::new(catalog);
+        let coord = SourceHandle::open(
+            shared.clone(),
+            senders.clone(),
+            catalog.clone(),
             plan.clone(),
-            workers,
-            config.micro_batch,
-            config.epoch,
-            shared.depth.clone(),
-        ));
-        shared
-            .sources
-            .lock()
-            .expect("source registry")
-            .push(coord_buf.clone());
-        // The flusher runs whenever the time trigger is enabled, so even
-        // a fully idle producer (the coordinator included) cannot strand
-        // buffered deliveries past `micro_batch_max_delay`.
-        let flusher = (config.micro_batch_max_delay > StdDuration::ZERO).then(|| {
-            Flusher::spawn(
-                shared.clone(),
-                senders.clone(),
-                config.micro_batch_max_delay,
-            )
-        });
+            &config,
+        );
         let core = EngineCore {
-            catalog: Arc::new(catalog),
+            catalog,
             config,
             workers,
             plan,
@@ -216,7 +199,7 @@ impl ParallelEngine {
             shared: shared.clone(),
             sources_opened: 0,
             multi_symmetric: false,
-            coord_buf,
+            coord,
             metrics: EngineMetrics::default(),
             stats: StatsCollector::new(config.epoch.length),
             results: Vec::new(),
@@ -242,7 +225,6 @@ impl ParallelEngine {
             config,
             workers,
             core: Arc::new(Mutex::new(core)),
-            flusher,
             driver: None,
             driver_error: None,
         }
@@ -474,7 +456,7 @@ impl ParallelEngine {
 
     /// Drains all in-flight work (delivering outstanding results to the
     /// sink and the collected-results buffer), then stops and joins the
-    /// epoch driver, every worker thread and the flusher. Called
+    /// epoch driver and every worker thread. Called
     /// automatically on drop, so results produced after the last explicit
     /// barrier are not lost; calling it explicitly makes the final
     /// collection observable before the engine goes away. Idempotent; the
@@ -489,9 +471,6 @@ impl ParallelEngine {
             self.driver_error = self.driver_error.take().or_else(|| driver.error());
         }
         self.core().shutdown();
-        if let Some(mut flusher) = self.flusher.take() {
-            flusher.stop();
-        }
     }
 }
 
@@ -506,15 +485,12 @@ impl Drop for ParallelEngine {
             if let Some(mut driver) = self.driver.take() {
                 driver.stop();
             }
-            self.core().coord_buf.flush_to(&self.senders);
+            self.core().coord.flush();
             for s in &self.senders {
                 let _ = s.send(WorkerMsg::Shutdown);
             }
             for handle in self.core().handles.drain(..) {
                 let _ = handle.join();
-            }
-            if let Some(mut flusher) = self.flusher.take() {
-                flusher.stop();
             }
             return;
         }
@@ -533,7 +509,7 @@ impl EngineCore {
     fn set_sink(&mut self, sink: ResultSink) {
         self.sink = Some(sink);
         self.forward_results = true;
-        self.coord_buf.flush_to(&self.senders);
+        self.coord.flush();
         for s in &self.senders {
             let _ = s.send(WorkerMsg::ForwardResults(true));
         }
@@ -542,39 +518,34 @@ impl EngineCore {
     fn open_source(&mut self) -> SourceHandle {
         // Everything the coordinator ingested so far must be enqueued
         // before the new source's first push can be.
-        self.coord_buf.flush_to(&self.senders);
+        self.coord.flush();
         if self.sources_opened >= 1 {
             self.widen_symmetric();
         }
         self.sources_opened += 1;
-        let slot = Arc::new(SourceSlot::new(
-            self.plan.clone(),
-            self.workers,
-            self.config.micro_batch,
-            self.config.epoch,
-            self.shared.depth.clone(),
-        ));
-        self.shared
-            .sources
-            .lock()
-            .expect("source registry")
-            .push(slot.clone());
-        SourceHandle::new(
-            slot,
+        SourceHandle::open(
             self.shared.clone(),
             self.senders.clone(),
             self.catalog.clone(),
-            self.config.epoch,
-            self.config.max_inflight_roots,
-            self.config.micro_batch_max_delay,
+            self.plan.clone(),
+            &self.config,
         )
     }
 
     fn subscribe(&mut self) -> Receiver<(QueryId, Tuple)> {
         let (tx, rx) = channel();
-        self.coord_buf.flush_to(&self.senders);
+        self.coord.flush();
         for s in &self.senders {
-            let _ = s.send(WorkerMsg::Subscribe(tx.clone()));
+            // Dropping the sender on the first failed send stops the
+            // per-result clone once the subscriber hung up.
+            let mut tx = Some(tx.clone());
+            let _ = s.send(WorkerMsg::Subscribe(Box::new(move |query, tuple| {
+                if let Some(live) = &tx {
+                    if live.send((query, tuple.clone())).is_err() {
+                        tx = None;
+                    }
+                }
+            })));
         }
         rx
     }
@@ -589,45 +560,23 @@ impl EngineCore {
         }
         self.multi_symmetric = true;
         self.symmetric = Arc::new(symmetric_stores_multi(&self.plan));
-        self.coord_buf.flush_to(&self.senders);
+        self.coord.flush();
         for s in &self.senders {
             let _ = s.send(WorkerMsg::SetSymmetric(self.symmetric.clone()));
         }
     }
 
-    /// Backpressure gate of the coordinator's own ingest path (the
-    /// source-side twin lives in [`SourceHandle`]; both step
-    /// [`ControlShared::admit`]).
-    fn wait_admission(&self) -> Result<()> {
-        while !self
-            .shared
-            .admit(self.config.max_inflight_roots, &self.senders)
-        {
-            if let Some(dead) = self.handles.iter().position(|h| h.is_finished()) {
-                return Err(ClashError::Runtime(format!(
-                    "parallel engine backpressure stalled: worker {dead} died \
-                     (watermark {})",
-                    self.shared.progress.watermark()
-                )));
-            }
-        }
-        Ok(())
-    }
-
+    /// One push through the coordinator's own source, plus what only the
+    /// coordinator does around it: the symmetric-set widening, its trace
+    /// lane and the `expire_every` cadence.
     fn ingest(&mut self, relation: clash_common::RelationId, tuple: Tuple) -> Result<u64> {
-        if self.handles.is_empty() {
-            return Err(ClashError::Shutdown);
-        }
-        if self.catalog.relation(relation).is_err() {
-            return Err(ClashError::unknown(format!("relation {relation}")));
-        }
         if self.sources_opened > 0 && !self.multi_symmetric {
             // The coordinator becomes a second concurrent producer beside
             // the open source: widen the symmetric set before this
             // delivery can race a source's.
             self.widen_symmetric();
         }
-        self.wait_admission()?;
+        self.coord.admit(relation)?;
         if self.active_since.is_none() {
             self.active_since = Some(Instant::now());
         }
@@ -636,46 +585,15 @@ impl EngineCore {
         } else {
             0
         };
-        let started = Instant::now();
-        self.metrics.tuples_ingested += 1;
-        self.max_ts = self.max_ts.max(tuple.ts);
-        self.shared.advance_clock(tuple.ts.as_millis());
-        let epoch = self.config.epoch.epoch_of(tuple.ts);
-        self.stats.record_arrival(epoch, relation);
-
-        let seq = {
-            // Sequence allocation and buffering form one critical section
-            // of the slot lock, like a source push, so another producer's
-            // admission sweep cannot pass between them.
-            let mut inner = self.coord_buf.inner.lock().expect("coordinator buffer");
-            let seq = self.shared.next_seq.fetch_add(1, Ordering::SeqCst);
-            let root = RootHandle::new(seq, self.shared.progress.clone());
-            route_root(
-                &self.plan,
-                self.workers,
-                relation,
-                &tuple,
-                &root,
-                started,
-                &mut self.metrics,
-                &mut inner.buf,
+        let (seq, flushed) = self.coord.route(relation, &tuple)?;
+        if let Some((trigger, shipped, age)) = flushed.filter(|_| self.trace.enabled()) {
+            self.trace.record_span(
+                TraceEventKind::Flush,
+                trace_clock_us().saturating_sub(age.as_micros() as u64),
+                shipped as u64,
+                trigger as u64,
             );
-            let flushed = inner.flush_if_due(
-                &self.senders,
-                &self.shared,
-                started,
-                self.config.micro_batch_max_delay,
-            );
-            if let Some((trigger, shipped, age)) = flushed.filter(|_| self.trace.enabled()) {
-                self.trace.record_span(
-                    TraceEventKind::Flush,
-                    trace_clock_us().saturating_sub(age.as_micros() as u64),
-                    shipped as u64,
-                    trigger as u64,
-                );
-            }
-            seq
-        };
+        }
         self.trace.record_span(
             TraceEventKind::Route,
             trace_started,
@@ -739,7 +657,7 @@ impl EngineCore {
                 return true;
             }
             if deadline.is_some_and(|d| started.elapsed() >= d)
-                || self.handles.iter().any(|h| h.is_finished())
+                || self.shared.dead_worker().is_some()
             {
                 return false;
             }
@@ -1181,8 +1099,7 @@ impl EngineCore {
                 .store(true, std::sync::atomic::Ordering::Release);
             drop(quiesced);
         }
-        let workers_alive = !self.handles.iter().any(|h| h.is_finished());
-        if workers_alive && self.try_drain(Some(StdDuration::from_secs(10))) {
+        if self.shared.dead_worker().is_none() && self.try_drain(Some(StdDuration::from_secs(10))) {
             let _ = self.collect_inner(None, true);
             if let Some(started) = self.active_since.take() {
                 self.wall_busy += started.elapsed();
@@ -1476,50 +1393,130 @@ mod tests {
         while !engine.core().handles[0].is_finished() {
             std::thread::yield_now();
         }
-        let outcome = workload(&catalog)
+        // Both producers stall on the same gate and name the same worker.
+        let mut source = engine.open_source();
+        let by_ingest = workload(&catalog)
             .into_iter()
             .map(|(relation, t)| engine.ingest(relation, t))
             .find(|r| r.is_err());
-        match outcome {
-            Some(Err(ClashError::Runtime(msg))) => {
-                assert!(msg.contains("worker 0 died"), "{msg}")
+        let by_push = workload(&catalog)
+            .into_iter()
+            .map(|(relation, t)| source.push(relation, t))
+            .find(|r| r.is_err());
+        for outcome in [by_ingest, by_push] {
+            match outcome {
+                Some(Err(ClashError::Runtime(msg))) => {
+                    assert!(msg.contains("worker 0 died"), "{msg}")
+                }
+                other => panic!("expected a backpressure error, got {other:?}"),
             }
-            other => panic!("expected a backpressure error, got {other:?}"),
         }
     }
 
     #[test]
-    fn time_trigger_ships_what_a_push_left_behind_busy_workers() {
+    fn busy_worker_pulls_what_a_quiet_source_left_behind() {
         let (catalog, queries, stats) = setup(2);
         let planner = Planner::with_defaults(&catalog, &stats);
         let report = planner.plan(&queries, Strategy::Shared).unwrap();
+        // One q1 result per T tuple and one q2 result per U tuple, over
+        // enough keys that both workers emit some of each round's.
+        let round = |keys: std::ops::Range<i64>| {
+            let mut stream = Vec::new();
+            for (name, attrs) in [
+                ("R", &["a"][..]),
+                ("S", &["a", "b"]),
+                ("T", &["b", "c"]),
+                ("U", &["c"]),
+            ] {
+                for k in keys.clone() {
+                    let values: Vec<_> = attrs.iter().map(|attr| (*attr, k)).collect();
+                    let ts = 10 * (stream.len() as u64 + 1) + 1000 * keys.start as u64;
+                    stream.push((
+                        catalog.relation_id(name).unwrap(),
+                        tuple(&catalog, name, ts, &values),
+                    ));
+                }
+            }
+            stream
+        };
+        let (head, tail) = (round(0..8), round(8..12));
+        let mut local = LocalEngine::new(
+            catalog.clone(),
+            report.plan.clone(),
+            EngineConfig::default(),
+        );
+        for (relation, t) in head.iter().chain(&tail) {
+            local.ingest(*relation, t.clone()).unwrap();
+        }
+        let expected = local.snapshot().total_results();
+        assert_eq!(expected, 24);
+
         let config = EngineConfig {
             micro_batch: 1 << 20,
-            micro_batch_max_delay: StdDuration::from_millis(5),
             ..EngineConfig::default()
         };
         let mut engine = ParallelEngine::new(catalog.clone(), report.plan, config, 2);
-        let results = engine.subscribe();
+        // A subscription whose sink holds its worker inside the batch that
+        // emits the worker's first result until the test lets go: the
+        // worker is busy in earnest, its queue depth stays above zero.
+        let (results_tx, results) = channel();
+        let (blocked_tx, blocked) = channel();
+        let release: Vec<Sender<()>> = engine
+            .senders
+            .iter()
+            .map(|to_worker| {
+                let (release_tx, released) = channel();
+                let (results_tx, blocked_tx) = (results_tx.clone(), blocked_tx.clone());
+                to_worker
+                    .send(WorkerMsg::Subscribe(Box::new(move |query, tuple| {
+                        let _ = blocked_tx.send(());
+                        // Returns once the test has dropped `release_tx`.
+                        let _ = released.recv();
+                        let _ = results_tx.send((query, tuple.clone()));
+                    })))
+                    .unwrap();
+                release_tx
+            })
+            .collect();
         let mut source = engine.open_source();
-        // A phantom queued delivery per worker: no queue ever reads empty,
-        // so neither the size nor the idle trigger can fire, and after
-        // the last push only the (parked, then woken) flusher thread is
-        // left to ship the buffer.
-        for worker in 0..2 {
-            engine.shared.depth.enqueued(worker, 1);
-        }
-        for (relation, t) in workload(&catalog) {
+        for (relation, t) in head {
             source.push(relation, t).unwrap();
         }
-        results
-            .recv_timeout(StdDuration::from_secs(10))
-            .expect("the flusher never shipped the stranded deliveries");
+        // Until released a worker signals once, so two signals are both
+        // workers sitting in their sinks.
+        for _ in 0..2 {
+            blocked
+                .recv_timeout(StdDuration::from_secs(10))
+                .expect("a worker never emitted a result");
+        }
+        // Neither the size nor the idle trigger can ship these, and the
+        // source goes quiet after them.
+        for (relation, t) in tail {
+            source.push(relation, t).unwrap();
+        }
+        assert!(
+            engine
+                .shared
+                .slots()
+                .iter()
+                .any(|slot| !slot.inner.lock().unwrap().buf.is_empty()),
+            "the tail shipped past two busy workers"
+        );
+        assert!(results.try_recv().is_err(), "a sink let a result through");
+
+        drop(release);
+        // No push, no flush, no barrier: the workers finish their batches,
+        // run dry and pull the tail themselves.
+        for received in 0..expected {
+            results
+                .recv_timeout(StdDuration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{received}/{expected} results: the tail is stranded"));
+        }
         let page = engine.telemetry_snapshot();
         assert!(
-            !page.contains("clash_flushes_total{trigger=\"time\"} 0\n"),
+            page.contains("clash_flushes_total{trigger=\"size\"} 0\n"),
             "{page}"
         );
-        assert!(page.contains("clash_flushes_total{trigger=\"idle\"} 0\n"));
     }
 
     #[test]

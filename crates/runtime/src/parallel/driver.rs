@@ -5,10 +5,9 @@
 //! [`crate::ingest::SourceHandle`]s was never re-optimized, even though
 //! epoch-based re-optimization (Section VI, Fig. 5/8) is the paper's
 //! headline feature. The driver moves the cadence to the control plane:
-//! a background thread (the same pattern as the ingest flusher) watches
-//! the shared stream clock — advanced by every producer push and every
-//! coordinator ingest — and, whenever it crosses an epoch boundary, takes
-//! the engine core's lock, runs a collection barrier so the merged
+//! a background thread watches the shared stream clock — advanced by
+//! every producer push and every coordinator ingest — and, whenever it
+//! crosses an epoch boundary, takes the engine core's lock, runs a collection barrier so the merged
 //! per-worker statistics are current, and fires the controller. Plan
 //! installs triggered this way go through the coordinator's quiesce
 //! protocol, so they are lossless under the very producers that advanced

@@ -221,11 +221,10 @@ pub(crate) fn route_root(
 pub(crate) enum FlushTrigger {
     /// `EngineConfig::micro_batch` deliveries were buffered.
     Size,
-    /// A worker the buffer held deliveries for had an empty queue.
+    /// A worker the buffer held deliveries for had an empty queue: seen
+    /// by the push that buffered them, or by the worker itself when it
+    /// ran dry.
     Idle,
-    /// The oldest buffered delivery reached
-    /// `EngineConfig::micro_batch_max_delay`.
-    Time,
     /// Forced: a barrier, an admission sweep, an explicit
     /// `SourceHandle::flush` or a dropped handle.
     Barrier,
@@ -234,10 +233,9 @@ pub(crate) enum FlushTrigger {
 impl FlushTrigger {
     /// Every trigger, in discriminant order (which indexes
     /// `EngineMetrics::flushes`).
-    pub const ALL: [FlushTrigger; 4] = [
+    pub const ALL: [FlushTrigger; 3] = [
         FlushTrigger::Size,
         FlushTrigger::Idle,
-        FlushTrigger::Time,
         FlushTrigger::Barrier,
     ];
 
@@ -246,7 +244,6 @@ impl FlushTrigger {
         match self {
             FlushTrigger::Size => "size",
             FlushTrigger::Idle => "idle",
-            FlushTrigger::Time => "time",
             FlushTrigger::Barrier => "barrier",
         }
     }
@@ -271,7 +268,7 @@ pub(crate) struct BatchBuffer {
     /// restores the seed's send-per-ingest behavior).
     capacity: usize,
     /// Ingest instant of the root of the oldest buffered delivery (what
-    /// the time trigger and the flush age measure from).
+    /// the flush age measures from).
     since: Option<Instant>,
     /// Shared queue-depth gauges: bumped on the enqueue side per flush,
     /// read by the idle trigger.
@@ -302,43 +299,31 @@ impl BatchBuffer {
         self.buffered == 0
     }
 
-    /// Ingest instant of the oldest buffered delivery's root.
-    pub fn since(&self) -> Option<Instant> {
-        self.since
+    /// `true` when deliveries for `worker` are buffered.
+    pub fn holds_for(&self, worker: usize) -> bool {
+        !self.per_worker[worker].is_empty()
     }
 
-    /// The flush predicate of every producer path: whether the buffer
-    /// should ship at `now`, and why. Checked after each routed root (with
-    /// the root's ingest instant for `now`, sparing a clock read) and by
-    /// the flusher thread.
+    /// The flush predicate of every producer path, checked after each
+    /// routed root: whether the buffer should ship, and why.
     ///
     /// * **size** — `capacity` deliveries are buffered: the cap on batch
     ///   growth, and the trigger under saturation, where no queue is ever
     ///   empty.
-    /// * **time** — the oldest delivery is `max_delay` old (`ZERO`
-    ///   disables): the liveness fallback for deliveries a producer left
-    ///   behind a busy worker before it went quiet. Reported ahead of
-    ///   `idle` so the counter tells how often a delivery really waited
-    ///   that long.
     /// * **idle** — a worker this buffer holds deliveries for has nothing
     ///   queued and nothing in progress (`DepthGauges::depth == 0`):
     ///   holding them back could only add latency, as there is no backlog
     ///   for a larger batch to amortize. Under light load this fires on
-    ///   every root, so nothing waits for a timer.
-    pub fn due(&self, now: Instant, max_delay: std::time::Duration) -> Option<FlushTrigger> {
-        let since = self.since?;
+    ///   every root. A worker that was busy at this check applies the
+    ///   same rule from its side once it runs dry
+    ///   (`ControlShared::ship_held_for`), so what a push leaves behind
+    ///   never waits for another push.
+    pub fn due(&self) -> Option<FlushTrigger> {
         if self.buffered >= self.capacity {
             return Some(FlushTrigger::Size);
         }
-        if max_delay > std::time::Duration::ZERO
-            && now.saturating_duration_since(since) >= max_delay
-        {
-            return Some(FlushTrigger::Time);
-        }
-        self.per_worker
-            .iter()
-            .enumerate()
-            .any(|(worker, batch)| !batch.is_empty() && self.gauges.depth(worker) == 0)
+        (0..self.per_worker.len())
+            .any(|worker| self.holds_for(worker) && self.gauges.depth(worker) == 0)
             .then_some(FlushTrigger::Idle)
     }
 

@@ -8,8 +8,10 @@
 //! and the symmetric pending-prober mechanism (see `shard`) close the two
 //! remaining races.
 
+use crate::engine::ResultSink;
+use crate::ingest::shared::ControlShared;
 use crate::metrics::EngineMetrics;
-use crate::parallel::router::{DepthGauges, Partitions, Progress, RootHandle};
+use crate::parallel::router::{DepthGauges, Partitions, RootHandle};
 use crate::parallel::shard::{ShardState, StoreDetail, StoreLayout};
 use crate::stats_collector::StatsCollector;
 use clash_common::{
@@ -54,7 +56,6 @@ pub(crate) struct Delivery {
 pub(crate) type Rooted = (Delivery, Arc<RootHandle>);
 
 /// Messages from the coordinator (and, for `Batch`, from peer workers).
-#[derive(Debug)]
 pub(crate) enum WorkerMsg {
     /// Deliveries to process in order.
     Batch(Vec<Rooted>),
@@ -81,8 +82,8 @@ pub(crate) enum WorkerMsg {
     /// Toggles retention of emitted result tuples for the coordinator.
     ForwardResults(bool),
     /// Installs a result subscription: every result emitted from here on
-    /// streams to the subscriber as it is produced, between barriers.
-    Subscribe(Sender<(QueryId, Tuple)>),
+    /// is handed to the sink as it is produced, between barriers.
+    Subscribe(ResultSink),
     /// Replaces the symmetric store set (multi-producer widening) without
     /// reinstalling the plan or touching shard state.
     SetSymmetric(Arc<FxHashSet<StoreId>>),
@@ -162,8 +163,11 @@ pub(crate) struct WorkerCtx {
     pub senders: Vec<Sender<WorkerMsg>>,
     /// Barrier ack channel.
     pub ack_tx: Sender<WorkerAck>,
-    /// Global completion progress (prober GC horizon).
-    pub progress: Arc<Progress>,
+    /// The engine's shared control state: the completion progress (prober
+    /// GC horizon), the channel-depth gauges (drain side), the slot
+    /// registry this worker pulls from when it runs dry, and the record
+    /// of its exit.
+    pub shared: Arc<ControlShared>,
     /// Forward-fed stores of the current plan (symmetric probing).
     pub symmetric: Arc<FxHashSet<StoreId>>,
     /// Epoch configuration.
@@ -179,8 +183,19 @@ pub(crate) struct WorkerCtx {
     pub forward_results: bool,
     /// Capacity of this worker's trace-event ring (0 disables tracing).
     pub trace_capacity: usize,
-    /// Shared channel-depth gauges (drain side).
-    pub depth: Arc<DepthGauges>,
+}
+
+/// Records the worker's exit in [`ControlShared`] when the thread body
+/// ends — by `Shutdown`, a closed channel or a panic.
+struct ExitRecord<'a> {
+    shared: &'a ControlShared,
+    index: usize,
+}
+
+impl Drop for ExitRecord<'_> {
+    fn drop(&mut self) {
+        self.shared.worker_exited(self.index);
+    }
 }
 
 /// The worker thread body.
@@ -190,7 +205,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
         workers,
         senders,
         ack_tx,
-        progress,
+        shared,
         symmetric,
         epoch,
         freeze_after,
@@ -198,8 +213,12 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
         layout,
         forward_results,
         trace_capacity,
-        depth,
     } = ctx;
+    let _exit = ExitRecord {
+        shared: &shared,
+        index,
+    };
+    let (progress, depth) = (&shared.progress, &shared.depth);
     // Trace lane 0 is the coordinator; workers take lanes 1..=workers.
     let trace = TraceRing::new(trace_capacity, index as u32 + 1);
     let mut shard = ShardState::new(
@@ -225,6 +244,11 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
                 }
                 out.flush(&senders);
                 depth.processed(index, deliveries.len() as u64);
+                if depth.depth(index) == 0 {
+                    // Ran dry: pull what producers found this worker too
+                    // busy to be sent.
+                    shared.ship_held_for(index, &senders);
+                }
                 shard.gc_probers(progress.watermark());
                 shard.metrics.busy += started.elapsed();
             }
@@ -256,17 +280,8 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
             WorkerMsg::ForwardResults(on) => {
                 shard.forward_results = on;
             }
-            WorkerMsg::Subscribe(tx) => {
-                // Dropping the sender on the first failed send stops the
-                // per-result clone once the subscriber hung up.
-                let mut tx = Some(tx);
-                shard.sink = Some(Box::new(move |query, tuple| {
-                    if let Some(live) = &tx {
-                        if live.send((query, tuple.clone())).is_err() {
-                            tx = None;
-                        }
-                    }
-                }));
+            WorkerMsg::Subscribe(sink) => {
+                shard.sink = Some(sink);
             }
             WorkerMsg::SetSymmetric(symmetric) => {
                 shard.set_symmetric(symmetric);

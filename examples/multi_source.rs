@@ -160,8 +160,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for producer in producers {
             producer.join().expect("producer thread");
         }
-        // Results that streamed out before any barrier ran: with the
-        // time-triggered micro-batch flush nothing waits for an epoch end.
+        // Results that streamed out before any barrier ran: a batch ships
+        // when a worker it is for is idle, so nothing waits for an epoch end.
         let pre_barrier = streamed.load(Ordering::Relaxed);
         let snap = clash.snapshot()?; // the barrier: aggregates counters
         let elapsed = started.elapsed().as_secs_f64();

@@ -115,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "store/arena sections missing"
     );
     // Every micro-batch flush is attributed to what released it.
-    let flushes: f64 = ["size", "idle", "time", "barrier"]
+    let flushes: f64 = ["size", "idle", "barrier"]
         .iter()
         .map(|trigger| {
             let sample = format!("clash_flushes_total{{trigger=\"{trigger}\"}} ");
