@@ -49,7 +49,7 @@ fn deploy(scenario: &AdaptiveScenario, adaptive: bool) -> Deployment {
         enabled: adaptive,
         ..AdaptiveConfig::default()
     };
-    let (controller, plan) = AdaptiveController::new(
+    let (controller, report) = AdaptiveController::new(
         scenario.catalog.clone(),
         vec![scenario.query.clone()],
         scenario.stats.clone(),
@@ -58,7 +58,7 @@ fn deploy(scenario: &AdaptiveScenario, adaptive: bool) -> Deployment {
     .expect("initial plan");
     let engine = LocalEngine::new(
         scenario.catalog.clone(),
-        plan,
+        report.plan,
         EngineConfig {
             epoch: EpochConfig::new(Duration::from_secs(1)),
             expire_every: 256,

@@ -2,8 +2,7 @@
 //!
 //! Experiment drivers that regenerate every figure of the paper's
 //! evaluation (Section VII). Each driver returns plain data rows; the
-//! binaries in `src/bin/` print them as tables (and JSON), and the
-//! criterion benches in `benches/` time the underlying operations.
+//! binaries in `src/bin/` print them as tables (and JSON).
 //!
 //! | Paper figure | Driver |
 //! |---|---|

@@ -33,8 +33,6 @@ pub struct SystemConfig {
     pub engine: EngineConfig,
     /// Planner configuration (plan-space limits, solver limits).
     pub planner: PlannerConfig,
-    /// Keep emitted results in memory so callers can inspect them.
-    pub collect_results: bool,
     /// Execution runtime for deployments.
     pub runtime: RuntimeMode,
 }
@@ -264,26 +262,26 @@ impl ClashSystem {
             planner: self.config.planner,
             enabled: true,
         };
-        let (controller, plan) = AdaptiveController::new(
+        let (controller, report) = AdaptiveController::new(
             self.catalog.clone(),
             self.queries.clone(),
             self.stats.clone(),
             adaptive_config,
         )?;
-        let planner = Planner::new(&self.catalog, &self.stats, self.config.planner);
-        let report = planner.plan(&self.queries, strategy)?;
-        let mut engine_config = self.config.engine;
-        engine_config.collect_results = self.config.collect_results;
         let controller = Arc::new(Mutex::new(controller));
         self.engine = Some(match self.config.runtime {
             RuntimeMode::Local => EngineHandle::Local(Box::new(LocalEngine::new(
                 self.catalog.clone(),
-                plan,
-                engine_config,
+                report.plan.clone(),
+                self.config.engine,
             ))),
             RuntimeMode::Parallel(workers) => {
-                let mut engine =
-                    ParallelEngine::new(self.catalog.clone(), plan, engine_config, workers);
+                let mut engine = ParallelEngine::new(
+                    self.catalog.clone(),
+                    report.plan.clone(),
+                    self.config.engine,
+                    workers,
+                );
                 // Control-plane adaptivity: a background epoch driver
                 // watches the stream clock (advanced by coordinator
                 // ingests and source pushes alike) and fires the shared
@@ -356,7 +354,7 @@ impl ClashSystem {
             .ok_or_else(|| ClashError::Runtime("system not deployed".into()))
     }
 
-    /// Collected results (requires `collect_results` in the config). With
+    /// Collected results (requires `engine.collect_results` in the config). With
     /// the parallel runtime this reflects the state as of the last barrier
     /// (call [`Self::snapshot`] first to drain).
     pub fn results(&self) -> Vec<(QueryId, Tuple)> {
@@ -513,7 +511,10 @@ mod tests {
 
     fn system_with_rst() -> ClashSystem {
         let mut clash = ClashSystem::new(SystemConfig {
-            collect_results: true,
+            engine: EngineConfig {
+                collect_results: true,
+                ..EngineConfig::default()
+            },
             ..SystemConfig::default()
         });
         clash
@@ -550,6 +551,22 @@ mod tests {
         assert_eq!(snap.total_results(), 1);
         assert_eq!(clash.results().len(), 1);
         assert!(clash.last_report().is_some());
+    }
+
+    #[test]
+    fn deploy_plans_once_and_reports_the_installed_plan() {
+        for runtime in [RuntimeMode::Local, RuntimeMode::Parallel(2)] {
+            let mut clash = system_with_rst();
+            clash.config.runtime = runtime;
+            let before = Planner::plans_run_on_this_thread();
+            let reported = clash.deploy(Strategy::GlobalIlp).unwrap().plan.clone();
+            assert_eq!(Planner::plans_run_on_this_thread() - before, 1);
+            let installed = match clash.engine.as_ref().unwrap() {
+                EngineHandle::Local(e) => e.plan().clone(),
+                EngineHandle::Parallel(e) => (*e.plan()).clone(),
+            };
+            assert_eq!(reported, installed, "{runtime:?}");
+        }
     }
 
     #[test]
@@ -612,7 +629,10 @@ mod tests {
     fn parallel_runtime_matches_local_results() {
         let deploy_and_run = |runtime: RuntimeMode| -> u64 {
             let mut clash = ClashSystem::new(SystemConfig {
-                collect_results: true,
+                engine: EngineConfig {
+                    collect_results: true,
+                    ..EngineConfig::default()
+                },
                 runtime,
                 ..SystemConfig::default()
             });

@@ -71,6 +71,11 @@ pub struct OptimizationReport {
     pub optimization_time: Duration,
 }
 
+thread_local! {
+    /// [`Planner::plan`] calls made on this thread.
+    static PLANS_RUN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The planner: holds the inputs shared by all strategies.
 #[derive(Debug)]
 pub struct Planner<'a> {
@@ -94,11 +99,19 @@ impl<'a> Planner<'a> {
         Planner::new(catalog, stats, PlannerConfig::default())
     }
 
+    /// How many times [`Self::plan`] has run on the calling thread. A plan
+    /// is the expensive step of a deployment (seconds at the ILP node
+    /// limit), so callers' tests pin how often they pay it.
+    pub fn plans_run_on_this_thread() -> u64 {
+        PLANS_RUN.with(std::cell::Cell::get)
+    }
+
     /// Plans a workload with the given strategy.
     pub fn plan(&self, queries: &[JoinQuery], strategy: Strategy) -> Result<OptimizationReport> {
         if queries.is_empty() {
             return Err(ClashError::Optimization("empty workload".into()));
         }
+        PLANS_RUN.with(|n| n.set(n.get() + 1));
         let started = std::time::Instant::now();
         let candidates =
             enumerate_candidates(self.catalog, self.stats, queries, &self.config.plan_space);

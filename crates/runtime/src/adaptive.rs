@@ -11,7 +11,7 @@
 use crate::engine::EngineControl;
 use clash_catalog::{Catalog, Statistics};
 use clash_common::{ClashError, Epoch, QueryId, Result};
-use clash_optimizer::{Planner, PlannerConfig, Strategy, TopologyPlan};
+use clash_optimizer::{OptimizationReport, Planner, PlannerConfig, Strategy, TopologyPlan};
 use clash_query::JoinQuery;
 
 /// Controller configuration.
@@ -87,13 +87,14 @@ pub struct AdaptiveController {
 }
 
 impl AdaptiveController {
-    /// Creates a controller and computes the initial plan for the engine.
+    /// Creates a controller and computes the initial plan for the engine:
+    /// the returned report's `plan` is what the caller deploys.
     pub fn new(
         catalog: Catalog,
         queries: Vec<JoinQuery>,
         prior: Statistics,
         config: AdaptiveConfig,
-    ) -> Result<(Self, TopologyPlan)> {
+    ) -> Result<(Self, OptimizationReport)> {
         let planner = Planner::new(&catalog, &prior, config.planner);
         let report = planner.plan(&queries, config.strategy)?;
         Ok((
@@ -110,7 +111,7 @@ impl AdaptiveController {
                 rejected_candidates: 0,
                 last_decision: None,
             },
-            report.plan,
+            report,
         ))
     }
 
@@ -282,11 +283,11 @@ mod tests {
             enabled,
             ..AdaptiveConfig::default()
         };
-        let (controller, plan) =
+        let (controller, report) =
             AdaptiveController::new(catalog.clone(), queries, stats, config).unwrap();
         let engine = LocalEngine::new(
             catalog.clone(),
-            plan,
+            report.plan,
             EngineConfig {
                 epoch: EpochConfig::new(Duration::from_secs(1)),
                 ..EngineConfig::default()

@@ -16,15 +16,16 @@
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::parallel::router::fan_out;
-use crate::parallel::shard::{ShardState, StoreLayout};
+use crate::parallel::shard::ShardState;
 use crate::parallel::worker::Delivery;
+use crate::plan::{prepare, Feed};
 use crate::stats_collector::StatsCollector;
 use clash_catalog::Catalog;
 use clash_common::{
-    arena_stats, chrome_trace_json, trace_clock_us, ClashError, EpochConfig, Exposition, QueryId,
-    Result, StoreId, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Window,
+    arena_stats, chrome_trace_json, trace_clock_us, ClashError, EpochConfig, QueryId, Result,
+    Timestamp, TraceEvent, TraceEventKind, Tuple,
 };
-use clash_optimizer::{Rule, TopologyPlan};
+use clash_optimizer::TopologyPlan;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -82,6 +83,9 @@ impl Default for EngineConfig {
     }
 }
 
+/// What both engines' constructors panic with on an invalid first plan.
+pub(crate) const INVALID_INITIAL_PLAN: &str = "initial plan failed static verification";
+
 /// Callback invoked for every emitted join result.
 pub type ResultSink = Box<dyn FnMut(QueryId, &Tuple) + Send>;
 
@@ -106,46 +110,6 @@ pub trait EngineControl {
 
     /// Mutable access to the statistics collector (pruning).
     fn stats_collector_mut(&mut self) -> &mut StatsCollector;
-}
-
-/// Window of a store: the widest window of its member relations (so no
-/// potential join partner expires too early).
-pub(crate) fn store_window(catalog: &Catalog, relations: clash_common::RelationSet) -> Window {
-    relations
-        .iter()
-        .filter_map(|r| catalog.relation(r).ok().map(|m| m.window))
-        .max_by_key(|w| w.length)
-        .unwrap_or_default()
-}
-
-/// Indexed attributes of a store: every stored-side attribute of every
-/// probe-rule predicate registered at it.
-pub(crate) fn indexed_attrs(plan: &TopologyPlan, store: StoreId) -> Vec<clash_common::AttrRef> {
-    let mut out = Vec::new();
-    let descriptor = match plan.store(store) {
-        Some(s) => s.descriptor,
-        None => return out,
-    };
-    for ((sid, _), rules) in &plan.rules {
-        if *sid != store {
-            continue;
-        }
-        for rule in rules {
-            if let Rule::Probe { predicates, .. } = rule {
-                for p in predicates {
-                    let stored_side = if descriptor.relations.contains(p.left.relation) {
-                        p.left
-                    } else {
-                        p.right
-                    };
-                    if !out.contains(&stored_side) {
-                        out.push(stored_side);
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Deterministic local execution engine for a [`TopologyPlan`]: a
@@ -179,20 +143,11 @@ impl std::fmt::Debug for LocalEngine {
 }
 
 impl LocalEngine {
-    /// Creates an engine executing the given plan.
+    /// Creates an engine executing the given plan. Panics when the plan
+    /// fails static verification.
     pub fn new(catalog: Catalog, plan: TopologyPlan, config: EngineConfig) -> Self {
-        clash_analyzer::gate(&catalog, &plan).expect("initial plan failed static verification");
-        let layout = StoreLayout::derive(&catalog, &plan);
-        let shard = ShardState::new(
-            1,
-            Arc::new(plan),
-            &layout,
-            Arc::default(),
-            config.epoch,
-            config.freeze_after_epochs,
-            config.collect_results,
-            TraceRing::new(config.trace_capacity, 0),
-        );
+        let installed = prepare(&catalog, plan).expect(INVALID_INITIAL_PLAN);
+        let shard = ShardState::new(1, installed, Feed::Inline, &config, 0);
         LocalEngine {
             catalog,
             config,
@@ -206,7 +161,7 @@ impl LocalEngine {
 
     /// Registers a sink invoked for every emitted result.
     pub fn set_sink(&mut self, sink: ResultSink) {
-        self.shard.sink = Some(sink);
+        self.shard.sinks = vec![sink];
     }
 
     /// Installs (or replaces) the plan. Stores whose descriptor key matches
@@ -218,12 +173,9 @@ impl LocalEngine {
     /// rejects it with [`ClashError::InvalidPlan`] before any engine state
     /// is touched, so the previously installed plan keeps running.
     pub fn install_plan(&mut self, plan: TopologyPlan) -> Result<()> {
-        if let Err(e) = clash_analyzer::gate(&self.catalog, &plan) {
-            self.shard.metrics.plan_rejections += 1;
-            return Err(e);
-        }
-        let layout = StoreLayout::derive(&self.catalog, &plan);
-        self.shard.install(Arc::new(plan), &layout, Arc::default());
+        let installed = prepare(&self.catalog, plan)
+            .inspect_err(|_| self.shard.metrics.plan_rejections += 1)?;
+        self.shard.install(installed);
         Ok(())
     }
 
@@ -342,25 +294,7 @@ impl LocalEngine {
     /// Metrics snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let metrics = &self.shard.metrics;
-        let busy = metrics.busy.as_secs_f64();
-        MetricsSnapshot {
-            tuples_ingested: metrics.tuples_ingested,
-            tuples_sent: metrics.tuples_sent,
-            broadcasts: metrics.broadcasts,
-            probes: metrics.probes,
-            results: metrics.results.iter().map(|(q, n)| (q.0, *n)).collect(),
-            latency: metrics.latency(),
-            latency_per_query: metrics.latency_per_query_stats(),
-            store_bytes: self.store_bytes(),
-            store_tuples: self.store_tuples(),
-            num_stores: self.shard.stores().count(),
-            busy_secs: busy,
-            throughput_tps: if busy > 0.0 {
-                metrics.tuples_ingested as f64 / busy
-            } else {
-                0.0
-            },
-        }
+        MetricsSnapshot::assemble(metrics, &self.shard.store_detail(), metrics.busy)
     }
 
     /// Resets metrics (between experiment phases) without touching store
@@ -387,15 +321,12 @@ impl LocalEngine {
     /// quantiles, the merged latency histogram, per-store size and index
     /// gauges, and this thread's arena counters.
     pub fn telemetry_snapshot(&self) -> String {
-        let mut page = Exposition::new();
-        crate::exposition::engine_sections(&mut page, &self.shard.metrics);
-        crate::exposition::store_sections(&mut page, &self.shard.store_detail());
-        let arena = arena_stats();
-        crate::exposition::arena_sections(
-            &mut page,
-            std::iter::once(("engine".to_string(), &arena)),
-        );
-        page.finish()
+        crate::exposition::shared_sections(
+            &self.shard.metrics,
+            &self.shard.store_detail(),
+            [("engine".to_string(), arena_stats())],
+        )
+        .finish()
     }
 }
 

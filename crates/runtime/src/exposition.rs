@@ -3,18 +3,31 @@
 //! Both runtimes expose the same Prometheus-style text surface; the
 //! sections they have in common (engine counters, per-query results and
 //! latency quantiles, micro-batch flush age, per-store gauges, arena
-//! counters) are rendered here so the two pages cannot drift apart.
-//! Engine-specific sections (per-worker gauges, in-flight roots, plan
-//! installs) are appended by the respective engine.
+//! counters) are rendered by [`shared_sections`] so the two pages cannot
+//! drift apart. The parallel engine appends its own sections (per-worker
+//! gauges, in-flight roots, plan installs) to the page it returns.
 
-use crate::metrics::EngineMetrics;
+use crate::metrics::{EngineMetrics, StoreDetail};
 use crate::parallel::router::FlushTrigger;
-use crate::parallel::shard::StoreDetail;
 use clash_common::{ArenaStats, Exposition};
+
+/// Starts a page with every section both engines expose, from aggregated
+/// metrics, one detail per store and the arena counters per thread lane.
+pub(crate) fn shared_sections(
+    metrics: &EngineMetrics,
+    stores: &[StoreDetail],
+    arena_lanes: impl IntoIterator<Item = (String, ArenaStats)>,
+) -> Exposition {
+    let mut page = Exposition::new();
+    engine_sections(&mut page, metrics);
+    store_sections(&mut page, stores);
+    arena_sections(&mut page, arena_lanes);
+    page
+}
 
 /// Engine counters, per-query result counts and per-query latency
 /// quantiles plus the merged latency histogram — the page's core.
-pub(crate) fn engine_sections(page: &mut Exposition, metrics: &EngineMetrics) {
+fn engine_sections(page: &mut Exposition, metrics: &EngineMetrics) {
     page.declare(
         "clash_tuples_ingested_total",
         "Input tuples ingested.",
@@ -118,7 +131,7 @@ pub(crate) fn engine_sections(page: &mut Exposition, metrics: &EngineMetrics) {
 }
 
 /// Per-store gauges: size and index shape, one sample set per store.
-pub(crate) fn store_sections(page: &mut Exposition, details: &[StoreDetail]) {
+fn store_sections(page: &mut Exposition, details: &[StoreDetail]) {
     page.declare("clash_store_tuples", "Tuples held per store.", "gauge");
     page.declare(
         "clash_store_bytes",
@@ -169,10 +182,7 @@ pub(crate) fn store_sections(page: &mut Exposition, details: &[StoreDetail]) {
 
 /// Leaf-arena counters, one sample set per thread lane (`coordinator`,
 /// `worker-<i>`, or `engine` for the sequential runtime).
-pub(crate) fn arena_sections<'a>(
-    page: &mut Exposition,
-    lanes: impl Iterator<Item = (String, &'a ArenaStats)>,
-) {
+fn arena_sections(page: &mut Exposition, lanes: impl IntoIterator<Item = (String, ArenaStats)>) {
     page.declare(
         "clash_arena_reused_total",
         "Leaf-arena blocks reused from the thread-local pool.",

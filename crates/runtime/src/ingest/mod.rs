@@ -56,7 +56,7 @@
 //! half of the single-coordinator argument: a probe from source A can
 //! reach a (store, partition) before an insert from source B that carries
 //! a *smaller* sequence number. The engine therefore widens the symmetric
-//! pending-prober set ([`crate::parallel::router::symmetric_stores_multi`])
+//! pending-prober set (`Feed::ManyProducers` in `crate::plan`)
 //! to every store that is both populated and probed the moment a second
 //! producer appears: probes register as pending probers, and the late
 //! insert retro-matches them exactly once — the same mechanism that

@@ -170,6 +170,12 @@ impl ControlShared {
         self.next_seq.load(Ordering::Acquire).saturating_sub(1)
     }
 
+    /// Roots in flight: sequenced and not yet covered by the completion
+    /// watermark.
+    pub fn inflight(&self) -> u64 {
+        self.sequenced().saturating_sub(self.progress.watermark())
+    }
+
     /// Whether the engine has been shut down.
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
@@ -246,7 +252,7 @@ impl ControlShared {
             }
             let sequenced = self.sequenced();
             let allowed = cap as u64;
-            if cap == 0 || sequenced.saturating_sub(self.progress.watermark()) < allowed {
+            if cap == 0 || self.inflight() < allowed {
                 return Ok(());
             }
             if let Some(dead) = self.dead_worker() {

@@ -6,10 +6,10 @@ use crate::ingest::shared::ControlShared;
 use crate::metrics::EngineMetrics;
 use crate::parallel::router::{route_root, BatchBuffer, FlushTrigger, RootHandle};
 use crate::parallel::worker::WorkerMsg;
+use crate::plan::InstalledPlan;
 use crate::stats_collector::StatsCollector;
 use clash_catalog::Catalog;
 use clash_common::{ClashError, EpochConfig, RelationId, Result, Timestamp, Tuple};
-use clash_optimizer::TopologyPlan;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
@@ -28,7 +28,7 @@ pub(crate) type Flushed = (FlushTrigger, usize, StdDuration);
 pub(crate) struct SourceInner {
     /// The plan this source routes against (swapped under the quiesce
     /// gate on `install_plan`).
-    pub plan: Arc<TopologyPlan>,
+    pub installed: Arc<InstalledPlan>,
     /// Locally micro-batched deliveries awaiting shipment.
     pub buf: BatchBuffer,
     /// Metrics delta since the engine last drained this slot.
@@ -118,18 +118,18 @@ pub struct SourceHandle {
 }
 
 impl SourceHandle {
-    /// Registers a fresh slot routing against `plan` and wires a handle
-    /// to it (engine-internal).
+    /// Registers a fresh slot routing against `installed` and wires a
+    /// handle to it (engine-internal).
     pub(crate) fn open(
         shared: Arc<ControlShared>,
         senders: Vec<Sender<WorkerMsg>>,
         catalog: Arc<Catalog>,
-        plan: Arc<TopologyPlan>,
+        installed: Arc<InstalledPlan>,
         config: &EngineConfig,
     ) -> Self {
         let slot = Arc::new(SourceSlot {
             inner: Mutex::new(SourceInner {
-                plan,
+                installed,
                 buf: BatchBuffer::new(senders.len(), config.micro_batch, shared.depth.clone()),
                 metrics: EngineMetrics::default(),
                 stats: StatsCollector::new(config.epoch.length),
@@ -216,9 +216,9 @@ impl SourceHandle {
         // acquired the lock.
         let seq = self.shared.next_seq.fetch_add(1, Ordering::SeqCst);
         let root = RootHandle::new(seq, self.shared.progress.clone());
-        let plan = Arc::clone(&inner.plan);
+        let installed = Arc::clone(&inner.installed);
         route_root(
-            &plan,
+            &installed.plan,
             self.senders.len(),
             relation,
             tuple,

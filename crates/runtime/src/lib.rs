@@ -42,6 +42,7 @@ mod exposition;
 pub mod ingest;
 pub mod metrics;
 pub mod parallel;
+mod plan;
 pub mod stats_collector;
 pub mod store;
 

@@ -1,6 +1,6 @@
 //! Runtime metrics: the quantities behind Fig. 7b–7d and Fig. 8.
 
-use clash_common::{FxHashMap, LatencyHistogram, QueryId};
+use clash_common::{FxHashMap, LatencyHistogram, QueryId, StoreId};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -146,6 +146,51 @@ impl EngineMetrics {
     }
 }
 
+/// Per-store shard-local sizes: what one shard holds of a store, summed
+/// across shards by the coordinator.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StoreDetail {
+    /// The store.
+    pub store: StoreId,
+    /// Tuples held by this shard's partitions.
+    pub tuples: usize,
+    /// Approximate bytes held by this shard's partitions.
+    pub bytes: usize,
+    /// Distinct (attribute, value) posting lists in the hash indexes.
+    pub posting_lists: usize,
+    /// Posting lists spilled past the inline capacity to a heap vector.
+    pub spilled_postings: usize,
+    /// Frozen columnar segments currently held (cold tier).
+    pub segments: usize,
+    /// Live flattened bytes held by the frozen segments.
+    pub segment_bytes: usize,
+    /// Segments built by this shard's stores since startup (monotone).
+    pub compactions: u64,
+}
+
+impl StoreDetail {
+    /// Sums per-shard details into one entry per store, sorted by store id.
+    pub fn merged<'a>(shards: impl Iterator<Item = &'a StoreDetail>) -> Vec<StoreDetail> {
+        let mut by_store: Vec<StoreDetail> = Vec::new();
+        for detail in shards {
+            match by_store.iter_mut().find(|d| d.store == detail.store) {
+                Some(d) => {
+                    d.tuples += detail.tuples;
+                    d.bytes += detail.bytes;
+                    d.posting_lists += detail.posting_lists;
+                    d.spilled_postings += detail.spilled_postings;
+                    d.segments += detail.segments;
+                    d.segment_bytes += detail.segment_bytes;
+                    d.compactions += detail.compactions;
+                }
+                None => by_store.push(*detail),
+            }
+        }
+        by_store.sort_unstable_by_key(|d| d.store.0);
+        by_store
+    }
+}
+
 /// Immutable snapshot of the engine state used by experiment drivers.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -177,6 +222,34 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Assembles a snapshot — for both engines — from aggregated metrics,
+    /// one detail per store, and the busy time throughput is taken over.
+    pub(crate) fn assemble(
+        metrics: &EngineMetrics,
+        stores: &[StoreDetail],
+        busy: Duration,
+    ) -> MetricsSnapshot {
+        let busy = busy.as_secs_f64();
+        MetricsSnapshot {
+            tuples_ingested: metrics.tuples_ingested,
+            tuples_sent: metrics.tuples_sent,
+            broadcasts: metrics.broadcasts,
+            probes: metrics.probes,
+            results: metrics.results.iter().map(|(q, n)| (q.0, *n)).collect(),
+            latency: metrics.latency(),
+            latency_per_query: metrics.latency_per_query_stats(),
+            store_bytes: stores.iter().map(|d| d.bytes).sum(),
+            store_tuples: stores.iter().map(|d| d.tuples).sum(),
+            num_stores: stores.len(),
+            busy_secs: busy,
+            throughput_tps: if busy > 0.0 {
+                metrics.tuples_ingested as f64 / busy
+            } else {
+                0.0
+            },
+        }
+    }
+
     /// Results emitted for one query.
     pub fn results_for(&self, query: QueryId) -> u64 {
         self.results.get(&query.0).copied().unwrap_or(0)

@@ -1,37 +1,41 @@
-//! The [`ParallelEngine`] coordinator: ingests tuples, routes them to the
-//! worker threads, runs drain/collection barriers at epoch boundaries and
-//! aggregates per-worker metrics and statistics deltas.
+//! The [`ParallelEngine`] façade and the coordinator state behind it.
 //!
 //! The engine is split in two layers: [`EngineCore`] owns every piece of
-//! coordinator state (plan, worker channels, aggregates) behind one
-//! mutex, and [`ParallelEngine`] is the public façade over it. The split
-//! exists so that *two* threads can act as the control plane: the thread
-//! owning the `ParallelEngine` handle, and the background
+//! coordinator state (installed plan, worker channels, aggregates) behind
+//! one mutex, and [`ParallelEngine`] is the public façade over it. The
+//! split exists so that *two* threads can act as the control plane: the
+//! thread owning the `ParallelEngine` handle, and the background
 //! [`crate::parallel::driver::EpochDriver`] that fires the adaptive
 //! controller off the stream clock for source-fed deployments (where the
 //! owning thread may never call `ingest` at all). Producer pushes through
 //! [`SourceHandle`]s never touch the core lock — they only pass the
 //! quiesce gate and their own slot lock — so ingestion scales
 //! independently of control-plane activity.
+//!
+//! This file holds construction, the producer-side operations (`ingest`,
+//! `open_source`, `subscribe`) and shutdown; the control plane proper is
+//! `EngineCore`'s other three `impl` blocks: [`super::barrier`] (the one
+//! barrier), [`super::install`] (the quiesced plan install) and
+//! [`super::telemetry`] (what a report is folded into, and every view
+//! rendered from it).
 
-use crate::adaptive::{AdaptiveController, ControllerDecision};
-use crate::engine::{EngineConfig, EngineControl, ResultSink};
-use crate::ingest::shared::{ControlShared, LIVENESS_TICK};
+use crate::adaptive::AdaptiveController;
+use crate::engine::{EngineConfig, ResultSink, INVALID_INITIAL_PLAN};
+use crate::ingest::shared::ControlShared;
 use crate::ingest::SourceHandle;
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::parallel::driver::EpochDriver;
-use crate::parallel::router::{symmetric_stores, symmetric_stores_multi, FlushTrigger};
-use crate::parallel::shard::{StoreDetail, StoreLayout};
+use crate::parallel::telemetry::Lane;
 use crate::parallel::worker::{run_worker, WorkerAck, WorkerCtx, WorkerMsg};
+use crate::plan::{prepare, InstalledPlan};
 use crate::stats_collector::StatsCollector;
 use clash_catalog::{Catalog, Statistics};
 use clash_common::{
-    chrome_trace_json, trace_clock_us, ArenaStats, ClashError, Epoch, EpochConfig, Exposition,
-    FxHashSet, LatencyHistogram, QueryId, Result, StoreId, Timestamp, TraceEvent, TraceEventKind,
-    TraceRing, Tuple,
+    trace_clock_us, ClashError, Epoch, EpochConfig, QueryId, Result, Timestamp, TraceEvent,
+    TraceEventKind, TraceRing, Tuple,
 };
 use clash_optimizer::TopologyPlan;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
@@ -57,7 +61,6 @@ use std::time::{Duration as StdDuration, Instant};
 /// protocol documented in [`crate::ingest`].
 pub struct ParallelEngine {
     shared: Arc<ControlShared>,
-    senders: Vec<Sender<WorkerMsg>>,
     config: EngineConfig,
     workers: usize,
     core: Arc<Mutex<EngineCore>>,
@@ -74,55 +77,47 @@ pub struct ParallelEngine {
 /// All coordinator state, owned by whichever control-plane thread holds
 /// the lock (the engine handle's owner or the epoch driver).
 pub(crate) struct EngineCore {
-    catalog: Arc<Catalog>,
-    config: EngineConfig,
-    workers: usize,
-    plan: Arc<TopologyPlan>,
-    symmetric: Arc<FxHashSet<StoreId>>,
-    senders: Vec<Sender<WorkerMsg>>,
-    ack_rx: Receiver<WorkerAck>,
+    pub(super) catalog: Arc<Catalog>,
+    pub(super) config: EngineConfig,
+    /// The plan every worker and every producer slot currently runs.
+    pub(super) installed: Arc<InstalledPlan>,
+    pub(super) senders: Vec<Sender<WorkerMsg>>,
+    pub(super) ack_rx: Receiver<WorkerAck>,
     handles: Vec<JoinHandle<()>>,
-    shared: Arc<ControlShared>,
+    pub(super) shared: Arc<ControlShared>,
     /// Sources handed out so far (drives the multi-producer widening).
     sources_opened: usize,
-    /// Whether the widened multi-producer symmetric set is installed.
-    multi_symmetric: bool,
+    /// Whether the workers were told a second producer exists.
+    multi_producer: bool,
     /// The coordinator's own producer: `ingest` pushes through a source
     /// like any other, registered in the shared registry so every sweep
     /// covers its micro-batch buffer too.
     coord: SourceHandle,
     /// Aggregates of everything merged at barriers so far: the workers'
-    /// deltas and every producer slot's, the coordinator's own included.
-    metrics: EngineMetrics,
-    stats: StatsCollector,
-    results: Vec<(QueryId, Tuple)>,
-    sink: Option<ResultSink>,
-    forward_results: bool,
+    /// reports and every producer slot's deltas, the coordinator's own
+    /// included.
+    pub(super) metrics: EngineMetrics,
+    pub(super) stats: StatsCollector,
+    pub(super) results: Vec<(QueryId, Tuple)>,
+    pub(super) sink: Option<ResultSink>,
     /// Maximum stream timestamp pushed through any producer, as of the
-    /// last drain of the slots' deltas.
-    max_ts: Timestamp,
+    /// last barrier.
+    pub(super) max_ts: Timestamp,
     since_expiry: u64,
-    token: u64,
-    worker_store_totals: Vec<(usize, usize)>,
-    worker_busy: Vec<StdDuration>,
+    pub(super) token: u64,
+    /// What each worker's reports folded into.
+    pub(super) lanes: Vec<Lane>,
     /// Wall-clock span from first ingest after a barrier to barrier end.
-    active_since: Option<Instant>,
-    wall_busy: StdDuration,
+    pub(super) active_since: Option<Instant>,
+    pub(super) wall_busy: StdDuration,
     /// The coordinator's own trace lane (tid 0; workers take 1..=N).
-    trace: TraceRing,
+    pub(super) trace: TraceRing,
     /// Worker trace events absorbed at barriers, bounded at
     /// `trace_capacity * (workers + 1)` (oldest dropped first, matching
     /// the rings' own overwrite policy).
-    trace_buf: Vec<TraceEvent>,
-    /// Per-shard ingest-to-emit latency, merged from each worker's delta
-    /// at barriers (the per-query view lives in `metrics`).
-    worker_latency: Vec<LatencyHistogram>,
-    /// Per-worker-thread arena counters as of the last barrier.
-    worker_arena: Vec<ArenaStats>,
-    /// Per-store breakdown per worker as of the last barrier.
-    worker_stores: Vec<Vec<StoreDetail>>,
+    pub(super) trace_buf: Vec<TraceEvent>,
     /// Plan installs performed over the engine's lifetime.
-    installs: u64,
+    pub(super) installs: u64,
 }
 
 impl std::fmt::Debug for ParallelEngine {
@@ -137,26 +132,18 @@ impl std::fmt::Debug for ParallelEngine {
 impl ParallelEngine {
     /// Creates an engine executing `plan` across `workers` threads.
     /// `workers == 0` selects one worker per partition of the widest store
-    /// in the plan (honoring the catalog's parallelism).
+    /// in the plan (honoring the catalog's parallelism). Panics when the
+    /// plan fails static verification, as `LocalEngine::new` does.
     pub fn new(catalog: Catalog, plan: TopologyPlan, config: EngineConfig, workers: usize) -> Self {
         let workers = if workers == 0 {
             auto_workers(&plan)
         } else {
             workers
         };
-        let plan = Arc::new(plan);
-        let layout = Arc::new(StoreLayout::derive(&catalog, &plan));
-        let symmetric = Arc::new(symmetric_stores(&plan));
+        let installed = prepare(&catalog, plan).expect(INVALID_INITIAL_PLAN);
         let shared = Arc::new(ControlShared::new(workers));
         let (ack_tx, ack_rx) = channel();
-        let mut senders = Vec::with_capacity(workers);
-        let mut receivers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let forward_results = config.collect_results;
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..workers).map(|_| channel()).unzip();
         let mut handles = Vec::with_capacity(workers);
         for (index, rx) in receivers.into_iter().enumerate() {
             let ctx = WorkerCtx {
@@ -165,13 +152,8 @@ impl ParallelEngine {
                 senders: senders.clone(),
                 ack_tx: ack_tx.clone(),
                 shared: shared.clone(),
-                symmetric: symmetric.clone(),
-                epoch: config.epoch,
-                freeze_after: config.freeze_after_epochs,
-                plan: plan.clone(),
-                layout: layout.clone(),
-                forward_results,
-                trace_capacity: config.trace_capacity,
+                installed: installed.clone(),
+                config,
             };
             let handle = std::thread::Builder::new()
                 .name(format!("clash-worker-{index}"))
@@ -184,44 +166,36 @@ impl ParallelEngine {
             shared.clone(),
             senders.clone(),
             catalog.clone(),
-            plan.clone(),
+            installed.clone(),
             &config,
         );
         let core = EngineCore {
             catalog,
             config,
-            workers,
-            plan,
-            symmetric,
-            senders: senders.clone(),
+            installed,
+            senders,
             ack_rx,
             handles,
             shared: shared.clone(),
             sources_opened: 0,
-            multi_symmetric: false,
+            multi_producer: false,
             coord,
             metrics: EngineMetrics::default(),
             stats: StatsCollector::new(config.epoch.length),
             results: Vec::new(),
             sink: None,
-            forward_results,
             max_ts: Timestamp::ZERO,
             since_expiry: 0,
             token: 0,
-            worker_store_totals: vec![(0, 0); workers],
-            worker_busy: vec![StdDuration::ZERO; workers],
+            lanes: vec![Lane::default(); workers],
             active_since: None,
             wall_busy: StdDuration::ZERO,
             trace: TraceRing::new(config.trace_capacity, 0),
             trace_buf: Vec::new(),
-            worker_latency: vec![LatencyHistogram::new(); workers],
-            worker_arena: vec![ArenaStats::default(); workers],
-            worker_stores: vec![Vec::new(); workers],
             installs: 0,
         };
         ParallelEngine {
             shared,
-            senders,
             config,
             workers,
             core: Arc::new(Mutex::new(core)),
@@ -266,8 +240,9 @@ impl ParallelEngine {
     /// Subscribes to the result stream: every join result emitted from
     /// now on is delivered on the returned channel *as it is produced* on
     /// the workers — between barriers, not only at epoch ends. The
-    /// channel disconnects when the engine shuts down. A later call
-    /// replaces the subscription (the previous receiver disconnects).
+    /// channel disconnects when the engine shuts down. Subscriptions are
+    /// independent: each call adds a receiver that gets every result, and
+    /// dropping one receiver leaves the others connected.
     ///
     /// The channel is unbounded by design: a bounded one would block
     /// workers against a stalled subscriber, and the engine thread
@@ -289,9 +264,7 @@ impl ParallelEngine {
     /// covered by the completion watermark (what the
     /// `max_inflight_roots` backpressure gate bounds).
     pub fn inflight(&self) -> u64 {
-        self.shared
-            .sequenced()
-            .saturating_sub(self.shared.progress.watermark())
+        self.shared.inflight()
     }
 
     /// Roots sequenced so far: the realized length of the engine's serial
@@ -314,13 +287,14 @@ impl ParallelEngine {
     /// and collected results reflect everything ingested so far. Panics
     /// with a diagnostic if a worker thread died.
     pub fn flush(&mut self) {
-        self.core().flush();
+        self.core().barrier_or_panic(false);
     }
 
     /// Expires out-of-window tuples from every shard (drains first so the
-    /// count is deterministic).
+    /// count is deterministic). Panics with a diagnostic if a worker
+    /// thread died.
     pub fn expire_stores(&mut self) -> usize {
-        self.core().expire_stores()
+        self.core().barrier_or_panic(true)
     }
 
     /// Installs (or replaces) the plan via the quiesce protocol (see
@@ -346,7 +320,7 @@ impl ParallelEngine {
 
     /// The currently installed plan.
     pub fn plan(&self) -> Arc<TopologyPlan> {
-        self.core().plan.clone()
+        self.core().installed.plan.clone()
     }
 
     /// Statistics snapshot for one epoch from the merged per-worker
@@ -369,19 +343,19 @@ impl ParallelEngine {
 
     /// Total tuples held across all shards (as of the last barrier).
     pub fn store_tuples(&self) -> usize {
-        self.core().store_tuples()
+        self.core().held().map(|d| d.tuples).sum()
     }
 
     /// Total bytes held across all shards (as of the last barrier).
     pub fn store_bytes(&self) -> usize {
-        self.core().store_bytes()
+        self.core().held().map(|d| d.bytes).sum()
     }
 
     /// Per-worker processing time accumulated so far (as of the last
     /// barrier). Shows how evenly the shards split the work — on a
     /// multi-core machine the wall-clock win tracks this distribution.
     pub fn worker_busy(&self) -> Vec<StdDuration> {
-        self.core().worker_busy.clone()
+        self.core().lanes.iter().map(|lane| lane.busy).collect()
     }
 
     /// Runs a full barrier and returns the aggregated metrics snapshot.
@@ -432,16 +406,22 @@ impl ParallelEngine {
     /// engine error (worker death), recording it for
     /// [`Self::epoch_driver_error`].
     pub fn start_epoch_driver(&mut self, controller: Arc<Mutex<AdaptiveController>>) {
-        if let Some(mut old) = self.driver.take() {
-            old.stop();
-            self.driver_error = self.driver_error.take().or_else(|| old.error());
-        }
+        self.stop_epoch_driver();
         self.driver = Some(EpochDriver::spawn(
             self.core.clone(),
             self.shared.clone(),
             controller,
             self.config.epoch,
         ));
+    }
+
+    /// Stops and joins the running driver, keeping the first recorded
+    /// error for post-mortem inspection.
+    fn stop_epoch_driver(&mut self) {
+        if let Some(mut old) = self.driver.take() {
+            old.stop();
+            self.driver_error = self.driver_error.take().or_else(|| old.error());
+        }
     }
 
     /// The error that stopped the epoch driver, if any. Answers both for
@@ -464,12 +444,8 @@ impl ParallelEngine {
     /// pushes return [`ClashError::Shutdown`]).
     pub fn shutdown(&mut self) {
         // The driver may be mid-tick holding the core lock: stop it
-        // before taking the lock ourselves (keeping any recorded error
-        // for post-mortem inspection).
-        if let Some(mut driver) = self.driver.take() {
-            driver.stop();
-            self.driver_error = self.driver_error.take().or_else(|| driver.error());
-        }
+        // before taking the lock ourselves.
+        self.stop_epoch_driver();
         self.core().shutdown();
     }
 }
@@ -486,12 +462,7 @@ impl Drop for ParallelEngine {
                 driver.stop();
             }
             self.core().coord.flush();
-            for s in &self.senders {
-                let _ = s.send(WorkerMsg::Shutdown);
-            }
-            for handle in self.core().handles.drain(..) {
-                let _ = handle.join();
-            }
+            self.core().join_workers();
             return;
         }
         // Drain in-flight batches first so results produced after the
@@ -508,7 +479,6 @@ impl EngineCore {
 
     fn set_sink(&mut self, sink: ResultSink) {
         self.sink = Some(sink);
-        self.forward_results = true;
         self.coord.flush();
         for s in &self.senders {
             let _ = s.send(WorkerMsg::ForwardResults(true));
@@ -527,7 +497,7 @@ impl EngineCore {
             self.shared.clone(),
             self.senders.clone(),
             self.catalog.clone(),
-            self.plan.clone(),
+            self.installed.clone(),
             &self.config,
         )
     }
@@ -550,19 +520,20 @@ impl EngineCore {
         rx
     }
 
-    /// Installs the widened multi-producer symmetric set on every worker.
-    /// Safe mid-stream: the exactly-once pending-prober argument holds
-    /// for any symmetric set, and the message is enqueued before any
-    /// delivery of the producer that triggered the widening.
+    /// Tells every worker, once, that a second producer exists: their
+    /// shards read the multi-producer symmetric set of this and every
+    /// later plan from then on. Safe mid-stream: the exactly-once
+    /// pending-prober argument holds for any symmetric set, and the
+    /// message is enqueued before any delivery of the producer that
+    /// triggered the widening.
     fn widen_symmetric(&mut self) {
-        if self.multi_symmetric {
+        if self.multi_producer {
             return;
         }
-        self.multi_symmetric = true;
-        self.symmetric = Arc::new(symmetric_stores_multi(&self.plan));
+        self.multi_producer = true;
         self.coord.flush();
         for s in &self.senders {
-            let _ = s.send(WorkerMsg::SetSymmetric(self.symmetric.clone()));
+            let _ = s.send(WorkerMsg::MultiProducer);
         }
     }
 
@@ -570,7 +541,7 @@ impl EngineCore {
     /// coordinator does around it: the symmetric-set widening, its trace
     /// lane and the `expire_every` cadence.
     fn ingest(&mut self, relation: clash_common::RelationId, tuple: Tuple) -> Result<u64> {
-        if self.sources_opened > 0 && !self.multi_symmetric {
+        if self.sources_opened > 0 {
             // The coordinator becomes a second concurrent producer beside
             // the open source: widen the symmetric set before this
             // delivery can race a source's.
@@ -603,493 +574,21 @@ impl EngineCore {
 
         self.since_expiry += 1;
         if self.config.expire_every > 0 && self.since_expiry >= self.config.expire_every {
-            // The drain-then-collect barrier, not a message racing the
-            // batches: an expiry sent ahead of in-flight worker-to-worker
-            // forwards would remove state their probes still have to see.
-            self.expire_stores();
+            // The barrier, not a message racing the batches: an expiry
+            // sent ahead of in-flight worker-to-worker forwards would
+            // remove state their probes still have to see.
+            self.barrier(true)?;
             self.since_expiry = 0;
         }
         Ok(0)
     }
 
-    /// Drains every source slot's metrics/statistics deltas into the
-    /// coordinator aggregates and prunes slots whose handle was dropped
-    /// and whose buffer is empty.
-    fn drain_source_deltas(&mut self) {
-        let slots = self.shared.slots();
-        let mut any_closed = false;
-        for slot in &slots {
-            let mut inner = slot.inner.lock().expect("source slot");
-            inner.flush(&self.senders, FlushTrigger::Barrier);
-            self.metrics.merge(&std::mem::take(&mut inner.metrics));
-            self.stats.merge(inner.stats.take_delta());
-            self.max_ts = self.max_ts.max(inner.max_ts);
-            any_closed |= inner.closed;
-        }
-        if any_closed {
-            self.shared
-                .sources
-                .lock()
-                .expect("source registry")
-                .retain(|slot| {
-                    let inner = slot.inner.lock().expect("source slot");
-                    !(inner.closed && inner.buf.is_empty())
-                });
-        }
-    }
-
-    /// The drain behind every barrier and the shutdown path: waits for
-    /// the completion watermark to cover every root sequenced before the
-    /// call, after shipping every slot's buffered deliveries (the target
-    /// is read first, so the sweep leaves none of those roots behind —
-    /// see [`ControlShared::flush_slots`]). One sleep on that target, one
-    /// wake. Returns `false` (instead of panicking) when a worker died or
-    /// `deadline` elapsed.
-    fn try_drain(&mut self, deadline: Option<StdDuration>) -> bool {
-        let last = self.shared.sequenced();
-        self.shared.flush_slots(&self.senders);
-        let started = Instant::now();
-        loop {
-            let patience = deadline.map_or(LIVENESS_TICK, |d| {
-                d.saturating_sub(started.elapsed()).min(LIVENESS_TICK)
-            });
-            if self.shared.progress.wait_until(last, patience) {
-                return true;
-            }
-            if deadline.is_some_and(|d| started.elapsed() >= d)
-                || self.shared.dead_worker().is_some()
-            {
-                return false;
-            }
-        }
-    }
-
-    /// Runs a collection round: every worker replies with its deltas,
-    /// which are merged into the coordinator aggregates. Must only be
-    /// called after a successful drain. Returns the number of tuples
-    /// removed when `expire_upto` is set.
-    fn collect(&mut self, expire_upto: Option<Timestamp>) -> Result<usize> {
-        self.collect_inner(expire_upto, false)
-    }
-
-    fn collect_inner(&mut self, expire_upto: Option<Timestamp>, lenient: bool) -> Result<usize> {
-        self.drain_source_deltas();
-        self.token += 1;
-        let token = self.token;
-        let trace_started = if self.trace.enabled() {
-            trace_clock_us()
-        } else {
-            0
-        };
-        for s in &self.senders {
-            if s.send(WorkerMsg::Collect { token, expire_upto }).is_err() && !lenient {
-                return Err(ClashError::Runtime(
-                    "collection barrier failed: a worker thread is gone".into(),
-                ));
-            }
-        }
-        let expired = self.await_acks(token, lenient)?;
-        self.trace.record_span(
-            TraceEventKind::Barrier,
-            trace_started,
-            token,
-            expired as u64,
-        );
-        Ok(expired)
-    }
-
-    /// Receives one ack per worker for `token`, merging all deltas. In
-    /// lenient mode (shutdown path) a dead worker aborts the round
-    /// without error.
-    fn await_acks(&mut self, token: u64, lenient: bool) -> Result<usize> {
-        let mut acked = vec![false; self.workers];
-        let mut expired = 0;
-        let timeout = if lenient {
-            StdDuration::from_secs(5)
-        } else {
-            StdDuration::from_secs(30)
-        };
-        while acked.iter().any(|a| !a) {
-            match self.ack_rx.recv_timeout(timeout) {
-                Ok(ack) => {
-                    assert_eq!(ack.token, token, "barrier tokens are strictly ordered");
-                    acked[ack.worker] = true;
-                    expired += ack.expired;
-                    self.worker_busy[ack.worker] += ack.metrics.busy;
-                    // Per-shard latency view: fold this worker's delta in
-                    // before the per-query merge consumes the histograms.
-                    self.worker_latency[ack.worker].merge(&ack.metrics.combined_latency());
-                    self.metrics.merge(&ack.metrics);
-                    self.stats.merge(ack.stats);
-                    self.worker_store_totals[ack.worker] = (ack.store_tuples, ack.store_bytes);
-                    self.worker_arena[ack.worker] = ack.arena;
-                    self.worker_stores[ack.worker] = ack.per_store;
-                    self.absorb_trace(ack.trace);
-                    for (query, tuple) in ack.results {
-                        if let Some(sink) = &mut self.sink {
-                            sink(query, &tuple);
-                        }
-                        if self.config.collect_results {
-                            self.results.push((query, tuple));
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if lenient {
-                        break;
-                    }
-                    return Err(ClashError::Runtime(
-                        "parallel engine barrier timed out: a worker thread died".into(),
-                    ));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    if lenient {
-                        break;
-                    }
-                    return Err(ClashError::Runtime(
-                        "parallel engine barrier failed: all workers gone".into(),
-                    ));
-                }
-            }
-        }
-        Ok(expired)
-    }
-
-    /// The fallible epoch barrier: drain + collect. `Ok(())` when the
-    /// engine has already shut down (barriers are no-ops then).
-    pub(crate) fn try_flush(&mut self) -> Result<()> {
-        if self.handles.is_empty() {
-            return Ok(());
-        }
-        if !self.try_drain(None) {
-            return Err(ClashError::Runtime(format!(
-                "parallel engine drain barrier failed: a worker thread died \
-                 (watermark {})",
-                self.shared.progress.watermark()
-            )));
-        }
-        self.collect(None)?;
-        if let Some(started) = self.active_since.take() {
-            self.wall_busy += started.elapsed();
-        }
-        Ok(())
-    }
-
-    /// The panicking epoch barrier of the owning thread's API (the
-    /// driver uses [`Self::try_flush`] and stops on error instead).
-    pub(crate) fn flush(&mut self) {
-        if let Err(e) = self.try_flush() {
-            panic!("{e}");
-        }
-    }
-
-    fn expire_stores(&mut self) -> usize {
-        if self.handles.is_empty() {
-            return 0; // already shut down
-        }
-        if !self.try_drain(None) {
-            panic!(
-                "parallel engine drain barrier failed: a worker thread died \
-                 (watermark {})",
-                self.shared.progress.watermark()
-            );
-        }
-        // Fold the source slots' stream clocks in before computing the
-        // horizon: on source-fed streams `self.max_ts` only advances when
-        // deltas are drained, and the expiry horizon must cover
-        // everything pushed so far.
-        self.drain_source_deltas();
-        let expired = self.collect(Some(self.max_ts)).expect("expiry barrier");
-        if let Some(started) = self.active_since.take() {
-            self.wall_busy += started.elapsed();
-        }
-        expired
-    }
-
-    /// The quiesced plan install (see `ParallelEngine::install_plan`).
-    pub(crate) fn install_plan(&mut self, plan: TopologyPlan) -> Result<u64> {
-        if self.handles.is_empty() {
-            return Err(ClashError::Shutdown);
-        }
-        // Phase 0 — static verification: an invalid plan is rejected
-        // before anything is quiesced, so the running plan and every
-        // in-flight tuple are untouched by the failed install.
-        if let Err(e) = clash_analyzer::gate(&self.catalog, &plan) {
-            self.metrics.plan_rejections += 1;
-            return Err(e);
-        }
-        // Phase 1 — quiesce: pause admission on every producer and wait
-        // for in-flight pushes to finish routing. The guard resumes
-        // admission when dropped, so every exit path (including errors)
-        // releases blocked producers. (Local Arc clone: the guard must
-        // not borrow `self` across the mutating phases below.)
-        self.trace.record(TraceEventKind::QuiesceBegin, 0, 0);
-        let shared = self.shared.clone();
-        let quiesced = shared.gate.quiesce();
-        // Phase 2 — flush residual old-plan batches and drain the workers
-        // to the completion barrier: every sequenced root is now fully
-        // processed under the old plan, and its results are collected.
-        if !self.try_drain(None) {
-            return Err(ClashError::Runtime(format!(
-                "plan install aborted: a worker thread died during the quiesce \
-                 drain (watermark {})",
-                self.shared.progress.watermark()
-            )));
-        }
-        self.collect(None)?;
-        if let Some(started) = self.active_since.take() {
-            self.wall_busy += started.elapsed();
-        }
-        let install_seq = self.shared.sequenced();
-        self.trace
-            .record(TraceEventKind::QuiesceEnd, install_seq, 0);
-        // Phase 3 — install: swap the plan on the coordinator, on every
-        // source slot (their buffers are empty after the drain) and on
-        // every worker, then wait for the install acks.
-        let plan = Arc::new(plan);
-        let layout = Arc::new(StoreLayout::derive(&self.catalog, &plan));
-        self.symmetric = Arc::new(if self.multi_symmetric {
-            symmetric_stores_multi(&plan)
-        } else {
-            symmetric_stores(&plan)
-        });
-        self.plan = plan.clone();
-        for slot in self.shared.slots() {
-            let mut inner = slot.inner.lock().expect("source slot");
-            debug_assert!(
-                inner.buf.is_empty(),
-                "source slot still buffered after quiesce drain"
-            );
-            inner.flush(&self.senders, FlushTrigger::Barrier);
-            inner.plan = plan.clone();
-        }
-        self.token += 1;
-        let token = self.token;
-        for s in &self.senders {
-            if s.send(WorkerMsg::Install {
-                token,
-                plan: plan.clone(),
-                layout: layout.clone(),
-                symmetric: self.symmetric.clone(),
-            })
-            .is_err()
-            {
-                return Err(ClashError::Runtime(
-                    "plan install failed: a worker thread is gone (shut the \
-                     engine down)"
-                        .into(),
-                ));
-            }
-        }
-        self.await_acks(token, false).map_err(|e| {
-            ClashError::Runtime(format!(
-                "plan install failed mid-reconfiguration ({e}); the engine \
-                 should be shut down"
-            ))
-        })?;
-        self.installs += 1;
-        self.trace.record(
-            TraceEventKind::PlanInstall,
-            install_seq,
-            self.plan.stores.len() as u64,
-        );
-        // Phase 4 — resume: blocked pushes proceed against the new plan.
-        drop(quiesced);
-        Ok(install_seq)
-    }
-
-    fn store_tuples(&self) -> usize {
-        self.worker_store_totals.iter().map(|(t, _)| t).sum()
-    }
-
-    fn store_bytes(&self) -> usize {
-        self.worker_store_totals.iter().map(|(_, b)| b).sum()
-    }
-
-    fn snapshot(&mut self) -> MetricsSnapshot {
-        self.flush();
-        let busy = self.wall_busy.as_secs_f64();
-        MetricsSnapshot {
-            tuples_ingested: self.metrics.tuples_ingested,
-            tuples_sent: self.metrics.tuples_sent,
-            broadcasts: self.metrics.broadcasts,
-            probes: self.metrics.probes,
-            results: self
-                .metrics
-                .results
-                .iter()
-                .map(|(q, n)| (q.0, *n))
-                .collect(),
-            latency: self.metrics.latency(),
-            latency_per_query: self.metrics.latency_per_query_stats(),
-            store_bytes: self.store_bytes(),
-            store_tuples: self.store_tuples(),
-            num_stores: self.plan.num_stores(),
-            busy_secs: busy,
-            throughput_tps: if busy > 0.0 {
-                self.metrics.tuples_ingested as f64 / busy
-            } else {
-                0.0
-            },
-        }
-    }
-
-    fn reset_metrics(&mut self) {
-        self.flush();
-        self.metrics = EngineMetrics::default();
-        self.results.clear();
-        self.wall_busy = StdDuration::ZERO;
-        self.worker_busy = vec![StdDuration::ZERO; self.workers];
-        self.worker_latency = vec![LatencyHistogram::new(); self.workers];
-    }
-
-    /// Absorbs one worker's trace delta, dropping the oldest buffered
-    /// events once the buffer exceeds one ring's worth per thread lane.
-    fn absorb_trace(&mut self, events: Vec<TraceEvent>) {
-        if events.is_empty() {
-            return;
-        }
-        self.trace_buf.extend(events);
-        let cap = self.config.trace_capacity * (self.workers + 1);
-        if self.trace_buf.len() > cap {
-            let excess = self.trace_buf.len() - cap;
-            self.trace_buf.drain(..excess);
-        }
-    }
-
-    /// Records the epoch-driver's boundary observation on the
-    /// coordinator's trace lane.
-    pub(crate) fn record_epoch_tick(&mut self, epoch: Epoch) {
-        self.trace.record(TraceEventKind::EpochTick, epoch.0, 0);
-    }
-
-    /// Records an adaptive-controller evaluation (cost-model output and
-    /// whether a reconfiguration was installed) on the coordinator's lane.
-    pub(crate) fn record_controller_decision(&mut self, decision: &ControllerDecision) {
-        self.trace.record(
-            TraceEventKind::ControllerDecision,
-            (decision.shared_cost * 1000.0) as u64,
-            u64::from(decision.installed),
-        );
-    }
-
-    /// Runs a barrier (pulling every worker's ring) and drains all trace
-    /// events accumulated so far, merged across lanes and sorted by
-    /// timestamp. Returns an empty vector when tracing is disabled.
-    pub(crate) fn drain_trace(&mut self) -> Vec<TraceEvent> {
-        if self.config.trace_capacity > 0 && !self.handles.is_empty() {
-            self.flush();
-        }
-        let mut events = std::mem::take(&mut self.trace_buf);
-        events.extend(self.trace.drain());
-        events.sort_by_key(|e| e.ts_us);
-        events
-    }
-
-    /// [`Self::drain_trace`] rendered as Chrome trace-event JSON.
-    pub(crate) fn trace_json(&mut self) -> String {
-        let events = self.drain_trace();
-        chrome_trace_json(&events)
-    }
-
-    /// Runs a barrier and renders the telemetry page: the shared engine /
-    /// store / arena sections plus the parallel runtime's own gauges
-    /// (per-shard latency quantiles, per-worker busy time and queue
-    /// depth, in-flight roots, plan installs).
-    pub(crate) fn telemetry_snapshot(&mut self) -> String {
-        if !self.handles.is_empty() {
-            self.flush();
-        }
-        let mut page = Exposition::new();
-        crate::exposition::engine_sections(&mut page, &self.metrics);
-
-        page.declare(
-            "clash_shard_latency_us",
-            "Ingest-to-emit latency per worker shard (µs).",
-            "summary",
-        );
-        for (worker, hist) in self.worker_latency.iter().enumerate() {
-            page.quantiles(
-                "clash_shard_latency_us",
-                &[("worker", &worker.to_string())],
-                hist,
-            );
-        }
-        page.declare(
-            "clash_worker_busy_seconds",
-            "Processing time accumulated per worker thread.",
-            "gauge",
-        );
-        page.declare(
-            "clash_worker_queue_depth",
-            "Deliveries enqueued to a worker and not yet processed.",
-            "gauge",
-        );
-        for worker in 0..self.workers {
-            let label = worker.to_string();
-            page.sample(
-                "clash_worker_busy_seconds",
-                &[("worker", &label)],
-                self.worker_busy[worker].as_secs_f64(),
-            );
-            page.sample(
-                "clash_worker_queue_depth",
-                &[("worker", &label)],
-                self.shared.depth.depth(worker) as f64,
-            );
-        }
-        page.declare(
-            "clash_inflight_roots",
-            "Sequenced roots not yet covered by the completion watermark.",
-            "gauge",
-        );
-        let inflight = self
-            .shared
-            .sequenced()
-            .saturating_sub(self.shared.progress.watermark());
-        page.sample("clash_inflight_roots", &[], inflight as f64);
-        page.declare(
-            "clash_plan_installs_total",
-            "Plan installs performed (quiesced reconfigurations).",
-            "counter",
-        );
-        page.sample("clash_plan_installs_total", &[], self.installs as f64);
-
-        // Per-store gauges, summed across the workers' shards.
-        let mut by_store: Vec<StoreDetail> = Vec::new();
-        for detail in self.worker_stores.iter().flatten() {
-            match by_store.iter_mut().find(|d| d.store == detail.store) {
-                Some(d) => {
-                    d.tuples += detail.tuples;
-                    d.bytes += detail.bytes;
-                    d.posting_lists += detail.posting_lists;
-                    d.spilled_postings += detail.spilled_postings;
-                    d.segments += detail.segments;
-                    d.segment_bytes += detail.segment_bytes;
-                    d.compactions += detail.compactions;
-                }
-                None => by_store.push(*detail),
-            }
-        }
-        by_store.sort_unstable_by_key(|d| d.store.0);
-        crate::exposition::store_sections(&mut page, &by_store);
-
-        crate::exposition::arena_sections(
-            &mut page,
-            self.worker_arena
-                .iter()
-                .enumerate()
-                .map(|(w, stats)| (format!("worker-{w}"), stats)),
-        );
-        page.finish()
-    }
-
     fn shutdown(&mut self) {
-        if self.handles.is_empty() {
+        if self.is_shutdown() {
             return;
         }
         // Quiesce, then refuse new pushes: a producer racing the shutdown
-        // either completes its push (covered by the drain below) or gets
+        // either completes its push (covered by the barrier below) or gets
         // `ClashError::Shutdown` — never a silent drop.
         {
             let shared = self.shared.clone();
@@ -1099,36 +598,19 @@ impl EngineCore {
                 .store(true, std::sync::atomic::Ordering::Release);
             drop(quiesced);
         }
-        if self.shared.dead_worker().is_none() && self.try_drain(Some(StdDuration::from_secs(10))) {
-            let _ = self.collect_inner(None, true);
-            if let Some(started) = self.active_since.take() {
-                self.wall_busy += started.elapsed();
-            }
-        }
+        // Best effort: a barrier that fails (dead worker, stuck drain)
+        // leaves its results uncollected, and the threads are joined anyway.
+        let _ = self.barrier(false);
+        self.join_workers();
+    }
+
+    fn join_workers(&mut self) {
         for s in &self.senders {
             let _ = s.send(WorkerMsg::Shutdown);
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-    }
-}
-
-impl EngineControl for EngineCore {
-    fn install_plan(&mut self, plan: TopologyPlan) -> Result<()> {
-        EngineCore::install_plan(self, plan).map(|_| ())
-    }
-
-    fn plan(&self) -> &TopologyPlan {
-        &self.plan
-    }
-
-    fn stats_collector(&self) -> &StatsCollector {
-        &self.stats
-    }
-
-    fn stats_collector_mut(&mut self) -> &mut StatsCollector {
-        &mut self.stats
     }
 }
 
@@ -1377,6 +859,69 @@ mod tests {
         }
     }
 
+    /// Stops one worker behind the engine's back and waits for its thread
+    /// to exit: its share of every later root is never processed.
+    fn kill_worker(engine: &ParallelEngine, worker: usize) {
+        engine.core().senders[worker]
+            .send(WorkerMsg::Shutdown)
+            .unwrap();
+        while !engine.core().handles[worker].is_finished() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_dead_worker_fails_every_barrier_with_the_same_typed_error() {
+        let (catalog, queries, _) = setup(2);
+        let (controller, report) = AdaptiveController::new(
+            catalog.clone(),
+            queries,
+            Statistics::new(),
+            crate::adaptive::AdaptiveConfig::default(),
+        )
+        .unwrap();
+        let mut engine = ParallelEngine::new(
+            catalog.clone(),
+            report.plan.clone(),
+            EngineConfig::default(),
+            2,
+        );
+        kill_worker(&engine, 1);
+        // What `flush` / `snapshot` / expiry run, and a plan install's
+        // quiesce phase.
+        let by_barrier = engine.core().barrier(false).unwrap_err();
+        let by_install = engine.install_plan(report.plan).unwrap_err();
+        assert_eq!(by_barrier, by_install);
+        // The epoch driver: one push across an epoch boundary makes it run
+        // its barrier.
+        engine.start_epoch_driver(Arc::new(Mutex::new(controller)));
+        let mut source = engine.open_source();
+        let (relation, _) = workload(&catalog).remove(0);
+        source
+            .push(relation, tuple(&catalog, "R", 5_000, &[("a", 1)]))
+            .unwrap();
+        let deadline = Instant::now() + StdDuration::from_secs(10);
+        let by_driver = loop {
+            match engine.epoch_driver_error() {
+                Some(e) => break e,
+                None if Instant::now() < deadline => std::thread::yield_now(),
+                None => panic!("the epoch driver never ran its barrier"),
+            }
+        };
+        for error in [by_barrier, by_driver] {
+            match error {
+                ClashError::Runtime(msg) => assert!(
+                    msg.starts_with("parallel engine barrier failed: worker 1 died"),
+                    "{msg}"
+                ),
+                other => panic!("expected a runtime error, got {other:?}"),
+            }
+        }
+        // Shutdown neither panics nor hangs on the failed barrier.
+        engine.shutdown();
+        assert!(engine.core().is_shutdown());
+    }
+
     #[test]
     fn ingest_past_a_dead_worker_is_a_typed_error() {
         let (catalog, queries, stats) = setup(2);
@@ -1387,12 +932,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let mut engine = ParallelEngine::new(catalog.clone(), report.plan, config, 2);
-        // Stop worker 0 behind the engine's back and wait for its thread
-        // to exit: its share of every later root is never processed.
-        engine.senders[0].send(WorkerMsg::Shutdown).unwrap();
-        while !engine.core().handles[0].is_finished() {
-            std::thread::yield_now();
-        }
+        kill_worker(&engine, 0);
         // Both producers stall on the same gate and name the same worker.
         let mut source = engine.open_source();
         let by_ingest = workload(&catalog)
@@ -1462,6 +1002,7 @@ mod tests {
         let (results_tx, results) = channel();
         let (blocked_tx, blocked) = channel();
         let release: Vec<Sender<()>> = engine
+            .core()
             .senders
             .iter()
             .map(|to_worker| {

@@ -79,7 +79,7 @@ impl EpochDriver {
                     }
                     // Epoch barrier: merge the per-worker statistics
                     // deltas before the controller evaluates them.
-                    if let Err(e) = core.try_flush() {
+                    if let Err(e) = core.barrier(false) {
                         *error_slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
                         break;
                     }
@@ -160,10 +160,11 @@ mod tests {
             stats.set_rate(m, 100.0);
         }
         let q1 = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
-        let (controller, plan) =
+        let (controller, report) =
             AdaptiveController::new(catalog.clone(), vec![q1], stats, AdaptiveConfig::default())
                 .unwrap();
-        let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
+        let mut engine =
+            ParallelEngine::new(catalog.clone(), report.plan, EngineConfig::default(), 2);
         let controller = Arc::new(Mutex::new(controller));
         engine.start_epoch_driver(controller.clone());
         let mut handle = engine.open_source();

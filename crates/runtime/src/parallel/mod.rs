@@ -13,11 +13,13 @@
 //!   partitions map onto workers round-robin, honoring the catalog's
 //!   `parallelism` field), and aggregates per-worker metrics and
 //!   statistics at epoch barriers so the adaptive controller keeps
-//!   working unchanged.
+//!   working unchanged. Its control plane is three sibling modules over
+//!   the same coordinator state: `barrier` (the one barrier), `install`
+//!   (the quiesced plan install) and `telemetry` (what the workers'
+//!   reports fold into, and every view rendered from it).
 //! * [`router`] — partition routing for both engines (the same
 //!   `partition_hash` as the stores) plus the sharded ordering machinery:
-//!   per-root completion counters, a global completion watermark, and the
-//!   static analysis of which stores need symmetric probing.
+//!   per-root completion counters and a global completion watermark.
 //! * [`worker`] — the kernel's unit of work, and the thread loop and
 //!   message protocol (deliveries, collection barriers with optional
 //!   expiry, plan installs).
@@ -61,15 +63,18 @@
 //! originate from the coordinator, so mechanism 1 only holds per
 //! producer. The engine then widens the symmetric set of mechanism 3 to
 //! every store that is both populated and probed
-//! ([`router::symmetric_stores_multi`]): cross-producer (probe, insert)
+//! (`Feed::ManyProducers` in `crate::plan`): cross-producer (probe, insert)
 //! races resolve through pending probers exactly as forward-fed stores
 //! always did, and the coordinator becomes a control-plane thread
 //! (barriers, plan installs, expiry). See [`crate::ingest`].
 
+mod barrier;
 pub(crate) mod coordinator;
 pub(crate) mod driver;
+mod install;
 pub(crate) mod router;
 pub(crate) mod shard;
+mod telemetry;
 pub(crate) mod worker;
 
 pub use coordinator::{auto_workers, ParallelEngine};

@@ -16,7 +16,7 @@
 //!    zero the root is complete and the global completion
 //!    [`Progress`] watermark advances: all roots up to the watermark have
 //!    fully drained everywhere.
-//! 2. **Symmetric stores** ([`symmetric_stores`]): stores fed by
+//! 2. **Symmetric stores** ([`crate::plan::Feed`]): stores fed by
 //!    `Forward` actions (materialized intermediate results) get their
 //!    inserts from racing worker threads, so a probe may arrive before an
 //!    insert it should observe. Probes at those stores register as
@@ -33,8 +33,8 @@
 use crate::metrics::EngineMetrics;
 use crate::parallel::worker::{Delivery, Rooted, WorkerMsg};
 use crate::store::partition_hash;
-use clash_common::{FxHashSet, StoreId, Tuple};
-use clash_optimizer::{OutputAction, Rule, SendTarget, TopologyPlan};
+use clash_common::{FxHashSet, Tuple};
+use clash_optimizer::{Rule, SendTarget, TopologyPlan};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
@@ -389,86 +389,6 @@ impl DepthGauges {
 /// statistics collector).
 pub(crate) fn workers_of_store(parallelism: usize, workers: usize) -> usize {
     parallelism.max(1).min(workers)
-}
-
-/// Stores where a (probe, insert) pair can arrive over *different* sender
-/// paths, so channel FIFO alone cannot guarantee insert-before-probe
-/// visibility. Probes at these stores register as *pending probers* and
-/// late inserts retro-match them (the symmetric completion mechanism of
-/// the shard). Two cases qualify:
-///
-/// 1. **Forward-fed stores** — materialized intermediate-result stores
-///    whose `Store` deliveries come from racing worker threads while
-///    their probes may come straight from the coordinator.
-/// 2. **Stores probed through `Forward` actions** — a base store's
-///    inserts travel on the coordinator channel (possibly parked in the
-///    micro-batch buffer), while a partial result probing it is forwarded
-///    directly worker-to-worker and can overtake them.
-///
-/// Pairs where both sides ride the coordinator channel stay FIFO — the
-/// micro-batch buffer appends and flushes in ingest order — and need no
-/// registration. The exactly-once argument (match at probe time iff the
-/// insert was applied with a smaller guard, retroactively otherwise,
-/// GC once the watermark proves no earlier root is in flight) does not
-/// depend on *which* stores are symmetric, so widening the set is safe.
-pub(crate) fn symmetric_stores(plan: &TopologyPlan) -> FxHashSet<StoreId> {
-    // Stores that apply a `Store` rule on any edge.
-    let storing: FxHashSet<StoreId> = plan
-        .rules
-        .iter()
-        .filter(|(_, rules)| rules.iter().any(|r| matches!(r, Rule::Store)))
-        .map(|((store, _), _)| *store)
-        .collect();
-    let mut symmetric: FxHashSet<StoreId> = FxHashSet::default();
-    for rules in plan.rules.values() {
-        for rule in rules {
-            let Rule::Probe { outputs, .. } = rule else {
-                continue;
-            };
-            for action in outputs {
-                let OutputAction::Forward(next) = action else {
-                    continue;
-                };
-                let Some(next_rules) = plan.rules.get(&(next.store, next.edge)) else {
-                    continue;
-                };
-                let forward_stores = next_rules.iter().any(|r| matches!(r, Rule::Store));
-                let forward_probes = next_rules.iter().any(|r| matches!(r, Rule::Probe { .. }));
-                if forward_stores || (forward_probes && storing.contains(&next.store)) {
-                    symmetric.insert(next.store);
-                }
-            }
-        }
-    }
-    symmetric
-}
-
-/// The widened symmetric set for multi-producer ingestion: once two or
-/// more producers (open [`crate::ingest::SourceHandle`]s and/or the
-/// coordinator's own `ingest`) deliver concurrently, a probe and an
-/// insert at *any* store can ride different sender paths, so channel FIFO
-/// no longer orders them — not just at the forward-fed stores of
-/// [`symmetric_stores`]. Every store that is both populated (a `Store`
-/// rule on some edge) and probed (a `Probe` rule on some edge) therefore
-/// joins the symmetric set: its probes register as pending probers and
-/// late inserts with smaller sequence numbers retro-match them. The
-/// exactly-once argument is unchanged — it never depended on *which*
-/// stores are symmetric — so the widening trades some pending-prober
-/// bookkeeping for exactness under concurrent ingestion.
-pub(crate) fn symmetric_stores_multi(plan: &TopologyPlan) -> FxHashSet<StoreId> {
-    let mut symmetric = symmetric_stores(plan);
-    let storing: FxHashSet<StoreId> = plan
-        .rules
-        .iter()
-        .filter(|(_, rules)| rules.iter().any(|r| matches!(r, Rule::Store)))
-        .map(|((store, _), _)| *store)
-        .collect();
-    for ((store, _), rules) in &plan.rules {
-        if storing.contains(store) && rules.iter().any(|r| matches!(r, Rule::Probe { .. })) {
-            symmetric.insert(*store);
-        }
-    }
-    symmetric
 }
 
 /// Global completion progress: the watermark `w` means every root with

@@ -20,8 +20,8 @@
 //! * **Symmetric pending probers** — at stores where probes and inserts
 //!   can ride different sender paths (forward-fed MIR stores, and stores
 //!   probed by worker-forwarded partials while their inserts sit in the
-//!   coordinator's micro-batch buffer — see
-//!   [`crate::parallel::router::symmetric_stores`]) an insert may arrive
+//!   coordinator's micro-batch buffer — see [`crate::plan::Feed`]) an
+//!   insert may arrive
 //!   *after* a probe that should have observed it. Probes at such stores
 //!   therefore register as pending probers next to the partition, indexed
 //!   by join-key value; when a late insert with a smaller guard lands, it
@@ -31,16 +31,16 @@
 //!   otherwise. Probers are garbage-collected once the completion
 //!   watermark proves no earlier root can still insert.
 
-use crate::engine::{indexed_attrs, store_window, ResultSink};
-use crate::metrics::EngineMetrics;
+use crate::engine::{EngineConfig, ResultSink};
+use crate::metrics::{EngineMetrics, StoreDetail};
 use crate::parallel::router::{fan_out, workers_of_store, Partitions};
 use crate::parallel::worker::Delivery;
+use crate::plan::{Feed, InstalledPlan};
 use crate::stats_collector::StatsCollector;
 use crate::store::StoreInstance;
-use clash_catalog::Catalog;
 use clash_common::{
-    AttrRef, EdgeId, Epoch, EpochConfig, FxHashMap, FxHashSet, QueryId, SlotAccessor, StoreId,
-    Timestamp, TraceEventKind, TraceRing, Tuple, Value, Window,
+    arena_stats, ArenaStats, EdgeId, Epoch, EpochConfig, FxHashMap, QueryId, SlotAccessor, StoreId,
+    Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Value,
 };
 use clash_optimizer::{OutputAction, Rule, TopologyPlan};
 use std::sync::Arc;
@@ -67,30 +67,6 @@ const PROBER_GC_STRIDE: u64 = 256;
 struct Timing {
     started: Instant,
     now: Instant,
-}
-
-/// Per-store construction data of a plan, handed to every shard on
-/// (re)install: expiry windows and indexed attributes, both derived from
-/// the catalog and the plan.
-#[derive(Debug, Clone)]
-pub(crate) struct StoreLayout {
-    /// Expiry window per store.
-    pub windows: FxHashMap<StoreId, Window>,
-    /// Indexed attributes per store.
-    pub indexed: FxHashMap<StoreId, Vec<AttrRef>>,
-}
-
-impl StoreLayout {
-    /// Derives the layout for a plan from the catalog.
-    pub fn derive(catalog: &Catalog, plan: &TopologyPlan) -> StoreLayout {
-        let mut windows = FxHashMap::default();
-        let mut indexed = FxHashMap::default();
-        for def in &plan.stores {
-            windows.insert(def.id, store_window(catalog, def.descriptor.relations));
-            indexed.insert(def.id, indexed_attrs(plan, def.id));
-        }
-        StoreLayout { windows, indexed }
-    }
 }
 
 /// A probe that ran against a forward-fed store and stays registered until
@@ -181,11 +157,16 @@ impl PendingSet {
 /// `LocalEngine`.
 pub(crate) struct ShardState {
     workers: usize,
-    plan: Arc<TopologyPlan>,
+    installed: Arc<InstalledPlan>,
     stores: FxHashMap<StoreId, StoreInstance>,
-    /// Forward-fed stores requiring symmetric probing.
-    symmetric: Arc<FxHashSet<StoreId>>,
-    /// Pending probers per forward-fed store, indexed by join-key value.
+    /// Who feeds this shard: selects which of the installed plan's
+    /// symmetric sets applies, and survives installs. A worker moves it to
+    /// `ManyProducers` mid-stream (the multi-producer widening):
+    /// already-registered pending probers stay registered, and the
+    /// exactly-once argument holds for any symmetric set, so no drain is
+    /// needed.
+    pub feed: Feed,
+    /// Pending probers per symmetric store, indexed by join-key value.
     pending: FxHashMap<StoreId, PendingSet>,
     /// Completion watermark at the last prober sweep.
     swept_at: u64,
@@ -204,56 +185,45 @@ pub(crate) struct ShardState {
     /// Whether emitted result tuples are retained in `results`.
     pub forward_results: bool,
     /// Invoked for every emitted result the moment it is produced: the
-    /// local engine's sink, or a worker's streaming subscription.
-    pub sink: Option<ResultSink>,
+    /// local engine's sink, or a worker's streaming subscriptions.
+    pub sinks: Vec<ResultSink>,
     /// This shard's trace-event ring.
     pub trace: TraceRing,
 }
 
 impl ShardState {
-    /// Creates the shard with instantiated (empty) stores for `plan`.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates the shard with instantiated (empty) stores for `installed`,
+    /// configured from `config`, tracing on `lane`.
     pub fn new(
         workers: usize,
-        plan: Arc<TopologyPlan>,
-        layout: &StoreLayout,
-        symmetric: Arc<FxHashSet<StoreId>>,
-        epoch: EpochConfig,
-        freeze_after: u64,
-        forward_results: bool,
-        trace: TraceRing,
+        installed: Arc<InstalledPlan>,
+        feed: Feed,
+        config: &EngineConfig,
+        lane: u32,
     ) -> Self {
         let mut shard = ShardState {
             workers,
-            plan: Arc::new(TopologyPlan::default()),
+            installed: Arc::clone(&installed),
             stores: FxHashMap::default(),
-            symmetric: Arc::new(FxHashSet::default()),
+            feed,
             pending: FxHashMap::default(),
             swept_at: 0,
-            epoch,
-            freeze_after,
+            epoch: config.epoch,
+            freeze_after: config.freeze_after_epochs,
             metrics: EngineMetrics::default(),
-            stats: StatsCollector::new(epoch.length),
+            stats: StatsCollector::new(config.epoch.length),
             results: Vec::new(),
-            forward_results,
-            sink: None,
-            trace,
+            forward_results: config.collect_results,
+            sinks: Vec::new(),
+            trace: TraceRing::new(config.trace_capacity, lane),
         };
-        shard.install(plan, layout, symmetric);
+        shard.install(installed);
         shard
-    }
-
-    /// Replaces the symmetric store set in place (the multi-producer
-    /// widening). Already-registered pending probers stay registered: the
-    /// exactly-once argument holds for any symmetric set, so widening
-    /// mid-stream is safe without a drain.
-    pub fn set_symmetric(&mut self, symmetric: Arc<FxHashSet<StoreId>>) {
-        self.symmetric = symmetric;
     }
 
     /// The installed plan.
     pub fn plan(&self) -> &Arc<TopologyPlan> {
-        &self.plan
+        &self.installed.plan
     }
 
     /// The store instances of this shard.
@@ -266,34 +236,26 @@ impl ShardState {
     /// results); stores that no longer appear are dropped (reference count
     /// reaching zero in Section VI-B). Installs only happen with nothing in
     /// flight, so no probers are pending.
-    pub fn install(
-        &mut self,
-        plan: Arc<TopologyPlan>,
-        layout: &StoreLayout,
-        symmetric: Arc<FxHashSet<StoreId>>,
-    ) {
+    pub fn install(&mut self, installed: Arc<InstalledPlan>) {
         let mut existing: FxHashMap<String, StoreInstance> = self
             .stores
             .drain()
             .map(|(_, s)| (s.descriptor.key(), s))
             .collect();
-        for def in &plan.stores {
-            let window = layout.windows.get(&def.id).copied().unwrap_or_default();
-            let indexed = layout.indexed.get(&def.id).cloned().unwrap_or_default();
+        for (def, (window, indexed)) in installed.plan.stores.iter().zip(&installed.layout) {
             let instance = match existing.remove(&def.descriptor.key()) {
                 Some(mut s) => {
                     for attr in indexed {
-                        s.add_indexed_attr(attr);
+                        s.add_indexed_attr(*attr);
                     }
-                    s.window = window;
+                    s.window = *window;
                     s
                 }
-                None => StoreInstance::new(def.descriptor, window, indexed),
+                None => StoreInstance::new(def.descriptor, *window, indexed.clone()),
             };
             self.stores.insert(def.id, instance);
         }
-        self.plan = plan;
-        self.symmetric = symmetric;
+        self.installed = installed;
         self.pending.clear();
         self.trace
             .record(TraceEventKind::PlanInstall, 0, self.stores.len() as u64);
@@ -315,13 +277,16 @@ impl ShardState {
     ) -> u64 {
         // Borrow the rule set through a local Arc handle: no per-delivery
         // clone of the rules (predicates, outputs) on the hot path.
-        let plan = Arc::clone(&self.plan);
+        let plan = Arc::clone(&self.installed.plan);
         let key = (delivery.target.store, delivery.target.edge);
         let Some(rules) = plan.rules.get(&key) else {
             return 0;
         };
         let epoch = self.epoch.epoch_of(delivery.tuple.ts);
-        let symmetric = self.symmetric.contains(&delivery.target.store);
+        let symmetric = self
+            .installed
+            .symmetric(self.feed)
+            .contains(&delivery.target.store);
         let mut emitted = 0;
         let mut probed = false;
         // Join-key of the probe for pending-prober indexing: stored-side
@@ -477,7 +442,7 @@ impl ShardState {
                         *query,
                         timing.now.saturating_duration_since(timing.started),
                     );
-                    if let Some(sink) = &mut self.sink {
+                    for sink in &mut self.sinks {
                         sink(*query, joined);
                     }
                     if self.forward_results {
@@ -647,16 +612,26 @@ impl ShardState {
         removed
     }
 
-    /// `(tuples, bytes)` currently held by this shard.
-    pub fn store_totals(&self) -> (usize, usize) {
-        (
-            self.stores().map(|s| s.len()).sum(),
-            self.stores().map(|s| s.bytes()).sum(),
-        )
+    /// Takes everything the shard accumulated since the last report, plus
+    /// what it holds now. Every barrier reply is one of these, so no delta
+    /// can be taken on one path and forgotten on another; the local engine
+    /// reads the same store walk without taking anything.
+    pub fn report(&mut self, expired: usize) -> ShardReport {
+        ShardReport {
+            metrics: std::mem::take(&mut self.metrics),
+            stats: self.stats.take_delta(),
+            results: std::mem::take(&mut self.results),
+            stores: self.store_detail(),
+            expired,
+            trace: self.trace.drain(),
+            // Thread-local: meaningful only when sampled on the thread
+            // that runs the shard.
+            arena: arena_stats(),
+        }
     }
 
-    /// Per-store size and index shape of this shard, sorted by store id —
-    /// the telemetry surface's per-store gauges.
+    /// Per-store size and index shape of this shard, sorted by store id:
+    /// the one walk of the stores every total and gauge is read from.
     pub fn store_detail(&self) -> Vec<StoreDetail> {
         let mut detail: Vec<StoreDetail> = self
             .stores
@@ -681,34 +656,30 @@ impl ShardState {
     }
 }
 
-/// Per-store shard-local sizes for the telemetry surface: what one worker
-/// holds of a store, summed across workers by the coordinator.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StoreDetail {
-    /// The store.
-    pub store: StoreId,
-    /// Tuples held by this shard's partitions.
-    pub tuples: usize,
-    /// Approximate bytes held by this shard's partitions.
-    pub bytes: usize,
-    /// Distinct (attribute, value) posting lists in the hash indexes.
-    pub posting_lists: usize,
-    /// Posting lists spilled past the inline capacity to a heap vector.
-    pub spilled_postings: usize,
-    /// Frozen columnar segments currently held (cold tier).
-    pub segments: usize,
-    /// Live flattened bytes held by the frozen segments.
-    pub segment_bytes: usize,
-    /// Segments built by this shard's stores since startup (monotone).
-    pub compactions: u64,
+/// What a shard hands over at a barrier.
+#[derive(Debug)]
+pub(crate) struct ShardReport {
+    /// Metrics delta since the last report.
+    pub metrics: EngineMetrics,
+    /// Statistics delta since the last report.
+    pub stats: StatsCollector,
+    /// Results emitted since the last report (while `forward_results`).
+    pub results: Vec<(QueryId, Tuple)>,
+    /// What the shard holds of every store, sorted by store id.
+    pub stores: Vec<StoreDetail>,
+    /// Tuples removed by the counted expiry of this barrier.
+    pub expired: usize,
+    /// Trace events recorded since the last report.
+    pub trace: Vec<TraceEvent>,
+    /// The reporting thread's arena counters (cumulative).
+    pub arena: ArenaStats,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::router::symmetric_stores_multi;
-    use clash_catalog::Statistics;
-    use clash_common::{RelationId, TupleBuilder};
+    use clash_catalog::{Catalog, Statistics};
+    use clash_common::{RelationId, TupleBuilder, Window};
     use clash_optimizer::{Planner, Strategy};
     use clash_query::parse_query;
 
@@ -724,18 +695,14 @@ mod tests {
             .plan(&[query], Strategy::Shared)
             .unwrap()
             .plan;
-        let symmetric = Arc::new(symmetric_stores_multi(&plan));
-        assert!(!symmetric.is_empty());
-        let layout = StoreLayout::derive(&catalog, &plan);
+        let installed = crate::plan::prepare(&catalog, plan).unwrap();
+        assert!(!installed.symmetric(Feed::ManyProducers).is_empty());
         let shard = ShardState::new(
             1,
-            Arc::new(plan),
-            &layout,
-            symmetric,
-            EpochConfig::default(),
+            installed,
+            Feed::ManyProducers,
+            &EngineConfig::default(),
             0,
-            false,
-            TraceRing::new(0, 0),
         );
         let r = catalog.relation_id("R").unwrap();
         let s = catalog.relation_id("S").unwrap();
@@ -803,6 +770,18 @@ mod tests {
         let (catalog, mut shard, r, _) = two_way_shard();
         assert_eq!(ingest(&catalog, &mut shard, r, 20, 6, 5), 0);
         assert!(shard.pending.is_empty(), "guard == watermark + 1");
+    }
+
+    #[test]
+    fn a_widened_shard_stays_widened_across_installs() {
+        // A two-way plan forwards nothing, so only the multi-producer set
+        // makes its stores symmetric: the probe below registers iff the
+        // shard still reads that set of the freshly installed plan.
+        let (catalog, mut shard, r, _) = two_way_shard();
+        let plan = TopologyPlan::clone(shard.plan());
+        shard.install(crate::plan::prepare(&catalog, plan).unwrap());
+        assert_eq!(ingest(&catalog, &mut shard, r, 20, 7, 5), 0);
+        assert_eq!(registered(&shard), 1);
     }
 
     #[test]

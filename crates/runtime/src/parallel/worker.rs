@@ -8,17 +8,13 @@
 //! and the symmetric pending-prober mechanism (see `shard`) close the two
 //! remaining races.
 
-use crate::engine::ResultSink;
+use crate::engine::{EngineConfig, ResultSink};
 use crate::ingest::shared::ControlShared;
-use crate::metrics::EngineMetrics;
 use crate::parallel::router::{DepthGauges, Partitions, RootHandle};
-use crate::parallel::shard::{ShardState, StoreDetail, StoreLayout};
-use crate::stats_collector::StatsCollector;
-use clash_common::{
-    arena_stats, ArenaStats, EpochConfig, FxHashSet, QueryId, StoreId, Timestamp, TraceEvent,
-    TraceEventKind, TraceRing, Tuple,
-};
-use clash_optimizer::{SendTarget, TopologyPlan};
+use crate::parallel::shard::{ShardReport, ShardState};
+use crate::plan::{Feed, InstalledPlan};
+use clash_common::{Timestamp, TraceEventKind, Tuple};
+use clash_optimizer::SendTarget;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,9 +55,8 @@ pub(crate) type Rooted = (Delivery, Arc<RootHandle>);
 pub(crate) enum WorkerMsg {
     /// Deliveries to process in order.
     Batch(Vec<Rooted>),
-    /// Collection barrier: reply with an [`WorkerAck`] carrying all deltas
-    /// accumulated since the previous barrier; optionally run a counted
-    /// expiry first.
+    /// Collection barrier: reply with a [`WorkerAck`] carrying the shard's
+    /// report; optionally run a counted expiry first.
     Collect {
         /// Barrier token echoed in the ack.
         token: u64,
@@ -73,50 +68,29 @@ pub(crate) enum WorkerMsg {
         /// Barrier token echoed in the ack.
         token: u64,
         /// The new plan.
-        plan: Arc<TopologyPlan>,
-        /// Store windows and indexed attributes for the new plan.
-        layout: Arc<StoreLayout>,
-        /// Forward-fed stores of the new plan (symmetric probing).
-        symmetric: Arc<FxHashSet<StoreId>>,
+        installed: Arc<InstalledPlan>,
     },
     /// Toggles retention of emitted result tuples for the coordinator.
     ForwardResults(bool),
-    /// Installs a result subscription: every result emitted from here on
-    /// is handed to the sink as it is produced, between barriers.
+    /// Adds a result subscription: every result emitted from here on is
+    /// also handed to this sink as it is produced, between barriers.
     Subscribe(ResultSink),
-    /// Replaces the symmetric store set (multi-producer widening) without
-    /// reinstalling the plan or touching shard state.
-    SetSymmetric(Arc<FxHashSet<StoreId>>),
+    /// A second producer appeared: read the installed plan's (and every
+    /// later plan's) multi-producer symmetric set from here on.
+    MultiProducer,
     /// Terminates the worker loop.
     Shutdown,
 }
 
-/// Barrier reply with the worker's accumulated deltas.
+/// Barrier reply: the worker's shard report.
 #[derive(Debug)]
 pub(crate) struct WorkerAck {
     /// Index of the acking worker.
     pub worker: usize,
     /// Token of the barrier being acknowledged.
     pub token: u64,
-    /// Metrics delta since the last barrier.
-    pub metrics: EngineMetrics,
-    /// Statistics delta since the last barrier.
-    pub stats: StatsCollector,
-    /// Results emitted since the last barrier (when forwarding is on).
-    pub results: Vec<(QueryId, Tuple)>,
-    /// Total tuples currently held by this shard.
-    pub store_tuples: usize,
-    /// Total bytes currently held by this shard.
-    pub store_bytes: usize,
-    /// Per-store breakdown of what this shard holds (telemetry surface).
-    pub per_store: Vec<StoreDetail>,
-    /// Tuples removed by the counted expiry of this barrier.
-    pub expired: usize,
-    /// Trace events accumulated since the last barrier.
-    pub trace: Vec<TraceEvent>,
-    /// This worker thread's arena counters (cumulative; thread-local, so
-    /// they can only be read here, on the worker thread itself).
-    pub arena: ArenaStats,
+    /// Everything the shard accumulated since its last reply.
+    pub report: ShardReport,
 }
 
 /// Collects the deliveries generated while processing one message and
@@ -168,21 +142,10 @@ pub(crate) struct WorkerCtx {
     /// registry this worker pulls from when it runs dry, and the record
     /// of its exit.
     pub shared: Arc<ControlShared>,
-    /// Forward-fed stores of the current plan (symmetric probing).
-    pub symmetric: Arc<FxHashSet<StoreId>>,
-    /// Epoch configuration.
-    pub epoch: EpochConfig,
-    /// Epoch lag before cold epochs freeze into columnar segments
-    /// (`EngineConfig::freeze_after_epochs`).
-    pub freeze_after: u64,
     /// Initial plan.
-    pub plan: Arc<TopologyPlan>,
-    /// Initial store layout.
-    pub layout: Arc<StoreLayout>,
-    /// Initial result-forwarding flag.
-    pub forward_results: bool,
-    /// Capacity of this worker's trace-event ring (0 disables tracing).
-    pub trace_capacity: usize,
+    pub installed: Arc<InstalledPlan>,
+    /// The engine's configuration.
+    pub config: EngineConfig,
 }
 
 /// Records the worker's exit in [`ControlShared`] when the thread body
@@ -206,13 +169,8 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
         senders,
         ack_tx,
         shared,
-        symmetric,
-        epoch,
-        freeze_after,
-        plan,
-        layout,
-        forward_results,
-        trace_capacity,
+        installed,
+        config,
     } = ctx;
     let _exit = ExitRecord {
         shared: &shared,
@@ -220,17 +178,14 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
     };
     let (progress, depth) = (&shared.progress, &shared.depth);
     // Trace lane 0 is the coordinator; workers take lanes 1..=workers.
-    let trace = TraceRing::new(trace_capacity, index as u32 + 1);
-    let mut shard = ShardState::new(
-        workers,
-        plan,
-        &layout,
-        symmetric,
-        epoch,
-        freeze_after,
-        forward_results,
-        trace,
-    );
+    let lane = index as u32 + 1;
+    let mut shard = ShardState::new(workers, installed, Feed::OneProducer, &config, lane);
+    // Both ack-producing arms reply with the shard's own report.
+    let ack = |shard: &mut ShardState, token, expired| WorkerAck {
+        worker: index,
+        token,
+        report: shard.report(expired),
+    };
     while let Ok(msg) = rx.recv() {
         match msg {
             WorkerMsg::Batch(deliveries) => {
@@ -258,56 +213,23 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
                 shard
                     .trace
                     .record(TraceEventKind::Barrier, token, expired as u64);
-                if ack_tx
-                    .send(drain_ack(&mut shard, index, token, expired))
-                    .is_err()
-                {
+                if ack_tx.send(ack(&mut shard, token, expired)).is_err() {
                     break;
                 }
             }
-            WorkerMsg::Install {
-                token,
-                plan,
-                layout,
-                symmetric,
-            } => {
-                shard.install(plan, &layout, symmetric);
+            WorkerMsg::Install { token, installed } => {
+                shard.install(installed);
                 shard.trace.record(TraceEventKind::Barrier, token, 0);
-                if ack_tx.send(drain_ack(&mut shard, index, token, 0)).is_err() {
+                if ack_tx.send(ack(&mut shard, token, 0)).is_err() {
                     break;
                 }
             }
             WorkerMsg::ForwardResults(on) => {
                 shard.forward_results = on;
             }
-            WorkerMsg::Subscribe(sink) => {
-                shard.sink = Some(sink);
-            }
-            WorkerMsg::SetSymmetric(symmetric) => {
-                shard.set_symmetric(symmetric);
-            }
+            WorkerMsg::Subscribe(sink) => shard.sinks.push(sink),
+            WorkerMsg::MultiProducer => shard.feed = Feed::ManyProducers,
             WorkerMsg::Shutdown => break,
         }
-    }
-}
-
-/// Drains every accumulated delta of the shard into a barrier ack. Both
-/// ack-producing arms (`Collect`, `Install`) go through this single point
-/// so no delta can be taken in one path and forgotten in the other.
-fn drain_ack(shard: &mut ShardState, worker: usize, token: u64, expired: usize) -> WorkerAck {
-    let (store_tuples, store_bytes) = shard.store_totals();
-    WorkerAck {
-        worker,
-        token,
-        metrics: std::mem::take(&mut shard.metrics),
-        stats: shard.stats.take_delta(),
-        results: std::mem::take(&mut shard.results),
-        store_tuples,
-        store_bytes,
-        per_store: shard.store_detail(),
-        expired,
-        trace: shard.trace.drain(),
-        // Thread-local: meaningful only when sampled on the worker thread.
-        arena: arena_stats(),
     }
 }

@@ -6,12 +6,16 @@
 
 use clash_common::Window;
 use clash_core::{ClashSystem, Strategy, SystemConfig};
+use clash_runtime::EngineConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Describe the streamed relations (name, attributes, window,
     //    store parallelism).
     let mut clash = ClashSystem::new(SystemConfig {
-        collect_results: true,
+        engine: EngineConfig {
+            collect_results: true,
+            ..EngineConfig::default()
+        },
         ..SystemConfig::default()
     });
     clash.register_relation("R", ["a"], Window::secs(60), 1)?;

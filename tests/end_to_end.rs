@@ -265,7 +265,10 @@ fn finite_window_results_match_reference_under_frequent_expiry() {
 #[test]
 fn clash_system_add_and_remove_queries_mid_stream() {
     let mut clash = ClashSystem::new(SystemConfig {
-        collect_results: true,
+        engine: EngineConfig {
+            collect_results: true,
+            ..EngineConfig::default()
+        },
         ..SystemConfig::default()
     });
     clash

@@ -426,6 +426,30 @@ fn subscription_streams_results_before_any_barrier() {
 }
 
 #[test]
+fn every_subscriber_gets_the_full_result_multiset() {
+    let (catalog, queries) = catalog_with_parallelism(2);
+    let plan = planned(&catalog, &queries, Strategy::Shared);
+    let stream = random_stream(&catalog, 30, 0, 4, 7);
+    let expected = run_local(&catalog, &plan, &stream);
+    assert!(!expected.is_empty());
+    let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
+    // A second subscription adds a receiver; a dropped one takes nothing
+    // away from the others.
+    let first = engine.subscribe();
+    drop(engine.subscribe());
+    let second = engine.subscribe();
+    let mut handle = engine.open_source();
+    for (relation, tuple) in stream {
+        handle.push(relation, tuple).unwrap();
+    }
+    engine.flush();
+    for rx in [first, second] {
+        let received: Vec<_> = rx.try_iter().collect();
+        assert_eq!(result_multiset(&received), expected);
+    }
+}
+
+#[test]
 fn results_arrive_without_a_timer_or_a_barrier() {
     // The size trigger (a million deliveries) cannot fire and there is no
     // timer: the batches ship because the workers they are for have
@@ -617,10 +641,17 @@ fn run_with_installs(
     for (idx, entry) in stream.iter().enumerate() {
         slices[idx % sources].push(entry.clone());
     }
+    // One install lands between the first and the second `open_source`:
+    // the widening the second one triggers has to outlive every later
+    // install (the shards keep it; no install re-sends it). Same plan, no
+    // root sequenced yet, so the replay is unaffected.
+    let mut handles = vec![engine.open_source()];
+    engine.install_plan(plans[0].clone()).unwrap();
+    handles.extend((1..sources).map(|_| engine.open_source()));
     let producers: Vec<_> = slices
         .into_iter()
-        .map(|slice| {
-            let mut handle = engine.open_source();
+        .zip(handles)
+        .map(|(slice, mut handle)| {
             std::thread::spawn(move || {
                 let mut log = Vec::with_capacity(slice.len());
                 for (relation, tuple) in slice {

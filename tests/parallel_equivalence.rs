@@ -179,6 +179,82 @@ fn parallel_engine_matches_local_engine_on_out_of_order_streams() {
     }
 }
 
+/// The sample lines (and `# HELP` / `# TYPE` lines) of the sections both
+/// engines' telemetry pages share — the names the benchmark's layer
+/// metrics parse. Latency values are wall-clock, so those families are
+/// compared by sample key and by count only.
+fn shared_sections(page: &str) -> Vec<String> {
+    const SHARED: [&str; 7] = [
+        "clash_tuples_",
+        "clash_probes_total",
+        "clash_results_total",
+        "clash_result_latency_",
+        "clash_store_",
+        "clash_segment",
+        "clash_compactions_total",
+    ];
+    page.lines()
+        .filter(|line| {
+            let name = line
+                .trim_start_matches("# HELP ")
+                .trim_start_matches("# TYPE ");
+            SHARED.iter().any(|prefix| name.starts_with(prefix))
+        })
+        // Which histogram buckets are non-empty depends on the timings.
+        .filter(|line| !line.contains("_bucket{") || line.contains("le=\"+Inf\""))
+        .map(|line| {
+            let timed = line.starts_with("clash_result_latency_")
+                && !line.contains("_count")
+                && !line.contains("_bucket{");
+            match line.rsplit_once(' ') {
+                Some((key, _)) if timed => key.to_string(),
+                _ => line.to_string(),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn telemetry_pages_agree_on_every_shared_section() {
+    // Finite windows over several epochs, so the store sections carry
+    // frozen segments, compactions and expiry on both engines.
+    let (mut catalog, queries) = catalog_with_parallelism(2);
+    for id in catalog.iter().map(|m| m.id).collect::<Vec<_>>() {
+        catalog.set_window(id, Window::secs(2)).unwrap();
+    }
+    let stream = random_stream(&catalog, 600, 6, 0x7E1E, false);
+    let stats = Statistics::new();
+    let plan = Planner::with_defaults(&catalog, &stats)
+        .plan(&queries, Strategy::GlobalIlp)
+        .unwrap()
+        .plan;
+    let config = EngineConfig {
+        expire_every: 100,
+        ..EngineConfig::default()
+    };
+    let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    let mut parallel = ParallelEngine::new(catalog.clone(), plan, config, 1);
+    for (relation, tuple) in &stream {
+        local.ingest(*relation, tuple.clone()).unwrap();
+        parallel.ingest(*relation, tuple.clone()).unwrap();
+    }
+    let local_page = shared_sections(&local.telemetry_snapshot());
+    let parallel_page = shared_sections(&parallel.telemetry_snapshot());
+    for family in [
+        "clash_store_tuples{",
+        "clash_segments_total{",
+        "clash_results_total{",
+    ] {
+        assert!(
+            local_page
+                .iter()
+                .any(|l| l.starts_with(family) && !l.ends_with(" 0")),
+            "{family} never moved: {local_page:#?}"
+        );
+    }
+    assert_eq!(local_page, parallel_page);
+}
+
 #[test]
 fn repeated_parallel_runs_are_deterministic() {
     // Scheduling may interleave differently run to run; the collected

@@ -22,6 +22,7 @@ use clash_optimizer::{
     TopologyPlan,
 };
 use clash_query::JoinQuery;
+use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
 use proptest::prelude::*;
 
 /// The known-good baseline: Fig. 7's five-query TPC-H workload planned
@@ -79,6 +80,37 @@ fn dangling_edge_reference_is_p002() {
     plan.ingest[0].targets[0].edge = EdgeId::new(9999);
     let diags = verify_plan(&workload.catalog, &plan);
     assert!(has(&diags, "P002"), "{diags:?}");
+}
+
+/// Both engines verify their first plan through the same gate: the P001
+/// and P002 fixtures fail construction with the same diagnostic.
+#[test]
+fn invalid_initial_plan_fails_construction_on_both_engines() {
+    let panic_of = |build: Box<dyn FnOnce() + std::panic::UnwindSafe>| -> String {
+        let payload = std::panic::catch_unwind(build).expect_err("construction succeeded");
+        payload
+            .downcast_ref::<String>()
+            .expect("panic message")
+            .clone()
+    };
+    for (code, corrupt) in [
+        (
+            "P001",
+            (|t| t.store = StoreId::new(999)) as fn(&mut SendTarget),
+        ),
+        ("P002", |t| t.edge = EdgeId::new(9999)),
+    ] {
+        let (workload, _, mut plan) = fig7();
+        corrupt(&mut plan.ingest[0].targets[0]);
+        let (catalog, config) = (workload.catalog, EngineConfig::default());
+        let (c, p) = (catalog.clone(), plan.clone());
+        let local = panic_of(Box::new(move || drop(LocalEngine::new(c, p, config))));
+        let parallel = panic_of(Box::new(move || {
+            drop(ParallelEngine::new(catalog, plan, config, 2))
+        }));
+        assert!(local.contains(code), "{local}");
+        assert_eq!(local, parallel);
+    }
 }
 
 #[test]
