@@ -9,10 +9,9 @@ use clash_ilp::{solve, SolverConfig};
 use clash_optimizer::{
     build_ilp, enumerate_candidates, PlanSpaceConfig, Planner, PlannerConfig, Strategy,
 };
-use serde::Serialize;
 
 /// One ablation measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AblationRow {
     /// Which knob was toggled.
     pub ablation: String,
@@ -58,7 +57,6 @@ pub fn warm_start_ablation(nq: usize, seed: u64) -> Vec<AblationRow> {
                 disable_warm_start: disable,
                 node_limit: 20_000,
                 time_limit: std::time::Duration::from_secs(2),
-                ..SolverConfig::default()
             },
         );
         rows.push(AblationRow {

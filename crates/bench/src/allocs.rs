@@ -1,30 +1,38 @@
 //! Counting global allocator for the allocation benchmarks.
 //!
-//! The hotpath bench's per-tuple speedups can hide allocator pressure
-//! (an insert path that allocates per tuple still "wins" a timing race on
-//! a quiet machine), so the ingest suite additionally reports
-//! **allocations per ingested tuple**, measured by wrapping the system
-//! allocator with a relaxed atomic counter. The counter is monotonic;
-//! callers snapshot it around a workload ([`AllocSpan`]) and divide the
-//! delta by the tuple count. Unlike timings, the count is deterministic
-//! for a deterministic workload, which makes it assertable in CI even on
-//! a noisy single-core runner.
+//! Timings can hide allocator pressure (a path that allocates per tuple
+//! still wins a timing race on a quiet machine), so the hotpath report
+//! states **allocations per ingested tuple**, measured by wrapping the
+//! system allocator with a per-thread counter. The counter is monotonic;
+//! callers snapshot it around a single-threaded workload ([`AllocSpan`])
+//! and divide the delta by the tuple count. Counting per thread keeps
+//! other threads — test harness siblings, engine workers — out of the
+//! count, so it is deterministic for a deterministic workload and
+//! assertable in CI even on a noisy single-core runner.
 //!
 //! Registered as the `#[global_allocator]` of this crate's binaries and
-//! tests (see `lib.rs`); the overhead is one relaxed fetch-add per
+//! tests (see `lib.rs`); the overhead is one thread-local increment per
 //! allocation, far below timer noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Allocation-counting wrapper around the system allocator.
 pub struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized and drop-free: reading it never allocates and
+    // never fails, not even while the thread is being torn down.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -33,19 +41,20 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 }
 
-/// Total allocations (including reallocations) since process start.
+/// Allocations (including reallocations) the calling thread performed
+/// since it started.
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Snapshot-based measurement span: count allocations across a workload.
@@ -62,8 +71,8 @@ impl AllocSpan {
         }
     }
 
-    /// Allocations since [`AllocSpan::start`] on this process (all
-    /// threads).
+    /// Allocations the calling thread performed since
+    /// [`AllocSpan::start`].
     pub fn elapsed(&self) -> u64 {
         allocations().saturating_sub(self.start)
     }

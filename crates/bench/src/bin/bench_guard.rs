@@ -1,8 +1,7 @@
 //! Bench regression guard: fails when `BENCH_hotpath.json` reports a
-//! micro-row speedup below its checked-in floor (`ci/bench_floors.json`),
-//! an ingest allocation count above the allowed ceiling, a telemetry
-//! throughput ratio below the overhead floor, or an open-loop median
-//! latency (the `paced` multi_source row) above its absolute ceiling.
+//! tiered-probe speedup below its checked-in floor
+//! (`ci/bench_floors.json`), an ingest allocation count above the allowed
+//! ceiling, or a telemetry throughput ratio below the overhead floor.
 //!
 //! Usage:
 //!   cargo run -p clash-bench --bin bench_guard -- \
@@ -35,7 +34,7 @@ fn number_after(text: &str, key: &str, from: usize) -> Option<(f64, usize)> {
     Some((value, at + consumed + end))
 }
 
-/// Extracts the `speedup` of the named micro row.
+/// Extracts the `speedup` of the named `micro` (tiered-probe) row.
 fn micro_speedup(report: &str, name: &str) -> Option<f64> {
     let marker = format!("\"name\": \"{name}\"");
     let at = report.find(&marker)?;
@@ -93,6 +92,28 @@ fn main() -> ExitCode {
     let mut violations: Vec<String> = Vec::new();
     let mut checks = 0usize;
 
+    // Allocation ceiling: deterministic, so it also holds on CI-fresh
+    // reports.
+    let allocs = report
+        .find("\"allocs\"")
+        .and_then(|at| number_after(&report, "allocs_per_tuple", at).map(|(v, _)| v));
+    let max_allocs = number_after(&floors, "max_allocs_per_tuple", 0).map(|(v, _)| v);
+    match (allocs, max_allocs) {
+        (Some(got), Some(ceiling)) => {
+            checks += 1;
+            if got <= ceiling {
+                println!("ok    allocs/tuple: {got:.3} <= ceiling {ceiling:.3}");
+            } else {
+                violations.push(format!(
+                    "ingest path allocates {got:.3}/tuple, above the {ceiling:.3} ceiling"
+                ));
+            }
+        }
+        _ => violations.push("allocs-per-tuple metric or ceiling missing".to_string()),
+    }
+
+    // Timing floors: held against the committed report only, not the
+    // noisy CI-fresh one.
     if !allocs_only {
         let Some(pairs) = parse_floors(&floors) else {
             eprintln!("bench_guard: malformed micro_speedup_floors in {floors_path}");
@@ -110,48 +131,10 @@ fn main() -> ExitCode {
                 None => violations.push(format!("{name}: micro row missing from {report_path}")),
             }
         }
-    }
 
-    // Allocation floors: deterministic, so they also hold on CI-fresh
-    // reports.
-    let allocs_at = report.find("\"allocs\"");
-    let optimized = allocs_at
-        .and_then(|at| number_after(&report, "optimized_allocs_per_tuple", at).map(|(v, _)| v));
-    let reduction = allocs_at.and_then(|at| number_after(&report, "reduction", at).map(|(v, _)| v));
-    let max_allocs = number_after(&floors, "max_optimized_allocs_per_tuple", 0).map(|(v, _)| v);
-    let min_reduction = number_after(&floors, "min_alloc_reduction", 0).map(|(v, _)| v);
-    match (optimized, max_allocs) {
-        (Some(got), Some(ceiling)) => {
-            checks += 1;
-            if got <= ceiling {
-                println!("ok    allocs/tuple: {got:.3} <= ceiling {ceiling:.3}");
-            } else {
-                violations.push(format!(
-                    "ingest path allocates {got:.3}/tuple, above the {ceiling:.3} ceiling"
-                ));
-            }
-        }
-        _ => violations.push("allocs-per-tuple metric or ceiling missing".to_string()),
-    }
-    match (reduction, min_reduction) {
-        (Some(got), Some(floor)) => {
-            checks += 1;
-            if got >= floor {
-                println!("ok    alloc reduction: {got:.3}x >= floor {floor:.3}x");
-            } else {
-                violations.push(format!(
-                    "alloc reduction {got:.3}x fell below the {floor:.3}x floor"
-                ));
-            }
-        }
-        _ => violations.push("alloc reduction metric or floor missing".to_string()),
-    }
-
-    // Telemetry overhead: always-on tracing must keep the traced/untraced
-    // throughput ratio above the floor (0.97 = at most a 3% hot-path
-    // tax). A timing metric, so like the micro floors it is only held
-    // against the committed report, not the noisy CI-fresh one.
-    if !allocs_only {
+        // Telemetry overhead: always-on tracing must keep the
+        // traced/untraced throughput ratio above the floor (0.97 = at most
+        // a 3% hot-path tax).
         let ratio = report
             .find("\"telemetry\"")
             .and_then(|at| number_after(&report, "throughput_ratio", at).map(|(v, _)| v));
@@ -170,28 +153,6 @@ fn main() -> ExitCode {
                 }
             }
             _ => violations.push("telemetry throughput ratio or floor missing".to_string()),
-        }
-
-        // Open-loop latency: the `paced` multi_source row's median (due
-        // time to subscriber at a fixed offered load) must stay under an
-        // absolute ceiling. A timing metric too: committed report only.
-        let median = report
-            .find("\"mode\": \"paced\"")
-            .and_then(|at| number_after(&report, "latency_p50_ms", at).map(|(v, _)| v));
-        let ceiling = number_after(&floors, "max_paced_latency_p50_ms", 0).map(|(v, _)| v);
-        match (median, ceiling) {
-            (Some(got), Some(ceiling)) => {
-                checks += 1;
-                if got <= ceiling {
-                    println!("ok    paced latency p50: {got:.3} ms <= ceiling {ceiling:.3} ms");
-                } else {
-                    violations.push(format!(
-                        "paced multi_source row answers in {got:.3} ms at the median, above \
-                         the {ceiling:.3} ms ceiling (a batch is waiting for a timer again?)"
-                    ));
-                }
-            }
-            _ => violations.push("paced latency row or ceiling missing".to_string()),
         }
     }
 

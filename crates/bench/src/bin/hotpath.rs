@@ -1,16 +1,17 @@
-//! Hot-path microbenchmarks: seed flat representation vs. the zero-copy
-//! rope tuple core and the reworked probe path, plus the Fig. 7 five-query
-//! end-to-end throughput on the optimized engine and the multi-source
-//! ingestion scenario (coordinator baseline vs. concurrent SourceHandle
-//! producers). Writes the machine-readable report to `BENCH_hotpath.json`.
+//! Hot-path report: hot vs. frozen store probes, allocations per
+//! ingested tuple, the Fig. 7 five-query replay, the multi-source and
+//! reconfiguration scenarios and the trace-ring overhead (see
+//! `clash_bench::hotpath`). Writes the machine-readable report to
+//! `BENCH_hotpath.json`.
 //!
 //! Usage:
 //!   cargo run --release -p clash-bench --bin hotpath [iters] [fig7_tuples] [out.json]
 //!
 //! Defaults: 300000 iterations, 30000-tuple Fig. 7 stream,
 //! `BENCH_hotpath.json` in the current directory. CI runs a smoke pass
-//! with small counts and only validates that the JSON is well-formed (the
-//! single-core runner makes timing assertions meaningless there).
+//! with small counts and validates the JSON plus the deterministic
+//! allocation ceiling (the single-core runner makes timing assertions
+//! meaningless there).
 
 use clash_bench::hotpath::{report_to_json, run_hotpath, BEST_OF};
 
@@ -21,36 +22,29 @@ fn main() {
     let out_path = args.next().unwrap_or_else(|| "BENCH_hotpath.json".into());
 
     println!(
-        "# Hot-path microbenchmarks — {iters} iterations, best of {BEST_OF}, \
+        "# Hot-path report — {iters} iterations, best of {BEST_OF}, \
          Fig. 7 stream of {fig7_tuples} tuples\n"
     );
     let report = run_hotpath(iters, fig7_tuples);
 
     println!(
-        "{:<18} {:>22} {:>18} {:>18} {:>9}",
-        "suite", "unit", "baseline[ops/s]", "optimized[ops/s]", "speedup"
+        "{:<20} {:>18} {:>18} {:>9}",
+        "suite", "hot[probes/s]", "frozen[probes/s]", "speedup"
     );
     for row in &report.micro {
         println!(
-            "{:<18} {:>22} {:>18.0} {:>18.0} {:>8.2}x",
+            "{:<20} {:>18.0} {:>18.0} {:>8.2}x",
             row.name,
-            row.unit,
-            row.baseline_ops_per_sec,
-            row.optimized_ops_per_sec,
+            row.hot_probes_per_sec,
+            row.frozen_probes_per_sec,
             row.speedup()
         );
     }
     println!(
-        "\n# Ingest allocation scenario ({} tuples, counting allocator)\n",
-        report.allocs.tuples
+        "\n# Ingest allocations: {:.3} per tuple over {} tuples (counting allocator)",
+        report.allocs.allocs_per_tuple, report.allocs.tuples
     );
-    println!(
-        "allocs/tuple: baseline {:.2}, optimized {:.2} ({:.2}x fewer)",
-        report.allocs.baseline_allocs_per_tuple,
-        report.allocs.optimized_allocs_per_tuple,
-        report.allocs.reduction()
-    );
-    println!("\n# Fig. 7 end-to-end (5 queries, optimized engine)\n");
+    println!("\n# Fig. 7 end-to-end (5 queries)\n");
     println!(
         "{:<12} {:>16} {:>12} {:>12} {:>10}",
         "strategy", "throughput[t/s]", "memory[MB]", "latency[ms]", "results"

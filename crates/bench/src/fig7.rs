@@ -9,11 +9,10 @@ use clash_common::Window;
 use clash_datagen::{TpchGenerator, TpchWorkload};
 use clash_optimizer::{Planner, PlannerConfig, Strategy};
 use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
-use serde::Serialize;
 use std::time::Instant;
 
 /// One row of the Fig. 7 result table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Row {
     /// Number of queries in the workload (5 or 10).
     pub num_queries: usize,
@@ -90,7 +89,7 @@ pub fn run_fig7(num_queries: usize, num_tuples: usize, scale: f64, seed: u64) ->
 /// One row of the sharded-runtime throughput comparison: the same CMQO
 /// plan executed by `LocalEngine` and by `ParallelEngine` at increasing
 /// worker counts, measured in end-to-end wall-clock tuples per second.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7ParallelRow {
     /// Number of queries in the workload.
     pub num_queries: usize,

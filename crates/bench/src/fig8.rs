@@ -12,10 +12,9 @@ use clash_common::{Duration, Epoch, EpochConfig, Timestamp};
 use clash_datagen::AdaptiveScenario;
 use clash_optimizer::Strategy;
 use clash_runtime::{AdaptiveConfig, AdaptiveController, EngineConfig, LocalEngine};
-use serde::Serialize;
 
 /// One time-bucket of the Fig. 8 latency series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Point {
     /// Stream time in seconds.
     pub time_s: u64,

@@ -9,11 +9,10 @@
 use clash_datagen::{SyntheticEnv, SyntheticWorkloadConfig};
 use clash_ilp::SolverConfig;
 use clash_optimizer::{Planner, PlannerConfig, Strategy};
-use serde::Serialize;
 use std::time::Duration;
 
 /// One row of the probe-cost / problem-size sweep (Fig. 9a–9e).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Row {
     /// Number of input relations in the pool (10 or 100).
     pub num_relations: usize,

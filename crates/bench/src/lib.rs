@@ -2,7 +2,7 @@
 //!
 //! Experiment drivers that regenerate every figure of the paper's
 //! evaluation (Section VII). Each driver returns plain data rows; the
-//! binaries in `src/bin/` print them as tables (and JSON).
+//! binaries in `src/bin/` print them as tables and `Debug` lines.
 //!
 //! | Paper figure | Driver |
 //! |---|---|
@@ -12,6 +12,7 @@
 //! | Fig. 9e (optimization runtime vs. nQ) | [`fig9::run_probe_cost_sweep`] (runtime column) |
 //! | Fig. 9f (optimization runtime vs. query size) | [`fig9::run_query_size_sweep`] |
 //! | Ablations (DESIGN.md) | [`ablation`] |
+//! | Hot-path report, `BENCH_hotpath.json` (not a paper figure) | [`hotpath::run_hotpath`] |
 
 pub mod ablation;
 pub mod allocs;
@@ -26,15 +27,11 @@ pub mod hotpath;
 #[global_allocator]
 static GLOBAL_ALLOCATOR: allocs::CountingAllocator = allocs::CountingAllocator;
 
-/// Prints a slice of serializable rows as aligned text plus one JSON line
-/// per row (machine-readable output consumed by EXPERIMENTS.md tooling).
-pub fn print_rows<T: serde::Serialize + std::fmt::Debug>(title: &str, rows: &[T]) {
+/// Prints a titled block of rows, one `Debug` line per row.
+pub fn print_rows<T: std::fmt::Debug>(title: &str, rows: &[T]) {
     println!("== {title} ==");
     for row in rows {
-        match serde_json::to_string(row) {
-            Ok(json) => println!("{json}"),
-            Err(_) => println!("{row:?}"),
-        }
+        println!("{row:?}");
     }
     println!();
 }

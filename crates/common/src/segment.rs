@@ -387,7 +387,7 @@ impl FrozenSegment {
     /// Deliberately out of line: inlined, its table walk and bounds checks
     /// bloat every `SlotAccessor::get` call site enough that the
     /// optimizer stops unrolling lookup loops over hot-tier tuples
-    /// (`probe_get` lost 11 %); a call costs a frozen read about 1 ns.
+    /// (hot-tier lookups lost 11 %); a call costs a frozen read about 1 ns.
     #[inline(never)]
     pub(crate) fn get(&self, relation: RelationId, slot: usize, row: usize) -> Option<&Value> {
         self.value_at(RelationColumns::column(&self.tables, relation, slot)?, row)

@@ -3,30 +3,13 @@
 use clash_catalog::{Catalog, Statistics};
 use clash_common::{RelationSet, Window};
 use clash_query::JoinQuery;
-use serde::{Deserialize, Serialize};
 
-/// Configuration of the cardinality estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CostConfig {
-    /// Length of the "time unit" the rates are normalized to, in seconds.
-    /// The estimated cardinality of a base relation is
-    /// `rate · min(window, horizon) / time_unit`, i.e. with the default of
-    /// 1 s and an unbounded window the cardinality equals the arrival rate
-    /// — the rate-based model used throughout the paper's examples.
-    pub time_unit_secs: f64,
-    /// Cap on the window length (in seconds) considered for cardinality
-    /// estimation. Unbounded windows are treated as this horizon.
-    pub window_horizon_secs: f64,
-}
-
-impl Default for CostConfig {
-    fn default() -> Self {
-        CostConfig {
-            time_unit_secs: 1.0,
-            window_horizon_secs: 1.0,
-        }
-    }
-}
+/// Cap on the window length, in seconds, considered for cardinality
+/// estimation; rates are per second. The estimated cardinality of a base
+/// relation is `rate · min(window, 1 s)`, so under an unbounded window it
+/// equals the arrival rate — the rate-based model used throughout the
+/// paper's examples.
+const WINDOW_HORIZON_SECS: f64 = 1.0;
 
 /// Estimates the cardinality of base relations and connected joins from a
 /// statistics snapshot.
@@ -34,27 +17,17 @@ impl Default for CostConfig {
 pub struct CardinalityEstimator<'a> {
     catalog: &'a Catalog,
     stats: &'a Statistics,
-    config: CostConfig,
 }
 
 impl<'a> CardinalityEstimator<'a> {
     /// Creates an estimator over a catalog and statistics snapshot.
-    pub fn new(catalog: &'a Catalog, stats: &'a Statistics, config: CostConfig) -> Self {
-        CardinalityEstimator {
-            catalog,
-            stats,
-            config,
-        }
+    pub fn new(catalog: &'a Catalog, stats: &'a Statistics) -> Self {
+        CardinalityEstimator { catalog, stats }
     }
 
-    /// Creates an estimator with the default configuration (rate-based).
-    pub fn rate_based(catalog: &'a Catalog, stats: &'a Statistics) -> Self {
-        Self::new(catalog, stats, CostConfig::default())
-    }
-
-    /// Effective window length (in "time units") of a relation under a
+    /// Effective window length (in seconds) of a relation under a
     /// query: the query's window override if present, otherwise the
-    /// catalog's per-relation window, capped at the configured horizon.
+    /// catalog's per-relation window, capped at [`WINDOW_HORIZON_SECS`].
     fn window_factor(&self, query: &JoinQuery, relation: clash_common::RelationId) -> f64 {
         let window: Window = query.window.unwrap_or_else(|| {
             self.catalog
@@ -63,8 +36,7 @@ impl<'a> CardinalityEstimator<'a> {
                 .unwrap_or_default()
         });
         let secs = window.length.as_secs_f64();
-        let capped = secs.min(self.config.window_horizon_secs);
-        (capped / self.config.time_unit_secs).max(f64::MIN_POSITIVE)
+        secs.clamp(f64::MIN_POSITIVE, WINDOW_HORIZON_SECS)
     }
 
     /// Estimated number of tuples of a single relation that are live inside
@@ -92,11 +64,6 @@ impl<'a> CardinalityEstimator<'a> {
             card *= self.stats.selectivity(p.left, p.right);
         }
         card
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> CostConfig {
-        self.config
     }
 
     /// The statistics snapshot in use.
@@ -152,7 +119,7 @@ mod tests {
     fn base_cardinality_equals_rate_for_unbounded_windows() {
         let (catalog, stats) = setup();
         let q = parse_query(&catalog, QueryId::new(0), "q", "R(a), S(a,b), T(b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
+        let est = CardinalityEstimator::new(&catalog, &stats);
         assert_eq!(est.base_cardinality(&q, RelationId::new(0)), 100.0);
         assert_eq!(est.join_cardinality(&q, &rs(&[1])), 100.0);
     }
@@ -161,7 +128,7 @@ mod tests {
     fn join_cardinality_matches_paper_example() {
         let (catalog, stats) = setup();
         let q = parse_query(&catalog, QueryId::new(0), "q", "R(a), S(a,b), T(b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
+        let est = CardinalityEstimator::new(&catalog, &stats);
         assert!((est.join_cardinality(&q, &rs(&[0, 1])) - 100.0).abs() < 1e-9);
         assert!((est.join_cardinality(&q, &rs(&[1, 2])) - 150.0).abs() < 1e-9);
         // Full join: 100·100·100 · 0.01 · 0.015 = 150.
@@ -178,7 +145,7 @@ mod tests {
             .set_window(r, Window::new(clash_common::Duration::from_millis(500)))
             .unwrap();
         let q = parse_query(&catalog, QueryId::new(0), "q", "R(a), S(a,b), T(b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
+        let est = CardinalityEstimator::new(&catalog, &stats);
         assert!((est.base_cardinality(&q, r) - 50.0).abs() < 1e-9);
         // A query-level override takes precedence over the catalog window.
         let mut q2 = q.clone();
@@ -196,15 +163,14 @@ mod tests {
         no_sel.set_rate(RelationId::new(0), 10.0);
         no_sel.set_rate(RelationId::new(1), 10.0);
         let q = parse_query(&catalog, QueryId::new(0), "q", "R(a), S(a,b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &no_sel);
+        let est = CardinalityEstimator::new(&catalog, &no_sel);
         assert!((est.join_cardinality(&q, &q.relations) - 50.0).abs() < 1e-9);
     }
 
     #[test]
     fn accessors_expose_configuration() {
         let (catalog, stats) = setup();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
-        assert_eq!(est.config(), CostConfig::default());
+        let est = CardinalityEstimator::new(&catalog, &stats);
         assert_eq!(est.stats().rate(RelationId::new(0)), 100.0);
         assert_eq!(est.catalog().len(), 3);
     }

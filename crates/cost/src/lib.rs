@@ -32,7 +32,7 @@
 pub mod estimate;
 pub mod probe_cost;
 
-pub use estimate::{CardinalityEstimator, CostConfig};
+pub use estimate::CardinalityEstimator;
 pub use probe_cost::{
     broadcast_factor, probe_cost, query_probe_cost, step_cost, PartitionedStep, StepCostBreakdown,
 };

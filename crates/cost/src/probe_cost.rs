@@ -190,7 +190,7 @@ mod tests {
     fn paper_example_probe_costs() {
         let (catalog, stats) = setup();
         let q = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
+        let est = CardinalityEstimator::new(&catalog, &stats);
 
         // ⟨R,S,T⟩: 100 + |R⋈S|/2 = 100 + 50 = 150.
         let rst = ProbeOrder::new(q.id, RelationId::new(0), vec![rs(&[1]), rs(&[2])]);
@@ -224,7 +224,7 @@ mod tests {
     fn probing_a_materialized_intermediate_costs_one_step() {
         let (catalog, stats) = setup();
         let q = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
+        let est = CardinalityEstimator::new(&catalog, &stats);
         // ⟨R, ST⟩ costs only the first step: 100.
         let r_st = ProbeOrder::new(q.id, RelationId::new(0), vec![rs(&[1, 2])]);
         let cost = probe_cost(&est, &q, &r_st, &unpartitioned(&[rs(&[1, 2])]));
@@ -235,7 +235,7 @@ mod tests {
     fn broadcast_factor_depends_on_predicate_knowledge() {
         let (catalog, stats) = setup();
         let q = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
+        let est = CardinalityEstimator::new(&catalog, &stats);
         let t_attr = catalog.attr("T", "b").unwrap();
         let s_b = catalog.attr("S", "b").unwrap();
 
@@ -271,7 +271,7 @@ mod tests {
     fn step_cost_breakdown_is_consistent() {
         let (catalog, stats) = setup();
         let q = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
+        let est = CardinalityEstimator::new(&catalog, &stats);
         let t_attr = catalog.attr("T", "b").unwrap();
         let order = ProbeOrder::new(q.id, RelationId::new(0), vec![rs(&[1]), rs(&[2])]);
         let target = PartitionedStep::partitioned(rs(&[2]), t_attr, 5);
@@ -287,7 +287,7 @@ mod tests {
     fn chi_multiplies_step_cost_when_broadcasting() {
         let (catalog, stats) = setup();
         let q = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
+        let est = CardinalityEstimator::new(&catalog, &stats);
         let s_a = catalog.attr("S", "a").unwrap();
         // Probe order ⟨T, S, R⟩ where the S-store is partitioned by S.a:
         // T knows b but not a, so the first step broadcasts to all 5
@@ -303,7 +303,7 @@ mod tests {
     fn mismatched_partitioning_length_panics() {
         let (catalog, stats) = setup();
         let q = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
+        let est = CardinalityEstimator::new(&catalog, &stats);
         let order = ProbeOrder::new(q.id, RelationId::new(0), vec![rs(&[1]), rs(&[2])]);
         let _ = probe_cost(&est, &q, &order, &unpartitioned(&[rs(&[1])]));
     }
@@ -312,7 +312,7 @@ mod tests {
     fn probe_orders_from_enumeration_have_positive_costs() {
         let (catalog, stats) = setup();
         let q = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
+        let est = CardinalityEstimator::new(&catalog, &stats);
         let mirs = enumerate_mirs(&q, None);
         for start in q.relations.iter() {
             for order in construct_probe_orders_for_start(&q, &mirs, start, None) {

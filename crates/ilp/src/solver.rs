@@ -34,15 +34,16 @@ pub enum SolveStatus {
     Unknown,
 }
 
-/// Solver limits and tolerances.
+/// Feasibility / optimality tolerance of the branch and bound.
+const TOLERANCE: f64 = 1e-6;
+
+/// Solver limits.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolverConfig {
     /// Maximum number of branch-and-bound nodes to explore.
     pub node_limit: u64,
     /// Wall-clock time limit.
     pub time_limit: Duration,
-    /// Feasibility / optimality tolerance.
-    pub tolerance: f64,
     /// When `true`, skip the greedy warm start (used by the ablation
     /// benchmark to quantify its benefit).
     pub disable_warm_start: bool,
@@ -53,7 +54,6 @@ impl Default for SolverConfig {
         SolverConfig {
             node_limit: 200_000,
             time_limit: Duration::from_secs(10),
-            tolerance: 1e-6,
             disable_warm_start: false,
         }
     }
@@ -277,14 +277,14 @@ impl<'a> SearchState<'a> {
 
     fn maybe_accept(&mut self, domains: &Domains) {
         let assignment = domains.to_assignment();
-        if !self.model.is_feasible(&assignment, self.config.tolerance) {
+        if !self.model.is_feasible(&assignment, TOLERANCE) {
             return;
         }
         let objective = self.model.objective_value(&assignment);
         let improves = self
             .incumbent
             .as_ref()
-            .map(|(_, best)| objective < best - self.config.tolerance)
+            .map(|(_, best)| objective < best - TOLERANCE)
             .unwrap_or(true);
         if improves {
             self.incumbent = Some((assignment, objective));
@@ -298,7 +298,7 @@ impl<'a> SearchState<'a> {
         }
         // Bound.
         if let Some((_, best)) = &self.incumbent {
-            if self.lower_bound(&domains) >= *best - self.config.tolerance {
+            if self.lower_bound(&domains) >= *best - TOLERANCE {
                 return;
             }
         }

@@ -11,7 +11,7 @@
 use crate::store::StoreDescriptor;
 use clash_catalog::{Catalog, Statistics};
 use clash_common::{QueryId, RelationId, RelationSet};
-use clash_cost::{probe_cost, step_cost, CardinalityEstimator, CostConfig};
+use clash_cost::{probe_cost, step_cost, CardinalityEstimator};
 use clash_query::partitioning::partition_candidates_for_workload;
 use clash_query::{construct_probe_orders_for_start, enumerate_mirs, JoinQuery, Mir, ProbeOrder};
 use serde::{Deserialize, Serialize};
@@ -20,8 +20,6 @@ use std::collections::HashMap;
 /// Configuration of the plan-space enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlanSpaceConfig {
-    /// Maximum size of enumerated MIRs (`None`: unbounded).
-    pub max_mir_size: Option<usize>,
     /// Cap on probe order candidates per (query, start) pair.
     pub max_candidates_per_start: Option<usize>,
     /// When `false`, only base relations may be probed (no intermediate
@@ -33,19 +31,15 @@ pub struct PlanSpaceConfig {
     pub partitioning_enabled: bool,
     /// Cap on the number of partitioning combinations per probe order.
     pub max_partitionings_per_order: usize,
-    /// Cost model configuration.
-    pub cost: CostConfig,
 }
 
 impl Default for PlanSpaceConfig {
     fn default() -> Self {
         PlanSpaceConfig {
-            max_mir_size: None,
             max_candidates_per_start: Some(64),
             materialize_intermediates: true,
             partitioning_enabled: true,
             max_partitionings_per_order: 16,
-            cost: CostConfig::default(),
         }
     }
 }
@@ -307,7 +301,7 @@ pub fn enumerate_candidates(
     queries: &[JoinQuery],
     config: &PlanSpaceConfig,
 ) -> CandidateSet {
-    let estimator = CardinalityEstimator::new(catalog, stats, config.cost);
+    let estimator = CardinalityEstimator::new(catalog, stats);
     let mut set = CandidateSet {
         queries: queries.to_vec(),
         ..CandidateSet::default()
@@ -315,7 +309,7 @@ pub fn enumerate_candidates(
 
     for query in queries {
         let mirs: Vec<Mir> = if config.materialize_intermediates {
-            enumerate_mirs(query, config.max_mir_size)
+            enumerate_mirs(query, None)
         } else {
             enumerate_mirs(query, Some(1))
         };

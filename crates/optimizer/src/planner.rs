@@ -5,11 +5,10 @@ use crate::candidate::{enumerate_candidates, CandidateSet, PlanSpaceConfig};
 use crate::ilp_builder::{build_ilp, extract_selection, Selection};
 use crate::topology::{TopologyBuilder, TopologyPlan};
 use clash_catalog::{Catalog, Statistics};
-use clash_common::{ClashError, QueryId, RelationId, Result};
+use clash_common::{ClashError, Result};
 use clash_ilp::{solve, ModelStats, SolveStatus, SolverConfig};
 use clash_query::JoinQuery;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// Planning strategy.
@@ -158,19 +157,6 @@ impl<'a> Planner<'a> {
             optimization_time: started.elapsed(),
         })
     }
-
-    /// Plans with every strategy, returning the reports keyed by strategy
-    /// label (used by the Fig. 7 experiment driver).
-    pub fn plan_all(
-        &self,
-        queries: &[JoinQuery],
-    ) -> Result<HashMap<&'static str, OptimizationReport>> {
-        let mut out = HashMap::new();
-        for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
-            out.insert(strategy.label(), self.plan(queries, strategy)?);
-        }
-        Ok(out)
-    }
 }
 
 /// Per-query locally optimal selection: the cheapest decorated candidate
@@ -215,22 +201,10 @@ fn greedy_per_query_selection(candidates: &CandidateSet) -> Result<Selection> {
     Ok(selection)
 }
 
-/// Convenience: the set of starting relations a workload needs probe
-/// orders for (used in tests and experiment assertions).
-pub fn workload_starts(queries: &[JoinQuery]) -> Vec<(QueryId, RelationId)> {
-    let mut out = Vec::new();
-    for q in queries {
-        for r in q.relations.iter() {
-            out.push((q.id, r));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clash_common::Window;
+    use clash_common::{QueryId, Window};
     use clash_query::parse_query;
 
     fn setup() -> (Catalog, Statistics, Vec<JoinQuery>) {
@@ -266,15 +240,14 @@ mod tests {
     fn all_strategies_produce_plans() {
         let (catalog, stats, queries) = setup();
         let planner = Planner::with_defaults(&catalog, &stats);
-        let reports = planner.plan_all(&queries).unwrap();
-        assert_eq!(reports.len(), 3);
-        for (label, report) in &reports {
+        // One probe order per (query, starting relation).
+        let starts: usize = queries.iter().map(|q| q.relations.len()).sum();
+        for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
+            let report = planner.plan(&queries, strategy).unwrap();
+            let label = strategy.label();
             assert!(report.plan.num_stores() > 0, "{label} plan has no stores");
             assert!(report.plan.num_rules() > 0);
-            assert_eq!(
-                report.selection.query_orders.len(),
-                workload_starts(&queries).len()
-            );
+            assert_eq!(report.selection.query_orders.len(), starts);
             assert!(report.shared_cost > 0.0);
             assert!(report.individual_cost > 0.0);
             assert!(report.num_probe_orders > 0);

@@ -254,12 +254,6 @@ impl ParallelEngine {
         self.core().subscribe()
     }
 
-    /// Number of ingestion sources opened over the engine's lifetime
-    /// (dropped handles included).
-    pub fn sources_open(&self) -> usize {
-        self.core().sources_opened
-    }
-
     /// Roots currently in flight: allocated sequence numbers not yet
     /// covered by the completion watermark (what the
     /// `max_inflight_roots` backpressure gate bounds).

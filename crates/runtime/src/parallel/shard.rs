@@ -37,7 +37,7 @@ use crate::parallel::router::{fan_out, workers_of_store, Partitions};
 use crate::parallel::worker::Delivery;
 use crate::plan::{Feed, InstalledPlan};
 use crate::stats_collector::StatsCollector;
-use crate::store::StoreInstance;
+use crate::store::{visible, StoreInstance};
 use clash_common::{
     arena_stats, ArenaStats, EdgeId, Epoch, EpochConfig, FxHashMap, QueryId, SlotAccessor, StoreId,
     Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Value,
@@ -467,10 +467,11 @@ impl ShardState {
     /// Matches a just-applied insert against the registered pending
     /// probers of the store: the symmetric half of probe processing. Only
     /// probers with a *larger* guard qualify (they logically ran after
-    /// this insert), and all timestamp/window/predicate checks mirror
-    /// `StoreInstance::probe` exactly. Candidates come from the join-key
-    /// index (plus the unkeyed scan list), so the cost is proportional to
-    /// the probers that can actually match, not to everything in flight.
+    /// this insert): visibility is the store's own [`visible`] rule and
+    /// the predicate checks mirror `StoreInstance::probe` exactly.
+    /// Candidates come from the join-key index (plus the unkeyed scan
+    /// list), so the cost is proportional to the probers that can actually
+    /// match, not to everything in flight.
     /// Missed results leave through the original prober's outputs, at its
     /// guard. Returns the number of results emitted.
     fn retro_probe(
@@ -504,12 +505,13 @@ impl ShardState {
         // once the borrows of the pending set and the store end.
         let mut hits: Vec<(Tuple, &[OutputAction], u64, Instant)> = Vec::new();
         for prober in candidates {
-            if delivery.guard >= prober.guard || !prober.partitions.clone().any(|p| p == partition)
-            {
-                continue;
-            }
-            if inserted.ts >= prober.tuple.ts
-                || !store.window.contains(prober.tuple.ts, inserted.ts)
+            if !visible(
+                store.window,
+                inserted.ts,
+                delivery.guard,
+                prober.tuple.ts,
+                Some(prober.guard),
+            ) || !prober.partitions.clone().any(|p| p == partition)
             {
                 continue;
             }
@@ -686,9 +688,13 @@ mod tests {
     /// One shard owning every partition of `R(a) ⋈ S(a)`, with every
     /// store symmetric (the multi-producer set), and the two relations.
     fn two_way_shard() -> (Catalog, ShardState, RelationId, RelationId) {
+        two_way_shard_over(Window::secs(3600))
+    }
+
+    fn two_way_shard_over(window: Window) -> (Catalog, ShardState, RelationId, RelationId) {
         let mut catalog = Catalog::new();
-        catalog.register("R", ["a"], Window::secs(3600), 2).unwrap();
-        catalog.register("S", ["a"], Window::secs(3600), 2).unwrap();
+        catalog.register("R", ["a"], window, 2).unwrap();
+        catalog.register("S", ["a"], window, 2).unwrap();
         let query = parse_query(&catalog, QueryId::new(0), "q", "R(a), S(a)").unwrap();
         let stats = Statistics::new();
         let plan = Planner::with_defaults(&catalog, &stats)
@@ -805,5 +811,36 @@ mod tests {
             "R@9 x S@6, S@8"
         );
         assert_eq!(shard.metrics.total_results(), 4);
+    }
+
+    #[test]
+    fn a_late_insert_retro_matches_exactly_what_the_forward_probe_would_have() {
+        // One R root at (5 s, guard 10) and one S root around it, over a
+        // 1 s window, delivered in both orders with no root completed: the
+        // pair joins exactly once whichever arrives first, iff the
+        // timestamps differ by at most the window (edge included) and the
+        // newer tuple's root follows the older one's.
+        let window = Window::secs(1);
+        let (r_ts, r_guard) = (5_000u64, 10);
+        for s_ts in [3_999u64, 4_000, 4_999, 5_000, 5_001, 6_000, 6_001] {
+            for s_guard in [9, 10, 11] {
+                let (older, newer) = if s_ts < r_ts {
+                    (s_guard, r_guard)
+                } else {
+                    (r_guard, s_guard)
+                };
+                let expected =
+                    u64::from(s_ts != r_ts && s_ts.abs_diff(r_ts) <= 1_000 && older < newer);
+                let (catalog, mut forward, r, s) = two_way_shard_over(window);
+                let stored_first = ingest(&catalog, &mut forward, s, s_ts, s_guard, 0)
+                    + ingest(&catalog, &mut forward, r, r_ts, r_guard, 0);
+                let (catalog, mut late, r, s) = two_way_shard_over(window);
+                let probed_first = ingest(&catalog, &mut late, r, r_ts, r_guard, 0)
+                    + ingest(&catalog, &mut late, s, s_ts, s_guard, 0);
+                let case = format!("S at ({s_ts} ms, guard {s_guard})");
+                assert_eq!(stored_first, expected, "{case}, stored first");
+                assert_eq!(probed_first, expected, "{case}, probed first");
+            }
+        }
     }
 }

@@ -244,6 +244,28 @@ impl ColdEpoch {
     }
 }
 
+/// The one visibility rule of a probe: a stored tuple may join a probing
+/// one iff it is strictly older (the prober is the newest constituent of
+/// the result), inside `window` measured back from the prober (edge
+/// included), and — when the prober carries an ordering guard — stored by
+/// a strictly earlier root (`stored_guard < probe_guard`; timestamps alone
+/// cannot express arrival order when shards race ahead of each other).
+/// The hot probe, the frozen probe and the parallel engine's retroactive
+/// match of a late insert all decide through this function, so a late
+/// insert retro-matches exactly what the forward probe would have.
+#[inline]
+pub(crate) fn visible(
+    window: Window,
+    stored_ts: Timestamp,
+    stored_guard: u64,
+    probe_ts: Timestamp,
+    probe_guard: Option<u64>,
+) -> bool {
+    stored_ts < probe_ts
+        && window.contains(probe_ts, stored_ts)
+        && probe_guard.is_none_or(|guard| stored_guard < guard)
+}
+
 /// A store holding the tuples of one (possibly intermediate) relation,
 /// split into `parallelism` partitions, each keeping an independent
 /// container per epoch (Algorithm 4 stores and probes "with respect to an
@@ -551,15 +573,14 @@ impl StoreInstance {
                 // non-Null values), so hit candidates skip it.
                 let mut consider = |idx: usize, checks: &[(SlotAccessor, &Value)]| {
                     let stored = &container.tuples[idx];
-                    // Only earlier-arrived tuples join (the probing tuple is the
-                    // latest constituent of the result) and the window must hold.
-                    if stored.ts >= probe.ts || !self.window.contains(probe.ts, stored.ts) {
+                    if !visible(
+                        self.window,
+                        stored.ts,
+                        container.seqs[idx],
+                        probe.ts,
+                        probe_seq,
+                    ) {
                         return;
-                    }
-                    if let Some(seq) = probe_seq {
-                        if container.seqs[idx] >= seq {
-                            return;
-                        }
                     }
                     for (stored_slot, value) in checks {
                         match stored_slot.get(stored) {
@@ -637,14 +658,14 @@ impl StoreInstance {
             true
         }
         let check = |cols: &[(usize, &'v Value)], row: usize| -> bool {
-            let stored_ts = segment.ts(row);
-            if stored_ts >= probe.ts || !self.window.contains(probe.ts, stored_ts) {
+            if !visible(
+                self.window,
+                segment.ts(row),
+                segment.seq(row),
+                probe.ts,
+                probe_seq,
+            ) {
                 return false;
-            }
-            if let Some(seq) = probe_seq {
-                if segment.seq(row) >= seq {
-                    return false;
-                }
             }
             for &(col, value) in cols {
                 match segment.value_at(col, row) {
@@ -892,6 +913,25 @@ mod tests {
             store.probe(0, &[Epoch(0)], &probe, &[pred_ra_sa()]).len(),
             1
         );
+    }
+
+    #[test]
+    fn visibility_rule_edges() {
+        let window = Window::secs(1);
+        let at = Timestamp::from_millis;
+        let probe = at(5_000);
+        // Equal timestamps never join: the prober must be the newest.
+        assert!(!visible(window, probe, 1, probe, Some(10)));
+        assert!(!visible(window, at(5_001), 1, probe, Some(10)));
+        // The window edge is included, one tick past it is not.
+        assert!(visible(window, at(4_000), 1, probe, Some(10)));
+        assert!(!visible(window, at(3_999), 1, probe, Some(10)));
+        // Equal guards are excluded: only strictly earlier roots count.
+        assert!(visible(window, at(4_999), 9, probe, Some(10)));
+        assert!(!visible(window, at(4_999), 10, probe, Some(10)));
+        assert!(!visible(window, at(4_999), 11, probe, Some(10)));
+        // Without a guard only time decides.
+        assert!(visible(window, at(4_999), 11, probe, None));
     }
 
     #[test]

@@ -165,7 +165,7 @@ proptest! {
         stats.set_selectivity(catalog.attr("R", "a").unwrap(), catalog.attr("S", "a").unwrap(), sel[0]);
         stats.set_selectivity(catalog.attr("S", "b").unwrap(), catalog.attr("T", "b").unwrap(), sel[1]);
         let q = parse_query(&catalog, QueryId::new(0), "q", "R(a), S(a,b), T(b)").unwrap();
-        let est = CardinalityEstimator::rate_based(&catalog, &stats);
+        let est = CardinalityEstimator::new(&catalog, &stats);
         let order = clash_query::ProbeOrder::new(
             q.id,
             RelationId::new(0),
