@@ -1,7 +1,8 @@
 //! Bench regression guard: fails when `BENCH_hotpath.json` reports a
 //! tiered-probe speedup below its checked-in floor
-//! (`ci/bench_floors.json`), an ingest allocation count above the allowed
-//! ceiling, or a telemetry throughput ratio below the overhead floor.
+//! (`ci/bench_floors.json`), an ingest or rule-kernel allocation count
+//! above its ceiling, or a telemetry throughput ratio below the overhead
+//! floor.
 //!
 //! Usage:
 //!   cargo run -p clash-bench --bin bench_guard -- \
@@ -92,24 +93,36 @@ fn main() -> ExitCode {
     let mut violations: Vec<String> = Vec::new();
     let mut checks = 0usize;
 
-    // Allocation ceiling: deterministic, so it also holds on CI-fresh
-    // reports.
-    let allocs = report
-        .find("\"allocs\"")
-        .and_then(|at| number_after(&report, "allocs_per_tuple", at).map(|(v, _)| v));
-    let max_allocs = number_after(&floors, "max_allocs_per_tuple", 0).map(|(v, _)| v);
-    match (allocs, max_allocs) {
-        (Some(got), Some(ceiling)) => {
-            checks += 1;
-            if got <= ceiling {
-                println!("ok    allocs/tuple: {got:.3} <= ceiling {ceiling:.3}");
-            } else {
-                violations.push(format!(
-                    "ingest path allocates {got:.3}/tuple, above the {ceiling:.3} ceiling"
-                ));
+    // Allocation ceilings: deterministic, so they also hold on CI-fresh
+    // reports. The ingest path's `allocs_per_tuple` is the first after
+    // `"allocs"`; the kernel's sits in the nested `"kernel_allocs"` entry.
+    for (label, section, ceiling_key) in [
+        ("ingest path", "\"allocs\"", "max_allocs_per_tuple"),
+        (
+            "rule kernel",
+            "\"kernel_allocs\"",
+            "max_kernel_allocs_per_tuple",
+        ),
+    ] {
+        let got = report
+            .find(section)
+            .and_then(|at| number_after(&report, "allocs_per_tuple", at).map(|(v, _)| v));
+        let ceiling = number_after(&floors, ceiling_key, 0).map(|(v, _)| v);
+        match (got, ceiling) {
+            (Some(got), Some(ceiling)) => {
+                checks += 1;
+                if got <= ceiling {
+                    println!("ok    {label} allocs/tuple: {got:.3} <= ceiling {ceiling:.3}");
+                } else {
+                    violations.push(format!(
+                        "{label} allocates {got:.3}/tuple, above the {ceiling:.3} ceiling"
+                    ));
+                }
             }
+            _ => violations.push(format!(
+                "{label} allocs-per-tuple metric or {ceiling_key} missing"
+            )),
         }
-        _ => violations.push("allocs-per-tuple metric or ceiling missing".to_string()),
     }
 
     // Timing floors: held against the committed report only, not the

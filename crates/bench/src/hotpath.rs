@@ -9,8 +9,9 @@
 //!   hot and fully frozen ([`TierProbeRow`]): what the frozen tier buys on
 //!   miss-dominated cold state and costs on hit-heavy skewed state.
 //! * `allocs` — allocations per tuple on the construct → insert → expire
-//!   path under the counting allocator; deterministic, so CI holds it on
-//!   the noisy runner too.
+//!   path, and per input tuple of the rule kernel at steady state
+//!   (`kernel_allocs`), under the counting allocator; deterministic, so CI
+//!   holds both on the noisy runner too.
 //! * `fig7` — the Fig. 7 five-query replay per strategy.
 //! * `multi_source` — the identical two-query workload pushed through the
 //!   parallel engine by the coordinator thread and by 1, 2 and 4
@@ -29,7 +30,7 @@ use clash_common::{
     TupleBuilder, Value, Window,
 };
 use clash_datagen::{TpchGenerator, TpchWorkload};
-use clash_optimizer::{Planner, PlannerConfig, StoreDescriptor, Strategy};
+use clash_optimizer::{Planner, PlannerConfig, StoreDescriptor, Strategy, TopologyPlan};
 use clash_query::{parse_query, EquiPredicate};
 use clash_runtime::store::StoreInstance;
 use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
@@ -73,6 +74,8 @@ pub struct HotpathReport {
     pub micro: Vec<TierProbeRow>,
     /// Allocations per ingested tuple (counting-allocator scenario).
     pub allocs: AllocsRow,
+    /// Allocations per input tuple of the rule kernel at steady state.
+    pub kernel_allocs: AllocsRow,
     /// Fig. 7 five-query rows.
     pub fig7: Vec<Fig7Row>,
     /// Multi-source ingestion rows (coordinator baseline + source sweep).
@@ -141,6 +144,66 @@ pub fn bench_ingest_allocs(n: usize) -> AllocsRow {
     AllocsRow {
         tuples: n,
         allocs_per_tuple: run(n) as f64 / n as f64,
+    }
+}
+
+/// Input tuples the report's kernel replay warms up on, and then counts
+/// over: fixed, so the reading is the same at every report size.
+const KERNEL_WARMUP: usize = 10_000;
+/// See [`KERNEL_WARMUP`].
+const KERNEL_TUPLES: usize = 5_000;
+
+/// The rule kernel's allocation replay: a finite-window (5 s)
+/// `five_queries()` workload and its `GlobalIlp` plan, planned once (the
+/// ILP solve is most of a debug-build test's time) and replayed on a fresh
+/// `LocalEngine` per [`Self::allocs`] call.
+pub struct KernelReplay {
+    workload: TpchWorkload,
+    plan: TopologyPlan,
+}
+
+impl KernelReplay {
+    /// Plans the replay's workload.
+    pub fn plan() -> Self {
+        let workload = TpchWorkload::new(2, Window::secs(5)).expect("workload");
+        let queries = workload.five_queries().expect("queries");
+        let planner = Planner::new(&workload.catalog, &workload.stats, PlannerConfig::default());
+        let plan = planner
+            .plan(&queries, Strategy::GlobalIlp)
+            .expect("plan")
+            .plan;
+        KernelReplay { workload, plan }
+    }
+
+    /// Allocations per input tuple of the rule kernel at steady state,
+    /// counted over `tuples` input tuples after `warmup` more (1 ms apart)
+    /// fill the window and start expiry and freezing; the report passes
+    /// [`KERNEL_WARMUP`] and [`KERNEL_TUPLES`]. It runs on a fresh thread,
+    /// so neither the counter nor the thread's leaf arena carries anything
+    /// from earlier suites; like [`bench_ingest_allocs`] it is
+    /// deterministic, and its ceiling keeps per-probe and per-result
+    /// allocations from creeping back.
+    pub fn allocs(&self, warmup: usize, tuples: usize) -> AllocsRow {
+        let replay = || {
+            let mut stream = TpchGenerator::new(0.002, 42)
+                .mixed_stream(&self.workload, warmup + tuples)
+                .expect("stream")
+                .into_iter();
+            let catalog = self.workload.catalog.clone();
+            let mut engine = LocalEngine::new(catalog, self.plan.clone(), EngineConfig::default());
+            for (relation, tuple) in stream.by_ref().take(warmup) {
+                engine.ingest(relation, tuple).expect("ingest");
+            }
+            let span = AllocSpan::start();
+            for (relation, tuple) in stream {
+                engine.ingest(relation, tuple).expect("ingest");
+            }
+            AllocsRow {
+                tuples,
+                allocs_per_tuple: span.elapsed() as f64 / tuples as f64,
+            }
+        };
+        std::thread::scope(|scope| scope.spawn(replay).join().expect("kernel replay"))
     }
 }
 
@@ -242,17 +305,22 @@ fn bench_tiered_probe(
     }
     assert!(checked > 0, "{name}: cross-check never exercised a hit");
 
+    // Timed through the kernel's probe form and its per-hit work: the
+    // visitor joins each match to the probe and drops the result (and a
+    // frozen match's leaf) before the next, as the rule kernel's
+    // join-and-dispatch does.
     let rate = |store: &StoreInstance| {
         best_of(|| {
             let started = Instant::now();
+            let mut matches = 0usize;
             for probe in &probes {
-                std::hint::black_box(store.probe(
-                    0,
-                    &epochs,
-                    probe,
-                    std::slice::from_ref(&predicate),
-                ));
+                let epochs = epochs.iter().copied();
+                let predicates = std::slice::from_ref(&predicate);
+                store.probe_each(0, epochs, probe, predicates, None, |hit| {
+                    matches += usize::from(std::hint::black_box(probe.join(hit)).is_some());
+                });
             }
+            std::hint::black_box(matches);
             probes.len() as f64 / started.elapsed().as_secs_f64()
         })
     };
@@ -289,9 +357,9 @@ pub fn bench_store_probe_cold(n: usize, probes: usize) -> TierProbeRow {
 /// own most of the stream — probed uniformly over the key domain, so
 /// most probes land on sparse tail keys with the occasional hot-key hit.
 /// Exercises the frozen tier's sorted hash runs and its per-match
-/// segment-backed leaves (one node allocation each; the matches are never
-/// joined, so nothing amortizes it) against the hot tier's posting lists
-/// and refcount-bump clones.
+/// segment-backed leaves (one node allocation each) against the hot
+/// tier's posting lists, whose matches are lent by reference; both tiers
+/// pay the kernel's join node per match.
 pub fn bench_store_probe_skewed(n: usize, probes: usize) -> TierProbeRow {
     let (stored_key, _) = store_fixture();
     let window = Window::secs(3_600);
@@ -784,6 +852,7 @@ pub fn run_hotpath(iters: usize, fig7_tuples: usize) -> HotpathReport {
         bench_store_probe_skewed(store_n, probes),
     ];
     let allocs = bench_ingest_allocs((iters / 2).clamp(4_096, 200_000));
+    let kernel_allocs = KernelReplay::plan().allocs(KERNEL_WARMUP, KERNEL_TUPLES);
     let fig7 = run_fig7(5, fig7_tuples, 0.002, 42);
     let multi_source = run_multi_source(fig7_tuples.clamp(1_000, 100_000), &[1, 2, 4]);
     let reconfig_total = fig7_tuples.clamp(1_000, 100_000);
@@ -794,6 +863,7 @@ pub fn run_hotpath(iters: usize, fig7_tuples: usize) -> HotpathReport {
         fig7_tuples,
         micro,
         allocs,
+        kernel_allocs,
         fig7,
         multi_source,
         reconfig,
@@ -826,8 +896,12 @@ pub fn report_to_json(report: &HotpathReport) -> String {
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"allocs\": {{\"tuples\": {}, \"allocs_per_tuple\": {:.3}}},\n",
-        report.allocs.tuples, report.allocs.allocs_per_tuple
+        "  \"allocs\": {{\"tuples\": {}, \"allocs_per_tuple\": {:.3}, \
+         \"kernel_allocs\": {{\"tuples\": {}, \"allocs_per_tuple\": {:.3}}}}},\n",
+        report.allocs.tuples,
+        report.allocs.allocs_per_tuple,
+        report.kernel_allocs.tuples,
+        report.kernel_allocs.allocs_per_tuple
     ));
     out.push_str("  \"fig7\": [\n");
     for (i, row) in report.fig7.iter().enumerate() {
@@ -967,6 +1041,21 @@ mod tests {
     }
 
     #[test]
+    fn kernel_allocation_count_repeats_exactly() {
+        // The CI ceiling is only meaningful if the count is deterministic.
+        // A shorter replay than the report's keeps the debug-build test
+        // cheap: past the 5 s window, expiring and freezing, with one
+        // expiry sweep (every 1 024 tuples) inside the counted span.
+        let replay = KernelReplay::plan();
+        let first = replay.allocs(6_000, 1_024);
+        assert!(first.allocs_per_tuple > 0.0);
+        assert_eq!(
+            first.allocs_per_tuple,
+            replay.allocs(6_000, 1_024).allocs_per_tuple
+        );
+    }
+
+    #[test]
     fn reconfig_rows_lose_no_results() {
         // Small stream: validates the lossless-install assertion inside
         // the scenario plus the row plumbing, not timings.
@@ -1010,6 +1099,10 @@ mod tests {
                 tuples: 100,
                 allocs_per_tuple: 1.25,
             },
+            kernel_allocs: AllocsRow {
+                tuples: 50,
+                allocs_per_tuple: 47.5,
+            },
             fig7: Vec::new(),
             multi_source: vec![MultiSourceRow {
                 mode: "sources",
@@ -1040,6 +1133,7 @@ mod tests {
         assert!(json.contains("\"speedup\": 2.000"));
         assert!(json.contains("\"allocs\""));
         assert!(json.contains("\"allocs_per_tuple\": 1.250"));
+        assert!(json.contains("\"kernel_allocs\": {\"tuples\": 50, \"allocs_per_tuple\": 47.500}"));
         assert!(json.contains("\"producer_threads\": 1"));
         assert!(json.contains("\"multi_source\""));
         assert!(json.contains("\"busy_balance\": 0.500"));

@@ -125,9 +125,20 @@ impl LatencyHistogram {
     /// Records one sample in nanoseconds.
     #[inline]
     pub fn record_ns(&mut self, ns: u64) {
-        self.counts[bucket_of(ns)] += 1;
-        self.count += 1;
-        self.sum_ns += ns as f64;
+        self.record_n(ns, 1);
+    }
+
+    /// Records `n` samples of the same nanosecond value in one step: the
+    /// bucket counts, count and max equal `n` calls of
+    /// [`Self::record_ns`] exactly (property-tested).
+    #[inline]
+    pub fn record_n(&mut self, ns: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.counts[bucket_of(ns)] += n;
+        self.count += n;
+        self.sum_ns += ns as f64 * n as f64;
         if ns > self.max_ns {
             self.max_ns = ns;
         }
@@ -313,6 +324,8 @@ pub struct TraceRing {
     head: usize,
     /// Events currently held (`<= capacity`).
     len: usize,
+    /// The latest stamp ever written (kept across drains).
+    newest_us: u64,
     dropped: u64,
     tid: u32,
 }
@@ -325,6 +338,7 @@ impl TraceRing {
             capacity,
             head: 0,
             len: 0,
+            newest_us: 0,
             dropped: 0,
             tid,
         }
@@ -361,6 +375,26 @@ impl TraceRing {
         });
     }
 
+    /// [`Self::record`] without a clock read, for an event with no reading
+    /// of its own: stamped with the latest instant known not to be after
+    /// it — `floor`, or this ring's newest stamp if later (events of one
+    /// ring are recorded in order). A lower bound; the rule kernel stamps a
+    /// missed probe this way, so tracing adds no clock read to a miss.
+    #[inline]
+    pub fn record_after(&mut self, kind: TraceEventKind, floor: Instant, a: u64, b: u64) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.write(TraceEvent {
+            kind,
+            tid: self.tid,
+            ts_us: trace_us_at(floor).max(self.newest_us),
+            dur_us: 0,
+            a,
+            b,
+        });
+    }
+
     /// Records a span event that started at `started_us` (a prior
     /// [`trace_clock_us`] reading) and ends now.
     #[inline]
@@ -381,6 +415,7 @@ impl TraceRing {
 
     #[inline]
     fn write(&mut self, event: TraceEvent) {
+        self.newest_us = self.newest_us.max(event.ts_us);
         if self.len < self.capacity {
             self.buf.push(event);
             self.len += 1;
@@ -579,6 +614,35 @@ impl Exposition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// One rule evaluation's batched record equals recording each of
+        /// its results on its own: bucket counts, count and max exactly,
+        /// the sum up to float rounding.
+        #[test]
+        fn record_n_equals_n_single_records(
+            prior in collection::vec(0u64..50_000_000, 0..6),
+            ns in 0u64..(1 << 40),
+            n in 0u64..600,
+        ) {
+            let mut batched = LatencyHistogram::new();
+            let mut single = LatencyHistogram::new();
+            for &p in &prior {
+                batched.record_ns(p);
+                single.record_ns(p);
+            }
+            batched.record_n(ns, n);
+            for _ in 0..n {
+                single.record_ns(ns);
+            }
+            prop_assert_eq!(batched.counts[..], single.counts[..]);
+            prop_assert_eq!(batched.count, single.count);
+            prop_assert_eq!(batched.max_ns, single.max_ns);
+            let scale = single.sum_ns.abs().max(1.0);
+            prop_assert!((batched.sum_ns - single.sum_ns).abs() <= 1e-12 * scale);
+        }
+    }
 
     /// Deterministic xorshift so the distribution tests need no external
     /// RNG crate.
@@ -709,9 +773,27 @@ mod tests {
     }
 
     #[test]
+    fn record_after_stamps_the_latest_known_lower_bound() {
+        let base = Instant::now();
+        let (early, late) = (base, base + Duration::from_millis(5));
+        let mut ring = TraceRing::new(4, 0);
+        // Nothing newer in the ring: the floor itself.
+        ring.record_after(TraceEventKind::Probe, late, 1, 0);
+        assert_eq!(ring.drain()[0].ts_us, trace_us_at(late));
+        // A floor older than the ring's newest stamp (kept across the
+        // drain) takes that stamp; a newer one is itself.
+        ring.record_after(TraceEventKind::Probe, early, 2, 0);
+        let later = late + Duration::from_millis(5);
+        ring.record_after(TraceEventKind::Probe, later, 3, 0);
+        let stamps: Vec<u64> = ring.drain().iter().map(|e| e.ts_us).collect();
+        assert_eq!(stamps, vec![trace_us_at(late), trace_us_at(later)]);
+    }
+
+    #[test]
     fn disabled_ring_records_nothing() {
         let mut ring = TraceRing::new(0, 0);
         ring.record(TraceEventKind::Probe, 1, 2);
+        ring.record_after(TraceEventKind::Probe, Instant::now(), 1, 2);
         ring.record_span(TraceEventKind::Ingest, 0, 1, 2);
         assert!(!ring.enabled());
         assert!(ring.drain().is_empty());

@@ -15,7 +15,6 @@
 //! `parallel/shard.rs`; `LocalEngine` is its single-shard driver.
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
-use crate::parallel::router::fan_out;
 use crate::parallel::shard::ShardState;
 use crate::parallel::worker::Delivery;
 use crate::plan::{prepare, Feed};
@@ -26,7 +25,6 @@ use clash_common::{
     Timestamp, TraceEvent, TraceEventKind, Tuple,
 };
 use clash_optimizer::TopologyPlan;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Engine configuration.
@@ -228,19 +226,10 @@ impl LocalEngine {
         let epoch = self.config.epoch.epoch_of(tuple.ts);
         self.shard.stats.record_arrival(epoch, relation);
 
-        let plan = Arc::clone(self.shard.plan());
-        for target in plan.ingest_for(relation) {
-            fan_out(
-                &plan,
-                1,
-                *target,
-                &tuple,
-                self.seq,
-                started,
-                &mut self.shard.metrics,
-                |_, delivery| self.queue.push(delivery),
-            );
-        }
+        self.shard
+            .route(relation, &tuple, self.seq, started, |_, d| {
+                self.queue.push(d)
+            });
         // Tuples run to completion one at a time: every earlier root has
         // completed, which is this engine's completion watermark.
         let watermark = self.seq - 1;

@@ -51,13 +51,14 @@ pub struct EngineMetrics {
     pub tuples_sent: u64,
     /// Messages that were broadcast to every partition of a store.
     pub broadcasts: u64,
-    /// Join results emitted per query (bumped once per emitted result —
-    /// Fx-hashed so the emission path does not pay SipHash per result).
+    /// Join results emitted per query (bumped once per rule evaluation, by
+    /// its result count — see [`Self::record_results`]).
     pub results: FxHashMap<QueryId, u64>,
     /// Probe lookups performed.
     pub probes: u64,
-    /// Per-result ingest-to-emit latency, one mergeable histogram per
-    /// query (keyed like `results`; merged bucket-wise at epoch barriers).
+    /// Ingest-to-emit latency, one sample per emitted result in one
+    /// mergeable histogram per query (keyed like `results`; merged
+    /// bucket-wise at epoch barriers).
     latency: FxHashMap<QueryId, LatencyHistogram>,
     /// Age of micro-batch buffers when they were flushed (how long the
     /// oldest buffered delivery waited for a flush trigger).
@@ -72,13 +73,15 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Records the latency of one result emitted for `query`. The rule
-    /// kernel takes `latency` from one clock read per probe-rule
-    /// evaluation, shared by all of that evaluation's results, so the
-    /// histogram resolves per probe, not per result.
+    /// Accounts the `n` results one rule evaluation emitted for `query`:
+    /// one counter update and `n` latency samples of the evaluation's
+    /// single clock reading, taken after its last result was dispatched
+    /// (so the histogram resolves per evaluation, not per result).
     #[inline]
-    pub fn record_latency(&mut self, query: QueryId, latency: Duration) {
-        self.latency.entry(query).or_default().record(latency);
+    pub fn record_results(&mut self, query: QueryId, n: u64, latency: Duration) {
+        *self.results.entry(query).or_default() += n;
+        let ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        self.latency.entry(query).or_default().record_n(ns, n);
     }
 
     /// Latency statistics over all emitted results (all queries merged).
@@ -278,8 +281,8 @@ mod tests {
         let mut m = EngineMetrics::default();
         assert_eq!(m.latency(), LatencyStats::default());
         let q = QueryId::new(0);
-        m.record_latency(q, Duration::from_micros(100));
-        m.record_latency(q, Duration::from_micros(300));
+        m.record_results(q, 1, Duration::from_micros(100));
+        m.record_results(q, 1, Duration::from_micros(300));
         let l = m.latency();
         assert_eq!(l.count, 2);
         assert!((l.mean_us - 200.0).abs() < 1e-6);
@@ -295,8 +298,8 @@ mod tests {
         let mut m = EngineMetrics::default();
         let q1 = QueryId::new(1);
         let q2 = QueryId::new(2);
-        m.record_latency(q1, Duration::from_micros(100));
-        m.record_latency(q2, Duration::from_micros(900));
+        m.record_results(q1, 1, Duration::from_micros(100));
+        m.record_results(q2, 1, Duration::from_micros(900));
         assert_eq!(m.latency_for(q1).count, 1);
         assert_eq!(m.latency_for(q2).count, 1);
         assert!(m.latency_for(q1).max_us < m.latency_for(q2).max_us);
@@ -310,9 +313,9 @@ mod tests {
         let q2 = QueryId::new(2);
         let mut a = EngineMetrics::default();
         let mut b = EngineMetrics::default();
-        a.record_latency(q1, Duration::from_micros(50));
-        b.record_latency(q1, Duration::from_micros(150));
-        b.record_latency(q2, Duration::from_micros(500));
+        a.record_results(q1, 1, Duration::from_micros(50));
+        b.record_results(q1, 1, Duration::from_micros(150));
+        b.record_results(q2, 1, Duration::from_micros(500));
         a.merge(&b);
         assert_eq!(a.latency_for(q1).count, 2);
         assert_eq!(a.latency_for(q2).count, 1);

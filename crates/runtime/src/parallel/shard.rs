@@ -39,12 +39,13 @@ use crate::plan::{Feed, InstalledPlan};
 use crate::stats_collector::StatsCollector;
 use crate::store::{visible, StoreInstance};
 use clash_common::{
-    arena_stats, ArenaStats, EdgeId, Epoch, EpochConfig, FxHashMap, QueryId, SlotAccessor, StoreId,
-    Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Value,
+    arena_stats, ArenaStats, EdgeId, Epoch, EpochConfig, FxHashMap, QueryId, RelationId,
+    SlotAccessor, StoreId, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Value,
 };
 use clash_optimizer::{OutputAction, Rule, TopologyPlan};
+use clash_query::EquiPredicate;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Completed roots between two sweeps of the pending probers outside
 /// barriers. A sweep `retain`s every registered prober, so running one
@@ -57,16 +58,71 @@ use std::time::Instant;
 /// exactly-once argument never relied on when probers are dropped.
 const PROBER_GC_STRIDE: u64 = 256;
 
-/// The two instants a result's latency is taken between: when its root
-/// entered the engine, and the single clock read taken after the rule
-/// evaluation that produced it collected its matches. Every result of one
-/// evaluation (≈ 400 per input tuple on fan-out-heavy plans) shares that
-/// read, as does the evaluation's `Probe` trace event, so the engine's
-/// latency histogram resolves per probe, not per result.
-#[derive(Debug, Clone, Copy)]
-struct Timing {
-    started: Instant,
-    now: Instant,
+/// The shard fields dispatching a result writes, borrowed apart from the
+/// stores and pending probers a probe reads: the field split that lets a
+/// store's visitor join and dispatch each match the moment it is found.
+struct Emitter<'s, O> {
+    plan: &'s TopologyPlan,
+    workers: usize,
+    metrics: &'s mut EngineMetrics,
+    sinks: &'s mut [ResultSink],
+    /// The shard's retained results, while `forward_results` is set.
+    results: Option<&'s mut Vec<(QueryId, Tuple)>>,
+    out: &'s mut O,
+}
+
+impl<O: FnMut(usize, Delivery)> Emitter<'_, O> {
+    /// Applies a probe rule's outputs to one join result — the only place
+    /// `OutputAction`s are interpreted, for probe-time and retroactive
+    /// matches alike. `Emit` hands the result to the sinks and retains it
+    /// when requested; `Forward` routes it on through `out` at the logical
+    /// position `guard`. Counting and timing are the evaluation's
+    /// ([`Self::account`]).
+    fn dispatch(&mut self, outputs: &[OutputAction], joined: &Tuple, guard: u64, started: Instant) {
+        for action in outputs {
+            match action {
+                OutputAction::Emit { query } => {
+                    for sink in self.sinks.iter_mut() {
+                        sink(*query, joined);
+                    }
+                    if let Some(results) = self.results.as_deref_mut() {
+                        results.push((*query, joined.clone()));
+                    }
+                }
+                OutputAction::Forward(next) => {
+                    fan_out(
+                        self.plan,
+                        self.workers,
+                        *next,
+                        joined,
+                        guard,
+                        started,
+                        self.metrics,
+                        &mut *self.out,
+                    );
+                }
+            }
+        }
+    }
+
+    /// Accounts the `n` results one rule evaluation dispatched, in one
+    /// step per `Emit`: `n` results and `n` samples of the evaluation's one
+    /// `latency` reading. The clock is read once the evaluation dispatched
+    /// its last result (an evaluation without results reads none), so
+    /// every result of it (≈ 400 per input tuple on fan-out-heavy plans)
+    /// shares the reading, which is an upper bound on their emit instants:
+    /// the engine's latency histogram resolves per evaluation, not per
+    /// result. Returns the number of results emitted.
+    fn account(&mut self, outputs: &[OutputAction], n: u64, latency: Duration) -> u64 {
+        let mut emitted = 0;
+        for action in outputs {
+            if let OutputAction::Emit { query } = action {
+                self.metrics.record_results(*query, n, latency);
+                emitted += n;
+            }
+        }
+        emitted
+    }
 }
 
 /// A probe that ran against a forward-fed store and stays registered until
@@ -137,6 +193,53 @@ impl PendingSet {
             // No usable key (predicate-less rule set, missing attribute,
             // or a Null probe value): fall back to the scanned list.
             _ => self.unkeyed.push(prober),
+        }
+    }
+
+    /// Visits every registered prober a just-applied insert retro-matches,
+    /// with the probe rule it matches under: the symmetric half of probe
+    /// processing. Only probers with a *larger* guard qualify (they
+    /// logically ran after this insert); visibility is the store's own
+    /// [`visible`] rule and the predicates are the store's own
+    /// [`StoreInstance::predicates_hold`]. Candidates come from the
+    /// join-key index (plus the unkeyed scan list), so the cost is
+    /// proportional to the probers that can actually match, not to
+    /// everything in flight.
+    fn retro_matches<'p>(
+        &'p self,
+        store: &StoreInstance,
+        plan: &'p TopologyPlan,
+        partition: usize,
+        insert: &Delivery,
+        mut visit: impl FnMut(&'p PendingProber, &'p [EquiPredicate], &'p [OutputAction]),
+    ) {
+        let inserted = &insert.tuple;
+        let keyed = self.edge_keys.iter().filter_map(|(edge, stored_slot)| {
+            let value = stored_slot.get(inserted).filter(|v| !v.is_null())?;
+            self.keyed.get(edge)?.get(value)
+        });
+        for prober in keyed.flatten().chain(&self.unkeyed) {
+            if !visible(
+                store.window,
+                inserted.ts,
+                insert.guard,
+                prober.tuple.ts,
+                Some(prober.guard),
+            ) || !prober.partitions.clone().any(|p| p == partition)
+            {
+                continue;
+            }
+            for rule in plan.rules.get(&prober.key).into_iter().flatten() {
+                if let Rule::Probe {
+                    predicates,
+                    outputs,
+                } = rule
+                {
+                    if store.predicates_hold(predicates, 0, &prober.tuple, |a| inserted.get(a)) {
+                        visit(prober, predicates, outputs);
+                    }
+                }
+            }
         }
     }
 
@@ -261,23 +364,49 @@ impl ShardState {
             .record(TraceEventKind::PlanInstall, 0, self.stores.len() as u64);
     }
 
+    /// Routes one root to every target store of `relation` through
+    /// [`fan_out`], accounting the sends in this shard's metrics: the
+    /// local engine's ingest.
+    pub fn route(
+        &mut self,
+        relation: RelationId,
+        tuple: &Tuple,
+        guard: u64,
+        started: Instant,
+        mut deliver: impl FnMut(usize, Delivery),
+    ) {
+        let plan = &self.installed.plan;
+        for target in plan.ingest_for(relation) {
+            fan_out(
+                plan,
+                self.workers,
+                *target,
+                tuple,
+                guard,
+                started,
+                &mut self.metrics,
+                &mut deliver,
+            );
+        }
+    }
+
     /// Delivers one tuple to one store along one edge, applying the rules
     /// registered for that edge (Algorithm 3/4) to the partitions this
-    /// shard owns. `Forward` outputs are routed and handed to `out` as
-    /// `(owning worker, delivery)`; emissions are recorded locally.
-    /// `watermark` is a completion watermark the driver read at any point
-    /// before the call (every root at or below it has completed on every
-    /// shard; it only ever grows, so an older reading is merely
-    /// conservative). Returns the number of results emitted.
+    /// shard owns. Every match is joined and dispatched the moment the
+    /// store finds it: `Forward` outputs are routed and handed to `out` as
+    /// `(owning worker, delivery)`; emissions reach the sinks at once and
+    /// are counted and timed once per rule evaluation. `watermark` is a
+    /// completion watermark the driver read at any point before the call
+    /// (every root at or below it has completed on every shard; it only
+    /// ever grows, so an older reading is merely conservative). Returns the
+    /// number of results emitted.
     pub fn process(
         &mut self,
         delivery: &Delivery,
         watermark: u64,
         out: &mut impl FnMut(usize, Delivery),
     ) -> u64 {
-        // Borrow the rule set through a local Arc handle: no per-delivery
-        // clone of the rules (predicates, outputs) on the hot path.
-        let plan = Arc::clone(&self.installed.plan);
+        let plan = &self.installed.plan;
         let key = (delivery.target.store, delivery.target.edge);
         let Some(rules) = plan.rules.get(&key) else {
             return 0;
@@ -287,6 +416,17 @@ impl ShardState {
             .installed
             .symmetric(self.feed)
             .contains(&delivery.target.store);
+        // The field split: probes read `stores` and `pending` while
+        // results leave through the emitter's fields.
+        let mut emitter = Emitter {
+            plan,
+            workers: self.workers,
+            metrics: &mut self.metrics,
+            sinks: &mut self.sinks,
+            results: self.forward_results.then_some(&mut self.results),
+            out,
+        };
+        let store_id = u64::from(delivery.target.store.0);
         let mut emitted = 0;
         let mut probed = false;
         // Join-key of the probe for pending-prober indexing: stored-side
@@ -302,14 +442,32 @@ impl ShardState {
                         return emitted;
                     };
                     store.insert_seq(partition, epoch, delivery.tuple.clone(), delivery.guard);
-                    self.trace.record(
-                        TraceEventKind::Insert,
-                        u64::from(delivery.target.store.0),
-                        delivery.guard,
+                    self.trace
+                        .record(TraceEventKind::Insert, store_id, delivery.guard);
+                    let pending = self.pending.get(&delivery.target.store);
+                    let Some(pending) = pending.filter(|_| symmetric) else {
+                        continue;
+                    };
+                    // Each retro-matched prober is one evaluation: its
+                    // result leaves through the prober's outputs, at its
+                    // guard, on its own clock read. In arrival order the
+                    // match would have been counted inside the original
+                    // probe's observation, so it adds no probe or size.
+                    pending.retro_matches(
+                        store,
+                        plan,
+                        partition,
+                        delivery,
+                        |prober, preds, outputs| {
+                            let Some(joined) = prober.tuple.join(&delivery.tuple) else {
+                                return;
+                            };
+                            emitter.dispatch(outputs, &joined, prober.guard, prober.started);
+                            emitted += emitter.account(outputs, 1, prober.started.elapsed());
+                            let prober_epoch = self.epoch.epoch_of(prober.tuple.ts);
+                            self.stats.record_probe_obs(prober_epoch, preds, 0, 1, 0);
+                        },
                     );
-                    if symmetric {
-                        emitted += self.retro_probe(&plan, partition, delivery, out);
-                    }
                 }
                 Rule::Probe {
                     predicates,
@@ -351,43 +509,44 @@ impl ShardState {
                         let sharing = workers_of_store(store.parallelism(), self.workers) as u64;
                         store.len() as u64 * sharing
                     };
-                    let mut matches = Vec::new();
+                    let (guard, started) = (delivery.guard, delivery.started);
+                    let (mut matches, mut joined) = (0u64, 0u64);
                     for p in delivery.probe_partitions.clone() {
-                        store.probe_seq(
+                        let epochs = (lo.0..=epoch.0).map(Epoch);
+                        store.probe_each(
                             p,
-                            (lo.0..=epoch.0).map(Epoch),
+                            epochs,
                             &delivery.tuple,
                             predicates,
-                            Some(delivery.guard),
-                            &mut matches,
+                            Some(guard),
+                            |hit| {
+                                matches += 1;
+                                if let Some(result) = delivery.tuple.join(hit) {
+                                    joined += 1;
+                                    emitter.dispatch(outputs, &result, guard, started);
+                                }
+                            },
                         );
                     }
                     if counts_probe {
-                        self.metrics.probes += 1;
+                        emitter.metrics.probes += 1;
                     }
-                    let timing = Timing {
-                        started: delivery.started,
-                        now: Instant::now(),
-                    };
-                    self.trace.record_at(
-                        TraceEventKind::Probe,
-                        timing.now,
-                        u64::from(delivery.target.store.0),
-                        matches.len() as u64,
-                    );
-                    self.stats.record_probe_obs(
-                        epoch,
-                        predicates,
-                        u64::from(counts_probe),
-                        matches.len() as u64,
-                        est_size,
-                    );
-                    for matched in matches {
-                        if let Some(joined) = delivery.tuple.join(&matched) {
-                            emitted +=
-                                self.dispatch(&plan, outputs, &joined, delivery.guard, timing, out);
-                        }
+                    if joined > 0 {
+                        // The evaluation's one clock read, stamping its
+                        // trace event too.
+                        let now = Instant::now();
+                        self.trace
+                            .record_at(TraceEventKind::Probe, now, store_id, matches);
+                        let latency = now.saturating_duration_since(started);
+                        emitted += emitter.account(outputs, joined, latency);
+                    } else {
+                        // A miss takes no clock read, traced or not.
+                        let kind = TraceEventKind::Probe;
+                        self.trace.record_after(kind, started, store_id, matches);
                     }
+                    let probes = u64::from(counts_probe);
+                    self.stats
+                        .record_probe_obs(epoch, predicates, probes, matches, est_size);
                 }
             }
         }
@@ -414,155 +573,6 @@ impl ShardState {
                     },
                     probe_key,
                 );
-        }
-        emitted
-    }
-
-    /// Applies a probe rule's outputs to one join result — the only place
-    /// `OutputAction`s are interpreted, for probe-time and retroactive
-    /// matches alike. `Emit` counts the result, hands it to the sink and
-    /// retains it when requested; `Forward` routes it on through `out` at
-    /// the logical position `guard`. Returns the number of results emitted.
-    fn dispatch(
-        &mut self,
-        plan: &TopologyPlan,
-        outputs: &[OutputAction],
-        joined: &Tuple,
-        guard: u64,
-        timing: Timing,
-        out: &mut impl FnMut(usize, Delivery),
-    ) -> u64 {
-        let mut emitted = 0;
-        for action in outputs {
-            match action {
-                OutputAction::Emit { query } => {
-                    emitted += 1;
-                    *self.metrics.results.entry(*query).or_default() += 1;
-                    self.metrics.record_latency(
-                        *query,
-                        timing.now.saturating_duration_since(timing.started),
-                    );
-                    for sink in &mut self.sinks {
-                        sink(*query, joined);
-                    }
-                    if self.forward_results {
-                        self.results.push((*query, joined.clone()));
-                    }
-                }
-                OutputAction::Forward(next) => fan_out(
-                    plan,
-                    self.workers,
-                    *next,
-                    joined,
-                    guard,
-                    timing.started,
-                    &mut self.metrics,
-                    &mut *out,
-                ),
-            }
-        }
-        emitted
-    }
-
-    /// Matches a just-applied insert against the registered pending
-    /// probers of the store: the symmetric half of probe processing. Only
-    /// probers with a *larger* guard qualify (they logically ran after
-    /// this insert): visibility is the store's own [`visible`] rule and
-    /// the predicate checks mirror `StoreInstance::probe` exactly.
-    /// Candidates come from the join-key index (plus the unkeyed scan
-    /// list), so the cost is proportional to the probers that can actually
-    /// match, not to everything in flight.
-    /// Missed results leave through the original prober's outputs, at its
-    /// guard. Returns the number of results emitted.
-    fn retro_probe(
-        &mut self,
-        plan: &TopologyPlan,
-        partition: usize,
-        delivery: &Delivery,
-        out: &mut impl FnMut(usize, Delivery),
-    ) -> u64 {
-        let store_id = delivery.target.store;
-        let (Some(pending), Some(store)) =
-            (self.pending.get(&store_id), self.stores.get(&store_id))
-        else {
-            return 0;
-        };
-        let inserted = &delivery.tuple;
-        let mut candidates: Vec<&PendingProber> = Vec::new();
-        for (edge, stored_slot) in &pending.edge_keys {
-            let Some(value) = stored_slot.get(inserted) else {
-                continue;
-            };
-            if value.is_null() {
-                continue;
-            }
-            if let Some(probers) = pending.keyed.get(edge).and_then(|m| m.get(value)) {
-                candidates.extend(probers.iter());
-            }
-        }
-        candidates.extend(pending.unkeyed.iter());
-        // (join result, outputs, prober guard, prober start): dispatched
-        // once the borrows of the pending set and the store end.
-        let mut hits: Vec<(Tuple, &[OutputAction], u64, Instant)> = Vec::new();
-        for prober in candidates {
-            if !visible(
-                store.window,
-                inserted.ts,
-                delivery.guard,
-                prober.tuple.ts,
-                Some(prober.guard),
-            ) || !prober.partitions.clone().any(|p| p == partition)
-            {
-                continue;
-            }
-            let Some(rules) = plan.rules.get(&prober.key) else {
-                continue;
-            };
-            for rule in rules {
-                let Rule::Probe {
-                    predicates,
-                    outputs,
-                } = rule
-                else {
-                    continue;
-                };
-                let all_hold =
-                    store
-                        .predicate_sides(predicates)
-                        .all(|(stored_side, probe_side)| {
-                            matches!(
-                                (inserted.get(&stored_side), prober.tuple.get(&probe_side)),
-                                (Some(sv), Some(pv)) if sv.join_eq(pv)
-                            )
-                        });
-                if !all_hold {
-                    continue;
-                }
-                let Some(joined) = prober.tuple.join(inserted) else {
-                    continue;
-                };
-                // In arrival order this match would have been counted
-                // inside the original probe's observation, so contribute
-                // the match without another probe count or size share.
-                self.stats.record_probe_obs(
-                    self.epoch.epoch_of(prober.tuple.ts),
-                    predicates,
-                    0,
-                    1,
-                    0,
-                );
-                hits.push((joined, outputs, prober.guard, prober.started));
-            }
-        }
-        if hits.is_empty() {
-            return 0;
-        }
-        let mut emitted = 0;
-        // Retroactive hits of one insert share one clock read, too.
-        let now = Instant::now();
-        for (joined, outputs, guard, started) in hits {
-            let timing = Timing { started, now };
-            emitted += self.dispatch(plan, outputs, &joined, guard, timing, out);
         }
         emitted
     }
@@ -729,20 +739,10 @@ mod tests {
         let tuple = TupleBuilder::new(schema, Timestamp::from_millis(ts))
             .set("a", 7i64)
             .build();
-        let plan = Arc::clone(shard.plan());
         let mut deliveries = Vec::new();
-        for target in plan.ingest_for(relation) {
-            fan_out(
-                &plan,
-                1,
-                *target,
-                &tuple,
-                guard,
-                Instant::now(),
-                &mut EngineMetrics::default(),
-                |_, delivery| deliveries.push(delivery),
-            );
-        }
+        shard.route(relation, &tuple, guard, Instant::now(), |_, d| {
+            deliveries.push(d)
+        });
         deliveries
             .iter()
             .map(|d| {
@@ -811,6 +811,43 @@ mod tests {
             "R@9 x S@6, S@8"
         );
         assert_eq!(shard.metrics.total_results(), 4);
+    }
+
+    #[test]
+    fn a_late_insert_records_one_retro_observation_per_matching_prober() {
+        // Two R probers keyed on the one value 7 wait at the S store; a
+        // late S insert retro-matches both. The statistics must be what
+        // recording every hit on its own gives: the S insert's own probe
+        // (nothing visible yet, two R tuples stored) plus one
+        // match-without-probe per hit, in the probers' epoch.
+        let (catalog, mut shard, r, s) = two_way_shard();
+        assert_eq!(ingest(&catalog, &mut shard, r, 20, 7, 5), 0);
+        assert_eq!(ingest(&catalog, &mut shard, r, 30, 8, 5), 0);
+        assert_eq!(registered(&shard), 2);
+        shard.stats.take_delta();
+        assert_eq!(ingest(&catalog, &mut shard, s, 10, 6, 5), 2);
+        let plan = Arc::clone(shard.plan());
+        let probe_predicates = |relation| {
+            let rules = plan
+                .ingest_for(relation)
+                .iter()
+                .map(|t| &plan.rules[&(t.store, t.edge)]);
+            rules
+                .flatten()
+                .find_map(|rule| match rule {
+                    Rule::Probe { predicates, .. } => Some(predicates.clone()),
+                    Rule::Store => None,
+                })
+                .unwrap()
+        };
+        let config = EngineConfig::default();
+        let at = |ms| config.epoch.epoch_of(Timestamp::from_millis(ms));
+        let mut per_hit = StatsCollector::new(config.epoch.length);
+        per_hit.record_probe_obs(at(10), &probe_predicates(s), 1, 0, 2);
+        for prober_ts in [20, 30] {
+            per_hit.record_probe_obs(at(prober_ts), &probe_predicates(r), 0, 1, 0);
+        }
+        assert_eq!(shard.stats, per_hit);
     }
 
     #[test]

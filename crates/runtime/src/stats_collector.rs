@@ -11,7 +11,7 @@ use clash_catalog::Statistics;
 use clash_common::{AttrRef, Duration, Epoch, FxHashMap, RelationId};
 use clash_query::EquiPredicate;
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct EpochObservations {
     arrivals: FxHashMap<RelationId, u64>,
     /// predicate -> (probes, matches, accumulated probed-store size).
@@ -20,7 +20,7 @@ struct EpochObservations {
 
 /// Collects observations keyed by epoch and turns them into
 /// [`Statistics`] snapshots.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct StatsCollector {
     epochs: FxHashMap<Epoch, EpochObservations>,
     epoch_length: Duration,

@@ -3,10 +3,11 @@
 //! The probe hot path is allocation- and hash-lean: candidate lookups
 //! borrow the index posting lists instead of cloning them (unindexed
 //! attributes return a scan *marker*, never a materialized `0..len`
-//! vector), probe predicates are resolved to positional [`SlotAccessor`]s
-//! once per probe, and window expiry retains tuples in place while
-//! repairing the hash indexes incrementally via an old→new offset remap —
-//! no drain-and-rebuild.
+//! vector), the driving predicate is resolved once per probe on the
+//! stack, matches are handed to the caller's visitor as they are found
+//! instead of being collected, and window expiry retains tuples in place
+//! while repairing the hash indexes incrementally via an old→new offset
+//! remap — no drain-and-rebuild.
 //!
 //! Hashing cost is kept off the per-tuple path three ways:
 //!
@@ -244,6 +245,23 @@ impl ColdEpoch {
     }
 }
 
+/// What a probe resolves once, on the stack, before walking its epochs
+/// ([`StoreInstance::probe_key`]).
+#[derive(Clone, Copy)]
+struct ProbeKey<'t> {
+    /// The driving predicate — the first, whose stored-side attribute
+    /// drives the index lookup — as (stored-side attribute, probe value).
+    drive: Option<(AttrRef, &'t Value)>,
+    /// The driving attribute's index position.
+    index_pos: Option<usize>,
+    /// That position and the driving value's hash, when the partition has
+    /// a frozen tier.
+    indexed: Option<(usize, u64)>,
+    /// Whether any frozen segment of the partition can hold the driving
+    /// value.
+    try_frozen: bool,
+}
+
 /// The one visibility rule of a probe: a stored tuple may join a probing
 /// one iff it is strictly older (the prober is the newest constituent of
 /// the result), inside `window` measured back from the prober (edge
@@ -446,7 +464,7 @@ impl StoreInstance {
 
     /// Inserts a tuple tagged with the ingest sequence number of its root
     /// input tuple; the rule kernel uses the tag to restrict probes to
-    /// strictly earlier arrivals (see [`Self::probe_seq`]).
+    /// strictly earlier arrivals (see [`Self::probe_each`]).
     pub fn insert_seq(&mut self, partition: usize, epoch: Epoch, tuple: Tuple, seq: u64) {
         let p = partition.min(self.partitions.len().saturating_sub(1));
         self.partitions[p]
@@ -458,10 +476,9 @@ impl StoreInstance {
 
     /// Probes one partition across the given epochs: returns all stored
     /// tuples that satisfy every predicate against `probe`, arrived
-    /// strictly before the probing tuple and lie within the window.
-    ///
-    /// `probe_attrs` maps each predicate to the attribute on the probing
-    /// tuple's side; the first indexed predicate drives the index lookup.
+    /// strictly before the probing tuple and lie within the window. A
+    /// collecting wrapper over [`Self::probe_each`] (without an ordering
+    /// guard) for callers that want the matches as values.
     pub fn probe(
         &self,
         partition: usize,
@@ -469,22 +486,21 @@ impl StoreInstance {
         probe: &Tuple,
         predicates: &[EquiPredicate],
     ) -> Vec<Tuple> {
-        let mut results = Vec::new();
-        self.probe_seq(
+        let mut matches = Vec::new();
+        self.probe_each(
             partition,
             epochs.iter().copied(),
             probe,
             predicates,
             None,
-            &mut results,
+            |hit| matches.push(hit.clone()),
         );
-        results
+        matches
     }
 
     /// Resolves, for each predicate, which attribute lives on this store's
     /// relation set (stored side) and which on the probing tuple (probe
-    /// side). Shared by the in-store probe and the parallel runtime's
-    /// retroactive matching so the two halves can never drift apart.
+    /// side).
     pub fn predicate_sides<'a>(
         &self,
         predicates: &'a [EquiPredicate],
@@ -499,185 +515,182 @@ impl StoreInstance {
         })
     }
 
-    /// Like [`Self::probe`], but appending the matches to `results` and
-    /// additionally restricted to tuples stored by roots with a strictly
-    /// smaller ingest sequence number: "probe only earlier arrivals", which
-    /// holds by construction when tuples are processed one at a time and
-    /// must be enforced when shards race ahead of each other (timestamps
-    /// alone cannot express arrival order for out-of-order streams).
-    pub fn probe_seq(
+    /// Whether every predicate past the first `skip` holds between a
+    /// stored candidate, read through `stored`, and the probing tuple. The
+    /// one predicate check of the hot probe, the frozen probe and the
+    /// parallel runtime's retroactive match, so the halves cannot drift
+    /// apart.
+    pub(crate) fn predicates_hold<'v>(
+        &self,
+        predicates: &[EquiPredicate],
+        skip: usize,
+        probe: &Tuple,
+        stored: impl Fn(&AttrRef) -> Option<&'v Value>,
+    ) -> bool {
+        self.predicate_sides(predicates)
+            .skip(skip)
+            .all(|(stored_side, probe_side)| {
+                matches!(
+                    (stored(&stored_side), probe.get(&probe_side)),
+                    (Some(sv), Some(pv)) if sv.join_eq(pv)
+                )
+            })
+    }
+
+    /// Probes one partition across the given epochs and hands every match
+    /// to `visit` the moment it is found: each stored tuple that satisfies
+    /// every predicate against `probe` and is [`visible`] to it — strictly
+    /// older, inside the window and, under an ordering `guard`, stored by
+    /// a root with a strictly smaller ingest sequence number ("probe only
+    /// earlier arrivals", which holds by construction when tuples are
+    /// processed one at a time and must be enforced when shards race ahead
+    /// of each other).
+    ///
+    /// A hot match is lent by reference (no refcount bump); a frozen match
+    /// is its segment-backed leaf, dropped when `visit` returns. The probe
+    /// allocates nothing else: the driving predicate is resolved once on
+    /// the stack ([`Self::probe_key`], compiled once rather than per
+    /// visitor), and any further predicate is read per candidate.
+    pub fn probe_each(
         &self,
         partition: usize,
         epochs: impl IntoIterator<Item = Epoch>,
         probe: &Tuple,
         predicates: &[EquiPredicate],
-        probe_seq: Option<u64>,
-        results: &mut Vec<Tuple>,
+        guard: Option<u64>,
+        mut visit: impl FnMut(&Tuple),
     ) {
         let p = partition.min(self.partitions.len().saturating_sub(1));
-        // Resolve, per predicate, which side belongs to the stored relation
-        // (as a positional accessor) and which value the probing tuple
-        // supplies; probe values are borrowed, never cloned.
-        let mut resolved: Vec<(SlotAccessor, &Value)> = Vec::with_capacity(predicates.len());
-        let mut first_stored: Option<AttrRef> = None;
-        for (stored_side, probe_side) in self.predicate_sides(predicates) {
-            match SlotAccessor::of(&probe_side).get(probe) {
-                Some(v) => {
-                    first_stored.get_or_insert(stored_side);
-                    resolved.push((SlotAccessor::of(&stored_side), v));
-                }
-                None => return,
-            }
-        }
-        // `Null` never `join_eq`-matches anything: a probe carrying a Null
-        // predicate value is answered empty without touching state.
-        if resolved.iter().any(|(_, v)| v.is_null()) {
+        let Some(key) = self.probe_key(p, probe, predicates) else {
             return;
-        }
-        // The index position of the driving predicate's stored-side
-        // attribute, resolved once per probe (not re-hashed per epoch).
-        let index_pos: Option<usize> =
-            first_stored.and_then(|attr| self.indexed_attrs.iter().position(|i| i.attr == attr));
-        // Frozen-tier probe state, shared across segments: the driving
-        // value's hash is computed at most once per probe, and the
-        // per-segment column resolution reuses one scratch vector.
-        let mut drive_hash: Option<u64> = None;
-        let mut frozen_cols: Vec<(usize, &Value)> = Vec::new();
-        // Tier-level pruning: one union-bloom check decides whether ANY
-        // frozen segment of this partition can hold the driving key. A
-        // cold miss skips the whole frozen tier instead of paying a map
-        // lookup + segment bloom per epoch.
-        let mut try_frozen = !self.frozen[p].is_empty();
-        if try_frozen {
-            if let (Some(pos), Some((_, value))) = (index_pos, resolved.first()) {
-                if let Some(union) = self.frozen_blooms[p].get(pos).and_then(|b| b.as_ref()) {
-                    let hash = *drive_hash.get_or_insert_with(|| fx_hash(*value));
-                    try_frozen = union.contains_hash(hash);
-                }
-            }
-        }
+        };
+        let (hot, frozen) = (&self.partitions[p], &self.frozen[p]);
         for epoch in epochs {
-            if let Some(container) = self.partitions[p].get(&epoch) {
-                let candidates = match (index_pos, resolved.first()) {
+            if let Some(container) = hot.get(&epoch) {
+                let candidates = match (key.index_pos, key.drive) {
                     (Some(pos), Some((_, value))) => container.candidates(pos, value),
                     _ => Candidates::Scan,
                 };
-                if let Candidates::Hit(postings) = &candidates {
-                    results.reserve(postings.len());
-                }
-                // One shared match check, statically dispatched from both the
-                // indexed and the scan path. `checks` lists the predicates
-                // still to verify per candidate: an index *hit* already proves
-                // the driving predicate (the index key equals the probe value,
-                // both non-Null, and map equality coincides with `join_eq` for
-                // non-Null values), so hit candidates skip it.
-                let mut consider = |idx: usize, checks: &[(SlotAccessor, &Value)]| {
+                // One match check for the indexed and the scan path, past
+                // the `proven` leading predicates: an index *hit* already
+                // proves the driving predicate (the index key equals the
+                // probe value, both non-Null, and map equality coincides
+                // with `join_eq` for non-Null values), so hit candidates
+                // skip it.
+                let mut consider = |idx: usize, proven: usize| {
                     let stored = &container.tuples[idx];
-                    if !visible(
-                        self.window,
-                        stored.ts,
-                        container.seqs[idx],
-                        probe.ts,
-                        probe_seq,
-                    ) {
-                        return;
+                    if visible(self.window, stored.ts, container.seqs[idx], probe.ts, guard)
+                        && self.predicates_hold(predicates, proven, probe, |attr| stored.get(attr))
+                    {
+                        visit(stored);
                     }
-                    for (stored_slot, value) in checks {
-                        match stored_slot.get(stored) {
-                            Some(v) if v.join_eq(value) => {}
-                            _ => return,
-                        }
-                    }
-                    results.push(stored.clone());
                 };
                 match candidates {
                     Candidates::Miss => {}
-                    Candidates::Hit(postings) => {
-                        for &idx in postings {
-                            consider(idx, &resolved[1..]);
-                        }
-                    }
+                    Candidates::Hit(postings) => postings.iter().for_each(|&idx| consider(idx, 1)),
                     Candidates::Scan => {
-                        for idx in 0..container.tuples.len() {
-                            consider(idx, &resolved);
-                        }
+                        (0..container.tuples.len()).for_each(|idx| consider(idx, 0))
                     }
                 }
             }
-            if let Some(cold) = try_frozen.then(|| self.frozen[p].get(&epoch)).flatten() {
-                self.probe_frozen(
-                    cold,
-                    probe,
-                    probe_seq,
-                    &resolved,
-                    index_pos,
-                    &mut drive_hash,
-                    &mut frozen_cols,
-                    results,
-                );
+            if let Some(cold) = key.try_frozen.then(|| frozen.get(&epoch)).flatten() {
+                self.probe_frozen(cold, probe, guard, predicates, key, &mut visit);
             }
         }
     }
 
+    /// Resolves what a probe of partition `p` needs before its epoch walk:
+    /// `None` when the probe lacks some predicate's attribute or carries
+    /// `Null` there (which never `join_eq`-matches anything), so it is
+    /// answered empty without touching state.
+    fn probe_key<'t>(
+        &self,
+        p: usize,
+        probe: &'t Tuple,
+        predicates: &[EquiPredicate],
+    ) -> Option<ProbeKey<'t>> {
+        if !self
+            .predicate_sides(predicates)
+            .all(|(_, probe_side)| probe.get(&probe_side).is_some_and(|v| !v.is_null()))
+        {
+            return None;
+        }
+        let drive: Option<(AttrRef, &Value)> = self
+            .predicate_sides(predicates)
+            .next()
+            .and_then(|(stored_side, probe_side)| Some((stored_side, probe.get(&probe_side)?)));
+        // The index position of the driving attribute, resolved once per
+        // probe (not re-hashed per epoch).
+        let index_pos =
+            drive.and_then(|(attr, _)| self.indexed_attrs.iter().position(|i| i.attr == attr));
+        // Tier-level pruning: the driving value is hashed once, and one
+        // union-bloom check decides whether ANY frozen segment of this
+        // partition can hold it. A cold miss skips the whole frozen tier
+        // instead of paying a map lookup + segment bloom per epoch.
+        let mut try_frozen = !self.frozen[p].is_empty();
+        let indexed = match (try_frozen, index_pos, drive) {
+            (true, Some(pos), Some((_, value))) => Some((pos, fx_hash(value))),
+            _ => None,
+        };
+        if let Some((pos, hash)) = indexed {
+            if let Some(union) = self.frozen_blooms[p].get(pos).and_then(|b| b.as_ref()) {
+                try_frozen = union.contains_hash(hash);
+            }
+        }
+        Some(ProbeKey {
+            drive,
+            index_pos,
+            indexed,
+            try_frozen,
+        })
+    }
+
     /// Probes one frozen segment. Candidates come from the segment's
-    /// hash-run indexes (bloom-gated binary search) or a cursor-bounded
-    /// scan; **every** predicate — including the driving one — is
-    /// re-verified against the columns, because hash runs group by
-    /// `fx_hash(value)` and distinct values can collide. A match is
-    /// returned as a segment-backed leaf: the segment's reference count
-    /// goes up by one and a leaf node is allocated, but no value moves and
-    /// no arena buffer is taken.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_frozen<'v>(
+    /// hash-run index for the driving attribute (`key.indexed`: its
+    /// position and the driving value's hash; bloom-gated binary search) or a
+    /// cursor-bounded scan; **every** predicate — including the driving
+    /// one — is re-verified against the columns, because hash runs group by
+    /// `fx_hash(value)` and distinct values can collide. A match reaches
+    /// `visit` as a segment-backed leaf: the segment's reference count goes
+    /// up by one and a leaf node is allocated, but no value moves and no
+    /// arena buffer is taken.
+    fn probe_frozen(
         &self,
         cold: &ColdEpoch,
         probe: &Tuple,
-        probe_seq: Option<u64>,
-        resolved: &[(SlotAccessor, &'v Value)],
-        index_pos: Option<usize>,
-        drive_hash: &mut Option<u64>,
-        cols: &mut Vec<(usize, &'v Value)>,
-        results: &mut Vec<Tuple>,
+        guard: Option<u64>,
+        predicates: &[EquiPredicate],
+        key: ProbeKey<'_>,
+        visit: &mut impl FnMut(&Tuple),
     ) {
         let segment = &cold.segment;
-        // Resolves each predicate's column id into `cols`; `false` means
-        // no row of the segment carries some predicate's attribute, so
-        // nothing can match.
-        fn resolve<'v>(
-            segment: &FrozenSegment,
-            resolved: &[(SlotAccessor, &'v Value)],
-            cols: &mut Vec<(usize, &'v Value)>,
-        ) -> bool {
-            cols.clear();
-            for (slot, value) in resolved {
-                match segment.column_of(&slot.attr()) {
-                    Some(col) => cols.push((col, value)),
-                    None => return false,
-                }
-            }
-            true
-        }
-        let check = |cols: &[(usize, &'v Value)], row: usize| -> bool {
-            if !visible(
+        // The driving predicate's column, resolved once per segment; `None`
+        // when no row of the segment carries the attribute, so nothing can
+        // match.
+        let resolve_drive = || match key.drive {
+            Some((attr, value)) => segment.column_of(&attr).map(|col| Some((col, value))),
+            None => Some(None),
+        };
+        let mut accept = |row: usize, drive_col: Option<(usize, &Value)>| {
+            let hit = visible(
                 self.window,
                 segment.ts(row),
                 segment.seq(row),
                 probe.ts,
-                probe_seq,
-            ) {
-                return false;
+                guard,
+            ) && drive_col.is_none_or(|(col, value)| {
+                segment.value_at(col, row).is_some_and(|v| v.join_eq(value))
+            }) && self.predicates_hold(predicates, 1, probe, |attr| {
+                segment
+                    .column_of(attr)
+                    .and_then(|col| segment.value_at(col, row))
+            });
+            if hit {
+                visit(&segment.tuple_at(row));
             }
-            for &(col, value) in cols {
-                match segment.value_at(col, row) {
-                    Some(v) if v.join_eq(value) => {}
-                    _ => return false,
-                }
-            }
-            true
         };
-        match (index_pos, resolved.first()) {
-            (Some(pos), Some((_, value))) => {
-                let hash = *drive_hash.get_or_insert_with(|| fx_hash(*value));
+        match key.indexed {
+            Some((pos, hash)) => {
                 let accessor = &self.indexed_attrs[pos].slot;
                 segment.with_candidates(pos, accessor, hash, |run| {
                     // Run offsets ascend, so the expired rows below the
@@ -685,28 +698,25 @@ impl StoreInstance {
                     // `partition_point` (the frozen analogue of the live
                     // tier's posting-list remap).
                     let begin = run.partition_point(|&r| (r as usize) < cold.start);
-                    let run = &run[begin..];
                     // Misses (the common case under bloom gating) exit
-                    // before predicate columns are even resolved.
-                    if run.is_empty() || !resolve(segment, resolved, cols) {
+                    // before the driving column is even resolved.
+                    if begin == run.len() {
                         return;
                     }
-                    results.reserve(run.len());
-                    for &row in run {
-                        if check(cols, row as usize) {
-                            results.push(segment.tuple_at(row as usize));
-                        }
+                    let Some(drive_col) = resolve_drive() else {
+                        return;
+                    };
+                    for &row in &run[begin..] {
+                        accept(row as usize, drive_col);
                     }
                 });
             }
-            _ => {
-                if !resolve(segment, resolved, cols) {
+            None => {
+                let Some(drive_col) = resolve_drive() else {
                     return;
-                }
+                };
                 for row in cold.start..segment.len() {
-                    if check(cols, row) {
-                        results.push(segment.tuple_at(row));
-                    }
+                    accept(row, drive_col);
                 }
             }
         }

@@ -11,10 +11,11 @@ use clash_common::{QueryId, RelationId, Timestamp, Tuple, TupleBuilder, Window};
 use clash_optimizer::{Planner, Strategy};
 use clash_query::parse_query;
 use clash_runtime::store::partition_hash;
-use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
+use clash_runtime::{EngineConfig, LocalEngine, MetricsSnapshot, ParallelEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex};
 
 fn catalog_with_parallelism(parallelism: usize) -> (Catalog, Vec<clash_query::JoinQuery>) {
     let mut catalog = Catalog::new();
@@ -253,6 +254,77 @@ fn telemetry_pages_agree_on_every_shared_section() {
         );
     }
     assert_eq!(local_page, parallel_page);
+}
+
+#[test]
+fn per_evaluation_accounting_agrees_with_every_result_surface() {
+    // Results reach the sinks mid-probe and are counted and timed once per
+    // rule evaluation. Per query, the counter, the latency sample count and
+    // the collected results must still agree, and a sink attached for the
+    // whole run must see exactly the collected multiset — on the local
+    // engine and on 1 and 2 workers, under finite windows and expiry.
+    let (mut catalog, queries) = catalog_with_parallelism(2);
+    for id in catalog.iter().map(|m| m.id).collect::<Vec<_>>() {
+        catalog.set_window(id, Window::secs(2)).unwrap();
+    }
+    let stream = random_stream(&catalog, 400, 6, 0xACC7, false);
+    let plan = Planner::with_defaults(&catalog, &Statistics::new())
+        .plan(&queries, Strategy::GlobalIlp)
+        .unwrap()
+        .plan;
+    let config = EngineConfig {
+        collect_results: true,
+        expire_every: 100,
+        ..EngineConfig::default()
+    };
+    type Results = Vec<(QueryId, Tuple)>;
+    let check =
+        |path: &str, snap: MetricsSnapshot, collected: &[(QueryId, Tuple)], streamed: Results| {
+            assert!(
+                !collected.is_empty(),
+                "{path}: workload must produce results"
+            );
+            assert_eq!(
+                result_multiset(&streamed),
+                result_multiset(collected),
+                "{path}: sink vs collect_results"
+            );
+            for query in &queries {
+                let n = collected.iter().filter(|(q, _)| *q == query.id).count() as u64;
+                assert_eq!(
+                    snap.results_for(query.id),
+                    n,
+                    "{path}: {} count",
+                    query.name
+                );
+                let samples = snap.latency_for(query.id).count;
+                assert_eq!(samples, n, "{path}: {} latency samples", query.name);
+            }
+            result_multiset(collected)
+        };
+
+    let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    let sunk = Arc::new(Mutex::new(Vec::new()));
+    let into = Arc::clone(&sunk);
+    local.set_sink(Box::new(move |q, t| {
+        into.lock().unwrap().push((q, t.clone()))
+    }));
+    for (relation, tuple) in &stream {
+        local.ingest(*relation, tuple.clone()).unwrap();
+    }
+    let streamed = std::mem::take(&mut *sunk.lock().unwrap());
+    let expected = check("local", local.snapshot(), local.results(), streamed);
+    for workers in [1usize, 2] {
+        let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
+        let subscription = engine.subscribe();
+        for (relation, tuple) in &stream {
+            engine.ingest(*relation, tuple.clone()).unwrap();
+        }
+        let snap = engine.snapshot();
+        let streamed = subscription.try_iter().collect();
+        let path = format!("{workers} workers");
+        assert_eq!(check(&path, snap, &engine.results(), streamed), expected);
+    }
 }
 
 #[test]
