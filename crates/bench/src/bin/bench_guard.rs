@@ -1,8 +1,8 @@
 //! Bench regression guard: fails when `BENCH_hotpath.json` reports a
 //! tiered-probe speedup below its checked-in floor
 //! (`ci/bench_floors.json`), an ingest or rule-kernel allocation count
-//! above its ceiling, or a telemetry throughput ratio below the overhead
-//! floor.
+//! above its ceiling, a telemetry throughput ratio below the overhead
+//! floor, or a ten-query ILP solve rate below its nodes-per-second floor.
 //!
 //! Usage:
 //!   cargo run -p clash-bench --bin bench_guard -- \
@@ -166,6 +166,26 @@ fn main() -> ExitCode {
                 }
             }
             _ => violations.push("telemetry throughput ratio or floor missing".to_string()),
+        }
+
+        // ILP solve rate: the ten-query model's branch-and-bound nodes per
+        // second, the per-node cost every deployment's plan pays for.
+        let rate = report
+            .find("\"queries\": 10,")
+            .and_then(|at| number_after(&report, "nodes_per_sec", at).map(|(v, _)| v));
+        let floor = number_after(&floors, "min_ilp_nodes_per_sec", 0).map(|(v, _)| v);
+        match (rate, floor) {
+            (Some(got), Some(floor)) => {
+                checks += 1;
+                if got >= floor {
+                    println!("ok    ten-query ILP: {got:.0} nodes/s >= floor {floor:.0}");
+                } else {
+                    violations.push(format!(
+                        "ten-query ILP solves {got:.0} nodes/s, below the {floor:.0} floor"
+                    ));
+                }
+            }
+            _ => violations.push("ten-query ILP nodes_per_sec or floor missing".to_string()),
         }
     }
 

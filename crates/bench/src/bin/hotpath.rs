@@ -1,8 +1,8 @@
 //! Hot-path report: hot vs. frozen store probes, allocations per
 //! ingested tuple, the Fig. 7 five-query replay, the multi-source and
-//! reconfiguration scenarios and the trace-ring overhead (see
-//! `clash_bench::hotpath`). Writes the machine-readable report to
-//! `BENCH_hotpath.json`.
+//! reconfiguration scenarios, the trace-ring overhead and the ILP solve
+//! rate (see `clash_bench::hotpath`). Writes the machine-readable report
+//! to `BENCH_hotpath.json`.
 //!
 //! Usage:
 //!   cargo run --release -p clash-bench --bin hotpath [iters] [fig7_tuples] [out.json]
@@ -75,6 +75,22 @@ fn main() {
         println!(
             "{:<16} {:>10} {:>16.0} {:>10}",
             r.installs_every, r.installs, r.wall_tps, r.results
+        );
+    }
+    println!("\n# ILP solves (Fig. 7 models, default node limit, no time limit)\n");
+    println!(
+        "{:<8} {:>10} {:>10} {:>10} {:>12} {:>14}",
+        "queries", "variables", "nodes", "solve[ms]", "nodes/s", "objective"
+    );
+    for r in &report.ilp {
+        println!(
+            "{:<8} {:>10} {:>10} {:>10.1} {:>12.0} {:>14.3}",
+            r.queries,
+            r.variables,
+            r.nodes,
+            r.solve_ms,
+            r.nodes_per_sec(),
+            r.objective
         );
     }
 

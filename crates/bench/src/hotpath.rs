@@ -21,6 +21,9 @@
 //! * `reconfig` — the same workload under forced quiesced plan installs.
 //! * `telemetry` — the Fig. 7 workload with the engine's trace ring off
 //!   and on; the throughput ratio the bench guard holds above its floor.
+//! * `ilp` — the five- and ten-query Fig. 7 ILPs solved at the default
+//!   node limit: solve time, nodes and nodes per second (the ten-query
+//!   rate is floored by the bench guard) and the objective found.
 
 use crate::allocs::AllocSpan;
 use crate::fig7::{run_fig7, Fig7Row};
@@ -30,11 +33,15 @@ use clash_common::{
     TupleBuilder, Value, Window,
 };
 use clash_datagen::{TpchGenerator, TpchWorkload};
-use clash_optimizer::{Planner, PlannerConfig, StoreDescriptor, Strategy, TopologyPlan};
+use clash_ilp::{solve, SolverConfig};
+use clash_optimizer::{
+    build_ilp, enumerate_candidates, PlanSpaceConfig, Planner, PlannerConfig, StoreDescriptor,
+    Strategy, TopologyPlan,
+};
 use clash_query::{parse_query, EquiPredicate};
 use clash_runtime::store::StoreInstance;
 use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Every suite takes the best of this many timed runs.
 pub const BEST_OF: usize = 3;
@@ -84,6 +91,8 @@ pub struct HotpathReport {
     pub reconfig: Vec<ReconfigRow>,
     /// Telemetry overhead row (trace ring off vs. on, same workload).
     pub telemetry: TelemetryOverheadRow,
+    /// ILP solve rows (five and ten queries).
+    pub ilp: Vec<IlpRow>,
 }
 
 fn best_of<F: FnMut() -> f64>(mut run: F) -> f64 {
@@ -843,6 +852,70 @@ pub fn run_telemetry_overhead(num_tuples: usize) -> TelemetryOverheadRow {
     }
 }
 
+/// One ILP solve of a Fig. 7 workload's model at the default node limit.
+#[derive(Debug, Clone, Copy)]
+pub struct IlpRow {
+    /// Queries in the workload (five or ten).
+    pub queries: usize,
+    /// Model variables.
+    pub variables: usize,
+    /// Branch-and-bound nodes explored (deterministic).
+    pub nodes: u64,
+    /// Wall-clock solve time, best of [`BEST_OF`].
+    pub solve_ms: f64,
+    /// Objective of the returned assignment.
+    pub objective: f64,
+}
+
+impl IlpRow {
+    /// Branch-and-bound nodes per second of the best run.
+    pub fn nodes_per_sec(&self) -> f64 {
+        if self.solve_ms > 0.0 {
+            self.nodes as f64 / (self.solve_ms / 1000.0)
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Solves the five- and ten-query models of the steady-state benchmark's
+/// Fig. 7 workloads (5 s windows) with the default node limit and no time
+/// limit, so every machine explores the same nodes; best of [`BEST_OF`].
+pub fn run_ilp() -> Vec<IlpRow> {
+    let workload = TpchWorkload::new(2, Window::secs(5)).expect("workload");
+    let config = SolverConfig {
+        time_limit: Duration::MAX,
+        ..SolverConfig::default()
+    };
+    [workload.five_queries(), workload.ten_queries()]
+        .into_iter()
+        .map(|queries| {
+            let queries = queries.expect("queries");
+            let space = PlanSpaceConfig::default();
+            let candidates =
+                enumerate_candidates(&workload.catalog, &workload.stats, &queries, &space);
+            let model = build_ilp(&candidates).model;
+            let solutions: Vec<_> = (0..BEST_OF).map(|_| solve(&model, config)).collect();
+            let solution = &solutions[0];
+            assert!(
+                solutions.iter().all(|s| s.nodes == solution.nodes
+                    && s.objective.to_bits() == solution.objective.to_bits()),
+                "repeated solves of one model must search identically"
+            );
+            IlpRow {
+                queries: queries.len(),
+                variables: model.num_vars(),
+                nodes: solution.nodes,
+                solve_ms: solutions
+                    .iter()
+                    .map(|s| s.elapsed.as_secs_f64() * 1000.0)
+                    .fold(f64::INFINITY, f64::min),
+                objective: solution.objective,
+            }
+        })
+        .collect()
+}
+
 /// Runs every section of the report.
 pub fn run_hotpath(iters: usize, fig7_tuples: usize) -> HotpathReport {
     let store_n = (iters / 4).clamp(512, 200_000);
@@ -858,6 +931,7 @@ pub fn run_hotpath(iters: usize, fig7_tuples: usize) -> HotpathReport {
     let reconfig_total = fig7_tuples.clamp(1_000, 100_000);
     let reconfig = run_reconfig(reconfig_total, &[reconfig_total / 4, reconfig_total / 16]);
     let telemetry = run_telemetry_overhead(fig7_tuples.clamp(1_000, 100_000));
+    let ilp = run_ilp();
     HotpathReport {
         iters,
         fig7_tuples,
@@ -868,6 +942,7 @@ pub fn run_hotpath(iters: usize, fig7_tuples: usize) -> HotpathReport {
         multi_source,
         reconfig,
         telemetry,
+        ilp,
     }
 }
 
@@ -968,13 +1043,28 @@ pub fn report_to_json(report: &HotpathReport) -> String {
     out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"telemetry\": {{\"tuples\": {}, \"untraced_tps\": {:.1}, \"traced_tps\": {:.1}, \
-         \"throughput_ratio\": {:.3}, \"trace_events\": {}}}\n",
+         \"throughput_ratio\": {:.3}, \"trace_events\": {}}},\n",
         report.telemetry.tuples,
         report.telemetry.untraced_tps,
         report.telemetry.traced_tps,
         report.telemetry.throughput_ratio(),
         report.telemetry.trace_events
     ));
+    out.push_str("  \"ilp\": [\n");
+    for (i, row) in report.ilp.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"queries\": {}, \"variables\": {}, \"solve_ms\": {:.1}, \"nodes\": {}, \
+             \"nodes_per_sec\": {:.1}, \"objective\": {:.3}}}{}\n",
+            row.queries,
+            row.variables,
+            row.solve_ms,
+            row.nodes,
+            row.nodes_per_sec(),
+            row.objective,
+            if i + 1 < report.ilp.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ]\n");
     out.push_str("}\n");
     out
 }
@@ -1128,6 +1218,13 @@ mod tests {
                 traced_tps: 99.0,
                 trace_events: 42,
             },
+            ilp: vec![IlpRow {
+                queries: 10,
+                variables: 1_827,
+                nodes: 200_000,
+                solve_ms: 800.0,
+                objective: 27_041.5,
+            }],
         };
         let json = report_to_json(&report);
         assert!(json.contains("\"speedup\": 2.000"));
@@ -1144,6 +1241,7 @@ mod tests {
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("\"throughput_ratio\": 0.990"));
         assert!(json.contains("\"trace_events\": 42"));
+        assert!(json.contains("\"nodes\": 200000, \"nodes_per_sec\": 250000.0"));
         // Balanced braces/brackets (no JSON parser in the offline build).
         assert_eq!(
             json.matches('{').count(),

@@ -592,6 +592,8 @@ mod tests {
         let report = clash.explain(Strategy::GlobalIlp).unwrap();
         assert!(report.shared_cost > 0.0);
         assert!(report.model_stats.is_some());
+        let gap = report.gap().expect("the ILP states its gap");
+        assert!((0.0..=1.0).contains(&gap), "gap {gap}");
     }
 
     #[test]

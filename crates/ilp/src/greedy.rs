@@ -39,7 +39,7 @@ pub(crate) fn fixed_objective(model: &Model, domains: &Domains) -> f64 {
 }
 
 /// `true` when the choice constraint already has a member fixed to 1.
-fn satisfied(model: &Model, domains: &Domains, ci: usize) -> bool {
+pub(crate) fn satisfied(model: &Model, domains: &Domains, ci: usize) -> bool {
     model.constraints()[ci]
         .expr
         .terms()
@@ -51,7 +51,7 @@ fn satisfied(model: &Model, domains: &Domains, ci: usize) -> bool {
 /// objective, or `None` when the heuristic runs into a dead end (which for
 /// the optimizer's models means the model itself is infeasible).
 pub fn greedy(model: &Model) -> Option<(Assignment, f64)> {
-    let propagator = Propagator::new(model);
+    let mut propagator = Propagator::new(model);
     let mut domains = Domains::free(model.num_vars());
     if let PropagationResult::Conflict(_) = propagator.propagate_all(&mut domains) {
         return None;

@@ -87,9 +87,14 @@ impl LinExpr {
 
     /// Evaluates the expression under a full assignment.
     pub fn evaluate(&self, assignment: &Assignment) -> f64 {
+        self.evaluate_by(|v| assignment.get(v))
+    }
+
+    /// Evaluates the expression with `one(v)` as the value of each variable.
+    fn evaluate_by(&self, one: impl Fn(VarId) -> bool) -> f64 {
         self.terms
             .iter()
-            .map(|(v, c)| if assignment.get(*v) { *c } else { 0.0 })
+            .map(|(v, c)| if one(*v) { *c } else { 0.0 })
             .sum()
     }
 }
@@ -111,7 +116,11 @@ impl Constraint {
     /// `true` when the constraint holds under the assignment (within
     /// `tolerance`).
     pub fn is_satisfied(&self, assignment: &Assignment, tolerance: f64) -> bool {
-        let lhs = self.expr.evaluate(assignment);
+        self.is_satisfied_by(|v| assignment.get(v), tolerance)
+    }
+
+    fn is_satisfied_by(&self, one: impl Fn(VarId) -> bool, tolerance: f64) -> bool {
+        let lhs = self.expr.evaluate_by(one);
         match self.sense {
             Sense::Eq => (lhs - self.rhs).abs() <= tolerance,
             Sense::Ge => lhs >= self.rhs - tolerance,
@@ -281,16 +290,16 @@ impl Model {
 
     /// Objective value of an assignment.
     pub fn objective_value(&self, assignment: &Assignment) -> f64 {
+        self.objective_value_by(|v| assignment.get(v))
+    }
+
+    /// Objective value with `one(v)` as the value of each variable (the
+    /// solver reads it from its domains, without building an assignment).
+    pub(crate) fn objective_value_by(&self, one: impl Fn(VarId) -> bool) -> f64 {
         self.objective
             .iter()
             .enumerate()
-            .map(|(i, c)| {
-                if assignment.get(VarId(i as u32)) {
-                    *c
-                } else {
-                    0.0
-                }
-            })
+            .map(|(i, c)| if one(VarId(i as u32)) { *c } else { 0.0 })
             .sum()
     }
 
@@ -304,6 +313,17 @@ impl Model {
     /// `true` when the assignment satisfies every constraint.
     pub fn is_feasible(&self, assignment: &Assignment, tolerance: f64) -> bool {
         self.first_violation(assignment, tolerance).is_none()
+    }
+
+    /// [`Self::is_feasible`] with `one(v)` as the value of each variable.
+    pub(crate) fn is_feasible_by(
+        &self,
+        one: impl Fn(VarId) -> bool + Copy,
+        tolerance: f64,
+    ) -> bool {
+        self.constraints
+            .iter()
+            .all(|c| c.is_satisfied_by(one, tolerance))
     }
 
     /// Size statistics (Fig. 9b / 9d).

@@ -94,12 +94,19 @@ pub enum PropagationResult {
     Conflict(usize),
 }
 
-/// Propagator: precomputes the variable → constraint adjacency of a model.
+/// Propagator: precomputes the variable → constraint adjacency of a model
+/// and owns the work queue, so a propagation run allocates nothing.
 #[derive(Debug)]
 pub struct Propagator<'a> {
     model: &'a Model,
     /// For each variable, the indices of the constraints it appears in.
     var_constraints: Vec<Vec<usize>>,
+    /// Constraints waiting to be re-examined (a stack); empty between runs.
+    queue: Vec<usize>,
+    /// `in_queue[ci]` iff `ci` is on `queue`; all `false` between runs.
+    in_queue: Vec<bool>,
+    /// Variables fixed by the constraint under examination.
+    newly_fixed: Vec<VarId>,
 }
 
 impl<'a> Propagator<'a> {
@@ -114,6 +121,9 @@ impl<'a> Propagator<'a> {
         Propagator {
             model,
             var_constraints,
+            queue: Vec::new(),
+            in_queue: vec![false; model.num_constraints()],
+            newly_fixed: Vec::new(),
         }
     }
 
@@ -123,27 +133,43 @@ impl<'a> Propagator<'a> {
     }
 
     /// Propagates all constraints to a fixpoint.
-    pub fn propagate_all(&self, domains: &mut Domains) -> PropagationResult {
-        let all: Vec<usize> = (0..self.model.num_constraints()).collect();
-        self.propagate_queue(domains, all)
+    pub fn propagate_all(&mut self, domains: &mut Domains) -> PropagationResult {
+        self.queue.extend(0..self.model.num_constraints());
+        self.propagate_queue(domains)
     }
 
     /// Propagates starting from the constraints involving `seed_var`
     /// (typically a variable that was just fixed by a branching decision).
-    pub fn propagate_from(&self, domains: &mut Domains, seed_var: VarId) -> PropagationResult {
-        self.propagate_queue(domains, self.var_constraints[seed_var.index()].clone())
+    pub fn propagate_from(&mut self, domains: &mut Domains, seed_var: VarId) -> PropagationResult {
+        self.queue
+            .extend_from_slice(&self.var_constraints[seed_var.index()]);
+        self.propagate_queue(domains)
     }
 
-    fn propagate_queue(&self, domains: &mut Domains, mut queue: Vec<usize>) -> PropagationResult {
+    fn propagate_queue(&mut self, domains: &mut Domains) -> PropagationResult {
+        let result = self.run_queue(domains);
+        for ci in self.queue.drain(..) {
+            self.in_queue[ci] = false;
+        }
+        result
+    }
+
+    fn run_queue(&mut self, domains: &mut Domains) -> PropagationResult {
         const EPS: f64 = 1e-9;
         let mut fixed_total = 0usize;
-        let mut in_queue = vec![false; self.model.num_constraints()];
-        for &ci in &queue {
+        let Propagator {
+            model,
+            var_constraints,
+            queue,
+            in_queue,
+            newly_fixed,
+        } = self;
+        for &ci in queue.iter() {
             in_queue[ci] = true;
         }
         while let Some(ci) = queue.pop() {
             in_queue[ci] = false;
-            let c = &self.model.constraints()[ci];
+            let c = &model.constraints()[ci];
             // Bounds of the LHS under the current domains.
             let mut min_lhs = 0.0;
             let mut max_lhs = 0.0;
@@ -170,7 +196,7 @@ impl<'a> Propagator<'a> {
             }
             // Try to fix free variables whose "wrong" value would violate
             // the constraint.
-            let mut newly_fixed: Vec<VarId> = Vec::new();
+            newly_fixed.clear();
             for (v, coeff) in c.expr.terms() {
                 if !domains.is_free(*v) {
                     continue;
@@ -196,8 +222,8 @@ impl<'a> Propagator<'a> {
                 }
             }
             fixed_total += newly_fixed.len();
-            for v in newly_fixed {
-                for &other in &self.var_constraints[v.index()] {
+            for v in newly_fixed.iter() {
+                for &other in &var_constraints[v.index()] {
                     if !in_queue[other] {
                         in_queue[other] = true;
                         queue.push(other);
@@ -225,7 +251,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_binary("x", 1.0);
         m.add_choose_one("only", [x]);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(1);
         assert_eq!(p.propagate_all(&mut d), PropagationResult::Fixpoint(1));
         assert_eq!(d.get(x), Some(true));
@@ -239,7 +265,7 @@ mod tests {
         let x = m.add_binary("x", 0.0);
         let y = m.add_binary("y", 1.0);
         m.add_implies_any("imp", x, [y]);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(2);
         assert!(d.fix(x, true));
         assert_eq!(p.propagate_from(&mut d, x), PropagationResult::Fixpoint(1));
@@ -255,7 +281,7 @@ mod tests {
         let y2 = m.add_binary("y2", 6.0);
         let expr = LinExpr::from_terms([(x, -10.0), (y1, 4.0), (y2, 6.0)]);
         m.add_constraint("cost", expr, Sense::Ge, 0.0);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(3);
         d.fix(x, true);
         assert_eq!(p.propagate_from(&mut d, x), PropagationResult::Fixpoint(2));
@@ -270,7 +296,7 @@ mod tests {
         let b = m.add_binary("b", 0.0);
         let c = m.add_binary("c", 0.0);
         m.add_choose_one("choice", [a, b, c]);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(3);
         d.fix(a, true);
         assert!(matches!(
@@ -287,7 +313,7 @@ mod tests {
         let a = m.add_binary("a", 0.0);
         let b = m.add_binary("b", 0.0);
         m.add_choose_one("choice", [a, b]);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(2);
         d.fix(a, false);
         d.fix(b, false);
@@ -326,7 +352,7 @@ mod tests {
         let x = m.add_binary("x", 0.0);
         let y = m.add_binary("y", 0.0);
         m.add_constraint("le", LinExpr::sum([x, y]), Sense::Le, 1.0);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(2);
         d.fix(x, true);
         assert!(matches!(

@@ -5,16 +5,29 @@
 //! every node and the greedy construction of [`crate::greedy`] as the
 //! initial incumbent. The lower bound at a node is the objective mass of
 //! the variables already fixed to 1 (plus any negative coefficients still
-//! free) — for the non-negative step-cost objectives produced by the
-//! optimizer this is the exact cost of the partially committed plan, so
-//! pruning is effective once a good incumbent is known.
+//! free) plus a sequential-minimum term: for every unsatisfied choice
+//! group, the cheapest still-free cost its alternatives force (their
+//! requirement lists, from root propagation), where a variable any
+//! alternative of an earlier group could force is not counted again. The
+//! root node's bound is reported as [`Solution::bound`].
+//!
+//! Past one scan of its domains for the fixed mass, a node costs what it
+//! examines, not the model's size: requirement lists are sparse, the
+//! bound stops once it reaches the incumbent (its group terms are
+//! non-negative), and a node allocates nothing but its children's
+//! domains: bound and propagation scratch belongs to the search, and an
+//! assignment is built only for an improving incumbent. None of this
+//! decides anything: the bound adds the same terms in the same order as a
+//! dense evaluation of the formula (kept in the tests as the oracle), so
+//! the same nodes are visited in the same order and the same incumbent is
+//! returned.
 //!
 //! The solver is exact when it terminates within its node/time limits and
 //! degrades into an anytime heuristic (returning the best incumbent) when
 //! it does not, mirroring how the paper treats optimization time as a
 //! budget that must stay compatible with streaming (Section VII-C).
 
-use crate::greedy::{choice_constraints, fixed_objective, greedy};
+use crate::greedy::{choice_constraints, fixed_objective, greedy, satisfied};
 use crate::model::{Assignment, Model, VarId};
 use crate::propagation::{Domains, PropagationResult, Propagator};
 use serde::{Deserialize, Serialize};
@@ -59,18 +72,6 @@ impl Default for SolverConfig {
     }
 }
 
-impl SolverConfig {
-    /// A configuration with a tight node budget, useful when optimization
-    /// runs inside an epoch boundary.
-    pub fn quick() -> Self {
-        SolverConfig {
-            node_limit: 20_000,
-            time_limit: Duration::from_millis(500),
-            ..SolverConfig::default()
-        }
-    }
-}
-
 /// Result of a solve call.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Solution {
@@ -80,8 +81,14 @@ pub struct Solution {
     pub assignment: Option<Assignment>,
     /// Objective value of the best assignment (`f64::INFINITY` if none).
     pub objective: f64,
+    /// Proven lower bound on the optimum: the root node's bound, or the
+    /// objective itself when the search ran to completion.
+    pub bound: f64,
     /// Number of branch-and-bound nodes explored.
     pub nodes: u64,
+    /// Node at which the returned assignment was accepted; 0 when it is the
+    /// greedy warm start (or there is none).
+    pub incumbent_node: u64,
     /// Wall-clock time spent.
     pub elapsed: Duration,
 }
@@ -93,142 +100,141 @@ impl Solution {
     }
 }
 
-/// Fixed-width bitset over the model's variables, used for the
-/// "necessary steps" lower bound.
-type VarBitset = Vec<u64>;
-
-fn bitset_new(n_vars: usize) -> VarBitset {
-    vec![0u64; n_vars.div_ceil(64)]
-}
-
-fn bitset_set(b: &mut VarBitset, v: VarId) {
-    b[v.index() / 64] |= 1u64 << (v.index() % 64);
-}
-
 struct SearchState<'a> {
     model: &'a Model,
     propagator: Propagator<'a>,
     choices: Vec<usize>,
-    /// For every variable that appears in a choice constraint: the set of
-    /// variables that are forced to 1 when it is selected at the root
-    /// (computed once by propagation). Used for the lower bound: whatever
+    /// For every variable that appears in a choice constraint: the
+    /// positive-cost variables, free at the root, that root propagation
+    /// forces to 1 when it is selected (ascending, with their objective
+    /// coefficients; empty when selecting it conflicts). Whatever
     /// alternative of an unsatisfied choice group is eventually selected,
-    /// the intersection of the requirement sets of its still-free
-    /// alternatives will be paid for.
-    requirements: Vec<Option<VarBitset>>,
+    /// the still-free part of its list will be paid for.
+    requirements: Vec<Vec<(VarId, f64)>>,
+    /// Variables with a negative objective coefficient, ascending.
+    negative: Vec<(VarId, f64)>,
+    /// Bound scratch: the group stamp that first claimed each variable.
+    /// Stamps only grow, so a stamp older than the current evaluation
+    /// means "unclaimed" and nothing is reset between nodes.
+    claimed: Vec<u64>,
+    stamp: u64,
     config: SolverConfig,
     started: Instant,
     nodes: u64,
     limit_hit: bool,
     incumbent: Option<(Assignment, f64)>,
+    incumbent_node: u64,
 }
 
 impl<'a> SearchState<'a> {
-    /// Precomputes the requirement bitsets of all choice-alternative
-    /// variables by propagating `x = 1` from the root domains.
-    fn precompute_requirements(
-        model: &Model,
-        propagator: &Propagator<'_>,
+    /// Prepares the search below the propagated `root`: choice groups,
+    /// each alternative's requirement list (by propagating `x = 1` from
+    /// `root`) and the negative objective coefficients.
+    fn new(
+        model: &'a Model,
+        mut propagator: Propagator<'a>,
         root: &Domains,
-        choices: &[usize],
-    ) -> Vec<Option<VarBitset>> {
-        let mut requirements: Vec<Option<VarBitset>> = vec![None; model.num_vars()];
-        for &ci in choices {
+        config: SolverConfig,
+        started: Instant,
+    ) -> Self {
+        let choices = choice_constraints(model);
+        let mut requirements: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); model.num_vars()];
+        for &ci in &choices {
             for (x, _) in model.constraints()[ci].expr.terms() {
-                if requirements[x.index()].is_some() {
-                    continue;
-                }
                 let mut trial = root.clone();
-                if !trial.fix(*x, true) {
+                if !requirements[x.index()].is_empty() || !trial.fix(*x, true) {
                     continue;
                 }
-                if let PropagationResult::Conflict(_) = propagator.propagate_from(&mut trial, *x) {
-                    // Selecting this alternative is impossible; leave the
-                    // requirement empty (the search will discover the
-                    // conflict itself).
-                    requirements[x.index()] = Some(bitset_new(model.num_vars()));
-                    continue;
+                if let PropagationResult::Fixpoint(_) = propagator.propagate_from(&mut trial, *x) {
+                    requirements[x.index()] = trial
+                        .ones()
+                        .filter(|v| root.is_free(*v))
+                        .map(|v| (v, model.objective_coeff(v)))
+                        .filter(|(_, c)| *c > 0.0)
+                        .collect();
                 }
-                let mut bits = bitset_new(model.num_vars());
-                for v in trial.ones() {
-                    bitset_set(&mut bits, v);
-                }
-                requirements[x.index()] = Some(bits);
             }
         }
-        requirements
+        let negative = model
+            .vars()
+            .map(|v| (v, model.objective_coeff(v)))
+            .filter(|(_, c)| *c < 0.0)
+            .collect();
+        SearchState {
+            model,
+            propagator,
+            choices,
+            requirements,
+            negative,
+            claimed: vec![0; model.num_vars()],
+            stamp: 0,
+            config,
+            started,
+            nodes: 0,
+            limit_hit: false,
+            incumbent: None,
+            incumbent_node: 0,
+        }
     }
 
-    fn lower_bound(&self, domains: &Domains) -> f64 {
+    /// Lower bound on the objective of every feasible completion of
+    /// `domains`. Every term after the negative coefficients is a group
+    /// minimum, a sum of positive coefficients, and adding a non-negative
+    /// f64 never lowers a sum: so the bound stops as soon as it reaches
+    /// `cutoff`, and the caller's `bound >= cutoff` decision is the one the
+    /// full sum gives. Pass `f64::INFINITY` for the full sum.
+    fn lower_bound(&mut self, domains: &Domains, cutoff: f64) -> f64 {
         let mut bound = fixed_objective(self.model, domains);
         // Negative coefficients of free variables can only decrease the
         // objective further; account for them to keep the bound admissible
         // for general models.
-        for v in self.model.vars() {
+        for &(v, c) in &self.negative {
             if domains.is_free(v) {
-                let c = self.model.objective_coeff(v);
-                if c < 0.0 {
-                    bound += c;
-                }
+                bound += c;
             }
+        }
+        if bound >= cutoff {
+            return bound;
         }
         // Sequential-minimum bound over the unsatisfied choice groups.
         //
         // Whatever alternative a group eventually selects, the still-free
-        // positive-cost variables in its requirement set must be paid for.
-        // Processing groups in a fixed order and blocking (via `counted`)
-        // every variable that *any* alternative of an earlier group could
-        // have provided makes the per-group minima additive without double
-        // counting, so the sum stays an admissible lower bound even when
-        // groups share steps.
-        let words = self.model.num_vars().div_ceil(64);
-        let mut counted: VarBitset = vec![0u64; words];
+        // positive-cost variables in its requirement list must be paid for.
+        // Processing groups in a fixed order and skipping every variable
+        // that *any* alternative of an earlier group could have provided
+        // (claimed with that group's stamp) makes the per-group minima
+        // additive without double counting, so the sum stays an admissible
+        // lower bound even when groups share steps.
+        let first_group = self.stamp + 1;
         for &ci in &self.choices {
-            let c = &self.model.constraints()[ci];
-            if c.expr
-                .terms()
-                .iter()
-                .any(|(v, _)| domains.get(*v) == Some(true))
-            {
+            if satisfied(self.model, domains, ci) {
                 continue;
             }
+            self.stamp += 1;
+            let group = self.stamp;
             let mut group_min: Option<f64> = None;
-            let mut group_union: VarBitset = vec![0u64; words];
-            let mut has_free_alt = false;
-            for (x, _) in c.expr.terms() {
+            for (x, _) in self.model.constraints()[ci].expr.terms() {
                 if !domains.is_free(*x) {
                     continue;
                 }
-                let Some(req) = &self.requirements[x.index()] else {
-                    group_min = None;
-                    has_free_alt = false;
-                    break;
-                };
-                has_free_alt = true;
                 let mut alt_cost = 0.0;
-                for (word_idx, word) in req.iter().enumerate() {
-                    let mut w = *word & !counted[word_idx];
-                    group_union[word_idx] |= *word;
-                    while w != 0 {
-                        let bit = w.trailing_zeros() as usize;
-                        w &= w - 1;
-                        let v = VarId((word_idx * 64 + bit) as u32);
-                        if v.index() < self.model.num_vars() && domains.is_free(v) {
-                            let coeff = self.model.objective_coeff(v);
-                            if coeff > 0.0 {
-                                alt_cost += coeff;
-                            }
-                        }
+                for &(v, coeff) in &self.requirements[x.index()] {
+                    let by = &mut self.claimed[v.index()];
+                    if *by < first_group {
+                        *by = group;
+                    } else if *by < group {
+                        continue;
+                    }
+                    if domains.is_free(v) {
+                        alt_cost += coeff;
                     }
                 }
                 group_min = Some(group_min.map_or(alt_cost, |m: f64| m.min(alt_cost)));
             }
-            if has_free_alt {
-                if let Some(m) = group_min {
-                    bound += m;
-                    for (cw, gw) in counted.iter_mut().zip(&group_union) {
-                        *cw |= gw;
-                    }
+            if let Some(m) = group_min {
+                bound += m;
+                if bound >= cutoff {
+                    return bound;
                 }
             }
         }
@@ -244,50 +250,56 @@ impl<'a> SearchState<'a> {
         false
     }
 
-    /// Chooses the next variable to branch on: a free member of the most
-    /// constrained unsatisfied choice constraint, falling back to the first
-    /// free variable.
+    /// Chooses the next variable to branch on: the first free member of the
+    /// most constrained unsatisfied choice constraint, falling back to the
+    /// first free variable.
     fn branching_variable(&self, domains: &Domains) -> Option<VarId> {
         let mut best: Option<(VarId, usize)> = None;
         for &ci in &self.choices {
-            let c = &self.model.constraints()[ci];
-            if c.expr
-                .terms()
-                .iter()
-                .any(|(v, _)| domains.get(*v) == Some(true))
-            {
+            if satisfied(self.model, domains, ci) {
                 continue;
             }
-            let free: Vec<VarId> = c
-                .expr
-                .terms()
+            let terms = self.model.constraints()[ci].expr.terms();
+            let mut free = terms
                 .iter()
                 .map(|(v, _)| *v)
-                .filter(|v| domains.is_free(*v))
-                .collect();
-            if free.is_empty() {
+                .filter(|v| domains.is_free(*v));
+            let Some(first) = free.next() else {
                 continue;
-            }
-            if best.map(|(_, n)| free.len() < n).unwrap_or(true) {
-                best = Some((free[0], free.len()));
+            };
+            let count = 1 + free.count();
+            if best.is_none_or(|(_, n)| count < n) {
+                best = Some((first, count));
             }
         }
         best.map(|(v, _)| v).or_else(|| domains.first_free())
     }
 
+    /// Accepts the completion of `domains` with free variables at 0 when it
+    /// is feasible and improves on the incumbent; the assignment is built
+    /// only then.
     fn maybe_accept(&mut self, domains: &Domains) {
-        let assignment = domains.to_assignment();
-        if !self.model.is_feasible(&assignment, TOLERANCE) {
+        // A choice group with no member at 1 violates its `Σ x = 1`: the
+        // full scan below only runs once every group is satisfied.
+        if !self
+            .choices
+            .iter()
+            .all(|&ci| satisfied(self.model, domains, ci))
+        {
             return;
         }
-        let objective = self.model.objective_value(&assignment);
+        let one = |v: VarId| domains.get(v) == Some(true);
+        if !self.model.is_feasible_by(one, TOLERANCE) {
+            return;
+        }
+        let objective = self.model.objective_value_by(one);
         let improves = self
             .incumbent
             .as_ref()
-            .map(|(_, best)| objective < best - TOLERANCE)
-            .unwrap_or(true);
+            .is_none_or(|(_, best)| objective < best - TOLERANCE);
         if improves {
-            self.incumbent = Some((assignment, objective));
+            self.incumbent = Some((domains.to_assignment(), objective));
+            self.incumbent_node = self.nodes;
         }
     }
 
@@ -298,7 +310,8 @@ impl<'a> SearchState<'a> {
         }
         // Bound.
         if let Some((_, best)) = &self.incumbent {
-            if self.lower_bound(&domains) >= *best - TOLERANCE {
+            let cutoff = *best - TOLERANCE;
+            if self.lower_bound(&domains, cutoff) >= cutoff {
                 return;
             }
         }
@@ -330,64 +343,51 @@ impl<'a> SearchState<'a> {
 /// Solves a 0/1 ILP.
 pub fn solve(model: &Model, config: SolverConfig) -> Solution {
     let started = Instant::now();
-    let propagator = Propagator::new(model);
+    let mut propagator = Propagator::new(model);
     let mut root = Domains::free(model.num_vars());
     if let PropagationResult::Conflict(_) = propagator.propagate_all(&mut root) {
         return Solution {
             status: SolveStatus::Infeasible,
             assignment: None,
             objective: f64::INFINITY,
+            bound: f64::INFINITY,
             nodes: 0,
+            incumbent_node: 0,
             elapsed: started.elapsed(),
         };
     }
 
-    let incumbent = if config.disable_warm_start {
-        None
-    } else {
-        greedy(model)
-    };
-
-    let choices = choice_constraints(model);
-    let requirements =
-        SearchState::precompute_requirements(model, &Propagator::new(model), &root, &choices);
-    let mut state = SearchState {
-        model,
-        propagator,
-        choices,
-        requirements,
-        config,
-        started,
-        nodes: 0,
-        limit_hit: false,
-        incumbent,
-    };
+    let mut state = SearchState::new(model, propagator, &root, config, started);
+    if !config.disable_warm_start {
+        state.incumbent = greedy(model);
+    }
+    let root_bound = state.lower_bound(&root, f64::INFINITY);
     state.search(root);
 
-    let elapsed = started.elapsed();
-    match state.incumbent {
-        Some((assignment, objective)) => Solution {
-            status: if state.limit_hit {
-                SolveStatus::Feasible
-            } else {
-                SolveStatus::Optimal
-            },
-            assignment: Some(assignment),
-            objective,
-            nodes: state.nodes,
-            elapsed,
+    let status = match (&state.incumbent, state.limit_hit) {
+        (Some(_), false) => SolveStatus::Optimal,
+        (Some(_), true) => SolveStatus::Feasible,
+        (None, false) => SolveStatus::Infeasible,
+        (None, true) => SolveStatus::Unknown,
+    };
+    let (assignment, objective) = match state.incumbent {
+        Some((assignment, objective)) => (Some(assignment), objective),
+        None => (None, f64::INFINITY),
+    };
+    Solution {
+        status,
+        assignment,
+        objective,
+        // A search that ran to completion proved its incumbent optimal (or
+        // the model infeasible).
+        bound: if state.limit_hit {
+            root_bound
+        } else {
+            objective
         },
-        None => Solution {
-            status: if state.limit_hit {
-                SolveStatus::Unknown
-            } else {
-                SolveStatus::Infeasible
-            },
-            assignment: None,
-            objective: f64::INFINITY,
-            nodes: state.nodes,
-            elapsed,
-        },
+        nodes: state.nodes,
+        incumbent_node: state.incumbent_node,
+        elapsed: started.elapsed(),
     }
 }
 
@@ -395,6 +395,9 @@ pub fn solve(model: &Model, config: SolverConfig) -> Solution {
 mod tests {
     use super::*;
     use crate::model::{LinExpr, Sense};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn assert_optimal(solution: &Solution, expected: f64) {
         assert_eq!(solution.status, SolveStatus::Optimal, "{solution:?}");
@@ -416,6 +419,9 @@ mod tests {
         assert_optimal(&s, 2.0);
         assert!(s.assignment.as_ref().unwrap().get(a));
         assert!(!s.assignment.as_ref().unwrap().get(b));
+        // A finished search proves its objective; the warm start was optimal.
+        assert_eq!(s.bound, s.objective);
+        assert_eq!(s.incumbent_node, 0);
     }
 
     #[test]
@@ -486,6 +492,10 @@ mod tests {
         };
         let s = solve(&m, cfg);
         assert_optimal(&s, 2.0);
+        assert!(
+            s.incumbent_node > 0,
+            "found by the search, not the warm start"
+        );
     }
 
     #[test]
@@ -522,10 +532,12 @@ mod tests {
         assert_eq!(s.status, SolveStatus::Feasible);
         assert!(s.is_feasible());
         assert!(s.nodes <= 1);
-        // Optimal is picking the cost-1 alternative everywhere = 20.
+        // Optimal is picking the cost-1 alternative everywhere = 20, which
+        // the root bound already proves although the search was cut off.
         let full = solve(&m, SolverConfig::default());
         assert_optimal(&full, 20.0);
         assert!(full.objective <= s.objective + 1e-9);
+        assert_eq!(s.bound, 20.0);
     }
 
     #[test]
@@ -538,5 +550,200 @@ mod tests {
         let s = solve(&m, SolverConfig::default());
         assert_optimal(&s, -5.0);
         assert!(s.assignment.unwrap().get(a));
+    }
+
+    /// A random selection-with-sharing model: choice groups whose
+    /// alternatives force random step subsets, some alternatives also
+    /// forcing an alternative of an earlier group (as maintenance orders
+    /// do), and sometimes a negative-cost variable.
+    fn random_model(rng: &mut StdRng) -> Model {
+        let mut m = Model::new();
+        let steps: Vec<VarId> = (0..rng.gen_range(3..40))
+            .map(|i| m.add_binary(format!("y{i}"), rng.gen_range(1..1000) as f64 / 7.0))
+            .collect();
+        let mut earlier: Vec<VarId> = Vec::new();
+        for g in 0..rng.gen_range(1..12) {
+            let alts: Vec<VarId> = (0..rng.gen_range(1..6))
+                .map(|a| {
+                    let coeff = if rng.gen_bool(0.1) { 1.5 } else { 0.0 };
+                    m.add_binary(format!("x{g}_{a}"), coeff)
+                })
+                .collect();
+            for &x in &alts {
+                let mut expr = LinExpr::new();
+                let mut total = 0.0;
+                for _ in 0..rng.gen_range(1..6) {
+                    let y = steps[rng.gen_range(0..steps.len())];
+                    if expr.terms().iter().all(|(v, _)| *v != y) {
+                        expr.add(y, m.objective_coeff(y));
+                        total += m.objective_coeff(y);
+                    }
+                }
+                expr.add(x, -total);
+                m.add_constraint(format!("cost[{x}]"), expr, Sense::Ge, 0.0);
+                if !earlier.is_empty() && rng.gen_bool(0.2) {
+                    let other = earlier[rng.gen_range(0..earlier.len())];
+                    m.add_implies_any(format!("maintain[{x}]"), x, [other]);
+                }
+            }
+            m.add_choose_one(format!("choice{g}"), alts.clone());
+            earlier.extend(alts);
+        }
+        if rng.gen_bool(0.25) {
+            let z = m.add_binary("z", -(rng.gen_range(1..50) as f64));
+            m.add_constraint("cover", LinExpr::sum([z, steps[0]]), Sense::Ge, 1.0);
+        }
+        m
+    }
+
+    /// Per choice alternative, the dense bitset of variables root
+    /// propagation fixes to 1 when it is selected.
+    fn dense_requirements(
+        model: &Model,
+        root: &Domains,
+        choices: &[usize],
+    ) -> Vec<Option<Vec<u64>>> {
+        let mut propagator = Propagator::new(model);
+        let words = model.num_vars().div_ceil(64);
+        let mut requirements: Vec<Option<Vec<u64>>> = vec![None; model.num_vars()];
+        for &ci in choices {
+            for (x, _) in model.constraints()[ci].expr.terms() {
+                let mut trial = root.clone();
+                if requirements[x.index()].is_some() || !trial.fix(*x, true) {
+                    continue;
+                }
+                let mut bits = vec![0u64; words];
+                if let PropagationResult::Fixpoint(_) = propagator.propagate_from(&mut trial, *x) {
+                    for v in trial.ones() {
+                        bits[v.index() / 64] |= 1u64 << (v.index() % 64);
+                    }
+                }
+                requirements[x.index()] = Some(bits);
+            }
+        }
+        requirements
+    }
+
+    /// The reference bound: the same formula over dense requirement bitsets
+    /// and a dense `counted` set rebuilt on every call, as the solver
+    /// computed it before its requirement lists became sparse.
+    fn dense_bound(
+        model: &Model,
+        choices: &[usize],
+        requirements: &[Option<Vec<u64>>],
+        domains: &Domains,
+    ) -> f64 {
+        let mut bound = fixed_objective(model, domains);
+        for v in model.vars() {
+            if domains.is_free(v) {
+                let c = model.objective_coeff(v);
+                if c < 0.0 {
+                    bound += c;
+                }
+            }
+        }
+        let words = model.num_vars().div_ceil(64);
+        let mut counted = vec![0u64; words];
+        for &ci in choices {
+            if satisfied(model, domains, ci) {
+                continue;
+            }
+            let mut group_min: Option<f64> = None;
+            let mut group_union = vec![0u64; words];
+            let mut has_free_alt = false;
+            for (x, _) in model.constraints()[ci].expr.terms() {
+                if !domains.is_free(*x) {
+                    continue;
+                }
+                let Some(req) = &requirements[x.index()] else {
+                    group_min = None;
+                    has_free_alt = false;
+                    break;
+                };
+                has_free_alt = true;
+                let mut alt_cost = 0.0;
+                for (word_idx, word) in req.iter().enumerate() {
+                    let mut w = *word & !counted[word_idx];
+                    group_union[word_idx] |= *word;
+                    while w != 0 {
+                        let v = VarId((word_idx * 64) as u32 + w.trailing_zeros());
+                        w &= w - 1;
+                        if domains.is_free(v) && model.objective_coeff(v) > 0.0 {
+                            alt_cost += model.objective_coeff(v);
+                        }
+                    }
+                }
+                group_min = Some(group_min.map_or(alt_cost, |m: f64| m.min(alt_cost)));
+            }
+            if let (true, Some(m)) = (has_free_alt, group_min) {
+                bound += m;
+                for (cw, gw) in counted.iter_mut().zip(&group_union) {
+                    *cw |= gw;
+                }
+            }
+        }
+        bound
+    }
+
+    /// Walks one random branch of a random model (every node a propagated
+    /// fixpoint, as in the search) and checks the bound at each node
+    /// against [`dense_bound`]: equal bits when run in full, and the same
+    /// prune decision at cutoffs around it when stopped early.
+    fn check_bound_against_dense(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let model = random_model(&mut rng);
+        let mut propagator = Propagator::new(&model);
+        let mut domains = Domains::free(model.num_vars());
+        if let PropagationResult::Conflict(_) = propagator.propagate_all(&mut domains) {
+            return;
+        }
+        let config = SolverConfig::default();
+        let mut state = SearchState::new(&model, propagator, &domains, config, Instant::now());
+        let requirements = dense_requirements(&model, &domains, &state.choices);
+        loop {
+            let dense = dense_bound(&model, &state.choices, &requirements, &domains);
+            let full = state.lower_bound(&domains, f64::INFINITY);
+            assert_eq!(
+                full.to_bits(),
+                dense.to_bits(),
+                "seed {seed}: {full} vs {dense}"
+            );
+            let random = rng.gen_range(-10.0..dense.abs() * 2.0 + 10.0);
+            for cutoff in [
+                dense - 1.0,
+                dense - TOLERANCE,
+                dense,
+                dense + TOLERANCE,
+                random,
+            ] {
+                let pruned = state.lower_bound(&domains, cutoff) >= cutoff;
+                assert_eq!(pruned, dense >= cutoff, "seed {seed}, cutoff {cutoff}");
+            }
+            let free: Vec<VarId> = model.vars().filter(|v| domains.is_free(*v)).collect();
+            if free.is_empty() {
+                return;
+            }
+            let var = free[rng.gen_range(0..free.len())];
+            let first = rng.gen_bool(0.5);
+            let next = [first, !first].into_iter().find_map(|value| {
+                let mut child = domains.clone();
+                child.fix(var, value);
+                match state.propagator.propagate_from(&mut child, var) {
+                    PropagationResult::Fixpoint(_) => Some(child),
+                    PropagationResult::Conflict(_) => None,
+                }
+            });
+            match next {
+                Some(child) => domains = child,
+                None => return,
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn sparse_bound_reproduces_the_dense_formula(seed in 0u64..u64::MAX) {
+            check_bound_against_dense(seed);
+        }
     }
 }

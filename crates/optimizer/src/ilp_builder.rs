@@ -24,7 +24,7 @@
 use crate::candidate::{CandidateSet, DecoratedProbeOrder, StepKey, SubqueryKey};
 use clash_common::{ClashError, QueryId, RelationId, Result};
 use clash_ilp::{Assignment, LinExpr, Model, ModelStats, Sense, VarId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The constructed model together with the bookkeeping needed to interpret
 /// its solution.
@@ -62,9 +62,9 @@ impl Selection {
     }
 
     /// Recomputes the shared cost from the step keys (each distinct step
-    /// counted once).
+    /// counted once, summed in key order so the value repeats exactly).
     pub fn recompute_shared_cost(&mut self) {
-        let mut seen: HashMap<&StepKey, f64> = HashMap::new();
+        let mut seen: BTreeMap<&StepKey, f64> = BTreeMap::new();
         for order in self.query_orders.iter().chain(self.subquery_orders.iter()) {
             for (key, cost) in order.step_keys.iter().zip(&order.step_costs) {
                 seen.entry(key).or_insert(*cost);
@@ -95,8 +95,12 @@ pub fn build_ilp(candidates: &CandidateSet) -> IlpArtifacts {
     let mut subquery_vars: HashMap<SubqueryKey, VarId> = HashMap::new();
     let mut step_vars: HashMap<StepKey, (VarId, f64)> = HashMap::new();
 
-    // Sub-query maintenance variables and their cost constraints.
-    for (key, order) in &candidates.subquery_orders {
+    // Sub-query maintenance variables and their cost constraints, in key
+    // order: variable numbering must not depend on the map's hash seed.
+    let mut subqueries: Vec<(&SubqueryKey, &DecoratedProbeOrder)> =
+        candidates.subquery_orders.iter().collect();
+    subqueries.sort_by(|a, b| a.0.cmp(b.0));
+    for (key, order) in subqueries {
         let x = model.add_binary(format!("x'[mir={} start=R{}]", key.0, key.1 .0), 0.0);
         subquery_vars.insert(key.clone(), x);
         let mut expr = LinExpr::new();
@@ -233,8 +237,10 @@ mod tests {
     use crate::candidate::{enumerate_candidates, PlanSpaceConfig};
     use clash_catalog::{Catalog, Statistics};
     use clash_common::Window;
+    use clash_datagen::TpchWorkload;
     use clash_ilp::{solve, SolveStatus, SolverConfig};
     use clash_query::parse_query;
+    use std::time::Duration;
 
     fn setup() -> (Catalog, Statistics, Vec<clash_query::JoinQuery>) {
         let mut catalog = Catalog::new();
@@ -369,5 +375,135 @@ mod tests {
             .map(|c| c.step_keys.len())
             .sum();
         assert!(artifacts.step_vars.len() < total_steps);
+    }
+
+    /// The Fig. 7 five-query TPC-H workload's plan space (5 s windows).
+    fn five_query_candidates() -> CandidateSet {
+        let workload = TpchWorkload::new(2, Window::secs(5)).unwrap();
+        let queries = workload.five_queries().unwrap();
+        enumerate_candidates(
+            &workload.catalog,
+            &workload.stats,
+            &queries,
+            &PlanSpaceConfig::default(),
+        )
+    }
+
+    #[test]
+    fn model_construction_repeats_exactly() {
+        // Variable numbering must not follow a hash map's per-instance seed:
+        // it decides the solver's search order.
+        let build = || build_ilp(&five_query_candidates()).model.to_string();
+        assert_eq!(build(), build());
+    }
+
+    /// Every variable set to 1 by [`five_query_search_is_pinned`]'s solve,
+    /// in variable order.
+    const FIVE_QUERY_ONES: [&str; 72] = [
+        "y[start:0|2@-x1|P:0.0=1.1]",
+        "y[start:1|4@2.1x2|P:1.0=2.1]",
+        "y[start:2|2@-x1|P:1.0=2.1]",
+        "y[start:0|2@-x1|4@2.1x2|P:0.0=1.1,1.0=2.1]",
+        "y[start:2|2@-x1|1@-x1|P:0.0=1.1,1.0=2.1]",
+        "x'[mir=36 start=R2]",
+        "y[start:2|32@5.1x2|P:2.0=5.1]",
+        "x'[mir=36 start=R5]",
+        "y[start:5|4@2.0x2|P:2.0=5.1]",
+        "x'[mir=38 start=R1]",
+        "y[start:1|4@2.1x2|32@5.1x2|P:1.0=2.1,2.0=5.1]",
+        "x'[mir=38 start=R2]",
+        "y[start:2|2@-x1|32@5.1x2|P:1.0=2.1,2.0=5.1]",
+        "x'[mir=38 start=R5]",
+        "y[start:5|4@2.0x2|2@-x1|P:1.0=2.1,2.0=5.1]",
+        "x'[mir=48 start=R4]",
+        "y[start:4|32@5.0x2|P:4.0=5.0]",
+        "x'[mir=48 start=R5]",
+        "y[start:5|16@4.0x2|P:4.0=5.0]",
+        "y[start:2|32@5.1x2|16@4.0x2|P:2.0=5.1,4.0=5.0]",
+        "y[start:4|32@5.0x2|4@2.0x2|P:2.0=5.1,4.0=5.0]",
+        "y[start:5|4@2.0x2|16@4.0x2|P:2.0=5.1,4.0=5.0]",
+        "y[start:7|16@4.0x2|P:4.0=7.1]",
+        "y[start:2|32@5.1x2|128@7.1x2|P:2.0=5.1,5.0=7.1]",
+        "y[start:4|32@5.0x2|128@7.2x2|P:4.0=5.0,5.1=7.2]",
+        "y[start:5|16@4.0x2|128@7.2x2|P:4.0=5.0,5.1=7.2]",
+        "y[start:7|16@4.0x2|32@5.0x2|P:4.0=5.0,4.0=7.1]",
+        "x'[mir=192 start=R6]",
+        "y[start:6|128@7.0x2|P:6.0=7.0]",
+        "x'[mir=192 start=R7]",
+        "y[start:7|64@6.0x2|P:6.0=7.0]",
+        "y[start:7|64@6.0x2|32@5.1x2|P:5.1=7.2,6.0=7.0]",
+        "x[Q0 R0 #3]",
+        "y[start:0|2@-x1|4@2.1x2|32@5.1x2|P:0.0=1.1,1.0=2.1,2.0=5.1]",
+        "x[Q0 R1 #13]",
+        "y[start:1|4@2.1x2|32@5.1x2|1@-x1|P:0.0=1.1,1.0=2.1,2.0=5.1]",
+        "x[Q0 R2 #1]",
+        "y[start:2|2@-x1|1@-x1|32@5.1x2|P:0.0=1.1,1.0=2.1,2.0=5.1]",
+        "x[Q0 R5 #0]",
+        "y[start:5|4@2.0x2|2@-x1|1@-x1|P:0.0=1.1,1.0=2.1,2.0=5.1]",
+        "x[Q1 R1 #3]",
+        "y[start:1|4@2.1x2|32@5.1x2|16@4.0x2|P:1.0=2.1,2.0=5.1,4.0=5.0]",
+        "x[Q1 R2 #1]",
+        "y[start:2|2@-x1|32@5.1x2|16@4.0x2|P:1.0=2.1,2.0=5.1,4.0=5.0]",
+        "x[Q1 R4 #11]",
+        "y[start:4|38@5.0x2|P:1.0=2.1,2.0=5.1,4.0=5.0]",
+        "x[Q1 R5 #0]",
+        "y[start:5|4@2.0x2|2@-x1|16@4.0x2|P:1.0=2.1,2.0=5.1,4.0=5.0]",
+        "x[Q2 R2 #4]",
+        "y[start:2|32@5.1x2|16@4.0x2|128@7.1x2|P:2.0=5.1,4.0=5.0,4.0=7.1]",
+        "x[Q2 R4 #1]",
+        "y[start:4|32@5.0x2|4@2.0x2|128@7.1x2|P:2.0=5.1,4.0=5.0,4.0=7.1]",
+        "x[Q2 R5 #1]",
+        "y[start:5|4@2.0x2|16@4.0x2|128@7.1x2|P:2.0=5.1,4.0=5.0,4.0=7.1]",
+        "x[Q2 R7 #0]",
+        "y[start:7|16@4.0x2|32@5.0x2|4@2.0x2|P:2.0=5.1,4.0=5.0,4.0=7.1]",
+        "x[Q3 R2 #4]",
+        "y[start:2|32@5.1x2|128@7.1x2|64@6.0x2|P:2.0=5.1,5.0=7.1,6.0=7.0]",
+        "x[Q3 R5 #6]",
+        "y[start:5|4@2.0x2|192@7.1x2|P:2.0=5.1,5.0=7.1,6.0=7.0]",
+        "x[Q3 R6 #13]",
+        "y[start:6|128@7.0x2|36@5.0x2|P:2.0=5.1,5.0=7.1,6.0=7.0]",
+        "x[Q3 R7 #15]",
+        "y[start:7|64@6.0x2|36@5.0x2|P:2.0=5.1,5.0=7.1,6.0=7.0]",
+        "x[Q4 R4 #2]",
+        "y[start:4|32@5.0x2|128@7.2x2|64@6.0x2|P:4.0=5.0,5.1=7.2,6.0=7.0]",
+        "x[Q4 R5 #2]",
+        "y[start:5|16@4.0x2|128@7.2x2|64@6.0x2|P:4.0=5.0,5.1=7.2,6.0=7.0]",
+        "x[Q4 R6 #7]",
+        "y[start:6|128@7.0x2|48@5.1x2|P:4.0=5.0,5.1=7.2,6.0=7.0]",
+        "x[Q4 R7 #7]",
+        "y[start:7|64@6.0x2|32@5.1x2|16@4.0x2|P:4.0=5.0,5.1=7.2,6.0=7.0]",
+    ];
+
+    /// Pins the solver's search on the five-query model: with 20 000 nodes
+    /// and no time limit, the node count, the objective's bits, the node
+    /// that found the incumbent and the variables set to 1. A change to the
+    /// model, the bound, propagation or branching moves at least one.
+    #[test]
+    fn five_query_search_is_pinned() {
+        let artifacts = build_ilp(&five_query_candidates());
+        let config = SolverConfig {
+            node_limit: 20_000,
+            time_limit: Duration::MAX,
+            ..SolverConfig::default()
+        };
+        let solution = solve(&artifacts.model, config);
+        assert_eq!(solution.status, SolveStatus::Feasible);
+        assert_eq!(solution.nodes, 20_000);
+        assert_eq!(solution.objective.to_bits(), 0x40d1_9f12_f600_6bb8);
+        assert_eq!(solution.incumbent_node, 0, "the greedy warm start");
+        let ones: Vec<&str> = solution
+            .assignment
+            .as_ref()
+            .unwrap()
+            .ones()
+            .map(|v| artifacts.model.var_name(v))
+            .collect();
+        assert_eq!(ones, FIVE_QUERY_ONES);
+        assert!(
+            solution.bound <= solution.objective,
+            "bound {} above objective {}",
+            solution.bound,
+            solution.objective
+        );
     }
 }

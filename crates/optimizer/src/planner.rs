@@ -66,8 +66,28 @@ pub struct OptimizationReport {
     pub model_stats: Option<ModelStats>,
     /// ILP solve status (only for [`Strategy::GlobalIlp`]).
     pub solve_status: Option<SolveStatus>,
+    /// Proven lower bound on the ILP optimum (only for
+    /// [`Strategy::GlobalIlp`]); see [`Self::gap`].
+    pub ilp_bound: Option<f64>,
+    /// Branch-and-bound node at which the deployed selection was found, 0
+    /// for the greedy warm start (only for [`Strategy::GlobalIlp`]).
+    pub ilp_incumbent_node: Option<u64>,
     /// Wall-clock time spent optimizing (enumeration + ILP).
     pub optimization_time: Duration,
+}
+
+impl OptimizationReport {
+    /// How far the plan may be from optimal: `(cost − bound) / cost` for
+    /// the ILP's proven lower bound, so 0 (up to rounding) once the solver
+    /// proved optimality (only for [`Strategy::GlobalIlp`]).
+    pub fn gap(&self) -> Option<f64> {
+        let bound = self.ilp_bound?;
+        Some(if self.shared_cost > 0.0 {
+            ((self.shared_cost - bound) / self.shared_cost).max(0.0)
+        } else {
+            0.0
+        })
+    }
 }
 
 thread_local! {
@@ -119,7 +139,7 @@ impl<'a> Planner<'a> {
             .map(|q| candidates.individual_cost(q.id))
             .sum();
 
-        let (selection, model_stats, solve_status) = match strategy {
+        let (selection, model_stats, solution) = match strategy {
             Strategy::Independent | Strategy::Shared => {
                 (greedy_per_query_selection(&candidates)?, None, None)
             }
@@ -133,7 +153,7 @@ impl<'a> Planner<'a> {
                     ))
                 })?;
                 let selection = extract_selection(&candidates, &artifacts, assignment)?;
-                (selection, Some(artifacts.stats), Some(solution.status))
+                (selection, Some(artifacts.stats), Some(solution))
             }
         };
 
@@ -153,7 +173,9 @@ impl<'a> Planner<'a> {
             individual_cost,
             num_probe_orders: candidates.num_probe_orders(),
             model_stats,
-            solve_status,
+            solve_status: solution.as_ref().map(|s| s.status),
+            ilp_bound: solution.as_ref().map(|s| s.bound),
+            ilp_incumbent_node: solution.as_ref().map(|s| s.incumbent_node),
             optimization_time: started.elapsed(),
         })
     }
@@ -268,7 +290,9 @@ mod tests {
         assert!(mqo.shared_cost < independent.shared_cost - 1e-6);
         assert!(mqo.model_stats.is_some());
         assert_eq!(mqo.solve_status, Some(SolveStatus::Optimal));
+        assert!(mqo.gap().unwrap() < 1e-12, "a proven optimum has no gap");
         assert!(independent.model_stats.is_none());
+        assert_eq!(independent.gap(), None);
     }
 
     #[test]

@@ -33,9 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     clash.register_query("q1", "R(a), S(a,b), T(b)")?;
     let report = clash.deploy(Strategy::GlobalIlp)?;
     println!(
-        "deployed {} stores, estimated probe cost {:.1} tuples/s",
+        "deployed {} stores, estimated probe cost {:.1} tuples/s, {:.1}% from optimal at most",
         report.plan.num_stores(),
-        report.shared_cost
+        report.shared_cost,
+        report.gap().unwrap_or(0.0) * 100.0
     );
 
     // 4. Stream tuples; results are produced incrementally.
