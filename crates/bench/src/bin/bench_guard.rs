@@ -146,8 +146,9 @@ fn main() -> ExitCode {
         }
 
         // Telemetry overhead: always-on tracing must keep the
-        // traced/untraced throughput ratio above the floor (0.97 = at most
-        // a 3% hot-path tax).
+        // traced/untraced throughput ratio above the floor (0.93 = at most
+        // a 7% hot-path tax; the floors file lists the readings it sits
+        // under).
         let ratio = report
             .find("\"telemetry\"")
             .and_then(|at| number_after(&report, "throughput_ratio", at).map(|(v, _)| v));

@@ -14,6 +14,7 @@
 //! meaningless there).
 
 use clash_bench::hotpath::{report_to_json, run_hotpath, BEST_OF};
+use clash_runtime::FREEZE_MIN_WINDOW_EPOCHS;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -44,6 +45,29 @@ fn main() {
         "\n# Ingest allocations: {:.3} per tuple over {} tuples (counting allocator)",
         report.allocs.allocs_per_tuple, report.allocs.tuples
     );
+    println!(
+        "# Rule-kernel allocations: {:.3} per input tuple over {} tuples",
+        report.kernel_allocs.allocs_per_tuple, report.kernel_allocs.tuples
+    );
+    println!(
+        "\n# Tier policy (five queries, LocalEngine, 1 s epochs; \
+         stores freeze from {FREEZE_MIN_WINDOW_EPOCHS} epochs)\n"
+    );
+    println!(
+        "{:<7} {:>8} {:>12} {:>14} {:>14} {:>9}",
+        "scale", "epochs", "results/t", "hot[t/s]", "tiered[t/s]", "speedup"
+    );
+    for r in &report.tier_policy {
+        println!(
+            "{:<7} {:>8} {:>12.2} {:>14.0} {:>14.0} {:>8.2}x",
+            r.scale,
+            r.window_epochs,
+            r.results_per_tuple,
+            r.hot_tps,
+            r.tiered_tps,
+            r.speedup()
+        );
+    }
     println!("\n# Fig. 7 end-to-end (5 queries)\n");
     println!(
         "{:<12} {:>16} {:>12} {:>12} {:>10}",

@@ -12,6 +12,9 @@
 //!   path, and per input tuple of the rule kernel at steady state
 //!   (`kernel_allocs`), under the counting allocator; deterministic, so CI
 //!   holds both on the noisy runner too.
+//! * `tier_policy` — the same kernel replay with every store frozen at
+//!   lag 1 against hot-only state, by window length and key-domain scale
+//!   ([`TierPolicyRow`]): what `FREEZE_MIN_WINDOW_EPOCHS` is read off.
 //! * `fig7` — the Fig. 7 five-query replay per strategy.
 //! * `multi_source` — the identical two-query workload pushed through the
 //!   parallel engine by the coordinator thread and by 1, 2 and 4
@@ -40,7 +43,7 @@ use clash_optimizer::{
 };
 use clash_query::{parse_query, EquiPredicate};
 use clash_runtime::store::StoreInstance;
-use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
+use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine, FREEZE_MIN_WINDOW_EPOCHS};
 use std::time::{Duration, Instant};
 
 /// Every suite takes the best of this many timed runs.
@@ -83,6 +86,8 @@ pub struct HotpathReport {
     pub allocs: AllocsRow,
     /// Allocations per input tuple of the rule kernel at steady state.
     pub kernel_allocs: AllocsRow,
+    /// Cold tier vs. hot only by window length and key-domain scale.
+    pub tier_policy: Vec<TierPolicyRow>,
     /// Fig. 7 five-query rows.
     pub fig7: Vec<Fig7Row>,
     /// Multi-source ingestion rows (coordinator baseline + source sweep).
@@ -164,8 +169,8 @@ const KERNEL_TUPLES: usize = 5_000;
 
 /// The rule kernel's allocation replay: a finite-window (5 s)
 /// `five_queries()` workload and its `GlobalIlp` plan, planned once (the
-/// ILP solve is most of a debug-build test's time) and replayed on a fresh
-/// `LocalEngine` per [`Self::allocs`] call.
+/// ILP solve is most of a debug-build test's time) and replayed on fresh
+/// `LocalEngine`s per [`Self::allocs`] / [`Self::tier_policy`] call.
 pub struct KernelReplay {
     workload: TpchWorkload,
     plan: TopologyPlan,
@@ -186,7 +191,8 @@ impl KernelReplay {
 
     /// Allocations per input tuple of the rule kernel at steady state,
     /// counted over `tuples` input tuples after `warmup` more (1 ms apart)
-    /// fill the window and start expiry and freezing; the report passes
+    /// fill the window and start expiry (a 5-epoch window stays hot: no
+    /// store freezes, every hit is lent by reference); the report passes
     /// [`KERNEL_WARMUP`] and [`KERNEL_TUPLES`]. It runs on a fresh thread,
     /// so neither the counter nor the thread's leaf arena carries anything
     /// from earlier suites; like [`bench_ingest_allocs`] it is
@@ -213,6 +219,137 @@ impl KernelReplay {
             }
         };
         std::thread::scope(|scope| scope.spawn(replay).join().expect("kernel replay"))
+    }
+
+    /// The tier-policy sweep: for every `(scale, windows)` pair of
+    /// [`TIER_POLICY`], the plan replayed with every relation's window set
+    /// to that many 1 s epochs, once with every store frozen at lag 1
+    /// before each expiry sweep ([`LocalEngine::freeze_every_store`]) and
+    /// once hot only. Both engines fill the window untimed, then take
+    /// `tuples` measured tuples each in [`BEST_OF`] alternating chunks
+    /// (sides swap who goes first per chunk); throughput is the total.
+    /// Asserts both sides emit the same results and only the tiered one
+    /// freezes.
+    pub fn tier_policy(&self, tuples: usize) -> Vec<TierPolicyRow> {
+        let sweep_every = EngineConfig::default().expire_every as usize;
+        let chunk = (tuples / BEST_OF).max(1);
+        let mut rows = Vec::new();
+        for (scale, windows) in TIER_POLICY {
+            for &window_epochs in windows {
+                let mut catalog = self.workload.catalog.clone();
+                for id in catalog.iter().map(|m| m.id).collect::<Vec<_>>() {
+                    catalog
+                        .set_window(id, Window::secs(window_epochs))
+                        .expect("window");
+                }
+                let warmup = (window_epochs as usize + 5) * 1_000;
+                let stream = TpchGenerator::new(scale, 42)
+                    .mixed_stream(&self.workload, warmup + chunk * BEST_OF)
+                    .expect("stream");
+                struct Side {
+                    engine: LocalEngine,
+                    tiered: bool,
+                    results: u64,
+                    secs: f64,
+                }
+                let mut sides = [false, true].map(|tiered| {
+                    let config = EngineConfig {
+                        expire_every: 0,
+                        freeze_after_epochs: u64::from(tiered),
+                        ..EngineConfig::default()
+                    };
+                    Side {
+                        engine: LocalEngine::new(catalog.clone(), self.plan.clone(), config),
+                        tiered,
+                        results: 0,
+                        secs: 0.0,
+                    }
+                });
+                // The engine's own sweep cadence, driven here so the tiered
+                // side can freeze every store first.
+                let run = |side: &mut Side, from: usize, to: usize| {
+                    let started = Instant::now();
+                    for (i, (relation, tuple)) in stream[from..to].iter().enumerate() {
+                        side.results += side
+                            .engine
+                            .ingest(*relation, tuple.clone())
+                            .expect("ingest");
+                        if (from + i + 1).is_multiple_of(sweep_every) {
+                            if side.tiered {
+                                side.engine.freeze_every_store();
+                            }
+                            side.engine.expire_stores();
+                        }
+                    }
+                    started.elapsed().as_secs_f64()
+                };
+                for side in &mut sides {
+                    run(side, 0, warmup);
+                    side.results = 0;
+                }
+                for r in 0..BEST_OF {
+                    let (from, to) = (warmup + r * chunk, warmup + (r + 1) * chunk);
+                    for s in [r % 2, 1 - r % 2] {
+                        sides[s].secs += run(&mut sides[s], from, to);
+                    }
+                }
+                let [hot, tiered] = &sides;
+                assert_eq!(
+                    hot.results, tiered.results,
+                    "the cold tier changed the results"
+                );
+                assert_eq!(hot.engine.store_compactions(), 0, "the hot side froze");
+                assert!(
+                    tiered.engine.store_compactions() > 0,
+                    "the tiered side never froze"
+                );
+                let measured = chunk * BEST_OF;
+                rows.push(TierPolicyRow {
+                    scale,
+                    window_epochs,
+                    tuples: measured,
+                    results_per_tuple: hot.results as f64 / measured as f64,
+                    hot_tps: measured as f64 / hot.secs,
+                    tiered_tps: measured as f64 / tiered.secs,
+                });
+            }
+        }
+        rows
+    }
+}
+
+/// The tier-policy sweep's generator scales and the windows (in 1 s
+/// epochs) replayed at each: hit-heavy (0.002, the Fig. 7 stream) and
+/// miss-heavy (0.05, the long-state stream). Hit-heavy stops at 20
+/// epochs: a five-query result count grows with the window's cube.
+pub const TIER_POLICY: [(f64, &[u64]); 2] =
+    [(0.002, &[5, 10, 20]), (0.05, &[5, 10, 20, 30, 40, 50, 60])];
+
+/// One row of the tier-policy sweep ([`KernelReplay::tier_policy`]).
+#[derive(Debug, Clone, Copy)]
+pub struct TierPolicyRow {
+    /// Key-domain scale of the generator.
+    pub scale: f64,
+    /// Window length of every relation, in 1 s epochs.
+    pub window_epochs: u64,
+    /// Measured tuples per side.
+    pub tuples: usize,
+    /// Results per measured tuple (identical on both sides).
+    pub results_per_tuple: f64,
+    /// Throughput with every store hot (tuples/s).
+    pub hot_tps: f64,
+    /// Throughput with every store frozen at lag 1 (tuples/s).
+    pub tiered_tps: f64,
+}
+
+impl TierPolicyRow {
+    /// tiered / hot throughput: above 1.0 the cold tier pays.
+    pub fn speedup(&self) -> f64 {
+        if self.hot_tps > 0.0 {
+            self.tiered_tps / self.hot_tps
+        } else {
+            0.0
+        }
     }
 }
 
@@ -768,7 +905,8 @@ fn busy_balance(engine: &ParallelEngine) -> f64 {
 /// workload replayed on the sequential engine with the trace ring
 /// disabled (`trace_capacity = 0`, the one-branch fast path) and enabled
 /// (the default capacity, every event paying its ring write), best of
-/// [`BEST_OF`] each. The ratio is what `bench_guard` holds above the
+/// [`BEST_OF`] each, the two sides alternating. The ratio is what
+/// `bench_guard` holds above the
 /// floor in `ci/bench_floors.json`: tracing must stay within a few
 /// percent of the untraced throughput, or it is not always-on telemetry.
 #[derive(Debug, Clone, Copy)]
@@ -812,11 +950,12 @@ pub fn run_telemetry_overhead(num_tuples: usize) -> TelemetryOverheadRow {
     let mut expected: Option<u64> = None;
     let mut trace_events = 0usize;
     let mut tps = [0.0f64; 2];
-    for (which, capacity) in [0usize, EngineConfig::default().trace_capacity]
-        .into_iter()
-        .enumerate()
-    {
-        for _ in 0..BEST_OF {
+    let capacities = [0usize, EngineConfig::default().trace_capacity];
+    // Repetitions alternate the sides (and which goes first), so a drift
+    // of the host's speed during the row falls on both.
+    for rep in 0..BEST_OF {
+        for which in [rep % 2, 1 - rep % 2] {
+            let capacity = capacities[which];
             let config = EngineConfig {
                 trace_capacity: capacity,
                 ..EngineConfig::default()
@@ -925,7 +1064,9 @@ pub fn run_hotpath(iters: usize, fig7_tuples: usize) -> HotpathReport {
         bench_store_probe_skewed(store_n, probes),
     ];
     let allocs = bench_ingest_allocs((iters / 2).clamp(4_096, 200_000));
-    let kernel_allocs = KernelReplay::plan().allocs(KERNEL_WARMUP, KERNEL_TUPLES);
+    let kernel = KernelReplay::plan();
+    let kernel_allocs = kernel.allocs(KERNEL_WARMUP, KERNEL_TUPLES);
+    let tier_policy = kernel.tier_policy(fig7_tuples.clamp(1_000, 30_000));
     let fig7 = run_fig7(5, fig7_tuples, 0.002, 42);
     let multi_source = run_multi_source(fig7_tuples.clamp(1_000, 100_000), &[1, 2, 4]);
     let reconfig_total = fig7_tuples.clamp(1_000, 100_000);
@@ -938,6 +1079,7 @@ pub fn run_hotpath(iters: usize, fig7_tuples: usize) -> HotpathReport {
         micro,
         allocs,
         kernel_allocs,
+        tier_policy,
         fig7,
         multi_source,
         reconfig,
@@ -978,6 +1120,29 @@ pub fn report_to_json(report: &HotpathReport) -> String {
         report.kernel_allocs.tuples,
         report.kernel_allocs.allocs_per_tuple
     ));
+    out.push_str(&format!(
+        "  \"tier_policy\": {{\"min_window_epochs\": {FREEZE_MIN_WINDOW_EPOCHS}, \"rows\": [\n"
+    ));
+    for (i, row) in report.tier_policy.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"scale\": {}, \"window_epochs\": {}, \"tuples\": {}, \
+             \"results_per_tuple\": {:.2}, \"hot_tps\": {:.1}, \"tiered_tps\": {:.1}, \
+             \"speedup\": {:.3}}}{}\n",
+            row.scale,
+            row.window_epochs,
+            row.tuples,
+            row.results_per_tuple,
+            row.hot_tps,
+            row.tiered_tps,
+            row.speedup(),
+            if i + 1 < report.tier_policy.len() {
+                ","
+            } else {
+                ""
+            }
+        ));
+    }
+    out.push_str("  ]},\n");
     out.push_str("  \"fig7\": [\n");
     for (i, row) in report.fig7.iter().enumerate() {
         out.push_str(&format!(
@@ -1134,8 +1299,9 @@ mod tests {
     fn kernel_allocation_count_repeats_exactly() {
         // The CI ceiling is only meaningful if the count is deterministic.
         // A shorter replay than the report's keeps the debug-build test
-        // cheap: past the 5 s window, expiring and freezing, with one
-        // expiry sweep (every 1 024 tuples) inside the counted span.
+        // cheap: past the 5 s window and expiring (five epochs, so no
+        // store freezes), with one expiry sweep (every 1 024 tuples)
+        // inside the counted span.
         let replay = KernelReplay::plan();
         let first = replay.allocs(6_000, 1_024);
         assert!(first.allocs_per_tuple > 0.0);
@@ -1193,6 +1359,14 @@ mod tests {
                 tuples: 50,
                 allocs_per_tuple: 47.5,
             },
+            tier_policy: vec![TierPolicyRow {
+                scale: 0.05,
+                window_epochs: 60,
+                tuples: 90,
+                results_per_tuple: 0.5,
+                hot_tps: 100.0,
+                tiered_tps: 125.0,
+            }],
             fig7: Vec::new(),
             multi_source: vec![MultiSourceRow {
                 mode: "sources",
@@ -1231,6 +1405,9 @@ mod tests {
         assert!(json.contains("\"allocs\""));
         assert!(json.contains("\"allocs_per_tuple\": 1.250"));
         assert!(json.contains("\"kernel_allocs\": {\"tuples\": 50, \"allocs_per_tuple\": 47.500}"));
+        assert!(json.contains("\"tier_policy\": {\"min_window_epochs\": "));
+        assert!(json.contains("\"scale\": 0.05, \"window_epochs\": 60"));
+        assert!(json.contains("\"tiered_tps\": 125.0, \"speedup\": 1.250"));
         assert!(json.contains("\"producer_threads\": 1"));
         assert!(json.contains("\"multi_source\""));
         assert!(json.contains("\"busy_balance\": 0.500"));

@@ -60,10 +60,12 @@ pub struct EngineConfig {
     /// `0` disables tracing entirely (record calls reduce to one branch).
     pub trace_capacity: usize,
     /// Epochs an epoch must lag behind the stream clock before its live
-    /// containers are frozen into read-optimized columnar segments
-    /// (compactions run piggybacked on the expiry cadence / epoch
-    /// barriers). `0` disables the cold tier entirely: all state stays in
-    /// the live, insert-optimized form.
+    /// containers are frozen into read-optimized columnar segments, in a
+    /// store whose window spans at least
+    /// [`crate::store::FREEZE_MIN_WINDOW_EPOCHS`] epochs (compactions run
+    /// piggybacked on the expiry cadence / epoch barriers). Shorter
+    /// windows stay hot whatever this says; `0` disables the cold tier
+    /// entirely: all state stays in the live, insert-optimized form.
     pub freeze_after_epochs: u64,
 }
 
@@ -257,12 +259,24 @@ impl LocalEngine {
         Ok(emitted)
     }
 
-    /// Expires out-of-window tuples from every store. Before expiring,
+    /// Expires out-of-window tuples from every store. Before expiring, a
+    /// store whose window spans at least
+    /// [`crate::store::FREEZE_MIN_WINDOW_EPOCHS`] epochs compacts the
     /// epochs that have fallen [`EngineConfig::freeze_after_epochs`]
-    /// behind the stream clock are compacted into frozen columnar
-    /// segments.
+    /// behind the stream clock into frozen columnar segments; shorter
+    /// windows stay hot.
     pub fn expire_stores(&mut self) -> usize {
         self.shard.expire(self.max_ts)
+    }
+
+    /// Freezes the epochs that have fallen
+    /// [`EngineConfig::freeze_after_epochs`] behind the stream clock in
+    /// every store, whatever its window: the cold tier where
+    /// [`Self::expire_stores`] would not choose it. The hotpath report's
+    /// `tier_policy` rows call it before each sweep to time the tier
+    /// against hot-only state. Returns the segments built.
+    pub fn freeze_every_store(&mut self) -> usize {
+        self.shard.freeze(self.max_ts, true)
     }
 
     /// Total bytes held across all stores (Fig. 7c).

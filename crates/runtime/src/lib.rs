@@ -52,4 +52,4 @@ pub use ingest::SourceHandle;
 pub use metrics::{EngineMetrics, LatencyStats, MetricsSnapshot};
 pub use parallel::ParallelEngine;
 pub use stats_collector::StatsCollector;
-pub use store::StoreInstance;
+pub use store::{StoreInstance, FREEZE_MIN_WINDOW_EPOCHS};

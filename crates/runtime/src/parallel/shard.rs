@@ -274,8 +274,10 @@ pub(crate) struct ShardState {
     /// Completion watermark at the last prober sweep.
     swept_at: u64,
     epoch: EpochConfig,
-    /// Epoch lag before cold epochs freeze into columnar segments
-    /// (`EngineConfig::freeze_after_epochs`; `0` disables the cold tier).
+    /// Epoch lag before the cold epochs of a store whose window spans
+    /// [`crate::store::FREEZE_MIN_WINDOW_EPOCHS`] epochs freeze into
+    /// columnar segments (`EngineConfig::freeze_after_epochs`; `0`
+    /// disables the cold tier). Shorter windows never freeze.
     freeze_after: u64,
     /// Metrics accumulated since they were last taken (a collection
     /// barrier; never, in the local instance).
@@ -597,24 +599,39 @@ impl ShardState {
         self.pending.retain(|_, p| !p.is_empty());
     }
 
-    /// Expires out-of-window tuples from every owned partition, given the
-    /// maximum stream timestamp observed so far. Epochs that lag the
-    /// stream clock by `freeze_after` epochs are first compacted into
-    /// frozen columnar segments (so cold state is probed in its
-    /// read-optimized form and expires by segment drop, not per-tuple
-    /// work).
-    pub fn expire(&mut self, upto: Timestamp) -> usize {
-        if self.freeze_after > 0 {
-            let clock = self.epoch.epoch_of(upto);
-            let freeze_horizon = Epoch(clock.0.saturating_sub(self.freeze_after));
-            for (id, store) in self.stores.iter_mut() {
-                let built = store.freeze_before(freeze_horizon);
-                if built > 0 {
-                    self.trace
-                        .record(TraceEventKind::Compaction, u64::from(id.0), built as u64);
-                }
-            }
+    /// Compacts the epochs that lag the stream clock (`upto`'s epoch) by
+    /// more than `freeze_after` epochs into frozen columnar segments, in
+    /// every store whose window spans the cold tier
+    /// ([`StoreInstance::spans_cold_tier`]) or, with `every_store`, in all
+    /// of them. Returns the segments built.
+    pub fn freeze(&mut self, upto: Timestamp, every_store: bool) -> usize {
+        if self.freeze_after == 0 {
+            return 0;
         }
+        let clock = self.epoch.epoch_of(upto);
+        let horizon = Epoch(clock.0.saturating_sub(self.freeze_after));
+        let mut total = 0;
+        for (id, store) in self.stores.iter_mut() {
+            if !every_store && !store.spans_cold_tier(self.epoch) {
+                continue;
+            }
+            let built = store.freeze_before(horizon);
+            if built > 0 {
+                self.trace
+                    .record(TraceEventKind::Compaction, u64::from(id.0), built as u64);
+            }
+            total += built;
+        }
+        total
+    }
+
+    /// Expires out-of-window tuples from every owned partition, given the
+    /// maximum stream timestamp observed so far. Long-window stores first
+    /// [`Self::freeze`] their cold epochs (so cold state is probed in its
+    /// read-optimized form and expires by segment drop, not per-tuple
+    /// work); a short window stays hot, its hits lent by reference.
+    pub fn expire(&mut self, upto: Timestamp) -> usize {
+        self.freeze(upto, false);
         let mut removed = 0;
         for store in self.stores.values_mut() {
             let horizon = store.window.horizon(upto);

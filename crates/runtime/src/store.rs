@@ -23,8 +23,8 @@
 //!   [`clash_common::INLINE_POSTINGS`] matches.
 
 use clash_common::{
-    fx_hash, AttrRef, BloomFilter, Epoch, FrozenSegment, FxHashMap, PostingList, SlotAccessor,
-    Timestamp, Tuple, Value, Window,
+    fx_hash, AttrRef, BloomFilter, Epoch, EpochConfig, FrozenSegment, FxHashMap, PostingList,
+    SlotAccessor, Timestamp, Tuple, Value, Window,
 };
 use clash_optimizer::StoreDescriptor;
 use clash_query::EquiPredicate;
@@ -284,6 +284,20 @@ pub(crate) fn visible(
         && probe_guard.is_none_or(|guard| stored_guard < guard)
 }
 
+/// Shortest window, in epochs, whose store the expiry sweep freezes
+/// ([`StoreInstance::spans_cold_tier`]). A frozen epoch pays back only
+/// when probes walk many of them: the union bloom answers a miss once for
+/// every cold epoch, while each sweep rewrites an epoch into columns and
+/// each frozen hit allocates a segment-backed leaf. Read off the
+/// `tier_policy` rows of `BENCH_hotpath.json` (the kernel replay's
+/// five-query plan on `LocalEngine`, every store frozen at lag 1 vs. hot
+/// only, tiered/hot throughput): hit-heavy 0.82 / 0.77 / 0.81 at 5 / 10 /
+/// 20 epochs; miss-heavy 0.75 / 0.78 / 0.93 / 0.94 at 5–30, 1.00 at 40,
+/// 1.07 at 50 and 1.12 at 60. Earlier regenerations agreed: hot won
+/// every row through 30 and 40 was parity (0.88–1.08) in seven, the tier
+/// won at 50 in three (1.00–1.03) and at 60 in seven (1.03–1.36).
+pub const FREEZE_MIN_WINDOW_EPOCHS: u64 = 50;
+
 /// A store holding the tuples of one (possibly intermediate) relation,
 /// split into `parallelism` partitions, each keeping an independent
 /// container per epoch (Algorithm 4 stores and probes "with respect to an
@@ -365,6 +379,14 @@ impl StoreInstance {
                 Some(bloom)
             })
             .collect();
+    }
+
+    /// Whether the store's window spans at least
+    /// [`FREEZE_MIN_WINDOW_EPOCHS`] epochs of `epoch`: the stores that
+    /// keep a cold tier.
+    pub(crate) fn spans_cold_tier(&self, epoch: EpochConfig) -> bool {
+        self.window.length.as_millis()
+            >= FREEZE_MIN_WINDOW_EPOCHS.saturating_mul(epoch.length.as_millis())
     }
 
     /// Freezes every hot epoch container strictly older than `horizon`

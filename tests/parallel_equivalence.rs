@@ -7,11 +7,15 @@
 //! in-order and out-of-order timestamp arrival.
 
 use clash_catalog::{Catalog, Statistics};
-use clash_common::{QueryId, RelationId, Timestamp, Tuple, TupleBuilder, Window};
+use clash_common::{
+    Duration, EpochConfig, QueryId, RelationId, Timestamp, Tuple, TupleBuilder, Window,
+};
 use clash_optimizer::{Planner, Strategy};
 use clash_query::parse_query;
 use clash_runtime::store::partition_hash;
-use clash_runtime::{EngineConfig, LocalEngine, MetricsSnapshot, ParallelEngine};
+use clash_runtime::{
+    EngineConfig, LocalEngine, MetricsSnapshot, ParallelEngine, FREEZE_MIN_WINDOW_EPOCHS,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -217,8 +221,9 @@ fn shared_sections(page: &str) -> Vec<String> {
 
 #[test]
 fn telemetry_pages_agree_on_every_shared_section() {
-    // Finite windows over several epochs, so the store sections carry
-    // frozen segments, compactions and expiry on both engines.
+    // Finite windows over many short epochs (the window spans the cold
+    // tier), so the store sections carry frozen segments, compactions and
+    // expiry on both engines.
     let (mut catalog, queries) = catalog_with_parallelism(2);
     for id in catalog.iter().map(|m| m.id).collect::<Vec<_>>() {
         catalog.set_window(id, Window::secs(2)).unwrap();
@@ -230,6 +235,7 @@ fn telemetry_pages_agree_on_every_shared_section() {
         .unwrap()
         .plan;
     let config = EngineConfig {
+        epoch: EpochConfig::new(Duration::from_millis(2_000 / FREEZE_MIN_WINDOW_EPOCHS)),
         expire_every: 100,
         ..EngineConfig::default()
     };

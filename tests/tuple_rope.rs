@@ -15,12 +15,12 @@
 
 use clash_catalog::{Catalog, Statistics};
 use clash_common::{
-    arena_stats, AttrId, AttrRef, FrozenSegment, QueryId, RelationId, SlotAccessor, Timestamp,
-    Tuple, Value, Window,
+    arena_stats, AttrId, AttrRef, Duration, EpochConfig, FrozenSegment, QueryId, RelationId,
+    SlotAccessor, Timestamp, Tuple, Value, Window,
 };
 use clash_optimizer::{Planner, Strategy};
 use clash_query::parse_query;
-use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
+use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine, FREEZE_MIN_WINDOW_EPOCHS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -539,7 +539,8 @@ fn micro_batching_preserves_chain_equivalence() {
 /// finite-window, out-of-order stream (3 s window over ≈ 14 s of stream
 /// time, so epochs freeze, are probed frozen and expire) must produce the
 /// same per-query result multisets with the tier off and on, on both
-/// engines. With the tier on, most probe hits are segment-backed leaves.
+/// engines. Epochs are short enough that the window spans the cold tier;
+/// with the tier on, most probe hits are segment-backed leaves.
 #[test]
 fn frozen_tier_on_or_off_yields_identical_multisets_on_both_engines() {
     let (catalog, mut queries) = chain_catalog_windowed(2, Window::secs(3));
@@ -549,6 +550,7 @@ fn frozen_tier_on_or_off_yields_identical_multisets_on_both_engines() {
     let planner = Planner::with_defaults(&catalog, &stats);
     let plan = planner.plan(&queries, Strategy::GlobalIlp).unwrap().plan;
     let config = |freeze_after_epochs| EngineConfig {
+        epoch: EpochConfig::new(Duration::from_millis(3_000 / FREEZE_MIN_WINDOW_EPOCHS)),
         collect_results: true,
         expire_every: 64,
         freeze_after_epochs,
@@ -612,4 +614,130 @@ fn frozen_tier_on_or_off_yields_identical_multisets_on_both_engines() {
         reference,
         "held results survived their segments"
     );
+}
+
+/// What the tier-selection test needs from either engine.
+trait Swept {
+    fn push(&mut self, relation: RelationId, tuple: Tuple);
+    /// One expiry sweep, then the exposition page.
+    fn sweep(&mut self) -> String;
+    fn collected(&mut self) -> Vec<(QueryId, Tuple)>;
+}
+
+impl Swept for LocalEngine {
+    fn push(&mut self, relation: RelationId, tuple: Tuple) {
+        self.ingest(relation, tuple).unwrap();
+    }
+    fn sweep(&mut self) -> String {
+        self.expire_stores();
+        self.telemetry_snapshot()
+    }
+    fn collected(&mut self) -> Vec<(QueryId, Tuple)> {
+        self.results().to_vec()
+    }
+}
+
+impl Swept for ParallelEngine {
+    fn push(&mut self, relation: RelationId, tuple: Tuple) {
+        self.ingest(relation, tuple).unwrap();
+    }
+    fn sweep(&mut self) -> String {
+        self.expire_stores();
+        self.telemetry_snapshot()
+    }
+    fn collected(&mut self) -> Vec<(QueryId, Tuple)> {
+        self.flush();
+        self.results()
+    }
+}
+
+/// Segments built since startup, summed over the page's stores.
+fn compactions(page: &str) -> u64 {
+    page.lines()
+        .filter(|l| l.starts_with("clash_compactions_total{"))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<f64>().unwrap() as u64)
+        .sum()
+}
+
+/// The window length picks the tier: over one expiry sweep per epoch, a
+/// store whose window spans one epoch fewer than
+/// `FREEZE_MIN_WINDOW_EPOCHS` never builds a segment, while one spanning
+/// exactly that many has frozen every epoch but the newest two after each
+/// sweep (lag 1) — on `LocalEngine` and a 2-worker `ParallelEngine`, with
+/// the result multisets of the tier switched off.
+#[test]
+fn window_length_selects_the_cold_tier_on_both_engines() {
+    const EPOCH_MS: u64 = 10;
+    let epochs = 3 * FREEZE_MIN_WINDOW_EPOCHS;
+    for span in [FREEZE_MIN_WINDOW_EPOCHS - 1, FREEZE_MIN_WINDOW_EPOCHS] {
+        let window = Window::new(Duration::from_millis(span * EPOCH_MS));
+        let mut catalog = Catalog::new();
+        catalog.register("R", ["k"], window, 1).unwrap();
+        catalog.register("S", ["k"], window, 1).unwrap();
+        let query = parse_query(&catalog, QueryId::new(0), "rs", "R(k), S(k)").unwrap();
+        let plan = Planner::with_defaults(&catalog, &Statistics::new())
+            .plan(&[query], Strategy::GlobalIlp)
+            .unwrap()
+            .plan;
+        let stores = plan.stores.len() as u64;
+        // In order, an R and an S tuple in every epoch: every store holds
+        // tuples of every epoch.
+        let mut stream = Vec::new();
+        for e in 0..epochs {
+            for (offset, name) in [(0, "R"), (EPOCH_MS / 2, "S")] {
+                let meta = catalog.relation_by_name(name).unwrap();
+                let ts = Timestamp::from_millis(e * EPOCH_MS + offset);
+                let tuple = clash_common::TupleBuilder::new(&meta.schema, ts)
+                    .set("k", (e % 3) as i64)
+                    .build();
+                stream.push((meta.id, tuple));
+            }
+        }
+
+        let mut reference = None;
+        for freeze_after_epochs in [0, 1] {
+            let config = EngineConfig {
+                epoch: EpochConfig::new(Duration::from_millis(EPOCH_MS)),
+                collect_results: true,
+                expire_every: 0,
+                freeze_after_epochs,
+                ..EngineConfig::default()
+            };
+            let engines: [(&str, Box<dyn Swept>); 2] = [
+                (
+                    "LocalEngine",
+                    Box::new(LocalEngine::new(catalog.clone(), plan.clone(), config)),
+                ),
+                (
+                    "ParallelEngine(2)",
+                    Box::new(ParallelEngine::new(
+                        catalog.clone(),
+                        plan.clone(),
+                        config,
+                        2,
+                    )),
+                ),
+            ];
+            for (name, mut engine) in engines {
+                let path =
+                    format!("{name}, span {span}, freeze_after_epochs {freeze_after_epochs}");
+                let freezes = freeze_after_epochs > 0 && span >= FREEZE_MIN_WINDOW_EPOCHS;
+                for (e, pair) in stream.chunks(2).enumerate() {
+                    for (relation, tuple) in pair {
+                        engine.push(*relation, tuple.clone());
+                    }
+                    let e = e as u64;
+                    let expected = if freezes {
+                        stores * e.saturating_sub(1)
+                    } else {
+                        0
+                    };
+                    assert_eq!(compactions(&engine.sweep()), expected, "{path}, epoch {e}");
+                }
+                let results = multiset(&engine.collected());
+                assert!(!results.is_empty(), "{path}: no results");
+                assert_eq!(*reference.get_or_insert(results.clone()), results, "{path}");
+            }
+        }
+    }
 }
