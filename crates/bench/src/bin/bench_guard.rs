@@ -1,5 +1,5 @@
 //! Bench regression guard: fails when `BENCH_hotpath.json` reports a
-//! tiered-probe speedup below its checked-in floor
+//! closed-probe speedup below its checked-in floor
 //! (`ci/bench_floors.json`), an ingest or rule-kernel allocation count
 //! above its ceiling, a telemetry throughput ratio below the overhead
 //! floor, or a ten-query ILP solve rate below its nodes-per-second floor.
@@ -35,7 +35,7 @@ fn number_after(text: &str, key: &str, from: usize) -> Option<(f64, usize)> {
     Some((value, at + consumed + end))
 }
 
-/// Extracts the `speedup` of the named `micro` (tiered-probe) row.
+/// Extracts the `speedup` of the named `micro` (closed-probe) row.
 fn micro_speedup(report: &str, name: &str) -> Option<f64> {
     let marker = format!("\"name\": \"{name}\"");
     let at = report.find(&marker)?;

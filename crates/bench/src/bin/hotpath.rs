@@ -1,4 +1,4 @@
-//! Hot-path report: hot vs. frozen store probes, allocations per
+//! Hot-path report: open vs. closed store probes, allocations per
 //! ingested tuple, the Fig. 7 five-query replay, the multi-source and
 //! reconfiguration scenarios, the trace-ring overhead and the ILP solve
 //! rate (see `clash_bench::hotpath`). Writes the machine-readable report
@@ -14,7 +14,6 @@
 //! meaningless there).
 
 use clash_bench::hotpath::{report_to_json, run_hotpath, BEST_OF};
-use clash_runtime::FREEZE_MIN_WINDOW_EPOCHS;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -30,14 +29,14 @@ fn main() {
 
     println!(
         "{:<20} {:>18} {:>18} {:>9}",
-        "suite", "hot[probes/s]", "frozen[probes/s]", "speedup"
+        "suite", "hot[probes/s]", "closed[probes/s]", "speedup"
     );
     for row in &report.micro {
         println!(
             "{:<20} {:>18.0} {:>18.0} {:>8.2}x",
             row.name,
             row.hot_probes_per_sec,
-            row.frozen_probes_per_sec,
+            row.closed_probes_per_sec,
             row.speedup()
         );
     }
@@ -49,25 +48,6 @@ fn main() {
         "# Rule-kernel allocations: {:.3} per input tuple over {} tuples",
         report.kernel_allocs.allocs_per_tuple, report.kernel_allocs.tuples
     );
-    println!(
-        "\n# Tier policy (five queries, LocalEngine, 1 s epochs; \
-         stores freeze from {FREEZE_MIN_WINDOW_EPOCHS} epochs)\n"
-    );
-    println!(
-        "{:<7} {:>8} {:>12} {:>14} {:>14} {:>9}",
-        "scale", "epochs", "results/t", "hot[t/s]", "tiered[t/s]", "speedup"
-    );
-    for r in &report.tier_policy {
-        println!(
-            "{:<7} {:>8} {:>12.2} {:>14.0} {:>14.0} {:>8.2}x",
-            r.scale,
-            r.window_epochs,
-            r.results_per_tuple,
-            r.hot_tps,
-            r.tiered_tps,
-            r.speedup()
-        );
-    }
     println!("\n# Fig. 7 end-to-end (5 queries)\n");
     println!(
         "{:<12} {:>16} {:>12} {:>12} {:>10}",

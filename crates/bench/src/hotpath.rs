@@ -6,15 +6,13 @@
 //! correctness cross-check before timing:
 //!
 //! * `store_probe_cold` / `store_probe_skewed` — the same store probed
-//!   hot and fully frozen ([`TierProbeRow`]): what the frozen tier buys on
-//!   miss-dominated cold state and costs on hit-heavy skewed state.
+//!   with every epoch open and with every epoch closed
+//!   ([`ClosedProbeRow`]): what the closed-epoch bloom buys on
+//!   miss-dominated long state and costs on hit-heavy skewed state.
 //! * `allocs` — allocations per tuple on the construct → insert → expire
 //!   path, and per input tuple of the rule kernel at steady state
 //!   (`kernel_allocs`), under the counting allocator; deterministic, so CI
 //!   holds both on the noisy runner too.
-//! * `tier_policy` — the same kernel replay with every store frozen at
-//!   lag 1 against hot-only state, by window length and key-domain scale
-//!   ([`TierPolicyRow`]): what `FREEZE_MIN_WINDOW_EPOCHS` is read off.
 //! * `fig7` — the Fig. 7 five-query replay per strategy.
 //! * `multi_source` — the identical two-query workload pushed through the
 //!   parallel engine by the coordinator thread and by 1, 2 and 4
@@ -43,29 +41,29 @@ use clash_optimizer::{
 };
 use clash_query::{parse_query, EquiPredicate};
 use clash_runtime::store::StoreInstance;
-use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine, FREEZE_MIN_WINDOW_EPOCHS};
+use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
 use std::time::{Duration, Instant};
 
 /// Every suite takes the best of this many timed runs.
 pub const BEST_OF: usize = 3;
 
-/// One tiered-probe result: the same probe stream against a store left in
-/// the hot tier and against its fully frozen copy.
+/// One closed-probe result: the same probe stream against a store whose
+/// epochs are all open and against its copy with every epoch closed.
 #[derive(Debug, Clone)]
-pub struct TierProbeRow {
+pub struct ClosedProbeRow {
     /// Suite name.
     pub name: &'static str,
-    /// Probes per second against the hot tier (best of [`BEST_OF`]).
+    /// Probes per second against the open store (best of [`BEST_OF`]).
     pub hot_probes_per_sec: f64,
-    /// Probes per second against the frozen tier (best of [`BEST_OF`]).
-    pub frozen_probes_per_sec: f64,
+    /// Probes per second against the closed store (best of [`BEST_OF`]).
+    pub closed_probes_per_sec: f64,
 }
 
-impl TierProbeRow {
-    /// frozen / hot.
+impl ClosedProbeRow {
+    /// closed / open.
     pub fn speedup(&self) -> f64 {
         if self.hot_probes_per_sec > 0.0 {
-            self.frozen_probes_per_sec / self.hot_probes_per_sec
+            self.closed_probes_per_sec / self.hot_probes_per_sec
         } else {
             0.0
         }
@@ -80,14 +78,12 @@ pub struct HotpathReport {
     pub iters: usize,
     /// Stream length of the end-to-end sections.
     pub fig7_tuples: usize,
-    /// Tiered-probe rows.
-    pub micro: Vec<TierProbeRow>,
+    /// Closed-probe rows.
+    pub micro: Vec<ClosedProbeRow>,
     /// Allocations per ingested tuple (counting-allocator scenario).
     pub allocs: AllocsRow,
     /// Allocations per input tuple of the rule kernel at steady state.
     pub kernel_allocs: AllocsRow,
-    /// Cold tier vs. hot only by window length and key-domain scale.
-    pub tier_policy: Vec<TierPolicyRow>,
     /// Fig. 7 five-query rows.
     pub fig7: Vec<Fig7Row>,
     /// Multi-source ingestion rows (coordinator baseline + source sweep).
@@ -170,7 +166,7 @@ const KERNEL_TUPLES: usize = 5_000;
 /// The rule kernel's allocation replay: a finite-window (5 s)
 /// `five_queries()` workload and its `GlobalIlp` plan, planned once (the
 /// ILP solve is most of a debug-build test's time) and replayed on fresh
-/// `LocalEngine`s per [`Self::allocs`] / [`Self::tier_policy`] call.
+/// `LocalEngine`s per [`Self::allocs`] call.
 pub struct KernelReplay {
     workload: TpchWorkload,
     plan: TopologyPlan,
@@ -191,13 +187,12 @@ impl KernelReplay {
 
     /// Allocations per input tuple of the rule kernel at steady state,
     /// counted over `tuples` input tuples after `warmup` more (1 ms apart)
-    /// fill the window and start expiry (a 5-epoch window stays hot: no
-    /// store freezes, every hit is lent by reference); the report passes
-    /// [`KERNEL_WARMUP`] and [`KERNEL_TUPLES`]. It runs on a fresh thread,
-    /// so neither the counter nor the thread's leaf arena carries anything
-    /// from earlier suites; like [`bench_ingest_allocs`] it is
-    /// deterministic, and its ceiling keeps per-probe and per-result
-    /// allocations from creeping back.
+    /// fill the window and start expiry (every hit is lent by reference);
+    /// the report passes [`KERNEL_WARMUP`] and [`KERNEL_TUPLES`]. It runs
+    /// on a fresh thread, so neither the counter nor the thread's leaf
+    /// arena carries anything from earlier suites; like
+    /// [`bench_ingest_allocs`] it is deterministic, and its ceiling keeps
+    /// per-probe and per-result allocations from creeping back.
     pub fn allocs(&self, warmup: usize, tuples: usize) -> AllocsRow {
         let replay = || {
             let mut stream = TpchGenerator::new(0.002, 42)
@@ -220,137 +215,6 @@ impl KernelReplay {
         };
         std::thread::scope(|scope| scope.spawn(replay).join().expect("kernel replay"))
     }
-
-    /// The tier-policy sweep: for every `(scale, windows)` pair of
-    /// [`TIER_POLICY`], the plan replayed with every relation's window set
-    /// to that many 1 s epochs, once with every store frozen at lag 1
-    /// before each expiry sweep ([`LocalEngine::freeze_every_store`]) and
-    /// once hot only. Both engines fill the window untimed, then take
-    /// `tuples` measured tuples each in [`BEST_OF`] alternating chunks
-    /// (sides swap who goes first per chunk); throughput is the total.
-    /// Asserts both sides emit the same results and only the tiered one
-    /// freezes.
-    pub fn tier_policy(&self, tuples: usize) -> Vec<TierPolicyRow> {
-        let sweep_every = EngineConfig::default().expire_every as usize;
-        let chunk = (tuples / BEST_OF).max(1);
-        let mut rows = Vec::new();
-        for (scale, windows) in TIER_POLICY {
-            for &window_epochs in windows {
-                let mut catalog = self.workload.catalog.clone();
-                for id in catalog.iter().map(|m| m.id).collect::<Vec<_>>() {
-                    catalog
-                        .set_window(id, Window::secs(window_epochs))
-                        .expect("window");
-                }
-                let warmup = (window_epochs as usize + 5) * 1_000;
-                let stream = TpchGenerator::new(scale, 42)
-                    .mixed_stream(&self.workload, warmup + chunk * BEST_OF)
-                    .expect("stream");
-                struct Side {
-                    engine: LocalEngine,
-                    tiered: bool,
-                    results: u64,
-                    secs: f64,
-                }
-                let mut sides = [false, true].map(|tiered| {
-                    let config = EngineConfig {
-                        expire_every: 0,
-                        freeze_after_epochs: u64::from(tiered),
-                        ..EngineConfig::default()
-                    };
-                    Side {
-                        engine: LocalEngine::new(catalog.clone(), self.plan.clone(), config),
-                        tiered,
-                        results: 0,
-                        secs: 0.0,
-                    }
-                });
-                // The engine's own sweep cadence, driven here so the tiered
-                // side can freeze every store first.
-                let run = |side: &mut Side, from: usize, to: usize| {
-                    let started = Instant::now();
-                    for (i, (relation, tuple)) in stream[from..to].iter().enumerate() {
-                        side.results += side
-                            .engine
-                            .ingest(*relation, tuple.clone())
-                            .expect("ingest");
-                        if (from + i + 1).is_multiple_of(sweep_every) {
-                            if side.tiered {
-                                side.engine.freeze_every_store();
-                            }
-                            side.engine.expire_stores();
-                        }
-                    }
-                    started.elapsed().as_secs_f64()
-                };
-                for side in &mut sides {
-                    run(side, 0, warmup);
-                    side.results = 0;
-                }
-                for r in 0..BEST_OF {
-                    let (from, to) = (warmup + r * chunk, warmup + (r + 1) * chunk);
-                    for s in [r % 2, 1 - r % 2] {
-                        sides[s].secs += run(&mut sides[s], from, to);
-                    }
-                }
-                let [hot, tiered] = &sides;
-                assert_eq!(
-                    hot.results, tiered.results,
-                    "the cold tier changed the results"
-                );
-                assert_eq!(hot.engine.store_compactions(), 0, "the hot side froze");
-                assert!(
-                    tiered.engine.store_compactions() > 0,
-                    "the tiered side never froze"
-                );
-                let measured = chunk * BEST_OF;
-                rows.push(TierPolicyRow {
-                    scale,
-                    window_epochs,
-                    tuples: measured,
-                    results_per_tuple: hot.results as f64 / measured as f64,
-                    hot_tps: measured as f64 / hot.secs,
-                    tiered_tps: measured as f64 / tiered.secs,
-                });
-            }
-        }
-        rows
-    }
-}
-
-/// The tier-policy sweep's generator scales and the windows (in 1 s
-/// epochs) replayed at each: hit-heavy (0.002, the Fig. 7 stream) and
-/// miss-heavy (0.05, the long-state stream). Hit-heavy stops at 20
-/// epochs: a five-query result count grows with the window's cube.
-pub const TIER_POLICY: [(f64, &[u64]); 2] =
-    [(0.002, &[5, 10, 20]), (0.05, &[5, 10, 20, 30, 40, 50, 60])];
-
-/// One row of the tier-policy sweep ([`KernelReplay::tier_policy`]).
-#[derive(Debug, Clone, Copy)]
-pub struct TierPolicyRow {
-    /// Key-domain scale of the generator.
-    pub scale: f64,
-    /// Window length of every relation, in 1 s epochs.
-    pub window_epochs: u64,
-    /// Measured tuples per side.
-    pub tuples: usize,
-    /// Results per measured tuple (identical on both sides).
-    pub results_per_tuple: f64,
-    /// Throughput with every store hot (tuples/s).
-    pub hot_tps: f64,
-    /// Throughput with every store frozen at lag 1 (tuples/s).
-    pub tiered_tps: f64,
-}
-
-impl TierPolicyRow {
-    /// tiered / hot throughput: above 1.0 the cold tier pays.
-    pub fn speedup(&self) -> f64 {
-        if self.hot_tps > 0.0 {
-            self.tiered_tps / self.hot_tps
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The store-suite schema: stored relation S(0) with key attribute S.a,
@@ -369,14 +233,14 @@ fn fresh_store(window: Window, stored_key: AttrRef) -> StoreInstance {
     )
 }
 
-/// Number of epochs the tiered-store suites spread their tuples over:
-/// enough cold epochs that per-epoch probe overhead (map lookup in the
-/// hot tier, bloom check in the frozen tier) dominates a miss.
-const TIER_EPOCHS: usize = 32;
+/// Number of epochs the closed-probe suites spread their tuples over:
+/// enough epochs that per-epoch probe overhead (an index lookup per open
+/// epoch, one bloom check for all closed ones) dominates a miss.
+const PROBE_EPOCHS: usize = 32;
 
-/// Fills a store with `n` tuples in `TIER_EPOCHS` contiguous epoch
+/// Fills a store with `n` tuples in `PROBE_EPOCHS` contiguous epoch
 /// blocks, drawing the key of tuple `i` from `key_of(i)`.
-fn fill_tiered_store(
+fn fill_epochs(
     n: usize,
     stored_key: AttrRef,
     window: Window,
@@ -385,7 +249,7 @@ fn fill_tiered_store(
     let mut store = fresh_store(window, stored_key);
     let rel = RelationId::new(0);
     for i in 0..n {
-        let epoch = Epoch((i * TIER_EPOCHS / n) as u64);
+        let epoch = Epoch((i * PROBE_EPOCHS / n) as u64);
         let pairs = vec![
             (
                 AttrRef::new(rel, AttrId::new(0)),
@@ -403,25 +267,24 @@ fn fill_tiered_store(
     store
 }
 
-/// Shared body of the tiered-probe suites: identical stores, one left
-/// hot and one fully frozen, probed with the same key sequence over every
-/// epoch — so the row isolates exactly what freezing buys (or costs) on
-/// that workload.
-fn bench_tiered_probe(
+/// Shared body of the closed-probe suites: identical stores, one left
+/// open and one with every epoch closed, probed with the same key
+/// sequence over every epoch — so the row isolates exactly what closing
+/// buys (or costs) on that workload.
+fn bench_closed_probe(
     name: &'static str,
     n: usize,
     store: impl Fn() -> StoreInstance,
     probe_keys: Vec<usize>,
     check_keys: Vec<usize>,
-) -> TierProbeRow {
+) -> ClosedProbeRow {
     let (_, predicate) = store_fixture();
     let live = store();
-    let mut frozen = store();
-    let built = frozen.freeze_before(Epoch(TIER_EPOCHS as u64));
-    assert!(built > 0, "{name}: freezing produced no segments");
-    assert_eq!(live.len(), frozen.len(), "{name}: freeze lost tuples");
+    let mut closed = store();
+    let count = closed.freeze_before(Epoch(PROBE_EPOCHS as u64));
+    assert_eq!(count, PROBE_EPOCHS, "{name}: not every epoch closed");
 
-    let epochs: Vec<Epoch> = (0..TIER_EPOCHS as u64).map(Epoch).collect();
+    let epochs: Vec<Epoch> = (0..PROBE_EPOCHS as u64).map(Epoch).collect();
     let probe_ts = Timestamp::from_millis(n as u64 + 10);
     let as_probe = |k: usize| {
         Tuple::base(
@@ -436,25 +299,24 @@ fn bench_tiered_probe(
     let probes: Vec<Tuple> = probe_keys.iter().map(|&k| as_probe(k)).collect();
     // Correctness cross-check over `check_keys` (callers include known
     // hits, even when the timed stream is all misses) plus a sample of
-    // the timed stream: both tiers return the same match multiset
+    // the timed stream: both stores return the same match multiset
     // (content-equal tuples; stored timestamps are unique, so sorting by
     // `ts` makes the comparison order-insensitive).
     let sampled = probes.iter().step_by((probes.len() / 16).max(1)).cloned();
     let mut checked = 0usize;
     for probe in check_keys.iter().map(|&k| as_probe(k)).chain(sampled) {
         let mut lm = live.probe(0, &epochs, &probe, std::slice::from_ref(&predicate));
-        let mut fm = frozen.probe(0, &epochs, &probe, std::slice::from_ref(&predicate));
+        let mut cm = closed.probe(0, &epochs, &probe, std::slice::from_ref(&predicate));
         lm.sort_by_key(|t| t.ts);
-        fm.sort_by_key(|t| t.ts);
-        assert_eq!(lm, fm, "{name}: tiers disagree");
+        cm.sort_by_key(|t| t.ts);
+        assert_eq!(lm, cm, "{name}: open and closed stores disagree");
         checked += lm.len();
     }
     assert!(checked > 0, "{name}: cross-check never exercised a hit");
 
     // Timed through the kernel's probe form and its per-hit work: the
-    // visitor joins each match to the probe and drops the result (and a
-    // frozen match's leaf) before the next, as the rule kernel's
-    // join-and-dispatch does.
+    // visitor joins each match to the probe and drops the result before
+    // the next, as the rule kernel's join-and-dispatch does.
     let rate = |store: &StoreInstance| {
         best_of(|| {
             let started = Instant::now();
@@ -470,30 +332,30 @@ fn bench_tiered_probe(
             probes.len() as f64 / started.elapsed().as_secs_f64()
         })
     };
-    TierProbeRow {
+    ClosedProbeRow {
         name,
         hot_probes_per_sec: rate(&live),
-        frozen_probes_per_sec: rate(&frozen),
+        closed_probes_per_sec: rate(&closed),
     }
 }
 
-/// Cold-store probing: uniform keys across many frozen epochs, probed
-/// with keys that were never stored — the dominant outcome for a probe
-/// against long-retention cold state. The hot tier pays a `Value` hash
-/// plus a hash-map miss per epoch; the frozen tier hashes once per probe
-/// and answers every epoch from the segment blooms. (Hit probes are
-/// covered by the cross-check and by the skewed row, which times them.)
-pub fn bench_store_probe_cold(n: usize, probes: usize) -> TierProbeRow {
+/// Long-state probing: uniform keys across many epochs, probed with keys
+/// that were never stored — the dominant outcome for a probe against
+/// long-retention state. The open store pays a `Value` hash plus an index
+/// miss per epoch; the closed one hashes once per probe and skips every
+/// epoch on the union bloom's answer. (Hit probes are covered by the
+/// cross-check and by the skewed row, which times them.)
+pub fn bench_store_probe_cold(n: usize, probes: usize) -> ClosedProbeRow {
     let (stored_key, _) = store_fixture();
     let window = Window::secs(3_600);
     let key_domain = (n / 8).max(1);
     let probe_keys = (0..probes).map(|k| key_domain + k).collect();
     // Known hits (stored keys span `0..key_domain`) plus one miss.
     let check_keys = vec![0, 1, key_domain / 2, key_domain - 1, key_domain + 5];
-    bench_tiered_probe(
+    bench_closed_probe(
         "store_probe_cold",
         n,
-        || fill_tiered_store(n, stored_key, window, |i| i % key_domain),
+        || fill_epochs(n, stored_key, window, |i| i % key_domain),
         probe_keys,
         check_keys,
     )
@@ -502,11 +364,10 @@ pub fn bench_store_probe_cold(n: usize, probes: usize) -> TierProbeRow {
 /// Skewed-store probing: stored keys drawn Zipf(s = 1) — a few hot keys
 /// own most of the stream — probed uniformly over the key domain, so
 /// most probes land on sparse tail keys with the occasional hot-key hit.
-/// Exercises the frozen tier's sorted hash runs and its per-match
-/// segment-backed leaves (one node allocation each) against the hot
-/// tier's posting lists, whose matches are lent by reference; both tiers
-/// pay the kernel's join node per match.
-pub fn bench_store_probe_skewed(n: usize, probes: usize) -> TierProbeRow {
+/// A closed store whose bloom answers "maybe" walks the same posting
+/// lists as the open one, so the row prices the bloom check on hit-heavy
+/// state; both pay the kernel's join node per match.
+pub fn bench_store_probe_skewed(n: usize, probes: usize) -> ClosedProbeRow {
     let (stored_key, _) = store_fixture();
     let window = Window::secs(3_600);
     let key_domain = (n / 8).max(1);
@@ -516,14 +377,14 @@ pub fn bench_store_probe_skewed(n: usize, probes: usize) -> TierProbeRow {
     let probe_keys = (0..probes).map(|_| probing.next_rank()).collect();
     // Hot head ranks, a tail rank, and an out-of-domain miss.
     let check_keys = vec![0, 1, 2, key_domain - 1, key_domain + 5];
-    bench_tiered_probe(
+    bench_closed_probe(
         "store_probe_skewed",
         n,
-        // Clone per call: the fixture is built twice (live and frozen)
+        // Clone per call: the fixture is built twice (open and closed)
         // and both must see the identical key sequence.
         move || {
             let mut keys = stored.clone();
-            fill_tiered_store(n, stored_key, window, move |_| keys.next_rank())
+            fill_epochs(n, stored_key, window, move |_| keys.next_rank())
         },
         probe_keys,
         check_keys,
@@ -1066,7 +927,6 @@ pub fn run_hotpath(iters: usize, fig7_tuples: usize) -> HotpathReport {
     let allocs = bench_ingest_allocs((iters / 2).clamp(4_096, 200_000));
     let kernel = KernelReplay::plan();
     let kernel_allocs = kernel.allocs(KERNEL_WARMUP, KERNEL_TUPLES);
-    let tier_policy = kernel.tier_policy(fig7_tuples.clamp(1_000, 30_000));
     let fig7 = run_fig7(5, fig7_tuples, 0.002, 42);
     let multi_source = run_multi_source(fig7_tuples.clamp(1_000, 100_000), &[1, 2, 4]);
     let reconfig_total = fig7_tuples.clamp(1_000, 100_000);
@@ -1079,7 +939,6 @@ pub fn run_hotpath(iters: usize, fig7_tuples: usize) -> HotpathReport {
         micro,
         allocs,
         kernel_allocs,
-        tier_policy,
         fig7,
         multi_source,
         reconfig,
@@ -1103,10 +962,10 @@ pub fn report_to_json(report: &HotpathReport) -> String {
     for (i, row) in report.micro.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"hot_probes_per_sec\": {:.1}, \
-             \"frozen_probes_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
+             \"closed_probes_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
             row.name,
             row.hot_probes_per_sec,
-            row.frozen_probes_per_sec,
+            row.closed_probes_per_sec,
             row.speedup(),
             if i + 1 < report.micro.len() { "," } else { "" }
         ));
@@ -1120,36 +979,12 @@ pub fn report_to_json(report: &HotpathReport) -> String {
         report.kernel_allocs.tuples,
         report.kernel_allocs.allocs_per_tuple
     ));
-    out.push_str(&format!(
-        "  \"tier_policy\": {{\"min_window_epochs\": {FREEZE_MIN_WINDOW_EPOCHS}, \"rows\": [\n"
-    ));
-    for (i, row) in report.tier_policy.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scale\": {}, \"window_epochs\": {}, \"tuples\": {}, \
-             \"results_per_tuple\": {:.2}, \"hot_tps\": {:.1}, \"tiered_tps\": {:.1}, \
-             \"speedup\": {:.3}}}{}\n",
-            row.scale,
-            row.window_epochs,
-            row.tuples,
-            row.results_per_tuple,
-            row.hot_tps,
-            row.tiered_tps,
-            row.speedup(),
-            if i + 1 < report.tier_policy.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ]},\n");
     out.push_str("  \"fig7\": [\n");
     for (i, row) in report.fig7.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"num_queries\": {}, \"strategy\": \"{}\", \"throughput_tps\": {:.1}, \
              \"memory_mb\": {:.3}, \"latency_ms\": {:.3}, \"latency_p50_ms\": {:.3}, \
-             \"latency_p99_ms\": {:.3}, \"results\": {}, \"tuples_sent\": {}, \
-             \"compactions\": {}}}{}\n",
+             \"latency_p99_ms\": {:.3}, \"results\": {}, \"tuples_sent\": {}}}{}\n",
             row.num_queries,
             row.strategy,
             row.throughput_tps,
@@ -1159,7 +994,6 @@ pub fn report_to_json(report: &HotpathReport) -> String {
             row.latency_p99_ms,
             row.results,
             row.tuples_sent,
-            row.compactions,
             if i + 1 < report.fig7.len() { "," } else { "" }
         ));
     }
@@ -1247,7 +1081,7 @@ mod tests {
             bench_store_probe_skewed(512, 256),
         ] {
             assert!(
-                row.hot_probes_per_sec > 0.0 && row.frozen_probes_per_sec > 0.0,
+                row.hot_probes_per_sec > 0.0 && row.closed_probes_per_sec > 0.0,
                 "{} produced a non-positive rate",
                 row.name
             );
@@ -1299,9 +1133,8 @@ mod tests {
     fn kernel_allocation_count_repeats_exactly() {
         // The CI ceiling is only meaningful if the count is deterministic.
         // A shorter replay than the report's keeps the debug-build test
-        // cheap: past the 5 s window and expiring (five epochs, so no
-        // store freezes), with one expiry sweep (every 1 024 tuples)
-        // inside the counted span.
+        // cheap: past the 5 s window, expiring and closing epochs, with
+        // one expiry sweep (every 1 024 tuples) inside the counted span.
         let replay = KernelReplay::plan();
         let first = replay.allocs(6_000, 1_024);
         assert!(first.allocs_per_tuple > 0.0);
@@ -1346,10 +1179,10 @@ mod tests {
         let report = HotpathReport {
             iters: 10,
             fig7_tuples: 0,
-            micro: vec![TierProbeRow {
+            micro: vec![ClosedProbeRow {
                 name: "store_probe_cold",
                 hot_probes_per_sec: 1.0,
-                frozen_probes_per_sec: 2.0,
+                closed_probes_per_sec: 2.0,
             }],
             allocs: AllocsRow {
                 tuples: 100,
@@ -1359,14 +1192,6 @@ mod tests {
                 tuples: 50,
                 allocs_per_tuple: 47.5,
             },
-            tier_policy: vec![TierPolicyRow {
-                scale: 0.05,
-                window_epochs: 60,
-                tuples: 90,
-                results_per_tuple: 0.5,
-                hot_tps: 100.0,
-                tiered_tps: 125.0,
-            }],
             fig7: Vec::new(),
             multi_source: vec![MultiSourceRow {
                 mode: "sources",
@@ -1405,9 +1230,7 @@ mod tests {
         assert!(json.contains("\"allocs\""));
         assert!(json.contains("\"allocs_per_tuple\": 1.250"));
         assert!(json.contains("\"kernel_allocs\": {\"tuples\": 50, \"allocs_per_tuple\": 47.500}"));
-        assert!(json.contains("\"tier_policy\": {\"min_window_epochs\": "));
-        assert!(json.contains("\"scale\": 0.05, \"window_epochs\": 60"));
-        assert!(json.contains("\"tiered_tps\": 125.0, \"speedup\": 1.250"));
+        assert!(json.contains("\"closed_probes_per_sec\": 2.0"));
         assert!(json.contains("\"producer_threads\": 1"));
         assert!(json.contains("\"multi_source\""));
         assert!(json.contains("\"busy_balance\": 0.500"));

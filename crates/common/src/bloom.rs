@@ -1,25 +1,25 @@
-//! Minimal deterministic bloom filter guarding frozen-segment probes.
+//! Minimal deterministic bloom filter guarding the closed epochs of a
+//! store partition.
 //!
-//! Frozen segments (see [`crate::segment`]) rebuild their per-attribute
-//! postings as sorted hash runs probed by binary search. A probe against a
-//! key the segment never stored still pays the `O(log d)` search plus the
-//! cache misses of touching the run arrays — for low-match-rate workloads
-//! that is most probes. The bloom filter in front answers those in `O(1)`
-//! without touching segment memory.
+//! A store closes the epochs that lag the stream clock and keeps, per
+//! partition and indexed attribute, one filter over the index keys of all
+//! of them. A probe against a key no closed epoch holds would otherwise
+//! pay one index lookup per epoch — for low-match-rate workloads over long
+//! windows that is most probes and most epochs. The filter answers those
+//! in `O(1)` for every closed epoch at once.
 //!
-//! The filter is keyed on `fx_hash` values (already computed for the run
-//! lookup), uses a power-of-two bit array sized at roughly eight bits per
-//! distinct key, and derives its two probe positions from the one 64-bit
-//! hash (low and mixed-high halves). Everything is arithmetic on the hash
-//! — no per-process seed, no randomness — so two processes freezing the
-//! same epoch produce bit-identical filters (cross-process determinism is
-//! part of the segment contract).
+//! The filter is keyed on `fx_hash` values, uses a power-of-two bit array
+//! sized at roughly eight bits per distinct key, and derives its two probe
+//! positions from the one 64-bit hash (low and mixed-high halves).
+//! Everything is arithmetic on the hash — no per-process seed, no
+//! randomness — so identical insert sequences produce bit-identical
+//! filters in any process.
 
 /// Bits per distinct key; ~8 gives a false-positive rate of about 2% with
-/// two probe functions, plenty for a guard whose misses are merely a wasted
-/// binary search (correctness never depends on the filter).
+/// two probe functions, plenty for a guard whose misses merely walk the
+/// epochs (correctness never depends on the filter).
 const BITS_PER_KEY: usize = 8;
-/// Floor on the bit-array size so tiny segments still get a real filter.
+/// Floor on the bit-array size so tiny key sets still get a real filter.
 const MIN_BITS: usize = 64;
 
 /// A fixed-size, insert-only bloom filter over 64-bit hashes.
@@ -55,7 +55,7 @@ impl BloomFilter {
     fn positions(&self, hash: u64) -> (u64, u64) {
         let first = hash & self.mask;
         // Multiply-shift mix of the high half (SplitMix64 finalizer
-        // constant) so segments narrower than 32 bits still see
+        // constant) so filters narrower than 32 bits still see
         // independent second positions.
         let second = (hash >> 32).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32 & self.mask;
         (first, second)
@@ -69,7 +69,7 @@ impl BloomFilter {
     }
 
     /// Returns false if `hash` was definitely never inserted; true means
-    /// "possibly present" and the caller must check the backing run.
+    /// "possibly present" and the caller must check the backing data.
     #[inline]
     pub fn contains_hash(&self, hash: u64) -> bool {
         let (a, b) = self.positions(hash);
@@ -120,8 +120,8 @@ mod tests {
         );
     }
 
-    /// Identical insert sequences produce identical filters — the
-    /// cross-process determinism the segment contract relies on.
+    /// Identical insert sequences produce identical filters: no
+    /// per-process seed enters them.
     #[test]
     fn deterministic_across_builds() {
         let build = || {

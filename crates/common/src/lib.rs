@@ -20,7 +20,6 @@ pub mod ids;
 pub mod postings;
 pub mod relation_set;
 pub mod schema;
-pub mod segment;
 pub mod telemetry;
 pub mod time;
 pub mod tuple;
@@ -35,7 +34,6 @@ pub use ids::{AttrId, EdgeId, QueryId, RelationId, StoreId, WorkerId};
 pub use postings::{PostingList, INLINE_POSTINGS};
 pub use relation_set::RelationSet;
 pub use schema::{AttrRef, Attribute, Schema, SchemaRef};
-pub use segment::FrozenSegment;
 pub use telemetry::{
     chrome_trace_json, trace_clock_us, Exposition, LatencyHistogram, TraceEvent, TraceEventKind,
     TraceRing,

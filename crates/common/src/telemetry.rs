@@ -247,9 +247,9 @@ pub enum TraceEventKind {
     /// in the queue stage (`a` = deliveries shipped, `b` = trigger:
     /// 0 size, 1 idle, 2 barrier).
     Flush,
-    /// Cold epochs of a store were frozen into columnar segments
-    /// (`a` = raw store id, `b` = segments built by this pass).
-    Compaction,
+    /// Epochs of a store lagging the stream clock were closed into its
+    /// union blooms (`a` = raw store id, `b` = epochs this pass closed).
+    Close,
 }
 
 impl TraceEventKind {
@@ -268,7 +268,7 @@ impl TraceEventKind {
             TraceEventKind::EpochTick => "epoch_tick",
             TraceEventKind::ControllerDecision => "controller_decision",
             TraceEventKind::Flush => "flush",
-            TraceEventKind::Compaction => "compaction",
+            TraceEventKind::Close => "close",
         }
     }
 }

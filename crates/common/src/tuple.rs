@@ -12,52 +12,36 @@
 //!
 //! # Memory model
 //!
-//! The payload is a **rope** of `Arc`ed nodes, of three kinds:
+//! The payload is a **rope** of `Arc`ed nodes, of two kinds:
 //!
-//! * a **base leaf** — the values of one base relation, densely indexed
-//!   by [`AttrId`] in an arena-backed buffer;
-//! * a **segment-backed leaf** — one row of a
-//!   [`FrozenSegment`], referenced as
-//!   `(Arc<FrozenSegment>, row)` and read in place from the segment's
-//!   columns. This is what a probe hit in the frozen tier returns; the
-//!   row may cover several relations (a frozen partial result) and is
-//!   still a leaf;
+//! * a **leaf** — the values of one base relation, densely indexed by
+//!   [`AttrId`] in an arena-backed buffer;
 //! * a **join node** — two `Arc`ed sub-ropes.
 //!
-//! No path copies attribute values. A hit in the hot tier clones the
-//! stored tuple (a reference-count bump on its node); a hit in the frozen
-//! tier makes a segment-backed leaf (a reference-count bump on the
-//! segment plus one small node allocation — no arena buffer, no `Value`
-//! clone); and [`Tuple::join`] performs a single allocation (the new join
-//! node) and two reference-count bumps — the per-hop cost of a probe
+//! No path copies attribute values. A probe hit is the stored tuple, lent
+//! by reference, and [`Tuple::join`] performs a single allocation (the new
+//! join node) and two reference-count bumps — the per-hop cost of a probe
 //! order is O(1) instead of O(total arity). Every store a partial result
 //! is routed to shares the same leaves.
 //!
-//! A segment-backed leaf pins its segment: the segment's memory lives
-//! until the last tuple pointing into it drops, even after the owning
-//! store expired it. DESIGN.md ("The pin bound") states who can hold such
-//! a leaf and for how long.
-//!
 //! Lookup is positional: [`Tuple::get`] descends the rope by relation-set
 //! membership (O(join depth), at most the number of constituent
-//! relations) and then reads the leaf directly — a base leaf at the
-//! attribute's schema slot, a segment-backed leaf through the segment's
-//! slot → column table — with no linear scan over `(AttrRef, Value)`
-//! pairs. [`SlotAccessor`] packages the precomputed slot of one attribute
-//! so hot paths (index maintenance, probe predicates) resolve the offset
-//! once per store instead of once per lookup.
+//! relations) and then reads the leaf at the attribute's schema slot,
+//! with no linear scan over `(AttrRef, Value)` pairs. [`SlotAccessor`]
+//! packages the precomputed slot of one attribute so hot paths (index
+//! maintenance, probe predicates) resolve the offset once per store
+//! instead of once per lookup.
 //!
-//! Sizes are cached bottom-up at construction (a segment keeps each
-//! row's), so [`Tuple::approx_size_bytes`] is O(1) and reports the
-//! *flattened* (logical / serialized) payload size — the bytes a
-//! distributed deployment would ship and store, regardless of structural
-//! sharing and of which kind of leaf holds the values.
+//! Sizes are cached bottom-up at construction, so
+//! [`Tuple::approx_size_bytes`] is O(1) and reports the *flattened*
+//! (logical / serialized) payload size — the bytes a distributed
+//! deployment would ship and store, regardless of structural sharing.
 //!
-//! Base-leaf construction is arena-backed: value buffers come from the
+//! Leaf construction is arena-backed: value buffers come from the
 //! thread-local pool in [`crate::arena`] and return there when a leaf is
-//! dropped (at window expiry, or when its epoch freezes), so steady-state
-//! ingest reuses memory instead of allocating per tuple. [`TupleBuilder`]
-//! writes values positionally into such a buffer — optionally resolving
+//! dropped (at window expiry), so steady-state ingest reuses memory
+//! instead of allocating per tuple. [`TupleBuilder`] writes values
+//! positionally into such a buffer — optionally resolving
 //! names through a catalog-cached [`LeafLayout`] — with no intermediate
 //! `(AttrRef, Value)` vector and no re-scan at build time.
 
@@ -65,7 +49,6 @@ use crate::error::{ClashError, Result};
 use crate::ids::{AttrId, RelationId};
 use crate::relation_set::RelationSet;
 use crate::schema::{AttrRef, Schema};
-use crate::segment::FrozenSegment;
 use crate::time::Timestamp;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -211,30 +194,14 @@ impl Drop for BaseLeaf {
     }
 }
 
-/// A leaf of the payload rope. Nested inside [`Node`] (rather than being
-/// two of its variants) so that neither enum needs a tag: the frozen kind
-/// hides in the null niche of the base leaf's buffer pointer, and a leaf
-/// as a whole in the null niche of a join's child pointer. A node stays
-/// 48 bytes — with its `Arc` header exactly one cache line — and the rope
-/// descent tests one pointer per level, as it did before frozen leaves
-/// existed (a unit test pins the size).
-#[derive(Debug)]
-enum Leaf {
-    /// Values of one base relation, owned by an arena-backed buffer.
-    Base(BaseLeaf),
-    /// One row of a frozen columnar segment: the values stay in the
-    /// segment's columns and are read in place. The row may cover several
-    /// relations (a frozen partial join result); it is still a leaf.
-    Frozen {
-        segment: Arc<FrozenSegment>,
-        row: u32,
-    },
-}
-
-/// A node of the payload rope.
+/// A node of the payload rope. The leaf hides in the null niche of a
+/// join's child pointer, so a node needs no tag: it stays 48 bytes — with
+/// its `Arc` header exactly one cache line — and the rope descent tests
+/// one pointer per level (a unit test pins the size).
 #[derive(Debug)]
 enum Node {
-    Leaf(Leaf),
+    /// Values of one base relation, owned by an arena-backed buffer.
+    Leaf(BaseLeaf),
     /// Concatenation of two disjoint sub-ropes.
     Join {
         left: Arc<Node>,
@@ -250,11 +217,6 @@ enum Node {
 
 impl Node {
     #[inline]
-    fn base(leaf: BaseLeaf) -> Node {
-        Node::Leaf(Leaf::Base(leaf))
-    }
-
-    #[inline]
     fn join(left: Arc<Node>, left_relations: RelationSet, right: Arc<Node>) -> Node {
         Node::Join {
             arity: left.arity() + right.arity(),
@@ -267,20 +229,16 @@ impl Node {
 
     fn arity(&self) -> usize {
         match self {
-            Node::Leaf(Leaf::Base(leaf)) => leaf.arity(),
-            Node::Leaf(Leaf::Frozen { segment, row }) => segment.row_arity(*row as usize),
+            Node::Leaf(leaf) => leaf.arity(),
             Node::Join { arity, .. } => *arity,
         }
     }
 
     /// Flattened payload bytes (what [`write_slot`] accounted when the
-    /// values were first written; a frozen row remembers its tuple's).
+    /// values were first written).
     fn bytes(&self) -> usize {
         match self {
-            Node::Leaf(Leaf::Base(leaf)) => leaf.bytes,
-            Node::Leaf(Leaf::Frozen { segment, row }) => {
-                segment.row_size_bytes(*row as usize) - SIZE_HEADER
-            }
+            Node::Leaf(leaf) => leaf.bytes,
             Node::Join { bytes, .. } => *bytes,
         }
     }
@@ -308,27 +266,7 @@ impl Tuple {
             ts,
             ingest_ts: ts,
             relations: RelationSet::singleton(relation),
-            node: Arc::new(Node::base(BaseLeaf::new(relation, values))),
-        }
-    }
-
-    /// The tuple stored in `row` of a frozen segment, as a segment-backed
-    /// leaf: no value is copied and no arena buffer is taken — the leaf is
-    /// the segment reference plus the row number (one small node
-    /// allocation), and the header fields are read from the row's header.
-    /// The tuple keeps the segment alive for as long as it (or any join
-    /// result sharing it) lives.
-    #[inline]
-    pub(crate) fn from_segment_row(segment: Arc<FrozenSegment>, row: usize) -> Tuple {
-        assert!(row < segment.len(), "row {row} outside the segment");
-        Tuple {
-            ts: segment.ts(row),
-            ingest_ts: segment.ingest_ts(row),
-            relations: segment.relations(row),
-            node: Arc::new(Node::Leaf(Leaf::Frozen {
-                segment,
-                row: row as u32,
-            })),
+            node: Arc::new(Node::Leaf(BaseLeaf::new(relation, values))),
         }
     }
 
@@ -535,7 +473,7 @@ impl Tuple {
                     std::mem::replace(value, Value::Null),
                 );
             }
-            let leaf = Arc::new(Node::base(BaseLeaf::from_parts(
+            let leaf = Arc::new(Node::Leaf(BaseLeaf::from_parts(
                 relation, present, values, leaf_bytes,
             )));
             node = Some(match node {
@@ -588,20 +526,8 @@ impl Eq for Tuple {}
 pub struct TupleIter<'a> {
     /// Unvisited sub-ropes, rightmost at the bottom.
     stack: Vec<&'a Arc<Node>>,
-    /// Leaf currently being drained.
-    leaf: Option<LeafCursor<'a>>,
-}
-
-/// Position inside the leaf a [`TupleIter`] is draining.
-#[derive(Debug)]
-enum LeafCursor<'a> {
-    /// Next slot of a base leaf.
-    Base(&'a BaseLeaf, usize),
-    /// Next column of a frozen row. Columns are sorted by attribute, so a
-    /// single-relation row yields schema-slot order like a base leaf, and
-    /// a multi-relation row yields its relations in id order (the order
-    /// [`Tuple::from_flattened`] rebuilds them in).
-    Frozen(&'a FrozenSegment, usize, usize),
+    /// Leaf currently being drained, with its next slot.
+    leaf: Option<(&'a BaseLeaf, usize)>,
 }
 
 impl<'a> Iterator for TupleIter<'a> {
@@ -609,36 +535,21 @@ impl<'a> Iterator for TupleIter<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            match &mut self.leaf {
-                Some(LeafCursor::Base(leaf, slot)) => {
-                    while *slot < leaf.values.len() {
-                        let s = *slot;
-                        *slot += 1;
-                        if leaf.present & (1u64 << s) != 0 {
-                            return Some((
-                                AttrRef::new(leaf.relation, AttrId::new(s as u32)),
-                                &leaf.values[s],
-                            ));
-                        }
+            if let Some((leaf, slot)) = &mut self.leaf {
+                while *slot < leaf.values.len() {
+                    let s = *slot;
+                    *slot += 1;
+                    if leaf.present & (1u64 << s) != 0 {
+                        return Some((
+                            AttrRef::new(leaf.relation, AttrId::new(s as u32)),
+                            &leaf.values[s],
+                        ));
                     }
                 }
-                Some(LeafCursor::Frozen(segment, row, col)) => {
-                    while *col < segment.columns().len() {
-                        let c = *col;
-                        *col += 1;
-                        if let Some(value) = segment.value_at(c, *row) {
-                            return Some((segment.columns()[c], value));
-                        }
-                    }
-                }
-                None => {}
             }
             self.leaf = None;
             match &**self.stack.pop()? {
-                Node::Leaf(Leaf::Base(leaf)) => self.leaf = Some(LeafCursor::Base(leaf, 0)),
-                Node::Leaf(Leaf::Frozen { segment, row }) => {
-                    self.leaf = Some(LeafCursor::Frozen(segment, *row as usize, 0));
-                }
+                Node::Leaf(leaf) => self.leaf = Some((leaf, 0)),
                 Node::Join { left, right, .. } => {
                     self.stack.push(right);
                     self.stack.push(left);
@@ -699,17 +610,12 @@ impl SlotAccessor {
         let mut node = &*tuple.node;
         loop {
             match node {
-                Node::Leaf(Leaf::Base(leaf)) => {
+                Node::Leaf(leaf) => {
                     return if leaf.relation == self.relation {
                         leaf.slot(self.slot)
                     } else {
                         None
                     };
-                }
-                // A frozen row answers for every relation it covers
-                // through the segment's slot → column tables.
-                Node::Leaf(Leaf::Frozen { segment, row }) => {
-                    return segment.get(self.relation, self.slot, *row as usize);
                 }
                 Node::Join {
                     left,
@@ -999,7 +905,7 @@ impl<'a> TupleBuilder<'a> {
             ts,
             ingest_ts: ts,
             relations: RelationSet::singleton(relation),
-            node: Arc::new(Node::base(leaf)),
+            node: Arc::new(Node::Leaf(leaf)),
         }
     }
 }
@@ -1241,14 +1147,13 @@ mod tests {
         assert!(s.contains("τ=5ms"));
     }
 
-    /// The layout the rope's speed rests on: leaf kinds and node kinds are
-    /// told apart by pointer niches, not tags, so a node plus its `Arc`
+    /// The layout the rope's speed rests on: leaves and joins are told
+    /// apart by a pointer niche, not a tag, so a node plus its `Arc`
     /// header is one 64-byte cache line. Adding a field or a variant that
-    /// breaks this costs every hot-tier `get`, `join` and build ~10 %
-    /// (measured in PR 13) — if this fails, re-measure before relaxing it.
+    /// breaks this was measured to cost every `get`, `join` and build
+    /// ~10 % — if this fails, re-measure before relaxing it.
     #[test]
     fn a_node_with_its_arc_header_is_one_cache_line() {
-        assert_eq!(std::mem::size_of::<Leaf>(), std::mem::size_of::<BaseLeaf>());
         assert!(std::mem::size_of::<Node>() <= 48);
     }
 }

@@ -163,19 +163,27 @@ impl CandidateSet {
     /// executed in isolation by the baseline engines corresponds to a
     /// cascade of symmetric joins over its inputs, without additional
     /// intermediate-result maintenance streams.
+    ///
+    /// The per-start minima are summed in starting-relation order, not in
+    /// the map's (per-instance random) order, so the sum is bit-identical
+    /// across enumerations.
     pub fn individual_cost(&self, query: QueryId) -> f64 {
-        self.per_start
+        let mut minima: Vec<(RelationId, f64)> = self
+            .per_start
             .iter()
             .filter(|((q, _), _)| *q == query)
-            .map(|(_, cands)| {
-                cands
+            .map(|((_, start), cands)| {
+                let cheapest = cands
                     .iter()
                     .filter(|c| c.stores.iter().all(|s| s.is_base()))
                     .map(|c| c.cost)
-                    .fold(f64::INFINITY, f64::min)
+                    .fold(f64::INFINITY, f64::min);
+                (*start, cheapest)
             })
-            .filter(|c| c.is_finite())
-            .sum()
+            .filter(|(_, cost)| cost.is_finite())
+            .collect();
+        minima.sort_unstable_by_key(|(start, _)| *start);
+        minima.iter().map(|(_, cost)| cost).sum()
     }
 }
 
@@ -554,6 +562,31 @@ mod tests {
             })
             .sum();
         assert!((cost - manual).abs() < 1e-9);
+    }
+
+    /// Every enumeration keys its candidates by a freshly seeded hash map;
+    /// the individual costs of the Fig. 7 five-query workload must still be
+    /// bit-identical across enumerations.
+    #[test]
+    fn individual_cost_is_bit_identical_across_enumerations() {
+        let workload = clash_datagen::TpchWorkload::new(2, Window::secs(5)).unwrap();
+        let queries = workload.five_queries().unwrap();
+        let costs = || {
+            let set = enumerate_candidates(
+                &workload.catalog,
+                &workload.stats,
+                &queries,
+                &PlanSpaceConfig::default(),
+            );
+            queries
+                .iter()
+                .map(|q| set.individual_cost(q.id).to_bits())
+                .collect::<Vec<u64>>()
+        };
+        let first = costs();
+        for _ in 1..8 {
+            assert_eq!(costs(), first);
+        }
     }
 
     #[test]

@@ -59,13 +59,11 @@ pub struct EngineConfig {
     /// overwrites its oldest events, so tracing can stay on permanently;
     /// `0` disables tracing entirely (record calls reduce to one branch).
     pub trace_capacity: usize,
-    /// Epochs an epoch must lag behind the stream clock before its live
-    /// containers are frozen into read-optimized columnar segments, in a
-    /// store whose window spans at least
-    /// [`crate::store::FREEZE_MIN_WINDOW_EPOCHS`] epochs (compactions run
-    /// piggybacked on the expiry cadence / epoch barriers). Shorter
-    /// windows stay hot whatever this says; `0` disables the cold tier
-    /// entirely: all state stays in the live, insert-optimized form.
+    /// Epochs of lag behind the stream clock before an epoch of every
+    /// store closes: its containers stay as they are, and their index
+    /// keys join the partition's union bloom, which lets a probe skip all
+    /// closed epochs at once when it rejects the probe's key (closing runs
+    /// with the expiry sweeps). `0` = never: probes walk every epoch.
     pub freeze_after_epochs: u64,
 }
 
@@ -259,24 +257,11 @@ impl LocalEngine {
         Ok(emitted)
     }
 
-    /// Expires out-of-window tuples from every store. Before expiring, a
-    /// store whose window spans at least
-    /// [`crate::store::FREEZE_MIN_WINDOW_EPOCHS`] epochs compacts the
+    /// Expires out-of-window tuples from every store, then closes the
     /// epochs that have fallen [`EngineConfig::freeze_after_epochs`]
-    /// behind the stream clock into frozen columnar segments; shorter
-    /// windows stay hot.
+    /// behind the stream clock. Returns the number of expired tuples.
     pub fn expire_stores(&mut self) -> usize {
         self.shard.expire(self.max_ts)
-    }
-
-    /// Freezes the epochs that have fallen
-    /// [`EngineConfig::freeze_after_epochs`] behind the stream clock in
-    /// every store, whatever its window: the cold tier where
-    /// [`Self::expire_stores`] would not choose it. The hotpath report's
-    /// `tier_policy` rows call it before each sweep to time the tier
-    /// against hot-only state. Returns the segments built.
-    pub fn freeze_every_store(&mut self) -> usize {
-        self.shard.freeze(self.max_ts, true)
     }
 
     /// Total bytes held across all stores (Fig. 7c).
@@ -287,11 +272,6 @@ impl LocalEngine {
     /// Total tuples held across all stores.
     pub fn store_tuples(&self) -> usize {
         self.shard.stores().map(|s| s.len()).sum()
-    }
-
-    /// Frozen segments built across all stores since startup.
-    pub fn store_compactions(&self) -> u64 {
-        self.shard.stores().map(|s| s.compactions()).sum()
     }
 
     /// Metrics snapshot.

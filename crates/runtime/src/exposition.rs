@@ -148,21 +148,6 @@ fn store_sections(page: &mut Exposition, details: &[StoreDetail]) {
         "Posting lists spilled past the inline capacity per store.",
         "gauge",
     );
-    page.declare(
-        "clash_segments_total",
-        "Frozen columnar segments currently held per store (cold tier).",
-        "gauge",
-    );
-    page.declare(
-        "clash_segment_bytes",
-        "Live flattened bytes held by the frozen segments per store.",
-        "gauge",
-    );
-    page.declare(
-        "clash_compactions_total",
-        "Frozen segments built per store since startup.",
-        "counter",
-    );
     for d in details {
         let store = d.store.0.to_string();
         let labels: &[(&str, &str)] = &[("store", &store)];
@@ -174,9 +159,6 @@ fn store_sections(page: &mut Exposition, details: &[StoreDetail]) {
             labels,
             d.spilled_postings as f64,
         );
-        page.sample("clash_segments_total", labels, d.segments as f64);
-        page.sample("clash_segment_bytes", labels, d.segment_bytes as f64);
-        page.sample("clash_compactions_total", labels, d.compactions as f64);
     }
 }
 

@@ -8,7 +8,8 @@
 //! in DESIGN.md):
 //!
 //! * [`StoreInstance`] — a partitioned, epoch-versioned, window-expiring
-//!   relation store with per-attribute hash indexes,
+//!   relation store with per-attribute hash indexes and a union bloom
+//!   over its closed epochs,
 //! * one rule kernel (`parallel::shard`) that walks the routing rules of a
 //!   [`clash_optimizer::TopologyPlan`] (Algorithm 3 / 4 of the paper),
 //!   maintains intermediate-result stores, emits join results and tracks
@@ -52,4 +53,4 @@ pub use ingest::SourceHandle;
 pub use metrics::{EngineMetrics, LatencyStats, MetricsSnapshot};
 pub use parallel::ParallelEngine;
 pub use stats_collector::StatsCollector;
-pub use store::{StoreInstance, FREEZE_MIN_WINDOW_EPOCHS};
+pub use store::StoreInstance;

@@ -163,12 +163,6 @@ pub(crate) struct StoreDetail {
     pub posting_lists: usize,
     /// Posting lists spilled past the inline capacity to a heap vector.
     pub spilled_postings: usize,
-    /// Frozen columnar segments currently held (cold tier).
-    pub segments: usize,
-    /// Live flattened bytes held by the frozen segments.
-    pub segment_bytes: usize,
-    /// Segments built by this shard's stores since startup (monotone).
-    pub compactions: u64,
 }
 
 impl StoreDetail {
@@ -182,9 +176,6 @@ impl StoreDetail {
                     d.bytes += detail.bytes;
                     d.posting_lists += detail.posting_lists;
                     d.spilled_postings += detail.spilled_postings;
-                    d.segments += detail.segments;
-                    d.segment_bytes += detail.segment_bytes;
-                    d.compactions += detail.compactions;
                 }
                 None => by_store.push(*detail),
             }

@@ -274,10 +274,8 @@ pub(crate) struct ShardState {
     /// Completion watermark at the last prober sweep.
     swept_at: u64,
     epoch: EpochConfig,
-    /// Epoch lag before the cold epochs of a store whose window spans
-    /// [`crate::store::FREEZE_MIN_WINDOW_EPOCHS`] epochs freeze into
-    /// columnar segments (`EngineConfig::freeze_after_epochs`; `0`
-    /// disables the cold tier). Shorter windows never freeze.
+    /// Epochs of lag before an epoch of every store closes
+    /// (`EngineConfig::freeze_after_epochs`; `0` = never).
     freeze_after: u64,
     /// Metrics accumulated since they were last taken (a collection
     /// barrier; never, in the local instance).
@@ -599,43 +597,23 @@ impl ShardState {
         self.pending.retain(|_, p| !p.is_empty());
     }
 
-    /// Compacts the epochs that lag the stream clock (`upto`'s epoch) by
-    /// more than `freeze_after` epochs into frozen columnar segments, in
-    /// every store whose window spans the cold tier
-    /// ([`StoreInstance::spans_cold_tier`]) or, with `every_store`, in all
-    /// of them. Returns the segments built.
-    pub fn freeze(&mut self, upto: Timestamp, every_store: bool) -> usize {
-        if self.freeze_after == 0 {
-            return 0;
-        }
-        let clock = self.epoch.epoch_of(upto);
-        let horizon = Epoch(clock.0.saturating_sub(self.freeze_after));
-        let mut total = 0;
-        for (id, store) in self.stores.iter_mut() {
-            if !every_store && !store.spans_cold_tier(self.epoch) {
-                continue;
-            }
-            let built = store.freeze_before(horizon);
-            if built > 0 {
-                self.trace
-                    .record(TraceEventKind::Compaction, u64::from(id.0), built as u64);
-            }
-            total += built;
-        }
-        total
-    }
-
     /// Expires out-of-window tuples from every owned partition, given the
-    /// maximum stream timestamp observed so far. Long-window stores first
-    /// [`Self::freeze`] their cold epochs (so cold state is probed in its
-    /// read-optimized form and expires by segment drop, not per-tuple
-    /// work); a short window stays hot, its hits lent by reference.
+    /// maximum stream timestamp observed so far, then closes the epochs
+    /// that lag `upto`'s epoch by more than `freeze_after`
+    /// ([`StoreInstance::freeze_before`]), so a probe skips them all when
+    /// their union bloom rejects its key.
     pub fn expire(&mut self, upto: Timestamp) -> usize {
-        self.freeze(upto, false);
+        let clock = self.epoch.epoch_of(upto).0;
+        let close_below =
+            (self.freeze_after > 0).then(|| Epoch(clock.saturating_sub(self.freeze_after)));
         let mut removed = 0;
-        for store in self.stores.values_mut() {
-            let horizon = store.window.horizon(upto);
-            removed += store.expire(horizon);
+        for (id, store) in self.stores.iter_mut() {
+            removed += store.expire(store.window.horizon(upto));
+            let closed = close_below.map_or(0, |horizon| store.freeze_before(horizon));
+            if closed > 0 {
+                self.trace
+                    .record(TraceEventKind::Close, u64::from(id.0), closed as u64);
+            }
         }
         self.trace.record(TraceEventKind::Expire, removed as u64, 0);
         removed
@@ -667,16 +645,12 @@ impl ShardState {
             .iter()
             .map(|(id, store)| {
                 let (posting_lists, spilled_postings) = store.posting_stats();
-                let (segments, segment_bytes) = store.segment_stats();
                 StoreDetail {
                     store: *id,
                     tuples: store.len(),
                     bytes: store.bytes(),
                     posting_lists,
                     spilled_postings,
-                    segments,
-                    segment_bytes,
-                    compactions: store.compactions(),
                 }
             })
             .collect();

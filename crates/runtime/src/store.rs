@@ -1,13 +1,26 @@
 //! Partitioned, epoch-versioned relation stores with hash indexes.
 //!
-//! The probe hot path is allocation- and hash-lean: candidate lookups
-//! borrow the index posting lists instead of cloning them (unindexed
-//! attributes return a scan *marker*, never a materialized `0..len`
-//! vector), the driving predicate is resolved once per probe on the
-//! stack, matches are handed to the caller's visitor as they are found
-//! instead of being collected, and window expiry retains tuples in place
-//! while repairing the hash indexes incrementally via an old→new offset
-//! remap — no drain-and-rebuild.
+//! Window state has one representation: per partition, one container per
+//! epoch (Algorithm 4 stores and probes "with respect to an epoch"). The
+//! probe hot path is allocation- and hash-lean: candidate lookups borrow
+//! the index posting lists instead of cloning them (unindexed attributes
+//! return a scan *marker*, never a materialized `0..len` vector), the
+//! driving predicate is resolved once per probe on the stack, and matches
+//! are handed to the caller's visitor as they are found instead of being
+//! collected.
+//!
+//! Expiry is proportional to the boundary epoch: a container whose oldest
+//! tuple is inside the window is skipped, one whose newest tuple is
+//! outside is dropped whole, and only the container straddling the
+//! horizon retains its survivors in place, repairing its hash indexes
+//! through an old→new offset remap — no drain-and-rebuild.
+//!
+//! Epochs that lag the stream clock are *closed*
+//! ([`StoreInstance::freeze_before`]): nothing moves, but their index keys
+//! join one union bloom per (partition, indexed attribute), so a probe
+//! whose driving value no closed epoch holds skips all of them after one
+//! check. The bloom is only ever a superset of the closed keys, so no
+//! result depends on it (DESIGN.md, "Window state").
 //!
 //! Hashing cost is kept off the per-tuple path three ways:
 //!
@@ -23,12 +36,11 @@
 //!   [`clash_common::INLINE_POSTINGS`] matches.
 
 use clash_common::{
-    fx_hash, AttrRef, BloomFilter, Epoch, EpochConfig, FrozenSegment, FxHashMap, PostingList,
-    SlotAccessor, Timestamp, Tuple, Value, Window,
+    fx_hash, AttrRef, BloomFilter, Epoch, FxHashMap, PostingList, SlotAccessor, Timestamp, Tuple,
+    Value, Window,
 };
 use clash_optimizer::StoreDescriptor;
 use clash_query::EquiPredicate;
-use std::sync::Arc;
 
 /// An attribute a store maintains a hash index over, with its precomputed
 /// positional accessor (resolved once per store, reused for every insert
@@ -76,6 +88,13 @@ struct EpochContainer {
     /// inline posting lists).
     indexes: Vec<FxHashMap<Value, PostingList>>,
     bytes: usize,
+    /// Oldest and newest stored timestamp (while non-empty): expiry skips
+    /// or drops the container whole by them.
+    min_ts: Timestamp,
+    max_ts: Timestamp,
+    /// Whether the epoch is closed: its index keys are covered by the
+    /// partition's [`ClosedBloom`].
+    closed: bool,
 }
 
 impl EpochContainer {
@@ -85,6 +104,12 @@ impl EpochContainer {
                 .resize_with(indexed_attrs.len(), FxHashMap::default);
         }
         let idx = self.tuples.len();
+        if idx == 0 {
+            (self.min_ts, self.max_ts) = (tuple.ts, tuple.ts);
+        } else {
+            self.min_ts = self.min_ts.min(tuple.ts);
+            self.max_ts = self.max_ts.max(tuple.ts);
+        }
         self.bytes += tuple.approx_size_bytes();
         for (pos, indexed) in indexed_attrs.iter().enumerate() {
             if let Some(value) = indexed.slot.get(&tuple) {
@@ -116,10 +141,23 @@ impl EpochContainer {
         }
     }
 
-    /// Drops tuples older than `horizon`, retaining survivors in place and
-    /// repairing the hash indexes incrementally: posting lists keep their
-    /// entries for surviving tuples, remapped to their new offsets instead
-    /// of being cleared and rebuilt from scratch.
+    /// Distinct index keys of the container's widest index: what it adds
+    /// to a [`ClosedBloom`].
+    fn keys(&self) -> usize {
+        self.indexes
+            .iter()
+            .map(|by_value| by_value.len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Drops the tuples older than `horizon` from the container that
+    /// straddles it (the boundary epoch: [`StoreInstance::expire`] skips
+    /// containers wholly inside the window and drops those wholly
+    /// outside), retaining survivors in place and repairing the hash
+    /// indexes incrementally: posting lists keep their entries for
+    /// surviving tuples, remapped to their new offsets instead of being
+    /// cleared and rebuilt from scratch.
     ///
     /// Fast path: when the expired tuples form a *prefix* of the container
     /// (every expired tuple precedes every survivor — the steady state for
@@ -130,24 +168,26 @@ impl EpochContainer {
     /// fall back to the general table-driven remap.
     fn expire(&mut self, horizon: Timestamp) -> usize {
         let before = self.tuples.len();
-        // One scan: count expired tuples, account their bytes, and find
-        // the first survivor — the expired set is a prefix iff the first
-        // survivor's offset equals the expired count.
+        // One scan: count expired tuples, account their bytes, find the
+        // oldest survivor and the first survivor's offset — the expired
+        // set is a prefix iff that offset equals the expired count.
         let mut expired = 0usize;
         let mut freed_bytes = 0usize;
         let mut first_survivor = before;
+        let mut oldest_survivor = self.max_ts;
         for (idx, tuple) in self.tuples.iter().enumerate() {
             if tuple.ts < horizon {
                 expired += 1;
                 freed_bytes += tuple.approx_size_bytes();
-            } else if first_survivor == before {
-                first_survivor = idx;
+            } else {
+                oldest_survivor = oldest_survivor.min(tuple.ts);
+                if first_survivor == before {
+                    first_survivor = idx;
+                }
             }
         }
-        if expired == 0 {
-            return 0;
-        }
         self.bytes -= freed_bytes;
+        self.min_ts = oldest_survivor;
         if first_survivor == expired {
             // Prefix case: survivors keep their order, offsets shift by a
             // constant.
@@ -213,36 +253,86 @@ impl EpochContainer {
     }
 }
 
-/// One frozen epoch of a partition: the immutable segment — shared with
-/// every tuple a probe hit handed out of it — plus this store's expiry
-/// cursor over its ts-sorted rows. The cursor lives here because expiry is
-/// the store's decision; the segment's rows stay readable below it for as
-/// long as a leaf pins them.
+/// The union bloom of one partition's closed epochs: per indexed
+/// position, a filter over the `fx_hash` of every index key a closed
+/// container holds. Only ever a superset — closing and late inserts add,
+/// expiry never removes — so a rejection proves that no closed container
+/// indexes the value, while a "maybe" walks the containers as usual.
 #[derive(Debug)]
-struct ColdEpoch {
-    segment: Arc<FrozenSegment>,
-    /// First live row; rows `< start` are expired. Only moves forward.
-    start: usize,
+struct ClosedBloom {
+    /// Filters, positionally aligned with the store's `indexed_attrs`.
+    by_pos: Vec<BloomFilter>,
+    /// Keys the filters were sized for: twice the live count at the build.
+    capacity: usize,
+    /// Keys added since the build, the build's own included.
+    added: usize,
 }
 
-impl ColdEpoch {
-    fn live_len(&self) -> usize {
-        self.segment.len() - self.start
+impl ClosedBloom {
+    /// Builds the filters over every closed container of `epochs`, sized
+    /// for twice their live key count.
+    fn build(epochs: &FxHashMap<Epoch, EpochContainer>, positions: usize) -> ClosedBloom {
+        let closed = || epochs.values().filter(|c| c.closed);
+        let capacity = 2 * closed().map(EpochContainer::keys).sum::<usize>();
+        let mut bloom = ClosedBloom {
+            by_pos: (0..positions)
+                .map(|_| BloomFilter::with_capacity(capacity))
+                .collect(),
+            capacity,
+            added: 0,
+        };
+        for container in closed() {
+            bloom.add_container(container);
+        }
+        bloom
     }
 
-    fn bytes(&self) -> usize {
-        self.segment.bytes_from(self.start)
+    /// Adds the index keys of a container that just closed; `false` (and
+    /// nothing added) when they would pass the capacity: rebuild instead.
+    fn add_container(&mut self, container: &EpochContainer) -> bool {
+        let keys = container.keys();
+        if self.added + keys > self.capacity {
+            return false;
+        }
+        self.added += keys;
+        for (bloom, by_value) in self.by_pos.iter_mut().zip(&container.indexes) {
+            for value in by_value.keys() {
+                bloom.insert_hash(fx_hash(value));
+            }
+        }
+        true
     }
 
-    /// Advances the cursor past rows older than `horizon`; returns how
-    /// many rows this call expired (exact, so engine removal accounting
-    /// matches the live tier's).
-    fn expire(&mut self, horizon: Timestamp) -> usize {
-        let new_start = self.segment.expired_before(horizon).max(self.start);
-        let removed = new_start - self.start;
-        self.start = new_start;
-        removed
+    /// Adds the index keys of a tuple inserted late into a closed epoch;
+    /// `false` (and nothing added) when the filters are full.
+    fn add_tuple(&mut self, tuple: &Tuple, indexed_attrs: &[IndexedAttr]) -> bool {
+        if self.added >= self.capacity {
+            return false;
+        }
+        self.added += 1;
+        for (bloom, indexed) in self.by_pos.iter_mut().zip(indexed_attrs) {
+            if let Some(value) = indexed.slot.get(tuple) {
+                bloom.insert_hash(fx_hash(value));
+            }
+        }
+        true
     }
+
+    /// Whether no closed container indexes `value` at position `pos`.
+    fn rejects(&self, pos: usize, value: &Value) -> bool {
+        self.by_pos
+            .get(pos)
+            .is_some_and(|bloom| !bloom.contains_hash(fx_hash(value)))
+    }
+}
+
+/// One partition of a store: a container per epoch, and the union bloom
+/// over the closed ones (`None` until the next close pass rebuilds it,
+/// after `add_indexed_attr`; probes then walk every closed container).
+#[derive(Debug, Default)]
+struct Partition {
+    epochs: FxHashMap<Epoch, EpochContainer>,
+    bloom: Option<ClosedBloom>,
 }
 
 /// What a probe resolves once, on the stack, before walking its epochs
@@ -254,12 +344,9 @@ struct ProbeKey<'t> {
     drive: Option<(AttrRef, &'t Value)>,
     /// The driving attribute's index position.
     index_pos: Option<usize>,
-    /// That position and the driving value's hash, when the partition has
-    /// a frozen tier.
-    indexed: Option<(usize, u64)>,
-    /// Whether any frozen segment of the partition can hold the driving
-    /// value.
-    try_frozen: bool,
+    /// Whether the partition's closed-epoch bloom rejects the driving
+    /// value, so every closed container can be skipped.
+    skip_closed: bool,
 }
 
 /// The one visibility rule of a probe: a stored tuple may join a probing
@@ -268,9 +355,9 @@ struct ProbeKey<'t> {
 /// included), and — when the prober carries an ordering guard — stored by
 /// a strictly earlier root (`stored_guard < probe_guard`; timestamps alone
 /// cannot express arrival order when shards race ahead of each other).
-/// The hot probe, the frozen probe and the parallel engine's retroactive
-/// match of a late insert all decide through this function, so a late
-/// insert retro-matches exactly what the forward probe would have.
+/// The probe and the parallel engine's retroactive match of a late insert
+/// both decide through this function, so a late insert retro-matches
+/// exactly what the forward probe would have.
 #[inline]
 pub(crate) fn visible(
     window: Window,
@@ -284,20 +371,6 @@ pub(crate) fn visible(
         && probe_guard.is_none_or(|guard| stored_guard < guard)
 }
 
-/// Shortest window, in epochs, whose store the expiry sweep freezes
-/// ([`StoreInstance::spans_cold_tier`]). A frozen epoch pays back only
-/// when probes walk many of them: the union bloom answers a miss once for
-/// every cold epoch, while each sweep rewrites an epoch into columns and
-/// each frozen hit allocates a segment-backed leaf. Read off the
-/// `tier_policy` rows of `BENCH_hotpath.json` (the kernel replay's
-/// five-query plan on `LocalEngine`, every store frozen at lag 1 vs. hot
-/// only, tiered/hot throughput): hit-heavy 0.82 / 0.77 / 0.81 at 5 / 10 /
-/// 20 epochs; miss-heavy 0.75 / 0.78 / 0.93 / 0.94 at 5–30, 1.00 at 40,
-/// 1.07 at 50 and 1.12 at 60. Earlier regenerations agreed: hot won
-/// every row through 30 and 40 was parity (0.88–1.08) in seven, the tier
-/// won at 50 in three (1.00–1.03) and at 60 in seven (1.03–1.36).
-pub const FREEZE_MIN_WINDOW_EPOCHS: u64 = 50;
-
 /// A store holding the tuples of one (possibly intermediate) relation,
 /// split into `parallelism` partitions, each keeping an independent
 /// container per epoch (Algorithm 4 stores and probes "with respect to an
@@ -310,26 +383,10 @@ pub struct StoreInstance {
     pub window: Window,
     /// Attributes indexed for probing, with precomputed slot accessors.
     indexed_attrs: Vec<IndexedAttr>,
-    /// Hot tier: partition -> epoch -> live container.
-    partitions: Vec<FxHashMap<Epoch, EpochContainer>>,
-    /// Cold tier: partition -> epoch -> frozen columnar segment (built by
-    /// [`Self::freeze_before`]). An epoch may appear in both tiers when a
-    /// late tuple arrives after its freeze — probes check both.
-    frozen: Vec<FxHashMap<Epoch, ColdEpoch>>,
-    /// Tier-level probe pruning: per partition, per indexed-attribute
-    /// position, a bloom over the union of every frozen segment's index
-    /// hashes. One check answers "no frozen segment of this partition
-    /// holds the key" before the per-epoch loop runs, so a cold miss
-    /// costs O(1) instead of O(epochs). `None` = pruning unavailable for
-    /// that position (some segment froze before it was registered);
-    /// rebuilt whenever the partition's segment set changes.
-    frozen_blooms: Vec<Vec<Option<BloomFilter>>>,
-    /// Segments built over the store's lifetime (monotone counter).
-    compactions: u64,
-    /// Live tuples across both tiers, maintained by insert and expiry
-    /// (freezing moves tuples between tiers without changing the count),
-    /// so [`Self::len`] — read once per probe for the statistics
-    /// observation — never walks the containers.
+    partitions: Vec<Partition>,
+    /// Live tuples, maintained by insert and expiry, so [`Self::len`] —
+    /// read once per probe for the statistics observation — never walks
+    /// the containers.
     tuples: usize,
 }
 
@@ -352,95 +409,42 @@ impl StoreInstance {
             descriptor,
             window,
             indexed_attrs: indexed_attrs.into_iter().map(IndexedAttr::new).collect(),
-            partitions: (0..parallelism).map(|_| FxHashMap::default()).collect(),
-            frozen: (0..parallelism).map(|_| FxHashMap::default()).collect(),
-            frozen_blooms: (0..parallelism).map(|_| Vec::new()).collect(),
-            compactions: 0,
+            partitions: (0..parallelism).map(|_| Partition::default()).collect(),
             tuples: 0,
         }
     }
 
-    /// Rebuilds partition `p`'s union blooms from its current segment
-    /// set. Runs at segment-set changes (freeze, wholesale drop), never
-    /// per probe; within-segment expiry only advances cursors and leaves
-    /// the blooms a safe superset.
-    fn rebuild_frozen_blooms(&mut self, p: usize) {
-        let segments: Vec<&FrozenSegment> = self.frozen[p].values().map(|c| &*c.segment).collect();
-        self.frozen_blooms[p] = (0..self.indexed_attrs.len())
-            .map(|pos| {
-                let hashes: Vec<&[u64]> = segments
-                    .iter()
-                    .map(|segment| segment.index_hashes(pos))
-                    .collect::<Option<_>>()?;
-                let mut bloom = BloomFilter::with_capacity(hashes.iter().map(|h| h.len()).sum());
-                for &hash in hashes.into_iter().flatten() {
-                    bloom.insert_hash(hash);
-                }
-                Some(bloom)
-            })
-            .collect();
-    }
-
-    /// Whether the store's window spans at least
-    /// [`FREEZE_MIN_WINDOW_EPOCHS`] epochs of `epoch`: the stores that
-    /// keep a cold tier.
-    pub(crate) fn spans_cold_tier(&self, epoch: EpochConfig) -> bool {
-        self.window.length.as_millis()
-            >= FREEZE_MIN_WINDOW_EPOCHS.saturating_mul(epoch.length.as_millis())
-    }
-
-    /// Freezes every hot epoch container strictly older than `horizon`
-    /// into a columnar [`FrozenSegment`] (cold tier). Epochs that already
-    /// have a segment keep any late-arrival remainder hot — probes merge
-    /// both tiers. Returns the number of segments built by this pass.
+    /// Closes every epoch container strictly older than `horizon`: its
+    /// tuples stay where they are, and its index keys join the partition's
+    /// closed-epoch bloom (incrementally, or by a rebuild from the live
+    /// closed containers once they would pass its capacity). Returns the
+    /// number of containers this pass closed.
     pub fn freeze_before(&mut self, horizon: Epoch) -> usize {
-        let slots: Vec<SlotAccessor> = self.indexed_attrs.iter().map(|i| i.slot).collect();
-        let mut built = 0usize;
-        let mut changed: Vec<usize> = Vec::new();
-        for (p, (partition, frozen)) in self
-            .partitions
-            .iter_mut()
-            .zip(self.frozen.iter_mut())
-            .enumerate()
-        {
-            let cold: Vec<Epoch> = partition
-                .keys()
-                .filter(|e| **e < horizon && !frozen.contains_key(e))
-                .copied()
-                .collect();
-            let before = built;
-            for epoch in cold {
-                let Some(container) = partition.remove(&epoch) else {
-                    continue;
-                };
-                if container.tuples.is_empty() {
-                    continue;
+        let positions = self.indexed_attrs.len();
+        let mut closed = 0usize;
+        for Partition { epochs, bloom } in &mut self.partitions {
+            for (_, container) in epochs
+                .iter_mut()
+                .filter(|(epoch, c)| **epoch < horizon && !c.closed)
+            {
+                container.closed = true;
+                closed += 1;
+                if !bloom.as_mut().is_some_and(|b| b.add_container(container)) {
+                    *bloom = None;
                 }
-                let segment = FrozenSegment::freeze(container.tuples, container.seqs, &slots);
-                frozen.insert(
-                    epoch,
-                    ColdEpoch {
-                        segment: Arc::new(segment),
-                        start: 0,
-                    },
-                );
-                built += 1;
             }
-            if built > before {
-                changed.push(p);
+            if bloom.is_none() {
+                *bloom = Some(ClosedBloom::build(epochs, positions));
             }
         }
-        for p in changed {
-            self.rebuild_frozen_blooms(p);
-        }
-        self.compactions += built as u64;
-        debug_assert_eq!(self.tuples, self.walked_len());
-        built
+        closed
     }
 
     /// Registers an additional indexed attribute (rules installed later may
     /// probe on new attributes). Only the new attribute's index is built
     /// over existing containers; established indexes are left untouched.
+    /// The closed-epoch blooms lack the new position, so they are dropped
+    /// until the next [`Self::freeze_before`] rebuilds them.
     pub fn add_indexed_attr(&mut self, attr: AttrRef) {
         if self.indexed_attrs.iter().any(|i| i.attr == attr) {
             return;
@@ -449,15 +453,10 @@ impl StoreInstance {
         self.indexed_attrs.push(indexed);
         let pos = self.indexed_attrs.len() - 1;
         for partition in &mut self.partitions {
-            for container in partition.values_mut() {
+            for container in partition.epochs.values_mut() {
                 container.index_attr(pos, &indexed);
             }
-        }
-        // Existing segments index the new position lazily, so their hash
-        // sets are not available for a union bloom — the position probes
-        // unpruned until those segments expire.
-        for blooms in &mut self.frozen_blooms {
-            blooms.push(None);
+            partition.bloom = None;
         }
     }
 
@@ -486,13 +485,20 @@ impl StoreInstance {
 
     /// Inserts a tuple tagged with the ingest sequence number of its root
     /// input tuple; the rule kernel uses the tag to restrict probes to
-    /// strictly earlier arrivals (see [`Self::probe_each`]).
+    /// strictly earlier arrivals (see [`Self::probe_each`]). A late insert
+    /// into a closed epoch adds its keys to the closed-epoch bloom.
     pub fn insert_seq(&mut self, partition: usize, epoch: Epoch, tuple: Tuple, seq: u64) {
         let p = partition.min(self.partitions.len().saturating_sub(1));
-        self.partitions[p]
-            .entry(epoch)
-            .or_default()
-            .insert(tuple, seq, &self.indexed_attrs);
+        let Partition { epochs, bloom } = &mut self.partitions[p];
+        let container = epochs.entry(epoch).or_default();
+        let rebuild = container.closed
+            && !bloom
+                .as_mut()
+                .is_some_and(|b| b.add_tuple(&tuple, &self.indexed_attrs));
+        container.insert(tuple, seq, &self.indexed_attrs);
+        if rebuild {
+            *bloom = Some(ClosedBloom::build(epochs, self.indexed_attrs.len()));
+        }
         self.tuples += 1;
     }
 
@@ -539,9 +545,8 @@ impl StoreInstance {
 
     /// Whether every predicate past the first `skip` holds between a
     /// stored candidate, read through `stored`, and the probing tuple. The
-    /// one predicate check of the hot probe, the frozen probe and the
-    /// parallel runtime's retroactive match, so the halves cannot drift
-    /// apart.
+    /// one predicate check of the probe and the parallel runtime's
+    /// retroactive match, so the two cannot drift apart.
     pub(crate) fn predicates_hold<'v>(
         &self,
         predicates: &[EquiPredicate],
@@ -568,11 +573,10 @@ impl StoreInstance {
     /// processed one at a time and must be enforced when shards race ahead
     /// of each other).
     ///
-    /// A hot match is lent by reference (no refcount bump); a frozen match
-    /// is its segment-backed leaf, dropped when `visit` returns. The probe
-    /// allocates nothing else: the driving predicate is resolved once on
-    /// the stack ([`Self::probe_key`], compiled once rather than per
-    /// visitor), and any further predicate is read per candidate.
+    /// A match is lent by reference (no refcount bump). The probe
+    /// allocates nothing: the driving predicate and the closed-epoch bloom
+    /// check are resolved once on the stack ([`Self::probe_key`]), and any
+    /// further predicate is read per candidate.
     pub fn probe_each(
         &self,
         partition: usize,
@@ -586,37 +590,35 @@ impl StoreInstance {
         let Some(key) = self.probe_key(p, probe, predicates) else {
             return;
         };
-        let (hot, frozen) = (&self.partitions[p], &self.frozen[p]);
+        let containers = &self.partitions[p].epochs;
         for epoch in epochs {
-            if let Some(container) = hot.get(&epoch) {
-                let candidates = match (key.index_pos, key.drive) {
-                    (Some(pos), Some((_, value))) => container.candidates(pos, value),
-                    _ => Candidates::Scan,
-                };
-                // One match check for the indexed and the scan path, past
-                // the `proven` leading predicates: an index *hit* already
-                // proves the driving predicate (the index key equals the
-                // probe value, both non-Null, and map equality coincides
-                // with `join_eq` for non-Null values), so hit candidates
-                // skip it.
-                let mut consider = |idx: usize, proven: usize| {
-                    let stored = &container.tuples[idx];
-                    if visible(self.window, stored.ts, container.seqs[idx], probe.ts, guard)
-                        && self.predicates_hold(predicates, proven, probe, |attr| stored.get(attr))
-                    {
-                        visit(stored);
-                    }
-                };
-                match candidates {
-                    Candidates::Miss => {}
-                    Candidates::Hit(postings) => postings.iter().for_each(|&idx| consider(idx, 1)),
-                    Candidates::Scan => {
-                        (0..container.tuples.len()).for_each(|idx| consider(idx, 0))
-                    }
-                }
+            let Some(container) = containers.get(&epoch) else {
+                continue;
+            };
+            if key.skip_closed && container.closed {
+                continue;
             }
-            if let Some(cold) = key.try_frozen.then(|| frozen.get(&epoch)).flatten() {
-                self.probe_frozen(cold, probe, guard, predicates, key, &mut visit);
+            let candidates = match (key.index_pos, key.drive) {
+                (Some(pos), Some((_, value))) => container.candidates(pos, value),
+                _ => Candidates::Scan,
+            };
+            // One match check for the indexed and the scan path, past the
+            // `proven` leading predicates: an index *hit* already proves
+            // the driving predicate (the index key equals the probe value,
+            // both non-Null, and map equality coincides with `join_eq` for
+            // non-Null values), so hit candidates skip it.
+            let mut consider = |idx: usize, proven: usize| {
+                let stored = &container.tuples[idx];
+                if visible(self.window, stored.ts, container.seqs[idx], probe.ts, guard)
+                    && self.predicates_hold(predicates, proven, probe, |attr| stored.get(attr))
+                {
+                    visit(stored);
+                }
+            };
+            match candidates {
+                Candidates::Miss => {}
+                Candidates::Hit(postings) => postings.iter().for_each(|&idx| consider(idx, 1)),
+                Candidates::Scan => (0..container.tuples.len()).for_each(|idx| consider(idx, 0)),
             }
         }
     }
@@ -645,143 +647,52 @@ impl StoreInstance {
         // probe (not re-hashed per epoch).
         let index_pos =
             drive.and_then(|(attr, _)| self.indexed_attrs.iter().position(|i| i.attr == attr));
-        // Tier-level pruning: the driving value is hashed once, and one
-        // union-bloom check decides whether ANY frozen segment of this
-        // partition can hold it. A cold miss skips the whole frozen tier
-        // instead of paying a map lookup + segment bloom per epoch.
-        let mut try_frozen = !self.frozen[p].is_empty();
-        let indexed = match (try_frozen, index_pos, drive) {
-            (true, Some(pos), Some((_, value))) => Some((pos, fx_hash(value))),
-            _ => None,
+        // One bloom check answers for every closed epoch of the partition:
+        // a rejected value has no index entry in any of them, so their
+        // lookups could only miss.
+        let skip_closed = match (&self.partitions[p].bloom, index_pos, drive) {
+            (Some(bloom), Some(pos), Some((_, value))) => bloom.rejects(pos, value),
+            _ => false,
         };
-        if let Some((pos, hash)) = indexed {
-            if let Some(union) = self.frozen_blooms[p].get(pos).and_then(|b| b.as_ref()) {
-                try_frozen = union.contains_hash(hash);
-            }
-        }
         Some(ProbeKey {
             drive,
             index_pos,
-            indexed,
-            try_frozen,
+            skip_closed,
         })
     }
 
-    /// Probes one frozen segment. Candidates come from the segment's
-    /// hash-run index for the driving attribute (`key.indexed`: its
-    /// position and the driving value's hash; bloom-gated binary search) or a
-    /// cursor-bounded scan; **every** predicate — including the driving
-    /// one — is re-verified against the columns, because hash runs group by
-    /// `fx_hash(value)` and distinct values can collide. A match reaches
-    /// `visit` as a segment-backed leaf: the segment's reference count goes
-    /// up by one and a leaf node is allocated, but no value moves and no
-    /// arena buffer is taken.
-    fn probe_frozen(
-        &self,
-        cold: &ColdEpoch,
-        probe: &Tuple,
-        guard: Option<u64>,
-        predicates: &[EquiPredicate],
-        key: ProbeKey<'_>,
-        visit: &mut impl FnMut(&Tuple),
-    ) {
-        let segment = &cold.segment;
-        // The driving predicate's column, resolved once per segment; `None`
-        // when no row of the segment carries the attribute, so nothing can
-        // match.
-        let resolve_drive = || match key.drive {
-            Some((attr, value)) => segment.column_of(&attr).map(|col| Some((col, value))),
-            None => Some(None),
-        };
-        let mut accept = |row: usize, drive_col: Option<(usize, &Value)>| {
-            let hit = visible(
-                self.window,
-                segment.ts(row),
-                segment.seq(row),
-                probe.ts,
-                guard,
-            ) && drive_col.is_none_or(|(col, value)| {
-                segment.value_at(col, row).is_some_and(|v| v.join_eq(value))
-            }) && self.predicates_hold(predicates, 1, probe, |attr| {
-                segment
-                    .column_of(attr)
-                    .and_then(|col| segment.value_at(col, row))
-            });
-            if hit {
-                visit(&segment.tuple_at(row));
-            }
-        };
-        match key.indexed {
-            Some((pos, hash)) => {
-                let accessor = &self.indexed_attrs[pos].slot;
-                segment.with_candidates(pos, accessor, hash, |run| {
-                    // Run offsets ascend, so the expired rows below the
-                    // cursor form a prefix — skip it with one
-                    // `partition_point` (the frozen analogue of the live
-                    // tier's posting-list remap).
-                    let begin = run.partition_point(|&r| (r as usize) < cold.start);
-                    // Misses (the common case under bloom gating) exit
-                    // before the driving column is even resolved.
-                    if begin == run.len() {
-                        return;
-                    }
-                    let Some(drive_col) = resolve_drive() else {
-                        return;
-                    };
-                    for &row in &run[begin..] {
-                        accept(row as usize, drive_col);
-                    }
-                });
-            }
-            None => {
-                let Some(drive_col) = resolve_drive() else {
-                    return;
-                };
-                for row in cold.start..segment.len() {
-                    accept(row, drive_col);
-                }
-            }
-        }
-    }
-
-    /// Drops tuples older than `horizon` from every partition and epoch,
-    /// removing empty epoch containers. Indexes are repaired in place
-    /// (incremental remap), not rebuilt. Returns the number of expired
-    /// tuples.
+    /// Drops tuples older than `horizon` from every partition: a container
+    /// whose oldest tuple is inside the window is skipped, one whose newest
+    /// tuple is outside is dropped whole, and only a container straddling
+    /// the horizon expires tuple by tuple (indexes repaired in place by an
+    /// incremental remap, not rebuilt). The closed-epoch blooms are left a
+    /// superset. Returns the number of expired tuples.
     pub fn expire(&mut self, horizon: Timestamp) -> usize {
         let mut removed = 0;
         for partition in &mut self.partitions {
-            for container in partition.values_mut() {
-                removed += container.expire(horizon);
-            }
-            partition.retain(|_, c| !c.tuples.is_empty());
-        }
-        // Frozen tier: each segment advances its ts cursor (one
-        // `partition_point`, no per-tuple work); a fully expired segment
-        // is dropped wholesale with its map entry. Dropping segments
-        // shrinks the partition's key set, so its union blooms rebuild
-        // (cursor-only advances leave them a safe superset).
-        let mut changed: Vec<usize> = Vec::new();
-        for (p, frozen) in self.frozen.iter_mut().enumerate() {
-            let before = frozen.len();
-            frozen.retain(|_, cold| {
-                removed += cold.expire(horizon);
-                cold.live_len() > 0
+            partition.epochs.retain(|_, container| {
+                if container.max_ts < horizon {
+                    removed += container.tuples.len();
+                    return false;
+                }
+                if container.min_ts < horizon {
+                    removed += container.expire(horizon);
+                }
+                true
             });
-            if frozen.len() < before {
-                changed.push(p);
-            }
-        }
-        for p in changed {
-            self.rebuild_frozen_blooms(p);
         }
         self.tuples -= removed;
         debug_assert_eq!(self.tuples, self.walked_len());
         removed
     }
 
-    /// Number of stored tuples across partitions and epochs, both tiers
-    /// (a maintained count: O(1)).
+    /// Every epoch container of every partition.
+    fn containers(&self) -> impl Iterator<Item = &EpochContainer> {
+        self.partitions.iter().flat_map(|p| p.epochs.values())
+    }
+
+    /// Number of stored tuples across partitions and epochs (a maintained
+    /// count: O(1)).
     pub fn len(&self) -> usize {
         self.tuples
     }
@@ -789,19 +700,7 @@ impl StoreInstance {
     /// [`Self::len`] recounted from the containers — what the maintained
     /// count is checked against in debug builds and tests.
     fn walked_len(&self) -> usize {
-        let hot: usize = self
-            .partitions
-            .iter()
-            .flat_map(|p| p.values())
-            .map(|c| c.tuples.len())
-            .sum();
-        let cold: usize = self
-            .frozen
-            .iter()
-            .flat_map(|p| p.values())
-            .map(|c| c.live_len())
-            .sum();
-        hot + cold
+        self.containers().map(|c| c.tuples.len()).sum()
     }
 
     /// `true` when the store holds no tuples.
@@ -809,40 +708,9 @@ impl StoreInstance {
         self.len() == 0
     }
 
-    /// Approximate memory footprint of the stored tuples, both tiers
-    /// (frozen segments use the same flattened-payload accounting).
+    /// Approximate memory footprint of the stored tuples.
     pub fn bytes(&self) -> usize {
-        let hot: usize = self
-            .partitions
-            .iter()
-            .flat_map(|p| p.values())
-            .map(|c| c.bytes)
-            .sum();
-        let cold: usize = self
-            .frozen
-            .iter()
-            .flat_map(|p| p.values())
-            .map(|c| c.bytes())
-            .sum();
-        hot + cold
-    }
-
-    /// Cold-tier shape: `(segments, live_bytes)` across all partitions.
-    pub fn segment_stats(&self) -> (usize, usize) {
-        let segments = self.frozen.iter().map(|p| p.len()).sum();
-        let bytes = self
-            .frozen
-            .iter()
-            .flat_map(|p| p.values())
-            .map(|c| c.bytes())
-            .sum();
-        (segments, bytes)
-    }
-
-    /// Segments built over the store's lifetime (monotone; survives
-    /// wholesale segment drops).
-    pub fn compactions(&self) -> u64 {
-        self.compactions
+        self.containers().map(|c| c.bytes).sum()
     }
 
     /// Index shape: `(posting_lists, spilled)` across every partition,
@@ -854,7 +722,7 @@ impl StoreInstance {
     pub fn posting_stats(&self) -> (usize, usize) {
         let mut lists = 0;
         let mut spilled = 0;
-        for container in self.partitions.iter().flat_map(|p| p.values()) {
+        for container in self.containers() {
             for by_value in &container.indexes {
                 lists += by_value.len();
                 spilled += by_value.values().filter(|l| l.is_spilled()).count();
@@ -907,6 +775,20 @@ mod tests {
         TupleBuilder::new(&schema, Timestamp::from_millis(ts))
             .set("a", a)
             .build()
+    }
+
+    /// A T(b) tuple and the predicate S.b = T.b: probes on the store's
+    /// second attribute.
+    fn t_probe(b: i64) -> (Tuple, EquiPredicate) {
+        let t_schema = Schema::new(RelationId::new(2), "T", ["b"]);
+        let probe = TupleBuilder::new(&t_schema, Timestamp::from_millis(900))
+            .set("b", b)
+            .build();
+        let pred = EquiPredicate::new(
+            AttrRef::new(RelationId::new(1), AttrId::new(1)),
+            AttrRef::new(RelationId::new(2), AttrId::new(0)),
+        );
+        (probe, pred)
     }
 
     #[test]
@@ -1026,6 +908,31 @@ mod tests {
         assert_eq!(store.bytes(), 0);
     }
 
+    /// Only the epoch straddling the horizon expires tuple by tuple: older
+    /// epochs go whole, newer ones are not touched, and the boundary
+    /// epoch's oldest survivor bounds the next sweep.
+    #[test]
+    fn expiry_drops_whole_epochs_and_trims_only_the_boundary() {
+        let mut store = s_store(1);
+        for e in 0..3u64 {
+            for i in 0..4 {
+                store.insert(0, Epoch(e), s_tuple(1, i, 1_000 * e + 200 * i as u64));
+            }
+        }
+        // Epoch 0 (0–600 ms) lies wholly outside, epoch 1 (1 000–1 600 ms)
+        // straddles 1 300 ms, epoch 2 lies wholly inside.
+        assert_eq!(store.expire(Timestamp::from_millis(1_300)), 4 + 2);
+        let epochs = &store.partitions[0].epochs;
+        assert!(!epochs.contains_key(&Epoch(0)));
+        assert_eq!(epochs[&Epoch(1)].min_ts, Timestamp::from_millis(1_400));
+        assert_eq!(epochs[&Epoch(2)].tuples.len(), 4);
+        assert_eq!(store.expire(Timestamp::from_millis(1_400)), 0);
+        assert_eq!(store.len(), 6);
+        let probe = r_tuple(1, 5_000);
+        let all = [Epoch(0), Epoch(1), Epoch(2)];
+        assert_eq!(store.probe(0, &all, &probe, &[pred_ra_sa()]).len(), 6);
+    }
+
     #[test]
     fn incremental_index_repair_survives_interleaved_expiry_and_inserts() {
         let mut store = s_store(1);
@@ -1107,14 +1014,7 @@ mod tests {
         let mut store = s_store(1);
         store.insert(0, Epoch(0), s_tuple(1, 50, 100));
         store.insert(0, Epoch(0), s_tuple(2, 60, 200));
-        let t_schema = Schema::new(RelationId::new(2), "T", ["b"]);
-        let probe = TupleBuilder::new(&t_schema, Timestamp::from_millis(900))
-            .set("b", 50)
-            .build();
-        let pred = EquiPredicate::new(
-            AttrRef::new(RelationId::new(1), AttrId::new(1)),
-            AttrRef::new(RelationId::new(2), AttrId::new(0)),
-        );
+        let (probe, pred) = t_probe(50);
         let matches = store.probe(0, &[Epoch(0)], &probe, &[pred]);
         assert_eq!(matches.len(), 1, "scan fallback still finds the match");
     }
@@ -1133,14 +1033,8 @@ mod tests {
     fn adding_indexed_attribute_rebuilds_indexes() {
         let mut store = s_store(1);
         store.insert(0, Epoch(0), s_tuple(5, 50, 100));
-        let attr_b = AttrRef::new(RelationId::new(1), AttrId::new(1));
-        store.add_indexed_attr(attr_b);
-        // Probe on S.b = T.b style predicate.
-        let t_schema = Schema::new(RelationId::new(2), "T", ["b"]);
-        let probe = TupleBuilder::new(&t_schema, Timestamp::from_millis(900))
-            .set("b", 50)
-            .build();
-        let pred = EquiPredicate::new(attr_b, AttrRef::new(RelationId::new(2), AttrId::new(0)));
+        store.add_indexed_attr(AttrRef::new(RelationId::new(1), AttrId::new(1)));
+        let (probe, pred) = t_probe(50);
         assert_eq!(store.probe(0, &[Epoch(0)], &probe, &[pred]).len(), 1);
     }
 
@@ -1155,9 +1049,8 @@ mod tests {
         rendered
     }
 
-    /// Freezing must be invisible to probes: same matches before and
-    /// after, with segment-backed matches content-equal to the originals
-    /// and flattening to the same values.
+    /// Closing epochs must be invisible to probes: same matches, sizes and
+    /// flattened values with and without it.
     #[test]
     fn frozen_probe_matches_live_probe_exactly() {
         let mut live = s_store(1);
@@ -1167,12 +1060,11 @@ mod tests {
             live.insert(0, Epoch((i % 3) as u64), t.clone());
             tiered.insert(0, Epoch((i % 3) as u64), t);
         }
-        assert_eq!(tiered.freeze_before(Epoch(2)), 2, "epochs 0 and 1 freeze");
-        assert_eq!(tiered.compactions(), 2);
+        assert_eq!(tiered.freeze_before(Epoch(2)), 2, "epochs 0 and 1 close");
         assert_eq!(tiered.len(), live.len());
         assert_eq!(tiered.bytes(), live.bytes());
         let epochs = [Epoch(0), Epoch(1), Epoch(2)];
-        for key in 0..4i64 {
+        for key in 0..6i64 {
             let probe = r_tuple(key, 5_000);
             let mut expect = live.probe(0, &epochs, &probe, &[pred_ra_sa()]);
             let mut got = tiered.probe(0, &epochs, &probe, &[pred_ra_sa()]);
@@ -1189,48 +1081,65 @@ mod tests {
         }
     }
 
-    /// A frozen hit hands out a reference into the segment: no arena
-    /// buffer is taken for it, and it stays readable after expiry dropped
-    /// the store's own reference to the segment.
+    /// Whether a probe of partition 0 skips every closed epoch.
+    fn skips_closed(store: &StoreInstance, probe: &Tuple, pred: EquiPredicate) -> bool {
+        store
+            .probe_key(0, probe, &[pred])
+            .expect("the probe carries its attribute")
+            .skip_closed
+    }
+
+    /// The closed-epoch bloom answers "skip" only for a driving value no
+    /// closed epoch holds: not for one a closed epoch held at closing, nor
+    /// for one a late insert put there afterwards (beyond the capacity the
+    /// bloom was sized for, too), nor on an attribute indexed after
+    /// closing until a close pass rebuilds the bloom with that position.
     #[test]
-    fn frozen_hits_take_no_arena_buffer_and_outlive_their_segment() {
+    fn closed_epoch_bloom_skips_only_keys_no_closed_epoch_holds() {
         let mut store = s_store(1);
-        for i in 0..8 {
-            store.insert(0, Epoch(0), s_tuple(1, i, 100 + i as u64));
-        }
+        store.insert(0, Epoch(0), s_tuple(1, 10, 100));
+        store.insert(0, Epoch(1), s_tuple(2, 20, 1_100));
         assert_eq!(store.freeze_before(Epoch(1)), 1);
-        let probe = r_tuple(1, 5_000);
-        let takes = || {
-            let stats = clash_common::arena_stats();
-            stats.reused + stats.allocated
+        let epochs = [Epoch(0), Epoch(1)];
+        let hits = |store: &StoreInstance, a: i64| {
+            store
+                .probe(0, &epochs, &r_tuple(a, 5_000), &[pred_ra_sa()])
+                .len()
         };
-        let before = takes();
-        let hits = store.probe(0, &[Epoch(0)], &probe, &[pred_ra_sa()]);
-        let joined: Vec<Tuple> = hits.iter().filter_map(|hit| probe.join(hit)).collect();
-        assert_eq!(takes(), before, "frozen hits and their joins build no leaf");
-        assert_eq!(hits.len(), 8);
-        assert_eq!(store.expire(Timestamp::from_millis(100_000)), 8);
-        assert_eq!(
-            store.segment_stats(),
-            (0, 0),
-            "the store let the segment go"
-        );
-        let b = AttrRef::new(RelationId::new(1), AttrId::new(1));
-        let mut values: Vec<i64> = joined
-            .iter()
-            .filter_map(|t| t.get(&b).and_then(Value::as_int))
-            .collect();
-        values.sort_unstable();
-        assert_eq!(values, (0..8).collect::<Vec<i64>>());
-        for (hit, joined) in hits.iter().zip(&joined) {
-            assert!(joined.shares_payload_with(hit));
-            assert_eq!(joined.arity(), 3);
+        // Key 3 is nowhere, key 2 only in the open epoch 1.
+        assert!(skips_closed(&store, &r_tuple(3, 5_000), pred_ra_sa()));
+        assert!(skips_closed(&store, &r_tuple(2, 5_000), pred_ra_sa()));
+        assert_eq!(hits(&store, 2), 1, "the open epoch is still probed");
+        assert!(!skips_closed(&store, &r_tuple(1, 5_000), pred_ra_sa()));
+        assert_eq!(hits(&store, 1), 1);
+
+        // Late inserts into the closed epoch, well past the bloom's
+        // capacity (twice one key): every key stays covered.
+        for a in 100..140 {
+            store.insert(0, Epoch(0), s_tuple(a, 10, 200));
+            assert!(!skips_closed(&store, &r_tuple(a, 5_000), pred_ra_sa()));
+            assert_eq!(hits(&store, a), 1, "late key {a}");
         }
+        assert!(skips_closed(&store, &r_tuple(3, 5_000), pred_ra_sa()));
+
+        // S.b indexed after closing: no bloom covers it (nor any other
+        // position) until the next close pass rebuilds one.
+        store.add_indexed_attr(AttrRef::new(RelationId::new(1), AttrId::new(1)));
+        let (probe_b10, pred_b) = t_probe(10);
+        let (probe_b99, _) = t_probe(99);
+        assert!(!skips_closed(&store, &probe_b10, pred_b));
+        assert!(!skips_closed(&store, &probe_b99, pred_b));
+        assert!(!skips_closed(&store, &r_tuple(3, 5_000), pred_ra_sa()));
+        assert_eq!(store.probe(0, &epochs, &probe_b10, &[pred_b]).len(), 41);
+        assert_eq!(store.freeze_before(Epoch(1)), 0, "nothing new to close");
+        assert!(skips_closed(&store, &probe_b99, pred_b));
+        assert!(!skips_closed(&store, &probe_b10, pred_b));
+        assert_eq!(store.probe(0, &epochs, &probe_b10, &[pred_b]).len(), 41);
     }
 
     /// `len()` is a maintained count; it must equal the recount after any
-    /// interleaving of inserts (late ones into frozen epochs included),
-    /// freezes and expiries.
+    /// interleaving of inserts (late ones into closed epochs included),
+    /// closes and expiries.
     #[test]
     fn maintained_len_equals_the_walk_under_random_operations() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -1242,17 +1151,18 @@ mod tests {
         };
         let mut store = s_store(3);
         let mut clock = 0u64;
+        let mut closed = 0usize;
         for _ in 0..2_000 {
             match next(10) {
                 0 => {
-                    store.freeze_before(Epoch((clock / 1_000).saturating_sub(next(3))));
+                    closed += store.freeze_before(Epoch((clock / 1_000).saturating_sub(next(3))));
                 }
                 1 => {
                     store.expire(Timestamp::from_millis(clock.saturating_sub(next(6_000))));
                 }
                 _ => {
                     clock += next(40);
-                    // Up to 2 s late: lands in epochs that may be frozen.
+                    // Up to 2 s late: lands in epochs that may be closed.
                     let ts = clock.saturating_sub(next(2_000));
                     let t = s_tuple(next(16) as i64, 0, ts);
                     let p = store.partition_for(&t);
@@ -1262,23 +1172,19 @@ mod tests {
             assert_eq!(store.len(), store.walked_len());
             assert_eq!(store.is_empty(), store.walked_len() == 0);
         }
-        assert!(
-            store.compactions() > 0 && !store.is_empty(),
-            "sequence too tame"
-        );
+        assert!(closed > 0 && !store.is_empty(), "sequence too tame");
         store.expire(Timestamp::from_millis(u64::MAX / 2));
         assert_eq!((store.len(), store.walked_len()), (0, 0));
     }
 
-    /// Late arrivals into an already-frozen epoch stay hot; probes merge
-    /// both tiers for that epoch.
+    /// Late arrivals into an already-closed epoch land in its container
+    /// and are probed; a second pass has nothing new to close.
     #[test]
     fn late_insert_after_freeze_is_still_probed() {
         let mut store = s_store(1);
         store.insert(0, Epoch(0), s_tuple(1, 1, 100));
         assert_eq!(store.freeze_before(Epoch(1)), 1);
         store.insert(0, Epoch(0), s_tuple(1, 2, 200));
-        // A second freeze pass leaves the late remainder hot.
         assert_eq!(store.freeze_before(Epoch(1)), 0);
         let probe = r_tuple(1, 1_000);
         assert_eq!(
@@ -1288,8 +1194,8 @@ mod tests {
         assert_eq!(store.len(), 2);
     }
 
-    /// Expiring a frozen epoch advances its cursor (exact counts) and a
-    /// fully expired segment drops wholesale.
+    /// A closed epoch expires like an open one: exact counts, and the
+    /// container goes whole once its newest tuple leaves the window.
     #[test]
     fn frozen_expiry_counts_exactly_and_drops_wholesale() {
         let mut store = s_store(1);
@@ -1299,35 +1205,26 @@ mod tests {
         assert_eq!(store.freeze_before(Epoch(1)), 1);
         assert_eq!(store.expire(Timestamp::from_millis(500)), 5);
         assert_eq!(store.len(), 5);
-        let (segments, bytes) = store.segment_stats();
-        assert_eq!(segments, 1);
-        assert!(bytes > 0);
         let probe = r_tuple(1, 10_000);
         assert_eq!(
             store.probe(0, &[Epoch(0)], &probe, &[pred_ra_sa()]).len(),
             5
         );
-        store.expire(Timestamp::from_millis(100_000));
+        assert_eq!(store.expire(Timestamp::from_millis(100_000)), 5);
         assert!(store.is_empty());
-        assert_eq!(store.segment_stats(), (0, 0));
-        assert_eq!(store.compactions(), 1, "the counter survives the drop");
+        assert!(store.partitions[0].epochs.is_empty());
     }
 
-    /// An attribute indexed after the freeze probes the segment through a
-    /// lazily built hash run (and keeps matching the scan answer).
+    /// An attribute indexed after closing is indexed in the closed
+    /// containers too.
     #[test]
     fn add_indexed_attr_after_freeze_probes_lazily() {
         let mut store = s_store(1);
         store.insert(0, Epoch(0), s_tuple(5, 50, 100));
         store.insert(0, Epoch(0), s_tuple(6, 60, 200));
         assert_eq!(store.freeze_before(Epoch(1)), 1);
-        let attr_b = AttrRef::new(RelationId::new(1), AttrId::new(1));
-        store.add_indexed_attr(attr_b);
-        let t_schema = Schema::new(RelationId::new(2), "T", ["b"]);
-        let probe = TupleBuilder::new(&t_schema, Timestamp::from_millis(900))
-            .set("b", 50)
-            .build();
-        let pred = EquiPredicate::new(attr_b, AttrRef::new(RelationId::new(2), AttrId::new(0)));
+        store.add_indexed_attr(AttrRef::new(RelationId::new(1), AttrId::new(1)));
+        let (probe, pred) = t_probe(50);
         assert_eq!(store.probe(0, &[Epoch(0)], &probe, &[pred]).len(), 1);
     }
 

@@ -131,22 +131,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         page.contains("clash_plan_rejections_total"),
         "plan-rejection counter missing"
     );
-    // The tiered state layer must surface its cold tier: segment gauges
-    // present, and a 20k-tuple stream spans enough epochs that freezing
-    // (on by default) must actually have happened.
-    assert!(
-        page.contains("clash_segments_total{store=") && page.contains("clash_segment_bytes{store="),
-        "segment gauges missing"
-    );
-    let compactions: f64 = page
-        .lines()
-        .filter(|l| l.starts_with("clash_compactions_total{store="))
-        .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
-        .sum();
-    assert!(
-        compactions > 0.0,
-        "no compactions recorded — cold epochs never froze"
-    );
     // Every sample line must parse: `name{labels} value` or `name value`.
     for line in page
         .lines()

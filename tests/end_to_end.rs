@@ -223,9 +223,8 @@ fn engine_matches_reference_join_for_all_strategies() {
 fn finite_window_results_match_reference_under_frequent_expiry() {
     // 40 ms windows over 1 ms arrivals: most combinations fall outside the
     // window, state turns over many times, and with expiry every 8 tuples
-    // and 16 ms epochs the stores expire throughout (a window of 2.5
-    // epochs stays hot; `tests/tuple_rope.rs` covers the cold tier). An expiry
-    // that runs ahead of work still in flight (the coordinator's former
+    // and 16 ms epochs the stores expire and close epochs throughout. An
+    // expiry that runs ahead of work still in flight (the coordinator's former
     // fire-and-forget `Expire`) loses results here.
     let window = Window::new(Duration::from_millis(40));
     let (catalog, queries) = two_chain_queries(window);

@@ -13,9 +13,7 @@ use clash_common::{
 use clash_optimizer::{Planner, Strategy};
 use clash_query::parse_query;
 use clash_runtime::store::partition_hash;
-use clash_runtime::{
-    EngineConfig, LocalEngine, MetricsSnapshot, ParallelEngine, FREEZE_MIN_WINDOW_EPOCHS,
-};
+use clash_runtime::{EngineConfig, LocalEngine, MetricsSnapshot, ParallelEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -189,14 +187,12 @@ fn parallel_engine_matches_local_engine_on_out_of_order_streams() {
 /// metrics parse. Latency values are wall-clock, so those families are
 /// compared by sample key and by count only.
 fn shared_sections(page: &str) -> Vec<String> {
-    const SHARED: [&str; 7] = [
+    const SHARED: [&str; 5] = [
         "clash_tuples_",
         "clash_probes_total",
         "clash_results_total",
         "clash_result_latency_",
         "clash_store_",
-        "clash_segment",
-        "clash_compactions_total",
     ];
     page.lines()
         .filter(|line| {
@@ -221,9 +217,8 @@ fn shared_sections(page: &str) -> Vec<String> {
 
 #[test]
 fn telemetry_pages_agree_on_every_shared_section() {
-    // Finite windows over many short epochs (the window spans the cold
-    // tier), so the store sections carry frozen segments, compactions and
-    // expiry on both engines.
+    // Finite windows over many short epochs, so both engines close epochs
+    // and expire within the run.
     let (mut catalog, queries) = catalog_with_parallelism(2);
     for id in catalog.iter().map(|m| m.id).collect::<Vec<_>>() {
         catalog.set_window(id, Window::secs(2)).unwrap();
@@ -235,7 +230,7 @@ fn telemetry_pages_agree_on_every_shared_section() {
         .unwrap()
         .plan;
     let config = EngineConfig {
-        epoch: EpochConfig::new(Duration::from_millis(2_000 / FREEZE_MIN_WINDOW_EPOCHS)),
+        epoch: EpochConfig::new(Duration::from_millis(100)),
         expire_every: 100,
         ..EngineConfig::default()
     };
@@ -249,7 +244,7 @@ fn telemetry_pages_agree_on_every_shared_section() {
     let parallel_page = shared_sections(&parallel.telemetry_snapshot());
     for family in [
         "clash_store_tuples{",
-        "clash_segments_total{",
+        "clash_store_posting_lists{",
         "clash_results_total{",
     ] {
         assert!(

@@ -1,8 +1,8 @@
 //! Property tests for the allocation- and hash-lean state layer: the
 //! arena-backed `TupleBuilder` against the pair-vector `Tuple::base`
-//! reference, and the two-tier store (hot inline-posting indexes +
-//! frozen columnar segments) against a rebuilt-from-scratch oracle
-//! under interleaved insert / expire / `add_indexed_attr` /
+//! reference, and the store (inline-posting indexes per epoch container,
+//! closed epochs behind a union bloom) against a rebuilt-from-scratch
+//! oracle under interleaved insert / expire / `add_indexed_attr` /
 //! `freeze_before` sequences spread over multiple epochs.
 
 use clash_common::{
@@ -162,13 +162,12 @@ fn stored_tuple(schema: &Schema, rng: &mut StdRng, ts: u64, key_domain: i64) -> 
 
 proptest! {
     /// Interleaved insert / expire / `add_indexed_attr` / `freeze_before`
-    /// sequences over multiple epochs keep both state tiers consistent
-    /// with a scan oracle: every probe (on the originally indexed
-    /// attribute, the later-indexed one and the never-indexed scan
-    /// fallback) returns exactly the oracle's match count, no matter how
-    /// the tuples are split between hot containers and frozen segments —
-    /// including late inserts into already-frozen epochs and probes that
-    /// the frozen tier's union blooms prune wholesale.
+    /// sequences over multiple epochs keep the store consistent with a
+    /// scan oracle: every probe (on the originally indexed attribute, the
+    /// later-indexed one and the never-indexed scan fallback) returns
+    /// exactly the oracle's match count, no matter which epochs are closed
+    /// — including late inserts into already-closed epochs and probes
+    /// that the closed-epoch blooms prune wholesale.
     #[test]
     fn store_indexes_match_scan_oracle(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -186,7 +185,7 @@ proptest! {
         );
         let mut oracle = Oracle { tuples: Vec::new(), window };
         // Tuples land in one of four epochs; probes always cover all of
-        // them, so the hot/frozen split per epoch is invisible to results.
+        // them, so which epochs are closed is invisible to results.
         const EPOCHS: u64 = 4;
         let epochs: Vec<Epoch> = (0..EPOCHS).map(Epoch).collect();
         let mut now = 0u64;
@@ -203,7 +202,7 @@ proptest! {
                     prop_assert_eq!(removed, before - oracle.tuples.len());
                 }
                 // Index S.b mid-stream (idempotent after the first call;
-                // frozen segments index it lazily on first probe).
+                // the closed-epoch blooms wait for the next close pass).
                 2 => {
                     store.add_indexed_attr(attr(1));
                     b_indexed = true;
@@ -217,10 +216,9 @@ proptest! {
                     store.insert(0, Epoch(rng.gen_range(0..EPOCHS)), t.clone());
                     oracle.tuples.push(t);
                 }
-                // Freeze every hot epoch below a random horizon into the
-                // columnar tier. Epochs frozen earlier keep any late
-                // arrivals hot, so probes must merge both tiers. The
-                // oracle is untouched: freezing must not change results.
+                // Close every epoch below a random horizon. Late arrivals
+                // into closed epochs join their blooms. The oracle is
+                // untouched: closing must not change results.
                 4 | 5 => {
                     store.freeze_before(Epoch(rng.gen_range(0..EPOCHS + 1)));
                 }
