@@ -30,8 +30,8 @@ use crate::allocs::AllocSpan;
 use crate::fig7::{run_fig7, Fig7Row};
 use clash_catalog::{Catalog, Statistics};
 use clash_common::{
-    AttrId, AttrRef, Epoch, LeafLayout, QueryId, RelationId, RelationSet, Schema, Timestamp, Tuple,
-    TupleBuilder, Value, Window,
+    AttrId, AttrRef, Epoch, JoinSlot, LeafLayout, QueryId, RelationId, RelationSet, Schema,
+    Timestamp, Tuple, TupleBuilder, Value, Window,
 };
 use clash_datagen::{TpchGenerator, TpchWorkload};
 use clash_ilp::{solve, SolverConfig};
@@ -315,8 +315,8 @@ fn bench_closed_probe(
     assert!(checked > 0, "{name}: cross-check never exercised a hit");
 
     // Timed through the kernel's probe form and its per-hit work: the
-    // visitor joins each match to the probe and drops the result before
-    // the next, as the rule kernel's join-and-dispatch does.
+    // visitor joins each match to the probe through one `JoinSlot` and
+    // releases the result before the next, as the rule kernel does.
     let rate = |store: &StoreInstance| {
         best_of(|| {
             let started = Instant::now();
@@ -324,8 +324,9 @@ fn bench_closed_probe(
             for probe in &probes {
                 let epochs = epochs.iter().copied();
                 let predicates = std::slice::from_ref(&predicate);
+                let mut slot = JoinSlot::default();
                 store.probe_each(0, epochs, probe, predicates, None, |hit| {
-                    matches += usize::from(std::hint::black_box(probe.join(hit)).is_some());
+                    matches += usize::from(std::hint::black_box(slot.join(probe, hit)).is_some());
                 });
             }
             std::hint::black_box(matches);
@@ -366,7 +367,7 @@ pub fn bench_store_probe_cold(n: usize, probes: usize) -> ClosedProbeRow {
 /// most probes land on sparse tail keys with the occasional hot-key hit.
 /// A closed store whose bloom answers "maybe" walks the same posting
 /// lists as the open one, so the row prices the bloom check on hit-heavy
-/// state; both pay the kernel's join node per match.
+/// state; both pay the kernel's join per match.
 pub fn bench_store_probe_skewed(n: usize, probes: usize) -> ClosedProbeRow {
     let (stored_key, _) = store_fixture();
     let window = Window::secs(3_600);
@@ -1142,6 +1143,67 @@ mod tests {
             first.allocs_per_tuple,
             replay.allocs(6_000, 1_024).allocs_per_tuple
         );
+    }
+
+    #[test]
+    fn a_hit_heavy_probe_builds_its_results_in_one_join_node() {
+        // R(a) ⋈ S(a) with 256 stored S tuples on the probed key: one R
+        // tuple's evaluation emits 256 results. Read and released, they
+        // share one join node; a sink that keeps each one keeps its node,
+        // so each of them then takes a fresh one.
+        const HITS: usize = 256;
+        let mut catalog = Catalog::new();
+        catalog
+            .register("R", ["a"], Window::secs(3_600), 1)
+            .unwrap();
+        catalog
+            .register("S", ["a"], Window::secs(3_600), 1)
+            .unwrap();
+        let query = parse_query(&catalog, QueryId::new(0), "rs", "R(a), S(a)").unwrap();
+        let plan = Planner::with_defaults(&catalog, &Statistics::new())
+            .plan(&[query], Strategy::Shared)
+            .unwrap()
+            .plan;
+        let tuple = |relation: &str, ts: u64| {
+            let meta = catalog.relation_by_name(relation).unwrap();
+            let schema = &meta.schema;
+            TupleBuilder::new(schema, Timestamp::from_millis(ts))
+                .set("a", 7i64)
+                .build()
+        };
+        let (r, s) = (
+            catalog.relation_id("R").unwrap(),
+            catalog.relation_id("S").unwrap(),
+        );
+        let kept = std::sync::Arc::new(std::sync::Mutex::new(Vec::with_capacity(4 * HITS)));
+        for keep in [false, true] {
+            let mut engine =
+                LocalEngine::new(catalog.clone(), plan.clone(), EngineConfig::default());
+            if keep {
+                let kept = std::sync::Arc::clone(&kept);
+                engine.set_sink(Box::new(move |_, t| kept.lock().unwrap().push(t.clone())));
+            }
+            for ts in 0..HITS as u64 {
+                engine.ingest(s, tuple("S", ts)).unwrap();
+            }
+            // The first probe sizes the maps a probe touches.
+            assert_eq!(engine.ingest(r, tuple("R", 1_000)).unwrap(), HITS as u64);
+            let probe = tuple("R", 1_001);
+            let span = AllocSpan::start();
+            assert_eq!(engine.ingest(r, probe).unwrap(), HITS as u64);
+            let allocs = span.elapsed();
+            if keep {
+                assert!(
+                    allocs >= HITS as u64,
+                    "{allocs} allocations for kept results"
+                );
+            } else {
+                assert!(
+                    allocs <= 2,
+                    "{allocs} allocations for {HITS} released results"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! by reference, and [`Tuple::join`] performs a single allocation (the new
 //! join node) and two reference-count bumps — the per-hop cost of a probe
 //! order is O(1) instead of O(total arity). Every store a partial result
-//! is routed to shares the same leaves.
+//! is routed to shares the same leaves. A run of results each released
+//! before the next is built — one probe joined with its matches — goes
+//! through a [`JoinSlot`] and shares one join node instead.
 //!
 //! Lookup is positional: [`Tuple::get`] descends the rope by relation-set
 //! membership (O(join depth), at most the number of constituent
@@ -347,6 +349,36 @@ impl Tuple {
         })
     }
 
+    /// Overwrites this join result with `left ⋈ right` in place when its
+    /// node is held by nobody else; `false` (and untouched) otherwise. The
+    /// caller has checked that the relation sets are disjoint.
+    #[inline]
+    fn rejoin(&mut self, left: &Tuple, right: &Tuple) -> bool {
+        let Some(Node::Join {
+            left: l,
+            left_relations,
+            right: r,
+            arity,
+            bytes,
+        }) = Arc::get_mut(&mut self.node)
+        else {
+            return false;
+        };
+        // A run of joins mostly keeps its left side (the probe): keeping
+        // the reference saves an atomic increment and decrement per result.
+        if !Arc::ptr_eq(l, &left.node) {
+            *l = Arc::clone(&left.node);
+        }
+        *r = Arc::clone(&right.node);
+        *left_relations = left.relations;
+        *arity = left.node.arity() + right.node.arity();
+        *bytes = left.node.bytes() + right.node.bytes();
+        self.ts = left.ts.max(right.ts);
+        self.ingest_ts = left.ingest_ts.max(right.ingest_ts);
+        self.relations = left.relations.union(&right.relations);
+        true
+    }
+
     /// `true` when `constituent`'s payload rope is shared (by pointer)
     /// somewhere inside this tuple's rope — i.e. joining did not copy it.
     pub fn shares_payload_with(&self, constituent: &Tuple) -> bool {
@@ -499,6 +531,36 @@ impl Tuple {
             relations,
             node,
         })
+    }
+}
+
+/// The home of a run of join results, each handed to its consumers before
+/// the next is built: the rule kernel joins one probe with every match
+/// and dispatches each result at once. [`JoinSlot::join`] builds the next
+/// result in the previous one's node when every consumer has released it
+/// (a sink that only reads it, an `Emit` nobody retains), and in a fresh
+/// node otherwise (a retained copy, a forward in flight), which is then
+/// never written again. So such a run allocates one join node, not one
+/// per result, and a result a consumer kept never changes under it.
+#[derive(Debug, Default)]
+pub struct JoinSlot {
+    last: Option<Tuple>,
+}
+
+impl JoinSlot {
+    /// [`Tuple::join`] of `left` and `right` — the same result, and `None`
+    /// on overlapping relation sets — built in the previous result's node
+    /// when no one else holds it.
+    #[inline]
+    pub fn join(&mut self, left: &Tuple, right: &Tuple) -> Option<&Tuple> {
+        if !left.relations.is_disjoint(&right.relations) {
+            return None;
+        }
+        let reused = self.last.as_mut().is_some_and(|t| t.rejoin(left, right));
+        if !reused {
+            self.last = left.join(right);
+        }
+        self.last.as_ref()
     }
 }
 
@@ -1045,6 +1107,33 @@ mod tests {
         assert_eq!(t, c);
         // Rope payload: cloning does not deep copy (pointer equality).
         assert!(Arc::ptr_eq(&t.node, &c.node));
+    }
+
+    #[test]
+    fn a_join_slot_reuses_a_released_result_node_and_never_a_kept_one() {
+        let r = r_tuple(1, 100);
+        let (s1, s2, s3) = (s_tuple(1, 2, 50), s_tuple(1, 3, 400), s_tuple(1, 4, 60));
+        let mut slot = JoinSlot::default();
+        let node = Arc::as_ptr(&slot.join(&r, &s1).unwrap().node);
+        // Nobody kept the first result: the second is built in its node,
+        // which lets go of the first result's hit.
+        let second = slot.join(&r, &s2).unwrap();
+        assert_eq!(Arc::as_ptr(&second.node), node);
+        assert_eq!(Arc::strong_count(&s1.node), 1);
+        assert_eq!(*second, r.join(&s2).unwrap());
+        assert_eq!(second.ts, Timestamp::from_millis(400));
+        // A kept result keeps its node: the next one takes a fresh node,
+        // and the kept one reads what it read when it was handed out.
+        let kept = second.clone();
+        let third = slot.join(&r, &s3).unwrap();
+        assert_ne!(Arc::as_ptr(&third.node), node);
+        assert_eq!(*third, r.join(&s3).unwrap());
+        assert_eq!(third.ts, Timestamp::from_millis(100));
+        assert_eq!(kept, r.join(&s2).unwrap());
+        assert!(kept.shares_payload_with(&s2) && !kept.shares_payload_with(&s3));
+        // Overlapping relation sets join to nothing, as `Tuple::join` says.
+        assert!(slot.join(&r, &r_tuple(2, 5)).is_none());
+        assert!(slot.join(&r.join(&s1).unwrap(), &s2).is_none());
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::plan::{Feed, InstalledPlan};
 use crate::stats_collector::StatsCollector;
 use crate::store::{visible, StoreInstance};
 use clash_common::{
-    arena_stats, ArenaStats, EdgeId, Epoch, EpochConfig, FxHashMap, QueryId, RelationId,
+    arena_stats, ArenaStats, EdgeId, Epoch, EpochConfig, FxHashMap, JoinSlot, QueryId, RelationId,
     SlotAccessor, StoreId, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Value,
 };
 use clash_optimizer::{OutputAction, Rule, TopologyPlan};
@@ -427,6 +427,9 @@ impl ShardState {
             out,
         };
         let store_id = u64::from(delivery.target.store.0);
+        // Every result of this delivery is built here, each in the
+        // previous one's node once its consumers released it.
+        let mut slot = JoinSlot::default();
         let mut emitted = 0;
         let mut probed = false;
         // Join-key of the probe for pending-prober indexing: stored-side
@@ -459,10 +462,10 @@ impl ShardState {
                         partition,
                         delivery,
                         |prober, preds, outputs| {
-                            let Some(joined) = prober.tuple.join(&delivery.tuple) else {
+                            let Some(joined) = slot.join(&prober.tuple, &delivery.tuple) else {
                                 return;
                             };
-                            emitter.dispatch(outputs, &joined, prober.guard, prober.started);
+                            emitter.dispatch(outputs, joined, prober.guard, prober.started);
                             emitted += emitter.account(outputs, 1, prober.started.elapsed());
                             let prober_epoch = self.epoch.epoch_of(prober.tuple.ts);
                             self.stats.record_probe_obs(prober_epoch, preds, 0, 1, 0);
@@ -521,9 +524,9 @@ impl ShardState {
                             Some(guard),
                             |hit| {
                                 matches += 1;
-                                if let Some(result) = delivery.tuple.join(hit) {
+                                if let Some(result) = slot.join(&delivery.tuple, hit) {
                                     joined += 1;
-                                    emitter.dispatch(outputs, &result, guard, started);
+                                    emitter.dispatch(outputs, result, guard, started);
                                 }
                             },
                         );

@@ -11,7 +11,7 @@
 
 use clash_catalog::{Catalog, Statistics};
 use clash_common::{
-    AttrId, AttrRef, Duration, EpochConfig, QueryId, RelationId, SlotAccessor, Timestamp,
+    AttrId, AttrRef, Duration, EpochConfig, JoinSlot, QueryId, RelationId, SlotAccessor, Timestamp,
     TraceEvent, TraceEventKind, Tuple, Value, Window,
 };
 use clash_optimizer::{Planner, Strategy};
@@ -112,6 +112,14 @@ fn random_leaves(rng: &mut StdRng, relations: usize) -> Vec<(Tuple, FlatRef)> {
         .collect()
 }
 
+/// Timestamps, arity, size and every `(attribute, value)` pair in order.
+fn assert_matches_reference(rope: &Tuple, flat: &FlatRef) {
+    assert_eq!((rope.ts, rope.ingest_ts), (flat.ts, flat.ingest_ts));
+    assert_eq!(rope.arity(), flat.pairs.len());
+    assert_eq!(rope.approx_size_bytes(), flat.approx_size_bytes());
+    assert_eq!(rope.flatten(), flat.pairs);
+}
+
 proptest! {
     /// `get` (by attr and by precomputed slot accessor), `iter`, `arity`
     /// and `approx_size_bytes` agree with the flat reference model for
@@ -144,6 +152,42 @@ proptest! {
         prop_assert_eq!(rope.get(&foreign), None);
         let out_of_range = AttrRef::new(RelationId::new(0), AttrId::new(63));
         prop_assert_eq!(rope.get(&out_of_range), flat.get(&out_of_range));
+    }
+
+    /// A `JoinSlot` builds what `Tuple::join` builds whichever of its
+    /// results the caller keeps: a run of joins through one slot (random
+    /// tree shapes on both sides, now and then an overlapping pair, a
+    /// random third of the results kept past the joins after them) agrees
+    /// with the flat reference result by result, and every kept result
+    /// still does once the run is over.
+    #[test]
+    fn join_slot_results_equal_plain_joins_whatever_is_kept(
+        seed in 0u64..1_000_000,
+        joins in 1usize..24,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut slot = JoinSlot::default();
+        let mut kept: Vec<(Tuple, FlatRef)> = Vec::new();
+        for _ in 0..joins {
+            let relations = rng.gen_range(2..6usize);
+            let mut leaves = random_leaves(&mut rng, relations);
+            let right_leaves = leaves.split_off(rng.gen_range(1..relations));
+            let (left, left_flat) = random_tree(&mut rng, leaves);
+            let (right, right_flat) = random_tree(&mut rng, right_leaves);
+            if rng.gen_bool(0.1) {
+                prop_assert!(slot.join(&left, &left).is_none());
+            }
+            let joined = slot.join(&left, &right).expect("disjoint relations");
+            let flat = left_flat.join(&right_flat);
+            assert_matches_reference(joined, &flat);
+            prop_assert_eq!(joined.relations, left.relations.union(&right.relations));
+            if rng.gen_bool(0.3) {
+                kept.push((joined.clone(), flat));
+            }
+        }
+        for (tuple, flat) in &kept {
+            assert_matches_reference(tuple, flat);
+        }
     }
 
     /// Equality is content equality: any two join-tree shapes and join
@@ -267,15 +311,15 @@ fn chain_stream(
     stream
 }
 
+/// One result as a shape-independent string.
+fn render(query: QueryId, tuple: &Tuple) -> String {
+    let mut attrs: Vec<String> = tuple.iter().map(|(a, v)| format!("{a}={v}")).collect();
+    attrs.sort();
+    format!("{query}|{}|{}", tuple.ts, attrs.join(","))
+}
+
 fn multiset(results: &[(QueryId, Tuple)]) -> Vec<String> {
-    let mut rendered: Vec<String> = results
-        .iter()
-        .map(|(q, t)| {
-            let mut attrs: Vec<String> = t.iter().map(|(a, v)| format!("{a}={v}")).collect();
-            attrs.sort();
-            format!("{q}|{}|{}", t.ts, attrs.join(","))
-        })
-        .collect();
+    let mut rendered: Vec<String> = results.iter().map(|(q, t)| render(*q, t)).collect();
     rendered.sort();
     rendered
 }
@@ -441,4 +485,60 @@ fn epoch_closing_on_or_off_yields_identical_multisets_on_both_engines() {
         "only the late tuple is in window"
     );
     assert_eq!(multiset(&held), reference, "held results survived expiry");
+}
+
+/// The kernel builds a delivery's results in one node while nobody keeps
+/// them, so a sink that only reads each result must see what a consumer
+/// keeping every result sees. On a hit-heavy finite-window stream (four
+/// join-key values, so a probe matches many stored tuples), the results a
+/// `LocalEngine` sink renders while it is called, the results another
+/// sink keeps and renders afterwards, and a `ParallelEngine` subscription
+/// form one multiset.
+#[test]
+fn results_read_in_a_sink_equal_results_kept_past_it_on_both_engines() {
+    let (catalog, _) = chain_catalog_windowed(2, Window::secs(1));
+    let queries = [
+        (0, "A(x), B(x,y), C(y,z)"),
+        (1, "A(x), B(x,y)"),
+        (2, "B(x,y), C(y,z)"),
+    ]
+    .map(|(id, text)| parse_query(&catalog, QueryId::new(id), "q", text).unwrap());
+    let stream = chain_stream(&catalog, 120, 4, 0x5107);
+    let stats = Statistics::new();
+    let planner = Planner::with_defaults(&catalog, &stats);
+    let plan = planner.plan(&queries, Strategy::GlobalIlp).unwrap().plan;
+    let config = EngineConfig::default();
+
+    let read = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut reading = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    let sink = std::sync::Arc::clone(&read);
+    reading.set_sink(Box::new(move |q, t| {
+        sink.lock().unwrap().push(render(q, t))
+    }));
+    let kept = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut keeping = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    let sink = std::sync::Arc::clone(&kept);
+    keeping.set_sink(Box::new(move |q, t| {
+        sink.lock().unwrap().push((q, t.clone()))
+    }));
+    let mut parallel = ParallelEngine::new(catalog.clone(), plan, config, 2);
+    let subscription = parallel.subscribe();
+    for (relation, tuple) in &stream {
+        reading.ingest(*relation, tuple.clone()).unwrap();
+        keeping.ingest(*relation, tuple.clone()).unwrap();
+        parallel.ingest(*relation, tuple.clone()).unwrap();
+    }
+    parallel.flush();
+
+    let mut read = std::mem::take(&mut *read.lock().unwrap());
+    read.sort();
+    let evaluations = reading.snapshot().probes;
+    assert!(
+        read.len() as u64 > 4 * evaluations,
+        "{} results over {evaluations} probes: not hit-heavy",
+        read.len()
+    );
+    assert_eq!(multiset(&kept.lock().unwrap()), read, "kept past the sink");
+    let subscribed: Vec<(QueryId, Tuple)> = subscription.try_iter().collect();
+    assert_eq!(multiset(&subscribed), read, "ParallelEngine subscription");
 }
