@@ -28,8 +28,8 @@ pub enum RuntimeMode {
 /// System-wide configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SystemConfig {
-    /// Engine configuration (epoch length, expiry cadence, result
-    /// collection).
+    /// Engine configuration (epoch length, expiry cadence, batching,
+    /// tracing, epoch closing).
     pub engine: EngineConfig,
     /// Planner configuration (plan-space limits, solver limits).
     pub planner: PlannerConfig,
@@ -67,10 +67,10 @@ impl EngineHandle {
         }
     }
 
-    fn results(&self) -> Vec<(QueryId, Tuple)> {
+    fn subscribe(&mut self) -> Receiver<(QueryId, Tuple)> {
         match self {
-            EngineHandle::Local(e) => e.results().to_vec(),
-            EngineHandle::Parallel(e) => e.results(),
+            EngineHandle::Local(e) => e.subscribe(),
+            EngineHandle::Parallel(e) => e.subscribe(),
         }
     }
 
@@ -354,16 +354,6 @@ impl ClashSystem {
             .ok_or_else(|| ClashError::Runtime("system not deployed".into()))
     }
 
-    /// Collected results (requires `engine.collect_results` in the config). With
-    /// the parallel runtime this reflects the state as of the last barrier
-    /// (call [`Self::snapshot`] first to drain).
-    pub fn results(&self) -> Vec<(QueryId, Tuple)> {
-        self.engine
-            .as_ref()
-            .map(|e| e.results())
-            .unwrap_or_default()
-    }
-
     /// Renders the deployed engine's telemetry page (Prometheus-style
     /// text): engine counters, per-query and (on the parallel runtime)
     /// per-shard latency quantiles, per-store gauges, arena counters —
@@ -447,8 +437,8 @@ impl ClashSystem {
     /// runtime: the returned handle can be moved to a producer thread and
     /// pushed independently of this system handle and of every other
     /// source (see `clash_runtime::ingest`). Results stream to
-    /// subscribers as they are produced; metrics and collected results
-    /// aggregate at the next barrier ([`Self::snapshot`]).
+    /// subscribers as they are produced; metrics aggregate at the next
+    /// barrier ([`Self::snapshot`]).
     ///
     /// Fails when the system is not deployed or runs the single-threaded
     /// local runtime (which has no concurrent ingest path). Adaptive
@@ -467,23 +457,18 @@ impl ClashSystem {
         }
     }
 
-    /// Subscribes to the stream of emitted join results. On the parallel
-    /// runtime results arrive on the returned channel as the workers
-    /// produce them — between barriers, not only at epoch ends; on the
-    /// local runtime they arrive synchronously during `ingest`. The
+    /// Subscribes to the stream of emitted join results: the one way
+    /// results leave a deployment. On the parallel runtime results arrive
+    /// on the returned channel as the workers produce them — between
+    /// barriers, not only at epoch ends; on the local runtime they arrive
+    /// synchronously during `ingest`. Subscriptions are independent: each
+    /// call adds a receiver that gets every result from then on. The
     /// channel disconnects when the engine shuts down.
     pub fn subscribe(&mut self) -> Result<Receiver<(QueryId, Tuple)>> {
-        match self.engine.as_mut() {
-            Some(EngineHandle::Parallel(e)) => Ok(e.subscribe()),
-            Some(EngineHandle::Local(e)) => {
-                let (tx, rx) = std::sync::mpsc::channel();
-                e.set_sink(Box::new(move |query, tuple| {
-                    let _ = tx.send((query, tuple.clone()));
-                }));
-                Ok(rx)
-            }
-            None => Err(ClashError::Runtime("system not deployed".into())),
-        }
+        self.engine
+            .as_mut()
+            .map(|e| e.subscribe())
+            .ok_or_else(|| ClashError::Runtime("system not deployed".into()))
     }
 
     /// Direct access to the local engine (experiment drivers); `None` when
@@ -510,13 +495,7 @@ mod tests {
     use super::*;
 
     fn system_with_rst() -> ClashSystem {
-        let mut clash = ClashSystem::new(SystemConfig {
-            engine: EngineConfig {
-                collect_results: true,
-                ..EngineConfig::default()
-            },
-            ..SystemConfig::default()
-        });
+        let mut clash = ClashSystem::new(SystemConfig::default());
         clash
             .register_relation("R", ["a"], Window::secs(3600), 1)
             .unwrap();
@@ -539,6 +518,7 @@ mod tests {
     fn end_to_end_single_query() {
         let mut clash = system_with_rst();
         clash.deploy(Strategy::GlobalIlp).unwrap();
+        let results = clash.subscribe().unwrap();
         let r = clash.tuple("R", 10, &[("a", 1.into())]).unwrap();
         let s = clash
             .tuple("S", 20, &[("a", 1.into()), ("b", 7.into())])
@@ -549,7 +529,7 @@ mod tests {
         assert_eq!(clash.ingest("T", t).unwrap(), 1);
         let snap = clash.snapshot().unwrap();
         assert_eq!(snap.total_results(), 1);
-        assert_eq!(clash.results().len(), 1);
+        assert_eq!(results.try_iter().count(), 1);
         assert!(clash.last_report().is_some());
     }
 
@@ -631,10 +611,6 @@ mod tests {
     fn parallel_runtime_matches_local_results() {
         let deploy_and_run = |runtime: RuntimeMode| -> u64 {
             let mut clash = ClashSystem::new(SystemConfig {
-                engine: EngineConfig {
-                    collect_results: true,
-                    ..EngineConfig::default()
-                },
                 runtime,
                 ..SystemConfig::default()
             });

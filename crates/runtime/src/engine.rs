@@ -25,6 +25,7 @@ use clash_common::{
     Timestamp, TraceEvent, TraceEventKind, Tuple,
 };
 use clash_optimizer::TopologyPlan;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Instant;
 
 /// Engine configuration.
@@ -34,9 +35,6 @@ pub struct EngineConfig {
     pub epoch: EpochConfig,
     /// Run window expiry every N ingested tuples (`0` disables expiry).
     pub expire_every: u64,
-    /// Keep emitted results in memory (useful for tests; experiments
-    /// normally only count them).
-    pub collect_results: bool,
     /// Parallel runtime only: the most deliveries a producer's
     /// micro-batch gathers before it ships (the size trigger). Every
     /// producer coalesces per-root `Batch` messages up to this size while
@@ -72,7 +70,6 @@ impl Default for EngineConfig {
         EngineConfig {
             epoch: EpochConfig::default(),
             expire_every: 1024,
-            collect_results: false,
             micro_batch: 64,
             max_inflight_roots: 1 << 16,
             trace_capacity: 4096,
@@ -86,6 +83,20 @@ pub(crate) const INVALID_INITIAL_PLAN: &str = "initial plan failed static verifi
 
 /// Callback invoked for every emitted join result.
 pub type ResultSink = Box<dyn FnMut(QueryId, &Tuple) + Send>;
+
+/// A sink that sends a clone of every result to `tx`: what `subscribe()`
+/// registers on either engine. It stops cloning once the receiver hung
+/// up, which leaves every other sink connected.
+pub(crate) fn channel_sink(tx: Sender<(QueryId, Tuple)>) -> ResultSink {
+    let mut tx = Some(tx);
+    Box::new(move |query, tuple| {
+        if let Some(live) = &tx {
+            if live.send((query, tuple.clone())).is_err() {
+                tx = None;
+            }
+        }
+    })
+}
 
 /// The control surface the adaptive controller needs from an engine:
 /// swapping topology plans and reading the gathered statistics. The
@@ -157,9 +168,23 @@ impl LocalEngine {
         }
     }
 
-    /// Registers a sink invoked for every emitted result.
+    /// Adds a sink invoked for every result emitted from now on, during
+    /// the `ingest` that emits it. It borrows each result: a sink that
+    /// only reads what it is handed lets the next result reuse its join
+    /// node. Earlier sinks and subscriptions stay connected.
     pub fn set_sink(&mut self, sink: ResultSink) {
-        self.shard.sinks = vec![sink];
+        self.shard.sinks.push(sink);
+    }
+
+    /// Subscribes to the result stream: every result emitted from now on
+    /// is sent on the returned channel during the `ingest` that emits it.
+    /// Subscriptions are independent, as on `ParallelEngine`: each call
+    /// adds a receiver that gets every result, and dropping one leaves the
+    /// others connected. The channel disconnects when the engine drops.
+    pub fn subscribe(&mut self) -> Receiver<(QueryId, Tuple)> {
+        let (tx, rx) = channel();
+        self.set_sink(channel_sink(tx));
+        rx
     }
 
     /// Installs (or replaces) the plan. Stores whose descriptor key matches
@@ -195,16 +220,6 @@ impl LocalEngine {
     /// Epoch configuration in use.
     pub fn epoch_config(&self) -> EpochConfig {
         self.config.epoch
-    }
-
-    /// Emitted results collected so far (only when `collect_results`).
-    pub fn results(&self) -> &[(QueryId, Tuple)] {
-        &self.shard.results
-    }
-
-    /// Clears collected results (between experiment phases).
-    pub fn clear_results(&mut self) {
-        self.shard.results.clear();
     }
 
     /// Ingests one input tuple of the given relation, running all routing,
@@ -284,7 +299,6 @@ impl LocalEngine {
     /// state.
     pub fn reset_metrics(&mut self) {
         self.shard.metrics = EngineMetrics::default();
-        self.shard.results.clear();
     }
 
     /// Takes every buffered trace event (record order), leaving the ring
@@ -364,12 +378,8 @@ mod tests {
         let (catalog, queries, stats) = setup(parallelism);
         let planner = Planner::with_defaults(&catalog, &stats);
         let report = planner.plan(&queries, strategy).unwrap();
-        let config = EngineConfig {
-            collect_results: true,
-            ..EngineConfig::default()
-        };
         (
-            LocalEngine::new(catalog.clone(), report.plan, config),
+            LocalEngine::new(catalog.clone(), report.plan, EngineConfig::default()),
             catalog,
         )
     }

@@ -74,7 +74,7 @@
 //! residual old-plan batches, drains the workers to the completion
 //! watermark, installs the new plan on every worker and every slot, and
 //! resumes the gate. A racing push therefore either completes entirely
-//! under the old plan (and its results are collected before the switch)
+//! under the old plan (and its results are emitted before the switch)
 //! or blocks for the duration of the quiesce window and then routes
 //! against the new plan — it is never routed against a stale plan and
 //! never dropped by a worker that already switched. See

@@ -22,8 +22,9 @@ impl EngineCore {
     /// The barrier. With `expire`, every shard first expires what fell
     /// out of its stores' windows at the stream clock of everything
     /// pushed before the call; returns the number of tuples that removed.
-    /// Afterwards the aggregates, lanes and collected results reflect
-    /// every root sequenced before the call.
+    /// Afterwards the aggregates and lanes reflect every root sequenced
+    /// before the call, and every result of those roots has reached the
+    /// subscriptions.
     pub(super) fn barrier(&mut self, expire: bool) -> Result<usize> {
         if self.is_shutdown() {
             return Ok(0);

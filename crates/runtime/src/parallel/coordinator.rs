@@ -20,7 +20,7 @@
 //! rendered from it).
 
 use crate::adaptive::AdaptiveController;
-use crate::engine::{EngineConfig, ResultSink, INVALID_INITIAL_PLAN};
+use crate::engine::{channel_sink, EngineConfig, INVALID_INITIAL_PLAN};
 use crate::ingest::shared::ControlShared;
 use crate::ingest::SourceHandle;
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
@@ -98,8 +98,6 @@ pub(crate) struct EngineCore {
     /// included.
     pub(super) metrics: EngineMetrics,
     pub(super) stats: StatsCollector,
-    pub(super) results: Vec<(QueryId, Tuple)>,
-    pub(super) sink: Option<ResultSink>,
     /// Maximum stream timestamp pushed through any producer, as of the
     /// last barrier.
     pub(super) max_ts: Timestamp,
@@ -182,8 +180,6 @@ impl ParallelEngine {
             coord,
             metrics: EngineMetrics::default(),
             stats: StatsCollector::new(config.epoch.length),
-            results: Vec::new(),
-            sink: None,
             max_ts: Timestamp::ZERO,
             since_expiry: 0,
             token: 0,
@@ -219,12 +215,6 @@ impl ParallelEngine {
     /// Epoch configuration in use.
     pub fn epoch_config(&self) -> EpochConfig {
         self.config.epoch
-    }
-
-    /// Registers a sink invoked (at barriers) for every emitted result.
-    /// Must be called before streaming for complete coverage.
-    pub fn set_sink(&mut self, sink: ResultSink) {
-        self.core().set_sink(sink);
     }
 
     /// Opens a concurrent ingestion source: the returned [`SourceHandle`]
@@ -269,17 +259,19 @@ impl ParallelEngine {
     }
 
     /// Ingests one input tuple, routing it to the owning shards. Join
-    /// results materialize asynchronously on the workers; they are counted
-    /// and collected at the next barrier ([`Self::flush`] /
-    /// [`Self::snapshot`]), so this always returns 0 pending results.
+    /// results materialize asynchronously on the workers, which hand them
+    /// to the subscriptions as they go; they are counted at the next
+    /// barrier ([`Self::flush`] / [`Self::snapshot`]), so this always
+    /// returns 0 pending results.
     pub fn ingest(&mut self, relation: clash_common::RelationId, tuple: Tuple) -> Result<u64> {
         self.core().ingest(relation, tuple)
     }
 
     /// Drains all in-flight work and merges every worker's deltas: the
-    /// epoch barrier. After `flush` the coordinator's metrics, statistics
-    /// and collected results reflect everything ingested so far. Panics
-    /// with a diagnostic if a worker thread died.
+    /// epoch barrier. After `flush` the coordinator's metrics and
+    /// statistics reflect everything ingested so far, and every result of
+    /// it has reached the subscriptions. Panics with a diagnostic if a
+    /// worker thread died.
     pub fn flush(&mut self) {
         self.core().barrier_or_panic(false);
     }
@@ -323,18 +315,6 @@ impl ParallelEngine {
         self.core().stats.snapshot(epoch, prior)
     }
 
-    /// Results collected up to the last barrier (requires
-    /// `collect_results`). Order across workers is nondeterministic; sort
-    /// before comparing.
-    pub fn results(&self) -> Vec<(QueryId, Tuple)> {
-        self.core().results.clone()
-    }
-
-    /// Clears collected results (between experiment phases).
-    pub fn clear_results(&mut self) {
-        self.core().results.clear();
-    }
-
     /// Total tuples held across all shards (as of the last barrier).
     pub fn store_tuples(&self) -> usize {
         self.core().held().map(|d| d.tuples).sum()
@@ -361,7 +341,7 @@ impl ParallelEngine {
         self.core().snapshot()
     }
 
-    /// Resets metrics and collected results without touching shard state.
+    /// Resets metrics without touching shard state.
     pub fn reset_metrics(&mut self) {
         self.core().reset_metrics();
     }
@@ -428,12 +408,12 @@ impl ParallelEngine {
             .or_else(|| self.driver_error.clone())
     }
 
-    /// Drains all in-flight work (delivering outstanding results to the
-    /// sink and the collected-results buffer), then stops and joins the
-    /// epoch driver and every worker thread. Called
+    /// Drains all in-flight work (every outstanding result reaches the
+    /// subscriptions), then stops and joins the epoch driver and every
+    /// worker thread, which disconnects the subscriptions. Called
     /// automatically on drop, so results produced after the last explicit
     /// barrier are not lost; calling it explicitly makes the final
-    /// collection observable before the engine goes away. Idempotent; the
+    /// metrics observable before the engine goes away. Idempotent; the
     /// engine is inert afterwards (barriers no-op, `ingest` and source
     /// pushes return [`ClashError::Shutdown`]).
     pub fn shutdown(&mut self) {
@@ -460,7 +440,7 @@ impl Drop for ParallelEngine {
             return;
         }
         // Drain in-flight batches first so results produced after the
-        // last explicit barrier still reach the sink / results buffer.
+        // last explicit barrier still reach the subscriptions.
         self.shutdown();
     }
 }
@@ -469,14 +449,6 @@ impl EngineCore {
     /// Whether the engine has been shut down (workers joined).
     pub(crate) fn is_shutdown(&self) -> bool {
         self.handles.is_empty()
-    }
-
-    fn set_sink(&mut self, sink: ResultSink) {
-        self.sink = Some(sink);
-        self.coord.flush();
-        for s in &self.senders {
-            let _ = s.send(WorkerMsg::ForwardResults(true));
-        }
     }
 
     fn open_source(&mut self) -> SourceHandle {
@@ -500,16 +472,7 @@ impl EngineCore {
         let (tx, rx) = channel();
         self.coord.flush();
         for s in &self.senders {
-            // Dropping the sender on the first failed send stops the
-            // per-result clone once the subscriber hung up.
-            let mut tx = Some(tx.clone());
-            let _ = s.send(WorkerMsg::Subscribe(Box::new(move |query, tuple| {
-                if let Some(live) = &tx {
-                    if live.send((query, tuple.clone())).is_err() {
-                        tx = None;
-                    }
-                }
-            })));
+            let _ = s.send(WorkerMsg::Subscribe(channel_sink(tx.clone())));
         }
         rx
     }
@@ -593,7 +556,7 @@ impl EngineCore {
             drop(quiesced);
         }
         // Best effort: a barrier that fails (dead worker, stuck drain)
-        // leaves its results uncollected, and the threads are joined anyway.
+        // leaves its metrics unfolded, and the threads are joined anyway.
         let _ = self.barrier(false);
         self.join_workers();
     }
@@ -694,12 +657,10 @@ mod tests {
         let (catalog, queries, stats) = setup(parallelism);
         let planner = Planner::with_defaults(&catalog, &stats);
         let report = planner.plan(&queries, strategy).unwrap();
-        let config = EngineConfig {
-            collect_results: true,
-            ..EngineConfig::default()
-        };
+        let config = EngineConfig::default();
         let mut local = LocalEngine::new(catalog.clone(), report.plan.clone(), config);
         let mut parallel = ParallelEngine::new(catalog.clone(), report.plan, config, workers);
+        let (local_rx, parallel_rx) = (local.subscribe(), parallel.subscribe());
         for (relation, t) in workload(&catalog) {
             local.ingest(relation, t.clone()).unwrap();
             parallel.ingest(relation, t).unwrap();
@@ -721,18 +682,11 @@ mod tests {
         assert_eq!(ls.probes, ps.probes, "{strategy:?} probe count");
         assert_eq!(ls.store_tuples, ps.store_tuples, "{strategy:?} store state");
         // The emitted result multisets are identical (order differs).
-        let mut lr: Vec<String> = local
-            .results()
-            .iter()
-            .map(|(q, t)| format!("{q}{t}"))
-            .collect();
-        let mut pr: Vec<String> = parallel
-            .results()
-            .iter()
-            .map(|(q, t)| format!("{q}{t}"))
-            .collect();
-        lr.sort();
-        pr.sort();
+        let [lr, pr] = [local_rx, parallel_rx].map(|rx| {
+            let mut rendered: Vec<String> = rx.try_iter().map(|(q, t)| format!("{q}{t}")).collect();
+            rendered.sort();
+            rendered
+        });
         assert_eq!(lr, pr, "{strategy:?} result multisets");
     }
 
@@ -809,47 +763,6 @@ mod tests {
                 psel > lsel * 0.5 && psel < lsel * 2.0 + 1e-12,
                 "selectivity {l}={r} diverges: local {lsel}, parallel {psel}"
             );
-        }
-    }
-
-    #[test]
-    fn micro_batch_sizes_do_not_change_results() {
-        // Send-per-ingest (1), mid-stream flushes (4) and barrier-only
-        // flushing (huge) must all produce the local engine's results.
-        let (catalog, queries, stats) = setup(4);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, Strategy::Shared).unwrap();
-        let base_config = EngineConfig {
-            collect_results: true,
-            ..EngineConfig::default()
-        };
-        let mut local = LocalEngine::new(catalog.clone(), report.plan.clone(), base_config);
-        for (relation, t) in workload(&catalog) {
-            local.ingest(relation, t).unwrap();
-        }
-        let mut lr: Vec<String> = local
-            .results()
-            .iter()
-            .map(|(q, t)| format!("{q}{t}"))
-            .collect();
-        lr.sort();
-        for micro_batch in [1usize, 4, 1 << 20] {
-            let config = EngineConfig {
-                micro_batch,
-                ..base_config
-            };
-            let mut engine = ParallelEngine::new(catalog.clone(), report.plan.clone(), config, 4);
-            for (relation, t) in workload(&catalog) {
-                engine.ingest(relation, t).unwrap();
-            }
-            engine.flush();
-            let mut pr: Vec<String> = engine
-                .results()
-                .iter()
-                .map(|(q, t)| format!("{q}{t}"))
-                .collect();
-            pr.sort();
-            assert_eq!(lr, pr, "micro_batch={micro_batch} result multisets");
         }
     }
 
@@ -1062,28 +975,6 @@ mod tests {
         assert_eq!(auto_workers(&report.plan), 4);
         let engine = ParallelEngine::new(catalog, report.plan, EngineConfig::default(), 0);
         assert_eq!(engine.workers(), 4);
-    }
-
-    #[test]
-    fn sink_receives_all_results_at_barriers() {
-        let (catalog, queries, stats) = setup(2);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, Strategy::Shared).unwrap();
-        let mut engine =
-            ParallelEngine::new(catalog.clone(), report.plan, EngineConfig::default(), 2);
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let c2 = counter.clone();
-        engine.set_sink(Box::new(move |_, _| {
-            c2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }));
-        for (relation, t) in workload(&catalog) {
-            engine.ingest(relation, t).unwrap();
-        }
-        let snap = engine.snapshot();
-        assert_eq!(
-            counter.load(std::sync::atomic::Ordering::Relaxed),
-            snap.total_results()
-        );
     }
 
     #[test]

@@ -30,7 +30,8 @@ impl EngineCore {
         let shared = self.shared.clone();
         let quiesced = shared.gate.quiesce();
         // Phase 2 — the barrier: every sequenced root is now fully
-        // processed under the old plan, and its results are collected.
+        // processed under the old plan, and its results have reached the
+        // subscriptions.
         self.barrier(false)?;
         let install_seq = self.shared.sequenced();
         self.trace

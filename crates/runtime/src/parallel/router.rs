@@ -16,10 +16,10 @@
 //!    zero the root is complete and the global completion
 //!    [`Progress`] watermark advances: all roots up to the watermark have
 //!    fully drained everywhere.
-//! 2. **Symmetric stores** ([`crate::plan::Feed`]): stores fed by
-//!    `Forward` actions (materialized intermediate results) get their
-//!    inserts from racing worker threads, so a probe may arrive before an
-//!    insert it should observe. Probes at those stores register as
+//! 2. **Symmetric stores**: the stores where a probe may arrive before an
+//!    insert it should observe, because the two ride different sender
+//!    paths; which stores those are, per feed, is [`crate::plan::Feed`]'s
+//!    to define. Probes at those stores register as
 //!    pending probers in the shard and late inserts retro-match them —
 //!    see `shard` — so nothing ever waits and every (probe, insert) pair
 //!    is matched exactly once. Everything else pipelines freely, because

@@ -18,11 +18,9 @@
 //!   state at or above their own guard, so racing ahead never matches
 //!   later arrivals.
 //! * **Symmetric pending probers** — at stores where probes and inserts
-//!   can ride different sender paths (forward-fed MIR stores, and stores
-//!   probed by worker-forwarded partials while their inserts sit in the
-//!   coordinator's micro-batch buffer — see [`crate::plan::Feed`]) an
-//!   insert may arrive
-//!   *after* a probe that should have observed it. Probes at such stores
+//!   can ride different sender paths (the symmetric sets
+//!   [`crate::plan::Feed`] defines) an insert may arrive *after* a probe
+//!   that should have observed it. Probes at such stores
 //!   therefore register as pending probers next to the partition, indexed
 //!   by join-key value; when a late insert with a smaller guard lands, it
 //!   retro-matches the registered probers locally and emits the missed
@@ -39,7 +37,7 @@ use crate::plan::{Feed, InstalledPlan};
 use crate::stats_collector::StatsCollector;
 use crate::store::{visible, StoreInstance};
 use clash_common::{
-    arena_stats, ArenaStats, EdgeId, Epoch, EpochConfig, FxHashMap, JoinSlot, QueryId, RelationId,
+    arena_stats, ArenaStats, EdgeId, Epoch, EpochConfig, FxHashMap, JoinSlot, RelationId,
     SlotAccessor, StoreId, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Value,
 };
 use clash_optimizer::{OutputAction, Rule, TopologyPlan};
@@ -66,16 +64,14 @@ struct Emitter<'s, O> {
     workers: usize,
     metrics: &'s mut EngineMetrics,
     sinks: &'s mut [ResultSink],
-    /// The shard's retained results, while `forward_results` is set.
-    results: Option<&'s mut Vec<(QueryId, Tuple)>>,
     out: &'s mut O,
 }
 
 impl<O: FnMut(usize, Delivery)> Emitter<'_, O> {
     /// Applies a probe rule's outputs to one join result — the only place
     /// `OutputAction`s are interpreted, for probe-time and retroactive
-    /// matches alike. `Emit` hands the result to the sinks and retains it
-    /// when requested; `Forward` routes it on through `out` at the logical
+    /// matches alike. `Emit` hands the result to the sinks; `Forward`
+    /// routes it on through `out` at the logical
     /// position `guard`. Counting and timing are the evaluation's
     /// ([`Self::account`]).
     fn dispatch(&mut self, outputs: &[OutputAction], joined: &Tuple, guard: u64, started: Instant) {
@@ -84,9 +80,6 @@ impl<O: FnMut(usize, Delivery)> Emitter<'_, O> {
                 OutputAction::Emit { query } => {
                     for sink in self.sinks.iter_mut() {
                         sink(*query, joined);
-                    }
-                    if let Some(results) = self.results.as_deref_mut() {
-                        results.push((*query, joined.clone()));
                     }
                 }
                 OutputAction::Forward(next) => {
@@ -125,8 +118,9 @@ impl<O: FnMut(usize, Delivery)> Emitter<'_, O> {
     }
 }
 
-/// A probe that ran against a forward-fed store and stays registered until
-/// the watermark proves no earlier insert is still in flight.
+/// A probe that ran against a symmetric store (one of the sets
+/// [`crate::plan::Feed`] selects) and stays registered until the
+/// watermark proves no earlier insert is still in flight.
 #[derive(Debug)]
 struct PendingProber {
     /// Logical sequence position of the probe.
@@ -141,9 +135,9 @@ struct PendingProber {
     started: Instant,
 }
 
-/// The pending probers of one forward-fed store, indexed by join-key
-/// value so a late insert retro-matches in O(candidate matches) instead
-/// of scanning every in-flight prober.
+/// The pending probers of one symmetric store ([`crate::plan::Feed`]),
+/// indexed by join-key value so a late insert retro-matches in
+/// O(candidate matches) instead of scanning every in-flight prober.
 ///
 /// A prober whose rule set carries at least one equi-predicate is keyed
 /// by `(edge, probe-side value of the first predicate)` — the same
@@ -282,13 +276,9 @@ pub(crate) struct ShardState {
     pub metrics: EngineMetrics,
     /// Statistics accumulated since they were last taken.
     pub stats: StatsCollector,
-    /// Emitted results since they were last taken (only filled while
-    /// `forward_results` is set).
-    pub results: Vec<(QueryId, Tuple)>,
-    /// Whether emitted result tuples are retained in `results`.
-    pub forward_results: bool,
     /// Invoked for every emitted result the moment it is produced: the
-    /// local engine's sink, or a worker's streaming subscriptions.
+    /// one way a result leaves either engine (the local engine's sinks
+    /// and subscriptions, or a worker's share of every subscription).
     pub sinks: Vec<ResultSink>,
     /// This shard's trace-event ring.
     pub trace: TraceRing,
@@ -315,8 +305,6 @@ impl ShardState {
             freeze_after: config.freeze_after_epochs,
             metrics: EngineMetrics::default(),
             stats: StatsCollector::new(config.epoch.length),
-            results: Vec::new(),
-            forward_results: config.collect_results,
             sinks: Vec::new(),
             trace: TraceRing::new(config.trace_capacity, lane),
         };
@@ -423,7 +411,6 @@ impl ShardState {
             workers: self.workers,
             metrics: &mut self.metrics,
             sinks: &mut self.sinks,
-            results: self.forward_results.then_some(&mut self.results),
             out,
         };
         let store_id = u64::from(delivery.target.store.0);
@@ -630,7 +617,6 @@ impl ShardState {
         ShardReport {
             metrics: std::mem::take(&mut self.metrics),
             stats: self.stats.take_delta(),
-            results: std::mem::take(&mut self.results),
             stores: self.store_detail(),
             expired,
             trace: self.trace.drain(),
@@ -669,8 +655,6 @@ pub(crate) struct ShardReport {
     pub metrics: EngineMetrics,
     /// Statistics delta since the last report.
     pub stats: StatsCollector,
-    /// Results emitted since the last report (while `forward_results`).
-    pub results: Vec<(QueryId, Tuple)>,
     /// What the shard holds of every store, sorted by store id.
     pub stores: Vec<StoreDetail>,
     /// Tuples removed by the counted expiry of this barrier.
@@ -685,7 +669,7 @@ pub(crate) struct ShardReport {
 mod tests {
     use super::*;
     use clash_catalog::{Catalog, Statistics};
-    use clash_common::{RelationId, TupleBuilder, Window};
+    use clash_common::{QueryId, RelationId, TupleBuilder, Window};
     use clash_optimizer::{Planner, Strategy};
     use clash_query::parse_query;
 

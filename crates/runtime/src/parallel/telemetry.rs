@@ -26,8 +26,7 @@ pub(crate) struct Lane {
 }
 
 impl EngineCore {
-    /// Folds one worker's report into the aggregates and its lane, and
-    /// hands its results to the sink and the results buffer.
+    /// Folds one worker's report into the aggregates and its lane.
     pub(super) fn absorb(&mut self, worker: usize, report: ShardReport) {
         let lane = &mut self.lanes[worker];
         lane.busy += report.metrics.busy;
@@ -41,14 +40,6 @@ impl EngineCore {
         let cap = self.config.trace_capacity * (self.lanes.len() + 1);
         let excess = self.trace_buf.len().saturating_sub(cap);
         self.trace_buf.drain(..excess);
-        for (query, tuple) in report.results {
-            if let Some(sink) = &mut self.sink {
-                sink(query, &tuple);
-            }
-            if self.config.collect_results {
-                self.results.push((query, tuple));
-            }
-        }
     }
 
     /// Everything every shard held as of the last barrier, per worker.
@@ -68,7 +59,6 @@ impl EngineCore {
     pub(super) fn reset_metrics(&mut self) {
         self.barrier_or_panic(false);
         self.metrics = EngineMetrics::default();
-        self.results.clear();
         self.wall_busy = StdDuration::ZERO;
         for lane in &mut self.lanes {
             lane.busy = StdDuration::ZERO;

@@ -70,8 +70,6 @@ pub(crate) enum WorkerMsg {
         /// The new plan.
         installed: Arc<InstalledPlan>,
     },
-    /// Toggles retention of emitted result tuples for the coordinator.
-    ForwardResults(bool),
     /// Adds a result subscription: every result emitted from here on is
     /// also handed to this sink as it is produced, between barriers.
     Subscribe(ResultSink),
@@ -223,9 +221,6 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
                 if ack_tx.send(ack(&mut shard, token, 0)).is_err() {
                     break;
                 }
-            }
-            WorkerMsg::ForwardResults(on) => {
-                shard.forward_results = on;
             }
             WorkerMsg::Subscribe(sink) => shard.sinks.push(sink),
             WorkerMsg::MultiProducer => shard.feed = Feed::ManyProducers,

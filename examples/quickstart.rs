@@ -6,18 +6,11 @@
 
 use clash_common::Window;
 use clash_core::{ClashSystem, Strategy, SystemConfig};
-use clash_runtime::EngineConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Describe the streamed relations (name, attributes, window,
     //    store parallelism).
-    let mut clash = ClashSystem::new(SystemConfig {
-        engine: EngineConfig {
-            collect_results: true,
-            ..EngineConfig::default()
-        },
-        ..SystemConfig::default()
-    });
+    let mut clash = ClashSystem::new(SystemConfig::default());
     clash.register_relation("R", ["a"], Window::secs(60), 1)?;
     clash.register_relation("S", ["a", "b"], Window::secs(60), 1)?;
     clash.register_relation("T", ["b"], Window::secs(60), 1)?;
@@ -39,7 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.gap().unwrap_or(0.0) * 100.0
     );
 
-    // 4. Stream tuples; results are produced incrementally.
+    // 4. Subscribe, then stream tuples; results are produced
+    //    incrementally and arrive on the subscription.
+    let results = clash.subscribe()?;
     let r = clash.tuple("R", 10, &[("a", 1.into())])?;
     let s = clash.tuple("S", 20, &[("a", 1.into()), ("b", 7.into())])?;
     let t = clash.tuple("T", 30, &[("b", 7.into())])?;
@@ -47,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     clash.ingest("S", s)?;
     let produced = clash.ingest("T", t)?;
     println!("the T tuple completed {produced} join result(s):");
-    for (query, result) in clash.results() {
+    for (query, result) in results.try_iter() {
         println!("  {query}: {result}");
     }
 

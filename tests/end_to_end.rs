@@ -104,8 +104,8 @@ fn collected(results: &[(QueryId, Tuple)], query: QueryId) -> Vec<String> {
 
 /// Every way a stream can enter an engine: `LocalEngine`, and
 /// `ParallelEngine` with 1, 2 and 4 workers through the coordinator's
-/// `ingest()` and through a `SourceHandle`. Returns each path's collected
-/// results under a label. A source-fed engine never expires on its own, so
+/// `ingest()` and through a `SourceHandle`. Returns the results each
+/// path's subscription received, under a label. A source-fed engine never expires on its own, so
 /// that path runs the `expire_stores()` barrier at the same cadence.
 fn run_everywhere(
     catalog: &clash_catalog::Catalog,
@@ -115,22 +115,25 @@ fn run_everywhere(
 ) -> Vec<(String, Vec<(QueryId, Tuple)>)> {
     let mut runs = Vec::new();
     let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    let results = local.subscribe();
     for (relation, tuple) in stream {
         local.ingest(*relation, tuple.clone()).unwrap();
     }
-    runs.push(("LocalEngine".to_string(), local.results().to_vec()));
+    runs.push(("LocalEngine".to_string(), results.try_iter().collect()));
     for workers in [1usize, 2, 4] {
         let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
+        let results = engine.subscribe();
         for (relation, tuple) in stream {
             engine.ingest(*relation, tuple.clone()).unwrap();
         }
         engine.flush();
         runs.push((
             format!("ParallelEngine({workers}) ingest()"),
-            engine.results(),
+            results.try_iter().collect(),
         ));
 
         let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
+        let results = engine.subscribe();
         let mut source = engine.open_source();
         for (i, (relation, tuple)) in stream.iter().enumerate() {
             source.push(*relation, tuple.clone()).unwrap();
@@ -142,7 +145,7 @@ fn run_everywhere(
         engine.flush();
         runs.push((
             format!("ParallelEngine({workers}) source"),
-            engine.results(),
+            results.try_iter().collect(),
         ));
     }
     runs
@@ -200,10 +203,7 @@ fn engine_matches_reference_join_for_all_strategies() {
     assert!(!expected[1].is_empty(), "workload must produce q2 results");
 
     let planner = Planner::with_defaults(&catalog, &stats);
-    let config = EngineConfig {
-        collect_results: true,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig::default();
     for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
         let report = planner.plan(&queries, strategy).unwrap();
         for (path, results) in run_everywhere(&catalog, &report.plan, config, &stream) {
@@ -245,7 +245,6 @@ fn finite_window_results_match_reference_under_frequent_expiry() {
     let planner = Planner::with_defaults(&catalog, &stats);
     let report = planner.plan(&queries, Strategy::Independent).unwrap();
     let config = EngineConfig {
-        collect_results: true,
         expire_every: 8,
         epoch: EpochConfig::new(Duration::from_millis(16)),
         ..EngineConfig::default()
@@ -264,13 +263,7 @@ fn finite_window_results_match_reference_under_frequent_expiry() {
 
 #[test]
 fn clash_system_add_and_remove_queries_mid_stream() {
-    let mut clash = ClashSystem::new(SystemConfig {
-        engine: EngineConfig {
-            collect_results: true,
-            ..EngineConfig::default()
-        },
-        ..SystemConfig::default()
-    });
+    let mut clash = ClashSystem::new(SystemConfig::default());
     clash
         .register_relation("R", ["a"], Window::secs(3600), 1)
         .unwrap();

@@ -21,8 +21,7 @@ use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
 fn catalog_with_parallelism(parallelism: usize) -> (Catalog, Vec<clash_query::JoinQuery>) {
@@ -94,27 +93,22 @@ fn result_multiset(results: &[(QueryId, Tuple)]) -> Vec<String> {
     rendered
 }
 
+/// The multiset a subscription received so far.
+fn received(rx: &Receiver<(QueryId, Tuple)>) -> Vec<String> {
+    result_multiset(&rx.try_iter().collect::<Vec<_>>())
+}
+
 fn run_local(
     catalog: &Catalog,
     plan: &TopologyPlan,
     stream: &[(RelationId, Tuple)],
 ) -> Vec<String> {
-    let config = EngineConfig {
-        collect_results: true,
-        ..EngineConfig::default()
-    };
-    let mut engine = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    let mut engine = LocalEngine::new(catalog.clone(), plan.clone(), EngineConfig::default());
+    let results = engine.subscribe();
     for (relation, tuple) in stream {
         engine.ingest(*relation, tuple.clone()).unwrap();
     }
-    result_multiset(engine.results())
-}
-
-fn collecting_config() -> EngineConfig {
-    EngineConfig {
-        collect_results: true,
-        ..EngineConfig::default()
-    }
+    received(&results)
 }
 
 /// How a producer thread spaces its pushes.
@@ -168,6 +162,7 @@ fn run_multi_source_paced(
     pacing: Pacing,
 ) -> (Vec<String>, Vec<(RelationId, Tuple)>, String) {
     let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
+    let results = engine.subscribe();
     let mut slices: Vec<Vec<(RelationId, Tuple)>> = (0..sources).map(|_| Vec::new()).collect();
     for (idx, entry) in stream.iter().enumerate() {
         slices[idx % sources].push(entry.clone());
@@ -198,7 +193,7 @@ fn run_multi_source_paced(
     realized.sort_by_key(|(seq, _, _)| *seq);
     let page = engine.telemetry_snapshot();
     (
-        result_multiset(&engine.results()),
+        received(&results),
         realized.into_iter().map(|(_, r, t)| (r, t)).collect(),
         page,
     )
@@ -230,7 +225,7 @@ proptest! {
         let plan = planned(&catalog, &queries, Strategy::Shared);
         let stream = random_stream(&catalog, 12, 0, 5, seed);
         let (multi, realized) =
-            run_multi_source_recorded(&catalog, &plan, &stream, sources, 4, collecting_config());
+            run_multi_source_recorded(&catalog, &plan, &stream, sources, 4, EngineConfig::default());
         prop_assert_eq!(realized.len(), stream.len(), "every push sequenced exactly once");
         let local = run_local(&catalog, &plan, &realized);
         prop_assert_eq!(local, multi, "seed {}, {} sources", seed, sources);
@@ -250,7 +245,7 @@ proptest! {
         let stream = random_stream(&catalog, 12, 0, 5, seed);
         let config = EngineConfig {
             micro_batch: 8,
-            ..collecting_config()
+            ..EngineConfig::default()
         };
         let pacing = Pacing::Bursty { burst, pause: Duration::from_millis(2) };
         let (multi, realized, page) =
@@ -287,7 +282,7 @@ proptest! {
         }
         let local = run_local(&catalog, &plan, &stream);
         let (multi, _) =
-            run_multi_source_recorded(&catalog, &plan, &stream, sources, 4, collecting_config());
+            run_multi_source_recorded(&catalog, &plan, &stream, sources, 4, EngineConfig::default());
         prop_assert_eq!(local, multi, "seed {}, {} sources", seed, sources);
     }
 }
@@ -307,7 +302,7 @@ fn many_sources_and_strategies_are_linearizable() {
                 &stream,
                 sources,
                 workers,
-                collecting_config(),
+                EngineConfig::default(),
             );
             let local = run_local(&catalog, &plan, &realized);
             assert!(!local.is_empty(), "workload must produce results");
@@ -331,7 +326,7 @@ fn single_source_matches_local_on_stream_order() {
         let local = run_local(&catalog, &plan, &stream);
         assert!(!local.is_empty());
         let (multi, realized) =
-            run_multi_source_recorded(&catalog, &plan, &stream, 1, 4, collecting_config());
+            run_multi_source_recorded(&catalog, &plan, &stream, 1, 4, EngineConfig::default());
         assert_eq!(realized, stream, "a single source realizes push order");
         assert_eq!(local, multi, "seed {seed}");
     }
@@ -348,7 +343,7 @@ fn micro_batch_and_backpressure_extremes_stay_exact() {
         let config = EngineConfig {
             micro_batch,
             max_inflight_roots: max_inflight,
-            ..collecting_config()
+            ..EngineConfig::default()
         };
         let (multi, realized) = run_multi_source_recorded(&catalog, &plan, &stream, 3, 2, config);
         let local = run_local(&catalog, &plan, &realized);
@@ -372,7 +367,8 @@ fn coordinator_and_sources_may_ingest_concurrently() {
     let mut combined = coordinator_slice.clone();
     combined.extend(source_slice.iter().cloned());
     let local = run_local(&catalog, &plan, &combined);
-    let mut engine = ParallelEngine::new(catalog.clone(), plan, collecting_config(), 4);
+    let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 4);
+    let results = engine.subscribe();
     let mut handle = engine.open_source();
     let producer = std::thread::spawn(move || {
         for (relation, tuple) in source_slice {
@@ -384,7 +380,7 @@ fn coordinator_and_sources_may_ingest_concurrently() {
     }
     producer.join().expect("producer thread");
     engine.flush();
-    assert_eq!(local, result_multiset(&engine.results()));
+    assert_eq!(local, received(&results));
 }
 
 #[test]
@@ -444,8 +440,68 @@ fn every_subscriber_gets_the_full_result_multiset() {
     }
     engine.flush();
     for rx in [first, second] {
-        let received: Vec<_> = rx.try_iter().collect();
-        assert_eq!(result_multiset(&received), expected);
+        assert_eq!(received(&rx), expected);
+    }
+}
+
+#[test]
+fn subscriptions_add_up_on_both_engines_and_both_system_runtimes() {
+    // Every way out adds a receiver, on every engine: a later
+    // `subscribe()` or `set_sink` never cuts off an earlier one, and each
+    // sees the full multiset.
+    use clash_core::{ClashSystem, RuntimeMode, SystemConfig};
+    let (catalog, queries) = catalog_with_parallelism(2);
+    let plan = planned(&catalog, &queries, Strategy::Shared);
+    let stream = random_stream(&catalog, 30, 0, 4, 7);
+    let expected = run_local(&catalog, &plan, &stream);
+    assert!(!expected.is_empty());
+    let check = |path: &str, receivers: &[Receiver<(QueryId, Tuple)>]| {
+        for (i, rx) in receivers.iter().enumerate() {
+            assert_eq!(received(rx), expected, "{path}, receiver {i}");
+        }
+    };
+
+    let mut local = LocalEngine::new(catalog.clone(), plan.clone(), EngineConfig::default());
+    let (first, second) = (local.subscribe(), local.subscribe());
+    let (tx, sunk) = std::sync::mpsc::channel();
+    local.set_sink(Box::new(move |q, t| {
+        let _ = tx.send((q, t.clone()));
+    }));
+    for (relation, tuple) in &stream {
+        local.ingest(*relation, tuple.clone()).unwrap();
+    }
+    check("LocalEngine", &[first, second, sunk]);
+
+    let mut parallel = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
+    let receivers = [parallel.subscribe(), parallel.subscribe()];
+    for (relation, tuple) in &stream {
+        parallel.ingest(*relation, tuple.clone()).unwrap();
+    }
+    parallel.flush();
+    check("ParallelEngine", &receivers);
+
+    for runtime in [RuntimeMode::Local, RuntimeMode::Parallel(2)] {
+        let mut clash = ClashSystem::new(SystemConfig {
+            runtime,
+            ..SystemConfig::default()
+        });
+        // The same relations in the same order: the same relation ids.
+        for meta in catalog.iter() {
+            let attrs = meta.schema.attributes.iter().map(|a| a.name.clone());
+            clash
+                .register_relation(&meta.name, attrs, meta.window, meta.parallelism)
+                .unwrap();
+        }
+        for query in &queries {
+            clash.register_prepared_query(query.clone()).unwrap();
+        }
+        clash.deploy(Strategy::Shared).unwrap();
+        let receivers = [clash.subscribe().unwrap(), clash.subscribe().unwrap()];
+        for (relation, tuple) in &stream {
+            clash.ingest_by_id(*relation, tuple.clone()).unwrap();
+        }
+        clash.snapshot().unwrap();
+        check(&format!("ClashSystem {runtime:?}"), &receivers);
     }
 }
 
@@ -489,7 +545,7 @@ fn bursty_producers_exercise_every_flush_trigger_and_stay_exact() {
     let (catalog, queries) = catalog_with_parallelism(4);
     let config = EngineConfig {
         micro_batch: 8,
-        ..collecting_config()
+        ..EngineConfig::default()
     };
     let pacing = Pacing::Bursty {
         burst: 16,
@@ -524,10 +580,10 @@ fn backpressure_bounds_inflight_roots() {
     let cap = 4usize;
     let config = EngineConfig {
         max_inflight_roots: cap,
-        collect_results: true,
         ..EngineConfig::default()
     };
     let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, 2);
+    let results = engine.subscribe();
     let mut handle = engine.open_source();
     let pushed = stream.clone();
     let producer = std::thread::spawn(move || {
@@ -550,10 +606,7 @@ fn backpressure_bounds_inflight_roots() {
     engine.flush();
     // A single source realizes push order: results must match the local
     // engine on the stream as written despite the throttling.
-    assert_eq!(
-        run_local(&catalog, &plan, &stream),
-        result_multiset(&engine.results())
-    );
+    assert_eq!(run_local(&catalog, &plan, &stream), received(&results));
 }
 
 #[test]
@@ -602,19 +655,15 @@ fn drop_without_barrier_drains_inflight_results() {
     let expected = run_local(&catalog, &plan, &stream).len() as u64;
     assert!(expected > 0);
     let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
-    let delivered = Arc::new(AtomicU64::new(0));
-    let counter = delivered.clone();
-    engine.set_sink(Box::new(move |_, _| {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }));
+    let results = engine.subscribe();
     for (relation, tuple) in &stream {
         engine.ingest(*relation, tuple.clone()).unwrap();
     }
     // No flush, no snapshot: dropping the engine must drain in-flight
-    // batches and deliver every outstanding result to the sink before
-    // joining the workers.
+    // batches and deliver every outstanding result to the subscription
+    // before joining the workers (which disconnects it).
     drop(engine);
-    assert_eq!(delivered.load(Ordering::Relaxed), expected);
+    assert_eq!(results.try_iter().count() as u64, expected);
 }
 
 /// Outcome of [`run_with_installs`]: collected multiset, realized serial
@@ -637,6 +686,7 @@ fn run_with_installs(
     config: EngineConfig,
 ) -> InstallRaceOutcome {
     let mut engine = ParallelEngine::new(catalog.clone(), plans[0].clone(), config, workers);
+    let results = engine.subscribe();
     let mut slices: Vec<Vec<(RelationId, Tuple)>> = (0..sources).map(|_| Vec::new()).collect();
     for (idx, entry) in stream.iter().enumerate() {
         slices[idx % sources].push(entry.clone());
@@ -685,7 +735,7 @@ fn run_with_installs(
     realized.sort_by_key(|(seq, _, _)| *seq);
     engine.flush();
     (
-        result_multiset(&engine.results()),
+        received(&results),
         realized.into_iter().map(|(_, r, t)| (r, t)).collect(),
         installs,
     )
@@ -709,7 +759,7 @@ proptest! {
         let stream = random_stream(&catalog, 12, 0, 5, seed);
         let plans = vec![plan];
         let (multi, realized, installs) = run_with_installs(
-            &catalog, &plans, &stream, sources, 4, 8, collecting_config());
+            &catalog, &plans, &stream, sources, 4, 8, EngineConfig::default());
         prop_assert_eq!(realized.len(), stream.len(), "every push sequenced exactly once");
         let local = run_local(&catalog, &plans[0], &realized);
         prop_assert_eq!(local, multi, "seed {}, {} sources, {} installs", seed, sources, installs.len());
@@ -731,11 +781,12 @@ fn installs_alternating_plans_match_local_replay_at_install_points() {
     for seed in [11u64, 12, 13] {
         let stream = random_stream(&catalog, 25, 0, 5, seed);
         let (multi, realized, installs) =
-            run_with_installs(&catalog, &plans, &stream, 3, 4, 20, collecting_config());
+            run_with_installs(&catalog, &plans, &stream, 3, 4, 20, EngineConfig::default());
         assert_eq!(realized.len(), stream.len());
         // Replay through LocalEngine with identical install points.
-        let config = collecting_config();
+        let config = EngineConfig::default();
         let mut local = LocalEngine::new(catalog.clone(), plans[0].clone(), config);
+        let results = local.subscribe();
         let mut install_iter = installs.iter().peekable();
         for (i, (relation, tuple)) in realized.iter().enumerate() {
             while install_iter.peek().is_some_and(|(pos, _)| *pos <= i as u64) {
@@ -748,7 +799,7 @@ fn installs_alternating_plans_match_local_replay_at_install_points() {
             local.install_plan(plans[*idx].clone()).unwrap();
         }
         assert_eq!(
-            result_multiset(local.results()),
+            received(&results),
             multi,
             "seed {seed}: {} installs at {:?}",
             installs.len(),
@@ -766,7 +817,7 @@ fn no_push_blocks_past_the_quiesce_window() {
     let (catalog, queries) = catalog_with_parallelism(2);
     let plan = planned(&catalog, &queries, Strategy::Shared);
     let stream = random_stream(&catalog, 50, 0, 4, 17);
-    let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), collecting_config(), 2);
+    let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), EngineConfig::default(), 2);
     let mut slices: Vec<Vec<(RelationId, Tuple)>> = (0..3).map(|_| Vec::new()).collect();
     for (idx, entry) in stream.iter().enumerate() {
         slices[idx % 3].push(entry.clone());
@@ -877,7 +928,7 @@ fn source_push_after_shutdown_errors() {
     let (catalog, queries) = catalog_with_parallelism(2);
     let plan = planned(&catalog, &queries, Strategy::Shared);
     let stream = random_stream(&catalog, 2, 0, 4, 1);
-    let mut engine = ParallelEngine::new(catalog.clone(), plan, collecting_config(), 2);
+    let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
     let mut handle = engine.open_source();
     let (relation, tuple) = stream[0].clone();
     handle.push(relation, tuple.clone()).unwrap();
@@ -900,12 +951,14 @@ fn explicit_shutdown_is_idempotent_and_inert() {
     let (catalog, queries) = catalog_with_parallelism(2);
     let plan = planned(&catalog, &queries, Strategy::Shared);
     let stream = random_stream(&catalog, 10, 0, 4, 9);
-    let mut engine = ParallelEngine::new(catalog.clone(), plan, collecting_config(), 2);
+    let expected = run_local(&catalog, &plan, &stream);
+    let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
+    let results = engine.subscribe();
     for (relation, tuple) in &stream {
         engine.ingest(*relation, tuple.clone()).unwrap();
     }
     engine.shutdown();
-    let results_after_shutdown = engine.results().len();
+    assert_eq!(received(&results), expected, "shutdown drains");
     engine.shutdown(); // idempotent
     engine.flush(); // inert, must not panic
     let (relation, tuple) = stream[0].clone();
@@ -913,5 +966,9 @@ fn explicit_shutdown_is_idempotent_and_inert() {
         engine.ingest(relation, tuple).is_err(),
         "ingest after shutdown must error, not hang"
     );
-    assert_eq!(engine.results().len(), results_after_shutdown);
+    assert_eq!(
+        results.try_recv(),
+        Err(std::sync::mpsc::TryRecvError::Disconnected),
+        "nothing after shutdown, and the subscription is closed"
+    );
 }

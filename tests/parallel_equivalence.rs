@@ -91,17 +91,14 @@ fn run_local(
     let stats = Statistics::new();
     let planner = Planner::with_defaults(catalog, &stats);
     let report = planner.plan(queries, strategy).unwrap();
-    let config = EngineConfig {
-        collect_results: true,
-        ..EngineConfig::default()
-    };
-    let mut engine = LocalEngine::new(catalog.clone(), report.plan, config);
+    let mut engine = LocalEngine::new(catalog.clone(), report.plan, EngineConfig::default());
+    let results = engine.subscribe();
     for (relation, tuple) in stream {
         engine.ingest(*relation, tuple.clone()).unwrap();
     }
     let snap = engine.snapshot();
     (
-        result_multiset(engine.results()),
+        result_multiset(&results.try_iter().collect::<Vec<_>>()),
         snap.total_results(),
         snap.tuples_sent,
     )
@@ -117,17 +114,15 @@ fn run_parallel(
     let stats = Statistics::new();
     let planner = Planner::with_defaults(catalog, &stats);
     let report = planner.plan(queries, strategy).unwrap();
-    let config = EngineConfig {
-        collect_results: true,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig::default();
     let mut engine = ParallelEngine::new(catalog.clone(), report.plan, config, workers);
+    let results = engine.subscribe();
     for (relation, tuple) in stream {
         engine.ingest(*relation, tuple.clone()).unwrap();
     }
     let snap = engine.snapshot();
     (
-        result_multiset(&engine.results()),
+        result_multiset(&results.try_iter().collect::<Vec<_>>()),
         snap.total_results(),
         snap.tuples_sent,
     )
@@ -261,9 +256,10 @@ fn telemetry_pages_agree_on_every_shared_section() {
 fn per_evaluation_accounting_agrees_with_every_result_surface() {
     // Results reach the sinks mid-probe and are counted and timed once per
     // rule evaluation. Per query, the counter, the latency sample count and
-    // the collected results must still agree, and a sink attached for the
-    // whole run must see exactly the collected multiset — on the local
-    // engine and on 1 and 2 workers, under finite windows and expiry.
+    // the subscribed results must still agree, and a second sink attached
+    // for the whole run (the borrowing `set_sink` locally, another
+    // subscription on workers) must see exactly the same multiset — on the
+    // local engine and on 1 and 2 workers, under finite windows and expiry.
     let (mut catalog, queries) = catalog_with_parallelism(2);
     for id in catalog.iter().map(|m| m.id).collect::<Vec<_>>() {
         catalog.set_window(id, Window::secs(2)).unwrap();
@@ -274,7 +270,6 @@ fn per_evaluation_accounting_agrees_with_every_result_surface() {
         .unwrap()
         .plan;
     let config = EngineConfig {
-        collect_results: true,
         expire_every: 100,
         ..EngineConfig::default()
     };
@@ -288,7 +283,7 @@ fn per_evaluation_accounting_agrees_with_every_result_surface() {
             assert_eq!(
                 result_multiset(&streamed),
                 result_multiset(collected),
-                "{path}: sink vs collect_results"
+                "{path}: second sink vs subscription"
             );
             for query in &queries {
                 let n = collected.iter().filter(|(q, _)| *q == query.id).count() as u64;
@@ -305,6 +300,7 @@ fn per_evaluation_accounting_agrees_with_every_result_surface() {
         };
 
     let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    let subscription = local.subscribe();
     let sunk = Arc::new(Mutex::new(Vec::new()));
     let into = Arc::clone(&sunk);
     local.set_sink(Box::new(move |q, t| {
@@ -314,17 +310,19 @@ fn per_evaluation_accounting_agrees_with_every_result_surface() {
         local.ingest(*relation, tuple.clone()).unwrap();
     }
     let streamed = std::mem::take(&mut *sunk.lock().unwrap());
-    let expected = check("local", local.snapshot(), local.results(), streamed);
+    let collected: Results = subscription.try_iter().collect();
+    let expected = check("local", local.snapshot(), &collected, streamed);
     for workers in [1usize, 2] {
         let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
-        let subscription = engine.subscribe();
+        let (subscription, second) = (engine.subscribe(), engine.subscribe());
         for (relation, tuple) in &stream {
             engine.ingest(*relation, tuple.clone()).unwrap();
         }
         let snap = engine.snapshot();
-        let streamed = subscription.try_iter().collect();
+        let collected: Results = subscription.try_iter().collect();
+        let streamed = second.try_iter().collect();
         let path = format!("{workers} workers");
-        assert_eq!(check(&path, snap, &engine.results(), streamed), expected);
+        assert_eq!(check(&path, snap, &collected, streamed), expected);
     }
 }
 

@@ -324,34 +324,39 @@ fn multiset(results: &[(QueryId, Tuple)]) -> Vec<String> {
     rendered
 }
 
+/// The multiset a subscription received so far.
+fn received(rx: &std::sync::mpsc::Receiver<(QueryId, Tuple)>) -> Vec<String> {
+    multiset(&rx.try_iter().collect::<Vec<_>>())
+}
+
 #[test]
 fn five_way_chain_multisets_agree_between_engines_on_out_of_order_input() {
     let (catalog, queries) = chain_catalog(2);
     let stream = chain_stream(&catalog, 24, 6, 0x5EED);
     let stats = Statistics::new();
     let planner = Planner::with_defaults(&catalog, &stats);
-    let config = EngineConfig {
-        collect_results: true,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig::default();
     for strategy in [Strategy::Shared, Strategy::GlobalIlp] {
         let report = planner.plan(&queries, strategy).unwrap();
         let mut local = LocalEngine::new(catalog.clone(), report.plan.clone(), config);
         let mut parallel = ParallelEngine::new(catalog.clone(), report.plan, config, 3);
+        let (local_rx, parallel_rx) = (local.subscribe(), parallel.subscribe());
         for (relation, tuple) in &stream {
             local.ingest(*relation, tuple.clone()).unwrap();
             parallel.ingest(*relation, tuple.clone()).unwrap();
         }
         let local_snap = local.snapshot();
         let parallel_snap = parallel.snapshot();
+        let local_results: Vec<_> = local_rx.try_iter().collect();
+        let parallel_results: Vec<_> = parallel_rx.try_iter().collect();
         assert_eq!(
             local_snap.total_results(),
             parallel_snap.total_results(),
             "{strategy:?} result counts"
         );
         assert_eq!(
-            multiset(local.results()),
-            multiset(&parallel.results()),
+            multiset(&local_results),
+            multiset(&parallel_results),
             "{strategy:?} result multisets"
         );
         assert!(
@@ -360,7 +365,7 @@ fn five_way_chain_multisets_agree_between_engines_on_out_of_order_input() {
         );
         // The emitted results are genuine deep ropes: 5 constituent
         // relations, at least two join levels.
-        for (_, tuple) in local.results().iter().take(16) {
+        for (_, tuple) in local_results.iter().take(16) {
             assert_eq!(tuple.relations.len(), 5);
             assert!(
                 tuple.depth() >= 2,
@@ -380,30 +385,25 @@ fn micro_batching_preserves_chain_equivalence() {
     let stats = Statistics::new();
     let planner = Planner::with_defaults(&catalog, &stats);
     let report = planner.plan(&queries, Strategy::GlobalIlp).unwrap();
-    let base = EngineConfig {
-        collect_results: true,
-        ..EngineConfig::default()
-    };
+    let base = EngineConfig::default();
     let mut local = LocalEngine::new(catalog.clone(), report.plan.clone(), base);
+    let results = local.subscribe();
     for (relation, tuple) in &stream {
         local.ingest(*relation, tuple.clone()).unwrap();
     }
-    let reference = multiset(local.results());
+    let reference = received(&results);
     for micro_batch in [1usize, 7, 1 << 20] {
         let config = EngineConfig {
             micro_batch,
             ..base
         };
         let mut engine = ParallelEngine::new(catalog.clone(), report.plan.clone(), config, 2);
+        let results = engine.subscribe();
         for (relation, tuple) in &stream {
             engine.ingest(*relation, tuple.clone()).unwrap();
         }
         engine.flush();
-        assert_eq!(
-            multiset(&engine.results()),
-            reference,
-            "micro_batch={micro_batch}"
-        );
+        assert_eq!(received(&results), reference, "micro_batch={micro_batch}");
     }
 }
 
@@ -422,7 +422,6 @@ fn epoch_closing_on_or_off_yields_identical_multisets_on_both_engines() {
     let plan = planner.plan(&queries, Strategy::GlobalIlp).unwrap().plan;
     let config = |freeze_after_epochs| EngineConfig {
         epoch: EpochConfig::new(Duration::from_millis(100)),
-        collect_results: true,
         expire_every: 64,
         freeze_after_epochs,
         ..EngineConfig::default()
@@ -430,11 +429,12 @@ fn epoch_closing_on_or_off_yields_identical_multisets_on_both_engines() {
     let closes = |trace: Vec<TraceEvent>| trace.iter().any(|e| e.kind == TraceEventKind::Close);
 
     let mut reference_engine = LocalEngine::new(catalog.clone(), plan.clone(), config(0));
+    let results = reference_engine.subscribe();
     for (relation, tuple) in &stream {
         reference_engine.ingest(*relation, tuple.clone()).unwrap();
     }
     assert!(!closes(reference_engine.drain_trace()));
-    let reference = multiset(reference_engine.results());
+    let reference = received(&results);
     for query in [QueryId::new(0), QueryId::new(1)] {
         let prefix = format!("{query}|");
         assert!(
@@ -444,25 +444,24 @@ fn epoch_closing_on_or_off_yields_identical_multisets_on_both_engines() {
     }
 
     let mut closing = LocalEngine::new(catalog.clone(), plan.clone(), config(1));
+    let results = closing.subscribe();
     for (relation, tuple) in &stream {
         closing.ingest(*relation, tuple.clone()).unwrap();
     }
     assert!(closes(closing.drain_trace()), "nothing closed");
-    assert_eq!(
-        multiset(closing.results()),
-        reference,
-        "LocalEngine, closing on"
-    );
+    let held: Vec<(QueryId, Tuple)> = results.try_iter().collect();
+    assert_eq!(multiset(&held), reference, "LocalEngine, closing on");
 
     for freeze_after in [0, 1] {
         let mut parallel =
             ParallelEngine::new(catalog.clone(), plan.clone(), config(freeze_after), 2);
+        let results = parallel.subscribe();
         for (relation, tuple) in &stream {
             parallel.ingest(*relation, tuple.clone()).unwrap();
         }
         parallel.flush();
         assert_eq!(
-            multiset(&parallel.results()),
+            received(&results),
             reference,
             "ParallelEngine, freeze_after_epochs={freeze_after}"
         );
@@ -470,8 +469,6 @@ fn epoch_closing_on_or_off_yields_identical_multisets_on_both_engines() {
 
     // Lifetime: held results stay readable after a plan install carried
     // the stores over and after expiry dropped every epoch they came from.
-    let held: Vec<(QueryId, Tuple)> = closing.results().to_vec();
-    closing.clear_results();
     closing.install_plan(plan).unwrap();
     let far = stream.last().map(|(_, t)| t.ts.as_millis()).unwrap_or(0) + 60_000;
     let (relation, _) = &stream[0];
@@ -491,9 +488,9 @@ fn epoch_closing_on_or_off_yields_identical_multisets_on_both_engines() {
 /// them, so a sink that only reads each result must see what a consumer
 /// keeping every result sees. On a hit-heavy finite-window stream (four
 /// join-key values, so a probe matches many stored tuples), the results a
-/// `LocalEngine` sink renders while it is called, the results another
-/// sink keeps and renders afterwards, and a `ParallelEngine` subscription
-/// form one multiset.
+/// `LocalEngine` sink renders while it is called, the results a
+/// `LocalEngine` subscription keeps and renders afterwards, and a
+/// `ParallelEngine` subscription form one multiset.
 #[test]
 fn results_read_in_a_sink_equal_results_kept_past_it_on_both_engines() {
     let (catalog, _) = chain_catalog_windowed(2, Window::secs(1));
@@ -515,12 +512,8 @@ fn results_read_in_a_sink_equal_results_kept_past_it_on_both_engines() {
     reading.set_sink(Box::new(move |q, t| {
         sink.lock().unwrap().push(render(q, t))
     }));
-    let kept = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let mut keeping = LocalEngine::new(catalog.clone(), plan.clone(), config);
-    let sink = std::sync::Arc::clone(&kept);
-    keeping.set_sink(Box::new(move |q, t| {
-        sink.lock().unwrap().push((q, t.clone()))
-    }));
+    let kept = keeping.subscribe();
     let mut parallel = ParallelEngine::new(catalog.clone(), plan, config, 2);
     let subscription = parallel.subscribe();
     for (relation, tuple) in &stream {
@@ -538,7 +531,8 @@ fn results_read_in_a_sink_equal_results_kept_past_it_on_both_engines() {
         "{} results over {evaluations} probes: not hit-heavy",
         read.len()
     );
-    assert_eq!(multiset(&kept.lock().unwrap()), read, "kept past the sink");
+    let kept: Vec<(QueryId, Tuple)> = kept.try_iter().collect();
+    assert_eq!(multiset(&kept), read, "kept past the sink");
     let subscribed: Vec<(QueryId, Tuple)> = subscription.try_iter().collect();
     assert_eq!(multiset(&subscribed), read, "ParallelEngine subscription");
 }
