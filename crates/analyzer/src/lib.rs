@@ -2,12 +2,12 @@
 //!
 //! Static analysis over [`TopologyPlan`]s. CLASH's exactness argument
 //! (Section V of the paper) assumes the deployed topology is *well
-//! formed*: every send target lands on a registered rule set, probe
-//! predicates only reference attributes the arriving tuple and the
-//! stored relations actually carry, every query's probe chains terminate
-//! in an `Emit` covering the full relation set, the Forward graph is
-//! acyclic, and partition routing hash-agrees with the target store's
-//! partition attribute. A plan violating any of these silently drops
+//! formed*: every send target lands on a registered rule set of exactly
+//! one rule, probe predicates only reference attributes the arriving
+//! tuple and the stored relations actually carry, every query's probe
+//! chains terminate in an `Emit` covering the full relation set, the
+//! Forward graph is acyclic, and partition routing hash-agrees with the
+//! target store's partition attribute. A plan violating any of these silently drops
 //! tuples, emits wrong results or forwards forever — so both engines
 //! call [`gate`] in `install_plan` and reject error-level plans with
 //! [`ClashError::InvalidPlan`] before quiescing anything.
@@ -133,12 +133,10 @@ impl<'a> Analyzer<'a> {
         // carries (each probe rule holds the predicates of its step);
         // query definitions, when given, contribute theirs as well.
         let mut equiv = JoinEquivalence::new();
-        for rules in plan.rules.values() {
-            for rule in rules {
-                if let Rule::Probe { predicates, .. } = rule {
-                    for p in predicates {
-                        equiv.union(p.left, p.right);
-                    }
+        for rule in plan.rules.values().flatten() {
+            if let Rule::Probe { predicates, .. } = rule {
+                for p in predicates {
+                    equiv.union(p.left, p.right);
                 }
             }
         }
@@ -161,6 +159,7 @@ impl<'a> Analyzer<'a> {
     fn run(mut self) -> Vec<Diagnostic> {
         self.check_store_table();
         self.check_targets_resolve();
+        self.check_one_rule_per_set();
         let flow = self.dataflow();
         self.check_orphans();
         self.check_emits(&flow);
@@ -286,6 +285,30 @@ impl<'a> Analyzer<'a> {
         }
     }
 
+    /// P015: a rule set holds exactly one rule. The runtime reads that one
+    /// rule ([`TopologyPlan::rule`]); a second could never add a result —
+    /// a set that stores covers exactly its store's relations (P013), so
+    /// probing the same store with it joins nothing; a second `Store`
+    /// would insert twice; and what two `Probe`s would do, the builder
+    /// writes as one rule's outputs.
+    fn check_one_rule_per_set(&mut self) {
+        for (&(store, edge), rules) in &self.plan.rules {
+            if rules.len() > 1 {
+                self.diags.push(
+                    Diagnostic::error(
+                        "P015",
+                        format!(
+                            "rule set at ({store}, {edge}) holds {} rules instead of one",
+                            rules.len()
+                        ),
+                    )
+                    .at_store(store)
+                    .at_edge(edge),
+                );
+            }
+        }
+    }
+
     /// P003: rule sets never targeted by any ingest route or Forward are
     /// dead weight — tuples can never arrive on their edge.
     fn check_orphans(&mut self) {
@@ -342,7 +365,7 @@ impl<'a> Analyzer<'a> {
             for rule in rules {
                 match rule {
                     Rule::Store => {
-                        facts.fed.insert((target.store, target.edge));
+                        facts.fed.insert(target.store);
                         facts.stored.insert(stored.bits());
                         if head != stored {
                             self.diags.push(
@@ -524,12 +547,7 @@ impl<'a> Analyzer<'a> {
             if def.descriptor.is_base() {
                 continue;
             }
-            let fed = self.plan.rules.iter().any(|((store, edge), rules)| {
-                *store == def.id
-                    && rules.iter().any(|r| matches!(r, Rule::Store))
-                    && flow.fed.contains(&(*store, *edge))
-            });
-            if !fed {
+            if !flow.fed.contains(&def.id) {
                 self.diags.push(
                     Diagnostic::error(
                         "P008",
@@ -641,9 +659,8 @@ impl<'a> Analyzer<'a> {
 struct FlowFacts {
     /// `(query, accumulated head, emitting store)` per reachable Emit.
     emits: Vec<(QueryId, RelationSet, StoreId)>,
-    /// Rule-set nodes whose Store rule is reachable (the store is fed
-    /// through this edge).
-    fed: FxHashSet<Node>,
+    /// Stores with a reachable Store rule (fed through some edge).
+    fed: FxHashSet<StoreId>,
     /// Relation sets (as bitsets) with a reachable Store delivery.
     stored: FxHashSet<u128>,
 }
@@ -690,7 +707,6 @@ mod tests {
             rules: Default::default(),
             ingest: Vec::new(),
             queries: vec![q],
-            estimated_cost: 1.0,
         };
         plan.rules.insert((st_r, EdgeId::new(0)), vec![Rule::Store]);
         plan.rules.insert((st_s, EdgeId::new(1)), vec![Rule::Store]);
@@ -863,6 +879,18 @@ mod tests {
         plan.ingest[1].targets[0].routing_key = None;
         let diags = verify_plan(&catalog, &plan);
         assert!(!diags.iter().any(|d| d.code == "P011"), "{diags:?}");
+    }
+
+    #[test]
+    fn two_rule_set_is_p015() {
+        let (catalog, mut plan) = mini();
+        plan.rules
+            .get_mut(&(StoreId::new(0), EdgeId::new(0)))
+            .unwrap()
+            .push(Rule::Store);
+        let diags = verify_plan(&catalog, &plan);
+        assert!(diags.iter().any(|d| d.code == "P015"), "{diags:?}");
+        assert!(gate(&catalog, &plan).is_err());
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! to `BENCH_hotpath.json`.
 //!
 //! Usage:
-//!   cargo run --release -p clash-bench --bin hotpath [iters] [fig7_tuples] [out.json]
+//!
+//! ```text
+//! cargo run --release -p clash-bench --bin hotpath [iters] [fig7_tuples] [out.json]
+//! ```
 //!
 //! Defaults: 300000 iterations, 30000-tuple Fig. 7 stream,
 //! `BENCH_hotpath.json` in the current directory. CI runs a smoke pass

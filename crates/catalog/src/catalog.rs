@@ -2,7 +2,6 @@
 
 use crate::relation::RelationMeta;
 use clash_common::{AttrRef, ClashError, RelationId, Result, Schema, SchemaRef, Window};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -11,7 +10,7 @@ use std::sync::Arc;
 ///
 /// Relation ids are dense indices in registration order, which lets every
 /// downstream crate use `Vec`-based lookups and `RelationSet` bitmaps.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     relations: Vec<RelationMeta>,
     by_name: HashMap<String, RelationId>,

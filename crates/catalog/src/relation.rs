@@ -1,7 +1,6 @@
 //! Metadata describing a registered streamed relation.
 
 use clash_common::{LeafLayout, RelationId, SchemaRef, Window};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Metadata of a streamed input relation.
@@ -14,7 +13,7 @@ use std::sync::Arc;
 ///   store. The broadcast factor χ of Equation 1 equals this parallelism
 ///   whenever a probing tuple does not know the store's partitioning
 ///   attribute.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RelationMeta {
     /// Identifier assigned by the catalog at registration time.
     pub id: RelationId,

@@ -16,7 +16,6 @@
 
 use clash_common::{AttrRef, Epoch, RelationId};
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -31,7 +30,7 @@ fn normalize(a: AttrRef, b: AttrRef) -> (AttrRef, AttrRef) {
 }
 
 /// A snapshot of data characteristics valid for one optimization run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Statistics {
     /// Epoch this snapshot was gathered in (metadata only).
     pub epoch: Epoch,

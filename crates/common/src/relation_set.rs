@@ -9,16 +9,13 @@
 //! trivial.
 
 use crate::ids::RelationId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of distinct relations a single deployment may reference.
 pub const MAX_RELATIONS: usize = 128;
 
 /// A set of [`RelationId`]s represented as a 128-bit bitmap.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RelationSet(u128);
 
 impl RelationSet {

@@ -6,12 +6,11 @@
 //! notation `Si.a = Sj.b`.
 
 use crate::ids::{AttrId, RelationId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A named attribute within a relation schema.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
     /// Attribute name, unique within its relation.
     pub name: String,
@@ -25,7 +24,7 @@ impl Attribute {
 }
 
 /// Schema of a streamed base relation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// Identifier of the relation this schema belongs to.
     pub relation: RelationId,
@@ -89,7 +88,7 @@ impl Schema {
 }
 
 /// A fully qualified attribute reference: `relation.attribute`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AttrRef {
     /// The relation the attribute belongs to.
     pub relation: RelationId,

@@ -6,21 +6,16 @@
 //! Section VI divides time into non-overlapping [`Epoch`]s; every store,
 //! rule set and statistics sample is keyed by the epoch it belongs to.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
 /// Logical stream time in milliseconds. Monotonically increasing per stream
 /// source but not necessarily aligned across sources.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 /// A span of stream time in milliseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub u64);
 
 impl Timestamp {
@@ -104,7 +99,7 @@ impl fmt::Display for Duration {
 /// A stored tuple `s` is a join candidate for a probing tuple `r` iff
 /// `r.τ - s.τ <= window.length` (and `s.τ <= r.τ`, i.e. the stored tuple
 /// arrived earlier — the "1/j" factor of Equation 1 stems from this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Window {
     /// Maximal age of a joinable tuple.
     pub length: Duration,
@@ -155,9 +150,7 @@ impl Default for Window {
 
 /// An epoch identifier. Epochs are consecutive, non-overlapping slices of
 /// stream time (Section VI-A).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Epoch(pub u64);
 
 impl Epoch {
@@ -185,7 +178,7 @@ impl fmt::Display for Epoch {
 ///
 /// The epoch duration is a system-wide configuration knob; the paper uses
 /// one second in the adaptivity experiments (Section VII-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochConfig {
     /// Length of every epoch.
     pub length: Duration,

@@ -53,7 +53,6 @@ use crate::relation_set::RelationSet;
 use crate::schema::{AttrRef, Schema};
 use crate::time::Timestamp;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -247,7 +246,7 @@ impl Node {
 }
 
 /// A stream tuple or partial join result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tuple {
     /// Timestamp `τ`: arrival time for base tuples, max constituent
     /// timestamp for join results.
@@ -795,7 +794,7 @@ impl<'a> WireReader<'a> {
 /// names by binary search over a prebuilt table instead of re-walking the
 /// schema's attribute list, and allocates its leaf buffer at the exact
 /// schema width (which keeps the arena pool's width buckets hot).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LeafLayout {
     relation: RelationId,
     /// Leaf buffer width (schema arity).

@@ -6,7 +6,6 @@
 //! which is sufficient for equi-joins where both sides were produced by the
 //! same generator or source).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -16,7 +15,7 @@ use std::sync::Arc;
 /// Cloning is cheap: strings are reference counted. The variants cover what
 /// the evaluation workloads need (TPC-H style keys, flags, prices and
 /// dates encoded as integers).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Absent value; joins never match on `Null`.
     Null,

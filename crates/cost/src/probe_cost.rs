@@ -3,12 +3,11 @@
 use crate::estimate::CardinalityEstimator;
 use clash_common::{AttrRef, RelationSet};
 use clash_query::{JoinQuery, ProbeOrder};
-use serde::{Deserialize, Serialize};
 
 /// Partitioning decoration of one probe step's target store: which MIR the
 /// store holds, by which attribute it is partitioned (if any) and across
 /// how many workers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionedStep {
     /// Relations held by the probed store.
     pub relations: RelationSet,
@@ -69,7 +68,7 @@ pub fn broadcast_factor(query: &JoinQuery, head: &RelationSet, target: &Partitio
 
 /// Detailed cost of a single probe step, useful for explain output and the
 /// experiment harness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepCostBreakdown {
     /// Estimated join cardinality of the head (relations covered before the
     /// step).

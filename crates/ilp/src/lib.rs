@@ -11,7 +11,7 @@
 //!   structure produced by Algorithm 2,
 //! * [`solve`] — an exact branch-and-bound solver built on unit-style
 //!   constraint propagation over binary domains, warm-started by
-//!   [`greedy`], with node- and time-limits that turn it into an anytime
+//!   [`greedy()`], with node- and time-limits that turn it into an anytime
 //!   solver for large instances,
 //! * [`enumerate_optimal`] — brute-force enumeration for tiny models, used
 //!   by the test-suite to certify that branch-and-bound returns optimal

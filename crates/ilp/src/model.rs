@@ -1,10 +1,9 @@
 //! 0/1 ILP modeling: variables, linear expressions, constraints, models.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a binary decision variable within a [`Model`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub u32);
 
 impl VarId {
@@ -21,7 +20,7 @@ impl fmt::Display for VarId {
 }
 
 /// Comparison sense of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     /// `expr = rhs`
     Eq,
@@ -32,7 +31,7 @@ pub enum Sense {
 }
 
 /// A linear expression `Σ coeff_i · x_i` over binary variables.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinExpr {
     terms: Vec<(VarId, f64)>,
 }
@@ -100,7 +99,7 @@ impl LinExpr {
 }
 
 /// A linear constraint `expr (sense) rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Left-hand side.
     pub expr: LinExpr,
@@ -130,7 +129,7 @@ impl Constraint {
 }
 
 /// A complete 0/1 assignment of the model's variables.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     values: Vec<bool>,
 }
@@ -182,7 +181,7 @@ impl Assignment {
 
 /// Size statistics of a model — the quantities plotted in Fig. 9b / 9d of
 /// the paper (number of ILP variables and constraints).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelStats {
     /// Number of binary variables.
     pub variables: usize,
@@ -193,7 +192,7 @@ pub struct ModelStats {
 }
 
 /// A 0/1 integer linear program with a minimization objective.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Model {
     objective: Vec<f64>,
     names: Vec<String>,

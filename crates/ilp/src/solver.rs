@@ -2,7 +2,7 @@
 //!
 //! The solver performs depth-first branch-and-bound over the binary
 //! domains, with constraint propagation (see [`crate::propagation`]) at
-//! every node and the greedy construction of [`crate::greedy`] as the
+//! every node and the greedy construction of [`crate::greedy()`] as the
 //! initial incumbent. The lower bound at a node is the objective mass of
 //! the variables already fixed to 1 (plus any negative coefficients still
 //! free) plus a sequential-minimum term: for every unsatisfied choice
@@ -30,11 +30,10 @@
 use crate::greedy::{choice_constraints, fixed_objective, greedy, satisfied};
 use crate::model::{Assignment, Model, VarId};
 use crate::propagation::{Domains, PropagationResult, Propagator};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Termination status of a solve call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveStatus {
     /// The returned solution is provably optimal.
     Optimal,
@@ -51,7 +50,7 @@ pub enum SolveStatus {
 const TOLERANCE: f64 = 1e-6;
 
 /// Solver limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Maximum number of branch-and-bound nodes to explore.
     pub node_limit: u64,
@@ -73,7 +72,7 @@ impl Default for SolverConfig {
 }
 
 /// Result of a solve call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Termination status.
     pub status: SolveStatus,

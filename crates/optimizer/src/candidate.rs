@@ -14,11 +14,10 @@ use clash_common::{QueryId, RelationId, RelationSet};
 use clash_cost::{probe_cost, step_cost, CardinalityEstimator};
 use clash_query::partitioning::partition_candidates_for_workload;
 use clash_query::{construct_probe_orders_for_start, enumerate_mirs, JoinQuery, Mir, ProbeOrder};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Configuration of the plan-space enumeration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanSpaceConfig {
     /// Cap on probe order candidates per (query, start) pair.
     pub max_candidates_per_start: Option<usize>,
@@ -50,7 +49,7 @@ impl Default for PlanSpaceConfig {
 /// actual computation at runtime — iff they start from the same relation,
 /// probe the same sequence of stores with the same partitioning, and
 /// evaluate the same predicates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StepKey(pub String);
 
 impl StepKey {
@@ -95,7 +94,7 @@ impl StepKey {
 
 /// A probe order whose probed stores carry partitioning decorations,
 /// together with its costs under the current statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecoratedProbeOrder {
     /// The query (or sub-query) answered by this probe order.
     pub query: QueryId,

@@ -2,7 +2,6 @@
 //! is partitioned and across how many workers.
 
 use clash_common::{AttrRef, QueryId, RelationSet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Description of a relation store before it is instantiated in a
@@ -13,8 +12,10 @@ use std::fmt;
 /// paper's state sharing. The `owner` field is only set by the
 /// *Independent* baseline, which deliberately gives every query its own
 /// copy of every store (no sharing), mirroring running one isolated
-/// topology per query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// topology per query. The descriptor value is also a store's identity
+/// across re-optimizations: an install keeps the state of every store
+/// whose descriptor the new plan still holds (Section VI-A).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StoreDescriptor {
     /// Base relations covered by the stored tuples.
     pub relations: RelationSet,
@@ -58,20 +59,6 @@ impl StoreDescriptor {
     /// intermediate join result.
     pub fn is_base(&self) -> bool {
         self.relations.len() == 1
-    }
-
-    /// Stable identity used to match stores across re-optimizations so
-    /// that their state can be kept (Section VI-A).
-    pub fn key(&self) -> String {
-        format!(
-            "{}|{}|{}|{}",
-            self.relations.bits(),
-            self.partition
-                .map(|a| format!("{a}"))
-                .unwrap_or_else(|| "-".into()),
-            self.parallelism,
-            self.owner.map(|q| q.0 as i64).unwrap_or(-1)
-        )
     }
 
     /// The equivalent cost-model step description.
@@ -128,13 +115,13 @@ mod tests {
         let b = StoreDescriptor::partitioned(rs(&[1]), attr, 1);
         let c = StoreDescriptor::partitioned(rs(&[1]), attr, 4);
         let d = StoreDescriptor::partitioned(rs(&[1]), attr, 4).owned_by(QueryId::new(2));
-        let keys = [a.key(), b.key(), c.key(), d.key()];
+        let keys = [a, b, c, d];
         for i in 0..keys.len() {
             for j in (i + 1)..keys.len() {
                 assert_ne!(keys[i], keys[j]);
             }
         }
-        assert_eq!(a.key(), StoreDescriptor::unpartitioned(rs(&[1])).key());
+        assert_eq!(a, StoreDescriptor::unpartitioned(rs(&[1])));
     }
 
     #[test]

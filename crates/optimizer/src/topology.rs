@@ -15,7 +15,7 @@
 //! instantiates: one worker per store partition, channels for the edges,
 //! and the rule set table per store.
 
-use crate::candidate::DecoratedProbeOrder;
+use crate::candidate::{DecoratedProbeOrder, StepKey};
 use crate::ilp_builder::Selection;
 use crate::store::StoreDescriptor;
 use clash_common::{
@@ -23,11 +23,10 @@ use clash_common::{
     StoreId,
 };
 use clash_query::{EquiPredicate, JoinQuery};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A store instantiated by the plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreDef {
     /// Dense store identifier within the plan.
     pub id: StoreId,
@@ -36,7 +35,7 @@ pub struct StoreDef {
 }
 
 /// Where to send a tuple (or join result) next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendTarget {
     /// Edge label the tuple travels on; the receiving store looks up its
     /// rule set under this label.
@@ -49,7 +48,7 @@ pub struct SendTarget {
 }
 
 /// Action taken with the results of a probe (or with an arriving tuple).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputAction {
     /// Forward to another store for further probing or storing.
     Forward(SendTarget),
@@ -61,7 +60,7 @@ pub enum OutputAction {
 }
 
 /// A rule registered at a store for one incoming edge label.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Rule {
     /// Add the arriving tuple to the local store partition.
     Store,
@@ -76,7 +75,7 @@ pub enum Rule {
 }
 
 /// Routing of freshly ingested input tuples of one relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IngestRoute {
     /// The input relation.
     pub relation: RelationId,
@@ -86,21 +85,20 @@ pub struct IngestRoute {
 }
 
 /// A deployable topology: stores, rule sets and ingest routing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopologyPlan {
     /// All stores.
     pub stores: Vec<StoreDef>,
-    /// Rule sets, keyed by `(store, incoming edge)`. Fx-hashed: the runtime
-    /// looks a rule set up per delivery, on the sending and on the
-    /// receiving side, and the keys are trusted internal ids.
+    /// Rule sets, keyed by `(store, incoming edge)`. Every set holds
+    /// exactly one rule (the analyzer's P015); read one through
+    /// [`Self::rule`] or [`Self::each_rule`]. Fx-hashed: the runtime looks
+    /// a rule up per delivery, on the sending and on the receiving side,
+    /// and the keys are trusted internal ids.
     pub rules: FxHashMap<(StoreId, EdgeId), Vec<Rule>>,
     /// Ingest routing per input relation.
     pub ingest: Vec<IngestRoute>,
     /// Queries answered by this plan.
     pub queries: Vec<QueryId>,
-    /// Total estimated probe cost of the plan (each shared step counted
-    /// once).
-    pub estimated_cost: f64,
 }
 
 impl TopologyPlan {
@@ -122,6 +120,23 @@ impl TopologyPlan {
     /// Number of registered rules.
     pub fn num_rules(&self) -> usize {
         self.rules.values().map(|r| r.len()).sum()
+    }
+
+    /// The rule applied to tuples arriving at `store` along `edge`. A set
+    /// holding any number of rules but one reads as none: no plan the
+    /// analyzer passes holds such a set (P015).
+    pub fn rule(&self, store: StoreId, edge: EdgeId) -> Option<&Rule> {
+        match self.rules.get(&(store, edge))?.as_slice() {
+            [rule] => Some(rule),
+            _ => None,
+        }
+    }
+
+    /// Every `(store, edge)` with the rule [`Self::rule`] reads there.
+    pub fn each_rule(&self) -> impl Iterator<Item = ((StoreId, EdgeId), &Rule)> {
+        self.rules
+            .keys()
+            .filter_map(|&(store, edge)| Some(((store, edge), self.rule(store, edge)?)))
     }
 
     /// Ingest routing of a relation (empty when the relation feeds no
@@ -147,9 +162,10 @@ pub struct TopologyBuilder<'a> {
 #[derive(Debug)]
 struct PlanState {
     stores: Vec<StoreDef>,
-    store_index: HashMap<String, StoreId>,
-    rules: FxHashMap<(StoreId, EdgeId), Vec<Rule>>,
-    ingest: HashMap<RelationId, Vec<SendTarget>>,
+    store_index: HashMap<StoreDescriptor, StoreId>,
+    /// One rule per `(store, edge)`: every rule gets a fresh edge.
+    rules: FxHashMap<(StoreId, EdgeId), Rule>,
+    ingest: BTreeMap<RelationId, Vec<SendTarget>>,
     next_edge: u32,
 }
 
@@ -159,7 +175,7 @@ impl PlanState {
             stores: Vec::new(),
             store_index: HashMap::new(),
             rules: FxHashMap::default(),
-            ingest: HashMap::new(),
+            ingest: BTreeMap::new(),
             next_edge: 0,
         }
     }
@@ -171,18 +187,25 @@ impl PlanState {
     }
 
     fn intern_store(&mut self, descriptor: StoreDescriptor) -> StoreId {
-        let key = descriptor.key();
-        if let Some(id) = self.store_index.get(&key) {
+        if let Some(id) = self.store_index.get(&descriptor) {
             return *id;
         }
         let id = StoreId::from(self.stores.len());
         self.stores.push(StoreDef { id, descriptor });
-        self.store_index.insert(key, id);
+        self.store_index.insert(descriptor, id);
         id
     }
 
     fn add_rule(&mut self, store: StoreId, edge: EdgeId, rule: Rule) {
-        self.rules.entry((store, edge)).or_default().push(rule);
+        self.rules.insert((store, edge), rule);
+    }
+
+    /// The outputs of the `Probe` rule at `node`.
+    fn probe_outputs(&mut self, node: (StoreId, EdgeId)) -> Option<&mut Vec<OutputAction>> {
+        match self.rules.get_mut(&node)? {
+            Rule::Probe { outputs, .. } => Some(outputs),
+            Rule::Store => None,
+        }
     }
 }
 
@@ -238,7 +261,7 @@ impl<'a> TopologyBuilder<'a> {
     fn add_order(
         &self,
         state: &mut PlanState,
-        trie: &mut HashMap<String, (StoreId, EdgeId)>,
+        trie: &mut HashMap<(StepKey, StoreDescriptor), (StoreId, EdgeId)>,
         order: &DecoratedProbeOrder,
         owner: Option<QueryId>,
         terminal: Vec<OutputAction>,
@@ -262,40 +285,34 @@ impl<'a> TopologyBuilder<'a> {
 
         let mut first_target = None;
         let mut head = RelationSet::singleton(order.order.start);
-        let mut previous: Option<(StoreId, EdgeId, usize)> = None; // (store, edge, step idx)
+        let mut previous: Option<(StoreId, EdgeId)> = None;
 
         for (j, store_desc) in order.stores.iter().enumerate() {
             let mut descriptor = *store_desc;
             if let Some(q) = owner {
                 descriptor = descriptor.owned_by(q);
             }
-            let trie_key = format!(
-                "{}|{}|{}",
-                owner.map(|q| q.0 as i64).unwrap_or(-1),
-                order.step_keys[j].0,
-                descriptor.key()
-            );
-            let store_id;
-            let edge;
-            let is_new = !trie.contains_key(&trie_key);
-            if is_new {
-                store_id = state.intern_store(descriptor);
-                edge = state.fresh_edge();
-                trie.insert(trie_key.clone(), (store_id, edge));
-                let predicates = query.predicates_between(&head, &store_desc.relations);
-                state.add_rule(
-                    store_id,
-                    edge,
-                    Rule::Probe {
-                        predicates,
-                        outputs: Vec::new(),
-                    },
-                );
-            } else {
-                let (s, e) = trie[&trie_key];
-                store_id = s;
-                edge = e;
-            }
+            // The descriptor carries the owner, so this is the node's
+            // identity across the orders of every query.
+            let trie_key = (order.step_keys[j].clone(), descriptor);
+            let (store_id, edge) = match trie.get(&trie_key) {
+                Some(node) => *node,
+                None => {
+                    let store_id = state.intern_store(descriptor);
+                    let edge = state.fresh_edge();
+                    trie.insert(trie_key, (store_id, edge));
+                    let predicates = query.predicates_between(&head, &store_desc.relations);
+                    state.add_rule(
+                        store_id,
+                        edge,
+                        Rule::Probe {
+                            predicates,
+                            outputs: Vec::new(),
+                        },
+                    );
+                    (store_id, edge)
+                }
+            };
 
             let target = SendTarget {
                 edge,
@@ -304,35 +321,23 @@ impl<'a> TopologyBuilder<'a> {
             };
             if j == 0 {
                 first_target = Some(target);
-            } else if let Some((prev_store, prev_edge, _)) = previous {
+            } else if let Some(outputs) = previous.and_then(|node| state.probe_outputs(node)) {
                 // Append a Forward output to the previous node's probe rule
                 // (deduplicated).
-                if let Some(rules) = state.rules.get_mut(&(prev_store, prev_edge)) {
-                    for rule in rules.iter_mut() {
-                        if let Rule::Probe { outputs, .. } = rule {
-                            if !outputs.contains(&OutputAction::Forward(target)) {
-                                outputs.push(OutputAction::Forward(target));
-                            }
-                        }
-                    }
+                if !outputs.contains(&OutputAction::Forward(target)) {
+                    outputs.push(OutputAction::Forward(target));
                 }
             }
 
             head = head.union(&store_desc.relations);
-            previous = Some((store_id, edge, j));
+            previous = Some((store_id, edge));
         }
 
         // Terminal actions at the last node (emit results / feed MIR store).
-        if let Some((store, edge, _)) = previous {
-            if let Some(rules) = state.rules.get_mut(&(store, edge)) {
-                for rule in rules.iter_mut() {
-                    if let Rule::Probe { outputs, .. } = rule {
-                        for action in &terminal {
-                            if !outputs.contains(action) {
-                                outputs.push(*action);
-                            }
-                        }
-                    }
+        if let Some(outputs) = previous.and_then(|node| state.probe_outputs(node)) {
+            for action in &terminal {
+                if !outputs.contains(action) {
+                    outputs.push(*action);
                 }
             }
         }
@@ -347,16 +352,17 @@ impl<'a> TopologyBuilder<'a> {
     /// `clash-analyzer` crate, which this crate cannot depend on.
     pub fn build(&self, selection: &Selection) -> Result<TopologyPlan> {
         let mut state = PlanState::new();
-        let mut trie: HashMap<String, (StoreId, EdgeId)> = HashMap::new();
+        let mut trie = HashMap::new();
 
         // 1. Materialize base stores referenced by any chosen probe order,
         //    plus the stores for the starting relations themselves (they
         //    are probed by the probe orders of the other relations, which
         //    guarantees they appear as steps; interning here is idempotent).
         //    MIR stores referenced as steps are interned too, with a
-        //    dedicated "store edge" that sub-query orders feed.
-        let mut mir_store_edges: HashMap<String, (StoreId, EdgeId)> = HashMap::new();
-        let mut base_store_edges: HashMap<String, (StoreId, EdgeId)> = HashMap::new();
+        //    dedicated "store edge" that sub-query orders feed. Ordered by
+        //    descriptor, so the outputs and routes built from it are the
+        //    same on every run over the same input.
+        let mut store_edges: BTreeMap<StoreDescriptor, (StoreId, EdgeId)> = BTreeMap::new();
         for order in selection.all_orders() {
             let owner = if self.share_stores {
                 None
@@ -370,21 +376,12 @@ impl<'a> TopologyBuilder<'a> {
                 if let Some(q) = owner {
                     descriptor = descriptor.owned_by(q);
                 }
-                let key = descriptor.key();
                 let store_id = state.intern_store(descriptor);
-                if store_desc.is_base() {
-                    base_store_edges.entry(key).or_insert_with(|| {
-                        let edge = state.fresh_edge();
-                        state.add_rule(store_id, edge, Rule::Store);
-                        (store_id, edge)
-                    });
-                } else {
-                    mir_store_edges.entry(key).or_insert_with(|| {
-                        let edge = state.fresh_edge();
-                        state.add_rule(store_id, edge, Rule::Store);
-                        (store_id, edge)
-                    });
-                }
+                store_edges.entry(descriptor).or_insert_with(|| {
+                    let edge = state.fresh_edge();
+                    state.add_rule(store_id, edge, Rule::Store);
+                    (store_id, edge)
+                });
             }
         }
 
@@ -413,13 +410,10 @@ impl<'a> TopologyBuilder<'a> {
         //    (terminal: store the result into every matching MIR store).
         for order in &selection.subquery_orders {
             let covered = order.covered();
-            let terminal: Vec<OutputAction> = mir_store_edges
-                .values()
-                .filter(|(store_id, _)| {
-                    state.stores[store_id.index()].descriptor.relations == covered
-                })
-                .map(|(store_id, edge)| {
-                    let descriptor = state.stores[store_id.index()].descriptor;
+            let terminal: Vec<OutputAction> = store_edges
+                .iter()
+                .filter(|(descriptor, _)| !descriptor.is_base() && descriptor.relations == covered)
+                .map(|(descriptor, (store_id, edge))| {
                     OutputAction::Forward(SendTarget {
                         edge: *edge,
                         store: *store_id,
@@ -440,8 +434,7 @@ impl<'a> TopologyBuilder<'a> {
         }
 
         // 4. Ingestion into the base stores themselves (store rules).
-        for (store_id, edge) in base_store_edges.values() {
-            let descriptor = state.stores[store_id.index()].descriptor;
+        for (descriptor, (store_id, edge)) in store_edges.iter().filter(|(d, _)| d.is_base()) {
             let relation = descriptor.relations.as_singleton().ok_or_else(|| {
                 ClashError::InvalidPlan(vec![Diagnostic::error(
                     "P021",
@@ -459,7 +452,7 @@ impl<'a> TopologyBuilder<'a> {
             });
         }
 
-        let mut ingest: Vec<IngestRoute> = state
+        let ingest: Vec<IngestRoute> = state
             .ingest
             .into_iter()
             .map(|(relation, mut targets)| {
@@ -468,47 +461,21 @@ impl<'a> TopologyBuilder<'a> {
                 IngestRoute { relation, targets }
             })
             .collect();
-        ingest.sort_by_key(|i| i.relation.0);
 
         let mut queries: Vec<QueryId> = self.queries.iter().map(|q| q.id).collect();
         queries.sort();
         queries.dedup();
 
-        let plan = TopologyPlan {
+        Ok(TopologyPlan {
             stores: state.stores,
-            rules: state.rules,
+            rules: state
+                .rules
+                .into_iter()
+                .map(|(node, rule)| (node, vec![rule]))
+                .collect(),
             ingest,
             queries,
-            estimated_cost: selection.shared_cost,
-        };
-
-        // Debug-build self-check of the structural invariants the runtime
-        // relies on. The full semantic analysis (schema checks, partition
-        // safety, completeness) runs in `clash-analyzer` at install time.
-        #[cfg(debug_assertions)]
-        {
-            for (i, def) in plan.stores.iter().enumerate() {
-                debug_assert_eq!(def.id.index(), i, "store table must be dense");
-            }
-            for route in &plan.ingest {
-                for t in &route.targets {
-                    debug_assert!(
-                        plan.store(t.store).is_some(),
-                        "ingest target {}/{} dangles",
-                        t.store,
-                        t.edge
-                    );
-                    debug_assert!(
-                        plan.rules.contains_key(&(t.store, t.edge)),
-                        "ingest target {}/{} has no rule set",
-                        t.store,
-                        t.edge
-                    );
-                }
-            }
-        }
-
-        Ok(plan)
+        })
     }
 }
 
@@ -592,16 +559,12 @@ mod tests {
             for r in q.relations.iter() {
                 let targets = plan.ingest_for(r);
                 assert!(!targets.is_empty());
-                let has_store_rule = targets.iter().any(|t| {
-                    plan.rules
-                        .get(&(t.store, t.edge))
-                        .map(|rules| rules.iter().any(|r| matches!(r, Rule::Store)))
-                        .unwrap_or(false)
-                });
+                let has_store_rule = targets
+                    .iter()
+                    .any(|t| matches!(plan.rule(t.store, t.edge), Some(Rule::Store)));
                 assert!(has_store_rule, "relation {r} is never stored");
             }
         }
-        assert!(plan.estimated_cost > 0.0);
         assert!(plan.num_rules() > 0);
         assert_eq!(plan.queries.len(), 2);
     }
@@ -645,13 +608,11 @@ mod tests {
         // Each query must have at least one Emit action per starting
         // relation (every probe order ends in one).
         let mut emit_count: HashMap<QueryId, usize> = HashMap::new();
-        for rules in plan.rules.values() {
-            for rule in rules {
-                if let Rule::Probe { outputs, .. } = rule {
-                    for o in outputs {
-                        if let OutputAction::Emit { query } = o {
-                            *emit_count.entry(*query).or_default() += 1;
-                        }
+        for (_, rule) in plan.each_rule() {
+            if let Rule::Probe { outputs, .. } = rule {
+                for o in outputs {
+                    if let OutputAction::Emit { query } = o {
+                        *emit_count.entry(*query).or_default() += 1;
                     }
                 }
             }
@@ -664,11 +625,9 @@ mod tests {
             );
         }
         // Probe rules carry non-empty predicate lists (equi joins only).
-        for rules in plan.rules.values() {
-            for rule in rules {
-                if let Rule::Probe { predicates, .. } = rule {
-                    assert!(!predicates.is_empty());
-                }
+        for (_, rule) in plan.each_rule() {
+            if let Rule::Probe { predicates, .. } = rule {
+                assert!(!predicates.is_empty());
             }
         }
     }
@@ -712,15 +671,12 @@ mod tests {
         // there must be a Forward action into its store edge somewhere.
         for store in mir_stores {
             let store_edges: Vec<EdgeId> = plan
-                .rules
-                .iter()
-                .filter(|((sid, _), rules)| {
-                    *sid == store.id && rules.iter().any(|r| matches!(r, Rule::Store))
-                })
-                .map(|((_, e), _)| *e)
+                .each_rule()
+                .filter(|((sid, _), rule)| *sid == store.id && matches!(rule, Rule::Store))
+                .map(|((_, e), _)| e)
                 .collect();
             assert!(!store_edges.is_empty());
-            let fed = plan.rules.values().flatten().any(|r| {
+            let fed = plan.each_rule().any(|(_, r)| {
                 if let Rule::Probe { outputs, .. } = r {
                     outputs.iter().any(|o| {
                         matches!(o, OutputAction::Forward(t) if t.store == store.id && store_edges.contains(&t.edge))

@@ -9,10 +9,9 @@
 
 use crate::predicate::EquiPredicate;
 use clash_common::{RelationId, RelationSet};
-use serde::{Deserialize, Serialize};
 
 /// The join graph induced by a set of equi-join predicates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryGraph {
     /// All relations of the query (nodes).
     pub relations: RelationSet,

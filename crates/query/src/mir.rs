@@ -13,11 +13,10 @@
 
 use crate::query::JoinQuery;
 use clash_common::RelationSet;
-use serde::{Deserialize, Serialize};
 
 /// A materializable intermediate result: a connected subset of a query's
 /// relations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Mir {
     /// The base relations covered by this intermediate result.
     pub relations: RelationSet,

@@ -1,7 +1,6 @@
 //! Equi-join predicates.
 
 use clash_common::{AttrRef, RelationId, RelationSet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An equi-join predicate `left = right` between attributes of two
@@ -11,7 +10,7 @@ use std::fmt;
 /// smaller attribute reference is stored on the left; two predicates over
 /// the same attribute pair therefore compare equal regardless of the order
 /// they were written in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EquiPredicate {
     /// Smaller side of the normalized attribute pair.
     pub left: AttrRef,

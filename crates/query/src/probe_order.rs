@@ -15,12 +15,11 @@
 use crate::mir::Mir;
 use crate::query::JoinQuery;
 use clash_common::{QueryId, RelationId, RelationSet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A candidate probe order for one starting relation of one query (or of a
 /// sub-query computing an intermediate result).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProbeOrder {
     /// The query (or sub-query) this probe order answers.
     pub query: QueryId,

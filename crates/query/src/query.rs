@@ -4,7 +4,6 @@ use crate::graph::QueryGraph;
 use crate::predicate::EquiPredicate;
 use clash_catalog::Catalog;
 use clash_common::{ClashError, QueryId, RelationSet, Result, Window};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A continuous multi-way windowed equi-join query `q_i(S_1, ..., S_n)`.
@@ -13,7 +12,7 @@ use std::fmt;
 /// of equi-join predicates. The join graph induced by the predicates must
 /// be connected — the paper explicitly excludes cross products from the
 /// plan space (Section V), and [`JoinQuery::validate`] enforces it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinQuery {
     /// Identifier of the query, unique within a deployment.
     pub id: QueryId,

@@ -321,6 +321,46 @@ mod tests {
     }
 
     #[test]
+    fn a_steady_stream_installs_at_most_one_reconfiguration() {
+        // R ⋈ S ⋈ T at 100-101 tuples per relation per 1 s epoch. Every
+        // epoch's statistics differ a little from the last, and so does
+        // the re-planned selection's cost, but the plan's shape settles:
+        // the controller must not reinstall an identical topology at every
+        // boundary.
+        let (mut controller, mut engine, catalog) = controller_and_engine(true);
+        let [r, s, t] = ["R", "S", "T"].map(|name| catalog.relation_by_name(name).unwrap());
+        let mut i = 0i64;
+        for epoch in 0..12u64 {
+            let per_relation = 100 + epoch % 2;
+            for k in 0..per_relation {
+                let ts = Timestamp::from_millis(epoch * 1_000 + k * 1_000 / per_relation);
+                let (a, b) = (i % 50, i % 30);
+                i += 1;
+                let tuples = [
+                    (r.id, TupleBuilder::new(&r.schema, ts).set("a", a).build()),
+                    (
+                        s.id,
+                        TupleBuilder::new(&s.schema, ts)
+                            .set("a", a)
+                            .set("b", b)
+                            .build(),
+                    ),
+                    (t.id, TupleBuilder::new(&t.schema, ts).set("b", b).build()),
+                ];
+                for (relation, tuple) in tuples {
+                    engine.ingest(relation, tuple).unwrap();
+                }
+            }
+            controller.on_epoch(&mut engine, Epoch(epoch + 1)).unwrap();
+        }
+        assert!(
+            controller.reconfigurations <= 1,
+            "{} reconfigurations of a steady stream",
+            controller.reconfigurations
+        );
+    }
+
+    #[test]
     fn disabled_controller_never_replans() {
         let (mut controller, mut engine, catalog) = controller_and_engine(false);
         ingest_some(&mut engine, &catalog, 0, 60);

@@ -123,11 +123,12 @@ pub trait EngineControl {
 
 /// Deterministic local execution engine for a [`TopologyPlan`]: a
 /// sequential driver over **one** `ShardState` that owns every partition
-/// of every store (`workers = 1`, no symmetric stores, hence no pending
-/// probers). Each ingested tuple is run to completion before the next —
-/// the kernel's `Forward` outputs land in an inline work queue instead of
-/// worker channels — so the arrival position is the sequence guard and
-/// nothing is ever in flight between calls.
+/// of every store (`workers = 1`, the one-producer feed). Each ingested
+/// tuple is run to completion before the next — the kernel's `Forward`
+/// outputs land in an inline work queue instead of worker channels — so
+/// the arrival position is the sequence guard, nothing is ever in flight
+/// between calls, and no probe ever registers as a pending prober (the
+/// watermark is always the previous arrival).
 pub struct LocalEngine {
     catalog: Catalog,
     config: EngineConfig,
@@ -156,7 +157,7 @@ impl LocalEngine {
     /// fails static verification.
     pub fn new(catalog: Catalog, plan: TopologyPlan, config: EngineConfig) -> Self {
         let installed = prepare(&catalog, plan).expect(INVALID_INITIAL_PLAN);
-        let shard = ShardState::new(1, installed, Feed::Inline, &config, 0);
+        let shard = ShardState::new(1, installed, Feed::OneProducer, &config, 0);
         LocalEngine {
             catalog,
             config,
@@ -187,8 +188,8 @@ impl LocalEngine {
         rx
     }
 
-    /// Installs (or replaces) the plan. Stores whose descriptor key matches
-    /// an existing store keep their state (Section VI-A: rewiring without
+    /// Installs (or replaces) the plan. Stores whose descriptor matches an
+    /// existing store keep their state (Section VI-A: rewiring without
     /// losing results); stores that no longer appear are dropped
     /// (reference-count reaching zero in Section VI-B).
     ///

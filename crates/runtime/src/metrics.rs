@@ -1,7 +1,6 @@
 //! Runtime metrics: the quantities behind Fig. 7b–7d and Fig. 8.
 
 use clash_common::{FxHashMap, LatencyHistogram, QueryId, StoreId};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Aggregated latency statistics in microseconds, extracted from a
@@ -9,7 +8,7 @@ use std::time::Duration;
 /// tail quantiles the paper's evaluation (Fig. 7d) actually argues about.
 /// Quantiles carry the histogram's bucket error (≤
 /// [`LatencyHistogram::RELATIVE_ERROR`] above the exact sample quantile).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyStats {
     /// Number of samples.
     pub count: u64,
@@ -186,7 +185,7 @@ impl StoreDetail {
 }
 
 /// Immutable snapshot of the engine state used by experiment drivers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Input tuples ingested.
     pub tuples_ingested: u64,

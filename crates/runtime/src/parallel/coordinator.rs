@@ -289,7 +289,7 @@ impl ParallelEngine {
     /// barrier, the new plan is installed on every worker and every
     /// source slot, and producers resume against it. Racing pushes block
     /// briefly at the quiesce gate instead of being dropped. Shard state
-    /// with matching descriptor keys is carried over, mirroring the
+    /// with matching store descriptors is carried over, mirroring the
     /// sequential engine's rewiring (Section VI-A/B).
     ///
     /// Returns the install position: the number of roots sequenced before

@@ -1,12 +1,14 @@
 //! Partition routing and ordering bookkeeping.
 //!
 //! Routing is one decision, made in [`resolve`] / [`fan_out`] for both
-//! engines: a delivery either hashes its routing-key attribute to one
-//! partition ([`partition_hash`]) or broadcasts to every partition of the
-//! target store (the χ factor of Equation 1). Partitions are mapped onto
-//! worker threads round-robin (`partition % workers`), so with `workers`
-//! equal to a store's catalog parallelism every store partition gets its
-//! own dedicated thread; `LocalEngine` routes with `workers = 1`.
+//! engines, on the one rule registered for the send's `(store, edge)`: a
+//! `Store` rule inserts into one partition, and a `Probe` rule either
+//! hashes its routing-key attribute to one partition ([`partition_hash`])
+//! or broadcasts to every partition of the target store (the χ factor of
+//! Equation 1). Partitions are mapped onto worker threads round-robin
+//! (`partition % workers`), so with `workers` equal to a store's catalog
+//! parallelism every store partition gets its own dedicated thread;
+//! `LocalEngine` routes with `workers = 1`.
 //!
 //! The module also owns the two pieces of machinery that make sharded
 //! execution *bit-identical* to sequential execution:
@@ -102,18 +104,20 @@ pub(crate) fn owner_of(partition: usize, workers: usize) -> usize {
     partition % workers
 }
 
-/// The partitions of one store that one worker probes along a route.
-/// Round-robin ownership makes every worker's share an arithmetic
-/// progression (`w, w + workers, …`), so a delivery carries it by value
-/// instead of an allocated list.
+/// The partitions of one store a delivery applies its rule to on one
+/// worker: the one partition a `Store` rule inserts into, or the worker's
+/// share of the partitions a `Probe` rule probes. Round-robin ownership
+/// makes every share an arithmetic progression (`w, w + workers, …`), so
+/// a delivery carries it by value instead of an allocated list.
 pub(crate) type Partitions = std::iter::StepBy<std::ops::Range<usize>>;
 
 /// Routes one send: splits the route of `target` into one [`Delivery`] per
 /// owning worker, handed to `deliver`, and accounts the send in `metrics`
 /// (`tuples_sent` per partition copy, the broadcast counter). Sends the
-/// plan has no rules for are ignored without accounting. Probe partitions
-/// go to their owners; the store partition goes to its owner only when the
-/// rule set actually stores. `guard` is the logical sequence position the
+/// plan has no rule for are ignored without accounting. A `Store` rule
+/// gives one delivery, to the owner of the partition it inserts into; a
+/// `Probe` rule gives one per owning worker, carrying its share of the
+/// probed partitions. `guard` is the logical sequence position the
 /// delivery acts at (the originating root for normal sends, the original
 /// prober's position for retro-produced results). Every producer — engine
 /// ingest, source pushes and the kernel's `Forward` outputs, on one worker
@@ -130,14 +134,9 @@ pub(crate) fn fan_out(
     metrics: &mut EngineMetrics,
     mut deliver: impl FnMut(usize, Delivery),
 ) {
-    let Some(rules) = plan.rules.get(&(target.store, target.edge)) else {
+    let Some(rule) = plan.rule(target.store, target.edge) else {
         return;
     };
-    let has_store = rules.iter().any(|r| matches!(r, Rule::Store));
-    let has_probe = rules.iter().any(|r| matches!(r, Rule::Probe { .. }));
-    if !has_store && !has_probe {
-        return;
-    }
     let Some(spec) = resolve(plan, &target, tuple) else {
         return;
     };
@@ -145,40 +144,26 @@ pub(crate) fn fan_out(
     if spec.broadcast() {
         metrics.broadcasts += 1;
     }
-    let probe = |partitions: Partitions| {
-        if has_probe {
-            partitions
-        } else {
-            (0..0).step_by(1)
-        }
-    };
-    let delivery = |probe_partitions, store_partition| Delivery {
+    let delivery = |partitions| Delivery {
         target,
         tuple: tuple.clone(),
-        probe_partitions,
-        store_partition,
+        partitions,
         broadcast: spec.broadcast(),
         guard,
         started,
     };
-    match spec.hashed {
-        Some(p) => deliver(
-            owner_of(p, workers),
-            delivery(probe((p..p + 1).step_by(1)), has_store.then_some(p)),
-        ),
+    let single = match rule {
+        Rule::Store => Some(spec.store_partition),
+        Rule::Probe { .. } => spec.hashed,
+    };
+    match single {
+        Some(p) => deliver(owner_of(p, workers), delivery((p..p + 1).step_by(1))),
         None => {
-            let store_owner = has_store.then(|| owner_of(spec.store_partition, workers));
             for worker in 0..workers.min(spec.parallelism) {
-                let stores_here = store_owner == Some(worker);
-                if has_probe || stores_here {
-                    deliver(
-                        worker,
-                        delivery(
-                            probe((worker..spec.parallelism).step_by(workers)),
-                            stores_here.then_some(spec.store_partition),
-                        ),
-                    );
-                }
+                deliver(
+                    worker,
+                    delivery((worker..spec.parallelism).step_by(workers)),
+                );
             }
         }
     }

@@ -1,17 +1,19 @@
 //! The rule kernel: one shard's store partitions plus the only
 //! interpreter of `Rule::{Store, Probe}` / `OutputAction::{Emit, Forward}`
 //! (Algorithm 3/4) in this crate, with its private metrics and statistics
-//! accumulators.
+//! accumulators. A delivery's `(store, edge)` selects exactly one rule
+//! (the analyzer's P015), which `process` matches on; stores and pending
+//! probers live in `Vec`s indexed by `StoreId`.
 //!
 //! Both engines run it. `LocalEngine` owns a single shard holding every
-//! partition (`workers = 1`, empty symmetric set) and feeds the kernel's
-//! forwards back into an inline work queue; `ParallelEngine` runs one shard
-//! per worker thread, restricted to the partitions assigned to that worker,
-//! and ships forwards through the routed `Outbox`. Two mechanisms make the
-//! union of all shards' results equal to sequential execution's result set
-//! (both are vacuous in the single-shard instance, where every tuple an
-//! earlier root stored already carries a smaller guard than any probe that
-//! meets it, and no store is symmetric):
+//! partition (`workers = 1`) and feeds the kernel's forwards back into an
+//! inline work queue; `ParallelEngine` runs one shard per worker thread,
+//! restricted to the partitions assigned to that worker, and ships
+//! forwards through the routed `Outbox`. Two mechanisms make the union of
+//! all shards' results equal to sequential execution's result set (both
+//! are vacuous in the single-shard instance, where every tuple an earlier
+//! root stored already carries a smaller guard than any probe that meets
+//! it, and every earlier root has completed, so no probe registers):
 //!
 //! * **Sequence guard** — inserts are tagged with the logical sequence
 //!   position (`guard`) of the root that produced them and probes skip
@@ -40,7 +42,7 @@ use clash_common::{
     arena_stats, ArenaStats, EdgeId, Epoch, EpochConfig, FxHashMap, JoinSlot, RelationId,
     SlotAccessor, StoreId, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Value,
 };
-use clash_optimizer::{OutputAction, Rule, TopologyPlan};
+use clash_optimizer::{OutputAction, Rule, StoreDescriptor, TopologyPlan};
 use clash_query::EquiPredicate;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -129,8 +131,9 @@ struct PendingProber {
     tuple: Tuple,
     /// Partitions (owned by this worker) the probe inspected.
     partitions: Partitions,
-    /// Rule key whose probe rules (predicates, outputs) apply.
-    key: (StoreId, EdgeId),
+    /// Edge the probe arrived on: its store's rule there (predicates,
+    /// outputs) applies.
+    edge: EdgeId,
     /// Wall-clock ingest instant of the probe's root.
     started: Instant,
 }
@@ -139,7 +142,7 @@ struct PendingProber {
 /// indexed by join-key value so a late insert retro-matches in
 /// O(candidate matches) instead of scanning every in-flight prober.
 ///
-/// A prober whose rule set carries at least one equi-predicate is keyed
+/// A prober whose rule carries at least one equi-predicate is keyed
 /// by `(edge, probe-side value of the first predicate)` — the same
 /// predicate the store's own hash index would drive — and a late insert
 /// looks up the stored-side value of that predicate. Probers without a
@@ -165,13 +168,9 @@ struct PendingSet {
 }
 
 impl PendingSet {
-    fn is_empty(&self) -> bool {
-        self.keyed.is_empty() && self.unkeyed.is_empty()
-    }
-
     /// Registers a prober under its join-key value (or unkeyed).
     fn register(&mut self, prober: PendingProber, key: Option<(SlotAccessor, Value)>) {
-        let edge = prober.key.1;
+        let edge = prober.edge;
         match key {
             Some((stored_slot, value)) if !value.is_null() => {
                 if !self.edge_keys.iter().any(|(e, _)| *e == edge) {
@@ -184,7 +183,7 @@ impl PendingSet {
                     .or_default()
                     .push(prober);
             }
-            // No usable key (predicate-less rule set, missing attribute,
+            // No usable key (predicate-less rule, missing attribute,
             // or a Null probe value): fall back to the scanned list.
             _ => self.unkeyed.push(prober),
         }
@@ -207,7 +206,7 @@ impl PendingSet {
         insert: &Delivery,
         mut visit: impl FnMut(&'p PendingProber, &'p [EquiPredicate], &'p [OutputAction]),
     ) {
-        let inserted = &insert.tuple;
+        let (store_id, inserted) = (insert.target.store, &insert.tuple);
         let keyed = self.edge_keys.iter().filter_map(|(edge, stored_slot)| {
             let value = stored_slot.get(inserted).filter(|v| !v.is_null())?;
             self.keyed.get(edge)?.get(value)
@@ -223,16 +222,15 @@ impl PendingSet {
             {
                 continue;
             }
-            for rule in plan.rules.get(&prober.key).into_iter().flatten() {
-                if let Rule::Probe {
-                    predicates,
-                    outputs,
-                } = rule
-                {
-                    if store.predicates_hold(predicates, 0, &prober.tuple, |a| inserted.get(a)) {
-                        visit(prober, predicates, outputs);
-                    }
-                }
+            let Some(Rule::Probe {
+                predicates,
+                outputs,
+            }) = plan.rule(store_id, prober.edge)
+            else {
+                continue;
+            };
+            if store.predicates_hold(predicates, 0, &prober.tuple, |a| inserted.get(a)) {
+                visit(prober, predicates, outputs);
             }
         }
     }
@@ -255,7 +253,9 @@ impl PendingSet {
 pub(crate) struct ShardState {
     workers: usize,
     installed: Arc<InstalledPlan>,
-    stores: FxHashMap<StoreId, StoreInstance>,
+    /// Store instances in `plan.stores` order: indexed by `StoreId`
+    /// (P001 makes the plan's store table dense).
+    stores: Vec<StoreInstance>,
     /// Who feeds this shard: selects which of the installed plan's
     /// symmetric sets applies, and survives installs. A worker moves it to
     /// `ManyProducers` mid-stream (the multi-producer widening):
@@ -263,8 +263,9 @@ pub(crate) struct ShardState {
     /// exactly-once argument holds for any symmetric set, so no drain is
     /// needed.
     pub feed: Feed,
-    /// Pending probers per symmetric store, indexed by join-key value.
-    pending: FxHashMap<StoreId, PendingSet>,
+    /// Pending probers per store, indexed by `StoreId` like `stores` (only
+    /// symmetric stores ever register any), each keyed by join-key value.
+    pending: Vec<PendingSet>,
     /// Completion watermark at the last prober sweep.
     swept_at: u64,
     epoch: EpochConfig,
@@ -297,9 +298,9 @@ impl ShardState {
         let mut shard = ShardState {
             workers,
             installed: Arc::clone(&installed),
-            stores: FxHashMap::default(),
+            stores: Vec::new(),
             feed,
-            pending: FxHashMap::default(),
+            pending: Vec::new(),
             swept_at: 0,
             epoch: config.epoch,
             freeze_after: config.freeze_after_epochs,
@@ -319,22 +320,19 @@ impl ShardState {
 
     /// The store instances of this shard.
     pub fn stores(&self) -> impl Iterator<Item = &StoreInstance> {
-        self.stores.values()
+        self.stores.iter()
     }
 
-    /// Installs a plan. Stores whose descriptor key matches an existing
-    /// store keep their state (Section VI-A: rewiring without losing
-    /// results); stores that no longer appear are dropped (reference count
-    /// reaching zero in Section VI-B). Installs only happen with nothing in
-    /// flight, so no probers are pending.
+    /// Installs a plan. Stores whose descriptor matches an existing store
+    /// keep their state (Section VI-A: rewiring without losing results);
+    /// stores that no longer appear are dropped (reference count reaching
+    /// zero in Section VI-B). Installs only happen with nothing in flight,
+    /// so no probers are pending.
     pub fn install(&mut self, installed: Arc<InstalledPlan>) {
-        let mut existing: FxHashMap<String, StoreInstance> = self
-            .stores
-            .drain()
-            .map(|(_, s)| (s.descriptor.key(), s))
-            .collect();
+        let mut existing: FxHashMap<StoreDescriptor, StoreInstance> =
+            self.stores.drain(..).map(|s| (s.descriptor, s)).collect();
         for (def, (window, indexed)) in installed.plan.stores.iter().zip(&installed.layout) {
-            let instance = match existing.remove(&def.descriptor.key()) {
+            let instance = match existing.remove(&def.descriptor) {
                 Some(mut s) => {
                     for attr in indexed {
                         s.add_indexed_attr(*attr);
@@ -344,10 +342,12 @@ impl ShardState {
                 }
                 None => StoreInstance::new(def.descriptor, *window, indexed.clone()),
             };
-            self.stores.insert(def.id, instance);
+            self.stores.push(instance);
         }
-        self.installed = installed;
         self.pending.clear();
+        self.pending
+            .resize_with(self.stores.len(), PendingSet::default);
+        self.installed = installed;
         self.trace
             .record(TraceEventKind::PlanInstall, 0, self.stores.len() as u64);
     }
@@ -378,16 +378,16 @@ impl ShardState {
         }
     }
 
-    /// Delivers one tuple to one store along one edge, applying the rules
-    /// registered for that edge (Algorithm 3/4) to the partitions this
-    /// shard owns. Every match is joined and dispatched the moment the
-    /// store finds it: `Forward` outputs are routed and handed to `out` as
-    /// `(owning worker, delivery)`; emissions reach the sinks at once and
-    /// are counted and timed once per rule evaluation. `watermark` is a
-    /// completion watermark the driver read at any point before the call
-    /// (every root at or below it has completed on every shard; it only
-    /// ever grows, so an older reading is merely conservative). Returns the
-    /// number of results emitted.
+    /// Delivers one tuple to one store along one edge, applying the rule
+    /// registered for that edge (Algorithm 3/4) to the partitions of the
+    /// delivery, all owned by this shard. Every match is joined and
+    /// dispatched the moment the store finds it: `Forward` outputs are
+    /// routed and handed to `out` as `(owning worker, delivery)`; emissions
+    /// reach the sinks at once and are counted and timed once per rule
+    /// evaluation. `watermark` is a completion watermark the driver read at
+    /// any point before the call (every root at or below it has completed
+    /// on every shard; it only ever grows, so an older reading is merely
+    /// conservative). Returns the number of results emitted.
     pub fn process(
         &mut self,
         delivery: &Delivery,
@@ -395,15 +395,12 @@ impl ShardState {
         out: &mut impl FnMut(usize, Delivery),
     ) -> u64 {
         let plan = &self.installed.plan;
-        let key = (delivery.target.store, delivery.target.edge);
-        let Some(rules) = plan.rules.get(&key) else {
+        let target = delivery.target;
+        let Some(rule) = plan.rule(target.store, target.edge) else {
             return 0;
         };
+        let index = target.store.index();
         let epoch = self.epoch.epoch_of(delivery.tuple.ts);
-        let symmetric = self
-            .installed
-            .symmetric(self.feed)
-            .contains(&delivery.target.store);
         // The field split: probes read `stores` and `pending` while
         // results leave through the emitter's fields.
         let mut emitter = Emitter {
@@ -413,156 +410,138 @@ impl ShardState {
             sinks: &mut self.sinks,
             out,
         };
-        let store_id = u64::from(delivery.target.store.0);
+        let store_id = u64::from(target.store.0);
         // Every result of this delivery is built here, each in the
         // previous one's node once its consumers released it.
         let mut slot = JoinSlot::default();
         let mut emitted = 0;
-        let mut probed = false;
-        // Join-key of the probe for pending-prober indexing: stored-side
-        // accessor and probe-side value of the first predicate.
-        let mut probe_key: Option<(SlotAccessor, Value)> = None;
-        for rule in rules {
-            match rule {
-                Rule::Store => {
-                    let Some(partition) = delivery.store_partition else {
-                        continue;
-                    };
-                    let Some(store) = self.stores.get_mut(&delivery.target.store) else {
-                        return emitted;
-                    };
-                    store.insert_seq(partition, epoch, delivery.tuple.clone(), delivery.guard);
+        match rule {
+            Rule::Store => {
+                let (Some(store), Some(partition)) = (
+                    self.stores.get_mut(index),
+                    delivery.partitions.clone().next(),
+                ) else {
+                    return 0;
+                };
+                store.insert_seq(partition, epoch, delivery.tuple.clone(), delivery.guard);
+                self.trace
+                    .record(TraceEventKind::Insert, store_id, delivery.guard);
+                let Some(pending) = self.pending.get(index) else {
+                    return 0;
+                };
+                // Each retro-matched prober is one evaluation: its result
+                // leaves through the prober's outputs, at its guard, on its
+                // own clock read. In arrival order the match would have
+                // been counted inside the original probe's observation, so
+                // it adds no probe or size.
+                pending.retro_matches(
+                    store,
+                    plan,
+                    partition,
+                    delivery,
+                    |prober, preds, outputs| {
+                        let Some(joined) = slot.join(&prober.tuple, &delivery.tuple) else {
+                            return;
+                        };
+                        emitter.dispatch(outputs, joined, prober.guard, prober.started);
+                        emitted += emitter.account(outputs, 1, prober.started.elapsed());
+                        let prober_epoch = self.epoch.epoch_of(prober.tuple.ts);
+                        self.stats.record_probe_obs(prober_epoch, preds, 0, 1, 0);
+                    },
+                );
+            }
+            Rule::Probe {
+                predicates,
+                outputs,
+            } => {
+                let Some(store) = self.stores.get(index) else {
+                    return 0;
+                };
+                // Epochs that may contain partners: everything from the
+                // window horizon up to the probing tuple's own epoch.
+                let lo = self.epoch.epoch_of(store.window.horizon(delivery.tuple.ts));
+                // Statistics record one probe observation against the
+                // whole-store size per logical probe. A broadcast probe is
+                // split across the sharing workers, so each contributes its
+                // local store slice (the slices sum to the whole store) and
+                // only the worker holding partition 0 counts the probe
+                // itself. A hashed probe runs on one worker, which
+                // extrapolates the whole store size from its shard. (One
+                // shard holding every partition counts each probe once, at
+                // its true size.)
+                let counts_probe =
+                    !delivery.broadcast || delivery.partitions.clone().next() == Some(0);
+                let est_size = if delivery.broadcast {
+                    store.len() as u64
+                } else {
+                    let sharing = workers_of_store(store.parallelism(), self.workers) as u64;
+                    store.len() as u64 * sharing
+                };
+                let (guard, started) = (delivery.guard, delivery.started);
+                let (mut matches, mut joined) = (0u64, 0u64);
+                for p in delivery.partitions.clone() {
+                    let epochs = (lo.0..=epoch.0).map(Epoch);
+                    store.probe_each(p, epochs, &delivery.tuple, predicates, Some(guard), |hit| {
+                        matches += 1;
+                        if let Some(result) = slot.join(&delivery.tuple, hit) {
+                            joined += 1;
+                            emitter.dispatch(outputs, result, guard, started);
+                        }
+                    });
+                }
+                if counts_probe {
+                    emitter.metrics.probes += 1;
+                }
+                if joined > 0 {
+                    // The evaluation's one clock read, stamping its trace
+                    // event too.
+                    let now = Instant::now();
                     self.trace
-                        .record(TraceEventKind::Insert, store_id, delivery.guard);
-                    let pending = self.pending.get(&delivery.target.store);
-                    let Some(pending) = pending.filter(|_| symmetric) else {
-                        continue;
-                    };
-                    // Each retro-matched prober is one evaluation: its
-                    // result leaves through the prober's outputs, at its
-                    // guard, on its own clock read. In arrival order the
-                    // match would have been counted inside the original
-                    // probe's observation, so it adds no probe or size.
-                    pending.retro_matches(
-                        store,
-                        plan,
-                        partition,
-                        delivery,
-                        |prober, preds, outputs| {
-                            let Some(joined) = slot.join(&prober.tuple, &delivery.tuple) else {
-                                return;
-                            };
-                            emitter.dispatch(outputs, joined, prober.guard, prober.started);
-                            emitted += emitter.account(outputs, 1, prober.started.elapsed());
-                            let prober_epoch = self.epoch.epoch_of(prober.tuple.ts);
-                            self.stats.record_probe_obs(prober_epoch, preds, 0, 1, 0);
+                        .record_at(TraceEventKind::Probe, now, store_id, matches);
+                    let latency = now.saturating_duration_since(started);
+                    emitted += emitter.account(outputs, joined, latency);
+                } else {
+                    // A miss takes no clock read, traced or not.
+                    let kind = TraceEventKind::Probe;
+                    self.trace.record_after(kind, started, store_id, matches);
+                }
+                let probes = u64::from(counts_probe);
+                self.stats
+                    .record_probe_obs(epoch, predicates, probes, matches, est_size);
+                // Register the probe for symmetric completion: a
+                // later-arriving insert with a smaller guard must still
+                // find it (via the join-key index when the probe carries
+                // one) — if one can still arrive. Every delivery is
+                // accounted to a root at or below its guard (a
+                // retro-produced result carries the prober's guard, which
+                // exceeds the late insert's root), so once every root below
+                // `guard` has completed (`watermark >= guard - 1`) nothing
+                // in flight or yet to be produced has a smaller guard: the
+                // prober is already dead by the rule `PendingSet::gc` drops
+                // it under, and is not registered.
+                let symmetric = self.installed.symmetric(self.feed);
+                if guard > watermark + 1 && symmetric.contains(&target.store) {
+                    // Join key: stored-side accessor and probe-side value
+                    // of the first predicate.
+                    let key = store.predicate_sides(predicates).next().and_then(
+                        |(stored_side, probe_side)| {
+                            SlotAccessor::of(&probe_side)
+                                .get(&delivery.tuple)
+                                .map(|v| (SlotAccessor::of(&stored_side), v.clone()))
                         },
                     );
-                }
-                Rule::Probe {
-                    predicates,
-                    outputs,
-                } => {
-                    if delivery.probe_partitions.len() == 0 {
-                        continue;
-                    }
-                    let Some(store) = self.stores.get(&delivery.target.store) else {
-                        return emitted;
+                    let prober = PendingProber {
+                        guard,
+                        tuple: delivery.tuple.clone(),
+                        partitions: delivery.partitions.clone(),
+                        edge: target.edge,
+                        started,
                     };
-                    probed = true;
-                    if symmetric && probe_key.is_none() {
-                        probe_key = store.predicate_sides(predicates).next().and_then(
-                            |(stored_side, probe_side)| {
-                                SlotAccessor::of(&probe_side)
-                                    .get(&delivery.tuple)
-                                    .map(|v| (SlotAccessor::of(&stored_side), v.clone()))
-                            },
-                        );
+                    if let Some(pending) = self.pending.get_mut(index) {
+                        pending.register(prober, key);
                     }
-                    // Epochs that may contain partners: everything from the
-                    // window horizon up to the probing tuple's own epoch.
-                    let lo = self.epoch.epoch_of(store.window.horizon(delivery.tuple.ts));
-                    // Statistics record one probe observation against the
-                    // whole-store size per logical probe. A broadcast probe
-                    // is split across the sharing workers, so each
-                    // contributes its local store slice (the slices sum to
-                    // the whole store) and only the worker holding
-                    // partition 0 counts the probe itself. A hashed probe
-                    // runs on one worker, which extrapolates the whole
-                    // store size from its shard. (One shard holding every
-                    // partition counts each probe once, at its true size.)
-                    let counts_probe =
-                        !delivery.broadcast || delivery.probe_partitions.clone().next() == Some(0);
-                    let est_size = if delivery.broadcast {
-                        store.len() as u64
-                    } else {
-                        let sharing = workers_of_store(store.parallelism(), self.workers) as u64;
-                        store.len() as u64 * sharing
-                    };
-                    let (guard, started) = (delivery.guard, delivery.started);
-                    let (mut matches, mut joined) = (0u64, 0u64);
-                    for p in delivery.probe_partitions.clone() {
-                        let epochs = (lo.0..=epoch.0).map(Epoch);
-                        store.probe_each(
-                            p,
-                            epochs,
-                            &delivery.tuple,
-                            predicates,
-                            Some(guard),
-                            |hit| {
-                                matches += 1;
-                                if let Some(result) = slot.join(&delivery.tuple, hit) {
-                                    joined += 1;
-                                    emitter.dispatch(outputs, result, guard, started);
-                                }
-                            },
-                        );
-                    }
-                    if counts_probe {
-                        emitter.metrics.probes += 1;
-                    }
-                    if joined > 0 {
-                        // The evaluation's one clock read, stamping its
-                        // trace event too.
-                        let now = Instant::now();
-                        self.trace
-                            .record_at(TraceEventKind::Probe, now, store_id, matches);
-                        let latency = now.saturating_duration_since(started);
-                        emitted += emitter.account(outputs, joined, latency);
-                    } else {
-                        // A miss takes no clock read, traced or not.
-                        let kind = TraceEventKind::Probe;
-                        self.trace.record_after(kind, started, store_id, matches);
-                    }
-                    let probes = u64::from(counts_probe);
-                    self.stats
-                        .record_probe_obs(epoch, predicates, probes, matches, est_size);
                 }
             }
-        }
-        // Register the probe for symmetric completion: a later-arriving
-        // insert with a smaller guard must still find it (via the join-key
-        // index when the probe carries one) — if one can still arrive.
-        // Every delivery is accounted to a root at or below its guard (a
-        // retro-produced result carries the prober's guard, which exceeds
-        // the late insert's root), so once every root below `guard` has
-        // completed (`watermark >= guard - 1`) nothing in flight or yet to
-        // be produced has a smaller guard: the prober is already dead by
-        // the rule `PendingSet::gc` drops it under, and is not registered.
-        if probed && symmetric && delivery.guard > watermark + 1 {
-            self.pending
-                .entry(delivery.target.store)
-                .or_default()
-                .register(
-                    PendingProber {
-                        guard: delivery.guard,
-                        tuple: delivery.tuple.clone(),
-                        partitions: delivery.probe_partitions.clone(),
-                        key,
-                        started: delivery.started,
-                    },
-                    probe_key,
-                );
         }
         emitted
     }
@@ -581,10 +560,9 @@ impl ShardState {
     /// Barriers call this directly, so a drained engine holds no probers.
     pub fn sweep_probers(&mut self, watermark: u64) {
         self.swept_at = watermark;
-        for pending in self.pending.values_mut() {
+        for pending in &mut self.pending {
             pending.gc(watermark);
         }
-        self.pending.retain(|_, p| !p.is_empty());
     }
 
     /// Expires out-of-window tuples from every owned partition, given the
@@ -597,12 +575,12 @@ impl ShardState {
         let close_below =
             (self.freeze_after > 0).then(|| Epoch(clock.saturating_sub(self.freeze_after)));
         let mut removed = 0;
-        for (id, store) in self.stores.iter_mut() {
+        for (id, store) in self.stores.iter_mut().enumerate() {
             removed += store.expire(store.window.horizon(upto));
             let closed = close_below.map_or(0, |horizon| store.freeze_before(horizon));
             if closed > 0 {
                 self.trace
-                    .record(TraceEventKind::Close, u64::from(id.0), closed as u64);
+                    .record(TraceEventKind::Close, id as u64, closed as u64);
             }
         }
         self.trace.record(TraceEventKind::Expire, removed as u64, 0);
@@ -626,25 +604,23 @@ impl ShardState {
         }
     }
 
-    /// Per-store size and index shape of this shard, sorted by store id:
+    /// Per-store size and index shape of this shard, in store id order:
     /// the one walk of the stores every total and gauge is read from.
     pub fn store_detail(&self) -> Vec<StoreDetail> {
-        let mut detail: Vec<StoreDetail> = self
-            .stores
+        self.stores
             .iter()
+            .enumerate()
             .map(|(id, store)| {
                 let (posting_lists, spilled_postings) = store.posting_stats();
                 StoreDetail {
-                    store: *id,
+                    store: StoreId::from(id),
                     tuples: store.len(),
                     bytes: store.bytes(),
                     posting_lists,
                     spilled_postings,
                 }
             })
-            .collect();
-        detail.sort_by_key(|d| d.store.0);
-        detail
+            .collect()
     }
 }
 
@@ -655,7 +631,7 @@ pub(crate) struct ShardReport {
     pub metrics: EngineMetrics,
     /// Statistics delta since the last report.
     pub stats: StatsCollector,
-    /// What the shard holds of every store, sorted by store id.
+    /// What the shard holds of every store, in store id order.
     pub stores: Vec<StoreDetail>,
     /// Tuples removed by the counted expiry of this barrier.
     pub expired: usize,
@@ -734,7 +710,7 @@ mod tests {
     fn registered(shard: &ShardState) -> usize {
         shard
             .pending
-            .values()
+            .iter()
             .map(|p| {
                 p.unkeyed.len()
                     + p.keyed
@@ -753,7 +729,7 @@ mod tests {
         // guard <= 5, and none can still arrive.
         let (catalog, mut shard, r, _) = two_way_shard();
         assert_eq!(ingest(&catalog, &mut shard, r, 20, 6, 5), 0);
-        assert!(shard.pending.is_empty(), "guard == watermark + 1");
+        assert_eq!(registered(&shard), 0, "guard == watermark + 1");
     }
 
     #[test]
@@ -781,7 +757,7 @@ mod tests {
         // The pair is now settled: sweeping, re-sweeping and later probes
         // see the insert in the store, never the prober again.
         shard.sweep_probers(6);
-        assert!(shard.pending.is_empty(), "dropped by the mirrored rule");
+        assert_eq!(registered(&shard), 0, "dropped by the mirrored rule");
         assert_eq!(ingest(&catalog, &mut shard, s, 30, 8, 7), 1, "S@8 x R@7");
         assert_eq!(
             ingest(&catalog, &mut shard, r, 40, 9, 8),
@@ -806,15 +782,11 @@ mod tests {
         assert_eq!(ingest(&catalog, &mut shard, s, 10, 6, 5), 2);
         let plan = Arc::clone(shard.plan());
         let probe_predicates = |relation| {
-            let rules = plan
-                .ingest_for(relation)
+            plan.ingest_for(relation)
                 .iter()
-                .map(|t| &plan.rules[&(t.store, t.edge)]);
-            rules
-                .flatten()
-                .find_map(|rule| match rule {
-                    Rule::Probe { predicates, .. } => Some(predicates.clone()),
-                    Rule::Store => None,
+                .find_map(|t| match plan.rule(t.store, t.edge) {
+                    Some(Rule::Probe { predicates, .. }) => Some(predicates.clone()),
+                    _ => None,
                 })
                 .unwrap()
         };

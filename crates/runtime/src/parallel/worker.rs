@@ -20,19 +20,17 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One tuple delivery to the partitions of one store that a single worker
-/// owns: everything the rule kernel (`ShardState::process`) needs.
-/// `probe_partitions` drive `Probe` rules; `store_partition` (when the
-/// receiving worker owns it) drives `Store` rules.
+/// owns: everything the rule kernel (`ShardState::process`) needs. The
+/// target's one rule decides what `partitions` means: the one partition
+/// a `Store` rule inserts into, or the partitions a `Probe` rule probes.
 #[derive(Debug, Clone)]
 pub(crate) struct Delivery {
-    /// Target store and edge label (selects the rule set).
+    /// Target store and edge label (selects the rule).
     pub target: SendTarget,
     /// The tuple or partial join result being delivered.
     pub tuple: Tuple,
-    /// Owned partitions to probe (empty for store-only deliveries).
-    pub probe_partitions: Partitions,
-    /// Owned partition to insert into, if any.
-    pub store_partition: Option<usize>,
+    /// Owned partitions the rule applies to (never empty).
+    pub partitions: Partitions,
     /// `true` when the route broadcast to every partition of the store
     /// (this worker then holds only its slice of one logical probe).
     pub broadcast: bool,
@@ -63,7 +61,7 @@ pub(crate) enum WorkerMsg {
         /// When set, expire out-of-window tuples up to this stream time.
         expire_upto: Option<Timestamp>,
     },
-    /// Installs a new plan (carry-over by descriptor key), then acks.
+    /// Installs a new plan (carry-over by store descriptor), then acks.
     Install {
         /// Barrier token echoed in the ack.
         token: u64,

@@ -16,13 +16,15 @@ use std::sync::Arc;
 /// retroactively otherwise, GC once the watermark proves no earlier root
 /// is in flight) does not depend on *which* stores are symmetric, so a
 /// shard may move to a wider set mid-stream.
+///
+/// A probe only looks its store up in the set when it could register at
+/// all: when a root below its guard is still in flight. `LocalEngine`
+/// runs each root to completion before the next, so none ever is, and
+/// its one-producer set is never read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Feed {
-    /// `LocalEngine`: one thread runs every root to completion, nothing
-    /// races, no store is symmetric.
-    Inline,
-    /// Worker channels fed by one producer: the stores of
-    /// [`symmetric_stores`].
+    /// One producer (a `LocalEngine`, or worker channels fed by one
+    /// producer): the stores of [`symmetric_stores`].
     OneProducer,
     /// Two or more concurrent producers (open
     /// [`crate::ingest::SourceHandle`]s and/or the coordinator's own
@@ -39,7 +41,7 @@ pub(crate) struct InstalledPlan {
     /// order.
     pub layout: Vec<(Window, Vec<AttrRef>)>,
     /// The symmetric store set per [`Feed`].
-    symmetric: [FxHashSet<StoreId>; 3],
+    symmetric: [FxHashSet<StoreId>; 2],
 }
 
 impl InstalledPlan {
@@ -67,17 +69,16 @@ pub(crate) fn prepare(catalog: &Catalog, plan: TopologyPlan) -> Result<Arc<Insta
         .collect();
     // Stores that apply a `Store` rule on any edge.
     let storing: FxHashSet<StoreId> = plan
-        .rules
-        .iter()
-        .filter(|(_, rules)| rules.iter().any(|r| matches!(r, Rule::Store)))
-        .map(|((store, _), _)| *store)
+        .each_rule()
+        .filter(|(_, rule)| matches!(rule, Rule::Store))
+        .map(|((store, _), _)| store)
         .collect();
     let narrow = symmetric_stores(&plan, &storing);
     let wide = symmetric_stores_multi(&plan, &storing, &narrow);
     Ok(Arc::new(InstalledPlan {
         plan: Arc::new(plan),
         layout,
-        symmetric: [FxHashSet::default(), narrow, wide],
+        symmetric: [narrow, wide],
     }))
 }
 
@@ -95,22 +96,21 @@ fn store_window(catalog: &Catalog, relations: RelationSet) -> Window {
 /// probe-rule predicate registered at it.
 fn indexed_attrs(plan: &TopologyPlan, store: &StoreDef) -> Vec<AttrRef> {
     let mut out = Vec::new();
-    for ((sid, _), rules) in &plan.rules {
-        if *sid != store.id {
+    for ((sid, _), rule) in plan.each_rule() {
+        let Rule::Probe { predicates, .. } = rule else {
+            continue;
+        };
+        if sid != store.id {
             continue;
         }
-        for rule in rules {
-            if let Rule::Probe { predicates, .. } = rule {
-                for p in predicates {
-                    let stored_side = if store.descriptor.relations.contains(p.left.relation) {
-                        p.left
-                    } else {
-                        p.right
-                    };
-                    if !out.contains(&stored_side) {
-                        out.push(stored_side);
-                    }
-                }
+        for p in predicates {
+            let stored_side = if store.descriptor.relations.contains(p.left.relation) {
+                p.left
+            } else {
+                p.right
+            };
+            if !out.contains(&stored_side) {
+                out.push(stored_side);
             }
         }
     }
@@ -133,23 +133,21 @@ fn indexed_attrs(plan: &TopologyPlan, store: &StoreDef) -> Vec<AttrRef> {
 /// registration.
 fn symmetric_stores(plan: &TopologyPlan, storing: &FxHashSet<StoreId>) -> FxHashSet<StoreId> {
     let mut symmetric: FxHashSet<StoreId> = FxHashSet::default();
-    for rules in plan.rules.values() {
-        for rule in rules {
-            let Rule::Probe { outputs, .. } = rule else {
+    for (_, rule) in plan.each_rule() {
+        let Rule::Probe { outputs, .. } = rule else {
+            continue;
+        };
+        for action in outputs {
+            let OutputAction::Forward(next) = action else {
                 continue;
             };
-            for action in outputs {
-                let OutputAction::Forward(next) = action else {
-                    continue;
-                };
-                let Some(next_rules) = plan.rules.get(&(next.store, next.edge)) else {
-                    continue;
-                };
-                let forward_stores = next_rules.iter().any(|r| matches!(r, Rule::Store));
-                let forward_probes = next_rules.iter().any(|r| matches!(r, Rule::Probe { .. }));
-                if forward_stores || (forward_probes && storing.contains(&next.store)) {
-                    symmetric.insert(next.store);
-                }
+            let qualifies = match plan.rule(next.store, next.edge) {
+                Some(Rule::Store) => true,
+                Some(Rule::Probe { .. }) => storing.contains(&next.store),
+                None => false,
+            };
+            if qualifies {
+                symmetric.insert(next.store);
             }
         }
     }
@@ -168,9 +166,9 @@ fn symmetric_stores_multi(
     narrow: &FxHashSet<StoreId>,
 ) -> FxHashSet<StoreId> {
     let mut symmetric = narrow.clone();
-    for ((store, _), rules) in &plan.rules {
-        if storing.contains(store) && rules.iter().any(|r| matches!(r, Rule::Probe { .. })) {
-            symmetric.insert(*store);
+    for ((store, _), rule) in plan.each_rule() {
+        if storing.contains(&store) && matches!(rule, Rule::Probe { .. }) {
+            symmetric.insert(store);
         }
     }
     symmetric

@@ -14,9 +14,10 @@
 
 use clash_analyzer::{errors, verify_plan, verify_plan_with_queries};
 use clash_common::{
-    AttrId, AttrRef, Diagnostic, EdgeId, QueryId, RelationId, RelationSet, StoreId, Window,
+    AttrId, AttrRef, ClashError, Diagnostic, EdgeId, QueryId, RelationId, RelationSet, StoreId,
+    Window,
 };
-use clash_datagen::{SyntheticEnv, SyntheticWorkloadConfig, TpchWorkload};
+use clash_datagen::{SyntheticEnv, SyntheticWorkloadConfig, TpchGenerator, TpchWorkload};
 use clash_optimizer::{
     OutputAction, Planner, PlannerConfig, Rule, SendTarget, StoreDef, StoreDescriptor, Strategy,
     TopologyPlan,
@@ -41,19 +42,25 @@ fn has(diags: &[Diagnostic], code: &str) -> bool {
     diags.iter().any(|d| d.code == code)
 }
 
-/// First `(route_idx, target_idx)` whose target lands on a rule set
-/// containing a `Probe` rule.
+/// First `(route_idx, target_idx)` whose target lands on a `Probe` rule.
 fn probe_site(plan: &TopologyPlan) -> (usize, usize) {
     for (ri, route) in plan.ingest.iter().enumerate() {
         for (ti, t) in route.targets.iter().enumerate() {
-            if let Some(rules) = plan.rules.get(&(t.store, t.edge)) {
-                if rules.iter().any(|r| matches!(r, Rule::Probe { .. })) {
-                    return (ri, ti);
-                }
+            if let Some(Rule::Probe { .. }) = plan.rule(t.store, t.edge) {
+                return (ri, ti);
             }
         }
     }
     panic!("fig7 plan has no reachable probe rule set");
+}
+
+/// The panic message of a construction that must fail.
+fn panic_of(build: Box<dyn FnOnce() + std::panic::UnwindSafe>) -> String {
+    let payload = std::panic::catch_unwind(build).expect_err("construction succeeded");
+    payload
+        .downcast_ref::<String>()
+        .expect("panic message")
+        .clone()
 }
 
 #[test]
@@ -86,13 +93,6 @@ fn dangling_edge_reference_is_p002() {
 /// and P002 fixtures fail construction with the same diagnostic.
 #[test]
 fn invalid_initial_plan_fails_construction_on_both_engines() {
-    let panic_of = |build: Box<dyn FnOnce() + std::panic::UnwindSafe>| -> String {
-        let payload = std::panic::catch_unwind(build).expect_err("construction succeeded");
-        payload
-            .downcast_ref::<String>()
-            .expect("panic message")
-            .clone()
-    };
     for (code, corrupt) in [
         (
             "P001",
@@ -138,13 +138,11 @@ fn unknown_probe_attribute_is_p004() {
     let (workload, _, mut plan) = fig7();
     let (ri, ti) = probe_site(&plan);
     let t = plan.ingest[ri].targets[ti];
-    let rules = plan.rules.get_mut(&(t.store, t.edge)).unwrap();
-    for rule in rules {
-        if let Rule::Probe { predicates, .. } = rule {
-            predicates[0].left.attr = AttrId::new(99);
-            break;
-        }
-    }
+    let Rule::Probe { predicates, .. } = &mut plan.rules.get_mut(&(t.store, t.edge)).unwrap()[0]
+    else {
+        unreachable!("probe site")
+    };
+    predicates[0].left.attr = AttrId::new(99);
     let diags = verify_plan(&workload.catalog, &plan);
     assert!(has(&diags, "P004"), "{diags:?}");
 }
@@ -190,33 +188,23 @@ fn emit_redirected_to_wrong_query_is_p007() {
     let (workload, queries, mut plan) = fig7();
     // Rewire one query's Emit to another query joining a different
     // relation set: the emitted head no longer matches.
-    let mut mutated = false;
-    'outer: for rules in plan.rules.values_mut() {
-        for rule in rules.iter_mut() {
-            if let Rule::Probe { outputs, .. } = rule {
-                for out in outputs.iter_mut() {
-                    if let OutputAction::Emit { query } = out {
-                        let victim = queries
-                            .iter()
-                            .find(|q| {
-                                q.id != *query
-                                    && q.relations
-                                        != queries
-                                            .iter()
-                                            .find(|p| p.id == *query)
-                                            .unwrap()
-                                            .relations
-                            })
-                            .expect("two queries with different relation sets");
-                        *query = victim.id;
-                        mutated = true;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-    }
-    assert!(mutated, "fig7 plan has no Emit output");
+    let emit = plan
+        .rules
+        .values_mut()
+        .find_map(|rules| match &mut rules[0] {
+            Rule::Probe { outputs, .. } => outputs.iter_mut().find_map(|out| match out {
+                OutputAction::Emit { query } => Some(query),
+                OutputAction::Forward(_) => None,
+            }),
+            Rule::Store => None,
+        })
+        .expect("fig7 plan has an Emit output");
+    let relations_of = |id| queries.iter().find(|q| q.id == id).unwrap().relations;
+    let victim = queries
+        .iter()
+        .find(|q| q.relations != relations_of(*emit))
+        .expect("two queries with different relation sets");
+    *emit = victim.id;
     let diags = verify_plan_with_queries(&workload.catalog, &queries, &plan);
     assert!(has(&diags, "P007"), "{diags:?}");
 }
@@ -253,11 +241,7 @@ fn relation_never_stored_is_p009() {
     let keep: Vec<SendTarget> = plan.ingest[route_idx]
         .targets
         .iter()
-        .filter(|t| {
-            plan.rules
-                .get(&(t.store, t.edge))
-                .is_none_or(|rules| !rules.iter().any(|r| matches!(r, Rule::Store)))
-        })
+        .filter(|t| !matches!(plan.rule(t.store, t.edge), Some(Rule::Store)))
         .copied()
         .collect();
     plan.ingest[route_idx].targets = keep;
@@ -270,41 +254,30 @@ fn forward_cycle_is_p010() {
     let (workload, _, mut plan) = fig7();
     // Find a probe-only node A forwarding to a probe-only node B, then
     // add a broadcast Forward from B back to A.
-    let mut back_edge = None;
-    'outer: for ((store, edge), rules) in &plan.rules {
-        if rules.iter().any(|r| matches!(r, Rule::Store)) {
-            continue;
-        }
-        for rule in rules {
-            if let Rule::Probe { outputs, .. } = rule {
-                for out in outputs {
-                    if let OutputAction::Forward(t) = out {
-                        let downstream_probe_only = plan
-                            .rules
-                            .get(&(t.store, t.edge))
-                            .is_some_and(|rs| rs.iter().all(|r| matches!(r, Rule::Probe { .. })));
-                        if downstream_probe_only {
-                            back_edge = Some(((t.store, t.edge), (*store, *edge)));
-                            break 'outer;
-                        }
-                    }
-                }
+    let back_edge = plan.each_rule().find_map(|(node, rule)| {
+        let Rule::Probe { outputs, .. } = rule else {
+            return None;
+        };
+        outputs.iter().find_map(|out| match out {
+            OutputAction::Forward(t)
+                if matches!(plan.rule(t.store, t.edge), Some(Rule::Probe { .. })) =>
+            {
+                Some(((t.store, t.edge), node))
             }
-        }
-    }
+            _ => None,
+        })
+    });
     let ((from_store, from_edge), (to_store, to_edge)) =
         back_edge.expect("fig7 plan has a probe-to-probe Forward");
-    let rules = plan.rules.get_mut(&(from_store, from_edge)).unwrap();
-    for rule in rules {
-        if let Rule::Probe { outputs, .. } = rule {
-            outputs.push(OutputAction::Forward(SendTarget {
-                edge: to_edge,
-                store: to_store,
-                routing_key: None,
-            }));
-            break;
-        }
-    }
+    let Rule::Probe { outputs, .. } = &mut plan.rules.get_mut(&(from_store, from_edge)).unwrap()[0]
+    else {
+        unreachable!("a forwarding rule probes")
+    };
+    outputs.push(OutputAction::Forward(SendTarget {
+        edge: to_edge,
+        store: to_store,
+        routing_key: None,
+    }));
     let diags = verify_plan(&workload.catalog, &plan);
     assert!(has(&diags, "P010"), "{diags:?}");
 }
@@ -316,13 +289,11 @@ fn partition_unsafe_routing_key_is_p011() {
     // *outside* this set forms a singleton join-equivalence class, so
     // re-keying a partitioned send with one must break partition safety.
     let mut pred_attrs: Vec<AttrRef> = Vec::new();
-    for rules in plan.rules.values() {
-        for rule in rules {
-            if let Rule::Probe { predicates, .. } = rule {
-                for p in predicates {
-                    pred_attrs.push(p.left);
-                    pred_attrs.push(p.right);
-                }
+    for (_, rule) in plan.each_rule() {
+        if let Rule::Probe { predicates, .. } = rule {
+            for p in predicates {
+                pred_attrs.push(p.left);
+                pred_attrs.push(p.right);
             }
         }
     }
@@ -379,11 +350,7 @@ fn store_rule_head_mismatch_is_p013() {
     let store_target = plan.ingest[0]
         .targets
         .iter()
-        .find(|t| {
-            plan.rules
-                .get(&(t.store, t.edge))
-                .is_some_and(|rules| rules.iter().any(|r| matches!(r, Rule::Store)))
-        })
+        .find(|t| matches!(plan.rule(t.store, t.edge), Some(Rule::Store)))
         .copied()
         .expect("route 0 feeds a Store rule");
     let misdelivered = SendTarget {
@@ -400,17 +367,71 @@ fn emit_for_undeclared_query_is_p014() {
     let (workload, _, mut plan) = fig7();
     let (ri, ti) = probe_site(&plan);
     let t = plan.ingest[ri].targets[ti];
-    let rules = plan.rules.get_mut(&(t.store, t.edge)).unwrap();
-    for rule in rules {
-        if let Rule::Probe { outputs, .. } = rule {
-            outputs.push(OutputAction::Emit {
-                query: QueryId::new(123),
-            });
-            break;
-        }
-    }
+    let Rule::Probe { outputs, .. } = &mut plan.rules.get_mut(&(t.store, t.edge)).unwrap()[0]
+    else {
+        unreachable!("probe site")
+    };
+    outputs.push(OutputAction::Emit {
+        query: QueryId::new(123),
+    });
     let diags = verify_plan(&workload.catalog, &plan);
     assert!(has(&diags, "P014"), "{diags:?}");
+}
+
+/// A rule set of two rules: a duplicate of a reachable `Probe` rule,
+/// which every other check passes (the set would emit each of its
+/// results twice). Both engines reject it — at construction and at
+/// `install_plan` — and the rejected install leaves the live plan
+/// producing exactly what it produces without the attempt.
+#[test]
+fn two_rule_set_is_p015() {
+    let (workload, _, plan) = fig7();
+    let mut two_rules = plan.clone();
+    let (ri, ti) = probe_site(&two_rules);
+    let t = two_rules.ingest[ri].targets[ti];
+    let rules = two_rules.rules.get_mut(&(t.store, t.edge)).unwrap();
+    rules.push(rules[0].clone());
+    let diags = verify_plan(&workload.catalog, &two_rules);
+    assert!(has(&diags, "P015"), "{diags:?}");
+    assert!(errors(&diags).iter().all(|d| d.code == "P015"), "{diags:?}");
+
+    let (catalog, config) = (workload.catalog.clone(), EngineConfig::default());
+    let (c, p) = (catalog.clone(), two_rules.clone());
+    let local = panic_of(Box::new(move || drop(LocalEngine::new(c, p, config))));
+    let (c, p) = (catalog.clone(), two_rules.clone());
+    let parallel = panic_of(Box::new(move || drop(ParallelEngine::new(c, p, config, 2))));
+    assert!(local.contains("P015"), "{local}");
+    assert_eq!(local, parallel);
+
+    let stream = TpchGenerator::new(0.002, 29)
+        .mixed_stream(&workload, 600)
+        .expect("stream");
+    let (before, after) = stream.split_at(300);
+    let mut reference = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    let mut parallel = ParallelEngine::new(catalog, plan.clone(), config, 2);
+    for (relation, tuple) in before {
+        reference.ingest(*relation, tuple.clone()).unwrap();
+        local.ingest(*relation, tuple.clone()).unwrap();
+        parallel.ingest(*relation, tuple.clone()).unwrap();
+    }
+    let rejected = |result: clash_common::Result<()>| match result {
+        Err(ClashError::InvalidPlan(diags)) => has(&diags, "P015"),
+        _ => false,
+    };
+    assert!(rejected(local.install_plan(two_rules.clone()).map(drop)));
+    assert!(rejected(parallel.install_plan(two_rules).map(drop)));
+    assert_eq!(*local.plan(), plan);
+    assert_eq!(*parallel.plan(), plan);
+    for (relation, tuple) in after {
+        reference.ingest(*relation, tuple.clone()).unwrap();
+        local.ingest(*relation, tuple.clone()).unwrap();
+        parallel.ingest(*relation, tuple.clone()).unwrap();
+    }
+    let expected = reference.snapshot().results;
+    assert!(expected.values().sum::<u64>() > 0, "the stream joins");
+    assert_eq!(local.snapshot().results, expected);
+    assert_eq!(parallel.snapshot().results, expected);
 }
 
 proptest! {
