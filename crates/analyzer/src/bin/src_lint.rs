@@ -15,10 +15,16 @@
 //! 3. **No wall clock off the stream clock** — event time comes from tuple
 //!    timestamps and the trace clock; `SystemTime::now` anywhere in
 //!    `crates/` silently mixes wall time into windowing or telemetry.
+//! 4. **No `parking_lot` or `serde`** — nothing in `crates/` uses either
+//!    crate; both are offline stubs under `vendor/`. Their manifest
+//!    entries stay only while `benchmark/Cargo.lock` lists them, and this
+//!    rule keeps their removal a manifest-only edit. It matches a path
+//!    (`serde::…`) or an `extern crate`, so prose naming the crates passes.
 //!
-//! Test code is exempt: by repo convention the `#[cfg(test)]` module is
-//! the trailing item of a file, so everything from the first `#[cfg(test)]`
-//! line to EOF is skipped.
+//! Test code is exempt from rules 1–3: by repo convention the
+//! `#[cfg(test)]` module is the trailing item of a file, so everything
+//! from the first `#[cfg(test)]` line to EOF is skipped. Rule 4 reads test
+//! modules too. Comment lines are skipped by every rule.
 //!
 //! Deliberately dependency-free (std only) so it stays runnable even when
 //! the workspace itself fails to build.
@@ -33,6 +39,9 @@ const HOT_CRATES: &[&str] = &["common", "runtime"];
 
 /// File names (within any hot crate) whose non-test code must not panic.
 const HOT_PATH_FILES: &[&str] = &["store.rs", "tuple.rs", "shard.rs"];
+
+/// Crates no file under `crates/` may use (rule 4).
+const FORBIDDEN_CRATES: &[&str] = &["parking_lot", "serde"];
 
 /// Files allowed to keep `std::collections` maps in non-test code, as
 /// `crate/relative/path.rs` relative to `crates/`. Add entries only with
@@ -141,14 +150,24 @@ fn lint_file(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
     let is_bin = rel_str.contains("/bin/");
 
     for (i, line) in lines.iter().enumerate() {
-        if i >= test_start {
-            break; // trailing test module: exempt
-        }
         let trimmed = line.trim_start();
         if trimmed.starts_with("//") {
             continue;
         }
         let lineno = i + 1;
+
+        if FORBIDDEN_CRATES.iter().any(|krate| uses_crate(line, krate)) {
+            findings.push(Finding {
+                file: rel.to_path_buf(),
+                line: lineno,
+                rule: "no-parking-lot-or-serde",
+                excerpt: line.to_string(),
+            });
+        }
+
+        if i >= test_start {
+            continue; // trailing test module: exempt from rules 1-3
+        }
 
         // Catches both direct paths (`std::collections::HashMap<..>`) and
         // brace imports (`use std::collections::{HashMap, HashSet};`).
@@ -187,5 +206,36 @@ fn lint_file(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
                 excerpt: line.to_string(),
             });
         }
+    }
+}
+
+/// `true` when `line` names `krate` as a path root (`krate::`, also after
+/// `::` or inside a `use` group) or as an `extern crate`.
+fn uses_crate(line: &str, krate: &str) -> bool {
+    line.contains(&format!("extern crate {krate}"))
+        || line.match_indices(&format!("{krate}::")).any(|(at, _)| {
+            !line[..at]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_')
+        })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::uses_crate;
+
+    /// Built with `format!` so this module, which rule 4 reads, names no
+    /// forbidden crate itself.
+    const K: &str = "serde";
+
+    #[test]
+    fn rule_4_matches_paths_and_extern_crates_only() {
+        assert!(uses_crate(&format!("use {K}::Serialize;"), K));
+        assert!(uses_crate(&format!("#[derive(::{K}::Serialize)]"), K));
+        assert!(uses_crate(&format!("use std::{{io, {K}::de}};"), K));
+        assert!(uses_crate(&format!("extern crate {K};"), K));
+        assert!(!uses_crate(&format!("let not_{K}::x = 1;"), K));
+        assert!(!uses_crate(&format!("let s = \"{K} stands in\";"), K));
     }
 }

@@ -675,7 +675,8 @@ pub fn errors(diags: &[Diagnostic]) -> Vec<&Diagnostic> {
 mod tests {
     use super::*;
     use clash_common::{AttrId, Severity, Window};
-    use clash_optimizer::{IngestRoute, StoreDef, StoreDescriptor};
+    use clash_optimizer::{IngestRoute, StoreDef};
+    use clash_query::StoreDescriptor;
 
     /// Hand-built minimal plan: R(a) ⋈ S(a,b) with two base stores, each
     /// relation stored in its own store and probing the other's.

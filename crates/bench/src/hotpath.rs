@@ -30,16 +30,16 @@ use crate::allocs::AllocSpan;
 use crate::fig7::{run_fig7, Fig7Row};
 use clash_catalog::{Catalog, Statistics};
 use clash_common::{
-    AttrId, AttrRef, Epoch, JoinSlot, LeafLayout, QueryId, RelationId, RelationSet, Schema,
-    Timestamp, Tuple, TupleBuilder, Value, Window,
+    AttrId, AttrRef, Epoch, JoinSlot, QueryId, RelationId, RelationSet, Schema, Timestamp, Tuple,
+    TupleBuilder, Value, Window,
 };
 use clash_datagen::{TpchGenerator, TpchWorkload};
 use clash_ilp::{solve, SolverConfig};
 use clash_optimizer::{
-    build_ilp, enumerate_candidates, PlanSpaceConfig, Planner, PlannerConfig, StoreDescriptor,
-    Strategy, TopologyPlan,
+    build_ilp, enumerate_candidates, PlanSpaceConfig, Planner, PlannerConfig, Strategy,
+    TopologyPlan,
 };
-use clash_query::{parse_query, EquiPredicate};
+use clash_query::{parse_query, EquiPredicate, StoreDescriptor};
 use clash_runtime::store::StoreInstance;
 use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
 use std::time::{Duration, Instant};
@@ -118,7 +118,6 @@ pub struct AllocsRow {
 /// recycle stream just like a windowed deployment.
 pub fn bench_ingest_allocs(n: usize) -> AllocsRow {
     let schema = Schema::new(RelationId::new(0), "S", ["key", "payload", "status"]);
-    let layout = LeafLayout::of_schema(&schema);
     let (key_ref, pay_ref, status_ref) = (
         schema.attr_ref("key").expect("key"),
         schema.attr_ref("payload").expect("payload"),
@@ -134,7 +133,7 @@ pub fn bench_ingest_allocs(n: usize) -> AllocsRow {
         let span = AllocSpan::start();
         for i in 0..count {
             let ts = Timestamp::from_millis(i as u64);
-            let tuple = TupleBuilder::with_layout(&schema, &layout, ts)
+            let tuple = TupleBuilder::new(&schema, ts)
                 .set_slot(key_ref.attr, (i % key_domain) as i64)
                 .set_slot(pay_ref.attr, i as i64)
                 .set_slot(status_ref.attr, status.clone())

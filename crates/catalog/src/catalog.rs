@@ -45,17 +45,15 @@ impl Catalog {
         let schema = Arc::new(Schema::new(id, name.clone(), attributes));
         if schema.arity() > clash_common::MAX_ATTRS_PER_RELATION {
             return Err(ClashError::Config(format!(
-                "relation {name} has {} attributes, exceeding the {} supported by the leaf layout",
+                "relation {name} has {} attributes, exceeding the {} a tuple leaf holds",
                 schema.arity(),
                 clash_common::MAX_ATTRS_PER_RELATION
             )));
         }
-        let layout = Arc::new(clash_common::LeafLayout::of_schema(&schema));
         self.relations.push(RelationMeta {
             id,
             name: name.clone(),
             schema,
-            layout,
             window,
             parallelism: parallelism.max(1),
         });
@@ -215,23 +213,6 @@ mod tests {
         c.set_window(r, Window::secs(60)).unwrap();
         assert_eq!(c.relation(r).unwrap().window, Window::secs(60));
         assert!(c.set_parallelism(RelationId::new(99), 2).is_err());
-    }
-
-    #[test]
-    fn cached_layout_matches_schema() {
-        let c = catalog();
-        let s = c.relation_by_name("S").unwrap();
-        assert_eq!(s.layout.relation(), s.id);
-        assert_eq!(s.layout.width(), s.schema.arity());
-        for (i, attr) in s.schema.attributes.iter().enumerate() {
-            assert_eq!(
-                s.layout.slot_of(&attr.name),
-                Some(AttrId::new(i as u32)),
-                "{}",
-                attr.name
-            );
-        }
-        assert_eq!(s.layout.slot_of("zzz"), None);
     }
 
     #[test]

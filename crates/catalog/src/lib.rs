@@ -10,9 +10,9 @@
 //! * [`Catalog`] — registry of streamed relations, their schemas, windows
 //!   and store parallelism (number of partitions per store),
 //! * [`Statistics`] — arrival rates and pair-wise equi-join selectivities,
-//!   the inputs of the probe-cost model (Equation 1),
-//! * [`SharedStatistics`] — a thread-safe, epoch-versioned handle used by
-//!   the runtime's statistics collector and the adaptive controller.
+//!   the inputs of the probe-cost model (Equation 1). The runtime's
+//!   statistics collector builds a fresh snapshot per epoch, and the
+//!   adaptive controller hands it to the optimizer by value.
 
 pub mod catalog;
 pub mod relation;
@@ -20,4 +20,4 @@ pub mod stats;
 
 pub use catalog::Catalog;
 pub use relation::RelationMeta;
-pub use stats::{SharedStatistics, Statistics};
+pub use stats::Statistics;

@@ -1,7 +1,6 @@
 //! Metadata describing a registered streamed relation.
 
-use clash_common::{LeafLayout, RelationId, SchemaRef, Window};
-use std::sync::Arc;
+use clash_common::{RelationId, SchemaRef, Window};
 
 /// Metadata of a streamed input relation.
 ///
@@ -21,10 +20,6 @@ pub struct RelationMeta {
     pub name: String,
     /// Attribute schema.
     pub schema: SchemaRef,
-    /// Cached leaf construction layout (width + name→slot map), derived
-    /// from the schema once at registration so ingest-side
-    /// [`clash_common::TupleBuilder`]s skip the per-attribute schema walk.
-    pub layout: Arc<LeafLayout>,
     /// Join window for tuples of this relation.
     pub window: Window,
     /// Number of partitions the relation's store is split into.
@@ -50,7 +45,6 @@ mod tests {
         let meta = RelationMeta {
             id: RelationId::new(0),
             name: "R".into(),
-            layout: Arc::new(LeafLayout::of_schema(&schema)),
             schema,
             window: Window::secs(5),
             parallelism: 0,

@@ -9,15 +9,12 @@
 //!   (fraction of pairs from the windows of `Si` and `Sj` that match), and
 //! * the per-relation window lengths (from the [`crate::Catalog`]).
 //!
-//! Statistics are sampled per epoch by the runtime's statistics collector
-//! and swapped atomically into a [`SharedStatistics`] handle that the
-//! adaptive controller reads before re-running the optimizer (Section VI-A,
-//! Fig. 5).
+//! Statistics are sampled per epoch by the runtime's statistics collector,
+//! which builds each snapshot over the previous one; the adaptive
+//! controller re-runs the optimizer on it (Section VI-A, Fig. 5).
 
 use clash_common::{AttrRef, Epoch, RelationId};
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Normalizes an attribute pair so that `(a, b)` and `(b, a)` address the
 /// same selectivity entry.
@@ -138,46 +135,6 @@ impl Statistics {
     }
 }
 
-/// Thread-safe, swappable statistics handle.
-///
-/// The statistics collector publishes a fresh [`Statistics`] snapshot at
-/// every epoch boundary; the adaptive controller and the optimizer read the
-/// latest snapshot without blocking ingestion.
-#[derive(Debug, Clone, Default)]
-pub struct SharedStatistics {
-    inner: Arc<RwLock<Statistics>>,
-}
-
-impl SharedStatistics {
-    /// Creates a handle around an initial snapshot.
-    pub fn new(initial: Statistics) -> Self {
-        SharedStatistics {
-            inner: Arc::new(RwLock::new(initial)),
-        }
-    }
-
-    /// Returns a clone of the current snapshot.
-    pub fn snapshot(&self) -> Statistics {
-        self.inner.read().clone()
-    }
-
-    /// Atomically replaces the current snapshot.
-    pub fn publish(&self, stats: Statistics) {
-        *self.inner.write() = stats;
-    }
-
-    /// Applies a mutation to the current snapshot in place (e.g. updating a
-    /// single rate without republishing everything).
-    pub fn update<F: FnOnce(&mut Statistics)>(&self, f: F) {
-        f(&mut self.inner.write());
-    }
-
-    /// Epoch of the currently published snapshot.
-    pub fn epoch(&self) -> Epoch {
-        self.inner.read().epoch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,30 +190,5 @@ mod tests {
         assert_eq!(base.epoch, Epoch(3));
         assert_eq!(base.rate_entries(), 2);
         assert_eq!(base.selectivity_entries(), 1);
-    }
-
-    #[test]
-    fn shared_statistics_publish_and_update() {
-        let shared = SharedStatistics::new(Statistics::new());
-        assert_eq!(shared.epoch(), Epoch(0));
-        shared.update(|s| {
-            s.set_rate(RelationId::new(2), 42.0);
-        });
-        assert_eq!(shared.snapshot().rate(RelationId::new(2)), 42.0);
-        let mut replacement = Statistics::for_epoch(Epoch(7));
-        replacement.set_rate(RelationId::new(2), 1.0);
-        shared.publish(replacement);
-        assert_eq!(shared.epoch(), Epoch(7));
-        assert_eq!(shared.snapshot().rate(RelationId::new(2)), 1.0);
-    }
-
-    #[test]
-    fn shared_statistics_clones_share_state() {
-        let a = SharedStatistics::default();
-        let b = a.clone();
-        a.update(|s| {
-            s.set_rate(RelationId::new(0), 7.0);
-        });
-        assert_eq!(b.snapshot().rate(RelationId::new(0)), 7.0);
     }
 }

@@ -39,7 +39,5 @@ pub use telemetry::{
     TraceRing,
 };
 pub use time::{Duration, Epoch, EpochConfig, Timestamp, Window};
-pub use tuple::{
-    JoinSlot, LeafLayout, SlotAccessor, Tuple, TupleBuilder, TupleIter, MAX_ATTRS_PER_RELATION,
-};
+pub use tuple::{JoinSlot, SlotAccessor, Tuple, TupleBuilder, TupleIter, MAX_ATTRS_PER_RELATION};
 pub use value::Value;

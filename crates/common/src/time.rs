@@ -2,9 +2,12 @@
 //!
 //! Tuples carry an application timestamp `τ`. A per-relation [`Window`]
 //! defines the maximal time difference between two tuples for them to be
-//! considered joinable (Section I-A). The adaptive processing scheme of
-//! Section VI divides time into non-overlapping [`Epoch`]s; every store,
-//! rule set and statistics sample is keyed by the epoch it belongs to.
+//! considered joinable (Section I-A). A window belongs to a streamed
+//! relation and to nothing else: the catalog holds one per relation, a
+//! store runs the widest window of its relations, and queries carry none.
+//! The adaptive processing scheme of Section VI divides time into
+//! non-overlapping [`Epoch`]s; every store, rule set and statistics
+//! sample is keyed by the epoch it belongs to.
 
 use std::fmt;
 use std::ops::{Add, Sub};
@@ -201,16 +204,6 @@ impl EpochConfig {
     pub fn start_of(&self, epoch: Epoch) -> Timestamp {
         Timestamp(epoch.0 * self.length.as_millis())
     }
-
-    /// All epochs that can contain join partners for a tuple with timestamp
-    /// `ts` under the window `window`, i.e. the epochs overlapping
-    /// `[ts - window, ts + window]`. This is `get_epochs_for` of
-    /// Algorithm 4.
-    pub fn epochs_for(&self, ts: Timestamp, window: Window) -> Vec<Epoch> {
-        let lo = self.epoch_of(ts - window.length);
-        let hi = self.epoch_of(ts + window.length);
-        (lo.0..=hi.0).map(Epoch).collect()
-    }
 }
 
 impl Default for EpochConfig {
@@ -270,18 +263,6 @@ mod tests {
         assert_eq!(cfg.epoch_of(Timestamp::from_millis(1000)), Epoch(1));
         assert_eq!(cfg.start_of(Epoch(3)), Timestamp::from_secs(3));
         assert_eq!(cfg.epoch_of(cfg.start_of(Epoch(17))), Epoch(17));
-    }
-
-    #[test]
-    fn epochs_for_covers_window_on_both_sides() {
-        let cfg = EpochConfig::new(Duration::from_secs(1));
-        let w = Window::secs(2);
-        let epochs = cfg.epochs_for(Timestamp::from_millis(4500), w);
-        // [2500, 6500] -> epochs 2..=6
-        assert_eq!(
-            epochs,
-            vec![Epoch(2), Epoch(3), Epoch(4), Epoch(5), Epoch(6)]
-        );
     }
 
     #[test]

@@ -43,9 +43,9 @@
 //! thread-local pool in [`crate::arena`] and return there when a leaf is
 //! dropped (at window expiry), so steady-state ingest reuses memory
 //! instead of allocating per tuple. [`TupleBuilder`] writes values
-//! positionally into such a buffer — optionally resolving
-//! names through a catalog-cached [`LeafLayout`] — with no intermediate
-//! `(AttrRef, Value)` vector and no re-scan at build time.
+//! positionally into such a buffer — resolving names through
+//! [`Schema::attr_id`] — with no intermediate `(AttrRef, Value)` vector
+//! and no re-scan at build time.
 
 use crate::error::{ClashError, Result};
 use crate::ids::{AttrId, RelationId};
@@ -251,9 +251,6 @@ pub struct Tuple {
     /// Timestamp `τ`: arrival time for base tuples, max constituent
     /// timestamp for join results.
     pub ts: Timestamp,
-    /// Wall-clock-like ingestion timestamp of the *latest* constituent,
-    /// used by the runtime for end-to-end latency measurements (Fig. 7d).
-    pub ingest_ts: Timestamp,
     /// The base relations whose attributes this tuple carries.
     pub relations: RelationSet,
     /// Payload rope (shared between join results and their constituents).
@@ -265,7 +262,6 @@ impl Tuple {
     pub fn base(relation: RelationId, ts: Timestamp, values: Vec<(AttrRef, Value)>) -> Self {
         Tuple {
             ts,
-            ingest_ts: ts,
             relations: RelationSet::singleton(relation),
             node: Arc::new(Node::Leaf(BaseLeaf::new(relation, values))),
         }
@@ -338,7 +334,6 @@ impl Tuple {
         }
         Some(Tuple {
             ts: self.ts.max(other.ts),
-            ingest_ts: self.ingest_ts.max(other.ingest_ts),
             relations: self.relations.union(&other.relations),
             node: Arc::new(Node::join(
                 Arc::clone(&self.node),
@@ -373,7 +368,6 @@ impl Tuple {
         *arity = left.node.arity() + right.node.arity();
         *bytes = left.node.bytes() + right.node.bytes();
         self.ts = left.ts.max(right.ts);
-        self.ingest_ts = left.ingest_ts.max(right.ingest_ts);
         self.relations = left.relations.union(&right.relations);
         true
     }
@@ -393,14 +387,6 @@ impl Tuple {
         contains(&self.node, &constituent.node)
     }
 
-    /// Overrides the ingestion timestamp (used by the runtime when a tuple
-    /// enters the system, so latency can be measured independently of the
-    /// application timestamp).
-    pub fn with_ingest_ts(mut self, ingest: Timestamp) -> Tuple {
-        self.ingest_ts = ingest;
-        self
-    }
-
     /// Approximate memory footprint of the *flattened* tuple payload in
     /// bytes — the logical size a serialized copy would occupy, counting
     /// attribute references and values. Cached at construction (O(1)).
@@ -411,13 +397,12 @@ impl Tuple {
     }
 
     /// Encodes the tuple into the self-contained wire format (flattened
-    /// payload + timestamps + relation set). Stands in for serde in the
+    /// payload + timestamp + relation set). Stands in for serde in the
     /// offline build, where the vendored serde stub cannot serialize.
     pub fn to_wire(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32 + self.arity() * 16);
         out.push(WIRE_VERSION);
         out.extend_from_slice(&self.ts.as_millis().to_le_bytes());
-        out.extend_from_slice(&self.ingest_ts.as_millis().to_le_bytes());
         out.extend_from_slice(&self.relations.bits().to_le_bytes());
         out.extend_from_slice(&(self.arity() as u32).to_le_bytes());
         for (attr, value) in self.iter() {
@@ -431,14 +416,17 @@ impl Tuple {
     /// Decodes a tuple from [`Tuple::to_wire`] bytes. The rebuilt rope has
     /// one leaf per covered relation (joined left-to-right in relation-id
     /// order), so round-tripping flattens deep ropes — equality is
-    /// preserved because [`PartialEq`] compares flattened content.
+    /// preserved because [`PartialEq`] compares flattened content. Bytes of
+    /// any other wire version are an error, never a reinterpretation.
     pub fn from_wire(bytes: &[u8]) -> Result<Tuple> {
         let mut r = WireReader::new(bytes);
-        if r.u8()? != WIRE_VERSION {
-            return Err(ClashError::Runtime("unsupported tuple wire version".into()));
+        let version = r.u8()?;
+        if version != WIRE_VERSION {
+            return Err(ClashError::Runtime(format!(
+                "unsupported tuple wire version {version} (expected {WIRE_VERSION})"
+            )));
         }
         let ts = Timestamp::from_millis(r.u64()?);
-        let ingest_ts = Timestamp::from_millis(r.u64()?);
         let relations = RelationSet::from_bits(r.u128()?);
         let n = r.u32()? as usize;
         // Every pair occupies at least 9 wire bytes (relation + attr +
@@ -464,7 +452,7 @@ impl Tuple {
             let value = decode_value(&mut r)?;
             pairs.push((AttrRef::new(relation, attr), value));
         }
-        Tuple::from_flattened(ts, ingest_ts, relations, pairs)
+        Tuple::from_flattened(ts, relations, pairs)
     }
 
     /// Rebuilds a tuple from its flattened `(attribute, value)` pairs: one
@@ -475,7 +463,6 @@ impl Tuple {
     /// compares flattened content.
     pub fn from_flattened(
         ts: Timestamp,
-        ingest_ts: Timestamp,
         relations: RelationSet,
         mut pairs: Vec<(AttrRef, Value)>,
     ) -> Result<Tuple> {
@@ -526,7 +513,6 @@ impl Tuple {
         }
         Ok(Tuple {
             ts,
-            ingest_ts,
             relations,
             node,
         })
@@ -564,14 +550,11 @@ impl JoinSlot {
 }
 
 /// Content equality over the flattened `(attribute, value)` mapping plus
-/// timestamps and relation set — independent of rope shape, so a join
+/// timestamp and relation set — independent of rope shape, so a join
 /// result equals its wire-round-tripped (re-leafed) copy.
 impl PartialEq for Tuple {
     fn eq(&self, other: &Self) -> bool {
-        if self.ts != other.ts
-            || self.ingest_ts != other.ingest_ts
-            || self.relations != other.relations
-            || self.arity() != other.arity()
+        if self.ts != other.ts || self.relations != other.relations || self.arity() != other.arity()
         {
             return false;
         }
@@ -697,7 +680,8 @@ impl SlotAccessor {
 
 // --- wire codec -----------------------------------------------------------
 
-const WIRE_VERSION: u8 = 1;
+/// Bumped on every layout change: `from_wire` refuses any other version.
+const WIRE_VERSION: u8 = 2;
 
 fn encode_value(value: &Value, out: &mut Vec<u8>) {
     match value {
@@ -788,74 +772,15 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Precomputed per-relation leaf construction layout: the leaf width and
-/// a sorted name → slot map, both fixed by the schema. The catalog caches
-/// one per registered relation so ingest-side tuple construction resolves
-/// names by binary search over a prebuilt table instead of re-walking the
-/// schema's attribute list, and allocates its leaf buffer at the exact
-/// schema width (which keeps the arena pool's width buckets hot).
-#[derive(Debug, Clone)]
-pub struct LeafLayout {
-    relation: RelationId,
-    /// Leaf buffer width (schema arity).
-    width: usize,
-    /// Attribute names sorted for binary search, each with its slot.
-    slots: Vec<(String, AttrId)>,
-}
-
-impl LeafLayout {
-    /// Derives the layout of a schema.
-    pub fn of_schema(schema: &Schema) -> LeafLayout {
-        assert!(
-            schema.arity() <= MAX_ATTRS_PER_RELATION,
-            "schema {} exceeds the {MAX_ATTRS_PER_RELATION}-attribute leaf limit",
-            schema.name
-        );
-        let mut slots: Vec<(String, AttrId)> = schema
-            .attributes
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.name.clone(), AttrId::new(i as u32)))
-            .collect();
-        slots.sort();
-        LeafLayout {
-            relation: schema.relation,
-            width: schema.arity(),
-            slots,
-        }
-    }
-
-    /// The relation this layout describes.
-    pub fn relation(&self) -> RelationId {
-        self.relation
-    }
-
-    /// Dense leaf width (schema arity).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Resolves an attribute name to its slot.
-    pub fn slot_of(&self, name: &str) -> Option<AttrId> {
-        self.slots
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| self.slots[i].1)
-    }
-}
-
 /// Builder for base tuples that writes values straight into an
 /// arena-backed leaf buffer — no intermediate `(AttrRef, Value)` vector,
-/// no re-scan at build time. Names resolve through a cached
-/// [`LeafLayout`] (binary search) when one is supplied, falling back to
-/// the [`Schema`]'s attribute list otherwise; hot paths that already know
-/// the slot use [`TupleBuilder::set_slot`]. The buffer itself comes from
-/// the thread-local leaf arena, so steady-state construction reuses
-/// memory freed by window expiry.
+/// no re-scan at build time. Names resolve through [`Schema::attr_id`];
+/// hot paths that already know the slot use [`TupleBuilder::set_slot`].
+/// The buffer itself comes from the thread-local leaf arena, so
+/// steady-state construction reuses memory freed by window expiry.
 #[derive(Debug)]
 pub struct TupleBuilder<'a> {
     schema: &'a Schema,
-    layout: Option<&'a LeafLayout>,
     relation: RelationId,
     ts: Timestamp,
     values: Box<[Value]>,
@@ -865,22 +790,11 @@ pub struct TupleBuilder<'a> {
 
 impl<'a> TupleBuilder<'a> {
     /// Starts building a tuple of the given relation with timestamp `ts`.
-    #[inline]
+    /// The leaf buffer is the schema's arity wide, which keeps the arena
+    /// pool's width buckets hot.
+    #[inline(always)]
     pub fn new(schema: &'a Schema, ts: Timestamp) -> Self {
-        Self::with_layout_opt(schema, None, ts)
-    }
-
-    /// Starts building with a cached [`LeafLayout`] (the catalog caches
-    /// one per relation), skipping the per-`set` schema walk.
-    #[inline(always)]
-    pub fn with_layout(schema: &'a Schema, layout: &'a LeafLayout, ts: Timestamp) -> Self {
-        debug_assert_eq!(layout.relation(), schema.relation, "layout mismatch");
-        Self::with_layout_opt(schema, Some(layout), ts)
-    }
-
-    #[inline(always)]
-    fn with_layout_opt(schema: &'a Schema, layout: Option<&'a LeafLayout>, ts: Timestamp) -> Self {
-        let width = layout.map_or_else(|| schema.arity(), LeafLayout::width);
+        let width = schema.arity();
         assert!(
             width <= MAX_ATTRS_PER_RELATION,
             "schema {} exceeds the {MAX_ATTRS_PER_RELATION}-attribute leaf limit",
@@ -888,7 +802,6 @@ impl<'a> TupleBuilder<'a> {
         );
         TupleBuilder {
             schema,
-            layout,
             relation: schema.relation,
             ts,
             values: crate::arena::take_buffer(width),
@@ -900,11 +813,7 @@ impl<'a> TupleBuilder<'a> {
     /// Sets an attribute by name. Unknown names are ignored with a debug
     /// assertion, so typos surface in tests without poisoning release runs.
     pub fn set(mut self, attr: &str, value: impl Into<Value>) -> Self {
-        let slot = match self.layout {
-            Some(layout) => layout.slot_of(attr),
-            None => self.schema.attr_id(attr),
-        };
-        match slot {
+        match self.schema.attr_id(attr) {
             Some(id) => self.put(id.index(), value.into()),
             None => debug_assert!(false, "unknown attribute {attr} on {}", self.schema.name),
         }
@@ -964,7 +873,6 @@ impl<'a> TupleBuilder<'a> {
         let leaf = BaseLeaf::from_parts(relation, present, values, bytes);
         Tuple {
             ts,
-            ingest_ts: ts,
             relations: RelationSet::singleton(relation),
             node: Arc::new(Node::Leaf(leaf)),
         }
@@ -1079,14 +987,6 @@ mod tests {
     }
 
     #[test]
-    fn ingest_timestamp_propagates_through_joins() {
-        let r = r_tuple(1, 100).with_ingest_ts(Timestamp::from_millis(1_000));
-        let s = s_tuple(1, 2, 250).with_ingest_ts(Timestamp::from_millis(900));
-        let rs = r.join(&s).unwrap();
-        assert_eq!(rs.ingest_ts, Timestamp::from_millis(1_000));
-    }
-
-    #[test]
     fn size_accounting_grows_with_payload() {
         let small = r_tuple(1, 0);
         let joined = small.join(&s_tuple(1, 2, 0)).unwrap();
@@ -1172,7 +1072,7 @@ mod tests {
 
     #[test]
     fn wire_round_trip_preserves_content() {
-        let r = r_tuple(1, 100).with_ingest_ts(Timestamp::from_millis(123));
+        let r = r_tuple(1, 100);
         let s = s_tuple(1, 9, 250);
         let t = TupleBuilder::new(&schema_t(), Timestamp::from_millis(300))
             .set("b", 9)
@@ -1186,7 +1086,6 @@ mod tests {
             let decoded = Tuple::from_wire(&tuple.to_wire()).expect("round trip");
             assert_eq!(decoded, tuple);
             assert_eq!(decoded.ts, tuple.ts);
-            assert_eq!(decoded.ingest_ts, tuple.ingest_ts);
             assert_eq!(decoded.relations, tuple.relations);
             assert_eq!(decoded.approx_size_bytes(), tuple.approx_size_bytes());
         }
@@ -1206,9 +1105,8 @@ mod tests {
         // Header claiming u32::MAX attributes with an empty payload: must
         // error out before allocating anything.
         let mut huge_count = Vec::new();
-        huge_count.push(1u8); // version
+        huge_count.push(WIRE_VERSION);
         huge_count.extend_from_slice(&0u64.to_le_bytes()); // ts
-        huge_count.extend_from_slice(&0u64.to_le_bytes()); // ingest_ts
         huge_count.extend_from_slice(&1u128.to_le_bytes()); // relations {0}
         huge_count.extend_from_slice(&u32::MAX.to_le_bytes()); // n
         assert!(Tuple::from_wire(&huge_count).is_err());
@@ -1216,8 +1114,7 @@ mod tests {
         // A pair with attribute slot 64 (beyond the leaf bitmap): must be
         // an error, not the leaf constructor's assert.
         let mut bad_slot = Vec::new();
-        bad_slot.push(1u8);
-        bad_slot.extend_from_slice(&0u64.to_le_bytes());
+        bad_slot.push(WIRE_VERSION);
         bad_slot.extend_from_slice(&0u64.to_le_bytes());
         bad_slot.extend_from_slice(&1u128.to_le_bytes());
         bad_slot.extend_from_slice(&1u32.to_le_bytes()); // n = 1
@@ -1225,6 +1122,27 @@ mod tests {
         bad_slot.extend_from_slice(&64u32.to_le_bytes()); // attr slot 64
         bad_slot.push(0u8); // Value::Null
         assert!(Tuple::from_wire(&bad_slot).is_err());
+    }
+
+    /// Version 1 carried a second timestamp word after `ts`. Decoding such
+    /// bytes as version 2 would shift every later field by eight bytes, so
+    /// they must be refused with a typed error.
+    #[test]
+    fn wire_rejects_version_one_bytes() {
+        let mut v1 = vec![1u8];
+        v1.extend_from_slice(&5u64.to_le_bytes()); // ts
+        v1.extend_from_slice(&5u64.to_le_bytes()); // the dropped word
+        v1.extend_from_slice(&1u128.to_le_bytes()); // relations {0}
+        v1.extend_from_slice(&1u32.to_le_bytes()); // n = 1
+        v1.extend_from_slice(&0u32.to_le_bytes()); // relation 0
+        v1.extend_from_slice(&0u32.to_le_bytes()); // attr slot 0
+        v1.push(2u8); // Value::Int
+        v1.extend_from_slice(&1i64.to_le_bytes());
+        match Tuple::from_wire(&v1) {
+            Err(ClashError::Runtime(msg)) => assert!(msg.contains("wire version 1"), "{msg}"),
+            other => panic!("version-1 bytes must be refused, got {other:?}"),
+        }
+        assert_eq!(r_tuple(1, 5).to_wire()[0], WIRE_VERSION);
     }
 
     #[test]
@@ -1243,5 +1161,14 @@ mod tests {
     #[test]
     fn a_node_with_its_arc_header_is_one_cache_line() {
         assert!(std::mem::size_of::<Node>() <= 48);
+    }
+
+    /// A probe walks a `Vec<Tuple>`, so every byte here is paid per stored
+    /// tuple visited: `ts`, the 16-aligned `RelationSet` and the rope
+    /// pointer make 32. A per-tuple window deadline, when it lands, will
+    /// take this to 48 on purpose — change the pin then, not before.
+    #[test]
+    fn a_tuple_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Tuple>(), 32);
     }
 }

@@ -1,7 +1,7 @@
 //! Cardinality estimation for (intermediate) join results.
 
 use clash_catalog::{Catalog, Statistics};
-use clash_common::{RelationSet, Window};
+use clash_common::{RelationId, RelationSet, Window};
 use clash_query::JoinQuery;
 
 /// Cap on the window length, in seconds, considered for cardinality
@@ -25,24 +25,23 @@ impl<'a> CardinalityEstimator<'a> {
         CardinalityEstimator { catalog, stats }
     }
 
-    /// Effective window length (in seconds) of a relation under a
-    /// query: the query's window override if present, otherwise the
-    /// catalog's per-relation window, capped at [`WINDOW_HORIZON_SECS`].
-    fn window_factor(&self, query: &JoinQuery, relation: clash_common::RelationId) -> f64 {
-        let window: Window = query.window.unwrap_or_else(|| {
-            self.catalog
-                .relation(relation)
-                .map(|m| m.window)
-                .unwrap_or_default()
-        });
+    /// Effective window length (in seconds) of a relation: its catalog
+    /// window — the one both engines run — capped at
+    /// [`WINDOW_HORIZON_SECS`].
+    fn window_factor(&self, relation: RelationId) -> f64 {
+        let window: Window = self
+            .catalog
+            .relation(relation)
+            .map(|m| m.window)
+            .unwrap_or_default();
         let secs = window.length.as_secs_f64();
         secs.clamp(f64::MIN_POSITIVE, WINDOW_HORIZON_SECS)
     }
 
     /// Estimated number of tuples of a single relation that are live inside
     /// its window.
-    pub fn base_cardinality(&self, query: &JoinQuery, relation: clash_common::RelationId) -> f64 {
-        self.stats.rate(relation) * self.window_factor(query, relation)
+    pub fn base_cardinality(&self, relation: RelationId) -> f64 {
+        self.stats.rate(relation) * self.window_factor(relation)
     }
 
     /// Estimated size of the join over a (connected) subset of the query's
@@ -58,7 +57,7 @@ impl<'a> CardinalityEstimator<'a> {
         }
         let mut card: f64 = 1.0;
         for r in set.iter() {
-            card *= self.base_cardinality(query, r);
+            card *= self.base_cardinality(r);
         }
         for p in query.predicates_within(set) {
             card *= self.stats.selectivity(p.left, p.right);
@@ -80,7 +79,7 @@ impl<'a> CardinalityEstimator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clash_common::{QueryId, RelationId, Window};
+    use clash_common::QueryId;
     use clash_query::parse_query;
 
     fn setup() -> (Catalog, Statistics) {
@@ -120,7 +119,7 @@ mod tests {
         let (catalog, stats) = setup();
         let q = parse_query(&catalog, QueryId::new(0), "q", "R(a), S(a,b), T(b)").unwrap();
         let est = CardinalityEstimator::new(&catalog, &stats);
-        assert_eq!(est.base_cardinality(&q, RelationId::new(0)), 100.0);
+        assert_eq!(est.base_cardinality(RelationId::new(0)), 100.0);
         assert_eq!(est.join_cardinality(&q, &rs(&[1])), 100.0);
     }
 
@@ -137,21 +136,19 @@ mod tests {
     }
 
     #[test]
-    fn window_override_scales_cardinality() {
+    fn catalog_window_scales_cardinality() {
         let (mut catalog, stats) = setup();
         // Bounded 500 ms windows with a 1 s horizon halve the cardinality.
         let r = catalog.relation_id("R").unwrap();
         catalog
             .set_window(r, Window::new(clash_common::Duration::from_millis(500)))
             .unwrap();
-        let q = parse_query(&catalog, QueryId::new(0), "q", "R(a), S(a,b), T(b)").unwrap();
         let est = CardinalityEstimator::new(&catalog, &stats);
-        assert!((est.base_cardinality(&q, r) - 50.0).abs() < 1e-9);
-        // A query-level override takes precedence over the catalog window.
-        let mut q2 = q.clone();
-        q2.window = Some(Window::secs(10));
-        // horizon caps at 1 s -> back to 100.
-        assert!((est.base_cardinality(&q2, r) - 100.0).abs() < 1e-9);
+        assert!((est.base_cardinality(r) - 50.0).abs() < 1e-9);
+        // The horizon caps a long window at 1 s -> back to 100.
+        catalog.set_window(r, Window::secs(10)).unwrap();
+        let est = CardinalityEstimator::new(&catalog, &stats);
+        assert!((est.base_cardinality(r) - 100.0).abs() < 1e-9);
     }
 
     #[test]

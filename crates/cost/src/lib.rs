@@ -34,5 +34,5 @@ pub mod probe_cost;
 
 pub use estimate::CardinalityEstimator;
 pub use probe_cost::{
-    broadcast_factor, probe_cost, query_probe_cost, step_cost, PartitionedStep, StepCostBreakdown,
+    broadcast_factor, probe_cost, query_probe_cost, step_cost, StepCostBreakdown,
 };

@@ -1,42 +1,8 @@
 //! Probe cost (Equation 1): step costs, broadcast factor χ, PCost.
 
 use crate::estimate::CardinalityEstimator;
-use clash_common::{AttrRef, RelationSet};
-use clash_query::{JoinQuery, ProbeOrder};
-
-/// Partitioning decoration of one probe step's target store: which MIR the
-/// store holds, by which attribute it is partitioned (if any) and across
-/// how many workers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartitionedStep {
-    /// Relations held by the probed store.
-    pub relations: RelationSet,
-    /// Partitioning attribute, `None` when the store has a single partition
-    /// or is partitioned round-robin.
-    pub partition: Option<AttrRef>,
-    /// Number of partitions (worker tasks) of the store.
-    pub parallelism: usize,
-}
-
-impl PartitionedStep {
-    /// An unpartitioned (single worker) store over the given relations.
-    pub fn unpartitioned(relations: RelationSet) -> Self {
-        PartitionedStep {
-            relations,
-            partition: None,
-            parallelism: 1,
-        }
-    }
-
-    /// A store partitioned by `attr` across `parallelism` workers.
-    pub fn partitioned(relations: RelationSet, attr: AttrRef, parallelism: usize) -> Self {
-        PartitionedStep {
-            relations,
-            partition: Some(attr),
-            parallelism: parallelism.max(1),
-        }
-    }
-}
+use clash_common::RelationSet;
+use clash_query::{JoinQuery, ProbeOrder, StoreDescriptor};
 
 /// The broadcast factor χ of a probe step (Equation 1).
 ///
@@ -45,7 +11,7 @@ impl PartitionedStep {
 /// of the query links that attribute to a relation inside `head`. If it
 /// does, the tuple is routed to exactly one partition (χ = 1); otherwise it
 /// must be broadcast to all partitions (χ = parallelism).
-pub fn broadcast_factor(query: &JoinQuery, head: &RelationSet, target: &PartitionedStep) -> f64 {
+pub fn broadcast_factor(query: &JoinQuery, head: &RelationSet, target: &StoreDescriptor) -> f64 {
     let parallelism = target.parallelism.max(1) as f64;
     if parallelism <= 1.0 {
         return 1.0;
@@ -82,13 +48,15 @@ pub struct StepCostBreakdown {
 }
 
 /// Cost of the `step_idx`-th step (0-based) of a probe order: the number of
-/// tuple copies sent to the target store per time unit.
+/// tuple copies sent to the target store per time unit. The target's
+/// `owner` plays no part: a private copy of a store costs what a shared
+/// one does.
 pub fn step_cost(
     estimator: &CardinalityEstimator<'_>,
     query: &JoinQuery,
     order: &ProbeOrder,
     step_idx: usize,
-    target: &PartitionedStep,
+    target: &StoreDescriptor,
 ) -> StepCostBreakdown {
     let head = order.head_before(step_idx);
     let head_cardinality = estimator.join_cardinality(query, &head);
@@ -102,35 +70,35 @@ pub fn step_cost(
     }
 }
 
-/// `PCost(σ)`: total probe cost of one probe order under a given
-/// partitioning of its target stores.
+/// `PCost(σ)`: total probe cost of one probe order given the stores its
+/// steps probe.
 ///
-/// `partitioning` must contain one entry per step of the probe order, in
-/// step order. Panics when the lengths differ — the optimizer always
+/// `stores` must contain one entry per step of the probe order, in step
+/// order. Panics when the lengths differ — the optimizer always
 /// decorates every step.
 pub fn probe_cost(
     estimator: &CardinalityEstimator<'_>,
     query: &JoinQuery,
     order: &ProbeOrder,
-    partitioning: &[PartitionedStep],
+    stores: &[StoreDescriptor],
 ) -> f64 {
     assert_eq!(
-        partitioning.len(),
+        stores.len(),
         order.len(),
-        "one PartitionedStep per probe step required"
+        "one StoreDescriptor per probe step required"
     );
     (0..order.len())
-        .map(|j| step_cost(estimator, query, order, j, &partitioning[j]).cost)
+        .map(|j| step_cost(estimator, query, order, j, &stores[j]).cost)
         .sum()
 }
 
 /// Probe cost of a whole query given one decorated probe order per starting
 /// relation (Equation 1 summed over all inputs). The iterator yields
-/// `(probe order, partitioning of its steps)` pairs.
+/// `(probe order, stores its steps probe)` pairs.
 pub fn query_probe_cost<'a>(
     estimator: &CardinalityEstimator<'_>,
     query: &JoinQuery,
-    orders: impl IntoIterator<Item = (&'a ProbeOrder, &'a [PartitionedStep])>,
+    orders: impl IntoIterator<Item = (&'a ProbeOrder, &'a [StoreDescriptor])>,
 ) -> f64 {
     orders
         .into_iter()
@@ -179,9 +147,9 @@ mod tests {
         ids.iter().map(|i| RelationId::new(*i)).collect()
     }
 
-    fn unpartitioned(sets: &[RelationSet]) -> Vec<PartitionedStep> {
+    fn unpartitioned(sets: &[RelationSet]) -> Vec<StoreDescriptor> {
         sets.iter()
-            .map(|s| PartitionedStep::unpartitioned(*s))
+            .map(|s| StoreDescriptor::unpartitioned(*s))
             .collect()
     }
 
@@ -240,27 +208,26 @@ mod tests {
 
         // Probing the T-store (parallelism 5, partitioned by T.b) from a
         // head {R}: R has no predicate with T.b -> broadcast.
-        let target = PartitionedStep::partitioned(rs(&[2]), t_attr, 5);
+        let target = StoreDescriptor::partitioned(rs(&[2]), t_attr, 5);
         assert_eq!(broadcast_factor(&q, &rs(&[0]), &target), 5.0);
         // From a head {R,S}: S.b = T.b is known -> χ = 1.
         assert_eq!(broadcast_factor(&q, &rs(&[0, 1]), &target), 1.0);
         // Partitioning by an attribute no predicate links to the head.
-        let target_sb = PartitionedStep::partitioned(rs(&[1, 2]), s_b, 5);
+        let target_sb = StoreDescriptor::partitioned(rs(&[1, 2]), s_b, 5);
         assert_eq!(
             broadcast_factor(&q, &rs(&[0]), &target_sb),
             5.0,
             "R knows a, not b"
         );
         // Unpartitioned multi-worker stores always broadcast.
-        let rr = PartitionedStep {
-            relations: rs(&[2]),
-            partition: None,
+        let rr = StoreDescriptor {
             parallelism: 4,
+            ..StoreDescriptor::unpartitioned(rs(&[2]))
         };
         assert_eq!(broadcast_factor(&q, &rs(&[0, 1]), &rr), 4.0);
         // Single-partition stores never broadcast.
         assert_eq!(
-            broadcast_factor(&q, &rs(&[0]), &PartitionedStep::unpartitioned(rs(&[2]))),
+            broadcast_factor(&q, &rs(&[0]), &StoreDescriptor::unpartitioned(rs(&[2]))),
             1.0
         );
         let _ = est;
@@ -273,7 +240,7 @@ mod tests {
         let est = CardinalityEstimator::new(&catalog, &stats);
         let t_attr = catalog.attr("T", "b").unwrap();
         let order = ProbeOrder::new(q.id, RelationId::new(0), vec![rs(&[1]), rs(&[2])]);
-        let target = PartitionedStep::partitioned(rs(&[2]), t_attr, 5);
+        let target = StoreDescriptor::partitioned(rs(&[2]), t_attr, 5);
         let b = step_cost(&est, &q, &order, 1, &target);
         assert!((b.head_cardinality - 100.0).abs() < 1e-9);
         assert!((b.fraction - 0.5).abs() < 1e-9);
@@ -292,13 +259,13 @@ mod tests {
         // T knows b but not a, so the first step broadcasts to all 5
         // S-partitions (illustration 7 in Fig. 2 of the paper).
         let order = ProbeOrder::new(q.id, RelationId::new(2), vec![rs(&[1]), rs(&[0])]);
-        let s_store = PartitionedStep::partitioned(rs(&[1]), s_a, 5);
+        let s_store = StoreDescriptor::partitioned(rs(&[1]), s_a, 5);
         let b = step_cost(&est, &q, &order, 0, &s_store);
         assert!((b.cost - 500.0).abs() < 1e-9, "100 tuples × χ=5");
     }
 
     #[test]
-    #[should_panic(expected = "one PartitionedStep per probe step")]
+    #[should_panic(expected = "one StoreDescriptor per probe step")]
     fn mismatched_partitioning_length_panics() {
         let (catalog, stats) = setup();
         let q = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
@@ -315,10 +282,10 @@ mod tests {
         let mirs = enumerate_mirs(&q, None);
         for start in q.relations.iter() {
             for order in construct_probe_orders_for_start(&q, &mirs, start, None) {
-                let parts: Vec<PartitionedStep> = order
+                let parts: Vec<StoreDescriptor> = order
                     .steps
                     .iter()
-                    .map(|s| PartitionedStep::unpartitioned(*s))
+                    .map(|s| StoreDescriptor::unpartitioned(*s))
                     .collect();
                 assert!(probe_cost(&est, &q, &order, &parts) > 0.0);
             }

@@ -103,7 +103,6 @@ impl SyntheticEnv {
             format!("rq{}", id.0),
             members.into_iter().collect(),
             predicates,
-            None,
         )
     }
 
@@ -219,7 +218,7 @@ impl AdaptiveScenario {
             ("U", vec![("c", u_c), ("pay", 0)]),
         ] {
             let meta = self.catalog.relation_by_name(name).expect("registered");
-            let mut b = TupleBuilder::with_layout(&meta.schema, &meta.layout, ts);
+            let mut b = TupleBuilder::new(&meta.schema, ts);
             for (attr, v) in &values {
                 b = b.set(attr, *v);
             }

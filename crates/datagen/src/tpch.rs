@@ -231,15 +231,15 @@ impl TpchGenerator {
         Timestamp::from_millis(self.next_ts)
     }
 
-    /// Generates the next tuple of the named relation. Builders run
-    /// through the catalog's cached [`clash_common::LeafLayout`] (arena-
-    /// backed leaf buffers, precomputed slot map); categorical strings are
-    /// interned `Arc<str>` clones, not fresh allocations.
+    /// Generates the next tuple of the named relation. Builders write into
+    /// arena-backed leaf buffers, resolving names through the schema;
+    /// categorical strings are interned `Arc<str>` clones, not fresh
+    /// allocations.
     pub fn tuple(&mut self, workload: &TpchWorkload, relation: &str) -> Result<Tuple> {
         let meta = workload.catalog.relation_by_name(relation)?;
         let ts = self.ts();
         self.counter += 1;
-        let builder = TupleBuilder::with_layout(&meta.schema, &meta.layout, ts);
+        let builder = TupleBuilder::new(&meta.schema, ts);
         let t = match relation {
             "region" => builder
                 .set("regionkey", self.rng.gen_range(0..5i64))

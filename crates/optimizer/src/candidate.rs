@@ -8,12 +8,13 @@
 //! [`StepKey`]s; equal step keys across queries identify shareable work and
 //! therefore map to the same ILP step variable.
 
-use crate::store::StoreDescriptor;
 use clash_catalog::{Catalog, Statistics};
 use clash_common::{QueryId, RelationId, RelationSet};
 use clash_cost::{probe_cost, step_cost, CardinalityEstimator};
 use clash_query::partitioning::partition_candidates_for_workload;
-use clash_query::{construct_probe_orders_for_start, enumerate_mirs, JoinQuery, Mir, ProbeOrder};
+use clash_query::{
+    construct_probe_orders_for_start, enumerate_mirs, JoinQuery, Mir, ProbeOrder, StoreDescriptor,
+};
 use std::collections::HashMap;
 
 /// Configuration of the plan-space enumeration.
@@ -280,11 +281,9 @@ fn decorate_order(
     combos
         .into_iter()
         .map(|stores| {
-            let steps: Vec<clash_cost::PartitionedStep> =
-                stores.iter().map(|s| s.as_partitioned_step()).collect();
-            let cost = probe_cost(estimator, query, order, &steps);
+            let cost = probe_cost(estimator, query, order, &stores);
             let step_costs: Vec<f64> = (0..order.len())
-                .map(|j| step_cost(estimator, query, order, j, &steps[j]).cost)
+                .map(|j| step_cost(estimator, query, order, j, &stores[j]).cost)
                 .collect();
             let step_keys: Vec<StepKey> = (0..order.len())
                 .map(|j| StepKey::build(query, order, &stores, j))

@@ -23,7 +23,6 @@
 pub mod candidate;
 pub mod ilp_builder;
 pub mod planner;
-pub mod store;
 pub mod topology;
 
 pub use candidate::{
@@ -31,7 +30,6 @@ pub use candidate::{
 };
 pub use ilp_builder::{build_ilp, extract_selection, IlpArtifacts, Selection};
 pub use planner::{OptimizationReport, Planner, PlannerConfig, Strategy};
-pub use store::StoreDescriptor;
 pub use topology::{
     IngestRoute, OutputAction, Rule, SendTarget, StoreDef, TopologyBuilder, TopologyPlan,
 };

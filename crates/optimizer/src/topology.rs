@@ -17,12 +17,11 @@
 
 use crate::candidate::{DecoratedProbeOrder, StepKey};
 use crate::ilp_builder::Selection;
-use crate::store::StoreDescriptor;
 use clash_common::{
     AttrRef, ClashError, Diagnostic, EdgeId, FxHashMap, QueryId, RelationId, RelationSet, Result,
     StoreId,
 };
-use clash_query::{EquiPredicate, JoinQuery};
+use clash_query::{EquiPredicate, JoinQuery, StoreDescriptor};
 use std::collections::{BTreeMap, HashMap};
 
 /// A store instantiated by the plan.

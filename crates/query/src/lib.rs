@@ -12,7 +12,10 @@
 //! * [`mir`] — enumeration of *materializable intermediate results*
 //!   (connected sub-queries),
 //! * [`probe_order`] — candidate probe order construction (Algorithm 1),
-//! * [`partitioning`] — candidate partitioning attributes for stores.
+//! * [`partitioning`] — candidate partitioning attributes for stores,
+//! * [`StoreDescriptor`] — the layout of one store: the MIR it holds, its
+//!   partitioning and parallelism — what the cost model prices and the
+//!   optimizer, the analyzer and both engines share.
 //!
 //! Everything in this crate is purely structural: costs are attached by
 //! `clash-cost`, and the ILP that picks among the candidates lives in
@@ -25,6 +28,7 @@ pub mod partitioning;
 pub mod predicate;
 pub mod probe_order;
 pub mod query;
+pub mod store;
 
 pub use graph::QueryGraph;
 pub use mir::{enumerate_mirs, Mir};
@@ -33,3 +37,4 @@ pub use partitioning::partition_candidates;
 pub use predicate::EquiPredicate;
 pub use probe_order::{construct_probe_orders, construct_probe_orders_for_start, ProbeOrder};
 pub use query::{JoinQuery, QueryBuilder};
+pub use store::StoreDescriptor;

@@ -109,7 +109,7 @@ mod tests {
         let predicates = (0..n - 1)
             .map(|i| EquiPredicate::new(attr(i, 1), attr(i + 1, 0)))
             .collect();
-        JoinQuery::new(QueryId::new(0), "linear", relations, predicates, None).unwrap()
+        JoinQuery::new(QueryId::new(0), "linear", relations, predicates).unwrap()
     }
 
     fn clique(n: u32) -> JoinQuery {
@@ -120,7 +120,7 @@ mod tests {
                 predicates.push(EquiPredicate::new(attr(i, j), attr(j, i)));
             }
         }
-        JoinQuery::new(QueryId::new(0), "clique", relations, predicates, None).unwrap()
+        JoinQuery::new(QueryId::new(0), "clique", relations, predicates).unwrap()
     }
 
     #[test]
@@ -155,7 +155,7 @@ mod tests {
             EquiPredicate::new(attr(0, 2), attr(2, 0)),
             EquiPredicate::new(attr(0, 3), attr(3, 0)),
         ];
-        let q = JoinQuery::new(QueryId::new(0), "star", relations, predicates, None).unwrap();
+        let q = JoinQuery::new(QueryId::new(0), "star", relations, predicates).unwrap();
         let mirs = enumerate_mirs(&q, None);
         // 4 singletons + subsets containing the center: choose any of the
         // 2^3 leaf combinations = 8, i.e. 8 + 3 = 11 total.
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn single_relation_query() {
         let relations = rs(&[5]);
-        let q = JoinQuery::new(QueryId::new(0), "single", relations, vec![], None).unwrap();
+        let q = JoinQuery::new(QueryId::new(0), "single", relations, vec![]).unwrap();
         let mirs = enumerate_mirs(&q, None);
         assert_eq!(mirs.len(), 1);
         assert!(mirs[0].is_base());

@@ -15,7 +15,7 @@
 use crate::predicate::EquiPredicate;
 use crate::query::JoinQuery;
 use clash_catalog::Catalog;
-use clash_common::{AttrRef, ClashError, QueryId, RelationSet, Result, Window};
+use clash_common::{AttrRef, ClashError, QueryId, RelationSet, Result};
 
 /// One parsed `Relation(attr, ...)` term.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,25 +112,13 @@ pub fn parse_query(
             }
         }
     }
-    JoinQuery::new(id, name, relations, predicates, None)
-}
-
-/// Parses a query and applies a per-query window override.
-pub fn parse_query_with_window(
-    catalog: &Catalog,
-    id: QueryId,
-    name: impl Into<String>,
-    input: &str,
-    window: Window,
-) -> Result<JoinQuery> {
-    let mut q = parse_query(catalog, id, name, input)?;
-    q.window = Some(window);
-    Ok(q)
+    JoinQuery::new(id, name, relations, predicates)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clash_common::Window;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -199,20 +187,6 @@ mod tests {
         // R(b) and T(c) share no attribute name -> no predicate -> invalid.
         let result = parse_query(&c, QueryId::new(0), "q", "R(b), T(c)");
         assert!(matches!(result, Err(ClashError::InvalidQuery(_))));
-    }
-
-    #[test]
-    fn window_override_applies() {
-        let c = catalog();
-        let q = parse_query_with_window(
-            &c,
-            QueryId::new(0),
-            "q",
-            "R(b), S(b,c), T(c)",
-            Window::secs(42),
-        )
-        .unwrap();
-        assert_eq!(q.window, Some(Window::secs(42)));
     }
 
     #[test]

@@ -81,7 +81,6 @@ mod tests {
                 EquiPredicate::new(attr(0, 0), attr(1, 0)),
                 EquiPredicate::new(attr(1, 1), attr(2, 0)),
             ],
-            None,
         )
         .unwrap()
     }
@@ -127,7 +126,6 @@ mod tests {
                 EquiPredicate::new(attr(0, 0), attr(1, 0)),
                 EquiPredicate::new(attr(1, 2), attr(3, 0)),
             ],
-            None,
         )
         .unwrap();
         let queries = vec![q1, q2];

@@ -246,7 +246,6 @@ mod tests {
                 EquiPredicate::new(attr(0, 0), attr(1, 0)),
                 EquiPredicate::new(attr(1, 1), attr(2, 0)),
             ],
-            None,
         )
         .unwrap()
     }
@@ -339,7 +338,7 @@ mod tests {
 
     #[test]
     fn single_relation_query_has_empty_probe_order() {
-        let q = JoinQuery::new(QueryId::new(3), "single", rs(&[4]), vec![], None).unwrap();
+        let q = JoinQuery::new(QueryId::new(3), "single", rs(&[4]), vec![]).unwrap();
         let mirs = enumerate_mirs(&q, None);
         let orders = construct_probe_orders_for_start(&q, &mirs, RelationId::new(4), None);
         assert_eq!(orders.len(), 1);
@@ -356,7 +355,7 @@ mod tests {
         let predicates = (0..4)
             .map(|i| EquiPredicate::new(attr(i, 1), attr(i + 1, 0)))
             .collect();
-        let q = JoinQuery::new(QueryId::new(9), "chain5", relations, predicates, None).unwrap();
+        let q = JoinQuery::new(QueryId::new(9), "chain5", relations, predicates).unwrap();
         let mirs = enumerate_mirs(&q, None);
         let by_start = construct_probe_orders(&q, &mirs, None);
         let a = by_start.iter().map(|(_, o)| o.len()).sum::<usize>();

@@ -3,13 +3,14 @@
 use crate::graph::QueryGraph;
 use crate::predicate::EquiPredicate;
 use clash_catalog::Catalog;
-use clash_common::{ClashError, QueryId, RelationSet, Result, Window};
+use clash_common::{ClashError, QueryId, RelationSet, Result};
 use std::fmt;
 
 /// A continuous multi-way windowed equi-join query `q_i(S_1, ..., S_n)`.
 ///
 /// A query is defined by the set of streamed relations it joins and a list
-/// of equi-join predicates. The join graph induced by the predicates must
+/// of equi-join predicates. Its windows are its relations' windows in the
+/// [`Catalog`] (Section I-A): a query carries none of its own. The join graph induced by the predicates must
 /// be connected — the paper explicitly excludes cross products from the
 /// plan space (Section V), and [`JoinQuery::validate`] enforces it.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,9 +23,6 @@ pub struct JoinQuery {
     pub relations: RelationSet,
     /// The equi-join predicates (deduplicated, sorted).
     pub predicates: Vec<EquiPredicate>,
-    /// Optional per-query window override; when `None`, the per-relation
-    /// windows of the catalog apply.
-    pub window: Option<Window>,
 }
 
 impl JoinQuery {
@@ -34,7 +32,6 @@ impl JoinQuery {
         name: impl Into<String>,
         relations: RelationSet,
         mut predicates: Vec<EquiPredicate>,
-        window: Option<Window>,
     ) -> Result<Self> {
         predicates.sort();
         predicates.dedup();
@@ -43,7 +40,6 @@ impl JoinQuery {
             name: name.into(),
             relations,
             predicates,
-            window,
         };
         q.validate()?;
         Ok(q)
@@ -93,7 +89,6 @@ impl JoinQuery {
             format!("{}[{relations}]", self.name),
             relations,
             self.predicates_within(&relations),
-            self.window,
         )
     }
 
@@ -175,7 +170,6 @@ pub struct QueryBuilder<'a> {
     catalog: &'a Catalog,
     relations: RelationSet,
     predicates: Vec<EquiPredicate>,
-    window: Option<Window>,
 }
 
 impl<'a> QueryBuilder<'a> {
@@ -187,7 +181,6 @@ impl<'a> QueryBuilder<'a> {
             catalog,
             relations: RelationSet::new(),
             predicates: Vec::new(),
-            window: None,
         }
     }
 
@@ -219,21 +212,9 @@ impl<'a> QueryBuilder<'a> {
         Ok(self)
     }
 
-    /// Sets a per-query window override.
-    pub fn window(mut self, window: Window) -> Self {
-        self.window = Some(window);
-        self
-    }
-
     /// Finishes and validates the query.
     pub fn build(self) -> Result<JoinQuery> {
-        JoinQuery::new(
-            self.id,
-            self.name,
-            self.relations,
-            self.predicates,
-            self.window,
-        )
+        JoinQuery::new(self.id, self.name, self.relations, self.predicates)
     }
 }
 
@@ -246,8 +227,7 @@ pub(crate) fn rid(i: u32) -> clash_common::RelationId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clash_common::AttrId;
-    use clash_common::AttrRef;
+    use clash_common::{AttrId, AttrRef, Window};
 
     fn attr(rel: u32, a: u32) -> AttrRef {
         AttrRef::new(rid(rel), AttrId::new(a))
@@ -264,7 +244,6 @@ mod tests {
                 EquiPredicate::new(attr(0, 0), attr(1, 0)),
                 EquiPredicate::new(attr(1, 1), attr(2, 0)),
             ],
-            None,
         )
         .unwrap()
     }
@@ -288,14 +267,13 @@ mod tests {
                 EquiPredicate::new(attr(0, 0), attr(1, 0)),
                 EquiPredicate::new(attr(2, 0), attr(3, 0)),
             ],
-            None,
         );
         assert!(matches!(result, Err(ClashError::InvalidQuery(_))));
     }
 
     #[test]
     fn empty_query_rejected() {
-        let result = JoinQuery::new(QueryId::new(1), "empty", RelationSet::new(), vec![], None);
+        let result = JoinQuery::new(QueryId::new(1), "empty", RelationSet::new(), vec![]);
         assert!(result.is_err());
     }
 
@@ -307,7 +285,6 @@ mod tests {
             "foreign",
             relations,
             vec![EquiPredicate::new(attr(0, 0), attr(5, 0))],
-            None,
         );
         assert!(result.is_err());
     }
@@ -323,7 +300,6 @@ mod tests {
                 EquiPredicate::new(attr(0, 0), attr(1, 0)),
                 EquiPredicate::new(attr(1, 0), attr(0, 0)),
             ],
-            None,
         )
         .unwrap();
         assert_eq!(q.predicates.len(), 1);
@@ -372,11 +348,9 @@ mod tests {
             .unwrap()
             .join("S", "b", "T", "b")
             .unwrap()
-            .window(Window::secs(30))
             .build()
             .unwrap();
         assert_eq!(q.size(), 3);
-        assert_eq!(q.window, Some(Window::secs(30)));
         assert!(QueryBuilder::new(QueryId::new(4), "bad", &catalog)
             .join("R", "a", "Z", "a")
             .is_err());

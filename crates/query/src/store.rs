@@ -60,15 +60,6 @@ impl StoreDescriptor {
     pub fn is_base(&self) -> bool {
         self.relations.len() == 1
     }
-
-    /// The equivalent cost-model step description.
-    pub fn as_partitioned_step(&self) -> clash_cost::PartitionedStep {
-        clash_cost::PartitionedStep {
-            relations: self.relations,
-            partition: self.partition,
-            parallelism: self.parallelism,
-        }
-    }
 }
 
 impl fmt::Display for StoreDescriptor {
@@ -122,16 +113,6 @@ mod tests {
             }
         }
         assert_eq!(a, StoreDescriptor::unpartitioned(rs(&[1])));
-    }
-
-    #[test]
-    fn conversion_to_cost_step() {
-        let attr = AttrRef::new(RelationId::new(2), AttrId::new(1));
-        let d = StoreDescriptor::partitioned(rs(&[2, 3]), attr, 5);
-        let step = d.as_partitioned_step();
-        assert_eq!(step.relations, rs(&[2, 3]));
-        assert_eq!(step.partition, Some(attr));
-        assert_eq!(step.parallelism, 5);
     }
 
     #[test]

@@ -42,8 +42,8 @@ use clash_common::{
     arena_stats, ArenaStats, EdgeId, Epoch, EpochConfig, FxHashMap, JoinSlot, RelationId,
     SlotAccessor, StoreId, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Value,
 };
-use clash_optimizer::{OutputAction, Rule, StoreDescriptor, TopologyPlan};
-use clash_query::EquiPredicate;
+use clash_optimizer::{OutputAction, Rule, TopologyPlan};
+use clash_query::{EquiPredicate, StoreDescriptor};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -39,8 +39,7 @@ use clash_common::{
     fx_hash, AttrRef, BloomFilter, Epoch, FxHashMap, PostingList, SlotAccessor, Timestamp, Tuple,
     Value, Window,
 };
-use clash_optimizer::StoreDescriptor;
-use clash_query::EquiPredicate;
+use clash_query::{EquiPredicate, StoreDescriptor};
 
 /// An attribute a store maintains a hash index over, with its precomputed
 /// positional accessor (resolved once per store, reused for every insert
@@ -1043,7 +1042,7 @@ mod tests {
     fn flattened_multiset(tuples: &[Tuple]) -> Vec<String> {
         let mut rendered: Vec<String> = tuples
             .iter()
-            .map(|t| format!("{}|{}|{:?}", t.ts, t.ingest_ts, t.flatten()))
+            .map(|t| format!("{}|{:?}", t.ts, t.flatten()))
             .collect();
         rendered.sort();
         rendered

@@ -19,10 +19,9 @@ use clash_common::{
 };
 use clash_datagen::{SyntheticEnv, SyntheticWorkloadConfig, TpchGenerator, TpchWorkload};
 use clash_optimizer::{
-    OutputAction, Planner, PlannerConfig, Rule, SendTarget, StoreDef, StoreDescriptor, Strategy,
-    TopologyPlan,
+    OutputAction, Planner, PlannerConfig, Rule, SendTarget, StoreDef, Strategy, TopologyPlan,
 };
-use clash_query::JoinQuery;
+use clash_query::{JoinQuery, StoreDescriptor};
 use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
 use proptest::prelude::*;
 

@@ -58,7 +58,7 @@ proptest! {
                 AttrRef::new(RelationId::new(i + 1), AttrId::new(0)),
             ))
             .collect();
-        let query = JoinQuery::new(QueryId::new(0), "chain", relations, predicates, None).unwrap();
+        let query = JoinQuery::new(QueryId::new(0), "chain", relations, predicates).unwrap();
         let mirs = enumerate_mirs(&query, None);
         let start = RelationId::new((start_idx % n) as u32);
         let orders = construct_probe_orders_for_start(&query, &mirs, start, None);
@@ -86,7 +86,7 @@ proptest! {
                 AttrRef::new(RelationId::new(i + 1), AttrId::new(0)),
             ))
             .collect();
-        let query = JoinQuery::new(QueryId::new(0), "chain", relations, predicates, None).unwrap();
+        let query = JoinQuery::new(QueryId::new(0), "chain", relations, predicates).unwrap();
         let graph = query.graph();
         let mirs = enumerate_mirs(&query, None);
         let singletons = mirs.iter().filter(|m| m.is_base()).count();
@@ -152,7 +152,8 @@ proptest! {
         sel in proptest::collection::vec(0.0001f64..1.0, 2),
     ) {
         use clash_catalog::{Catalog, Statistics};
-        use clash_cost::{probe_cost, step_cost, CardinalityEstimator, PartitionedStep};
+        use clash_cost::{probe_cost, step_cost, CardinalityEstimator};
+        use clash_query::StoreDescriptor;
         use clash_query::parse_query;
         let mut catalog = Catalog::new();
         catalog.register("R", ["a"], Window::unbounded(), 1).unwrap();
@@ -171,10 +172,10 @@ proptest! {
             RelationId::new(0),
             vec![RelationSet::singleton(RelationId::new(1)), RelationSet::singleton(RelationId::new(2))],
         );
-        let parts: Vec<PartitionedStep> = order
+        let parts: Vec<StoreDescriptor> = order
             .steps
             .iter()
-            .map(|s| PartitionedStep::unpartitioned(*s))
+            .map(|s| StoreDescriptor::unpartitioned(*s))
             .collect();
         let total = probe_cost(&est, &q, &order, &parts);
         prop_assert!(total >= 0.0);

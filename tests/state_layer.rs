@@ -6,11 +6,10 @@
 //! `freeze_before` sequences spread over multiple epochs.
 
 use clash_common::{
-    arena_stats, AttrId, AttrRef, Epoch, LeafLayout, RelationId, RelationSet, Schema, Timestamp,
-    Tuple, TupleBuilder, Value, Window,
+    arena_stats, AttrId, AttrRef, Epoch, RelationId, RelationSet, Schema, Timestamp, Tuple,
+    TupleBuilder, Value, Window,
 };
-use clash_optimizer::StoreDescriptor;
-use clash_query::EquiPredicate;
+use clash_query::{EquiPredicate, StoreDescriptor};
 use clash_runtime::store::StoreInstance;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -35,12 +34,11 @@ proptest! {
     /// Arena-backed builder tuples are content-equal (and wire-round-trip
     /// equal) to `Tuple::base`-built ones for random slot subsets, values
     /// and duplicate writes, whether slots are set positionally or by
-    /// name through the cached layout.
+    /// name through the schema.
     #[test]
     fn builder_matches_pair_vector_construction(seed in 0u64..1_000_000, arity in 1usize..10) {
         let mut rng = StdRng::seed_from_u64(seed);
         let schema = schema_of(arity);
-        let layout = LeafLayout::of_schema(&schema);
         let ts = Timestamp::from_millis(rng.gen_range(0..10_000u64));
         // Random multiset of slot writes, possibly with duplicates (the
         // first write must win on every construction path).
@@ -59,13 +57,13 @@ proptest! {
             .collect();
         let reference = Tuple::base(schema.relation, ts, pairs);
 
-        let mut by_slot = TupleBuilder::with_layout(&schema, &layout, ts);
+        let mut by_slot = TupleBuilder::new(&schema, ts);
         for (slot, v) in &writes {
             by_slot = by_slot.set_slot(AttrId::new(*slot as u32), v.clone());
         }
         let by_slot = by_slot.build();
 
-        let mut by_name = TupleBuilder::with_layout(&schema, &layout, ts);
+        let mut by_name = TupleBuilder::new(&schema, ts);
         for (slot, v) in &writes {
             by_name = by_name.set(&format!("a{slot}"), v.clone());
         }
@@ -93,16 +91,15 @@ proptest! {
 #[test]
 fn arena_recycles_leaf_buffers_through_build_drop_cycles() {
     let schema = schema_of(4);
-    let layout = LeafLayout::of_schema(&schema);
     // Warm one buffer of this width into the pool.
     drop(
-        TupleBuilder::with_layout(&schema, &layout, Timestamp::from_millis(0))
+        TupleBuilder::new(&schema, Timestamp::from_millis(0))
             .set_slot(AttrId::new(0), 1i64)
             .build(),
     );
     let before = arena_stats();
     for i in 0..100u64 {
-        let t = TupleBuilder::with_layout(&schema, &layout, Timestamp::from_millis(i))
+        let t = TupleBuilder::new(&schema, Timestamp::from_millis(i))
             .set_slot(AttrId::new(0), i as i64)
             .set_slot(AttrId::new(3), Value::str("payload"))
             .build();
@@ -152,8 +149,7 @@ impl Oracle {
 }
 
 fn stored_tuple(schema: &Schema, rng: &mut StdRng, ts: u64, key_domain: i64) -> Tuple {
-    let layout = LeafLayout::of_schema(schema);
-    TupleBuilder::with_layout(schema, &layout, Timestamp::from_millis(ts))
+    TupleBuilder::new(schema, Timestamp::from_millis(ts))
         .set_slot(AttrId::new(0), rng.gen_range(0..key_domain))
         .set_slot(AttrId::new(1), rng.gen_range(0..key_domain))
         .set_slot(AttrId::new(2), Value::str(format!("p{}", ts % 7)))
@@ -235,12 +231,8 @@ proptest! {
             // agree with the oracle, for every key in the domain plus a
             // guaranteed miss.
             let probe_ts = now + rng.gen_range(1..3_000u64);
-            let probe_layout = LeafLayout::of_schema(&probe_schema);
             for key in 0..key_domain + 1 {
-                let probe = TupleBuilder::with_layout(
-                    &probe_schema,
-                    &probe_layout,
-                    Timestamp::from_millis(probe_ts),
+                let probe = TupleBuilder::new(&probe_schema, Timestamp::from_millis(probe_ts),
                 )
                 .set_slot(AttrId::new(0), key)
                 .set_slot(AttrId::new(1), key)

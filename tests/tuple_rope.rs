@@ -27,7 +27,6 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 struct FlatRef {
     ts: Timestamp,
-    ingest_ts: Timestamp,
     pairs: Vec<(AttrRef, Value)>,
 }
 
@@ -41,7 +40,6 @@ impl FlatRef {
         pairs.extend(other.pairs.iter().cloned());
         FlatRef {
             ts: self.ts.max(other.ts),
-            ingest_ts: self.ingest_ts.max(other.ingest_ts),
             pairs,
         }
     }
@@ -82,11 +80,7 @@ fn random_base(rng: &mut StdRng, relation: u32, arity: usize) -> (Tuple, FlatRef
         })
         .collect();
     let rope = Tuple::base(rel, ts, pairs.clone());
-    let flat = FlatRef {
-        ts,
-        ingest_ts: ts,
-        pairs,
-    };
+    let flat = FlatRef { ts, pairs };
     (rope, flat)
 }
 
@@ -112,9 +106,9 @@ fn random_leaves(rng: &mut StdRng, relations: usize) -> Vec<(Tuple, FlatRef)> {
         .collect()
 }
 
-/// Timestamps, arity, size and every `(attribute, value)` pair in order.
+/// Timestamp, arity, size and every `(attribute, value)` pair in order.
 fn assert_matches_reference(rope: &Tuple, flat: &FlatRef) {
-    assert_eq!((rope.ts, rope.ingest_ts), (flat.ts, flat.ingest_ts));
+    assert_eq!(rope.ts, flat.ts);
     assert_eq!(rope.arity(), flat.pairs.len());
     assert_eq!(rope.approx_size_bytes(), flat.approx_size_bytes());
     assert_eq!(rope.flatten(), flat.pairs);
@@ -216,7 +210,6 @@ proptest! {
         let decoded = Tuple::from_wire(&tree_a.to_wire()).expect("round trip");
         prop_assert_eq!(&decoded, &tree_a);
         prop_assert_eq!(decoded.ts, tree_a.ts);
-        prop_assert_eq!(decoded.ingest_ts, tree_a.ingest_ts);
         prop_assert_eq!(decoded.relations, tree_a.relations);
         prop_assert_eq!(decoded.approx_size_bytes(), tree_a.approx_size_bytes());
         for (attr, value) in tree_a.iter() {
