@@ -553,7 +553,7 @@ impl<'a> Analyzer<'a> {
                         "P008",
                         format!(
                             "MIR store {} ({}) is never fed by a reachable Forward",
-                            def.id, def.descriptor.relations
+                            def.id, def.descriptor
                         ),
                     )
                     .at_store(def.id),
@@ -901,14 +901,20 @@ mod tests {
         let s = catalog.relation_id("S").unwrap();
         let mut rs = RelationSet::singleton(r);
         rs.insert(s);
+        let query = clash_query::parse_query(&catalog, QueryId::new(0), "q", "R(a), S(a)").unwrap();
         let id = StoreId::new(2);
         plan.stores.push(StoreDef {
             id,
-            descriptor: StoreDescriptor::unpartitioned(rs),
+            descriptor: StoreDescriptor::of_mir(query.mir(rs), None, 1),
         });
         plan.rules.insert((id, EdgeId::new(10)), vec![Rule::Store]);
         let diags = verify_plan(&catalog, &plan);
-        assert!(diags.iter().any(|d| d.code == "P008"), "{diags:?}");
+        let p008 = diags.iter().find(|d| d.code == "P008").expect("P008");
+        assert!(
+            p008.message.contains("store{R0,R1} on R0.a0 = R1.a0"),
+            "the message names the store's predicates: {}",
+            p008.message
+        );
     }
 
     #[test]

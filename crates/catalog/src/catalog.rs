@@ -61,15 +61,6 @@ impl Catalog {
         Ok(id)
     }
 
-    /// Convenience registration with an unbounded window and parallelism 1.
-    pub fn register_simple(
-        &mut self,
-        name: impl Into<String>,
-        attributes: impl IntoIterator<Item = impl Into<String>>,
-    ) -> Result<RelationId> {
-        self.register(name, attributes, Window::unbounded(), 1)
-    }
-
     /// Number of registered relations.
     pub fn len(&self) -> usize {
         self.relations.len()

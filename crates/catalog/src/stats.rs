@@ -123,16 +123,6 @@ impl Statistics {
         }
         self.epoch = self.epoch.max(other.epoch);
     }
-
-    /// Iterates over explicit rate entries.
-    pub fn iter_rates(&self) -> impl Iterator<Item = (RelationId, f64)> + '_ {
-        self.rates.iter().map(|(r, v)| (*r, *v))
-    }
-
-    /// Iterates over explicit selectivity entries.
-    pub fn iter_selectivities(&self) -> impl Iterator<Item = ((AttrRef, AttrRef), f64)> + '_ {
-        self.selectivities.iter().map(|(k, v)| (*k, *v))
-    }
 }
 
 #[cfg(test)]

@@ -179,11 +179,6 @@ impl ClashSystem {
         Ok(())
     }
 
-    /// Replaces the whole statistics prior.
-    pub fn set_statistics(&mut self, stats: Statistics) {
-        self.stats = stats;
-    }
-
     /// Registers a continuous query in the paper's notation
     /// (`"R(a), S(a,b), T(b)"`). Returns its id.
     pub fn register_query(&mut self, name: &str, definition: &str) -> Result<QueryId> {
@@ -469,15 +464,6 @@ impl ClashSystem {
             .as_mut()
             .map(|e| e.subscribe())
             .ok_or_else(|| ClashError::Runtime("system not deployed".into()))
-    }
-
-    /// Direct access to the local engine (experiment drivers); `None` when
-    /// deployed on the parallel runtime.
-    pub fn engine_mut(&mut self) -> Option<&mut LocalEngine> {
-        match self.engine.as_mut() {
-            Some(EngineHandle::Local(e)) => Some(e),
-            _ => None,
-        }
     }
 
     /// Direct access to the parallel engine; `None` when deployed on the

@@ -13,9 +13,11 @@ use clash_common::{QueryId, RelationId, RelationSet};
 use clash_cost::{probe_cost, step_cost, CardinalityEstimator};
 use clash_query::partitioning::partition_candidates_for_workload;
 use clash_query::{
-    construct_probe_orders_for_start, enumerate_mirs, JoinQuery, Mir, ProbeOrder, StoreDescriptor,
+    construct_probe_orders_for_start, enumerate_mirs, JoinQuery, Mir, PredicateSet, ProbeOrder,
+    StoreDescriptor,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 
 /// Configuration of the plan-space enumeration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,8 +52,17 @@ impl Default for PlanSpaceConfig {
 /// actual computation at runtime — iff they start from the same relation,
 /// probe the same sequence of stores with the same partitioning, and
 /// evaluate the same predicates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StepKey(pub String);
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct StepKey {
+    /// The relation whose arriving tuples start the probe order.
+    start: RelationId,
+    /// The stores probed up to and including this step.
+    stores: Vec<StoreDescriptor>,
+    /// The predicates on every relation the prefix covers: queries that
+    /// impose different join conditions on the same relations must not
+    /// share.
+    predicates: PredicateSet,
+}
 
 impl StepKey {
     fn build(
@@ -60,45 +71,62 @@ impl StepKey {
         stores: &[StoreDescriptor],
         upto: usize,
     ) -> StepKey {
-        let mut s = format!("start:{}", order.start.0);
-        let mut covered = RelationSet::singleton(order.start);
-        for store in stores.iter().take(upto + 1) {
-            covered = covered.union(&store.relations);
-            s.push_str(&format!(
-                "|{}@{}x{}",
-                store.relations.bits(),
-                store
-                    .partition
-                    .map(|a| format!("{}.{}", a.relation.0, a.attr.0))
-                    .unwrap_or_else(|| "-".into()),
-                store.parallelism
-            ));
+        StepKey {
+            start: order.start,
+            stores: stores[..=upto].to_vec(),
+            predicates: query.mir(order.head_after(upto)).predicates,
         }
-        // Predicate fingerprint of the covered prefix: queries that impose
-        // different join conditions on the same relations must not share.
-        let mut preds: Vec<String> = query
-            .predicates_within(&covered)
+    }
+}
+
+/// The step's ILP variable name without its `y[..]`: the start, every
+/// store as `bits@partition x parallelism`, and the predicates as sorted
+/// `rel.attr=rel.attr` texts.
+impl fmt::Display for StepKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "start:{}", self.start.0)?;
+        for store in &self.stores {
+            write!(f, "|{}@", store.relations.bits())?;
+            match store.partition {
+                Some(a) => write!(f, "{}.{}", a.relation.0, a.attr.0)?,
+                None => write!(f, "-")?,
+            }
+            write!(f, "x{}", store.parallelism)?;
+        }
+        let mut predicates: Vec<String> = self
+            .predicates
+            .predicates()
             .iter()
             .map(|p| {
+                let (l, r) = (p.left, p.right);
                 format!(
                     "{}.{}={}.{}",
-                    p.left.relation.0, p.left.attr.0, p.right.relation.0, p.right.attr.0
+                    l.relation.0, l.attr.0, r.relation.0, r.attr.0
                 )
             })
             .collect();
-        preds.sort();
-        s.push_str("|P:");
-        s.push_str(&preds.join(","));
-        StepKey(s)
+        predicates.sort();
+        write!(f, "|P:{}", predicates.join(","))
     }
+}
+
+/// What a probe order's results are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Produces {
+    /// Results of a workload query.
+    Query(QueryId),
+    /// Entries of the stores holding an intermediate result: the order is
+    /// a maintenance order.
+    Mir(Mir),
 }
 
 /// A probe order whose probed stores carry partitioning decorations,
 /// together with its costs under the current statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecoratedProbeOrder {
-    /// The query (or sub-query) answered by this probe order.
-    pub query: QueryId,
+    /// The query this probe order answers, or the intermediate result it
+    /// maintains.
+    pub produces: Produces,
     /// The undecorated probe order.
     pub order: ProbeOrder,
     /// One store descriptor per probe step.
@@ -112,32 +140,25 @@ pub struct DecoratedProbeOrder {
 }
 
 impl DecoratedProbeOrder {
-    /// The set of relations covered once the probe order completes.
-    pub fn covered(&self) -> RelationSet {
-        self.order.covered()
-    }
-
     /// Store descriptors of intermediate-result (non-base) steps.
     pub fn intermediate_stores(&self) -> impl Iterator<Item = &StoreDescriptor> {
         self.stores.iter().filter(|s| !s.is_base())
     }
 }
 
-/// Key identifying a sub-query probe order that maintains an intermediate
-/// result store: the MIR's relations, the starting relation and the
-/// predicate fingerprint.
-pub type SubqueryKey = (u128, RelationId, String);
+/// Identity of a maintenance order: the relations of the MIR whose stores
+/// it feeds, the relation it starts from, and the MIR's predicates.
+pub type SubqueryKey = (RelationSet, RelationId, PredicateSet);
 
 /// The full plan space of a workload.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateSet {
-    /// The workload.
-    pub queries: Vec<JoinQuery>,
     /// Candidates per (query, starting relation).
     pub per_start: HashMap<(QueryId, RelationId), Vec<DecoratedProbeOrder>>,
     /// For every intermediate store that some candidate probes: the probe
-    /// order that maintains it, one per starting relation of the MIR.
-    pub subquery_orders: HashMap<SubqueryKey, DecoratedProbeOrder>,
+    /// order that maintains it, one per starting relation of the MIR, in
+    /// key order.
+    pub subquery_orders: BTreeMap<SubqueryKey, DecoratedProbeOrder>,
 }
 
 impl CandidateSet {
@@ -187,21 +208,6 @@ impl CandidateSet {
     }
 }
 
-fn predicate_fingerprint(query: &JoinQuery, set: &RelationSet) -> String {
-    let mut preds: Vec<String> = query
-        .predicates_within(set)
-        .iter()
-        .map(|p| {
-            format!(
-                "{}.{}={}.{}",
-                p.left.relation.0, p.left.attr.0, p.right.relation.0, p.right.attr.0
-            )
-        })
-        .collect();
-    preds.sort();
-    preds.join(",")
-}
-
 /// Parallelism assigned to a store over the given relations: the maximum
 /// parallelism of the member relations (intermediate results inherit the
 /// scale of their widest input).
@@ -213,40 +219,31 @@ fn store_parallelism(catalog: &Catalog, relations: &RelationSet) -> usize {
         .unwrap_or(1)
 }
 
-/// Partitioning options for a store, honoring the workload-wide candidate
-/// attributes (Section V) and the configuration switches.
+/// Partitioning options for a store of `mir`, honoring the workload-wide
+/// candidate attributes (Section V) and the configuration switches.
 fn partition_options(
     catalog: &Catalog,
     queries: &[JoinQuery],
-    relations: &RelationSet,
+    mir: Mir,
     config: &PlanSpaceConfig,
 ) -> Vec<StoreDescriptor> {
-    let parallelism = store_parallelism(catalog, relations);
-    if !config.partitioning_enabled || parallelism <= 1 {
-        return vec![StoreDescriptor {
-            relations: *relations,
-            partition: None,
-            parallelism,
-            owner: None,
-        }];
-    }
-    let candidates = partition_candidates_for_workload(queries, relations);
+    let parallelism = store_parallelism(catalog, &mir.relations);
+    let candidates = if config.partitioning_enabled && parallelism > 1 {
+        partition_candidates_for_workload(queries, &mir.relations)
+    } else {
+        Vec::new()
+    };
     if candidates.is_empty() {
-        return vec![StoreDescriptor {
-            relations: *relations,
-            partition: None,
-            parallelism,
-            owner: None,
-        }];
+        return vec![StoreDescriptor::of_mir(mir, None, parallelism)];
     }
     candidates
         .into_iter()
-        .map(|attr| StoreDescriptor::partitioned(*relations, attr, parallelism))
+        .map(|attr| StoreDescriptor::of_mir(mir, Some(attr), parallelism))
         .collect()
 }
 
-/// Decorates one probe order with every combination of store partitionings
-/// (capped by the configuration) and computes the costs.
+/// Decorates one probe order of `query` with every combination of store
+/// partitionings (capped by the configuration) and computes the costs.
 fn decorate_order(
     estimator: &CardinalityEstimator<'_>,
     catalog: &Catalog,
@@ -259,7 +256,7 @@ fn decorate_order(
     let options: Vec<Vec<StoreDescriptor>> = order
         .steps
         .iter()
-        .map(|s| partition_options(catalog, queries, s, config))
+        .map(|s| partition_options(catalog, queries, query.mir(*s), config))
         .collect();
     // Cartesian product, capped.
     let mut combos: Vec<Vec<StoreDescriptor>> = vec![Vec::new()];
@@ -289,7 +286,7 @@ fn decorate_order(
                 .map(|j| StepKey::build(query, order, &stores, j))
                 .collect();
             DecoratedProbeOrder {
-                query: query.id,
+                produces: Produces::Query(query.id),
                 order: order.clone(),
                 stores,
                 cost,
@@ -308,10 +305,7 @@ pub fn enumerate_candidates(
     config: &PlanSpaceConfig,
 ) -> CandidateSet {
     let estimator = CardinalityEstimator::new(catalog, stats);
-    let mut set = CandidateSet {
-        queries: queries.to_vec(),
-        ..CandidateSet::default()
-    };
+    let mut set = CandidateSet::default();
 
     for query in queries {
         let mirs: Vec<Mir> = if config.materialize_intermediates {
@@ -341,7 +335,7 @@ pub fn enumerate_candidates(
                         catalog,
                         queries,
                         query,
-                        &store.relations,
+                        store.mir(),
                         config,
                         &mut set.subquery_orders,
                     );
@@ -367,17 +361,16 @@ fn register_subquery_orders(
     catalog: &Catalog,
     queries: &[JoinQuery],
     query: &JoinQuery,
-    mir: &RelationSet,
+    mir: Mir,
     config: &PlanSpaceConfig,
-    out: &mut HashMap<SubqueryKey, DecoratedProbeOrder>,
+    out: &mut BTreeMap<SubqueryKey, DecoratedProbeOrder>,
 ) {
-    let fingerprint = predicate_fingerprint(query, mir);
-    let Ok(subquery) = query.subquery(*mir, QueryId::new(u32::MAX - query.id.0)) else {
+    let Ok(subquery) = query.subquery(mir.relations) else {
         return;
     };
     let base_mirs = enumerate_mirs(&subquery, Some(1));
-    for start in mir.iter() {
-        let key: SubqueryKey = (mir.bits(), start, fingerprint.clone());
+    for start in mir.relations.iter() {
+        let key = (mir.relations, start, mir.predicates);
         if out.contains_key(&key) {
             continue;
         }
@@ -395,7 +388,9 @@ fn register_subquery_orders(
                     .partial_cmp(&b.cost)
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-        if let Some(best) = best {
+        if let Some(mut best) = best {
+            // It answers the sub-query, and so maintains the MIR.
+            best.produces = Produces::Mir(mir);
             out.insert(key, best);
         }
     }
@@ -444,7 +439,7 @@ mod tests {
                     q.name
                 );
                 for c in cands {
-                    assert_eq!(c.query, q.id);
+                    assert_eq!(c.produces, Produces::Query(q.id));
                     assert!(c.order.is_valid_for(q));
                     assert_eq!(c.stores.len(), c.order.len());
                     assert_eq!(c.step_costs.len(), c.order.len());

@@ -34,8 +34,9 @@ pub struct IlpArtifacts {
     pub model: Model,
     /// Candidate variable per (query, start, candidate index).
     pub candidate_vars: HashMap<(QueryId, RelationId, usize), VarId>,
-    /// Sub-query maintenance variable per intermediate store input.
-    pub subquery_vars: HashMap<SubqueryKey, VarId>,
+    /// Sub-query maintenance variable per intermediate store input, in key
+    /// order.
+    pub subquery_vars: BTreeMap<SubqueryKey, VarId>,
     /// Step variable and step cost per step key.
     pub step_vars: HashMap<StepKey, (VarId, f64)>,
     /// Model size statistics (Fig. 9b / 9d).
@@ -48,7 +49,7 @@ pub struct Selection {
     /// One decorated probe order per (query, starting relation).
     pub query_orders: Vec<DecoratedProbeOrder>,
     /// Maintenance probe orders for every intermediate store that the
-    /// chosen query orders probe.
+    /// chosen query orders probe, in [`SubqueryKey`] order.
     pub subquery_orders: Vec<DecoratedProbeOrder>,
     /// Total shared probe cost: every distinct step counted once (the MQO
     /// objective of Fig. 9a / 9c).
@@ -62,12 +63,13 @@ impl Selection {
     }
 
     /// Recomputes the shared cost from the step keys (each distinct step
-    /// counted once, summed in key order so the value repeats exactly).
+    /// counted once, summed in the order of the steps' ILP names so the
+    /// value repeats exactly).
     pub fn recompute_shared_cost(&mut self) {
-        let mut seen: BTreeMap<&StepKey, f64> = BTreeMap::new();
-        for order in self.query_orders.iter().chain(self.subquery_orders.iter()) {
+        let mut seen: BTreeMap<String, f64> = BTreeMap::new();
+        for order in self.all_orders() {
             for (key, cost) in order.step_keys.iter().zip(&order.step_costs) {
-                seen.entry(key).or_insert(*cost);
+                seen.entry(key.to_string()).or_insert(*cost);
             }
         }
         self.shared_cost = seen.values().sum();
@@ -83,7 +85,7 @@ fn step_var(
     if let Some((v, _)) = step_vars.get(key) {
         return *v;
     }
-    let v = model.add_binary(format!("y[{}]", key.0), cost);
+    let v = model.add_binary(format!("y[{key}]"), cost);
     step_vars.insert(key.clone(), (v, cost));
     v
 }
@@ -92,17 +94,14 @@ fn step_var(
 pub fn build_ilp(candidates: &CandidateSet) -> IlpArtifacts {
     let mut model = Model::new();
     let mut candidate_vars = HashMap::new();
-    let mut subquery_vars: HashMap<SubqueryKey, VarId> = HashMap::new();
+    let mut subquery_vars = BTreeMap::new();
     let mut step_vars: HashMap<StepKey, (VarId, f64)> = HashMap::new();
 
     // Sub-query maintenance variables and their cost constraints, in key
-    // order: variable numbering must not depend on the map's hash seed.
-    let mut subqueries: Vec<(&SubqueryKey, &DecoratedProbeOrder)> =
-        candidates.subquery_orders.iter().collect();
-    subqueries.sort_by(|a, b| a.0.cmp(b.0));
-    for (key, order) in subqueries {
-        let x = model.add_binary(format!("x'[mir={} start=R{}]", key.0, key.1 .0), 0.0);
-        subquery_vars.insert(key.clone(), x);
+    // order: variable numbering must not depend on a map's hash seed.
+    for (key, order) in &candidates.subquery_orders {
+        let x = model.add_binary(format!("x'[mir={} start=R{}]", key.0.bits(), key.1 .0), 0.0);
+        subquery_vars.insert(*key, x);
         let mut expr = LinExpr::new();
         expr.add(x, -order.cost);
         for (step_key, step_cost) in order.step_keys.iter().zip(&order.step_costs) {
@@ -140,31 +139,9 @@ pub fn build_ilp(candidates: &CandidateSet) -> IlpArtifacts {
 
             // Intermediate stores probed by the candidate must be
             // maintained from each of their inputs.
-            let q = candidates
-                .queries
-                .iter()
-                .find(|q| q.id == *query)
-                .expect("candidate references a workload query");
             for store in cand.intermediate_stores() {
-                let fingerprint = {
-                    let mut preds: Vec<String> = q
-                        .predicates_within(&store.relations)
-                        .iter()
-                        .map(|p| {
-                            format!(
-                                "{}.{}={}.{}",
-                                p.left.relation.0,
-                                p.left.attr.0,
-                                p.right.relation.0,
-                                p.right.attr.0
-                            )
-                        })
-                        .collect();
-                    preds.sort();
-                    preds.join(",")
-                };
                 for input in store.relations.iter() {
-                    let key: SubqueryKey = (store.relations.bits(), input, fingerprint.clone());
+                    let key: SubqueryKey = (store.relations, input, store.predicates);
                     if let Some(x_sub) = subquery_vars.get(&key) {
                         model.add_implies_any(
                             format!("maintain[{query} {start} #{idx} mir={}]", store.relations),
@@ -220,13 +197,11 @@ pub fn extract_selection(
                 .push(candidates.subquery_orders[key].clone());
         }
     }
-    // Deterministic order helps the topology builder and the tests.
+    // Deterministic order helps the topology builder and the tests; the
+    // maintenance orders are already in key order.
     selection
         .query_orders
-        .sort_by_key(|o| (o.query.0, o.order.start.0));
-    selection
-        .subquery_orders
-        .sort_by_key(|o| (o.covered().bits(), o.order.start.0));
+        .sort_by_key(|o| (o.produces, o.order.start));
     selection.recompute_shared_cost();
     Ok(selection)
 }
@@ -354,7 +329,7 @@ mod tests {
                     selection
                         .subquery_orders
                         .iter()
-                        .any(|o| o.covered() == mir && o.order.start == input),
+                        .any(|o| o.order.covered() == mir && o.order.start == input),
                     "intermediate store {mir} lacks a maintenance order from {input}"
                 );
             }

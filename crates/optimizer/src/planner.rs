@@ -217,7 +217,7 @@ fn greedy_per_query_selection(candidates: &CandidateSet) -> Result<Selection> {
     }
     selection
         .query_orders
-        .sort_by_key(|o| (o.query.0, o.order.start.0));
+        .sort_by_key(|o| (o.produces, o.order.start));
     selection.recompute_shared_cost();
     Ok(selection)
 }

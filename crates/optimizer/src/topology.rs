@@ -15,7 +15,7 @@
 //! instantiates: one worker per store partition, channels for the edges,
 //! and the rule set table per store.
 
-use crate::candidate::{DecoratedProbeOrder, StepKey};
+use crate::candidate::{DecoratedProbeOrder, Produces, StepKey};
 use crate::ilp_builder::Selection;
 use clash_common::{
     AttrRef, ClashError, Diagnostic, EdgeId, FxHashMap, QueryId, RelationId, RelationSet, Result,
@@ -228,11 +228,20 @@ impl<'a> TopologyBuilder<'a> {
         })
     }
 
+    /// The query that owns `order`'s stores: only a query order of the
+    /// Independent baseline has one.
+    fn owner(&self, order: &DecoratedProbeOrder) -> Option<QueryId> {
+        match order.produces {
+            Produces::Query(query) if !self.share_stores => Some(query),
+            _ => None,
+        }
+    }
+
     /// Attribute of the sending tuple (covering `head`) that determines the
     /// partition of the target store, if the partitioning key can be
-    /// computed (otherwise broadcast).
+    /// computed from `predicates` (otherwise broadcast).
     fn routing_key(
-        query: &JoinQuery,
+        predicates: &[EquiPredicate],
         head: &RelationSet,
         target: &StoreDescriptor,
     ) -> Option<AttrRef> {
@@ -242,7 +251,7 @@ impl<'a> TopologyBuilder<'a> {
             // (it is an intermediate result containing that relation).
             return Some(partition);
         }
-        query.predicates.iter().find_map(|p| {
+        predicates.iter().find_map(|p| {
             if p.left == partition && head.contains(p.right.relation) {
                 Some(p.right)
             } else if p.right == partition && head.contains(p.left.relation) {
@@ -254,34 +263,18 @@ impl<'a> TopologyBuilder<'a> {
     }
 
     /// Registers the probe chain of one decorated probe order, reusing the
-    /// prefix nodes already created by other orders (`trie`). Returns the
+    /// prefix nodes already created by other orders (`trie`). Its probe
+    /// rules join on `predicates`: its query's, or its MIR's. Returns the
     /// first-step send target so the caller can wire up ingestion.
-    #[allow(clippy::too_many_arguments)]
     fn add_order(
         &self,
         state: &mut PlanState,
         trie: &mut HashMap<(StepKey, StoreDescriptor), (StoreId, EdgeId)>,
         order: &DecoratedProbeOrder,
-        owner: Option<QueryId>,
+        predicates: &[EquiPredicate],
         terminal: Vec<OutputAction>,
     ) -> Result<Option<SendTarget>> {
-        let query = self
-            .query(if order.query.0 >= u32::MAX - 1024 {
-                // Sub-query orders reference synthetic ids; their predicates are
-                // a subset of the owning query's, which is the one that spawned
-                // them. Any workload query containing the covered relations with
-                // the same predicates works for rule construction.
-                self.queries
-                    .iter()
-                    .find(|q| order.covered().is_subset(&q.relations))
-                    .map(|q| q.id)
-                    .unwrap_or(order.query)
-            } else {
-                order.query
-            })?
-            .id;
-        let query = self.query(query)?;
-
+        let owner = self.owner(order);
         let mut first_target = None;
         let mut head = RelationSet::singleton(order.order.start);
         let mut previous: Option<(StoreId, EdgeId)> = None;
@@ -300,7 +293,11 @@ impl<'a> TopologyBuilder<'a> {
                     let store_id = state.intern_store(descriptor);
                     let edge = state.fresh_edge();
                     trie.insert(trie_key, (store_id, edge));
-                    let predicates = query.predicates_between(&head, &store_desc.relations);
+                    let predicates = predicates
+                        .iter()
+                        .filter(|p| p.connects(&head, &store_desc.relations))
+                        .copied()
+                        .collect();
                     state.add_rule(
                         store_id,
                         edge,
@@ -316,7 +313,7 @@ impl<'a> TopologyBuilder<'a> {
             let target = SendTarget {
                 edge,
                 store: store_id,
-                routing_key: Self::routing_key(query, &head, store_desc),
+                routing_key: Self::routing_key(predicates, &head, store_desc),
             };
             if j == 0 {
                 first_target = Some(target);
@@ -363,13 +360,7 @@ impl<'a> TopologyBuilder<'a> {
         //    same on every run over the same input.
         let mut store_edges: BTreeMap<StoreDescriptor, (StoreId, EdgeId)> = BTreeMap::new();
         for order in selection.all_orders() {
-            let owner = if self.share_stores {
-                None
-            } else if order.query.0 < u32::MAX - 1024 {
-                Some(order.query)
-            } else {
-                None
-            };
+            let owner = self.owner(order);
             for store_desc in &order.stores {
                 let mut descriptor = *store_desc;
                 if let Some(q) = owner {
@@ -384,46 +375,41 @@ impl<'a> TopologyBuilder<'a> {
             }
         }
 
-        // 2. Probe chains for the query probe orders (terminal: emit).
-        for order in &selection.query_orders {
-            let owner = if self.share_stores {
-                None
-            } else {
-                Some(order.query)
-            };
-            let terminal = vec![OutputAction::Emit { query: order.query }];
+        // 2. Probe chains, query orders first. A query order emits its
+        //    query's results; a maintenance order stores its results into
+        //    every store of its MIR, and joins on that MIR's predicates.
+        for order in selection.all_orders() {
             if order.order.is_empty() {
                 // Single-relation query: every arriving tuple is a result.
                 continue;
             }
-            if let Some(first) = self.add_order(&mut state, &mut trie, order, owner, terminal)? {
-                state
-                    .ingest
-                    .entry(order.order.start)
-                    .or_default()
-                    .push(first);
-            }
-        }
-
-        // 3. Probe chains for the sub-query (MIR maintenance) orders
-        //    (terminal: store the result into every matching MIR store).
-        for order in &selection.subquery_orders {
-            let covered = order.covered();
-            let terminal: Vec<OutputAction> = store_edges
-                .iter()
-                .filter(|(descriptor, _)| !descriptor.is_base() && descriptor.relations == covered)
-                .map(|(descriptor, (store_id, edge))| {
-                    OutputAction::Forward(SendTarget {
-                        edge: *edge,
-                        store: *store_id,
-                        routing_key: descriptor.partition,
-                    })
-                })
-                .collect();
+            let (predicates, terminal): (&[EquiPredicate], Vec<OutputAction>) = match order.produces
+            {
+                Produces::Query(query) => (
+                    &self.query(query)?.predicates,
+                    vec![OutputAction::Emit { query }],
+                ),
+                Produces::Mir(mir) => (
+                    mir.predicates.predicates(),
+                    store_edges
+                        .iter()
+                        .filter(|(descriptor, _)| descriptor.mir() == mir)
+                        .map(|(descriptor, (store_id, edge))| {
+                            OutputAction::Forward(SendTarget {
+                                edge: *edge,
+                                store: *store_id,
+                                routing_key: descriptor.partition,
+                            })
+                        })
+                        .collect(),
+                ),
+            };
             if terminal.is_empty() {
                 continue;
             }
-            if let Some(first) = self.add_order(&mut state, &mut trie, order, None, terminal)? {
+            if let Some(first) =
+                self.add_order(&mut state, &mut trie, order, predicates, terminal)?
+            {
                 state
                     .ingest
                     .entry(order.order.start)
@@ -432,7 +418,7 @@ impl<'a> TopologyBuilder<'a> {
             }
         }
 
-        // 4. Ingestion into the base stores themselves (store rules).
+        // 3. Ingestion into the base stores themselves (store rules).
         for (descriptor, (store_id, edge)) in store_edges.iter().filter(|(d, _)| d.is_base()) {
             let relation = descriptor.relations.as_singleton().ok_or_else(|| {
                 ClashError::InvalidPlan(vec![Diagnostic::error(
@@ -648,6 +634,71 @@ mod tests {
                     if store.descriptor.relations == RelationSet::singleton(route.relation) {
                         assert_eq!(t.routing_key, Some(partition));
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mir_stores_over_the_same_relations_are_fed_under_their_own_predicates() {
+        let mut catalog = Catalog::new();
+        for (name, attrs) in [
+            ("R", &["a", "c"][..]),
+            ("S", &["a", "b", "c"]),
+            ("T", &["b", "c"]),
+        ] {
+            catalog
+                .register(name, attrs.iter().copied(), Window::unbounded(), 1)
+                .unwrap();
+        }
+        let mut stats = Statistics::new();
+        for (name, rate) in [("R", 1000.0), ("S", 10.0), ("T", 10.0)] {
+            stats.set_rate(catalog.relation_id(name).unwrap(), rate);
+        }
+        let parse = |id, text| parse_query(&catalog, QueryId::new(id), "q", text).unwrap();
+        let queries = vec![parse(0, "R(a), S(a,b), T(b)"), parse(1, "R(c), S(c), T(c)")];
+        let (selection, _) =
+            optimal_selection(&catalog, &stats, &queries, &PlanSpaceConfig::default());
+        let mirs: Vec<_> = selection
+            .subquery_orders
+            .iter()
+            .map(|o| (o.order.covered(), o.order.start, o.produces))
+            .collect();
+        let mut sorted = mirs.clone();
+        sorted.sort();
+        assert_eq!(mirs, sorted, "maintenance orders in key order");
+        let plan = TopologyBuilder::new(&queries, true)
+            .build(&selection)
+            .unwrap();
+        let mir_stores: Vec<&StoreDef> = plan
+            .stores
+            .iter()
+            .filter(|s| !s.descriptor.is_base())
+            .collect();
+        assert_eq!(mir_stores.len(), 2);
+        assert_ne!(mir_stores[0].descriptor, mir_stores[1].descriptor);
+        for (_, rule) in plan.each_rule() {
+            let Rule::Probe {
+                predicates,
+                outputs,
+            } = rule
+            else {
+                continue;
+            };
+            for output in outputs {
+                let OutputAction::Forward(target) = output else {
+                    continue;
+                };
+                let into = plan.store(target.store).unwrap().descriptor;
+                if !into.is_base()
+                    && matches!(plan.rule(target.store, target.edge), Some(Rule::Store))
+                {
+                    assert!(
+                        predicates
+                            .iter()
+                            .all(|p| into.predicates.predicates().contains(p)),
+                        "{into} fed by a probe on {predicates:?}"
+                    );
                 }
             }
         }

@@ -10,12 +10,15 @@
 //! * [`QueryGraph`] — the join graph induced by the predicates, used to
 //!   avoid cross products,
 //! * [`mir`] — enumeration of *materializable intermediate results*
-//!   (connected sub-queries),
+//!   (connected sub-queries); an MIR's identity is its relations together
+//!   with the query's [`PredicateSet`] on them, decided by
+//!   [`JoinQuery::mir`],
 //! * [`probe_order`] — candidate probe order construction (Algorithm 1),
 //! * [`partitioning`] — candidate partitioning attributes for stores,
-//! * [`StoreDescriptor`] — the layout of one store: the MIR it holds, its
-//!   partitioning and parallelism — what the cost model prices and the
-//!   optimizer, the analyzer and both engines share.
+//! * [`StoreDescriptor`] — the layout of one store: the MIR it holds
+//!   (relations and predicates), its partitioning and parallelism — what
+//!   the cost model prices and the optimizer, the analyzer and both
+//!   engines share.
 //!
 //! Everything in this crate is purely structural: costs are attached by
 //! `clash-cost`, and the ILP that picks among the candidates lives in
@@ -34,7 +37,7 @@ pub use graph::QueryGraph;
 pub use mir::{enumerate_mirs, Mir};
 pub use parse::parse_query;
 pub use partitioning::partition_candidates;
-pub use predicate::EquiPredicate;
-pub use probe_order::{construct_probe_orders, construct_probe_orders_for_start, ProbeOrder};
+pub use predicate::{EquiPredicate, PredicateSet};
+pub use probe_order::{construct_probe_orders_for_start, ProbeOrder};
 pub use query::{JoinQuery, QueryBuilder};
 pub use store::StoreDescriptor;

@@ -11,23 +11,22 @@
 //! below therefore carries an optional size cap to keep the plan space of
 //! large queries manageable.
 
+use crate::predicate::PredicateSet;
 use crate::query::JoinQuery;
 use clash_common::RelationSet;
 
 /// A materializable intermediate result: a connected subset of a query's
-/// relations.
+/// relations and the query's join predicates on them. Two MIRs are the same
+/// result only when both match; [`JoinQuery::mir`] makes one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Mir {
     /// The base relations covered by this intermediate result.
     pub relations: RelationSet,
+    /// The join predicates on them (empty for a base relation).
+    pub predicates: PredicateSet,
 }
 
 impl Mir {
-    /// Creates an MIR from a relation set.
-    pub fn new(relations: RelationSet) -> Self {
-        Mir { relations }
-    }
-
     /// Number of base relations covered.
     pub fn size(&self) -> usize {
         self.relations.len()
@@ -84,7 +83,7 @@ pub fn enumerate_mirs(query: &JoinQuery, max_size: Option<usize>) -> Vec<Mir> {
         frontier = fresh;
     }
 
-    let mut mirs: Vec<Mir> = found.into_iter().map(Mir::new).collect();
+    let mut mirs: Vec<Mir> = found.into_iter().map(|r| query.mir(r)).collect();
     mirs.sort_by_key(|m| (m.size(), m.relations.bits()));
     mirs.dedup();
     mirs
@@ -129,8 +128,9 @@ mod tests {
         let q = linear(4);
         let mirs = enumerate_mirs(&q, None);
         assert_eq!(mirs.len(), 4 * 5 / 2);
-        assert!(mirs.contains(&Mir::new(rs(&[1, 2]))));
-        assert!(mirs.contains(&Mir::new(rs(&[0, 1, 2, 3]))));
+        assert!(mirs.contains(&q.mir(rs(&[1, 2]))));
+        assert!(mirs.contains(&q.mir(rs(&[0, 1, 2, 3]))));
+        assert_eq!(q.mir(rs(&[1, 2])).predicates.predicates().len(), 1);
         assert!(
             !mirs.iter().any(|m| m.relations == rs(&[0, 2])),
             "non-adjacent set excluded"

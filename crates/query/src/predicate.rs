@@ -1,7 +1,9 @@
 //! Equi-join predicates.
 
 use clash_common::{AttrRef, RelationId, RelationSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// An equi-join predicate `left = right` between attributes of two
 /// different relations (`Si.a = Sj.b` in the paper).
@@ -32,16 +34,6 @@ impl EquiPredicate {
         } else {
             EquiPredicate { left: b, right: a }
         }
-    }
-
-    /// The two relations this predicate connects.
-    pub fn relations(&self) -> (RelationId, RelationId) {
-        (self.left.relation, self.right.relation)
-    }
-
-    /// `true` if the predicate references the given relation.
-    pub fn involves(&self, relation: RelationId) -> bool {
-        self.left.relation == relation || self.right.relation == relation
     }
 
     /// Returns the attribute on the side of `relation`, if the predicate
@@ -86,6 +78,37 @@ impl fmt::Display for EquiPredicate {
     }
 }
 
+/// The join predicates on an intermediate result: next to its relations,
+/// what makes two stores or two ILP steps the same work. Made only by
+/// [`crate::JoinQuery::mir`]; a base relation's set is empty. Each distinct
+/// set is allocated once per process, so the handle is `Copy`; equality,
+/// order and hash read the predicates, so they hold across plans and runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct PredicateSet(&'static [EquiPredicate]);
+
+impl PredicateSet {
+    /// The set of a base relation: no join predicate.
+    pub const EMPTY: PredicateSet = PredicateSet(&[]);
+
+    /// The shared copy of a sorted, deduplicated predicate list.
+    pub(crate) fn intern(predicates: Vec<EquiPredicate>) -> PredicateSet {
+        static INTERNED: Mutex<BTreeSet<&'static [EquiPredicate]>> = Mutex::new(BTreeSet::new());
+        // Every update is one insert, so a poisoned set is still valid.
+        let mut interned = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(shared) = interned.get(predicates.as_slice()) {
+            return PredicateSet(shared);
+        }
+        let shared: &'static [EquiPredicate] = Box::leak(predicates.into_boxed_slice());
+        interned.insert(shared);
+        PredicateSet(shared)
+    }
+
+    /// The predicates, sorted.
+    pub fn predicates(&self) -> &'static [EquiPredicate] {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,14 +136,12 @@ mod tests {
     #[test]
     fn sides_and_involvement() {
         let p = EquiPredicate::new(attr(0, 1), attr(2, 0));
-        assert!(p.involves(RelationId::new(0)));
-        assert!(p.involves(RelationId::new(2)));
-        assert!(!p.involves(RelationId::new(1)));
+        assert!(p.side_of(RelationId::new(0)).is_some());
+        assert!(p.side_of(RelationId::new(1)).is_none());
         assert_eq!(p.side_of(RelationId::new(2)), Some(attr(2, 0)));
         assert_eq!(p.other_side(RelationId::new(2)), Some(attr(0, 1)));
         assert_eq!(p.side_of(RelationId::new(5)), None);
         assert_eq!(p.other_side(RelationId::new(5)), None);
-        assert_eq!(p.relations(), (RelationId::new(0), RelationId::new(2)));
     }
 
     #[test]

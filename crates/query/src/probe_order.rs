@@ -32,7 +32,7 @@ pub struct ProbeOrder {
 
 impl ProbeOrder {
     /// Creates a probe order from raw parts (no validation; use
-    /// [`construct_probe_orders`] for validated construction).
+    /// [`construct_probe_orders_for_start`] for validated construction).
     pub fn new(query: QueryId, start: RelationId, steps: Vec<RelationSet>) -> Self {
         ProbeOrder {
             query,
@@ -202,25 +202,6 @@ pub fn construct_probe_orders_for_start(
     result
 }
 
-/// Constructs the candidate probe orders of a query for *every* starting
-/// relation. Returns `(start, candidates)` pairs in relation-id order.
-pub fn construct_probe_orders(
-    query: &JoinQuery,
-    mirs: &[Mir],
-    max_candidates_per_start: Option<usize>,
-) -> Vec<(RelationId, Vec<ProbeOrder>)> {
-    query
-        .relations
-        .iter()
-        .map(|start| {
-            (
-                start,
-                construct_probe_orders_for_start(query, mirs, start, max_candidates_per_start),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,6 +211,23 @@ mod tests {
 
     fn attr(rel: u32, a: u32) -> AttrRef {
         AttrRef::new(RelationId::new(rel), AttrId::new(a))
+    }
+
+    /// The candidates of every starting relation, in relation-id order.
+    fn construct_probe_orders(
+        query: &JoinQuery,
+        mirs: &[Mir],
+        max_candidates_per_start: Option<usize>,
+    ) -> Vec<(RelationId, Vec<ProbeOrder>)> {
+        query
+            .relations
+            .iter()
+            .map(|start| {
+                let orders =
+                    construct_probe_orders_for_start(query, mirs, start, max_candidates_per_start);
+                (start, orders)
+            })
+            .collect()
     }
 
     fn rs(ids: &[u32]) -> RelationSet {

@@ -1,7 +1,8 @@
 //! Continuous multi-way equi-join queries.
 
 use crate::graph::QueryGraph;
-use crate::predicate::EquiPredicate;
+use crate::mir::Mir;
+use crate::predicate::{EquiPredicate, PredicateSet};
 use clash_catalog::Catalog;
 use clash_common::{ClashError, QueryId, RelationSet, Result};
 use std::fmt;
@@ -55,15 +56,6 @@ impl JoinQuery {
         QueryGraph::new(self.relations, &self.predicates)
     }
 
-    /// All predicates that connect the two disjoint relation sets.
-    pub fn predicates_between(&self, a: &RelationSet, b: &RelationSet) -> Vec<EquiPredicate> {
-        self.predicates
-            .iter()
-            .filter(|p| p.connects(a, b))
-            .copied()
-            .collect()
-    }
-
     /// All predicates fully contained in the given relation subset (the
     /// predicate set of a sub-query / MIR).
     pub fn predicates_within(&self, set: &RelationSet) -> Vec<EquiPredicate> {
@@ -74,10 +66,21 @@ impl JoinQuery {
             .collect()
     }
 
+    /// The materializable intermediate result over `relations`: the
+    /// relations with this query's predicates on them. The one place a
+    /// relation set's [`PredicateSet`] is decided.
+    pub fn mir(&self, relations: RelationSet) -> Mir {
+        Mir {
+            relations,
+            predicates: PredicateSet::intern(self.predicates_within(&relations)),
+        }
+    }
+
     /// The sub-query induced on a subset of this query's relations. Used to
     /// generate probe orders that *compute* a materializable intermediate
-    /// result. The subset must be connected.
-    pub fn subquery(&self, relations: RelationSet, id: QueryId) -> Result<JoinQuery> {
+    /// result. The subset must be connected; the sub-query keeps this
+    /// query's id.
+    pub fn subquery(&self, relations: RelationSet) -> Result<JoinQuery> {
         if !relations.is_subset(&self.relations) {
             return Err(ClashError::invalid_query(format!(
                 "{relations} is not a subset of query {}",
@@ -85,7 +88,7 @@ impl JoinQuery {
             )));
         }
         JoinQuery::new(
-            id,
+            self.id,
             format!("{}[{relations}]", self.name),
             relations,
             self.predicates_within(&relations),
@@ -311,13 +314,10 @@ mod tests {
         let r = RelationSet::singleton(rid(0));
         let s = RelationSet::singleton(rid(1));
         let st = RelationSet::from_iter([rid(1), rid(2)]);
-        assert_eq!(q.predicates_between(&r, &s).len(), 1);
-        assert_eq!(q.predicates_between(&r, &st).len(), 1);
-        assert_eq!(
-            q.predicates_between(&r, &RelationSet::singleton(rid(2)))
-                .len(),
-            0
-        );
+        let between = |a, b| q.predicates.iter().filter(|p| p.connects(a, b)).count();
+        assert_eq!(between(&r, &s), 1);
+        assert_eq!(between(&r, &st), 1);
+        assert_eq!(between(&r, &RelationSet::singleton(rid(2))), 0);
         assert_eq!(q.predicates_within(&st).len(), 1);
         assert_eq!(q.predicates_within(&q.relations).len(), 2);
         assert_eq!(q.predicates_within(&r).len(), 0);
@@ -327,12 +327,13 @@ mod tests {
     fn subquery_extraction() {
         let q = linear3();
         let st = RelationSet::from_iter([rid(1), rid(2)]);
-        let sub = q.subquery(st, QueryId::new(10)).unwrap();
+        let sub = q.subquery(st).unwrap();
         assert_eq!(sub.size(), 2);
         assert_eq!(sub.predicates.len(), 1);
+        assert_eq!(sub.id, q.id);
         // Subset check enforced.
         let foreign = RelationSet::from_iter([rid(1), rid(5)]);
-        assert!(q.subquery(foreign, QueryId::new(11)).is_err());
+        assert!(q.subquery(foreign).is_err());
     }
 
     #[test]

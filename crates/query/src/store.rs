@@ -1,11 +1,14 @@
 //! Store descriptors: which (intermediate) relation a store holds, how it
 //! is partitioned and across how many workers.
 
+use crate::mir::Mir;
+use crate::predicate::PredicateSet;
 use clash_common::{AttrRef, QueryId, RelationSet};
 use std::fmt;
 
 /// Description of a relation store before it is instantiated in a
-/// topology: the MIR it holds, its partitioning attribute and parallelism.
+/// topology: the MIR it holds (relations and predicates), its partitioning
+/// attribute and parallelism.
 ///
 /// Two probe orders (possibly of different queries) that reference a store
 /// with the same descriptor share that store — the cornerstone of the
@@ -25,26 +28,56 @@ pub struct StoreDescriptor {
     pub parallelism: usize,
     /// Owning query for per-query (non-shared) deployments.
     pub owner: Option<QueryId>,
+    /// Join predicates the stored tuples satisfy (empty for a base store).
+    /// Last, so the derived order reads it only on a tie of all the others.
+    pub predicates: PredicateSet,
 }
 
 impl StoreDescriptor {
-    /// A store over `relations` with a single partition.
+    /// A store over `relations`, with no predicates, in a single partition.
     pub fn unpartitioned(relations: RelationSet) -> Self {
+        Self::partitioned_by(relations, None, 1)
+    }
+
+    /// A store over `relations`, with no predicates, partitioned by `attr`
+    /// across `parallelism` workers.
+    pub fn partitioned(relations: RelationSet, attr: AttrRef, parallelism: usize) -> Self {
+        Self::partitioned_by(relations, Some(attr), parallelism)
+    }
+
+    fn partitioned_by(
+        relations: RelationSet,
+        partition: Option<AttrRef>,
+        parallelism: usize,
+    ) -> Self {
+        let predicates = PredicateSet::EMPTY;
+        Self::of_mir(
+            Mir {
+                relations,
+                predicates,
+            },
+            partition,
+            parallelism,
+        )
+    }
+
+    /// A store holding `mir`, partitioned by `partition` (`None`: one
+    /// partition or round robin) across `parallelism` workers.
+    pub fn of_mir(mir: Mir, partition: Option<AttrRef>, parallelism: usize) -> Self {
         StoreDescriptor {
-            relations,
-            partition: None,
-            parallelism: 1,
+            relations: mir.relations,
+            partition,
+            parallelism: parallelism.max(1),
             owner: None,
+            predicates: mir.predicates,
         }
     }
 
-    /// A store partitioned by `attr` across `parallelism` workers.
-    pub fn partitioned(relations: RelationSet, attr: AttrRef, parallelism: usize) -> Self {
-        StoreDescriptor {
-            relations,
-            partition: Some(attr),
-            parallelism: parallelism.max(1),
-            owner: None,
+    /// The intermediate result the store holds.
+    pub fn mir(&self) -> Mir {
+        Mir {
+            relations: self.relations,
+            predicates: self.predicates,
         }
     }
 
@@ -73,6 +106,9 @@ impl fmt::Display for StoreDescriptor {
         }
         if let Some(q) = self.owner {
             write!(f, "@{q}")?;
+        }
+        for (i, p) in self.predicates.predicates().iter().enumerate() {
+            write!(f, "{}{p}", if i == 0 { " on " } else { " ∧ " })?;
         }
         Ok(())
     }
@@ -123,5 +159,35 @@ mod tests {
         assert!(s.contains("store"));
         assert!(s.contains("x3"));
         assert!(s.contains("@Q7"));
+        assert!(!s.contains(" on "), "a base store names no predicate");
+    }
+
+    #[test]
+    fn mir_stores_differ_by_predicates_and_name_them() {
+        let mut catalog = clash_catalog::Catalog::new();
+        let window = clash_common::Window::unbounded();
+        catalog.register("R", ["a", "c"], window, 1).unwrap();
+        catalog.register("S", ["a", "b", "c"], window, 1).unwrap();
+        catalog.register("T", ["b", "c"], window, 1).unwrap();
+        let parse = |id, text| crate::parse_query(&catalog, QueryId::new(id), "q", text).unwrap();
+        let q1 = parse(0, "R(a), S(a,b), T(b)");
+        let q2 = parse(1, "R(c), S(c), T(c)");
+        let st = rs(&[1, 2]);
+        let (b, c) = (q1.mir(st), q2.mir(st));
+        assert_ne!(b, c);
+        assert_eq!(
+            b,
+            parse(2, "S(b), T(b)").mir(st),
+            "equal content, equal MIR"
+        );
+        let (sb, sc) = (
+            StoreDescriptor::of_mir(b, None, 1),
+            StoreDescriptor::of_mir(c, None, 1),
+        );
+        assert_ne!(sb, sc);
+        assert_eq!(sb.mir(), b);
+        assert_eq!(sb.to_string(), "store{R1,R2} on R1.a1 = R2.a0");
+        assert_eq!(sc.to_string(), "store{R1,R2} on R1.a2 = R2.a1");
+        assert_eq!(q1.mir(rs(&[1])).predicates, PredicateSet::EMPTY);
     }
 }

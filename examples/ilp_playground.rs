@@ -71,8 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for order in &selection.query_orders {
         println!(
-            "  {} starts {}: {}",
-            order.query, order.order.start, order.order
+            "  {:?} starts {}: {}",
+            order.produces, order.order.start, order.order
         );
     }
     let individual: f64 = [&q1, &q2]

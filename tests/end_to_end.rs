@@ -7,7 +7,7 @@ use clash_common::{
 };
 use clash_core::{ClashSystem, Strategy, SystemConfig};
 use clash_datagen::{SyntheticEnv, SyntheticWorkloadConfig, TpchGenerator, TpchWorkload};
-use clash_optimizer::{Planner, TopologyPlan};
+use clash_optimizer::{Planner, PlannerConfig, TopologyPlan};
 use clash_query::JoinQuery;
 use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
 use rand::rngs::StdRng;
@@ -255,6 +255,202 @@ fn finite_window_results_match_reference_under_frequent_expiry() {
                 &collected(&results, query.id),
                 expected,
                 "Independent on {path}: {} result multiset",
+                query.name
+            );
+        }
+    }
+}
+
+/// R(a,c), S(a,b,c), T(b,c) over one window, every relation on one
+/// worker, with `q1 = R(a), S(a,b), T(b)` and `q2` as given. R is a hundred
+/// times faster than S and T (`two_predicate_statistics`), so the ILP
+/// materializes {S,T} for both queries.
+fn two_predicate_queries(window: Window, q2: &str) -> (clash_catalog::Catalog, Vec<JoinQuery>) {
+    let mut catalog = clash_catalog::Catalog::new();
+    catalog.register("R", ["a", "c"], window, 1).unwrap();
+    catalog.register("S", ["a", "b", "c"], window, 1).unwrap();
+    catalog.register("T", ["b", "c"], window, 1).unwrap();
+    let q1 =
+        clash_query::parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
+    let q2 = clash_query::parse_query(&catalog, QueryId::new(1), "q2", q2).unwrap();
+    (catalog, vec![q1, q2])
+}
+
+fn two_predicate_statistics(catalog: &clash_catalog::Catalog) -> clash_catalog::Statistics {
+    let mut stats = clash_catalog::Statistics::new();
+    for (name, rate) in [("R", 1000.0), ("S", 10.0), ("T", 10.0)] {
+        stats.set_rate(catalog.relation_id(name).unwrap(), rate);
+    }
+    stats.default_selectivity = 0.01;
+    stats
+}
+
+/// The sorted result multisets of every query, from `LocalEngine` and from
+/// `ParallelEngine` with 2 workers, running `plan` and, when `then` is
+/// `Some((position, next))`, `next` from that stream position on.
+fn run_with_install(
+    catalog: &clash_catalog::Catalog,
+    plan: &TopologyPlan,
+    then: Option<(usize, &TopologyPlan)>,
+    stream: &[(RelationId, Tuple)],
+    queries: &[JoinQuery],
+) -> Vec<(&'static str, Vec<Vec<String>>)> {
+    let config = EngineConfig::default();
+    let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    let local_results = local.subscribe();
+    let mut parallel = ParallelEngine::new(catalog.clone(), plan.clone(), config, 2);
+    let parallel_results = parallel.subscribe();
+    for (i, (relation, tuple)) in stream.iter().enumerate() {
+        if let Some((_, next)) = then.filter(|(at, _)| *at == i) {
+            local.install_plan(next.clone()).unwrap();
+            parallel.install_plan(next.clone()).unwrap();
+        }
+        local.ingest(*relation, tuple.clone()).unwrap();
+        parallel.ingest(*relation, tuple.clone()).unwrap();
+    }
+    parallel.flush();
+    let per_query = |results: Vec<(QueryId, Tuple)>| {
+        queries
+            .iter()
+            .map(|q| collected(&results, q.id))
+            .collect::<Vec<_>>()
+    };
+    vec![
+        ("LocalEngine", per_query(local_results.try_iter().collect())),
+        (
+            "ParallelEngine(2)",
+            per_query(parallel_results.try_iter().collect()),
+        ),
+    ]
+}
+
+/// How many results of the sorted multiset `got` the sorted multiset
+/// `reference` does not hold.
+fn outside_of(got: &[String], reference: &[String]) -> usize {
+    let mut reference = reference.iter().peekable();
+    let mut outside = 0;
+    for result in got {
+        while reference.next_if(|r| *r < result).is_some() {}
+        if reference.next_if(|r| *r == result).is_none() {
+            outside += 1;
+        }
+    }
+    outside
+}
+
+#[test]
+fn queries_joining_the_same_relations_on_other_attributes_keep_their_own_mir_stores() {
+    // Both queries make {S,T} worth materializing, under S.b = T.b for q1
+    // and under S.c = T.c for q2: two intermediate results. A plan that
+    // keeps one store for both feeds it under one query's predicates, and
+    // q1 read 10 028 results against the reference's 7 628.
+    let window = Window::secs(3600);
+    let (catalog, queries) = two_predicate_queries(window, "R(c), S(c), T(c)");
+    let stats = two_predicate_statistics(&catalog);
+    let stream = random_stream(&catalog, &["R", "S", "T"], 40, 3, 7);
+    let report = Planner::with_defaults(&catalog, &stats)
+        .plan(&queries, Strategy::GlobalIlp)
+        .unwrap();
+    for (engine, got) in run_with_install(&catalog, &report.plan, None, &stream, &queries) {
+        for (query, got) in queries.iter().zip(got) {
+            assert_eq!(
+                got,
+                reference_results(query, &stream, window),
+                "{engine}: {} result multiset",
+                query.name
+            );
+        }
+    }
+    let mir_stores: Vec<String> = report
+        .plan
+        .stores
+        .iter()
+        .filter(|s| !s.descriptor.is_base())
+        .map(|s| s.descriptor.to_string())
+        .collect();
+    assert_eq!(
+        mir_stores.len(),
+        2,
+        "one MIR store per query: {mir_stores:?}"
+    );
+}
+
+#[test]
+fn an_install_never_carries_an_mir_store_across_a_change_of_its_predicates() {
+    // q1's plan stores {S,T} under S.b = T.b, q2's under S.c = T.c, and q2's
+    // R probes it on a alone. A store carried over by relations alone hands
+    // q2 q1's partial results, and q2 then emitted 5 403 results the
+    // reference never produces. Results q2 misses after the install (its
+    // new stores start empty) are ROADMAP item 2, so this checks only that
+    // nothing is spurious; once that item lands, q2 equals its reference
+    // here.
+    let window = Window::secs(3600);
+    let (catalog, queries) = two_predicate_queries(window, "R(a), S(a,c), T(c)");
+    let stats = two_predicate_statistics(&catalog);
+    let stream = random_stream(&catalog, &["R", "S", "T"], 80, 3, 7);
+    let planner = Planner::with_defaults(&catalog, &stats);
+    let plans: Vec<TopologyPlan> = queries
+        .iter()
+        .map(|q| {
+            planner
+                .plan(std::slice::from_ref(q), Strategy::GlobalIlp)
+                .unwrap()
+                .plan
+        })
+        .collect();
+    for plan in &plans {
+        assert!(plan.stores.iter().any(|s| !s.descriptor.is_base()));
+    }
+    let reference = reference_results(&queries[1], &stream, window);
+    let then = Some((stream.len() / 2, &plans[1]));
+    for (engine, got) in run_with_install(&catalog, &plans[0], then, &stream, &queries) {
+        assert!(!got[1].is_empty(), "{engine}: q2 never ran");
+        assert_eq!(
+            outside_of(&got[1], &reference),
+            0,
+            "{engine}: q2 emitted results outside its reference"
+        );
+    }
+}
+
+#[test]
+fn fig9_workloads_match_the_reference_under_global_ilp() {
+    // The paper's Fig. 9 generator draws queries that join the same
+    // relations on different attributes. Under GlobalIlp, 4 of 8 draws
+    // over-produced (1 183 to 3 232 extra results) while one MIR store
+    // served every predicate set over its relations.
+    let mut config = PlannerConfig::default();
+    config.solver.node_limit = 20_000;
+    config.solver.time_limit = std::time::Duration::MAX;
+    for (seed, n) in [(1, 10), (2, 10), (8, 5), (8, 10)] {
+        let mut env = SyntheticEnv::new(SyntheticWorkloadConfig::default(), seed).unwrap();
+        let queries = env.random_queries(n, 3).unwrap();
+        let report = Planner::new(&env.catalog, &env.stats, config)
+            .plan(&queries, Strategy::GlobalIlp)
+            .unwrap();
+        let mut used: Vec<RelationId> = queries.iter().flat_map(|q| q.relations.iter()).collect();
+        used.sort();
+        used.dedup();
+        let names: Vec<&str> = used
+            .iter()
+            .map(|r| env.catalog.relation(*r).unwrap().name.as_str())
+            .collect();
+        let stream = random_stream(&env.catalog, &names, 25, 3, seed);
+        let mut engine = LocalEngine::new(
+            env.catalog.clone(),
+            report.plan.clone(),
+            EngineConfig::default(),
+        );
+        let results = engine.subscribe();
+        for (relation, tuple) in &stream {
+            engine.ingest(*relation, tuple.clone()).unwrap();
+        }
+        let results: Vec<(QueryId, Tuple)> = results.try_iter().collect();
+        for query in &queries {
+            assert_eq!(
+                collected(&results, query.id),
+                reference_results(query, &stream, Window::unbounded()),
+                "seed {seed}, {n} queries: {} result multiset",
                 query.name
             );
         }
