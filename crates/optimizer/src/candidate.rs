@@ -80,8 +80,8 @@ impl StepKey {
 }
 
 /// The step's ILP variable name without its `y[..]`: the start, every
-/// store as `bits@partition x parallelism`, and the predicates as sorted
-/// `rel.attr=rel.attr` texts.
+/// store as `bits@partition x parallelism`, and the predicates
+/// ([`PredicateText`]).
 impl fmt::Display for StepKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "start:{}", self.start.0)?;
@@ -93,8 +93,19 @@ impl fmt::Display for StepKey {
             }
             write!(f, "x{}", store.parallelism)?;
         }
+        write!(f, "|{}", PredicateText(self.predicates))
+    }
+}
+
+/// A predicate set's text in ILP names: `P:` and its predicates as sorted
+/// `rel.attr=rel.attr` texts, the part that tells two steps or two
+/// maintenance orders over the same relations apart.
+pub(crate) struct PredicateText(pub PredicateSet);
+
+impl fmt::Display for PredicateText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut predicates: Vec<String> = self
-            .predicates
+            .0
             .predicates()
             .iter()
             .map(|p| {
@@ -106,7 +117,7 @@ impl fmt::Display for StepKey {
             })
             .collect();
         predicates.sort();
-        write!(f, "|P:{}", predicates.join(","))
+        write!(f, "P:{}", predicates.join(","))
     }
 }
 

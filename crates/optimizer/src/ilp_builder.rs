@@ -21,7 +21,7 @@
 //!   a probe order from every one of its inputs,
 //! * the same cost constraints for the sub-query probe orders `x'`.
 
-use crate::candidate::{CandidateSet, DecoratedProbeOrder, StepKey, SubqueryKey};
+use crate::candidate::{CandidateSet, DecoratedProbeOrder, PredicateText, StepKey, SubqueryKey};
 use clash_common::{ClashError, QueryId, RelationId, Result};
 use clash_ilp::{Assignment, LinExpr, Model, ModelStats, Sense, VarId};
 use std::collections::{BTreeMap, HashMap};
@@ -100,7 +100,14 @@ pub fn build_ilp(candidates: &CandidateSet) -> IlpArtifacts {
     // Sub-query maintenance variables and their cost constraints, in key
     // order: variable numbering must not depend on a map's hash seed.
     for (key, order) in &candidates.subquery_orders {
-        let x = model.add_binary(format!("x'[mir={} start=R{}]", key.0.bits(), key.1 .0), 0.0);
+        let (relations, start, predicates) = key;
+        let name = format!(
+            "x'[mir={} start=R{} {}]",
+            relations.bits(),
+            start.0,
+            PredicateText(*predicates)
+        );
+        let x = model.add_binary(name, 0.0);
         subquery_vars.insert(*key, x);
         let mut expr = LinExpr::new();
         expr.add(x, -order.cost);
@@ -144,7 +151,10 @@ pub fn build_ilp(candidates: &CandidateSet) -> IlpArtifacts {
                     let key: SubqueryKey = (store.relations, input, store.predicates);
                     if let Some(x_sub) = subquery_vars.get(&key) {
                         model.add_implies_any(
-                            format!("maintain[{query} {start} #{idx} mir={}]", store.relations),
+                            format!(
+                                "maintain[{query} {start} #{idx} mir={} from {input}]",
+                                store.relations
+                            ),
                             x,
                             [*x_sub],
                         );
@@ -215,6 +225,7 @@ mod tests {
     use clash_datagen::TpchWorkload;
     use clash_ilp::{solve, SolveStatus, SolverConfig};
     use clash_query::parse_query;
+    use std::collections::BTreeSet;
     use std::time::Duration;
 
     fn setup() -> (Catalog, Statistics, Vec<clash_query::JoinQuery>) {
@@ -372,6 +383,21 @@ mod tests {
         assert_eq!(build(), build());
     }
 
+    #[test]
+    fn five_query_model_names_are_distinct() {
+        // A name is what a model dump or a solver diagnostic shows: two
+        // variables or two constraints under one name cannot be told apart.
+        let model = build_ilp(&five_query_candidates()).model;
+        let mut vars = BTreeSet::new();
+        for name in model.vars().map(|v| model.var_name(v)) {
+            assert!(vars.insert(name), "variable {name}");
+        }
+        let mut constraints = BTreeSet::new();
+        for c in model.constraints() {
+            assert!(constraints.insert(c.name.as_str()), "constraint {}", c.name);
+        }
+    }
+
     /// Every variable set to 1 by [`five_query_search_is_pinned`]'s solve,
     /// in variable order.
     const FIVE_QUERY_ONES: [&str; 72] = [
@@ -380,19 +406,19 @@ mod tests {
         "y[start:2|2@-x1|P:1.0=2.1]",
         "y[start:0|2@-x1|4@2.1x2|P:0.0=1.1,1.0=2.1]",
         "y[start:2|2@-x1|1@-x1|P:0.0=1.1,1.0=2.1]",
-        "x'[mir=36 start=R2]",
+        "x'[mir=36 start=R2 P:2.0=5.1]",
         "y[start:2|32@5.1x2|P:2.0=5.1]",
-        "x'[mir=36 start=R5]",
+        "x'[mir=36 start=R5 P:2.0=5.1]",
         "y[start:5|4@2.0x2|P:2.0=5.1]",
-        "x'[mir=38 start=R1]",
+        "x'[mir=38 start=R1 P:1.0=2.1,2.0=5.1]",
         "y[start:1|4@2.1x2|32@5.1x2|P:1.0=2.1,2.0=5.1]",
-        "x'[mir=38 start=R2]",
+        "x'[mir=38 start=R2 P:1.0=2.1,2.0=5.1]",
         "y[start:2|2@-x1|32@5.1x2|P:1.0=2.1,2.0=5.1]",
-        "x'[mir=38 start=R5]",
+        "x'[mir=38 start=R5 P:1.0=2.1,2.0=5.1]",
         "y[start:5|4@2.0x2|2@-x1|P:1.0=2.1,2.0=5.1]",
-        "x'[mir=48 start=R4]",
+        "x'[mir=48 start=R4 P:4.0=5.0]",
         "y[start:4|32@5.0x2|P:4.0=5.0]",
-        "x'[mir=48 start=R5]",
+        "x'[mir=48 start=R5 P:4.0=5.0]",
         "y[start:5|16@4.0x2|P:4.0=5.0]",
         "y[start:2|32@5.1x2|16@4.0x2|P:2.0=5.1,4.0=5.0]",
         "y[start:4|32@5.0x2|4@2.0x2|P:2.0=5.1,4.0=5.0]",
@@ -402,9 +428,9 @@ mod tests {
         "y[start:4|32@5.0x2|128@7.2x2|P:4.0=5.0,5.1=7.2]",
         "y[start:5|16@4.0x2|128@7.2x2|P:4.0=5.0,5.1=7.2]",
         "y[start:7|16@4.0x2|32@5.0x2|P:4.0=5.0,4.0=7.1]",
-        "x'[mir=192 start=R6]",
+        "x'[mir=192 start=R6 P:6.0=7.0]",
         "y[start:6|128@7.0x2|P:6.0=7.0]",
-        "x'[mir=192 start=R7]",
+        "x'[mir=192 start=R7 P:6.0=7.0]",
         "y[start:7|64@6.0x2|P:6.0=7.0]",
         "y[start:7|64@6.0x2|32@5.1x2|P:5.1=7.2,6.0=7.0]",
         "x[Q0 R0 #3]",

@@ -17,7 +17,7 @@
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::parallel::shard::ShardState;
 use crate::parallel::worker::Delivery;
-use crate::plan::{prepare, Feed};
+use crate::plan::prepare;
 use crate::stats_collector::StatsCollector;
 use clash_catalog::Catalog;
 use clash_common::{
@@ -105,8 +105,10 @@ pub(crate) fn channel_sink(tx: Sender<(QueryId, Tuple)>) -> ResultSink {
 /// thread and the control-plane epoch driver can lock — so epoch-based
 /// re-optimization (Section VI) works unchanged on either runtime.
 pub trait EngineControl {
-    /// Installs (or replaces) the running plan, carrying over matching
-    /// store state. Errors instead of panicking when the runtime cannot
+    /// Installs (or replaces) the running plan, carrying over the state of
+    /// stores whose descriptor the new plan keeps. No pushed tuple is
+    /// dropped, but a result that needs a pre-install tuple from a store
+    /// the new plan adds is lost: that store starts empty. Errors instead of panicking when the runtime cannot
     /// complete the reconfiguration (engine shut down, worker thread
     /// dead); the controller keeps its pending plan in that case.
     fn install_plan(&mut self, plan: TopologyPlan) -> Result<()>;
@@ -123,9 +125,9 @@ pub trait EngineControl {
 
 /// Deterministic local execution engine for a [`TopologyPlan`]: a
 /// sequential driver over **one** `ShardState` that owns every partition
-/// of every store (`workers = 1`, the one-producer feed). Each ingested
-/// tuple is run to completion before the next — the kernel's `Forward`
-/// outputs land in an inline work queue instead of worker channels — so
+/// of every store (`workers = 1`). Each ingested tuple is run to
+/// completion before the next — the kernel's `Forward` outputs land in an
+/// inline work queue instead of worker channels — so
 /// the arrival position is the sequence guard, nothing is ever in flight
 /// between calls, and no probe ever registers as a pending prober (the
 /// watermark is always the previous arrival).
@@ -157,7 +159,7 @@ impl LocalEngine {
     /// fails static verification.
     pub fn new(catalog: Catalog, plan: TopologyPlan, config: EngineConfig) -> Self {
         let installed = prepare(&catalog, plan).expect(INVALID_INITIAL_PLAN);
-        let shard = ShardState::new(1, installed, Feed::OneProducer, &config, 0);
+        let shard = ShardState::new(1, installed, &config, 0);
         LocalEngine {
             catalog,
             config,
@@ -189,9 +191,10 @@ impl LocalEngine {
     }
 
     /// Installs (or replaces) the plan. Stores whose descriptor matches an
-    /// existing store keep their state (Section VI-A: rewiring without
-    /// losing results); stores that no longer appear are dropped
-    /// (reference-count reaching zero in Section VI-B).
+    /// existing store keep their state (Section VI-A's rewiring); stores
+    /// that no longer appear are dropped (reference-count reaching zero in
+    /// Section VI-B). A store the new plan adds starts empty, so a result
+    /// that needs a pre-install tuple from it is lost.
     ///
     /// The plan is statically verified first: an error-level finding
     /// rejects it with [`ClashError::InvalidPlan`] before any engine state

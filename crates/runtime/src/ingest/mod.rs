@@ -55,20 +55,19 @@
 //! Mechanically, what multi-producer delivery breaks is the channel-FIFO
 //! half of the single-coordinator argument: a probe from source A can
 //! reach a (store, partition) before an insert from source B that carries
-//! a *smaller* sequence number. The engine therefore widens the symmetric
-//! pending-prober set (`Feed::ManyProducers` in `crate::plan`)
-//! to every store that is both populated and probed the moment a second
-//! producer appears: probes register as pending probers, and the late
-//! insert retro-matches them exactly once — the same mechanism that
-//! already covered forward-fed stores. Per-(source, partition) FIFO holds
-//! per handle (each handle's sends to a worker are dequeued in push
-//! order), which keeps the common in-order case on the fast probe-time
-//! path; the pending probers only pay for the actual races.
-
+//! a *smaller* sequence number. The kernel's one registration rule already
+//! covers it: a probe registers as a pending prober iff a root below its
+//! guard may still be in flight, whoever sent either side, and the late
+//! insert retro-matches it exactly once — the same mechanism that covers
+//! forward-fed stores and a single producer's buffered batches. Nothing
+//! changes when a source opens. Per-(source, partition) FIFO holds per
+//! handle (each handle's sends to a worker are dequeued in push order),
+//! so most matches are found at probe time; a prober costs only while an
+//! earlier root is still in flight.
 //!
 //! # Plan installs under live ingestion: the quiesce protocol
 //!
-//! Plan installs are lossless under concurrent producers. The engine
+//! Plan installs drop no push under concurrent producers. The engine
 //! pauses the [`shared::QuiesceGate`] every push passes through (new
 //! pushes block, in-flight pushes finish routing), flushes every slot's
 //! residual old-plan batches, drains the workers to the completion

@@ -1,8 +1,8 @@
 //! Control-plane state shared between the coordinator, every open
 //! [`crate::ingest::SourceHandle`], the worker threads and the epoch
 //! driver: the sequence allocator, the stream clock, the shutdown flag,
-//! the source registry and the [`QuiesceGate`] that makes plan installs
-//! lossless under concurrent producers.
+//! the source registry and the [`QuiesceGate`] that keeps plan installs
+//! from dropping a push under concurrent producers.
 
 use crate::ingest::source::SourceSlot;
 use crate::parallel::router::{DepthGauges, FlushTrigger, Progress};

@@ -55,10 +55,10 @@ use std::time::{Duration as StdDuration, Instant};
 /// the sequential engine.
 ///
 /// Result-set equivalence with `LocalEngine` on identical input is
-/// maintained by the sequence-number probe guard and the symmetric
-/// pending-prober mechanism documented in [`crate::parallel`]; plan
-/// installs are lossless under concurrent producers via the quiesce
-/// protocol documented in [`crate::ingest`].
+/// maintained by the sequence-number probe guard and the pending probers
+/// documented in [`crate::parallel`]; plan installs drop no push under
+/// concurrent producers via the quiesce protocol documented in
+/// [`crate::ingest`].
 pub struct ParallelEngine {
     shared: Arc<ControlShared>,
     config: EngineConfig,
@@ -85,10 +85,6 @@ pub(crate) struct EngineCore {
     pub(super) ack_rx: Receiver<WorkerAck>,
     handles: Vec<JoinHandle<()>>,
     pub(super) shared: Arc<ControlShared>,
-    /// Sources handed out so far (drives the multi-producer widening).
-    sources_opened: usize,
-    /// Whether the workers were told a second producer exists.
-    multi_producer: bool,
     /// The coordinator's own producer: `ingest` pushes through a source
     /// like any other, registered in the shared registry so every sweep
     /// covers its micro-batch buffer too.
@@ -175,8 +171,6 @@ impl ParallelEngine {
             ack_rx,
             handles,
             shared: shared.clone(),
-            sources_opened: 0,
-            multi_producer: false,
             coord,
             metrics: EngineMetrics::default(),
             stats: StatsCollector::new(config.epoch.length),
@@ -219,10 +213,8 @@ impl ParallelEngine {
 
     /// Opens a concurrent ingestion source: the returned [`SourceHandle`]
     /// can be moved to a producer thread and pushed independently of this
-    /// engine handle (and of every other source). Opening a second
-    /// producer switches the workers to the widened multi-producer
-    /// symmetric set (see [`crate::ingest`]); with a single source the
-    /// delivery order stays serial and the narrow set suffices.
+    /// engine handle (and of every other source). Any number of producers
+    /// stay exact through the pending probers (see [`crate::ingest`]).
     pub fn open_source(&mut self) -> SourceHandle {
         self.core().open_source()
     }
@@ -452,13 +444,6 @@ impl EngineCore {
     }
 
     fn open_source(&mut self) -> SourceHandle {
-        // Everything the coordinator ingested so far must be enqueued
-        // before the new source's first push can be.
-        self.coord.flush();
-        if self.sources_opened >= 1 {
-            self.widen_symmetric();
-        }
-        self.sources_opened += 1;
         SourceHandle::open(
             self.shared.clone(),
             self.senders.clone(),
@@ -477,33 +462,10 @@ impl EngineCore {
         rx
     }
 
-    /// Tells every worker, once, that a second producer exists: their
-    /// shards read the multi-producer symmetric set of this and every
-    /// later plan from then on. Safe mid-stream: the exactly-once
-    /// pending-prober argument holds for any symmetric set, and the
-    /// message is enqueued before any delivery of the producer that
-    /// triggered the widening.
-    fn widen_symmetric(&mut self) {
-        if self.multi_producer {
-            return;
-        }
-        self.multi_producer = true;
-        self.coord.flush();
-        for s in &self.senders {
-            let _ = s.send(WorkerMsg::MultiProducer);
-        }
-    }
-
     /// One push through the coordinator's own source, plus what only the
-    /// coordinator does around it: the symmetric-set widening, its trace
-    /// lane and the `expire_every` cadence.
+    /// coordinator does around it: its trace lane and the `expire_every`
+    /// cadence.
     fn ingest(&mut self, relation: clash_common::RelationId, tuple: Tuple) -> Result<u64> {
-        if self.sources_opened > 0 {
-            // The coordinator becomes a second concurrent producer beside
-            // the open source: widen the symmetric set before this
-            // delivery can race a source's.
-            self.widen_symmetric();
-        }
         self.coord.admit(relation)?;
         if self.active_since.is_none() {
             self.active_since = Some(Instant::now());

@@ -10,7 +10,7 @@
 //! crosses an epoch boundary, takes the engine core's lock, runs a collection barrier so the merged
 //! per-worker statistics are current, and fires the controller. Plan
 //! installs triggered this way go through the coordinator's quiesce
-//! protocol, so they are lossless under the very producers that advanced
+//! protocol, so they drop no push of the very producers that advanced
 //! the clock.
 //!
 //! Skipped epochs are routine here (a sparse stream can jump the clock

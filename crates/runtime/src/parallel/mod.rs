@@ -44,28 +44,27 @@
 //!    A shard that races ahead may observe *later* insertions, but the
 //!    guard excludes them — matching what arrival-order processing would
 //!    have seen.
-//! 3. **Symmetric pending probers.** Stores fed by `Forward` actions
-//!    (materialized intermediate results) receive insertions from worker
-//!    threads, not from the coordinator, so FIFO does not order them
-//!    against probes of *later* roots. Probes at such stores therefore
-//!    run immediately against the current state *and* stay registered as
-//!    pending probers beside the partition; a late insert with a smaller
+//! 3. **Pending probers.** An insert and a probe that logically follows
+//!    it can still reach a partition in the wrong order whenever they ride
+//!    different sender paths: an insert into a materialized
+//!    intermediate-result store comes from a racing worker, a partial
+//!    result forwarded worker-to-worker can overtake a base insert still
+//!    buffered at its producer, and two producers
+//!    ([`crate::ingest::SourceHandle`]s, or one beside the coordinator's
+//!    `ingest`) share no order at all. One rule covers every case, at
+//!    every store and whoever feeds the shard: a probe runs immediately
+//!    against the current state *and*, iff a root below its guard may
+//!    still be in flight (`guard > watermark + 1`), stays registered as a
+//!    pending prober beside the partition; a late insert with a smaller
 //!    sequence number retro-matches the registered probers locally and
 //!    emits the missed results through the same outputs. Each
 //!    (probe, insert) pair matches exactly once — at probe time if the
 //!    insert was already applied, retroactively otherwise — and nothing
-//!    ever waits. The completion watermark only garbage-collects probers
-//!    that can no longer receive late inserts.
+//!    ever waits. The completion watermark garbage-collects probers by the
+//!    same rule, once they can no longer receive late inserts.
 //!
-//! # Multi-producer ingestion
-//!
-//! With [`crate::ingest::SourceHandle`]s open, deliveries no longer all
-//! originate from the coordinator, so mechanism 1 only holds per
-//! producer. The engine then widens the symmetric set of mechanism 3 to
-//! every store that is both populated and probed
-//! (`Feed::ManyProducers` in `crate::plan`): cross-producer (probe, insert)
-//! races resolve through pending probers exactly as forward-fed stores
-//! always did, and the coordinator becomes a control-plane thread
+//! With several producers mechanism 1 holds per producer only; mechanism 3
+//! needs nothing more, so the coordinator becomes a control-plane thread
 //! (barriers, plan installs, expiry). See [`crate::ingest`].
 
 mod barrier;

@@ -18,16 +18,12 @@
 //!    zero the root is complete and the global completion
 //!    [`Progress`] watermark advances: all roots up to the watermark have
 //!    fully drained everywhere.
-//! 2. **Symmetric stores**: the stores where a probe may arrive before an
-//!    insert it should observe, because the two ride different sender
-//!    paths; which stores those are, per feed, is [`crate::plan::Feed`]'s
-//!    to define. Probes at those stores register as
-//!    pending probers in the shard and late inserts retro-match them —
-//!    see `shard` — so nothing ever waits and every (probe, insert) pair
-//!    is matched exactly once. Everything else pipelines freely, because
-//!    channel FIFO order plus the router's arrival-order fan-out already
-//!    serialize every (store, partition) consistently with sequential
-//!    execution.
+//! 2. **Pending-prober registration.** A probe may overtake an insert it
+//!    should observe whenever the two ride different sender paths. The
+//!    kernel registers a probe as a pending prober iff the watermark shows
+//!    that a root below its guard may still be in flight, and late inserts
+//!    retro-match it (see `shard`), so nothing ever waits and every
+//!    (probe, insert) pair is matched exactly once.
 //!
 //! The watermark doubles as the garbage-collection horizon for pending
 //! probers and as the drain condition for barriers.

@@ -19,23 +19,25 @@
 //!   position (`guard`) of the root that produced them and probes skip
 //!   state at or above their own guard, so racing ahead never matches
 //!   later arrivals.
-//! * **Symmetric pending probers** — at stores where probes and inserts
-//!   can ride different sender paths (the symmetric sets
-//!   [`crate::plan::Feed`] defines) an insert may arrive *after* a probe
-//!   that should have observed it. Probes at such stores
-//!   therefore register as pending probers next to the partition, indexed
-//!   by join-key value; when a late insert with a smaller guard lands, it
-//!   retro-matches the registered probers locally and emits the missed
-//!   results through the same outputs. Every (probe, insert) pair matches
-//!   exactly once: at probe time if the insert was applied, retroactively
-//!   otherwise. Probers are garbage-collected once the completion
-//!   watermark proves no earlier root can still insert.
+//! * **Pending probers** — an insert may arrive *after* a probe that
+//!   should have observed it whenever the two ride different sender paths
+//!   (a worker's forward, another producer's channel, a batch still
+//!   buffered). One rule covers every such case at every store: a probe
+//!   registers as a pending prober next to the partition, indexed by
+//!   join-key value, iff a root below its guard may still be in flight
+//!   (`guard > watermark + 1`). When a late insert with a smaller guard
+//!   lands, it retro-matches the registered probers locally and emits the
+//!   missed results through the same outputs. Every (probe, insert) pair
+//!   matches exactly once: at probe time if the insert was applied,
+//!   retroactively otherwise. Probers are garbage-collected by the same
+//!   rule, once the completion watermark proves no earlier root can
+//!   still insert.
 
 use crate::engine::{EngineConfig, ResultSink};
 use crate::metrics::{EngineMetrics, StoreDetail};
 use crate::parallel::router::{fan_out, workers_of_store, Partitions};
 use crate::parallel::worker::Delivery;
-use crate::plan::{Feed, InstalledPlan};
+use crate::plan::InstalledPlan;
 use crate::stats_collector::StatsCollector;
 use crate::store::{visible, StoreInstance};
 use clash_common::{
@@ -120,9 +122,8 @@ impl<O: FnMut(usize, Delivery)> Emitter<'_, O> {
     }
 }
 
-/// A probe that ran against a symmetric store (one of the sets
-/// [`crate::plan::Feed`] selects) and stays registered until the
-/// watermark proves no earlier insert is still in flight.
+/// A probe that ran while a root below its guard was still in flight, and
+/// stays registered until the watermark proves no earlier insert is.
 #[derive(Debug)]
 struct PendingProber {
     /// Logical sequence position of the probe.
@@ -138,9 +139,9 @@ struct PendingProber {
     started: Instant,
 }
 
-/// The pending probers of one symmetric store ([`crate::plan::Feed`]),
-/// indexed by join-key value so a late insert retro-matches in
-/// O(candidate matches) instead of scanning every in-flight prober.
+/// The pending probers of one store, indexed by join-key value so a late
+/// insert retro-matches in O(candidate matches) instead of scanning every
+/// in-flight prober.
 ///
 /// A prober whose rule carries at least one equi-predicate is keyed
 /// by `(edge, probe-side value of the first predicate)` — the same
@@ -158,7 +159,7 @@ struct PendingSet {
     /// (Nested rather than keyed by `(EdgeId, Value)` so the insert-side
     /// lookup can borrow the inserted tuple's value — no clone, no
     /// allocation on the store hot path. Fx-hashed: the keys are trusted
-    /// join-key values, and the lookup runs once per symmetric insert.)
+    /// join-key values, and the lookup runs once per insert.)
     keyed: FxHashMap<EdgeId, FxHashMap<Value, Vec<PendingProber>>>,
     /// Probers that could not be keyed; matched by full scan.
     unkeyed: Vec<PendingProber>,
@@ -190,7 +191,7 @@ impl PendingSet {
     }
 
     /// Visits every registered prober a just-applied insert retro-matches,
-    /// with the probe rule it matches under: the symmetric half of probe
+    /// with the probe rule it matches under: the retroactive half of probe
     /// processing. Only probers with a *larger* guard qualify (they
     /// logically ran after this insert); visibility is the store's own
     /// [`visible`] rule and the predicates are the store's own
@@ -256,15 +257,8 @@ pub(crate) struct ShardState {
     /// Store instances in `plan.stores` order: indexed by `StoreId`
     /// (P001 makes the plan's store table dense).
     stores: Vec<StoreInstance>,
-    /// Who feeds this shard: selects which of the installed plan's
-    /// symmetric sets applies, and survives installs. A worker moves it to
-    /// `ManyProducers` mid-stream (the multi-producer widening):
-    /// already-registered pending probers stay registered, and the
-    /// exactly-once argument holds for any symmetric set, so no drain is
-    /// needed.
-    pub feed: Feed,
-    /// Pending probers per store, indexed by `StoreId` like `stores` (only
-    /// symmetric stores ever register any), each keyed by join-key value.
+    /// Pending probers per store, indexed by `StoreId` like `stores`, each
+    /// keyed by join-key value.
     pending: Vec<PendingSet>,
     /// Completion watermark at the last prober sweep.
     swept_at: u64,
@@ -291,7 +285,6 @@ impl ShardState {
     pub fn new(
         workers: usize,
         installed: Arc<InstalledPlan>,
-        feed: Feed,
         config: &EngineConfig,
         lane: u32,
     ) -> Self {
@@ -299,7 +292,6 @@ impl ShardState {
             workers,
             installed: Arc::clone(&installed),
             stores: Vec::new(),
-            feed,
             pending: Vec::new(),
             swept_at: 0,
             epoch: config.epoch,
@@ -324,10 +316,11 @@ impl ShardState {
     }
 
     /// Installs a plan. Stores whose descriptor matches an existing store
-    /// keep their state (Section VI-A: rewiring without losing results);
-    /// stores that no longer appear are dropped (reference count reaching
-    /// zero in Section VI-B). Installs only happen with nothing in flight,
-    /// so no probers are pending.
+    /// keep their state (Section VI-A's rewiring); stores that no longer
+    /// appear are dropped (reference count reaching zero in Section VI-B).
+    /// A store the new plan adds starts empty, so a result that needs a
+    /// pre-install tuple from it is lost. Installs only happen with nothing
+    /// in flight, so no probers are pending.
     pub fn install(&mut self, installed: Arc<InstalledPlan>) {
         let mut existing: FxHashMap<StoreDescriptor, StoreInstance> =
             self.stores.drain(..).map(|s| (s.descriptor, s)).collect();
@@ -508,19 +501,18 @@ impl ShardState {
                 let probes = u64::from(counts_probe);
                 self.stats
                     .record_probe_obs(epoch, predicates, probes, matches, est_size);
-                // Register the probe for symmetric completion: a
+                // Register the probe for retroactive completion: a
                 // later-arriving insert with a smaller guard must still
                 // find it (via the join-key index when the probe carries
-                // one) — if one can still arrive. Every delivery is
-                // accounted to a root at or below its guard (a
-                // retro-produced result carries the prober's guard, which
-                // exceeds the late insert's root), so once every root below
-                // `guard` has completed (`watermark >= guard - 1`) nothing
-                // in flight or yet to be produced has a smaller guard: the
-                // prober is already dead by the rule `PendingSet::gc` drops
-                // it under, and is not registered.
-                let symmetric = self.installed.symmetric(self.feed);
-                if guard > watermark + 1 && symmetric.contains(&target.store) {
+                // one) — if one can still arrive, on whatever path and at
+                // whatever store. Every delivery is accounted to a root at
+                // or below its guard (a retro-produced result carries the
+                // prober's guard, which exceeds the late insert's root), so
+                // once every root below `guard` has completed (`watermark
+                // >= guard - 1`) nothing in flight or yet to be produced has
+                // a smaller guard: the prober is already dead by the rule
+                // `PendingSet::gc` drops it under, and is not registered.
+                if guard > watermark + 1 {
                     // Join key: stored-side accessor and probe-side value
                     // of the first predicate.
                     let key = store.predicate_sides(predicates).next().and_then(
@@ -649,8 +641,8 @@ mod tests {
     use clash_optimizer::{Planner, Strategy};
     use clash_query::parse_query;
 
-    /// One shard owning every partition of `R(a) ⋈ S(a)`, with every
-    /// store symmetric (the multi-producer set), and the two relations.
+    /// One shard owning every partition of `R(a) ⋈ S(a)`, and the two
+    /// relations.
     fn two_way_shard() -> (Catalog, ShardState, RelationId, RelationId) {
         two_way_shard_over(Window::secs(3600))
     }
@@ -666,14 +658,7 @@ mod tests {
             .unwrap()
             .plan;
         let installed = crate::plan::prepare(&catalog, plan).unwrap();
-        assert!(!installed.symmetric(Feed::ManyProducers).is_empty());
-        let shard = ShardState::new(
-            1,
-            installed,
-            Feed::ManyProducers,
-            &EngineConfig::default(),
-            0,
-        );
+        let shard = ShardState::new(1, installed, &EngineConfig::default(), 0);
         let r = catalog.relation_id("R").unwrap();
         let s = catalog.relation_id("S").unwrap();
         (catalog, shard, r, s)
@@ -730,18 +715,6 @@ mod tests {
         let (catalog, mut shard, r, _) = two_way_shard();
         assert_eq!(ingest(&catalog, &mut shard, r, 20, 6, 5), 0);
         assert_eq!(registered(&shard), 0, "guard == watermark + 1");
-    }
-
-    #[test]
-    fn a_widened_shard_stays_widened_across_installs() {
-        // A two-way plan forwards nothing, so only the multi-producer set
-        // makes its stores symmetric: the probe below registers iff the
-        // shard still reads that set of the freshly installed plan.
-        let (catalog, mut shard, r, _) = two_way_shard();
-        let plan = TopologyPlan::clone(shard.plan());
-        shard.install(crate::plan::prepare(&catalog, plan).unwrap());
-        assert_eq!(ingest(&catalog, &mut shard, r, 20, 7, 5), 0);
-        assert_eq!(registered(&shard), 1);
     }
 
     #[test]

@@ -5,14 +5,13 @@
 //! workers hold senders to it. Per-sender FIFO plus the router's
 //! arrival-order dispatch give each (store, partition) a delivery order
 //! consistent with sequential execution; the sequence-number probe guard
-//! and the symmetric pending-prober mechanism (see `shard`) close the two
-//! remaining races.
+//! and the pending probers (see `shard`) close the two remaining races.
 
 use crate::engine::{EngineConfig, ResultSink};
 use crate::ingest::shared::ControlShared;
 use crate::parallel::router::{DepthGauges, Partitions, RootHandle};
 use crate::parallel::shard::{ShardReport, ShardState};
-use crate::plan::{Feed, InstalledPlan};
+use crate::plan::InstalledPlan;
 use clash_common::{Timestamp, TraceEventKind, Tuple};
 use clash_optimizer::SendTarget;
 use std::sync::mpsc::{Receiver, Sender};
@@ -71,9 +70,6 @@ pub(crate) enum WorkerMsg {
     /// Adds a result subscription: every result emitted from here on is
     /// also handed to this sink as it is produced, between barriers.
     Subscribe(ResultSink),
-    /// A second producer appeared: read the installed plan's (and every
-    /// later plan's) multi-producer symmetric set from here on.
-    MultiProducer,
     /// Terminates the worker loop.
     Shutdown,
 }
@@ -175,7 +171,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
     let (progress, depth) = (&shared.progress, &shared.depth);
     // Trace lane 0 is the coordinator; workers take lanes 1..=workers.
     let lane = index as u32 + 1;
-    let mut shard = ShardState::new(workers, installed, Feed::OneProducer, &config, lane);
+    let mut shard = ShardState::new(workers, installed, &config, lane);
     // Both ack-producing arms reply with the shard's own report.
     let ack = |shard: &mut ShardState, token, expired| WorkerAck {
         worker: index,
@@ -221,7 +217,6 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
                 }
             }
             WorkerMsg::Subscribe(sink) => shard.sinks.push(sink),
-            WorkerMsg::MultiProducer => shard.feed = Feed::ManyProducers,
             WorkerMsg::Shutdown => break,
         }
     }

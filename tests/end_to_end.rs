@@ -499,6 +499,9 @@ fn clash_system_add_and_remove_queries_mid_stream() {
         snap.results_for(QueryId::new(1)) > 0,
         "q2 never produced results"
     );
+    // The local runtime re-optimizes on its ingest path: no driver, no
+    // driver error.
+    assert_eq!(clash.adaptive_error(), None);
     // Removing a query keeps the system running.
     clash.remove_query(QueryId::new(0));
     let r = clash

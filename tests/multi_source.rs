@@ -691,10 +691,10 @@ fn run_with_installs(
     for (idx, entry) in stream.iter().enumerate() {
         slices[idx % sources].push(entry.clone());
     }
-    // One install lands between the first and the second `open_source`:
-    // the widening the second one triggers has to outlive every later
-    // install (the shards keep it; no install re-sends it). Same plan, no
-    // root sequenced yet, so the replay is unaffected.
+    // One install lands between the first and the second `open_source`,
+    // so a source opened after an install must push against the plan the
+    // install left on every worker and slot. Same plan, no root sequenced
+    // yet, so the replay is unaffected.
     let mut handles = vec![engine.open_source()];
     engine.install_plan(plans[0].clone()).unwrap();
     handles.extend((1..sources).map(|_| engine.open_source()));
@@ -917,6 +917,8 @@ fn clash_system_source_workload_reconfigures_out_of_the_box() {
         reconfigured,
         "a source-fed ClashSystem deployment never re-optimized"
     );
+    // The epoch driver that installed it is still running, error-free.
+    assert_eq!(clash.adaptive_error(), None);
     // Zero coordinator-thread ingests happened; the engine still drains
     // and accounts every push.
     let snap = clash.snapshot().unwrap();
