@@ -24,7 +24,8 @@
 //!   and on; the throughput ratio the bench guard holds above its floor.
 //! * `ilp` — the five- and ten-query Fig. 7 ILPs solved at the default
 //!   node limit: solve time, nodes and nodes per second (the ten-query
-//!   rate is floored by the bench guard) and the objective found.
+//!   rate is floored by the bench guard), the objective found, the node
+//!   that found it (0: the greedy warm start) and the root bound.
 
 use crate::allocs::AllocSpan;
 use crate::fig7::{run_fig7, Fig7Row};
@@ -865,6 +866,10 @@ pub struct IlpRow {
     pub solve_ms: f64,
     /// Objective of the returned assignment.
     pub objective: f64,
+    /// Node that found the returned assignment (0: the greedy warm start).
+    pub incumbent_node: u64,
+    /// The root node's lower bound on the optimum.
+    pub bound: f64,
 }
 
 impl IlpRow {
@@ -911,6 +916,8 @@ pub fn run_ilp() -> Vec<IlpRow> {
                     .map(|s| s.elapsed.as_secs_f64() * 1000.0)
                     .fold(f64::INFINITY, f64::min),
                 objective: solution.objective,
+                incumbent_node: solution.incumbent_node,
+                bound: solution.bound,
             }
         })
         .collect()
@@ -1053,13 +1060,16 @@ pub fn report_to_json(report: &HotpathReport) -> String {
     for (i, row) in report.ilp.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"queries\": {}, \"variables\": {}, \"solve_ms\": {:.1}, \"nodes\": {}, \
-             \"nodes_per_sec\": {:.1}, \"objective\": {:.3}}}{}\n",
+             \"nodes_per_sec\": {:.1}, \"objective\": {:.3}, \"incumbent_node\": {}, \
+             \"bound\": {:.3}}}{}\n",
             row.queries,
             row.variables,
             row.solve_ms,
             row.nodes,
             row.nodes_per_sec(),
             row.objective,
+            row.incumbent_node,
+            row.bound,
             if i + 1 < report.ilp.len() { "," } else { "" }
         ));
     }
@@ -1284,6 +1294,8 @@ mod tests {
                 nodes: 200_000,
                 solve_ms: 800.0,
                 objective: 27_041.5,
+                incumbent_node: 0,
+                bound: 8_904.25,
             }],
         };
         let json = report_to_json(&report);
@@ -1303,6 +1315,7 @@ mod tests {
         assert!(json.contains("\"throughput_ratio\": 0.990"));
         assert!(json.contains("\"trace_events\": 42"));
         assert!(json.contains("\"nodes\": 200000, \"nodes_per_sec\": 250000.0"));
+        assert!(json.contains("\"incumbent_node\": 0, \"bound\": 8904.250}"));
         // Balanced braces/brackets (no JSON parser in the offline build).
         assert_eq!(
             json.matches('{').count(),

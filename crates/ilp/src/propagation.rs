@@ -11,36 +11,60 @@
 
 use crate::model::{Model, Sense, VarId};
 
-/// Three-valued domains of all variables.
+/// Three-valued domains of all variables: two bitsets, the fixed
+/// variables and, among them, those fixed to 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Domains {
-    values: Vec<Option<bool>>,
+    len: usize,
+    fixed: Vec<u64>,
+    ones: Vec<u64>,
+}
+
+/// Ids of the set bits of a bitset given word by word, ascending.
+fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = VarId> {
+    words.enumerate().flat_map(|(i, mut w)| {
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros();
+                w &= w - 1;
+                VarId((i * 64) as u32 + bit)
+            })
+        })
+    })
 }
 
 impl Domains {
     /// All-free domains for `n` variables.
     pub fn free(n: usize) -> Self {
+        let words = n.div_ceil(64);
         Domains {
-            values: vec![None; n],
+            len: n,
+            fixed: vec![0; words],
+            ones: vec![0; words],
         }
     }
 
     /// Current domain of a variable.
     pub fn get(&self, var: VarId) -> Option<bool> {
-        self.values[var.index()]
+        let (word, bit) = (var.index() / 64, 1u64 << (var.index() % 64));
+        (self.fixed[word] & bit != 0).then_some(self.ones[word] & bit != 0)
     }
 
     /// `true` when the variable is not yet fixed.
     pub fn is_free(&self, var: VarId) -> bool {
-        self.values[var.index()].is_none()
+        self.fixed[var.index() / 64] & (1u64 << (var.index() % 64)) == 0
     }
 
     /// Fixes a variable. Returns `false` when the variable was already
     /// fixed to the opposite value (conflict).
     pub fn fix(&mut self, var: VarId, value: bool) -> bool {
-        match self.values[var.index()] {
+        match self.get(var) {
             None => {
-                self.values[var.index()] = Some(value);
+                let (word, bit) = (var.index() / 64, 1u64 << (var.index() % 64));
+                self.fixed[word] |= bit;
+                if value {
+                    self.ones[word] |= bit;
+                }
                 true
             }
             Some(v) => v == value,
@@ -49,37 +73,48 @@ impl Domains {
 
     /// Number of fixed variables.
     pub fn fixed_count(&self) -> usize {
-        self.values.iter().filter(|v| v.is_some()).count()
+        self.fixed.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `true` when every variable is fixed.
     pub fn is_complete(&self) -> bool {
-        self.values.iter().all(|v| v.is_some())
+        self.fixed_count() == self.len
     }
 
     /// Index of the first free variable, if any.
     pub fn first_free(&self) -> Option<VarId> {
-        self.values
+        self.fixed
             .iter()
-            .position(|v| v.is_none())
-            .map(|i| VarId(i as u32))
+            .enumerate()
+            .find(|(_, w)| **w != u64::MAX)
+            .map(|(i, w)| VarId((i * 64) as u32 + w.trailing_ones()))
+            .filter(|v| v.index() < self.len)
     }
 
     /// Converts to a full assignment, mapping free variables to 0 (the
     /// cheapest completion for non-negative objectives).
     pub fn to_assignment(&self) -> crate::model::Assignment {
         crate::model::Assignment::from_values(
-            self.values.iter().map(|v| v.unwrap_or(false)).collect(),
+            (0..self.len)
+                .map(|i| self.get(VarId(i as u32)) == Some(true))
+                .collect(),
         )
     }
 
-    /// Ids of variables currently fixed to 1.
+    /// Ids of variables currently fixed to 1, ascending.
     pub fn ones(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.values
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v == Some(true))
-            .map(|(i, _)| VarId(i as u32))
+        set_bits(self.ones.iter().copied())
+    }
+
+    /// Ids of the variables fixed here but free in `ancestor` (domains these
+    /// were derived from by fixing variables), ascending.
+    pub fn fixed_since<'s>(&'s self, ancestor: &'s Domains) -> impl Iterator<Item = VarId> + 's {
+        set_bits(
+            self.fixed
+                .iter()
+                .zip(&ancestor.fixed)
+                .map(|(now, then)| now ^ then),
+        )
     }
 }
 
@@ -333,6 +368,26 @@ mod tests {
         assert_eq!(d.first_free(), Some(VarId(1)));
         let ones: Vec<VarId> = d.ones().collect();
         assert_eq!(ones, vec![VarId(0)]);
+    }
+
+    #[test]
+    fn bitsets_cross_word_boundaries() {
+        let mut d = Domains::free(65);
+        let parent = d.clone();
+        for i in 0..64 {
+            assert!(d.fix(VarId(i), i % 2 == 1));
+        }
+        assert_eq!(d.first_free(), Some(VarId(64)));
+        assert!(!d.is_complete());
+        assert_eq!(d.fixed_since(&parent).count(), 64);
+        let before = d.clone();
+        assert!(d.fix(VarId(64), true));
+        assert!(d.is_complete());
+        assert_eq!(d.first_free(), None);
+        assert_eq!(d.fixed_since(&before).collect::<Vec<_>>(), vec![VarId(64)]);
+        assert_eq!(d.ones().count(), 33);
+        assert_eq!(d.get(VarId(63)), Some(true));
+        assert_eq!(d.get(VarId(62)), Some(false));
     }
 
     #[test]

@@ -11,15 +11,23 @@
 //! alternative of an earlier group could force is not counted again. The
 //! root node's bound is reported as [`Solution::bound`].
 //!
-//! Past one scan of its domains for the fixed mass, a node costs what it
-//! examines, not the model's size: requirement lists are sparse, the
-//! bound stops once it reaches the incumbent (its group terms are
-//! non-negative), and a node allocates nothing but its children's
-//! domains: bound and propagation scratch belongs to the search, and an
-//! assignment is built only for an improving incumbent. None of this
-//! decides anything: the bound adds the same terms in the same order as a
-//! dense evaluation of the formula (kept in the tests as the oracle), so
-//! the same nodes are visited in the same order and the same incumbent is
+//! Each variable counts for one group only, its *owner*: the first
+//! unsatisfied group, in choice order, with a free alternative whose
+//! requirement list holds it ([`GroupBound`]). A group's term is the
+//! minimum, over its free alternatives, of what they force among the free
+//! variables it owns. Going down the tree owners only move later, so a
+//! node does not rebuild the bound: from its parent's state it recomputes
+//! only the groups around the variables fixed since (the XOR of the two
+//! nodes' fixed bitsets), records each change on an undo trail and pops
+//! it on backtrack. The same trail keeps each group's free-member count
+//! and satisfied flag, which branching and acceptance read instead of
+//! scanning the groups' members. A node that its fixed mass alone prunes
+//! touches none of this, the group sum stops once it reaches the
+//! incumbent (its terms are non-negative), and a node allocates nothing
+//! but its children's domains. None of this decides anything: every group
+//! term adds the same coefficients in the same order as a dense
+//! evaluation of the formula (kept in the tests as the oracle), so the
+//! same nodes are visited in the same order and the same incumbent is
 //! returned.
 //!
 //! The solver is exact when it terminates within its node/time limits and
@@ -27,7 +35,7 @@
 //! it does not, mirroring how the paper treats optimization time as a
 //! budget that must stay compatible with streaming (Section VII-C).
 
-use crate::greedy::{choice_constraints, fixed_objective, greedy, satisfied};
+use crate::greedy::{choice_constraints, fixed_objective, greedy};
 use crate::model::{Assignment, Model, VarId};
 use crate::propagation::{Domains, PropagationResult, Propagator};
 use std::time::{Duration, Instant};
@@ -99,10 +107,13 @@ impl Solution {
     }
 }
 
-struct SearchState<'a> {
-    model: &'a Model,
-    propagator: Propagator<'a>,
-    choices: Vec<usize>,
+/// The choice groups of a model and what each alternative forces, fixed
+/// for the whole search.
+struct ChoiceGroups<'a> {
+    /// Member terms of each choice group, in choice order.
+    members: Vec<&'a [(VarId, f64)]>,
+    /// For every variable: the choice groups it is a member of.
+    groups_of: Vec<Vec<u32>>,
     /// For every variable that appears in a choice constraint: the
     /// positive-cost variables, free at the root, that root propagation
     /// forces to 1 when it is selected (ascending, with their objective
@@ -110,36 +121,25 @@ struct SearchState<'a> {
     /// alternative of an unsatisfied choice group is eventually selected,
     /// the still-free part of its list will be paid for.
     requirements: Vec<Vec<(VarId, f64)>>,
-    /// Variables with a negative objective coefficient, ascending.
-    negative: Vec<(VarId, f64)>,
-    /// Bound scratch: the group stamp that first claimed each variable.
-    /// Stamps only grow, so a stamp older than the current evaluation
-    /// means "unclaimed" and nothing is reset between nodes.
-    claimed: Vec<u64>,
-    stamp: u64,
-    config: SolverConfig,
-    started: Instant,
-    nodes: u64,
-    limit_hit: bool,
-    incumbent: Option<(Assignment, f64)>,
-    incumbent_node: u64,
+    /// For every variable: each `(group, alternative)` whose requirement
+    /// list holds it, in choice order and then member order.
+    holders: Vec<Vec<(u32, VarId)>>,
 }
 
-impl<'a> SearchState<'a> {
-    /// Prepares the search below the propagated `root`: choice groups,
-    /// each alternative's requirement list (by propagating `x = 1` from
-    /// `root`) and the negative objective coefficients.
-    fn new(
-        model: &'a Model,
-        mut propagator: Propagator<'a>,
-        root: &Domains,
-        config: SolverConfig,
-        started: Instant,
-    ) -> Self {
-        let choices = choice_constraints(model);
+impl<'a> ChoiceGroups<'a> {
+    /// Collects the choice groups of `model` and each alternative's
+    /// requirement list (by propagating `x = 1` from the propagated
+    /// `root`).
+    fn new(model: &'a Model, propagator: &mut Propagator<'a>, root: &Domains) -> Self {
+        let members: Vec<_> = choice_constraints(model)
+            .into_iter()
+            .map(|ci| model.constraints()[ci].expr.terms())
+            .collect();
+        let mut groups_of = vec![Vec::new(); model.num_vars()];
         let mut requirements: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); model.num_vars()];
-        for &ci in &choices {
-            for (x, _) in model.constraints()[ci].expr.terms() {
+        for (g, terms) in members.iter().enumerate() {
+            for (x, _) in terms.iter() {
+                groups_of[x.index()].push(g as u32);
                 let mut trial = root.clone();
                 if !requirements[x.index()].is_empty() || !trial.fix(*x, true) {
                     continue;
@@ -154,6 +154,273 @@ impl<'a> SearchState<'a> {
                 }
             }
         }
+        let mut holders = vec![Vec::new(); model.num_vars()];
+        for (g, terms) in members.iter().enumerate() {
+            for (x, _) in terms.iter() {
+                for (v, _) in &requirements[x.index()] {
+                    holders[v.index()].push((g as u32, *x));
+                }
+            }
+        }
+        ChoiceGroups {
+            members,
+            groups_of,
+            requirements,
+            holders,
+        }
+    }
+}
+
+/// "No group": the owner of a variable no free alternative forces.
+const NO_GROUP: u32 = u32::MAX;
+
+/// One change to [`GroupBound`], undone on backtrack.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    Owner { var: VarId, group: u32, at: u32 },
+    Min { group: u32, min: Option<f64> },
+    Free { group: u32 },
+    Satisfied { group: u32 },
+}
+
+/// The bound's group terms at the node being searched, kept across nodes.
+///
+/// `owner[v]` is the first unsatisfied choice group, in choice order, with
+/// a free alternative whose requirement list holds `v`; `min[g]` is the
+/// minimum, over `g`'s free alternatives in member order, of the in-order
+/// sum of the coefficients of the free variables of that list that `g`
+/// owns (`None` when `g` is satisfied or has no free alternative). Going
+/// down the tree owners only move later, so a child changes only the
+/// groups around the variables it fixed; every change goes on `trail` and
+/// is popped on backtrack.
+struct GroupBound {
+    owner: Vec<u32>,
+    /// Index into `holders[v]` of the entry that makes `owner[v]` the owner
+    /// (`holders[v].len()` when there is none); the search for a new owner
+    /// resumes there.
+    owner_at: Vec<u32>,
+    min: Vec<Option<f64>>,
+    /// Free members of each group.
+    free: Vec<u32>,
+    /// Groups with a member fixed to 1.
+    satisfied: Vec<bool>,
+    /// Unsatisfied groups.
+    open: usize,
+    trail: Vec<Undo>,
+    /// Scratch of [`GroupBound::advance`]: the variables fixed since the
+    /// parent, and the groups whose minimum it recomputes.
+    newly_fixed: Vec<VarId>,
+    dirty: Vec<u32>,
+    is_dirty: Vec<bool>,
+}
+
+impl GroupBound {
+    /// The state of `domains`, built from scratch: the root's.
+    fn new(groups: &ChoiceGroups, domains: &Domains) -> Self {
+        let n = groups.members.len();
+        let satisfied: Vec<bool> = groups
+            .members
+            .iter()
+            .map(|terms| terms.iter().any(|(v, _)| domains.get(*v) == Some(true)))
+            .collect();
+        let mut state = GroupBound {
+            owner: vec![NO_GROUP; groups.holders.len()],
+            owner_at: vec![0; groups.holders.len()],
+            min: vec![None; n],
+            free: groups
+                .members
+                .iter()
+                .map(|terms| terms.iter().filter(|(v, _)| domains.is_free(*v)).count() as u32)
+                .collect(),
+            open: satisfied.iter().filter(|s| !**s).count(),
+            satisfied,
+            trail: Vec::new(),
+            newly_fixed: Vec::new(),
+            dirty: Vec::new(),
+            is_dirty: vec![false; n],
+        };
+        for v in 0..groups.holders.len() {
+            let v = VarId(v as u32);
+            (state.owner[v.index()], state.owner_at[v.index()]) =
+                state.find_owner(groups, domains, v, 0);
+        }
+        for g in 0..n {
+            state.min[g] = state.group_min(groups, domains, g);
+        }
+        state
+    }
+
+    /// `v`'s owner under `domains` and the index of its entry in
+    /// `holders[v]`, searching from entry `from` on.
+    fn find_owner(
+        &self,
+        groups: &ChoiceGroups,
+        domains: &Domains,
+        v: VarId,
+        from: u32,
+    ) -> (u32, u32) {
+        let holders = &groups.holders[v.index()];
+        holders[from as usize..]
+            .iter()
+            .position(|&(g, x)| !self.satisfied[g as usize] && domains.is_free(x))
+            .map_or((NO_GROUP, holders.len() as u32), |i| {
+                let at = from as usize + i;
+                (holders[at].0, at as u32)
+            })
+    }
+
+    /// `min[g]` under `domains` and the current owners.
+    fn group_min(&self, groups: &ChoiceGroups, domains: &Domains, g: usize) -> Option<f64> {
+        if self.satisfied[g] {
+            return None;
+        }
+        let mut group_min: Option<f64> = None;
+        for (x, _) in groups.members[g].iter() {
+            if !domains.is_free(*x) {
+                continue;
+            }
+            let mut alt_cost = 0.0;
+            for &(v, coeff) in &groups.requirements[x.index()] {
+                if self.owner[v.index()] == g as u32 && domains.is_free(v) {
+                    alt_cost += coeff;
+                }
+            }
+            group_min = Some(group_min.map_or(alt_cost, |m: f64| m.min(alt_cost)));
+        }
+        group_min
+    }
+
+    fn mark_dirty(&mut self, g: u32) {
+        if g != NO_GROUP && !self.is_dirty[g as usize] {
+            self.is_dirty[g as usize] = true;
+            self.dirty.push(g);
+        }
+    }
+
+    /// Moves the state from `parent` to `domains`, which fix a superset of
+    /// `parent`'s variables, and returns the trail mark to undo to.
+    fn advance(&mut self, groups: &ChoiceGroups, parent: &Domains, domains: &Domains) -> usize {
+        let mark = self.trail.len();
+        self.newly_fixed.clear();
+        self.newly_fixed.extend(domains.fixed_since(parent));
+        // Every group with a newly fixed member loses a free alternative,
+        // and is satisfied when it was fixed to 1.
+        for i in 0..self.newly_fixed.len() {
+            let x = self.newly_fixed[i];
+            for &g in &groups.groups_of[x.index()] {
+                self.free[g as usize] -= 1;
+                self.trail.push(Undo::Free { group: g });
+                if domains.get(x) == Some(true) && !self.satisfied[g as usize] {
+                    self.satisfied[g as usize] = true;
+                    self.open -= 1;
+                    self.trail.push(Undo::Satisfied { group: g });
+                }
+                self.mark_dirty(g);
+            }
+        }
+        // Such a group releases what it owned through the alternatives it
+        // lost (all of its alternatives, when satisfied): each released
+        // variable moves to its next owner.
+        for i in 0..self.dirty.len() {
+            let g = self.dirty[i];
+            let satisfied = self.satisfied[g as usize];
+            for (x, _) in groups.members[g as usize].iter() {
+                if !parent.is_free(*x) || (domains.is_free(*x) && !satisfied) {
+                    continue;
+                }
+                for &(v, _) in &groups.requirements[x.index()] {
+                    if self.owner[v.index()] != g {
+                        continue;
+                    }
+                    let at = self.owner_at[v.index()];
+                    let (owner, next) = self.find_owner(groups, domains, v, at);
+                    if next != at {
+                        self.trail.push(Undo::Owner {
+                            var: v,
+                            group: g,
+                            at,
+                        });
+                        self.owner[v.index()] = owner;
+                        self.owner_at[v.index()] = next;
+                        self.mark_dirty(owner);
+                    }
+                }
+            }
+        }
+        // A newly fixed variable leaves its owner's sum.
+        for i in 0..self.newly_fixed.len() {
+            let v = self.newly_fixed[i];
+            self.mark_dirty(self.owner[v.index()]);
+        }
+        while let Some(g) = self.dirty.pop() {
+            self.is_dirty[g as usize] = false;
+            let min = self.group_min(groups, domains, g as usize);
+            let old = std::mem::replace(&mut self.min[g as usize], min);
+            self.trail.push(Undo::Min { group: g, min: old });
+        }
+        mark
+    }
+
+    /// Returns to the state the trail held at `mark`.
+    fn undo(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            match self.trail.pop().expect("trail above mark") {
+                Undo::Owner { var, group, at } => {
+                    self.owner[var.index()] = group;
+                    self.owner_at[var.index()] = at;
+                }
+                Undo::Min { group, min } => self.min[group as usize] = min,
+                Undo::Free { group } => self.free[group as usize] += 1,
+                Undo::Satisfied { group } => {
+                    self.satisfied[group as usize] = false;
+                    self.open += 1;
+                }
+            }
+        }
+    }
+
+    /// `bound` plus the group minima in choice order, stopping as soon as
+    /// the sum reaches `cutoff` (every minimum is a sum of positive
+    /// coefficients, and adding a non-negative f64 never lowers a sum, so
+    /// the caller's `bound >= cutoff` decision is the one the full sum
+    /// gives).
+    fn add_group_terms(&self, mut bound: f64, cutoff: f64) -> f64 {
+        for m in self.min.iter().flatten() {
+            bound += m;
+            if bound >= cutoff {
+                break;
+            }
+        }
+        bound
+    }
+}
+
+struct SearchState<'a> {
+    model: &'a Model,
+    propagator: Propagator<'a>,
+    groups: ChoiceGroups<'a>,
+    bound: GroupBound,
+    /// Variables with a negative objective coefficient, ascending.
+    negative: Vec<(VarId, f64)>,
+    config: SolverConfig,
+    started: Instant,
+    nodes: u64,
+    limit_hit: bool,
+    incumbent: Option<(Assignment, f64)>,
+    incumbent_node: u64,
+}
+
+impl<'a> SearchState<'a> {
+    /// Prepares the search below the propagated `root`.
+    fn new(
+        model: &'a Model,
+        mut propagator: Propagator<'a>,
+        root: &Domains,
+        config: SolverConfig,
+        started: Instant,
+    ) -> Self {
+        let groups = ChoiceGroups::new(model, &mut propagator, root);
+        let bound = GroupBound::new(&groups, root);
         let negative = model
             .vars()
             .map(|v| (v, model.objective_coeff(v)))
@@ -162,11 +429,9 @@ impl<'a> SearchState<'a> {
         SearchState {
             model,
             propagator,
-            choices,
-            requirements,
+            groups,
+            bound,
             negative,
-            claimed: vec![0; model.num_vars()],
-            stamp: 0,
             config,
             started,
             nodes: 0,
@@ -176,68 +441,31 @@ impl<'a> SearchState<'a> {
         }
     }
 
-    /// Lower bound on the objective of every feasible completion of
-    /// `domains`. Every term after the negative coefficients is a group
-    /// minimum, a sum of positive coefficients, and adding a non-negative
-    /// f64 never lowers a sum: so the bound stops as soon as it reaches
-    /// `cutoff`, and the caller's `bound >= cutoff` decision is the one the
-    /// full sum gives. Pass `f64::INFINITY` for the full sum.
-    fn lower_bound(&mut self, domains: &Domains, cutoff: f64) -> f64 {
+    /// The objective mass of the variables fixed to 1 plus every negative
+    /// coefficient still free (they can only decrease the objective
+    /// further, so counting them keeps the bound admissible for general
+    /// models).
+    fn fixed_bound(&self, domains: &Domains) -> f64 {
         let mut bound = fixed_objective(self.model, domains);
-        // Negative coefficients of free variables can only decrease the
-        // objective further; account for them to keep the bound admissible
-        // for general models.
         for &(v, c) in &self.negative {
             if domains.is_free(v) {
                 bound += c;
             }
         }
+        bound
+    }
+
+    /// Lower bound on the objective of every feasible completion of
+    /// `domains`, the node [`GroupBound`] is at: [`Self::fixed_bound`] plus
+    /// the group minima, stopping once it reaches `cutoff` (pass
+    /// `f64::INFINITY` for the full sum). The minima are additive without
+    /// double counting because each variable counts only for its owner.
+    fn lower_bound(&self, domains: &Domains, cutoff: f64) -> f64 {
+        let bound = self.fixed_bound(domains);
         if bound >= cutoff {
             return bound;
         }
-        // Sequential-minimum bound over the unsatisfied choice groups.
-        //
-        // Whatever alternative a group eventually selects, the still-free
-        // positive-cost variables in its requirement list must be paid for.
-        // Processing groups in a fixed order and skipping every variable
-        // that *any* alternative of an earlier group could have provided
-        // (claimed with that group's stamp) makes the per-group minima
-        // additive without double counting, so the sum stays an admissible
-        // lower bound even when groups share steps.
-        let first_group = self.stamp + 1;
-        for &ci in &self.choices {
-            if satisfied(self.model, domains, ci) {
-                continue;
-            }
-            self.stamp += 1;
-            let group = self.stamp;
-            let mut group_min: Option<f64> = None;
-            for (x, _) in self.model.constraints()[ci].expr.terms() {
-                if !domains.is_free(*x) {
-                    continue;
-                }
-                let mut alt_cost = 0.0;
-                for &(v, coeff) in &self.requirements[x.index()] {
-                    let by = &mut self.claimed[v.index()];
-                    if *by < first_group {
-                        *by = group;
-                    } else if *by < group {
-                        continue;
-                    }
-                    if domains.is_free(v) {
-                        alt_cost += coeff;
-                    }
-                }
-                group_min = Some(group_min.map_or(alt_cost, |m: f64| m.min(alt_cost)));
-            }
-            if let Some(m) = group_min {
-                bound += m;
-                if bound >= cutoff {
-                    return bound;
-                }
-            }
-        }
-        bound
+        self.bound.add_group_terms(bound, cutoff)
     }
 
     fn out_of_budget(&mut self) -> bool {
@@ -253,25 +481,22 @@ impl<'a> SearchState<'a> {
     /// most constrained unsatisfied choice constraint, falling back to the
     /// first free variable.
     fn branching_variable(&self, domains: &Domains) -> Option<VarId> {
-        let mut best: Option<(VarId, usize)> = None;
-        for &ci in &self.choices {
-            if satisfied(self.model, domains, ci) {
+        let mut best: Option<(usize, u32)> = None;
+        for (g, &count) in self.bound.free.iter().enumerate() {
+            if self.bound.satisfied[g] || count == 0 {
                 continue;
             }
-            let terms = self.model.constraints()[ci].expr.terms();
-            let mut free = terms
-                .iter()
-                .map(|(v, _)| *v)
-                .filter(|v| domains.is_free(*v));
-            let Some(first) = free.next() else {
-                continue;
-            };
-            let count = 1 + free.count();
             if best.is_none_or(|(_, n)| count < n) {
-                best = Some((first, count));
+                best = Some((g, count));
             }
         }
-        best.map(|(v, _)| v).or_else(|| domains.first_free())
+        best.and_then(|(g, _)| {
+            self.groups.members[g]
+                .iter()
+                .map(|(v, _)| *v)
+                .find(|v| domains.is_free(*v))
+        })
+        .or_else(|| domains.first_free())
     }
 
     /// Accepts the completion of `domains` with free variables at 0 when it
@@ -280,11 +505,7 @@ impl<'a> SearchState<'a> {
     fn maybe_accept(&mut self, domains: &Domains) {
         // A choice group with no member at 1 violates its `Σ x = 1`: the
         // full scan below only runs once every group is satisfied.
-        if !self
-            .choices
-            .iter()
-            .all(|&ci| satisfied(self.model, domains, ci))
-        {
+        if self.bound.open > 0 {
             return;
         }
         let one = |v: VarId| domains.get(v) == Some(true);
@@ -302,25 +523,36 @@ impl<'a> SearchState<'a> {
         }
     }
 
-    fn search(&mut self, domains: Domains) {
+    /// Searches the node `domains`, a propagated child of `parent` (the
+    /// node [`GroupBound`] is at; the root is its own parent).
+    fn search(&mut self, parent: &Domains, domains: &Domains) {
         self.nodes += 1;
         if self.out_of_budget() {
             return;
         }
-        // Bound.
-        if let Some((_, best)) = &self.incumbent {
-            let cutoff = *best - TOLERANCE;
-            if self.lower_bound(&domains, cutoff) >= cutoff {
-                return;
-            }
+        let cutoff = self.incumbent.as_ref().map(|(_, best)| *best - TOLERANCE);
+        // Bound: the fixed mass alone prunes without touching the group
+        // terms.
+        let fixed = self.fixed_bound(domains);
+        if cutoff.is_some_and(|cutoff| fixed >= cutoff) {
+            return;
         }
+        let mark = self.bound.advance(&self.groups, parent, domains);
+        if !cutoff.is_some_and(|cutoff| self.bound.add_group_terms(fixed, cutoff) >= cutoff) {
+            self.expand(domains);
+        }
+        self.bound.undo(mark);
+    }
+
+    /// Accepts or branches below an unpruned node.
+    fn expand(&mut self, domains: &Domains) {
         // Even with free variables left, mapping them to 0 may already be a
-        // feasible (and, given the bound above, improving) solution.
-        self.maybe_accept(&domains);
+        // feasible (and, given the bound, improving) solution.
+        self.maybe_accept(domains);
         if domains.is_complete() {
             return;
         }
-        let Some(var) = self.branching_variable(&domains) else {
+        let Some(var) = self.branching_variable(domains) else {
             return;
         };
         for value in [true, false] {
@@ -330,7 +562,7 @@ impl<'a> SearchState<'a> {
             }
             match self.propagator.propagate_from(&mut child, var) {
                 PropagationResult::Conflict(_) => continue,
-                PropagationResult::Fixpoint(_) => self.search(child),
+                PropagationResult::Fixpoint(_) => self.search(domains, &child),
             }
             if self.limit_hit {
                 return;
@@ -361,7 +593,7 @@ pub fn solve(model: &Model, config: SolverConfig) -> Solution {
         state.incumbent = greedy(model);
     }
     let root_bound = state.lower_bound(&root, f64::INFINITY);
-    state.search(root);
+    state.search(&root, &root);
 
     let status = match (&state.incumbent, state.limit_hit) {
         (Some(_), false) => SolveStatus::Optimal,
@@ -393,6 +625,7 @@ pub fn solve(model: &Model, config: SolverConfig) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::satisfied;
     use crate::model::{LinExpr, Sense};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -554,17 +787,22 @@ mod tests {
     /// A random selection-with-sharing model: choice groups whose
     /// alternatives force random step subsets, some alternatives also
     /// forcing an alternative of an earlier group (as maintenance orders
-    /// do), and sometimes a negative-cost variable.
+    /// do; a costly one then sits in the forcing alternative's requirement
+    /// list), some alternatives of an earlier group also joining a later
+    /// group (a variable in two choice groups), and sometimes a
+    /// negative-cost variable.
     fn random_model(rng: &mut StdRng) -> Model {
         let mut m = Model::new();
         let steps: Vec<VarId> = (0..rng.gen_range(3..40))
             .map(|i| m.add_binary(format!("y{i}"), rng.gen_range(1..1000) as f64 / 7.0))
             .collect();
+        let costly = if rng.gen_bool(0.5) { 0.1 } else { 0.6 };
+        let shared = if rng.gen_bool(0.5) { 0.0 } else { 0.3 };
         let mut earlier: Vec<VarId> = Vec::new();
         for g in 0..rng.gen_range(1..12) {
             let alts: Vec<VarId> = (0..rng.gen_range(1..6))
                 .map(|a| {
-                    let coeff = if rng.gen_bool(0.1) { 1.5 } else { 0.0 };
+                    let coeff = if rng.gen_bool(costly) { 1.5 } else { 0.0 };
                     m.add_binary(format!("x{g}_{a}"), coeff)
                 })
                 .collect();
@@ -585,7 +823,11 @@ mod tests {
                     m.add_implies_any(format!("maintain[{x}]"), x, [other]);
                 }
             }
-            m.add_choose_one(format!("choice{g}"), alts.clone());
+            let mut members = alts.clone();
+            if !earlier.is_empty() && rng.gen_bool(shared) {
+                members.push(earlier[rng.gen_range(0..earlier.len())]);
+            }
+            m.add_choose_one(format!("choice{g}"), members);
             earlier.extend(alts);
         }
         if rng.gen_bool(0.25) {
@@ -684,57 +926,100 @@ mod tests {
         bound
     }
 
-    /// Walks one random branch of a random model (every node a propagated
-    /// fixpoint, as in the search) and checks the bound at each node
-    /// against [`dense_bound`]: equal bits when run in full, and the same
-    /// prune decision at cutoffs around it when stopped early.
+    /// Asserts that `state`'s incremental bound at `domains` is the one a
+    /// from-scratch build gives there, and that its bound has the bits of
+    /// [`dense_bound`]: in full, and as the same prune decision at cutoffs
+    /// around it when stopped early.
+    fn check_node(
+        seed: u64,
+        rng: &mut StdRng,
+        state: &SearchState,
+        requirements: &[Option<Vec<u64>>],
+        domains: &Domains,
+    ) {
+        let scratch = GroupBound::new(&state.groups, domains);
+        let kept = &state.bound;
+        assert_eq!(kept.owner, scratch.owner, "seed {seed}: owners");
+        assert_eq!(
+            kept.owner_at, scratch.owner_at,
+            "seed {seed}: owner entries"
+        );
+        assert_eq!(kept.free, scratch.free, "seed {seed}: free counts");
+        assert_eq!(kept.satisfied, scratch.satisfied, "seed {seed}");
+        assert_eq!(kept.open, scratch.open, "seed {seed}: open groups");
+        let bits = |min: &[Option<f64>]| -> Vec<Option<u64>> {
+            min.iter().map(|m| m.map(f64::to_bits)).collect()
+        };
+        assert_eq!(bits(&kept.min), bits(&scratch.min), "seed {seed}: minima");
+        let choices = choice_constraints(state.model);
+        let dense = dense_bound(state.model, &choices, requirements, domains);
+        let full = state.lower_bound(domains, f64::INFINITY);
+        assert_eq!(
+            full.to_bits(),
+            dense.to_bits(),
+            "seed {seed}: {full} vs {dense}"
+        );
+        let random = rng.gen_range(-10.0..dense.abs() * 2.0 + 10.0);
+        for cutoff in [
+            dense - 1.0,
+            dense - TOLERANCE,
+            dense,
+            dense + TOLERANCE,
+            random,
+        ] {
+            let pruned = state.lower_bound(domains, cutoff) >= cutoff;
+            assert_eq!(pruned, dense >= cutoff, "seed {seed}, cutoff {cutoff}");
+        }
+    }
+
+    /// Drives the incremental bound of a random model the way the search
+    /// does: down a random branch (every node a propagated fixpoint) and,
+    /// now and then, back up to a random ancestor by undoing the trail,
+    /// then down again. [`check_node`] holds every node it reaches to the
+    /// from-scratch state and the dense oracle.
     fn check_bound_against_dense(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let model = random_model(&mut rng);
         let mut propagator = Propagator::new(&model);
-        let mut domains = Domains::free(model.num_vars());
-        if let PropagationResult::Conflict(_) = propagator.propagate_all(&mut domains) {
+        let mut root = Domains::free(model.num_vars());
+        if let PropagationResult::Conflict(_) = propagator.propagate_all(&mut root) {
             return;
         }
         let config = SolverConfig::default();
-        let mut state = SearchState::new(&model, propagator, &domains, config, Instant::now());
-        let requirements = dense_requirements(&model, &domains, &state.choices);
-        loop {
-            let dense = dense_bound(&model, &state.choices, &requirements, &domains);
-            let full = state.lower_bound(&domains, f64::INFINITY);
-            assert_eq!(
-                full.to_bits(),
-                dense.to_bits(),
-                "seed {seed}: {full} vs {dense}"
-            );
-            let random = rng.gen_range(-10.0..dense.abs() * 2.0 + 10.0);
-            for cutoff in [
-                dense - 1.0,
-                dense - TOLERANCE,
-                dense,
-                dense + TOLERANCE,
-                random,
-            ] {
-                let pruned = state.lower_bound(&domains, cutoff) >= cutoff;
-                assert_eq!(pruned, dense >= cutoff, "seed {seed}, cutoff {cutoff}");
-            }
+        let mut state = SearchState::new(&model, propagator, &root, config, Instant::now());
+        let requirements = dense_requirements(&model, &root, &choice_constraints(&model));
+        // The branch from the root: each node with the trail mark that
+        // returns the state to its parent.
+        let mut path: Vec<(Domains, usize)> = vec![(root, 0)];
+        for _ in 0..64 {
+            let domains = &path.last().expect("the root stays").0;
+            check_node(seed, &mut rng, &state, &requirements, domains);
             let free: Vec<VarId> = model.vars().filter(|v| domains.is_free(*v)).collect();
-            if free.is_empty() {
-                return;
-            }
-            let var = free[rng.gen_range(0..free.len())];
-            let first = rng.gen_bool(0.5);
-            let next = [first, !first].into_iter().find_map(|value| {
-                let mut child = domains.clone();
-                child.fix(var, value);
-                match state.propagator.propagate_from(&mut child, var) {
-                    PropagationResult::Fixpoint(_) => Some(child),
-                    PropagationResult::Conflict(_) => None,
+            let child = if free.is_empty() || (path.len() > 1 && rng.gen_bool(0.2)) {
+                None
+            } else {
+                let var = free[rng.gen_range(0..free.len())];
+                let first = rng.gen_bool(0.5);
+                [first, !first].into_iter().find_map(|value| {
+                    let mut child = domains.clone();
+                    child.fix(var, value);
+                    match state.propagator.propagate_from(&mut child, var) {
+                        PropagationResult::Fixpoint(_) => Some(child),
+                        PropagationResult::Conflict(_) => None,
+                    }
+                })
+            };
+            match child {
+                Some(child) => {
+                    let mark = state.bound.advance(&state.groups, domains, &child);
+                    path.push((child, mark));
                 }
-            });
-            match next {
-                Some(child) => domains = child,
-                None => return,
+                None if path.len() == 1 => return,
+                None => {
+                    let keep = rng.gen_range(1..path.len());
+                    state.bound.undo(path[keep].1);
+                    path.truncate(keep);
+                }
             }
         }
     }

@@ -375,6 +375,18 @@ mod tests {
         )
     }
 
+    /// The ten-query extension of the same workload (5 s windows).
+    fn ten_query_candidates() -> CandidateSet {
+        let workload = TpchWorkload::new(2, Window::secs(5)).unwrap();
+        let queries = workload.ten_queries().unwrap();
+        enumerate_candidates(
+            &workload.catalog,
+            &workload.stats,
+            &queries,
+            &PlanSpaceConfig::default(),
+        )
+    }
+
     #[test]
     fn model_construction_repeats_exactly() {
         // Variable numbering must not follow a hash map's per-instance seed:
@@ -500,6 +512,144 @@ mod tests {
             .map(|v| artifacts.model.var_name(v))
             .collect();
         assert_eq!(ones, FIVE_QUERY_ONES);
+        assert!(
+            solution.bound <= solution.objective,
+            "bound {} above objective {}",
+            solution.bound,
+            solution.objective
+        );
+    }
+
+    /// Every variable set to 1 by [`ten_query_search_is_pinned`]'s solve,
+    /// in variable order.
+    const TEN_QUERY_ONES: [&str; 102] = [
+        "x'[mir=3 start=R0 P:0.0=1.1]",
+        "y[start:0|2@-x1|P:0.0=1.1]",
+        "x'[mir=3 start=R1 P:0.0=1.1]",
+        "y[start:1|1@-x1|P:0.0=1.1]",
+        "y[start:1|4@2.1x2|P:1.0=2.1]",
+        "y[start:2|2@-x1|P:1.0=2.1]",
+        "y[start:0|2@-x1|4@2.1x2|P:0.0=1.1,1.0=2.1]",
+        "y[start:1|1@-x1|4@2.1x2|P:0.0=1.1,1.0=2.1]",
+        "x'[mir=36 start=R2 P:2.0=5.1]",
+        "y[start:2|32@5.1x2|P:2.0=5.1]",
+        "x'[mir=36 start=R5 P:2.0=5.1]",
+        "y[start:5|4@2.0x2|P:2.0=5.1]",
+        "x'[mir=38 start=R1 P:1.0=2.1,2.0=5.1]",
+        "y[start:1|4@2.1x2|32@5.1x2|P:1.0=2.1,2.0=5.1]",
+        "x'[mir=38 start=R2 P:1.0=2.1,2.0=5.1]",
+        "y[start:2|2@-x1|32@5.1x2|P:1.0=2.1,2.0=5.1]",
+        "x'[mir=38 start=R5 P:1.0=2.1,2.0=5.1]",
+        "y[start:5|4@2.0x2|2@-x1|P:1.0=2.1,2.0=5.1]",
+        "y[start:4|32@5.0x2|P:4.0=5.0]",
+        "y[start:5|16@4.0x2|P:4.0=5.0]",
+        "y[start:2|32@5.1x2|16@4.0x2|P:2.0=5.1,4.0=5.0]",
+        "y[start:4|32@5.0x2|4@2.0x2|P:2.0=5.1,4.0=5.0]",
+        "y[start:5|4@2.0x2|16@4.0x2|P:2.0=5.1,4.0=5.0]",
+        "y[start:7|16@4.0x2|P:4.0=7.1]",
+        "y[start:7|16@4.0x2|32@5.0x2|P:4.0=5.0,4.0=7.1]",
+        "x'[mir=192 start=R6 P:6.0=7.0]",
+        "y[start:6|128@7.0x2|P:6.0=7.0]",
+        "x'[mir=192 start=R7 P:6.0=7.0]",
+        "y[start:7|64@6.0x2|P:6.0=7.0]",
+        "y[start:6|128@7.0x2|4@2.0x2|P:2.0=7.2,6.0=7.0]",
+        "y[start:6|128@7.0x2|32@5.1x2|P:5.1=7.2,6.0=7.0]",
+        "y[start:7|64@6.0x2|32@5.1x2|P:5.1=7.2,6.0=7.0]",
+        "x[Q0 R0 #3]",
+        "y[start:0|2@-x1|4@2.1x2|32@5.1x2|P:0.0=1.1,1.0=2.1,2.0=5.1]",
+        "x[Q0 R1 #3]",
+        "y[start:1|1@-x1|4@2.1x2|32@5.1x2|P:0.0=1.1,1.0=2.1,2.0=5.1]",
+        "y[start:2|3@-x1|P:0.0=1.1,1.0=2.1]",
+        "x[Q0 R2 #5]",
+        "y[start:2|3@-x1|32@5.1x2|P:0.0=1.1,1.0=2.1,2.0=5.1]",
+        "x[Q0 R5 #2]",
+        "y[start:5|4@2.0x2|3@-x1|P:0.0=1.1,1.0=2.1,2.0=5.1]",
+        "x[Q1 R1 #3]",
+        "y[start:1|4@2.1x2|32@5.1x2|16@4.0x2|P:1.0=2.1,2.0=5.1,4.0=5.0]",
+        "x[Q1 R2 #1]",
+        "y[start:2|2@-x1|32@5.1x2|16@4.0x2|P:1.0=2.1,2.0=5.1,4.0=5.0]",
+        "x[Q1 R4 #11]",
+        "y[start:4|38@5.0x2|P:1.0=2.1,2.0=5.1,4.0=5.0]",
+        "x[Q1 R5 #0]",
+        "y[start:5|4@2.0x2|2@-x1|16@4.0x2|P:1.0=2.1,2.0=5.1,4.0=5.0]",
+        "x[Q2 R2 #5]",
+        "y[start:2|32@5.1x2|16@4.0x2|128@7.1x2|P:2.0=5.1,4.0=5.0,4.0=7.1]",
+        "x[Q2 R4 #1]",
+        "y[start:4|32@5.0x2|4@2.0x2|128@7.1x2|P:2.0=5.1,4.0=5.0,4.0=7.1]",
+        "x[Q2 R5 #1]",
+        "y[start:5|4@2.0x2|16@4.0x2|128@7.1x2|P:2.0=5.1,4.0=5.0,4.0=7.1]",
+        "x[Q2 R7 #0]",
+        "y[start:7|16@4.0x2|32@5.0x2|4@2.0x2|P:2.0=5.1,4.0=5.0,4.0=7.1]",
+        "x[Q3 R2 #20]",
+        "y[start:2|32@5.1x2|192@7.1x2|P:2.0=5.1,5.0=7.1,6.0=7.0]",
+        "x[Q3 R5 #17]",
+        "y[start:5|4@2.0x2|192@7.1x2|P:2.0=5.1,5.0=7.1,6.0=7.0]",
+        "x[Q3 R6 #17]",
+        "y[start:6|128@7.0x2|36@5.0x2|P:2.0=5.1,5.0=7.1,6.0=7.0]",
+        "x[Q3 R7 #43]",
+        "y[start:7|64@6.0x2|36@5.0x2|P:2.0=5.1,5.0=7.1,6.0=7.0]",
+        "x[Q4 R4 #18]",
+        "y[start:4|32@5.0x2|192@7.2x2|P:4.0=5.0,5.1=7.2,6.0=7.0]",
+        "x[Q4 R5 #14]",
+        "y[start:5|16@4.0x2|192@7.2x2|P:4.0=5.0,5.1=7.2,6.0=7.0]",
+        "x[Q4 R6 #1]",
+        "y[start:6|128@7.0x2|32@5.1x2|16@4.0x2|P:4.0=5.0,5.1=7.2,6.0=7.0]",
+        "x[Q4 R7 #19]",
+        "y[start:7|64@6.0x2|32@5.1x2|16@4.0x2|P:4.0=5.0,5.1=7.2,6.0=7.0]",
+        "x[Q5 R0 #1]",
+        "y[start:0|2@-x1|8@3.1x2|P:0.0=1.1,1.0=3.1]",
+        "x[Q5 R1 #1]",
+        "y[start:1|1@-x1|8@3.1x2|P:0.0=1.1,1.0=3.1]",
+        "x[Q5 R3 #1]",
+        "y[start:3|3@-x1|P:0.0=1.1,1.0=3.1]",
+        "x[Q6 R3 #12]",
+        "y[start:3|192@6.1x2|P:3.0=6.1,6.0=7.0]",
+        "x[Q6 R6 #8]",
+        "y[start:6|128@7.0x2|8@3.0x2|P:3.0=6.1,6.0=7.0]",
+        "x[Q6 R7 #0]",
+        "y[start:7|64@6.0x2|8@3.0x2|P:3.0=6.1,6.0=7.0]",
+        "x[Q7 R2 #14]",
+        "y[start:2|192@7.2x2|P:2.0=7.2,6.0=7.0]",
+        "x[Q7 R6 #0]",
+        "x[Q7 R7 #6]",
+        "y[start:7|64@6.0x2|4@2.0x2|P:2.0=7.2,6.0=7.0]",
+        "x[Q8 R6 #3]",
+        "y[start:6|128@7.3x2|P:6.2=7.3]",
+        "x[Q8 R7 #2]",
+        "y[start:7|64@6.2x2|P:6.2=7.3]",
+        "x[Q9 R1 #21]",
+        "y[start:1|4@2.1x2|192@7.2x2|P:1.0=2.1,2.0=7.2,6.0=7.0]",
+        "x[Q9 R2 #41]",
+        "y[start:2|192@7.2x2|2@-x1|P:1.0=2.1,2.0=7.2,6.0=7.0]",
+        "x[Q9 R6 #0]",
+        "y[start:6|128@7.0x2|4@2.0x2|2@-x1|P:1.0=2.1,2.0=7.2,6.0=7.0]",
+        "x[Q9 R7 #18]",
+        "y[start:7|64@6.0x2|4@2.0x2|2@-x1|P:1.0=2.1,2.0=7.2,6.0=7.0]",
+    ];
+
+    /// [`five_query_search_is_pinned`] on the ten-query model: the same
+    /// four facts of a 20 000-node solve.
+    #[test]
+    fn ten_query_search_is_pinned() {
+        let artifacts = build_ilp(&ten_query_candidates());
+        let config = SolverConfig {
+            node_limit: 20_000,
+            time_limit: Duration::MAX,
+            ..SolverConfig::default()
+        };
+        let solution = solve(&artifacts.model, config);
+        assert_eq!(solution.status, SolveStatus::Feasible);
+        assert_eq!(solution.nodes, 20_000);
+        assert_eq!(solution.objective.to_bits(), 0x40da_6865_aaf8_c19f);
+        assert_eq!(solution.incumbent_node, 0, "the greedy warm start");
+        let ones: Vec<&str> = solution
+            .assignment
+            .as_ref()
+            .unwrap()
+            .ones()
+            .map(|v| artifacts.model.var_name(v))
+            .collect();
+        assert_eq!(ones, TEN_QUERY_ONES);
         assert!(
             solution.bound <= solution.objective,
             "bound {} above objective {}",
