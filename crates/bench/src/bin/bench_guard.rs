@@ -1,8 +1,10 @@
 //! Bench regression guard: fails when `BENCH_hotpath.json` reports a
 //! closed-probe speedup below its checked-in floor
 //! (`ci/bench_floors.json`), an ingest or rule-kernel allocation count
-//! above its ceiling, a telemetry throughput ratio below the overhead
-//! floor, or a ten-query ILP solve rate below its nodes-per-second floor.
+//! above its ceiling, a ten-query ILP solve whose propagation examines more
+//! constraints per node than its ceiling, a telemetry throughput ratio
+//! below the overhead floor, or a ten-query ILP solve rate below its
+//! nodes-per-second floor.
 //!
 //! Usage:
 //!   cargo run -p clash-bench --bin bench_guard -- \
@@ -11,8 +13,8 @@
 //! Defaults: `BENCH_hotpath.json` and `ci/bench_floors.json` in the
 //! current directory. `--allocs-only` skips the timing floors — CI uses
 //! it on the freshly generated report of the (noisy, single-core) runner,
-//! where only the deterministic allocation metrics are assertable, while
-//! the full floors run against the committed report.
+//! where only the deterministic allocation and work-count metrics are
+//! assertable, while the full floors run against the committed report.
 //!
 //! Parsing is hand-rolled key scanning (the workspace's serde is an
 //! offline stub): both files are written by tooling in this repository,
@@ -123,6 +125,30 @@ fn main() -> ExitCode {
                 "{label} allocs-per-tuple metric or {ceiling_key} missing"
             )),
         }
+    }
+
+    // ILP propagation work: constraint examinations per branch-and-bound
+    // node of the ten-query solve. Deterministic like the allocation
+    // counts, so it holds on CI-fresh reports too.
+    let examined = report
+        .find("\"queries\": 10,")
+        .and_then(|at| number_after(&report, "examined_per_node", at).map(|(v, _)| v));
+    let ceiling = number_after(&floors, "max_ilp_examined_per_node", 0).map(|(v, _)| v);
+    match (examined, ceiling) {
+        (Some(got), Some(ceiling)) => {
+            checks += 1;
+            if got <= ceiling {
+                println!("ok    ten-query ILP examined/node: {got:.3} <= ceiling {ceiling:.3}");
+            } else {
+                violations.push(format!(
+                    "ten-query ILP examines {got:.3} constraints/node, above the \
+                     {ceiling:.3} ceiling"
+                ));
+            }
+        }
+        _ => violations.push(
+            "ten-query ILP examined_per_node or max_ilp_examined_per_node missing".to_string(),
+        ),
     }
 
     // Timing floors: held against the committed report only, not the

@@ -86,24 +86,26 @@ fn main() {
     }
     println!("\n# ILP solves (Fig. 7 models, default node limit, no time limit)\n");
     println!(
-        "{:<8} {:>10} {:>10} {:>10} {:>12} {:>14} {:>10} {:>12}",
+        "{:<8} {:>10} {:>10} {:>10} {:>12} {:>12} {:>14} {:>10} {:>12}",
         "queries",
         "variables",
         "nodes",
         "solve[ms]",
         "nodes/s",
+        "examined/node",
         "objective",
         "incumbent",
         "root bound"
     );
     for r in &report.ilp {
         println!(
-            "{:<8} {:>10} {:>10} {:>10.1} {:>12.0} {:>14.3} {:>10} {:>12.3}",
+            "{:<8} {:>10} {:>10} {:>10.1} {:>12.0} {:>12.3} {:>14.3} {:>10} {:>12.3}",
             r.queries,
             r.variables,
             r.nodes,
             r.solve_ms,
             r.nodes_per_sec(),
+            r.examined_per_node(),
             r.objective,
             r.incumbent_node,
             r.bound

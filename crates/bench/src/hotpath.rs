@@ -862,6 +862,8 @@ pub struct IlpRow {
     pub variables: usize,
     /// Branch-and-bound nodes explored (deterministic).
     pub nodes: u64,
+    /// Constraint examinations of the solve's propagation (deterministic).
+    pub examined: u64,
     /// Wall-clock solve time, best of [`BEST_OF`].
     pub solve_ms: f64,
     /// Objective of the returned assignment.
@@ -880,6 +882,11 @@ impl IlpRow {
         } else {
             0.0
         }
+    }
+
+    /// Constraint examinations per branch-and-bound node.
+    pub fn examined_per_node(&self) -> f64 {
+        self.examined as f64 / self.nodes.max(1) as f64
     }
 }
 
@@ -904,6 +911,7 @@ pub fn run_ilp() -> Vec<IlpRow> {
             let solution = &solutions[0];
             assert!(
                 solutions.iter().all(|s| s.nodes == solution.nodes
+                    && s.examined == solution.examined
                     && s.objective.to_bits() == solution.objective.to_bits()),
                 "repeated solves of one model must search identically"
             );
@@ -911,6 +919,7 @@ pub fn run_ilp() -> Vec<IlpRow> {
                 queries: queries.len(),
                 variables: model.num_vars(),
                 nodes: solution.nodes,
+                examined: solution.examined,
                 solve_ms: solutions
                     .iter()
                     .map(|s| s.elapsed.as_secs_f64() * 1000.0)
@@ -1060,13 +1069,15 @@ pub fn report_to_json(report: &HotpathReport) -> String {
     for (i, row) in report.ilp.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"queries\": {}, \"variables\": {}, \"solve_ms\": {:.1}, \"nodes\": {}, \
-             \"nodes_per_sec\": {:.1}, \"objective\": {:.3}, \"incumbent_node\": {}, \
-             \"bound\": {:.3}}}{}\n",
+             \"nodes_per_sec\": {:.1}, \"examined\": {}, \"examined_per_node\": {:.3}, \
+             \"objective\": {:.3}, \"incumbent_node\": {}, \"bound\": {:.3}}}{}\n",
             row.queries,
             row.variables,
             row.solve_ms,
             row.nodes,
             row.nodes_per_sec(),
+            row.examined,
+            row.examined_per_node(),
             row.objective,
             row.incumbent_node,
             row.bound,
@@ -1292,6 +1303,7 @@ mod tests {
                 queries: 10,
                 variables: 1_827,
                 nodes: 200_000,
+                examined: 720_000,
                 solve_ms: 800.0,
                 objective: 27_041.5,
                 incumbent_node: 0,
@@ -1315,6 +1327,7 @@ mod tests {
         assert!(json.contains("\"throughput_ratio\": 0.990"));
         assert!(json.contains("\"trace_events\": 42"));
         assert!(json.contains("\"nodes\": 200000, \"nodes_per_sec\": 250000.0"));
+        assert!(json.contains("\"examined\": 720000, \"examined_per_node\": 3.600"));
         assert!(json.contains("\"incumbent_node\": 0, \"bound\": 8904.250}"));
         // Balanced braces/brackets (no JSON parser in the offline build).
         assert_eq!(

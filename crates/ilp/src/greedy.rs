@@ -57,6 +57,9 @@ pub fn greedy(model: &Model) -> Option<(Assignment, f64)> {
         return None;
     }
     let choices = choice_constraints(model);
+    // Trial and best-so-far buffers, reused for every candidate.
+    let mut trial = domains.clone();
+    let mut best_domains = domains.clone();
 
     loop {
         // Pick the unsatisfied choice constraint with the fewest free
@@ -88,9 +91,9 @@ pub fn greedy(model: &Model) -> Option<(Assignment, f64)> {
         if candidates.is_empty() {
             return None;
         }
-        let mut best: Option<(VarId, Domains, f64)> = None;
+        let mut best: Option<f64> = None;
         for candidate in candidates {
-            let mut trial = domains.clone();
+            trial.clone_from(&domains);
             if !trial.fix(candidate, true) {
                 continue;
             }
@@ -99,16 +102,13 @@ pub fn greedy(model: &Model) -> Option<(Assignment, f64)> {
                 continue;
             }
             let objective = fixed_objective(model, &trial);
-            if best
-                .as_ref()
-                .map(|(_, _, obj)| objective < *obj)
-                .unwrap_or(true)
-            {
-                best = Some((candidate, trial, objective));
+            if best.is_none_or(|obj| objective < obj) {
+                best = Some(objective);
+                std::mem::swap(&mut best_domains, &mut trial);
             }
         }
-        let (_, next, _) = best?;
-        domains = next;
+        best?;
+        std::mem::swap(&mut domains, &mut best_domains);
     }
 
     // Complete the assignment: free variables default to 0; repair any

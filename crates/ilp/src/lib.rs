@@ -28,6 +28,8 @@ pub mod greedy;
 pub mod model;
 pub mod propagation;
 pub mod solver;
+#[cfg(test)]
+mod test_models;
 
 pub use enumerate::enumerate_optimal;
 pub use greedy::greedy;

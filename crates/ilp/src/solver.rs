@@ -23,12 +23,14 @@
 //! and satisfied flag, which branching and acceptance read instead of
 //! scanning the groups' members. A node that its fixed mass alone prunes
 //! touches none of this, the group sum stops once it reaches the
-//! incumbent (its terms are non-negative), and a node allocates nothing
-//! but its children's domains. None of this decides anything: every group
-//! term adds the same coefficients in the same order as a dense
-//! evaluation of the formula (kept in the tests as the oracle), so the
-//! same nodes are visited in the same order and the same incumbent is
-//! returned.
+//! incumbent (its terms are non-negative), propagation wakes only the
+//! constraints whose read bound a fix moves, and a node allocates nothing:
+//! its children's domains are copied into a buffer from a per-search pool.
+//! None of this decides anything: every group term adds the same
+//! coefficients in the same order as a dense evaluation of the formula
+//! (kept in the tests as the oracle), and propagation reaches the fixpoint
+//! a full pass reaches ([`Propagator::propagate_from`]), so the same nodes
+//! are visited in the same order and the same incumbent is returned.
 //!
 //! The solver is exact when it terminates within its node/time limits and
 //! degrades into an anytime heuristic (returning the best incumbent) when
@@ -96,6 +98,9 @@ pub struct Solution {
     /// Node at which the returned assignment was accepted; 0 when it is the
     /// greedy warm start (or there is none).
     pub incumbent_node: u64,
+    /// Constraint examinations of the search's propagation (root, requirement
+    /// lists and every node): its work, independent of the machine.
+    pub examined: u64,
     /// Wall-clock time spent.
     pub elapsed: Duration,
 }
@@ -137,11 +142,18 @@ impl<'a> ChoiceGroups<'a> {
             .collect();
         let mut groups_of = vec![Vec::new(); model.num_vars()];
         let mut requirements: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); model.num_vars()];
+        // A member of several groups is propagated once: `done` marks it
+        // even when its list stays empty.
+        let mut done = vec![false; model.num_vars()];
+        let mut trial = root.clone();
         for (g, terms) in members.iter().enumerate() {
             for (x, _) in terms.iter() {
                 groups_of[x.index()].push(g as u32);
-                let mut trial = root.clone();
-                if !requirements[x.index()].is_empty() || !trial.fix(*x, true) {
+                if std::mem::replace(&mut done[x.index()], true) {
+                    continue;
+                }
+                trial.clone_from(root);
+                if !trial.fix(*x, true) {
                     continue;
                 }
                 if let PropagationResult::Fixpoint(_) = propagator.propagate_from(&mut trial, *x) {
@@ -400,6 +412,10 @@ struct SearchState<'a> {
     propagator: Propagator<'a>,
     groups: ChoiceGroups<'a>,
     bound: GroupBound,
+    /// Spare child-domain buffers: each expanded node takes one for its
+    /// children and returns it on backtrack, so the pool grows to the
+    /// search depth and no node allocates.
+    pool: Vec<Domains>,
     /// Variables with a negative objective coefficient, ascending.
     negative: Vec<(VarId, f64)>,
     config: SolverConfig,
@@ -431,6 +447,7 @@ impl<'a> SearchState<'a> {
             propagator,
             groups,
             bound,
+            pool: Vec::new(),
             negative,
             config,
             started,
@@ -555,8 +572,10 @@ impl<'a> SearchState<'a> {
         let Some(var) = self.branching_variable(domains) else {
             return;
         };
+        // Both children are built in one buffer from the pool.
+        let mut child = self.pool.pop().unwrap_or_else(|| domains.clone());
         for value in [true, false] {
-            let mut child = domains.clone();
+            child.clone_from(domains);
             if !child.fix(var, value) {
                 continue;
             }
@@ -565,9 +584,10 @@ impl<'a> SearchState<'a> {
                 PropagationResult::Fixpoint(_) => self.search(domains, &child),
             }
             if self.limit_hit {
-                return;
+                break;
             }
         }
+        self.pool.push(child);
     }
 }
 
@@ -584,6 +604,7 @@ pub fn solve(model: &Model, config: SolverConfig) -> Solution {
             bound: f64::INFINITY,
             nodes: 0,
             incumbent_node: 0,
+            examined: propagator.examined(),
             elapsed: started.elapsed(),
         };
     }
@@ -618,6 +639,7 @@ pub fn solve(model: &Model, config: SolverConfig) -> Solution {
         },
         nodes: state.nodes,
         incumbent_node: state.incumbent_node,
+        examined: state.propagator.examined(),
         elapsed: started.elapsed(),
     }
 }
@@ -627,6 +649,7 @@ mod tests {
     use super::*;
     use crate::greedy::satisfied;
     use crate::model::{LinExpr, Sense};
+    use crate::test_models::random_model;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -782,59 +805,6 @@ mod tests {
         let s = solve(&m, SolverConfig::default());
         assert_optimal(&s, -5.0);
         assert!(s.assignment.unwrap().get(a));
-    }
-
-    /// A random selection-with-sharing model: choice groups whose
-    /// alternatives force random step subsets, some alternatives also
-    /// forcing an alternative of an earlier group (as maintenance orders
-    /// do; a costly one then sits in the forcing alternative's requirement
-    /// list), some alternatives of an earlier group also joining a later
-    /// group (a variable in two choice groups), and sometimes a
-    /// negative-cost variable.
-    fn random_model(rng: &mut StdRng) -> Model {
-        let mut m = Model::new();
-        let steps: Vec<VarId> = (0..rng.gen_range(3..40))
-            .map(|i| m.add_binary(format!("y{i}"), rng.gen_range(1..1000) as f64 / 7.0))
-            .collect();
-        let costly = if rng.gen_bool(0.5) { 0.1 } else { 0.6 };
-        let shared = if rng.gen_bool(0.5) { 0.0 } else { 0.3 };
-        let mut earlier: Vec<VarId> = Vec::new();
-        for g in 0..rng.gen_range(1..12) {
-            let alts: Vec<VarId> = (0..rng.gen_range(1..6))
-                .map(|a| {
-                    let coeff = if rng.gen_bool(costly) { 1.5 } else { 0.0 };
-                    m.add_binary(format!("x{g}_{a}"), coeff)
-                })
-                .collect();
-            for &x in &alts {
-                let mut expr = LinExpr::new();
-                let mut total = 0.0;
-                for _ in 0..rng.gen_range(1..6) {
-                    let y = steps[rng.gen_range(0..steps.len())];
-                    if expr.terms().iter().all(|(v, _)| *v != y) {
-                        expr.add(y, m.objective_coeff(y));
-                        total += m.objective_coeff(y);
-                    }
-                }
-                expr.add(x, -total);
-                m.add_constraint(format!("cost[{x}]"), expr, Sense::Ge, 0.0);
-                if !earlier.is_empty() && rng.gen_bool(0.2) {
-                    let other = earlier[rng.gen_range(0..earlier.len())];
-                    m.add_implies_any(format!("maintain[{x}]"), x, [other]);
-                }
-            }
-            let mut members = alts.clone();
-            if !earlier.is_empty() && rng.gen_bool(shared) {
-                members.push(earlier[rng.gen_range(0..earlier.len())]);
-            }
-            m.add_choose_one(format!("choice{g}"), members);
-            earlier.extend(alts);
-        }
-        if rng.gen_bool(0.25) {
-            let z = m.add_binary("z", -(rng.gen_range(1..50) as f64));
-            m.add_constraint("cover", LinExpr::sum([z, steps[0]]), Sense::Ge, 1.0);
-        }
-        m
     }
 
     /// Per choice alternative, the dense bitset of variables root
