@@ -28,8 +28,9 @@
 //!   that found it (0: the greedy warm start) and the root bound.
 
 use crate::allocs::AllocSpan;
+use crate::exactness::planned;
 use crate::fig7::{run_fig7, Fig7Row};
-use clash_catalog::{Catalog, Statistics};
+use clash_catalog::Catalog;
 use clash_common::{
     AttrId, AttrRef, Epoch, JoinSlot, QueryId, RelationId, RelationSet, Schema, Timestamp, Tuple,
     TupleBuilder, Value, Window,
@@ -43,6 +44,8 @@ use clash_optimizer::{
 use clash_query::{parse_query, EquiPredicate, StoreDescriptor};
 use clash_runtime::store::StoreInstance;
 use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Every suite takes the best of this many timed runs.
@@ -173,6 +176,13 @@ pub struct KernelReplay {
 }
 
 impl KernelReplay {
+    /// The replay's first `tuples` input tuples, 1 ms apart.
+    pub fn stream(&self, tuples: usize) -> Vec<(RelationId, Tuple)> {
+        TpchGenerator::new(0.002, 42)
+            .mixed_stream(&self.workload, tuples)
+            .expect("stream")
+    }
+
     /// Plans the replay's workload.
     pub fn plan() -> Self {
         let workload = TpchWorkload::new(2, Window::secs(5)).expect("workload");
@@ -195,10 +205,7 @@ impl KernelReplay {
     /// per-probe and per-result allocations from creeping back.
     pub fn allocs(&self, warmup: usize, tuples: usize) -> AllocsRow {
         let replay = || {
-            let mut stream = TpchGenerator::new(0.002, 42)
-                .mixed_stream(&self.workload, warmup + tuples)
-                .expect("stream")
-                .into_iter();
+            let mut stream = self.stream(warmup + tuples).into_iter();
             let catalog = self.workload.catalog.clone();
             let mut engine = LocalEngine::new(catalog, self.plan.clone(), EngineConfig::default());
             for (relation, tuple) in stream.by_ref().take(warmup) {
@@ -503,9 +510,7 @@ fn multi_source_stream(catalog: &Catalog, total: usize) -> Vec<(RelationId, Tupl
 /// contract) before reporting throughput.
 pub fn run_multi_source(total: usize, source_counts: &[usize]) -> Vec<MultiSourceRow> {
     let (catalog, queries) = multi_source_fixture();
-    let stats = Statistics::new();
-    let planner = Planner::with_defaults(&catalog, &stats);
-    let report = planner.plan(&queries, Strategy::Shared).expect("plan");
+    let plan = planned(&catalog, &queries, Strategy::Shared);
     let stream = multi_source_stream(&catalog, total);
     let config = EngineConfig::default();
     let mut rows = Vec::new();
@@ -514,12 +519,8 @@ pub fn run_multi_source(total: usize, source_counts: &[usize]) -> Vec<MultiSourc
     // Coordinator-ingest baseline: the single-producer front-end.
     let mut best: Option<MultiSourceRow> = None;
     for _ in 0..BEST_OF {
-        let mut engine = ParallelEngine::new(
-            catalog.clone(),
-            report.plan.clone(),
-            config,
-            MULTI_SOURCE_WORKERS,
-        );
+        let mut engine =
+            ParallelEngine::new(catalog.clone(), plan.clone(), config, MULTI_SOURCE_WORKERS);
         let started = Instant::now();
         for (relation, tuple) in &stream {
             engine.ingest(*relation, tuple.clone()).expect("ingest");
@@ -559,12 +560,8 @@ pub fn run_multi_source(total: usize, source_counts: &[usize]) -> Vec<MultiSourc
         let producer_threads = sources.clamp(1, thread_cap);
         let mut best: Option<MultiSourceRow> = None;
         for _ in 0..BEST_OF {
-            let mut engine = ParallelEngine::new(
-                catalog.clone(),
-                report.plan.clone(),
-                config,
-                MULTI_SOURCE_WORKERS,
-            );
+            let mut engine =
+                ParallelEngine::new(catalog.clone(), plan.clone(), config, MULTI_SOURCE_WORKERS);
             let handles: Vec<_> = (0..sources).map(|_| engine.open_source()).collect();
             // Round-robin split by round (not by tuple): each producer
             // pushes whole joining groups in stream order, and the domain
@@ -639,15 +636,16 @@ pub fn run_multi_source(total: usize, source_counts: &[usize]) -> Vec<MultiSourc
 
 /// One row of the reconfiguration scenario: the multi-source workload
 /// with a forced plan install every `installs_every` sequenced roots
-/// (0 = the install-free baseline). Installs go through the quiesce
-/// protocol under live producers, so the row measures what adaptive
-/// re-optimization costs the ingest path — and asserts it costs no
-/// results.
+/// (0 = the install-free baseline), `(tuples - 1) / installs_every` of
+/// them. Installs go through the quiesce protocol under live producers,
+/// so the row measures what adaptive re-optimization costs the ingest
+/// path — and asserts it costs no results.
 #[derive(Debug, Clone)]
 pub struct ReconfigRow {
     /// Forced install cadence in sequenced roots (0 = no installs).
     pub installs_every: usize,
-    /// Plan installs actually performed during the run.
+    /// Plan installs performed during the run: one at each multiple of
+    /// `installs_every` below `tuples` (asserted).
     pub installs: usize,
     /// Input stream length.
     pub tuples: usize,
@@ -662,13 +660,14 @@ pub struct ReconfigRow {
 /// multi-source workload while the main thread force-installs the same
 /// plan every `installs_every` roots (state carries over by descriptor
 /// key, so the result multiset must stay identical to the install-free
-/// baseline — any dropped push would change it). One row per cadence,
-/// best of [`BEST_OF`].
+/// baseline — any dropped push would change it). The `k`-th install
+/// lands at sequence position `k * installs_every` exactly: a producer
+/// holds a tuple past that boundary until the install is done, so a fast
+/// host cannot outrun the installs. One row per cadence, best of
+/// [`BEST_OF`].
 pub fn run_reconfig(total: usize, cadences: &[usize]) -> Vec<ReconfigRow> {
     let (catalog, queries) = multi_source_fixture();
-    let stats = Statistics::new();
-    let planner = Planner::with_defaults(&catalog, &stats);
-    let report = planner.plan(&queries, Strategy::Shared).expect("plan");
+    let plan = planned(&catalog, &queries, Strategy::Shared);
     let stream = multi_source_stream(&catalog, total);
     let config = EngineConfig::default();
     let sources = 2usize;
@@ -679,44 +678,42 @@ pub fn run_reconfig(total: usize, cadences: &[usize]) -> Vec<ReconfigRow> {
     for cadence in all_cadences {
         let mut best: Option<ReconfigRow> = None;
         for _ in 0..BEST_OF {
-            let mut engine = ParallelEngine::new(
-                catalog.clone(),
-                report.plan.clone(),
-                config,
-                MULTI_SOURCE_WORKERS,
-            );
+            let mut engine =
+                ParallelEngine::new(catalog.clone(), plan.clone(), config, MULTI_SOURCE_WORKERS);
             let handles: Vec<_> = (0..sources).map(|_| engine.open_source()).collect();
-            let mut slices: Vec<Vec<(RelationId, Tuple)>> =
+            let mut slices: Vec<Vec<(usize, RelationId, Tuple)>> =
                 (0..sources).map(|_| Vec::new()).collect();
-            for (idx, entry) in stream.iter().enumerate() {
-                slices[(idx / MULTI_SOURCE_RELS) % sources].push(entry.clone());
+            for (idx, (relation, tuple)) in stream.iter().enumerate() {
+                slices[(idx / MULTI_SOURCE_RELS) % sources].push((idx, *relation, tuple.clone()));
             }
+            let installed = Arc::new(AtomicUsize::new(0));
             let started = Instant::now();
             let producers: Vec<_> = handles
                 .into_iter()
                 .zip(slices)
                 .map(|(mut handle, slice)| {
+                    let installed = Arc::clone(&installed);
                     std::thread::spawn(move || {
-                        for (relation, tuple) in slice {
+                        for (idx, relation, tuple) in slice {
+                            // Stream position `idx` lies past `idx / cadence`
+                            // install boundaries.
+                            while cadence > 0 && installed.load(Ordering::Acquire) < idx / cadence {
+                                std::thread::yield_now();
+                            }
                             handle.push(relation, tuple).expect("push");
                         }
                     })
                 })
                 .collect();
-            let mut installs = 0usize;
-            if cadence > 0 {
-                let mut next_at = cadence as u64;
-                while producers.iter().any(|p| !p.is_finished()) {
-                    if engine.sequenced() >= next_at {
-                        engine
-                            .install_plan(report.plan.clone())
-                            .expect("quiesced install");
-                        installs += 1;
-                        next_at = engine.sequenced() + cadence as u64;
-                    } else {
-                        std::thread::yield_now();
-                    }
+            let installs = (total - 1).checked_div(cadence).unwrap_or(0);
+            for k in 1..=installs {
+                let at = (k * cadence) as u64;
+                while engine.sequenced() < at {
+                    std::thread::yield_now();
                 }
+                let position = engine.install_plan(plan.clone()).expect("quiesced install");
+                assert_eq!(position, at, "install {k} of cadence {cadence}");
+                installed.store(k, Ordering::Release);
             }
             for producer in producers {
                 producer.join().expect("producer thread");
@@ -763,92 +760,100 @@ fn busy_balance(engine: &ParallelEngine) -> f64 {
     }
 }
 
-/// Telemetry overhead on the ingest hot path: the Fig. 7 five-query
-/// workload replayed on the sequential engine with the trace ring
-/// disabled (`trace_capacity = 0`, the one-branch fast path) and enabled
-/// (the default capacity, every event paying its ring write), best of
-/// [`BEST_OF`] each, the two sides alternating. The ratio is what
-/// `bench_guard` holds above the
-/// floor in `ci/bench_floors.json`: tracing must stay within a few
-/// percent of the untraced throughput, or it is not always-on telemetry.
+/// Traced/untraced pairs of the telemetry row.
+const TELEMETRY_PAIRS: usize = 5;
+
+/// Input tuples one side of a telemetry pair ingests before the other
+/// takes its turn.
+const TELEMETRY_CHUNK: usize = 500;
+
+/// Telemetry overhead on the ingest hot path: the kernel replay's
+/// finite-window (5 s) five-query plan ([`KernelReplay`]) replayed on the
+/// sequential engine with the trace ring disabled (`trace_capacity = 0`,
+/// the one-branch fast path) and enabled (the default capacity, every
+/// event paying its ring write), in `TELEMETRY_PAIRS` pairs. The two
+/// engines of a pair take turns every `TELEMETRY_CHUNK` tuples, and
+/// only the tuples after `KERNEL_WARMUP` (the window full) are timed.
+/// The ratio is what `bench_guard` holds above the floor in
+/// `ci/bench_floors.json`: tracing must stay within a few percent of the
+/// untraced throughput, or it is not always-on telemetry.
 #[derive(Debug, Clone, Copy)]
 pub struct TelemetryOverheadRow {
     /// Input stream length.
     pub tuples: usize,
-    /// Wall-clock throughput with the trace ring disabled (tuples/sec).
+    /// Median wall-clock throughput with the trace ring disabled
+    /// (tuples/sec).
     pub untraced_tps: f64,
-    /// Wall-clock throughput with the default trace ring (tuples/sec).
+    /// Median wall-clock throughput with the default trace ring
+    /// (tuples/sec).
     pub traced_tps: f64,
+    /// Median over the pairs of traced / untraced throughput: 1.0 means
+    /// tracing is free, 0.97 means a 3% hot-path tax.
+    pub throughput_ratio: f64,
     /// Events left in the ring after the traced run (caps at the ring
     /// capacity; nonzero proves the traced run actually recorded).
     pub trace_events: usize,
 }
 
-impl TelemetryOverheadRow {
-    /// traced / untraced throughput: 1.0 means tracing is free, 0.97
-    /// means a 3% hot-path tax.
-    pub fn throughput_ratio(&self) -> f64 {
-        if self.untraced_tps > 0.0 {
-            self.traced_tps / self.untraced_tps
-        } else {
-            0.0
-        }
-    }
+/// The middle value of an odd-length sample.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
-/// Runs the telemetry overhead scenario. Asserts the traced and untraced
-/// runs produce identical result counts (observation must not perturb
-/// the join) and that the traced run recorded events.
-pub fn run_telemetry_overhead(num_tuples: usize) -> TelemetryOverheadRow {
-    let workload = TpchWorkload::new(2, Window::secs(3600)).expect("workload");
-    let queries = workload.five_queries().expect("queries");
-    let planner = Planner::new(&workload.catalog, &workload.stats, PlannerConfig::default());
-    let report = planner.plan(&queries, Strategy::GlobalIlp).expect("plan");
-    let mut generator = TpchGenerator::new(0.002, 42);
-    let stream = generator
-        .mixed_stream(&workload, num_tuples)
-        .expect("stream");
-
-    let mut expected: Option<u64> = None;
-    let mut trace_events = 0usize;
-    let mut tps = [0.0f64; 2];
+/// Runs the telemetry overhead scenario over `num_tuples` of `replay`'s
+/// stream after its warm-up. Asserts the traced and untraced runs produce
+/// identical result counts (observation must not perturb the join) and
+/// that the traced run recorded events.
+pub fn run_telemetry_overhead(replay: &KernelReplay, num_tuples: usize) -> TelemetryOverheadRow {
+    let stream = replay.stream(KERNEL_WARMUP + num_tuples);
     let capacities = [0usize, EngineConfig::default().trace_capacity];
-    // Repetitions alternate the sides (and which goes first), so a drift
-    // of the host's speed during the row falls on both.
-    for rep in 0..BEST_OF {
-        for which in [rep % 2, 1 - rep % 2] {
-            let capacity = capacities[which];
+    let mut trace_events = 0usize;
+    let mut pairs = Vec::with_capacity(TELEMETRY_PAIRS);
+    for pair in 0..TELEMETRY_PAIRS {
+        let mut engines = capacities.map(|trace_capacity| {
             let config = EngineConfig {
-                trace_capacity: capacity,
+                trace_capacity,
                 ..EngineConfig::default()
             };
-            let mut engine =
-                LocalEngine::new(workload.catalog.clone(), report.plan.clone(), config);
-            let started = Instant::now();
-            for (relation, tuple) in &stream {
-                engine.ingest(*relation, tuple.clone()).expect("ingest");
+            LocalEngine::new(replay.workload.catalog.clone(), replay.plan.clone(), config)
+        });
+        // The two sides take turns chunk by chunk, so a change of the
+        // host's speed falls on both.
+        let mut elapsed = [0.0f64; 2];
+        for (i, chunk) in stream.chunks(TELEMETRY_CHUNK).enumerate() {
+            for which in [(pair + i) % 2, 1 - (pair + i) % 2] {
+                let started = Instant::now();
+                for (relation, tuple) in chunk {
+                    engines[which]
+                        .ingest(*relation, tuple.clone())
+                        .expect("ingest");
+                }
+                if i * TELEMETRY_CHUNK >= KERNEL_WARMUP {
+                    elapsed[which] += started.elapsed().as_secs_f64();
+                }
             }
-            let elapsed = started.elapsed().as_secs_f64();
-            let results = engine.snapshot().total_results();
-            assert_eq!(
-                *expected.get_or_insert(results),
-                results,
-                "tracing changed the result count (capacity {capacity})"
-            );
-            let events = engine.drain_trace().len();
-            if capacity == 0 {
-                assert_eq!(events, 0, "disabled ring must record nothing");
-            } else {
-                assert!(events > 0, "enabled ring recorded nothing");
-                trace_events = trace_events.max(events);
-            }
-            tps[which] = tps[which].max(num_tuples as f64 / elapsed);
         }
+        let [untraced, traced] = &mut engines;
+        assert_eq!(
+            untraced.snapshot().total_results(),
+            traced.snapshot().total_results(),
+            "tracing changed the result count"
+        );
+        assert!(
+            untraced.drain_trace().is_empty(),
+            "disabled ring must record nothing"
+        );
+        let events = traced.drain_trace().len();
+        assert!(events > 0, "enabled ring recorded nothing");
+        trace_events = trace_events.max(events);
+        pairs.push(elapsed.map(|secs| num_tuples as f64 / secs));
     }
     TelemetryOverheadRow {
         tuples: num_tuples,
-        untraced_tps: tps[0],
-        traced_tps: tps[1],
+        untraced_tps: median(pairs.iter().map(|[untraced, _]| *untraced).collect()),
+        traced_tps: median(pairs.iter().map(|[_, traced]| *traced).collect()),
+        throughput_ratio: median(pairs.iter().map(|[u, t]| t / u).collect()),
         trace_events,
     }
 }
@@ -947,7 +952,7 @@ pub fn run_hotpath(iters: usize, fig7_tuples: usize) -> HotpathReport {
     let multi_source = run_multi_source(fig7_tuples.clamp(1_000, 100_000), &[1, 2, 4]);
     let reconfig_total = fig7_tuples.clamp(1_000, 100_000);
     let reconfig = run_reconfig(reconfig_total, &[reconfig_total / 4, reconfig_total / 16]);
-    let telemetry = run_telemetry_overhead(fig7_tuples.clamp(1_000, 100_000));
+    let telemetry = run_telemetry_overhead(&kernel, fig7_tuples.clamp(1_000, 100_000));
     let ilp = run_ilp();
     HotpathReport {
         iters,
@@ -1062,7 +1067,7 @@ pub fn report_to_json(report: &HotpathReport) -> String {
         report.telemetry.tuples,
         report.telemetry.untraced_tps,
         report.telemetry.traced_tps,
-        report.telemetry.throughput_ratio(),
+        report.telemetry.throughput_ratio,
         report.telemetry.trace_events
     ));
     out.push_str("  \"ilp\": [\n");
@@ -1180,10 +1185,7 @@ mod tests {
             .register("S", ["a"], Window::secs(3_600), 1)
             .unwrap();
         let query = parse_query(&catalog, QueryId::new(0), "rs", "R(a), S(a)").unwrap();
-        let plan = Planner::with_defaults(&catalog, &Statistics::new())
-            .plan(&[query], Strategy::Shared)
-            .unwrap()
-            .plan;
+        let plan = planned(&catalog, &[query], Strategy::Shared);
         let tuple = |relation: &str, ts: u64| {
             let meta = catalog.relation_by_name(relation).unwrap();
             let schema = &meta.schema;
@@ -1234,6 +1236,10 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].installs_every, 0);
         assert_eq!(rows[0].installs, 0);
+        assert_eq!(
+            rows[1].installs, 5,
+            "one install at each of 200, 400, ..., 1000"
+        );
         assert!(rows[0].results > 0, "workload must produce results");
         for row in &rows {
             assert_eq!(
@@ -1249,10 +1255,10 @@ mod tests {
     fn telemetry_overhead_row_is_consistent() {
         // Small stream: validates the identical-results assertion inside
         // the scenario plus the row plumbing, not timings.
-        let row = run_telemetry_overhead(1_500);
+        let row = run_telemetry_overhead(&KernelReplay::plan(), 1_500);
         assert_eq!(row.tuples, 1_500);
         assert!(row.untraced_tps > 0.0 && row.traced_tps > 0.0);
-        assert!(row.throughput_ratio() > 0.0);
+        assert!(row.throughput_ratio > 0.0);
         assert!(row.trace_events > 0, "traced run must record events");
     }
 
@@ -1288,7 +1294,7 @@ mod tests {
             }],
             reconfig: vec![ReconfigRow {
                 installs_every: 64,
-                installs: 3,
+                installs: 1,
                 tuples: 100,
                 wall_tps: 10.0,
                 results: 5,
@@ -1297,6 +1303,7 @@ mod tests {
                 tuples: 100,
                 untraced_tps: 100.0,
                 traced_tps: 99.0,
+                throughput_ratio: 0.99,
                 trace_events: 42,
             },
             ilp: vec![IlpRow {
@@ -1320,7 +1327,7 @@ mod tests {
         assert!(json.contains("\"multi_source\""));
         assert!(json.contains("\"busy_balance\": 0.500"));
         assert!(json.contains("\"reconfig\""));
-        assert!(json.contains("\"installs_every\": 64"));
+        assert!(json.contains("\"installs_every\": 64, \"installs\": 1, \"tuples\": 100"));
         assert!(json.contains("\"latency_p50_ms\": 0.200"));
         assert!(json.contains("\"latency_p99_ms\": 0.900"));
         assert!(json.contains("\"telemetry\""));

@@ -13,9 +13,13 @@
 //! | Fig. 9f (optimization runtime vs. query size) | [`fig9::run_query_size_sweep`] |
 //! | Ablations (DESIGN.md) | [`ablation`] |
 //! | Hot-path report, `BENCH_hotpath.json` (not a paper figure) | [`hotpath::run_hotpath`] |
+//!
+//! [`exactness`] is not a figure: it drives a plan over a stream on every
+//! engine path for the engine-equivalence tests.
 
 pub mod ablation;
 pub mod allocs;
+pub mod exactness;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;

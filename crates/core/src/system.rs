@@ -112,7 +112,6 @@ pub struct ClashSystem {
     /// coordinator-thread ingest). On the local runtime the ingest path
     /// drives it, as before.
     controller: Option<Arc<Mutex<AdaptiveController>>>,
-    strategy: Strategy,
     last_report: Option<OptimizationReport>,
     last_epoch_seen: Epoch,
 }
@@ -138,7 +137,6 @@ impl ClashSystem {
             next_query_id: 0,
             engine: None,
             controller: None,
-            strategy: Strategy::GlobalIlp,
             last_report: None,
             last_epoch_seen: Epoch::ZERO,
         }
@@ -251,7 +249,6 @@ impl ClashSystem {
         if self.queries.is_empty() {
             return Err(ClashError::Optimization("no queries registered".into()));
         }
-        self.strategy = strategy;
         let adaptive_config = AdaptiveConfig {
             strategy,
             planner: self.config.planner,

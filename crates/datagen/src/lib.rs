@@ -16,7 +16,11 @@
 //!   the adaptivity experiments (Fig. 8).
 //! * [`zipf`] — a seeded Zipfian rank sampler for the skew experiments
 //!   (hot-key distributions the uniform generators never produce).
+//! * [`exactness`] — the fixtures of the engine-equivalence tests: two
+//!   small chain catalogs, a seeded random stream, one rendering of a
+//!   result multiset and the brute-force windowed reference join.
 
+pub mod exactness;
 pub mod synthetic;
 pub mod tpch;
 pub mod zipf;

@@ -19,11 +19,15 @@ use clash_query::{
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
+/// Cap on probe order candidates per (query, start) pair.
+const MAX_CANDIDATES_PER_START: usize = 64;
+
+/// Cap on the number of partitioning combinations per probe order.
+const MAX_PARTITIONINGS_PER_ORDER: usize = 16;
+
 /// Configuration of the plan-space enumeration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanSpaceConfig {
-    /// Cap on probe order candidates per (query, start) pair.
-    pub max_candidates_per_start: Option<usize>,
     /// When `false`, only base relations may be probed (no intermediate
     /// result stores). Used by the MIR-materialization ablation.
     pub materialize_intermediates: bool,
@@ -31,17 +35,13 @@ pub struct PlanSpaceConfig {
     /// attributes (every multi-partition store is broadcast to). Used by
     /// the χ-awareness ablation.
     pub partitioning_enabled: bool,
-    /// Cap on the number of partitioning combinations per probe order.
-    pub max_partitionings_per_order: usize,
 }
 
 impl Default for PlanSpaceConfig {
     fn default() -> Self {
         PlanSpaceConfig {
-            max_candidates_per_start: Some(64),
             materialize_intermediates: true,
             partitioning_enabled: true,
-            max_partitionings_per_order: 16,
         }
     }
 }
@@ -254,7 +254,7 @@ fn partition_options(
 }
 
 /// Decorates one probe order of `query` with every combination of store
-/// partitionings (capped by the configuration) and computes the costs.
+/// partitionings (capped) and computes the costs.
 fn decorate_order(
     estimator: &CardinalityEstimator<'_>,
     catalog: &Catalog,
@@ -269,24 +269,7 @@ fn decorate_order(
         .iter()
         .map(|s| partition_options(catalog, queries, query.mir(*s), config))
         .collect();
-    // Cartesian product, capped.
-    let mut combos: Vec<Vec<StoreDescriptor>> = vec![Vec::new()];
-    for step_options in &options {
-        let mut next = Vec::new();
-        'outer: for combo in &combos {
-            for option in step_options {
-                let mut c = combo.clone();
-                c.push(*option);
-                next.push(c);
-                if next.len() >= config.max_partitionings_per_order {
-                    break 'outer;
-                }
-            }
-        }
-        combos = next;
-    }
-
-    combos
+    partition_combos(&options, MAX_PARTITIONINGS_PER_ORDER)
         .into_iter()
         .map(|stores| {
             let cost = probe_cost(estimator, query, order, &stores);
@@ -306,6 +289,27 @@ fn decorate_order(
             }
         })
         .collect()
+}
+
+/// The Cartesian product of the per-step partitioning `options`, its
+/// first `cap` combinations.
+fn partition_combos(options: &[Vec<StoreDescriptor>], cap: usize) -> Vec<Vec<StoreDescriptor>> {
+    let mut combos: Vec<Vec<StoreDescriptor>> = vec![Vec::new()];
+    for step_options in options {
+        let mut next = Vec::new();
+        'outer: for combo in &combos {
+            for option in step_options {
+                let mut c = combo.clone();
+                c.push(*option);
+                next.push(c);
+                if next.len() >= cap {
+                    break 'outer;
+                }
+            }
+        }
+        combos = next;
+    }
+    combos
 }
 
 /// Enumerates the full plan space of a workload.
@@ -329,7 +333,7 @@ pub fn enumerate_candidates(
                 query,
                 &mirs,
                 start,
-                config.max_candidates_per_start,
+                Some(MAX_CANDIDATES_PER_START),
             );
             let mut decorated = Vec::new();
             for order in &orders {
@@ -389,7 +393,7 @@ fn register_subquery_orders(
             &subquery,
             &base_mirs,
             start,
-            config.max_candidates_per_start,
+            Some(MAX_CANDIDATES_PER_START),
         );
         let best = orders
             .iter()
@@ -595,13 +599,13 @@ mod tests {
 
     #[test]
     fn candidate_cap_limits_partitioning_combinations() {
-        let (catalog, stats, queries) = setup();
-        let config = PlanSpaceConfig {
-            max_partitionings_per_order: 1,
-            ..PlanSpaceConfig::default()
-        };
-        let set = enumerate_candidates(&catalog, &stats, &queries, &config);
-        let full = enumerate_candidates(&catalog, &stats, &queries, &PlanSpaceConfig::default());
-        assert!(set.num_probe_orders() <= full.num_probe_orders());
+        let option = |r| StoreDescriptor::unpartitioned(RelationSet::singleton(RelationId::new(r)));
+        let options = vec![vec![option(0), option(1), option(2)]; 3];
+        assert_eq!(partition_combos(&options, usize::MAX).len(), 27);
+        assert_eq!(
+            partition_combos(&options, MAX_PARTITIONINGS_PER_ORDER).len(),
+            16
+        );
+        assert_eq!(partition_combos(&options, 1).len(), 1);
     }
 }

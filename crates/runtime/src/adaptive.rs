@@ -61,15 +61,9 @@ pub struct AdaptiveController {
     queries: Vec<JoinQuery>,
     prior: Statistics,
     config: AdaptiveConfig,
-    last_planned_epoch: Option<Epoch>,
-    /// Epoch at which the last pending configuration was activated:
-    /// pending activation is idempotent per epoch. Today's scheduling
-    /// (`pending` is always set for `current_epoch.next()` and
-    /// `last_planned_epoch` dedupes same-epoch re-plans) cannot produce
-    /// a same-epoch double activation on its own; this guard pins that
-    /// invariant against timer-driven cadences where the same boundary
-    /// fires from more than one caller and epoch gaps are routine.
-    last_installed_epoch: Option<Epoch>,
+    /// The latest epoch [`Self::on_epoch`] handled: a boundary is handled
+    /// once, and only a later one is handled next.
+    last_epoch: Option<Epoch>,
     /// Set by query registration/removal since the last re-planning; a
     /// query-set change forces re-planning even for an epoch without
     /// fresh statistics.
@@ -103,8 +97,7 @@ impl AdaptiveController {
                 queries,
                 prior,
                 config,
-                last_planned_epoch: None,
-                last_installed_epoch: None,
+                last_epoch: None,
                 queries_dirty: false,
                 pending: None,
                 reconfigurations: 0,
@@ -136,40 +129,28 @@ impl AdaptiveController {
         self.queries_dirty |= self.queries.len() != before;
     }
 
-    /// Called by the driver whenever stream time has advanced to
-    /// `current_epoch`. Gathers the statistics of the previous epoch,
-    /// re-plans, and schedules / installs new configurations. Returns
-    /// `true` when a new configuration was installed into the engine.
-    /// Works on any engine exposing [`EngineControl`] — the sequential
-    /// `LocalEngine` or the sharded runtime (whose control-plane epoch
-    /// driver flushes before the call so the statistics are current).
-    ///
-    /// Timer-driven cadences make two situations routine that the
-    /// ingest-driven cadence never produced, and both are handled here:
-    /// *skipped epochs* (a pending plan scheduled for epoch `e+1` may
-    /// only become due at some later epoch — it is installed exactly
-    /// once, `last_installed_epoch` making the activation idempotent per
-    /// epoch) and *empty epochs* (no arrivals were recorded — without
-    /// fresh observations re-planning would run on stale statistics and
-    /// could flap configurations, so it is skipped unless the query set
-    /// changed). A transient install failure ([`EngineControl::install_plan`]
-    /// errors) keeps the pending plan so a later epoch can retry, and
-    /// propagates the error — except [`ClashError::InvalidPlan`]: a
-    /// statically invalid candidate is dropped (counted in
-    /// [`Self::rejected_candidates`]) and the live plan keeps running.
+    /// Handles the boundary into `current_epoch`: installs a pending plan
+    /// that has become due, then re-plans on the statistics of the epoch
+    /// that just finished. Returns `true` when it installed a plan. Only
+    /// an epoch later than the last one handled does anything; any other
+    /// returns `Ok(false)` at once. A failed install keeps the plan pending
+    /// for the next boundary and returns the error; an invalid one
+    /// ([`ClashError::InvalidPlan`]) is dropped and counted in
+    /// [`Self::rejected_candidates`].
     pub fn on_epoch<E: EngineControl>(
         &mut self,
         engine: &mut E,
         current_epoch: Epoch,
     ) -> Result<bool> {
-        // Install a configuration that has become due (at most once per
-        // distinct epoch).
+        if self.last_epoch.is_some_and(|last| current_epoch <= last) {
+            return Ok(false);
+        }
+        self.last_epoch = Some(current_epoch);
         let mut installed = false;
         if let Some((effective, plan)) = self.pending.take() {
-            if current_epoch >= effective && self.last_installed_epoch != Some(current_epoch) {
+            if current_epoch >= effective {
                 match engine.install_plan(plan.clone()) {
                     Ok(()) => {
-                        self.last_installed_epoch = Some(current_epoch);
                         self.reconfigurations += 1;
                         installed = true;
                     }
@@ -193,10 +174,6 @@ impl AdaptiveController {
         if !self.config.enabled {
             return Ok(installed);
         }
-        if self.last_planned_epoch == Some(current_epoch) {
-            return Ok(installed);
-        }
-        self.last_planned_epoch = Some(current_epoch);
         if current_epoch == Epoch::ZERO {
             return Ok(installed);
         }

@@ -352,86 +352,24 @@ impl EngineControl for LocalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clash_catalog::Statistics;
-    use clash_common::{QueryId, TupleBuilder, Window};
+    use crate::test_fixture::{planned, setup, tuple, workload, workload_in};
+    use clash_common::{QueryId, Window};
     use clash_optimizer::{Planner, Strategy};
-    use clash_query::parse_query;
-
-    /// Builds the running example: R(a), S(a,b), T(b) plus a second query
-    /// sharing S and T, returns (catalog, queries).
-    fn setup(parallelism: usize) -> (Catalog, Vec<clash_query::JoinQuery>, Statistics) {
-        let mut catalog = Catalog::new();
-        catalog.register("R", ["a"], Window::secs(3600), 1).unwrap();
-        catalog
-            .register("S", ["a", "b"], Window::secs(3600), parallelism)
-            .unwrap();
-        catalog
-            .register("T", ["b", "c"], Window::secs(3600), parallelism)
-            .unwrap();
-        catalog.register("U", ["c"], Window::secs(3600), 1).unwrap();
-        let mut stats = Statistics::new();
-        for m in catalog.iter().map(|m| m.id).collect::<Vec<_>>() {
-            stats.set_rate(m, 100.0);
-        }
-        let q1 = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
-        let q2 = parse_query(&catalog, QueryId::new(1), "q2", "S(b), T(b,c), U(c)").unwrap();
-        (catalog, vec![q1, q2], stats)
-    }
 
     fn engine_for(strategy: Strategy, parallelism: usize) -> (LocalEngine, Catalog) {
-        let (catalog, queries, stats) = setup(parallelism);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, strategy).unwrap();
+        let (catalog, plan) = planned(parallelism, strategy);
         (
-            LocalEngine::new(catalog.clone(), report.plan, EngineConfig::default()),
+            LocalEngine::new(catalog.clone(), plan, EngineConfig::default()),
             catalog,
         )
     }
 
-    fn tuple(catalog: &Catalog, relation: &str, ts: u64, values: &[(&str, i64)]) -> Tuple {
-        let meta = catalog.relation_by_name(relation).unwrap();
-        let mut b = TupleBuilder::new(&meta.schema, Timestamp::from_millis(ts));
-        for (attr, v) in values {
-            b = b.set(attr, *v);
-        }
-        b.build()
-    }
-
-    /// Reference join for q1 = R ⋈ S ⋈ T: every (r, s, t) combination with
-    /// r.a = s.a and s.b = t.b counts exactly once.
+    /// Ingests the fixture's workload; returns the result counts it has
+    /// for q1 and q2.
     fn ingest_workload(engine: &mut LocalEngine, catalog: &Catalog) -> (u64, u64) {
-        let r_id = catalog.relation_id("R").unwrap();
-        let s_id = catalog.relation_id("S").unwrap();
-        let t_id = catalog.relation_id("T").unwrap();
-        let u_id = catalog.relation_id("U").unwrap();
-        let mut ts = 0u64;
-        let mut next_ts = || {
-            ts += 10;
-            ts
-        };
-        // 3 R tuples with a in {1,2,3}; 4 S tuples; 3 T tuples; 2 U tuples.
-        for a in 1..=3i64 {
-            let t = tuple(catalog, "R", next_ts(), &[("a", a)]);
-            engine.ingest(r_id, t).unwrap();
+        for (relation, t) in workload(catalog) {
+            engine.ingest(relation, t).unwrap();
         }
-        for (a, b) in [(1, 10), (1, 20), (2, 10), (9, 30)] {
-            let t = tuple(catalog, "S", next_ts(), &[("a", a), ("b", b)]);
-            engine.ingest(s_id, t).unwrap();
-        }
-        for (b, c) in [(10, 100), (20, 100), (30, 200)] {
-            let t = tuple(catalog, "T", next_ts(), &[("b", b), ("c", c)]);
-            engine.ingest(t_id, t).unwrap();
-        }
-        for c in [100i64, 300] {
-            let t = tuple(catalog, "U", next_ts(), &[("c", c)]);
-            engine.ingest(u_id, t).unwrap();
-        }
-        // Expected q1 results: joins over (R.a = S.a, S.b = T.b):
-        //   R(a=1)×S(1,10)×T(10,*): 1;  R(1)×S(1,20)×T(20,100): 1;
-        //   R(2)×S(2,10)×T(10,100): 1  => 3 results.
-        // Expected q2 results (S.b = T.b, T.c = U.c):
-        //   S(1,10)×T(10,100)×U(100), S(2,10)×T(10,100)×U(100),
-        //   S(1,20)×T(20,100)×U(100) => 3 results.
         (3, 3)
     }
 
@@ -511,30 +449,8 @@ mod tests {
 
         let (mut engine2, catalog2) = engine_for(Strategy::Shared, 1);
         // Same tuples, different interleaving (T before S).
-        let r_id = catalog2.relation_id("R").unwrap();
-        let s_id = catalog2.relation_id("S").unwrap();
-        let t_id = catalog2.relation_id("T").unwrap();
-        let u_id = catalog2.relation_id("U").unwrap();
-        let mut ts = 0u64;
-        let mut next_ts = || {
-            ts += 10;
-            ts
-        };
-        for (b, c) in [(10, 100), (20, 100), (30, 200)] {
-            let t = tuple(&catalog2, "T", next_ts(), &[("b", b), ("c", c)]);
-            engine2.ingest(t_id, t).unwrap();
-        }
-        for a in 1..=3i64 {
-            let t = tuple(&catalog2, "R", next_ts(), &[("a", a)]);
-            engine2.ingest(r_id, t).unwrap();
-        }
-        for c in [100i64, 300] {
-            let t = tuple(&catalog2, "U", next_ts(), &[("c", c)]);
-            engine2.ingest(u_id, t).unwrap();
-        }
-        for (a, b) in [(1, 10), (1, 20), (2, 10), (9, 30)] {
-            let t = tuple(&catalog2, "S", next_ts(), &[("a", a), ("b", b)]);
-            engine2.ingest(s_id, t).unwrap();
+        for (relation, t) in workload_in(&catalog2, ["T", "R", "U", "S"]) {
+            engine2.ingest(relation, t).unwrap();
         }
         assert_eq!(engine2.snapshot().total_results(), baseline);
     }
@@ -592,10 +508,8 @@ mod tests {
 
     #[test]
     fn sink_receives_emitted_results() {
-        let (catalog, queries, stats) = setup(1);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, Strategy::Shared).unwrap();
-        let mut engine = LocalEngine::new(catalog.clone(), report.plan, EngineConfig::default());
+        let (catalog, plan) = planned(1, Strategy::Shared);
+        let mut engine = LocalEngine::new(catalog.clone(), plan, EngineConfig::default());
         let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         let c2 = counter.clone();
         engine.set_sink(Box::new(move |_, _| {

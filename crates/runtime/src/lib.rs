@@ -46,6 +46,8 @@ pub mod parallel;
 mod plan;
 pub mod stats_collector;
 pub mod store;
+#[cfg(test)]
+mod test_fixture;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController, ControllerDecision};
 pub use engine::{EngineConfig, EngineControl, LocalEngine, ResultSink};

@@ -547,119 +547,9 @@ pub fn auto_workers(plan: &TopologyPlan) -> usize {
 mod tests {
     use super::*;
     use crate::engine::LocalEngine;
-    use clash_common::{TupleBuilder, Window};
+    use crate::test_fixture::{planned, setup, tuple, workload};
+    use clash_common::Window;
     use clash_optimizer::{Planner, Strategy};
-    use clash_query::parse_query;
-
-    /// The running example of the engine tests: R(a), S(a,b), T(b) and a
-    /// second query sharing S and T.
-    fn setup(parallelism: usize) -> (Catalog, Vec<clash_query::JoinQuery>, Statistics) {
-        let mut catalog = Catalog::new();
-        catalog.register("R", ["a"], Window::secs(3600), 1).unwrap();
-        catalog
-            .register("S", ["a", "b"], Window::secs(3600), parallelism)
-            .unwrap();
-        catalog
-            .register("T", ["b", "c"], Window::secs(3600), parallelism)
-            .unwrap();
-        catalog.register("U", ["c"], Window::secs(3600), 1).unwrap();
-        let mut stats = Statistics::new();
-        for m in catalog.iter().map(|m| m.id).collect::<Vec<_>>() {
-            stats.set_rate(m, 100.0);
-        }
-        let q1 = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
-        let q2 = parse_query(&catalog, QueryId::new(1), "q2", "S(b), T(b,c), U(c)").unwrap();
-        (catalog, vec![q1, q2], stats)
-    }
-
-    fn tuple(catalog: &Catalog, relation: &str, ts: u64, values: &[(&str, i64)]) -> Tuple {
-        let meta = catalog.relation_by_name(relation).unwrap();
-        let mut b = TupleBuilder::new(&meta.schema, Timestamp::from_millis(ts));
-        for (attr, v) in values {
-            b = b.set(attr, *v);
-        }
-        b.build()
-    }
-
-    fn workload(catalog: &Catalog) -> Vec<(clash_common::RelationId, Tuple)> {
-        let mut ts = 0u64;
-        let mut next_ts = || {
-            ts += 10;
-            ts
-        };
-        let mut stream = Vec::new();
-        for a in 1..=3i64 {
-            stream.push((
-                catalog.relation_id("R").unwrap(),
-                tuple(catalog, "R", next_ts(), &[("a", a)]),
-            ));
-        }
-        for (a, b) in [(1, 10), (1, 20), (2, 10), (9, 30)] {
-            stream.push((
-                catalog.relation_id("S").unwrap(),
-                tuple(catalog, "S", next_ts(), &[("a", a), ("b", b)]),
-            ));
-        }
-        for (b, c) in [(10, 100), (20, 100), (30, 200)] {
-            stream.push((
-                catalog.relation_id("T").unwrap(),
-                tuple(catalog, "T", next_ts(), &[("b", b), ("c", c)]),
-            ));
-        }
-        for c in [100i64, 300] {
-            stream.push((
-                catalog.relation_id("U").unwrap(),
-                tuple(catalog, "U", next_ts(), &[("c", c)]),
-            ));
-        }
-        stream
-    }
-
-    fn engines_agree(strategy: Strategy, parallelism: usize, workers: usize) {
-        let (catalog, queries, stats) = setup(parallelism);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, strategy).unwrap();
-        let config = EngineConfig::default();
-        let mut local = LocalEngine::new(catalog.clone(), report.plan.clone(), config);
-        let mut parallel = ParallelEngine::new(catalog.clone(), report.plan, config, workers);
-        let (local_rx, parallel_rx) = (local.subscribe(), parallel.subscribe());
-        for (relation, t) in workload(&catalog) {
-            local.ingest(relation, t.clone()).unwrap();
-            parallel.ingest(relation, t).unwrap();
-        }
-        let ls = local.snapshot();
-        let ps = parallel.snapshot();
-        assert_eq!(
-            ls.results_for(QueryId::new(0)),
-            ps.results_for(QueryId::new(0)),
-            "{strategy:?} q1 with {workers} workers"
-        );
-        assert_eq!(
-            ls.results_for(QueryId::new(1)),
-            ps.results_for(QueryId::new(1)),
-            "{strategy:?} q2 with {workers} workers"
-        );
-        assert_eq!(ls.tuples_sent, ps.tuples_sent, "{strategy:?} probe cost");
-        assert_eq!(ls.broadcasts, ps.broadcasts, "{strategy:?} broadcasts");
-        assert_eq!(ls.probes, ps.probes, "{strategy:?} probe count");
-        assert_eq!(ls.store_tuples, ps.store_tuples, "{strategy:?} store state");
-        // The emitted result multisets are identical (order differs).
-        let [lr, pr] = [local_rx, parallel_rx].map(|rx| {
-            let mut rendered: Vec<String> = rx.try_iter().map(|(q, t)| format!("{q}{t}")).collect();
-            rendered.sort();
-            rendered
-        });
-        assert_eq!(lr, pr, "{strategy:?} result multisets");
-    }
-
-    #[test]
-    fn matches_local_engine_across_strategies_and_worker_counts() {
-        for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
-            for (parallelism, workers) in [(1, 1), (2, 2), (4, 4), (4, 2), (4, 8)] {
-                engines_agree(strategy, parallelism, workers);
-            }
-        }
-    }
 
     #[test]
     fn gathered_statistics_match_local_engine() {
@@ -667,12 +557,10 @@ mod tests {
         // merged per-worker deltas must yield the same arrival rates and
         // (for broadcast-probed stores, exactly; for hashed probes, up to
         // shard-balance extrapolation) the same selectivities.
-        let (catalog, queries, stats) = setup(4);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, Strategy::Shared).unwrap();
+        let (catalog, plan) = planned(4, Strategy::Shared);
         let config = EngineConfig::default();
-        let mut local = LocalEngine::new(catalog.clone(), report.plan.clone(), config);
-        let mut parallel = ParallelEngine::new(catalog.clone(), report.plan, config, 4);
+        let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
+        let mut parallel = ParallelEngine::new(catalog.clone(), plan, config, 4);
         // A few hundred tuples so the hashed-probe whole-store
         // extrapolation (shard size x sharing workers) converges; on toy
         // streams single partitions hold 0-2 tuples and the estimate is
@@ -793,14 +681,12 @@ mod tests {
 
     #[test]
     fn ingest_past_a_dead_worker_is_a_typed_error() {
-        let (catalog, queries, stats) = setup(2);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, Strategy::Shared).unwrap();
+        let (catalog, plan) = planned(2, Strategy::Shared);
         let config = EngineConfig {
             max_inflight_roots: 2,
             ..EngineConfig::default()
         };
-        let mut engine = ParallelEngine::new(catalog.clone(), report.plan, config, 2);
+        let mut engine = ParallelEngine::new(catalog.clone(), plan, config, 2);
         kill_worker(&engine, 0);
         // Both producers stall on the same gate and name the same worker.
         let mut source = engine.open_source();
@@ -824,9 +710,7 @@ mod tests {
 
     #[test]
     fn busy_worker_pulls_what_a_quiet_source_left_behind() {
-        let (catalog, queries, stats) = setup(2);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, Strategy::Shared).unwrap();
+        let (catalog, plan) = planned(2, Strategy::Shared);
         // One q1 result per T tuple and one q2 result per U tuple, over
         // enough keys that both workers emit some of each round's.
         let round = |keys: std::ops::Range<i64>| {
@@ -849,11 +733,7 @@ mod tests {
             stream
         };
         let (head, tail) = (round(0..8), round(8..12));
-        let mut local = LocalEngine::new(
-            catalog.clone(),
-            report.plan.clone(),
-            EngineConfig::default(),
-        );
+        let mut local = LocalEngine::new(catalog.clone(), plan.clone(), EngineConfig::default());
         for (relation, t) in head.iter().chain(&tail) {
             local.ingest(*relation, t.clone()).unwrap();
         }
@@ -864,7 +744,7 @@ mod tests {
             micro_batch: 1 << 20,
             ..EngineConfig::default()
         };
-        let mut engine = ParallelEngine::new(catalog.clone(), report.plan, config, 2);
+        let mut engine = ParallelEngine::new(catalog.clone(), plan, config, 2);
         // A subscription whose sink holds its worker inside the batch that
         // emits the worker's first result until the test lets go: the
         // worker is busy in earnest, its queue depth stays above zero.
@@ -931,32 +811,24 @@ mod tests {
 
     #[test]
     fn auto_workers_follows_catalog_parallelism() {
-        let (catalog, queries, stats) = setup(4);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, Strategy::Shared).unwrap();
-        assert_eq!(auto_workers(&report.plan), 4);
-        let engine = ParallelEngine::new(catalog, report.plan, EngineConfig::default(), 0);
+        let (catalog, plan) = planned(4, Strategy::Shared);
+        assert_eq!(auto_workers(&plan), 4);
+        let engine = ParallelEngine::new(catalog, plan, EngineConfig::default(), 0);
         assert_eq!(engine.workers(), 4);
     }
 
     #[test]
     fn install_plan_preserves_matching_store_state() {
-        let (catalog, queries, stats) = setup(2);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, Strategy::Shared).unwrap();
-        let mut engine = ParallelEngine::new(
-            catalog.clone(),
-            report.plan.clone(),
-            EngineConfig::default(),
-            2,
-        );
+        let (catalog, plan) = planned(2, Strategy::Shared);
+        let mut engine =
+            ParallelEngine::new(catalog.clone(), plan.clone(), EngineConfig::default(), 2);
         for (relation, t) in workload(&catalog) {
             engine.ingest(relation, t).unwrap();
         }
         engine.flush();
         let before = engine.store_tuples();
         assert!(before > 0);
-        let pos = engine.install_plan(report.plan).unwrap();
+        let pos = engine.install_plan(plan).unwrap();
         assert_eq!(
             pos,
             engine.sequenced(),
@@ -969,20 +841,11 @@ mod tests {
 
     #[test]
     fn install_plan_after_shutdown_errors() {
-        let (catalog, queries, stats) = setup(2);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, Strategy::Shared).unwrap();
-        let mut engine = ParallelEngine::new(
-            catalog.clone(),
-            report.plan.clone(),
-            EngineConfig::default(),
-            2,
-        );
+        let (catalog, plan) = planned(2, Strategy::Shared);
+        let mut engine =
+            ParallelEngine::new(catalog.clone(), plan.clone(), EngineConfig::default(), 2);
         engine.shutdown();
-        assert_eq!(
-            engine.install_plan(report.plan).unwrap_err(),
-            ClashError::Shutdown
-        );
+        assert_eq!(engine.install_plan(plan).unwrap_err(), ClashError::Shutdown);
     }
 
     #[test]
@@ -1017,11 +880,8 @@ mod tests {
 
     #[test]
     fn unknown_relation_is_rejected() {
-        let (catalog, queries, stats) = setup(1);
-        let planner = Planner::with_defaults(&catalog, &stats);
-        let report = planner.plan(&queries, Strategy::Shared).unwrap();
-        let mut engine =
-            ParallelEngine::new(catalog.clone(), report.plan, EngineConfig::default(), 2);
+        let (catalog, plan) = planned(1, Strategy::Shared);
+        let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
         let t = tuple(&catalog, "R", 10, &[("a", 1)]);
         assert!(engine.ingest(clash_common::RelationId::new(42), t).is_err());
     }

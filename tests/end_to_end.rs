@@ -2,221 +2,66 @@
 //! optimizer → runtime) must produce exactly the results of a naive
 //! reference join, for every planning strategy, on randomized streams.
 
-use clash_common::{
-    Duration, EpochConfig, QueryId, RelationId, Timestamp, Tuple, TupleBuilder, Value, Window,
-};
+use clash_bench::exactness::{local_results, planned, run_paths};
+use clash_catalog::{Catalog, Statistics};
+use clash_common::{Duration, EpochConfig, QueryId, RelationId, Tuple, Value, Window};
 use clash_core::{ClashSystem, Strategy, SystemConfig};
+use clash_datagen::exactness::{of_query, reference_results, two_chains, StreamShape};
 use clash_datagen::{SyntheticEnv, SyntheticWorkloadConfig, TpchGenerator, TpchWorkload};
 use clash_optimizer::{Planner, PlannerConfig, TopologyPlan};
 use clash_query::JoinQuery;
-use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use clash_runtime::{EngineConfig, LocalEngine};
 
-/// Canonical rendering of one join result: its flattened attribute values
-/// in attribute order, independent of how the constituents were joined.
-fn render<'a>(constituents: impl IntoIterator<Item = &'a Tuple>) -> String {
-    let mut attrs: Vec<String> = constituents
-        .into_iter()
-        .flat_map(|t| t.iter())
-        .map(|(a, v)| format!("{a}={v}"))
-        .collect();
-    attrs.sort();
-    attrs.join(",")
-}
+/// In-order arrivals 1 ms apart, over the two chains' relations.
+const IN_ORDER: StreamShape = StreamShape {
+    relations: &["A", "B", "C", "D"],
+    step_ms: 1,
+    jitter_ms: 0,
+};
 
-/// Naive reference implementation, sharing nothing with the engines (no
-/// plans, stores, epochs, probe orders or rule kernel): for a query and a
-/// list of `(relation, tuple)` arrivals, every combination of one tuple
-/// per query relation that satisfies all predicates and whose constituents
-/// all lie within `window` of the newest one is a result, exactly once.
-/// Returns the sorted result multiset. Both engines run the same kernel,
-/// so this is what keeps their agreement from being circular.
-fn reference_results(
-    query: &JoinQuery,
+/// Plans `queries` under each of `strategies` and runs every plan on
+/// every path of `run_paths` (`LocalEngine`, `ParallelEngine` with 1, 2
+/// and 4 workers through `ingest()` and through a source): each must
+/// answer every query with its reference multiset. Returns the reference
+/// multisets, one per query.
+fn assert_every_path_matches_reference(
+    catalog: &Catalog,
+    queries: &[JoinQuery],
     stream: &[(RelationId, Tuple)],
-    window: Window,
-) -> Vec<String> {
-    let relations: Vec<RelationId> = query.relations.iter().collect();
-    let per_relation: Vec<Vec<&Tuple>> = relations
-        .iter()
-        .map(|r| {
-            stream
-                .iter()
-                .filter(|(rel, _)| rel == r)
-                .map(|(_, t)| t)
-                .collect()
-        })
-        .collect();
-    // Backtracking over one tuple per relation.
-    fn recurse<'a>(
-        query: &JoinQuery,
-        window: Window,
-        per_relation: &[Vec<&'a Tuple>],
-        chosen: &mut Vec<&'a Tuple>,
-        out: &mut Vec<String>,
-    ) {
-        if chosen.len() == per_relation.len() {
-            let newest = chosen.iter().map(|t| t.ts).max().unwrap_or_default();
-            if chosen.iter().all(|t| window.contains(newest, t.ts)) {
-                out.push(render(chosen.iter().copied()));
-            }
-            return;
-        }
-        'next: for t in &per_relation[chosen.len()] {
-            // All timestamps must be distinct for the "probe only earlier
-            // tuples" semantics to count each result exactly once; the
-            // generators used here guarantee that.
-            for p in &query.predicates {
-                let side = |attr| {
-                    chosen
-                        .iter()
-                        .chain(std::iter::once(t))
-                        .find_map(|c| c.get(attr))
-                };
-                if let (Some(l), Some(r)) = (side(&p.left), side(&p.right)) {
-                    if !l.join_eq(r) {
-                        continue 'next;
-                    }
-                }
-            }
-            chosen.push(t);
-            recurse(query, window, per_relation, chosen, out);
-            chosen.pop();
-        }
-    }
-    let mut out = Vec::new();
-    recurse(query, window, &per_relation, &mut Vec::new(), &mut out);
-    out.sort();
-    out
-}
-
-/// The sorted result multiset an engine collected for one query.
-fn collected(results: &[(QueryId, Tuple)], query: QueryId) -> Vec<String> {
-    let mut out: Vec<String> = results
-        .iter()
-        .filter(|(q, _)| *q == query)
-        .map(|(_, t)| render([t]))
-        .collect();
-    out.sort();
-    out
-}
-
-/// Every way a stream can enter an engine: `LocalEngine`, and
-/// `ParallelEngine` with 1, 2 and 4 workers through the coordinator's
-/// `ingest()` and through a `SourceHandle`. Returns the results each
-/// path's subscription received, under a label. A source-fed engine never expires on its own, so
-/// that path runs the `expire_stores()` barrier at the same cadence.
-fn run_everywhere(
-    catalog: &clash_catalog::Catalog,
-    plan: &TopologyPlan,
     config: EngineConfig,
-    stream: &[(RelationId, Tuple)],
-) -> Vec<(String, Vec<(QueryId, Tuple)>)> {
-    let mut runs = Vec::new();
-    let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
-    let results = local.subscribe();
-    for (relation, tuple) in stream {
-        local.ingest(*relation, tuple.clone()).unwrap();
-    }
-    runs.push(("LocalEngine".to_string(), results.try_iter().collect()));
-    for workers in [1usize, 2, 4] {
-        let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
-        let results = engine.subscribe();
-        for (relation, tuple) in stream {
-            engine.ingest(*relation, tuple.clone()).unwrap();
-        }
-        engine.flush();
-        runs.push((
-            format!("ParallelEngine({workers}) ingest()"),
-            results.try_iter().collect(),
-        ));
-
-        let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
-        let results = engine.subscribe();
-        let mut source = engine.open_source();
-        for (i, (relation, tuple)) in stream.iter().enumerate() {
-            source.push(*relation, tuple.clone()).unwrap();
-            if config.expire_every > 0 && (i as u64 + 1).is_multiple_of(config.expire_every) {
-                engine.expire_stores();
-            }
-        }
-        source.flush();
-        engine.flush();
-        runs.push((
-            format!("ParallelEngine({workers}) source"),
-            results.try_iter().collect(),
-        ));
-    }
-    runs
-}
-
-/// A(x) ⋈ B(x,y) ⋈ C(y) and B(y) ⋈ C(y,z) ⋈ D(z) over one window.
-fn two_chain_queries(window: Window) -> (clash_catalog::Catalog, Vec<JoinQuery>) {
-    let mut catalog = clash_catalog::Catalog::new();
-    catalog.register("A", ["x"], window, 2).unwrap();
-    catalog.register("B", ["x", "y"], window, 2).unwrap();
-    catalog.register("C", ["y", "z"], window, 1).unwrap();
-    catalog.register("D", ["z"], window, 1).unwrap();
-    let q1 =
-        clash_query::parse_query(&catalog, QueryId::new(0), "q1", "A(x), B(x,y), C(y)").unwrap();
-    let q2 =
-        clash_query::parse_query(&catalog, QueryId::new(1), "q2", "B(y), C(y,z), D(z)").unwrap();
-    (catalog, vec![q1, q2])
-}
-
-fn random_stream(
-    catalog: &clash_catalog::Catalog,
-    relations: &[&str],
-    n_per_relation: usize,
-    key_domain: i64,
-    seed: u64,
-) -> Vec<(RelationId, Tuple)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut stream = Vec::new();
-    let mut ts = 0u64;
-    for i in 0..n_per_relation {
-        for name in relations {
-            let meta = catalog.relation_by_name(name).unwrap();
-            ts += 1;
-            let mut b = TupleBuilder::new(&meta.schema, Timestamp::from_millis(ts));
-            for attr in &meta.schema.attributes {
-                b = b.set(&attr.name, rng.gen_range(0..key_domain));
-            }
-            let _ = i;
-            stream.push((meta.id, b.build()));
-        }
-    }
-    stream
-}
-
-#[test]
-fn engine_matches_reference_join_for_all_strategies() {
-    let (catalog, queries) = two_chain_queries(Window::unbounded());
-    let stats = clash_catalog::Statistics::new();
-    let stream = random_stream(&catalog, &["A", "B", "C", "D"], 30, 6, 99);
+    strategies: &[Strategy],
+) -> Vec<Vec<String>> {
     let expected: Vec<Vec<String>> = queries
         .iter()
-        .map(|q| reference_results(q, &stream, Window::unbounded()))
+        .map(|q| reference_results(catalog, q, stream))
         .collect();
-    assert!(!expected[0].is_empty(), "workload must produce q1 results");
-    assert!(!expected[1].is_empty(), "workload must produce q2 results");
-
-    let planner = Planner::with_defaults(&catalog, &stats);
-    let config = EngineConfig::default();
-    for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
-        let report = planner.plan(&queries, strategy).unwrap();
-        for (path, results) in run_everywhere(&catalog, &report.plan, config, &stream) {
+    for &strategy in strategies {
+        let plan = planned(catalog, queries, strategy);
+        for run in run_paths(catalog, &plan, config, stream, &[1, 2, 4], &[]) {
             for (query, expected) in queries.iter().zip(&expected) {
                 assert_eq!(
-                    &collected(&results, query.id),
+                    &of_query(&run.results, query.id),
                     expected,
-                    "{strategy:?} on {path}: {} result multiset",
+                    "{strategy:?} on {}: {} result multiset",
+                    run.path,
                     query.name
                 );
             }
         }
     }
+    expected
+}
+
+#[test]
+fn engine_matches_reference_join_for_all_strategies() {
+    let (catalog, queries) = two_chains([Window::unbounded(); 4], [2, 2, 1, 1]);
+    let stream = IN_ORDER.draw(&catalog, 30, 0..6, 99);
+    let strategies = [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp];
+    let config = EngineConfig::default();
+    let expected =
+        assert_every_path_matches_reference(&catalog, &queries, &stream, config, &strategies);
+    assert!(!expected[0].is_empty(), "workload must produce q1 results");
+    assert!(!expected[1].is_empty(), "workload must produce q2 results");
 }
 
 #[test]
@@ -227,14 +72,18 @@ fn finite_window_results_match_reference_under_frequent_expiry() {
     // expiry that runs ahead of work still in flight (the coordinator's former
     // fire-and-forget `Expire`) loses results here.
     let window = Window::new(Duration::from_millis(40));
-    let (catalog, queries) = two_chain_queries(window);
-    let stats = clash_catalog::Statistics::new();
-    let stream = random_stream(&catalog, &["A", "B", "C", "D"], 150, 4, 7);
-    let expected: Vec<Vec<String>> = queries
-        .iter()
-        .map(|q| reference_results(q, &stream, window))
-        .collect();
-    let unbounded = reference_results(&queries[0], &stream, Window::unbounded());
+    let (catalog, queries) = two_chains([window; 4], [2, 2, 1, 1]);
+    let stream = IN_ORDER.draw(&catalog, 150, 0..4, 7);
+    let config = EngineConfig {
+        expire_every: 8,
+        epoch: EpochConfig::new(Duration::from_millis(16)),
+        ..EngineConfig::default()
+    };
+    let strategies = [Strategy::Independent];
+    let expected =
+        assert_every_path_matches_reference(&catalog, &queries, &stream, config, &strategies);
+    let (unbounded, _) = two_chains([Window::unbounded(); 4], [2, 2, 1, 1]);
+    let unbounded = reference_results(&unbounded, &queries[0], &stream);
     assert!(expected[0].len() > 100, "workload must produce q1 results");
     assert!(expected[1].len() > 100, "workload must produce q2 results");
     assert!(
@@ -242,31 +91,30 @@ fn finite_window_results_match_reference_under_frequent_expiry() {
         "the window must exclude most combinations"
     );
 
-    let planner = Planner::with_defaults(&catalog, &stats);
-    let report = planner.plan(&queries, Strategy::Independent).unwrap();
-    let config = EngineConfig {
-        expire_every: 8,
-        epoch: EpochConfig::new(Duration::from_millis(16)),
-        ..EngineConfig::default()
-    };
-    for (path, results) in run_everywhere(&catalog, &report.plan, config, &stream) {
-        for (query, expected) in queries.iter().zip(&expected) {
-            assert_eq!(
-                &collected(&results, query.id),
-                expected,
-                "Independent on {path}: {} result multiset",
-                query.name
-            );
-        }
-    }
+    // Every relation its own window: a plan over base stores checks each
+    // constituent against its own relation's window, as the reference
+    // does.
+    let windows = [25, 40, 60, 15].map(|ms| Window::new(Duration::from_millis(ms)));
+    let (catalog, queries) = two_chains(windows, [2, 2, 1, 1]);
+    let strategies = [Strategy::Independent, Strategy::Shared];
+    let expected =
+        assert_every_path_matches_reference(&catalog, &queries, &stream, config, &strategies);
+    assert!(expected[0].len() > 100, "workload must produce q1 results");
+    assert!(expected[1].len() > 100, "workload must produce q2 results");
 }
+
+/// In-order arrivals 1 ms apart over R, S and T.
+const RST: StreamShape = StreamShape {
+    relations: &["R", "S", "T"],
+    ..IN_ORDER
+};
 
 /// R(a,c), S(a,b,c), T(b,c) over one window, every relation on one
 /// worker, with `q1 = R(a), S(a,b), T(b)` and `q2` as given. R is a hundred
 /// times faster than S and T (`two_predicate_statistics`), so the ILP
 /// materializes {S,T} for both queries.
-fn two_predicate_queries(window: Window, q2: &str) -> (clash_catalog::Catalog, Vec<JoinQuery>) {
-    let mut catalog = clash_catalog::Catalog::new();
+fn two_predicate_queries(window: Window, q2: &str) -> (Catalog, Vec<JoinQuery>) {
+    let mut catalog = Catalog::new();
     catalog.register("R", ["a", "c"], window, 1).unwrap();
     catalog.register("S", ["a", "b", "c"], window, 1).unwrap();
     catalog.register("T", ["b", "c"], window, 1).unwrap();
@@ -276,52 +124,13 @@ fn two_predicate_queries(window: Window, q2: &str) -> (clash_catalog::Catalog, V
     (catalog, vec![q1, q2])
 }
 
-fn two_predicate_statistics(catalog: &clash_catalog::Catalog) -> clash_catalog::Statistics {
-    let mut stats = clash_catalog::Statistics::new();
+fn two_predicate_statistics(catalog: &Catalog) -> Statistics {
+    let mut stats = Statistics::new();
     for (name, rate) in [("R", 1000.0), ("S", 10.0), ("T", 10.0)] {
         stats.set_rate(catalog.relation_id(name).unwrap(), rate);
     }
     stats.default_selectivity = 0.01;
     stats
-}
-
-/// The sorted result multisets of every query, from `LocalEngine` and from
-/// `ParallelEngine` with 2 workers, running `plan` and, when `then` is
-/// `Some((position, next))`, `next` from that stream position on.
-fn run_with_install(
-    catalog: &clash_catalog::Catalog,
-    plan: &TopologyPlan,
-    then: Option<(usize, &TopologyPlan)>,
-    stream: &[(RelationId, Tuple)],
-    queries: &[JoinQuery],
-) -> Vec<(&'static str, Vec<Vec<String>>)> {
-    let config = EngineConfig::default();
-    let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
-    let local_results = local.subscribe();
-    let mut parallel = ParallelEngine::new(catalog.clone(), plan.clone(), config, 2);
-    let parallel_results = parallel.subscribe();
-    for (i, (relation, tuple)) in stream.iter().enumerate() {
-        if let Some((_, next)) = then.filter(|(at, _)| *at == i) {
-            local.install_plan(next.clone()).unwrap();
-            parallel.install_plan(next.clone()).unwrap();
-        }
-        local.ingest(*relation, tuple.clone()).unwrap();
-        parallel.ingest(*relation, tuple.clone()).unwrap();
-    }
-    parallel.flush();
-    let per_query = |results: Vec<(QueryId, Tuple)>| {
-        queries
-            .iter()
-            .map(|q| collected(&results, q.id))
-            .collect::<Vec<_>>()
-    };
-    vec![
-        ("LocalEngine", per_query(local_results.try_iter().collect())),
-        (
-            "ParallelEngine(2)",
-            per_query(parallel_results.try_iter().collect()),
-        ),
-    ]
 }
 
 /// How many results of the sorted multiset `got` the sorted multiset
@@ -344,19 +153,20 @@ fn queries_joining_the_same_relations_on_other_attributes_keep_their_own_mir_sto
     // and under S.c = T.c for q2: two intermediate results. A plan that
     // keeps one store for both feeds it under one query's predicates, and
     // q1 read 10 028 results against the reference's 7 628.
-    let window = Window::secs(3600);
-    let (catalog, queries) = two_predicate_queries(window, "R(c), S(c), T(c)");
+    let (catalog, queries) = two_predicate_queries(Window::secs(3600), "R(c), S(c), T(c)");
     let stats = two_predicate_statistics(&catalog);
-    let stream = random_stream(&catalog, &["R", "S", "T"], 40, 3, 7);
+    let stream = RST.draw(&catalog, 40, 0..3, 7);
     let report = Planner::with_defaults(&catalog, &stats)
         .plan(&queries, Strategy::GlobalIlp)
         .unwrap();
-    for (engine, got) in run_with_install(&catalog, &report.plan, None, &stream, &queries) {
-        for (query, got) in queries.iter().zip(got) {
+    let config = EngineConfig::default();
+    for run in run_paths(&catalog, &report.plan, config, &stream, &[2], &[]) {
+        for query in &queries {
             assert_eq!(
-                got,
-                reference_results(query, &stream, window),
-                "{engine}: {} result multiset",
+                of_query(&run.results, query.id),
+                reference_results(&catalog, query, &stream),
+                "{}: {} result multiset",
+                run.path,
                 query.name
             );
         }
@@ -384,10 +194,9 @@ fn an_install_never_carries_an_mir_store_across_a_change_of_its_predicates() {
     // new stores start empty) are ROADMAP item 2, so this checks only that
     // nothing is spurious; once that item lands, q2 equals its reference
     // here.
-    let window = Window::secs(3600);
-    let (catalog, queries) = two_predicate_queries(window, "R(a), S(a,c), T(c)");
+    let (catalog, queries) = two_predicate_queries(Window::secs(3600), "R(a), S(a,c), T(c)");
     let stats = two_predicate_statistics(&catalog);
-    let stream = random_stream(&catalog, &["R", "S", "T"], 80, 3, 7);
+    let stream = RST.draw(&catalog, 80, 0..3, 7);
     let planner = Planner::with_defaults(&catalog, &stats);
     let plans: Vec<TopologyPlan> = queries
         .iter()
@@ -401,14 +210,17 @@ fn an_install_never_carries_an_mir_store_across_a_change_of_its_predicates() {
     for plan in &plans {
         assert!(plan.stores.iter().any(|s| !s.descriptor.is_base()));
     }
-    let reference = reference_results(&queries[1], &stream, window);
-    let then = Some((stream.len() / 2, &plans[1]));
-    for (engine, got) in run_with_install(&catalog, &plans[0], then, &stream, &queries) {
-        assert!(!got[1].is_empty(), "{engine}: q2 never ran");
+    let reference = reference_results(&catalog, &queries[1], &stream);
+    let installs = [(stream.len() / 2, &plans[1])];
+    let config = EngineConfig::default();
+    for run in run_paths(&catalog, &plans[0], config, &stream, &[2], &installs) {
+        let q2 = of_query(&run.results, queries[1].id);
+        assert!(!q2.is_empty(), "{}: q2 never ran", run.path);
         assert_eq!(
-            outside_of(&got[1], &reference),
+            outside_of(&q2, &reference),
             0,
-            "{engine}: q2 emitted results outside its reference"
+            "{}: q2 emitted results outside its reference",
+            run.path
         );
     }
 }
@@ -435,21 +247,16 @@ fn fig9_workloads_match_the_reference_under_global_ilp() {
             .iter()
             .map(|r| env.catalog.relation(*r).unwrap().name.as_str())
             .collect();
-        let stream = random_stream(&env.catalog, &names, 25, 3, seed);
-        let mut engine = LocalEngine::new(
-            env.catalog.clone(),
-            report.plan.clone(),
-            EngineConfig::default(),
-        );
-        let results = engine.subscribe();
-        for (relation, tuple) in &stream {
-            engine.ingest(*relation, tuple.clone()).unwrap();
-        }
-        let results: Vec<(QueryId, Tuple)> = results.try_iter().collect();
+        let shape = StreamShape {
+            relations: &names,
+            ..IN_ORDER
+        };
+        let stream = shape.draw(&env.catalog, 25, 0..3, seed);
+        let results = local_results(&env.catalog, &report.plan, &stream);
         for query in &queries {
             assert_eq!(
-                collected(&results, query.id),
-                reference_results(query, &stream, Window::unbounded()),
+                of_query(&results, query.id),
+                reference_results(&env.catalog, query, &stream),
                 "seed {seed}, {n} queries: {} result multiset",
                 query.name
             );

@@ -13,102 +13,33 @@
 //! source that goes quiet leaves nothing stranded, and engine drop drains
 //! whatever the last explicit barrier did not cover.
 
-use clash_catalog::{Catalog, Statistics};
+use clash_bench::exactness::{local_results, planned, run_paths};
+use clash_catalog::Catalog;
 use clash_common::{QueryId, RelationId, Timestamp, Tuple, TupleBuilder, Window};
-use clash_optimizer::{Planner, Strategy, TopologyPlan};
-use clash_query::parse_query;
-use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
+use clash_datagen::exactness::{received, two_chains, StreamShape};
+use clash_optimizer::{Strategy, TopologyPlan};
+use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine, SourceHandle};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::mpsc::Receiver;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-fn catalog_with_parallelism(parallelism: usize) -> (Catalog, Vec<clash_query::JoinQuery>) {
-    let mut catalog = Catalog::new();
-    catalog
-        .register("A", ["x"], Window::secs(3600), parallelism)
-        .unwrap();
-    catalog
-        .register("B", ["x", "y"], Window::secs(3600), parallelism)
-        .unwrap();
-    catalog
-        .register("C", ["y", "z"], Window::secs(3600), parallelism)
-        .unwrap();
-    catalog.register("D", ["z"], Window::secs(3600), 1).unwrap();
-    let q1 = parse_query(&catalog, QueryId::new(0), "q1", "A(x), B(x,y), C(y)").unwrap();
-    let q2 = parse_query(&catalog, QueryId::new(1), "q2", "B(y), C(y,z), D(z)").unwrap();
-    (catalog, vec![q1, q2])
-}
+/// Arrivals 5 ms apart, each timestamp moved forward by up to 9 ms: a
+/// tuple may carry a smaller timestamp than one that arrived before it.
+const SHUFFLED: StreamShape = StreamShape {
+    relations: &["A", "B", "C", "D"],
+    step_ms: 5,
+    jitter_ms: 10,
+};
 
-fn planned(
-    catalog: &Catalog,
-    queries: &[clash_query::JoinQuery],
-    strategy: Strategy,
-) -> TopologyPlan {
-    let stats = Statistics::new();
-    let planner = Planner::with_defaults(catalog, &stats);
-    planner.plan(queries, strategy).unwrap().plan
-}
-
-/// Random stream over all four relations with keys drawn from
-/// `key_lo..key_hi` and out-of-order timestamps (a tuple may carry a
-/// smaller timestamp than an earlier one in the stream).
-fn random_stream(
-    catalog: &Catalog,
-    n_per_relation: usize,
-    key_lo: i64,
-    key_hi: i64,
-    seed: u64,
-) -> Vec<(RelationId, Tuple)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut stream = Vec::new();
-    let mut ts = 0u64;
-    for _ in 0..n_per_relation {
-        for name in ["A", "B", "C", "D"] {
-            let meta = catalog.relation_by_name(name).unwrap();
-            ts += 5;
-            let jitter = rng.gen_range(0..10u64);
-            let mut b = TupleBuilder::new(&meta.schema, Timestamp::from_millis(ts + jitter));
-            for attr in &meta.schema.attributes {
-                b = b.set(&attr.name, rng.gen_range(key_lo..key_hi));
-            }
-            stream.push((meta.id, b.build()));
-        }
+/// `stream` dealt round-robin to `sources` slices: entry `i` goes to
+/// slice `i % sources`.
+fn round_robin(stream: &[(RelationId, Tuple)], sources: usize) -> Vec<Vec<(RelationId, Tuple)>> {
+    let mut slices: Vec<Vec<(RelationId, Tuple)>> = (0..sources).map(|_| Vec::new()).collect();
+    for (idx, entry) in stream.iter().enumerate() {
+        slices[idx % sources].push(entry.clone());
     }
-    stream
-}
-
-/// Canonical sortable rendering of a result multiset.
-fn result_multiset(results: &[(QueryId, Tuple)]) -> Vec<String> {
-    let mut rendered: Vec<String> = results
-        .iter()
-        .map(|(q, t)| {
-            let mut attrs: Vec<String> = t.iter().map(|(a, v)| format!("{a}={v}")).collect();
-            attrs.sort();
-            format!("{q}|{}|{}", t.ts, attrs.join(","))
-        })
-        .collect();
-    rendered.sort();
-    rendered
-}
-
-/// The multiset a subscription received so far.
-fn received(rx: &Receiver<(QueryId, Tuple)>) -> Vec<String> {
-    result_multiset(&rx.try_iter().collect::<Vec<_>>())
-}
-
-fn run_local(
-    catalog: &Catalog,
-    plan: &TopologyPlan,
-    stream: &[(RelationId, Tuple)],
-) -> Vec<String> {
-    let mut engine = LocalEngine::new(catalog.clone(), plan.clone(), EngineConfig::default());
-    let results = engine.subscribe();
-    for (relation, tuple) in stream {
-        engine.ingest(*relation, tuple.clone()).unwrap();
-    }
-    received(&results)
+    slices
 }
 
 /// How a producer thread spaces its pushes.
@@ -126,51 +57,21 @@ enum Pacing {
     Bursty { burst: usize, pause: Duration },
 }
 
-/// Splits `stream` round-robin across `sources` producer threads, each
-/// pushing its slice through its own `SourceHandle` while recording the
-/// sequence numbers `push` returns. Returns the collected multiset plus
-/// the realized serial order (all pushes sorted by sequence number).
-fn run_multi_source_recorded(
-    catalog: &Catalog,
-    plan: &TopologyPlan,
-    stream: &[(RelationId, Tuple)],
-    sources: usize,
-    workers: usize,
-    config: EngineConfig,
-) -> (Vec<String>, Vec<(RelationId, Tuple)>) {
-    let (multiset, realized, _) = run_multi_source_paced(
-        catalog,
-        plan,
-        stream,
-        sources,
-        workers,
-        config,
-        Pacing::Flood,
-    );
-    (multiset, realized)
-}
+/// The threads [`spawn_producers`] starts: each returns its pushes with
+/// the sequence numbers `push` returned.
+type Producers = Vec<JoinHandle<Vec<(u64, RelationId, Tuple)>>>;
 
-/// [`run_multi_source_recorded`] under a [`Pacing`]; additionally returns
-/// the engine's telemetry page after the final barrier.
-fn run_multi_source_paced(
-    catalog: &Catalog,
-    plan: &TopologyPlan,
-    stream: &[(RelationId, Tuple)],
-    sources: usize,
-    workers: usize,
-    config: EngineConfig,
+/// One producer thread per slice, pushing it through its own handle under
+/// `pacing`.
+fn spawn_producers(
+    handles: Vec<SourceHandle>,
+    slices: Vec<Vec<(RelationId, Tuple)>>,
     pacing: Pacing,
-) -> (Vec<String>, Vec<(RelationId, Tuple)>, String) {
-    let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
-    let results = engine.subscribe();
-    let mut slices: Vec<Vec<(RelationId, Tuple)>> = (0..sources).map(|_| Vec::new()).collect();
-    for (idx, entry) in stream.iter().enumerate() {
-        slices[idx % sources].push(entry.clone());
-    }
-    let producers: Vec<_> = slices
+) -> Producers {
+    handles
         .into_iter()
-        .map(|slice| {
-            let mut handle = engine.open_source();
+        .zip(slices)
+        .map(|(mut handle, slice)| {
             std::thread::spawn(move || {
                 let mut log = Vec::with_capacity(slice.len());
                 for (i, (relation, tuple)) in slice.into_iter().enumerate() {
@@ -185,18 +86,43 @@ fn run_multi_source_paced(
                 log
             })
         })
+        .collect()
+}
+
+/// Joins `producers`: the realized serial order, every push sorted by its
+/// sequence number.
+fn realized_order(producers: Producers) -> Vec<(RelationId, Tuple)> {
+    let mut log: Vec<(u64, RelationId, Tuple)> = producers
+        .into_iter()
+        .flat_map(|p| p.join().expect("producer thread"))
         .collect();
-    let mut realized: Vec<(u64, RelationId, Tuple)> = Vec::new();
-    for producer in producers {
-        realized.extend(producer.join().expect("producer thread"));
-    }
-    realized.sort_by_key(|(seq, _, _)| *seq);
+    log.sort_by_key(|(seq, _, _)| *seq);
+    log.into_iter().map(|(_, r, t)| (r, t)).collect()
+}
+
+/// Splits `stream` round-robin across `sources` producer threads, each
+/// pushing its slice through its own `SourceHandle` under `pacing`.
+/// Returns the collected multiset, the realized serial order and the
+/// engine's telemetry page after the final barrier.
+fn run_sources(
+    catalog: &Catalog,
+    plan: &TopologyPlan,
+    stream: &[(RelationId, Tuple)],
+    sources: usize,
+    workers: usize,
+    config: EngineConfig,
+    pacing: Pacing,
+) -> (Vec<String>, Vec<(RelationId, Tuple)>, String) {
+    let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, workers);
+    let results = engine.subscribe();
+    let handles = (0..sources).map(|_| engine.open_source()).collect();
+    let realized = realized_order(spawn_producers(
+        handles,
+        round_robin(stream, sources),
+        pacing,
+    ));
     let page = engine.telemetry_snapshot();
-    (
-        received(&results),
-        realized.into_iter().map(|(_, r, t)| (r, t)).collect(),
-        page,
-    )
+    (received(&results), realized, page)
 }
 
 /// The value of `clash_flushes_total{trigger="<trigger>"}` on a
@@ -221,13 +147,13 @@ proptest! {
         seed in 0u64..10_000,
         sources in 2usize..5,
     ) {
-        let (catalog, queries) = catalog_with_parallelism(4);
+        let (catalog, queries) = two_chains([Window::secs(3600); 4], [4, 4, 4, 1]);
         let plan = planned(&catalog, &queries, Strategy::Shared);
-        let stream = random_stream(&catalog, 12, 0, 5, seed);
-        let (multi, realized) =
-            run_multi_source_recorded(&catalog, &plan, &stream, sources, 4, EngineConfig::default());
+        let stream = SHUFFLED.draw(&catalog, 12, 0..5, seed);
+        let (multi, realized, _) =
+            run_sources(&catalog, &plan, &stream, sources, 4, EngineConfig::default(), Pacing::Flood);
         prop_assert_eq!(realized.len(), stream.len(), "every push sequenced exactly once");
-        let local = run_local(&catalog, &plan, &realized);
+        let local = local_results(&catalog, &plan, &realized);
         prop_assert_eq!(local, multi, "seed {}, {} sources", seed, sources);
     }
 
@@ -240,19 +166,19 @@ proptest! {
         sources in 1usize..4,
         burst in 3usize..12,
     ) {
-        let (catalog, queries) = catalog_with_parallelism(4);
+        let (catalog, queries) = two_chains([Window::secs(3600); 4], [4, 4, 4, 1]);
         let plan = planned(&catalog, &queries, Strategy::Shared);
-        let stream = random_stream(&catalog, 12, 0, 5, seed);
+        let stream = SHUFFLED.draw(&catalog, 12, 0..5, seed);
         let config = EngineConfig {
             micro_batch: 8,
             ..EngineConfig::default()
         };
         let pacing = Pacing::Bursty { burst, pause: Duration::from_millis(2) };
         let (multi, realized, page) =
-            run_multi_source_paced(&catalog, &plan, &stream, sources, 4, config, pacing);
+            run_sources(&catalog, &plan, &stream, sources, 4, config, pacing);
         prop_assert_eq!(realized.len(), stream.len(), "every push sequenced exactly once");
         prop_assert!(flushes(&page, "idle") > 0, "a push after a pause finds idle workers");
-        let local = run_local(&catalog, &plan, &realized);
+        let local = local_results(&catalog, &plan, &realized);
         prop_assert_eq!(local, multi, "seed {}, {} sources, bursts of {}", seed, sources, burst);
     }
 
@@ -265,7 +191,7 @@ proptest! {
         seed in 0u64..10_000,
         sources in 2usize..4,
     ) {
-        let (catalog, queries) = catalog_with_parallelism(4);
+        let (catalog, queries) = two_chains([Window::secs(3600); 4], [4, 4, 4, 1]);
         let plan = planned(&catalog, &queries, Strategy::Shared);
         // Per-source slices drawn from non-overlapping key ranges; the
         // round-robin split in the runner maps stream[i] to source
@@ -273,16 +199,16 @@ proptest! {
         let per_source: Vec<Vec<(RelationId, Tuple)>> = (0..sources)
             .map(|s| {
                 let lo = (s as i64) * 100;
-                random_stream(&catalog, 12, lo, lo + 4, seed.wrapping_add(s as u64))
+                SHUFFLED.draw(&catalog, 12, lo..lo + 4, seed.wrapping_add(s as u64))
             })
             .collect();
         let mut stream = Vec::new();
         for idx in 0..per_source[0].len() * sources {
             stream.push(per_source[idx % sources][idx / sources].clone());
         }
-        let local = run_local(&catalog, &plan, &stream);
-        let (multi, _) =
-            run_multi_source_recorded(&catalog, &plan, &stream, sources, 4, EngineConfig::default());
+        let local = local_results(&catalog, &plan, &stream);
+        let (multi, _, _) =
+            run_sources(&catalog, &plan, &stream, sources, 4, EngineConfig::default(), Pacing::Flood);
         prop_assert_eq!(local, multi, "seed {}, {} sources", seed, sources);
     }
 }
@@ -291,20 +217,21 @@ proptest! {
 fn many_sources_and_strategies_are_linearizable() {
     // Heavier deterministic sweep across strategies, source counts and
     // worker counts (the proptests above fix Shared/4 for case volume).
-    let (catalog, queries) = catalog_with_parallelism(4);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [4, 4, 4, 1]);
     for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
         let plan = planned(&catalog, &queries, strategy);
-        let stream = random_stream(&catalog, 40, 0, 6, 0xBEEF);
+        let stream = SHUFFLED.draw(&catalog, 40, 0..6, 0xBEEF);
         for (sources, workers) in [(1, 4), (2, 2), (3, 4), (4, 7)] {
-            let (multi, realized) = run_multi_source_recorded(
+            let (multi, realized, _) = run_sources(
                 &catalog,
                 &plan,
                 &stream,
                 sources,
                 workers,
                 EngineConfig::default(),
+                Pacing::Flood,
             );
-            let local = run_local(&catalog, &plan, &realized);
+            let local = local_results(&catalog, &plan, &realized);
             assert!(!local.is_empty(), "workload must produce results");
             assert_eq!(
                 local, multi,
@@ -319,14 +246,21 @@ fn single_source_matches_local_on_stream_order() {
     // One source realizes exactly its push order, so no recording is
     // needed: the multiset must equal LocalEngine on the stream as
     // written, out-of-order timestamps included.
-    let (catalog, queries) = catalog_with_parallelism(4);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [4, 4, 4, 1]);
     let plan = planned(&catalog, &queries, Strategy::GlobalIlp);
     for seed in [1u64, 2, 3] {
-        let stream = random_stream(&catalog, 30, 0, 5, seed);
-        let local = run_local(&catalog, &plan, &stream);
+        let stream = SHUFFLED.draw(&catalog, 30, 0..5, seed);
+        let local = local_results(&catalog, &plan, &stream);
         assert!(!local.is_empty());
-        let (multi, realized) =
-            run_multi_source_recorded(&catalog, &plan, &stream, 1, 4, EngineConfig::default());
+        let (multi, realized, _) = run_sources(
+            &catalog,
+            &plan,
+            &stream,
+            1,
+            4,
+            EngineConfig::default(),
+            Pacing::Flood,
+        );
         assert_eq!(realized, stream, "a single source realizes push order");
         assert_eq!(local, multi, "seed {seed}");
     }
@@ -336,17 +270,18 @@ fn single_source_matches_local_on_stream_order() {
 fn micro_batch_and_backpressure_extremes_stay_exact() {
     // Send-per-push, tiny in-flight bounds (every push waits on the
     // admission gate) and barrier-only batching must not change results.
-    let (catalog, queries) = catalog_with_parallelism(2);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [2, 2, 2, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
-    let stream = random_stream(&catalog, 25, 0, 4, 7);
+    let stream = SHUFFLED.draw(&catalog, 25, 0..4, 7);
     for (micro_batch, max_inflight) in [(1usize, 1usize), (4, 2), (1 << 20, 8), (64, 0)] {
         let config = EngineConfig {
             micro_batch,
             max_inflight_roots: max_inflight,
             ..EngineConfig::default()
         };
-        let (multi, realized) = run_multi_source_recorded(&catalog, &plan, &stream, 3, 2, config);
-        let local = run_local(&catalog, &plan, &realized);
+        let (multi, realized, _) =
+            run_sources(&catalog, &plan, &stream, 3, 2, config, Pacing::Flood);
+        let local = local_results(&catalog, &plan, &realized);
         assert_eq!(
             local, multi,
             "micro_batch={micro_batch}, max_inflight_roots={max_inflight}"
@@ -360,35 +295,31 @@ fn coordinator_and_sources_may_ingest_concurrently() {
     // and the source's slice use disjoint key ranges, so the combined
     // multiset is interleaving-independent and must equal LocalEngine on
     // the two slices back to back.
-    let (catalog, queries) = catalog_with_parallelism(4);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [4, 4, 4, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
-    let coordinator_slice = random_stream(&catalog, 30, 0, 5, 21);
-    let source_slice = random_stream(&catalog, 30, 100, 105, 22);
+    let coordinator_slice = SHUFFLED.draw(&catalog, 30, 0..5, 21);
+    let source_slice = SHUFFLED.draw(&catalog, 30, 100..105, 22);
     let mut combined = coordinator_slice.clone();
     combined.extend(source_slice.iter().cloned());
-    let local = run_local(&catalog, &plan, &combined);
+    let local = local_results(&catalog, &plan, &combined);
     let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 4);
     let results = engine.subscribe();
-    let mut handle = engine.open_source();
-    let producer = std::thread::spawn(move || {
-        for (relation, tuple) in source_slice {
-            handle.push(relation, tuple).unwrap();
-        }
-    });
+    let handles = vec![engine.open_source()];
+    let producers = spawn_producers(handles, vec![source_slice], Pacing::Flood);
     for (relation, tuple) in &coordinator_slice {
         engine.ingest(*relation, tuple.clone()).unwrap();
     }
-    producer.join().expect("producer thread");
+    realized_order(producers);
     engine.flush();
     assert_eq!(local, received(&results));
 }
 
 #[test]
 fn subscription_streams_results_before_any_barrier() {
-    let (catalog, queries) = catalog_with_parallelism(2);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [2, 2, 2, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
-    let stream = random_stream(&catalog, 30, 0, 4, 3);
-    let expected = run_local(&catalog, &plan, &stream).len();
+    let stream = SHUFFLED.draw(&catalog, 30, 0..4, 3);
+    let expected = local_results(&catalog, &plan, &stream).len();
     assert!(expected > 0);
     // Send-per-push so nothing lingers in a batch buffer.
     let config = EngineConfig {
@@ -397,12 +328,7 @@ fn subscription_streams_results_before_any_barrier() {
     };
     let mut engine = ParallelEngine::new(catalog.clone(), plan, config, 2);
     let rx = engine.subscribe();
-    let mut handle = engine.open_source();
-    let producer = std::thread::spawn(move || {
-        for (relation, tuple) in stream {
-            handle.push(relation, tuple).unwrap();
-        }
-    });
+    let producers = spawn_producers(vec![engine.open_source()], vec![stream], Pacing::Flood);
     // Every result must arrive on the subscription without any flush /
     // snapshot barrier being run.
     let mut streamed = 0usize;
@@ -412,7 +338,7 @@ fn subscription_streams_results_before_any_barrier() {
             Err(e) => panic!("subscription stalled after {streamed}/{expected} results: {e}"),
         }
     }
-    producer.join().expect("producer thread");
+    realized_order(producers);
     // No duplicates: the barrier must not re-deliver anything.
     engine.flush();
     assert!(
@@ -423,10 +349,10 @@ fn subscription_streams_results_before_any_barrier() {
 
 #[test]
 fn every_subscriber_gets_the_full_result_multiset() {
-    let (catalog, queries) = catalog_with_parallelism(2);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [2, 2, 2, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
-    let stream = random_stream(&catalog, 30, 0, 4, 7);
-    let expected = run_local(&catalog, &plan, &stream);
+    let stream = SHUFFLED.draw(&catalog, 30, 0..4, 7);
+    let expected = local_results(&catalog, &plan, &stream);
     assert!(!expected.is_empty());
     let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
     // A second subscription adds a receiver; a dropped one takes nothing
@@ -450,10 +376,10 @@ fn subscriptions_add_up_on_both_engines_and_both_system_runtimes() {
     // `subscribe()` or `set_sink` never cuts off an earlier one, and each
     // sees the full multiset.
     use clash_core::{ClashSystem, RuntimeMode, SystemConfig};
-    let (catalog, queries) = catalog_with_parallelism(2);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [2, 2, 2, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
-    let stream = random_stream(&catalog, 30, 0, 4, 7);
-    let expected = run_local(&catalog, &plan, &stream);
+    let stream = SHUFFLED.draw(&catalog, 30, 0..4, 7);
+    let expected = local_results(&catalog, &plan, &stream);
     assert!(!expected.is_empty());
     let check = |path: &str, receivers: &[Receiver<(QueryId, Tuple)>]| {
         for (i, rx) in receivers.iter().enumerate() {
@@ -510,10 +436,10 @@ fn results_arrive_without_a_timer_or_a_barrier() {
     // The size trigger (a million deliveries) cannot fire and there is no
     // timer: the batches ship because the workers they are for have
     // nothing to do — seen by a push, or by a worker running dry.
-    let (catalog, queries) = catalog_with_parallelism(2);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [2, 2, 2, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
-    let stream = random_stream(&catalog, 30, 0, 4, 3);
-    let expected = run_local(&catalog, &plan, &stream).len();
+    let stream = SHUFFLED.draw(&catalog, 30, 0..4, 3);
+    let expected = local_results(&catalog, &plan, &stream).len();
     assert!(expected > 0);
     let config = EngineConfig {
         micro_batch: 1 << 20,
@@ -542,7 +468,7 @@ fn bursty_producers_exercise_every_flush_trigger_and_stay_exact() {
     // Deterministic sweep over the bursty mode (the proptest above fixes
     // the strategy for case volume): long enough that both automatic
     // triggers have fired by the end, and exact whichever did.
-    let (catalog, queries) = catalog_with_parallelism(4);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [4, 4, 4, 1]);
     let config = EngineConfig {
         micro_batch: 8,
         ..EngineConfig::default()
@@ -554,11 +480,11 @@ fn bursty_producers_exercise_every_flush_trigger_and_stay_exact() {
     let (mut size, mut idle) = (0, 0);
     for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
         let plan = planned(&catalog, &queries, strategy);
-        let stream = random_stream(&catalog, 60, 0, 6, 0xB0057);
+        let stream = SHUFFLED.draw(&catalog, 60, 0..6, 0xB0057);
         for (sources, workers) in [(1, 2), (2, 4), (3, 4)] {
             let (multi, realized, page) =
-                run_multi_source_paced(&catalog, &plan, &stream, sources, workers, config, pacing);
-            let local = run_local(&catalog, &plan, &realized);
+                run_sources(&catalog, &plan, &stream, sources, workers, config, pacing);
+            let local = local_results(&catalog, &plan, &realized);
             assert!(!local.is_empty(), "workload must produce results");
             assert_eq!(
                 local, multi,
@@ -574,9 +500,9 @@ fn bursty_producers_exercise_every_flush_trigger_and_stay_exact() {
 
 #[test]
 fn backpressure_bounds_inflight_roots() {
-    let (catalog, queries) = catalog_with_parallelism(2);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [2, 2, 2, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
-    let stream = random_stream(&catalog, 100, 0, 4, 11);
+    let stream = SHUFFLED.draw(&catalog, 100, 0..4, 11);
     let cap = 4usize;
     let config = EngineConfig {
         max_inflight_roots: cap,
@@ -584,21 +510,16 @@ fn backpressure_bounds_inflight_roots() {
     };
     let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), config, 2);
     let results = engine.subscribe();
-    let mut handle = engine.open_source();
-    let pushed = stream.clone();
-    let producer = std::thread::spawn(move || {
-        for (relation, tuple) in pushed {
-            handle.push(relation, tuple).unwrap();
-        }
-    });
+    let handles = vec![engine.open_source()];
+    let producers = spawn_producers(handles, vec![stream.clone()], Pacing::Flood);
     // Sample the in-flight gauge while the producer runs: the admission
     // gate must keep it at or below the bound (the watermark is read
     // monotonically, so a sample can only under-report).
     let mut max_seen = 0u64;
-    while !producer.is_finished() {
+    while !producers[0].is_finished() {
         max_seen = max_seen.max(engine.inflight());
     }
-    producer.join().expect("producer thread");
+    realized_order(producers);
     assert!(
         max_seen <= cap as u64,
         "in-flight roots reached {max_seen}, bound is {cap}"
@@ -606,7 +527,7 @@ fn backpressure_bounds_inflight_roots() {
     engine.flush();
     // A single source realizes push order: results must match the local
     // engine on the stream as written despite the throttling.
-    assert_eq!(run_local(&catalog, &plan, &stream), received(&results));
+    assert_eq!(local_results(&catalog, &plan, &stream), received(&results));
 }
 
 #[test]
@@ -615,7 +536,7 @@ fn quiet_source_streams_its_results_without_barriers() {
     // the source goes quiet after them: each batch must ship because its
     // worker is idle (seen by the push or by the worker), and the join
     // result must stream out.
-    let (catalog, queries) = catalog_with_parallelism(2);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [2, 2, 2, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
     let config = EngineConfig {
         micro_batch: 1 << 20,
@@ -649,10 +570,10 @@ fn quiet_source_streams_its_results_without_barriers() {
 
 #[test]
 fn drop_without_barrier_drains_inflight_results() {
-    let (catalog, queries) = catalog_with_parallelism(2);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [2, 2, 2, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
-    let stream = random_stream(&catalog, 30, 0, 4, 5);
-    let expected = run_local(&catalog, &plan, &stream).len() as u64;
+    let stream = SHUFFLED.draw(&catalog, 30, 0..4, 5);
+    let expected = local_results(&catalog, &plan, &stream).len() as u64;
     assert!(expected > 0);
     let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
     let results = engine.subscribe();
@@ -687,10 +608,6 @@ fn run_with_installs(
 ) -> InstallRaceOutcome {
     let mut engine = ParallelEngine::new(catalog.clone(), plans[0].clone(), config, workers);
     let results = engine.subscribe();
-    let mut slices: Vec<Vec<(RelationId, Tuple)>> = (0..sources).map(|_| Vec::new()).collect();
-    for (idx, entry) in stream.iter().enumerate() {
-        slices[idx % sources].push(entry.clone());
-    }
     // One install lands between the first and the second `open_source`,
     // so a source opened after an install must push against the plan the
     // install left on every worker and slot. Same plan, no root sequenced
@@ -698,20 +615,7 @@ fn run_with_installs(
     let mut handles = vec![engine.open_source()];
     engine.install_plan(plans[0].clone()).unwrap();
     handles.extend((1..sources).map(|_| engine.open_source()));
-    let producers: Vec<_> = slices
-        .into_iter()
-        .zip(handles)
-        .map(|(slice, mut handle)| {
-            std::thread::spawn(move || {
-                let mut log = Vec::with_capacity(slice.len());
-                for (relation, tuple) in slice {
-                    let seq = handle.push(relation, tuple.clone()).unwrap();
-                    log.push((seq, relation, tuple));
-                }
-                log
-            })
-        })
-        .collect();
+    let producers = spawn_producers(handles, round_robin(stream, sources), Pacing::Flood);
     // Force plan installs while the producers run: every time
     // `installs_every` further roots have been sequenced, install the
     // next plan of the cycle. This is the exact race that used to drop
@@ -728,17 +632,9 @@ fn run_with_installs(
         }
         std::thread::yield_now();
     }
-    let mut realized: Vec<(u64, RelationId, Tuple)> = Vec::new();
-    for producer in producers {
-        realized.extend(producer.join().expect("producer thread"));
-    }
-    realized.sort_by_key(|(seq, _, _)| *seq);
+    let realized = realized_order(producers);
     engine.flush();
-    (
-        received(&results),
-        realized.into_iter().map(|(_, r, t)| (r, t)).collect(),
-        installs,
-    )
+    (received(&results), realized, installs)
 }
 
 proptest! {
@@ -754,14 +650,14 @@ proptest! {
         seed in 0u64..10_000,
         sources in 2usize..4,
     ) {
-        let (catalog, queries) = catalog_with_parallelism(4);
+        let (catalog, queries) = two_chains([Window::secs(3600); 4], [4, 4, 4, 1]);
         let plan = planned(&catalog, &queries, Strategy::Shared);
-        let stream = random_stream(&catalog, 12, 0, 5, seed);
+        let stream = SHUFFLED.draw(&catalog, 12, 0..5, seed);
         let plans = vec![plan];
         let (multi, realized, installs) = run_with_installs(
             &catalog, &plans, &stream, sources, 4, 8, EngineConfig::default());
         prop_assert_eq!(realized.len(), stream.len(), "every push sequenced exactly once");
-        let local = run_local(&catalog, &plans[0], &realized);
+        let local = local_results(&catalog, &plans[0], &realized);
         prop_assert_eq!(local, multi, "seed {}, {} sources, {} installs", seed, sources, installs.len());
     }
 }
@@ -773,33 +669,25 @@ fn installs_alternating_plans_match_local_replay_at_install_points() {
     // replaying the realized order with the same plans installed at the
     // same realized positions (`install_plan` returns them). Descriptor
     // key carry-over applies on both sides.
-    let (catalog, queries) = catalog_with_parallelism(4);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [4, 4, 4, 1]);
     let plans = vec![
         planned(&catalog, &queries, Strategy::Shared),
         planned(&catalog, &queries, Strategy::Independent),
     ];
     for seed in [11u64, 12, 13] {
-        let stream = random_stream(&catalog, 25, 0, 5, seed);
+        let stream = SHUFFLED.draw(&catalog, 25, 0..5, seed);
         let (multi, realized, installs) =
             run_with_installs(&catalog, &plans, &stream, 3, 4, 20, EngineConfig::default());
         assert_eq!(realized.len(), stream.len());
         // Replay through LocalEngine with identical install points.
+        let points: Vec<(usize, &TopologyPlan)> = installs
+            .iter()
+            .map(|(pos, idx)| (*pos as usize, &plans[*idx]))
+            .collect();
         let config = EngineConfig::default();
-        let mut local = LocalEngine::new(catalog.clone(), plans[0].clone(), config);
-        let results = local.subscribe();
-        let mut install_iter = installs.iter().peekable();
-        for (i, (relation, tuple)) in realized.iter().enumerate() {
-            while install_iter.peek().is_some_and(|(pos, _)| *pos <= i as u64) {
-                let (_, idx) = install_iter.next().expect("peeked");
-                local.install_plan(plans[*idx].clone()).unwrap();
-            }
-            local.ingest(*relation, tuple.clone()).unwrap();
-        }
-        for (_, idx) in install_iter {
-            local.install_plan(plans[*idx].clone()).unwrap();
-        }
+        let replay = run_paths(&catalog, &plans[0], config, &realized, &[], &points).remove(0);
         assert_eq!(
-            received(&results),
+            replay.results,
             multi,
             "seed {seed}: {} installs at {:?}",
             installs.len(),
@@ -814,15 +702,11 @@ fn no_push_blocks_past_the_quiesce_window() {
     // K producers, every push completes and none blocks anywhere near
     // the backpressure stall threshold — pushes only ever wait for the
     // bounded quiesce window (pause -> drain -> install -> resume).
-    let (catalog, queries) = catalog_with_parallelism(2);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [2, 2, 2, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
-    let stream = random_stream(&catalog, 50, 0, 4, 17);
+    let stream = SHUFFLED.draw(&catalog, 50, 0..4, 17);
     let mut engine = ParallelEngine::new(catalog.clone(), plan.clone(), EngineConfig::default(), 2);
-    let mut slices: Vec<Vec<(RelationId, Tuple)>> = (0..3).map(|_| Vec::new()).collect();
-    for (idx, entry) in stream.iter().enumerate() {
-        slices[idx % 3].push(entry.clone());
-    }
-    let producers: Vec<_> = slices
+    let producers: Vec<_> = round_robin(&stream, 3)
         .into_iter()
         .map(|slice| {
             let mut handle = engine.open_source();
@@ -927,9 +811,9 @@ fn clash_system_source_workload_reconfigures_out_of_the_box() {
 
 #[test]
 fn source_push_after_shutdown_errors() {
-    let (catalog, queries) = catalog_with_parallelism(2);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [2, 2, 2, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
-    let stream = random_stream(&catalog, 2, 0, 4, 1);
+    let stream = SHUFFLED.draw(&catalog, 2, 0..4, 1);
     let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
     let mut handle = engine.open_source();
     let (relation, tuple) = stream[0].clone();
@@ -950,10 +834,10 @@ fn source_push_after_shutdown_errors() {
 
 #[test]
 fn explicit_shutdown_is_idempotent_and_inert() {
-    let (catalog, queries) = catalog_with_parallelism(2);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [2, 2, 2, 1]);
     let plan = planned(&catalog, &queries, Strategy::Shared);
-    let stream = random_stream(&catalog, 10, 0, 4, 9);
-    let expected = run_local(&catalog, &plan, &stream);
+    let stream = SHUFFLED.draw(&catalog, 10, 0..4, 9);
+    let expected = local_results(&catalog, &plan, &stream);
     let mut engine = ParallelEngine::new(catalog.clone(), plan, EngineConfig::default(), 2);
     let results = engine.subscribe();
     for (relation, tuple) in &stream {

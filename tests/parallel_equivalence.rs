@@ -6,151 +6,65 @@
 //! `LocalEngine`, for every planning strategy, any worker count, and both
 //! in-order and out-of-order timestamp arrival.
 
-use clash_catalog::{Catalog, Statistics};
-use clash_common::{
-    Duration, EpochConfig, QueryId, RelationId, Timestamp, Tuple, TupleBuilder, Window,
-};
-use clash_optimizer::{Planner, Strategy};
-use clash_query::parse_query;
+use clash_bench::exactness::{planned, run_paths, Run};
+use clash_common::{Duration, EpochConfig, QueryId, Tuple, Window};
+use clash_datagen::exactness::{multiset, two_chains, StreamShape};
+use clash_optimizer::Strategy;
 use clash_runtime::store::partition_hash;
 use clash_runtime::{EngineConfig, LocalEngine, MetricsSnapshot, ParallelEngine};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 
-fn catalog_with_parallelism(parallelism: usize) -> (Catalog, Vec<clash_query::JoinQuery>) {
-    let mut catalog = Catalog::new();
-    catalog
-        .register("A", ["x"], Window::secs(3600), parallelism)
-        .unwrap();
-    catalog
-        .register("B", ["x", "y"], Window::secs(3600), parallelism)
-        .unwrap();
-    catalog
-        .register("C", ["y", "z"], Window::secs(3600), parallelism)
-        .unwrap();
-    catalog.register("D", ["z"], Window::secs(3600), 1).unwrap();
-    let q1 = parse_query(&catalog, QueryId::new(0), "q1", "A(x), B(x,y), C(y)").unwrap();
-    let q2 = parse_query(&catalog, QueryId::new(1), "q2", "B(y), C(y,z), D(z)").unwrap();
-    (catalog, vec![q1, q2])
-}
+/// In-order arrivals 5 ms apart.
+const IN_ORDER: StreamShape = StreamShape {
+    relations: &["A", "B", "C", "D"],
+    step_ms: 5,
+    jitter_ms: 0,
+};
 
-/// Random stream over all four relations; `shuffle_ts` makes timestamps
-/// arrive out of order (a tuple may carry a smaller timestamp than an
-/// earlier-arrived one), stressing the sequence-number probe guard.
-fn random_stream(
-    catalog: &Catalog,
-    n_per_relation: usize,
-    key_domain: i64,
-    seed: u64,
-    shuffle_ts: bool,
-) -> Vec<(RelationId, Tuple)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut stream = Vec::new();
-    let mut ts = 0u64;
-    for _ in 0..n_per_relation {
-        for name in ["A", "B", "C", "D"] {
-            let meta = catalog.relation_by_name(name).unwrap();
-            ts += 5;
-            let jitter = if shuffle_ts {
-                rng.gen_range(0..10u64)
-            } else {
-                0
-            };
-            let mut b = TupleBuilder::new(&meta.schema, Timestamp::from_millis(ts + jitter));
-            for attr in &meta.schema.attributes {
-                b = b.set(&attr.name, rng.gen_range(0..key_domain));
-            }
-            stream.push((meta.id, b.build()));
-        }
-    }
-    stream
-}
-
-/// Canonical sortable rendering of a result multiset.
-fn result_multiset(results: &[(QueryId, Tuple)]) -> Vec<String> {
-    let mut rendered: Vec<String> = results
-        .iter()
-        .map(|(q, t)| {
-            let mut attrs: Vec<String> = t.iter().map(|(a, v)| format!("{a}={v}")).collect();
-            attrs.sort();
-            format!("{q}|{}|{}", t.ts, attrs.join(","))
-        })
-        .collect();
-    rendered.sort();
-    rendered
-}
-
-fn run_local(
-    catalog: &Catalog,
-    queries: &[clash_query::JoinQuery],
-    strategy: Strategy,
-    stream: &[(RelationId, Tuple)],
-) -> (Vec<String>, u64, u64) {
-    let stats = Statistics::new();
-    let planner = Planner::with_defaults(catalog, &stats);
-    let report = planner.plan(queries, strategy).unwrap();
-    let mut engine = LocalEngine::new(catalog.clone(), report.plan, EngineConfig::default());
-    let results = engine.subscribe();
-    for (relation, tuple) in stream {
-        engine.ingest(*relation, tuple.clone()).unwrap();
-    }
-    let snap = engine.snapshot();
-    (
-        result_multiset(&results.try_iter().collect::<Vec<_>>()),
-        snap.total_results(),
-        snap.tuples_sent,
-    )
-}
-
-fn run_parallel(
-    catalog: &Catalog,
-    queries: &[clash_query::JoinQuery],
-    strategy: Strategy,
-    stream: &[(RelationId, Tuple)],
-    workers: usize,
-) -> (Vec<String>, u64, u64) {
-    let stats = Statistics::new();
-    let planner = Planner::with_defaults(catalog, &stats);
-    let report = planner.plan(queries, strategy).unwrap();
-    let config = EngineConfig::default();
-    let mut engine = ParallelEngine::new(catalog.clone(), report.plan, config, workers);
-    let results = engine.subscribe();
-    for (relation, tuple) in stream {
-        engine.ingest(*relation, tuple.clone()).unwrap();
-    }
-    let snap = engine.snapshot();
-    (
-        result_multiset(&results.try_iter().collect::<Vec<_>>()),
-        snap.total_results(),
-        snap.tuples_sent,
-    )
-}
+/// [`IN_ORDER`] with each timestamp moved forward by up to 9 ms: a tuple
+/// may carry a smaller timestamp than one that arrived before it.
+const SHUFFLED: StreamShape = StreamShape {
+    jitter_ms: 10,
+    ..IN_ORDER
+};
 
 #[test]
 fn parallel_engine_matches_local_engine_result_multisets() {
-    for parallelism in [2usize, 4] {
-        let (catalog, queries) = catalog_with_parallelism(parallelism);
-        let stream = random_stream(&catalog, 40, 6, 0xC1A5, false);
+    // Every store's parallelism against worker counts below, at and above
+    // it; the multisets and the counted work must agree on every path.
+    let config = EngineConfig::default();
+    for (parallelism, workers) in [(1, &[1][..]), (2, &[1, 2, 4, 7]), (4, &[1, 2, 4, 7, 8])] {
+        let p = parallelism;
+        let (catalog, queries) = two_chains([Window::secs(3600); 4], [p, p, p, 1]);
+        let stream = IN_ORDER.draw(&catalog, 40, 0..6, 0xC1A5);
         for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
-            let (local_set, local_total, local_sent) =
-                run_local(&catalog, &queries, strategy, &stream);
-            assert!(local_total > 0, "workload must produce results");
-            for workers in [1usize, 2, 4, 7] {
-                let (par_set, par_total, par_sent) =
-                    run_parallel(&catalog, &queries, strategy, &stream, workers);
+            let plan = planned(&catalog, &queries, strategy);
+            let runs = run_paths(&catalog, &plan, config, &stream, workers, &[]);
+            let (local, parallel) = runs.split_first().unwrap();
+            let expected = &local.metrics;
+            assert!(
+                expected.total_results() > 0,
+                "workload must produce results"
+            );
+            for run in parallel {
+                let what = format!("{strategy:?}, {}, parallelism {parallelism}", run.path);
+                let got = &run.metrics;
+                for query in &queries {
+                    assert_eq!(
+                        got.results_for(query.id),
+                        expected.results_for(query.id),
+                        "{what}: {} result count",
+                        query.name
+                    );
+                }
+                assert_eq!(run.results, local.results, "{what}: result multiset");
+                assert_eq!(got.tuples_sent, expected.tuples_sent, "{what}: probe cost");
+                assert_eq!(got.broadcasts, expected.broadcasts, "{what}: broadcasts");
+                assert_eq!(got.probes, expected.probes, "{what}: probe count");
                 assert_eq!(
-                    local_total, par_total,
-                    "{strategy:?} result count, {workers} workers, parallelism {parallelism}"
-                );
-                assert_eq!(
-                    local_set, par_set,
-                    "{strategy:?} result multiset, {workers} workers, parallelism {parallelism}"
-                );
-                assert_eq!(
-                    local_sent, par_sent,
-                    "{strategy:?} probe cost, {workers} workers, parallelism {parallelism}"
+                    got.store_tuples, expected.store_tuples,
+                    "{what}: store state"
                 );
             }
         }
@@ -163,16 +77,22 @@ fn parallel_engine_matches_local_engine_on_out_of_order_streams() {
     // diverge from timestamp order; the parallel engine must still mirror
     // the sequential engine's arrival-order semantics exactly (via the
     // sequence-number guard).
-    let (catalog, queries) = catalog_with_parallelism(4);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [4, 4, 4, 1]);
+    let plan = planned(&catalog, &queries, Strategy::GlobalIlp);
     for seed in [1u64, 2, 3] {
-        let stream = random_stream(&catalog, 30, 5, seed, true);
-        let (local_set, local_total, _) =
-            run_local(&catalog, &queries, Strategy::GlobalIlp, &stream);
-        assert!(local_total > 0);
-        for workers in [2usize, 4] {
-            let (par_set, _, _) =
-                run_parallel(&catalog, &queries, Strategy::GlobalIlp, &stream, workers);
-            assert_eq!(local_set, par_set, "seed {seed}, {workers} workers");
+        let stream = SHUFFLED.draw(&catalog, 30, 0..5, seed);
+        let runs = run_paths(
+            &catalog,
+            &plan,
+            EngineConfig::default(),
+            &stream,
+            &[2, 4],
+            &[],
+        );
+        let (local, parallel) = runs.split_first().unwrap();
+        assert!(local.metrics.total_results() > 0);
+        for run in parallel {
+            assert_eq!(run.results, local.results, "seed {seed}, {}", run.path);
         }
     }
 }
@@ -214,16 +134,9 @@ fn shared_sections(page: &str) -> Vec<String> {
 fn telemetry_pages_agree_on_every_shared_section() {
     // Finite windows over many short epochs, so both engines close epochs
     // and expire within the run.
-    let (mut catalog, queries) = catalog_with_parallelism(2);
-    for id in catalog.iter().map(|m| m.id).collect::<Vec<_>>() {
-        catalog.set_window(id, Window::secs(2)).unwrap();
-    }
-    let stream = random_stream(&catalog, 600, 6, 0x7E1E, false);
-    let stats = Statistics::new();
-    let plan = Planner::with_defaults(&catalog, &stats)
-        .plan(&queries, Strategy::GlobalIlp)
-        .unwrap()
-        .plan;
+    let (catalog, queries) = two_chains([Window::secs(2); 4], [2, 2, 2, 1]);
+    let stream = IN_ORDER.draw(&catalog, 600, 0..6, 0x7E1E);
+    let plan = planned(&catalog, &queries, Strategy::GlobalIlp);
     let config = EngineConfig {
         epoch: EpochConfig::new(Duration::from_millis(100)),
         expire_every: 100,
@@ -260,15 +173,9 @@ fn per_evaluation_accounting_agrees_with_every_result_surface() {
     // for the whole run (the borrowing `set_sink` locally, another
     // subscription on workers) must see exactly the same multiset — on the
     // local engine and on 1 and 2 workers, under finite windows and expiry.
-    let (mut catalog, queries) = catalog_with_parallelism(2);
-    for id in catalog.iter().map(|m| m.id).collect::<Vec<_>>() {
-        catalog.set_window(id, Window::secs(2)).unwrap();
-    }
-    let stream = random_stream(&catalog, 400, 6, 0xACC7, false);
-    let plan = Planner::with_defaults(&catalog, &Statistics::new())
-        .plan(&queries, Strategy::GlobalIlp)
-        .unwrap()
-        .plan;
+    let (catalog, queries) = two_chains([Window::secs(2); 4], [2, 2, 2, 1]);
+    let stream = IN_ORDER.draw(&catalog, 400, 0..6, 0xACC7);
+    let plan = planned(&catalog, &queries, Strategy::GlobalIlp);
     let config = EngineConfig {
         expire_every: 100,
         ..EngineConfig::default()
@@ -281,8 +188,8 @@ fn per_evaluation_accounting_agrees_with_every_result_surface() {
                 "{path}: workload must produce results"
             );
             assert_eq!(
-                result_multiset(&streamed),
-                result_multiset(collected),
+                multiset(&streamed),
+                multiset(collected),
                 "{path}: second sink vs subscription"
             );
             for query in &queries {
@@ -296,7 +203,7 @@ fn per_evaluation_accounting_agrees_with_every_result_surface() {
                 let samples = snap.latency_for(query.id).count;
                 assert_eq!(samples, n, "{path}: {} latency samples", query.name);
             }
-            result_multiset(collected)
+            multiset(collected)
         };
 
     let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
@@ -330,13 +237,20 @@ fn per_evaluation_accounting_agrees_with_every_result_surface() {
 fn repeated_parallel_runs_are_deterministic() {
     // Scheduling may interleave differently run to run; the collected
     // result multiset (and all counted metrics) must not.
-    let (catalog, queries) = catalog_with_parallelism(4);
-    let stream = random_stream(&catalog, 30, 5, 7, false);
-    let runs: Vec<(Vec<String>, u64, u64)> = (0..3)
-        .map(|_| run_parallel(&catalog, &queries, Strategy::GlobalIlp, &stream, 4))
-        .collect();
-    assert_eq!(runs[0], runs[1]);
-    assert_eq!(runs[1], runs[2]);
+    let (catalog, queries) = two_chains([Window::secs(3600); 4], [4, 4, 4, 1]);
+    let plan = planned(&catalog, &queries, Strategy::GlobalIlp);
+    let stream = IN_ORDER.draw(&catalog, 30, 0..5, 7);
+    let outcome = || {
+        let runs = run_paths(&catalog, &plan, EngineConfig::default(), &stream, &[4], &[]);
+        let outcome = |run: Run| {
+            let (total, sent) = (run.metrics.total_results(), run.metrics.tuples_sent);
+            (run.path, run.results, total, sent)
+        };
+        runs.into_iter().map(outcome).collect::<Vec<_>>()
+    };
+    let first = outcome();
+    assert_eq!(outcome(), first);
+    assert_eq!(outcome(), first);
 }
 
 proptest! {

@@ -9,12 +9,13 @@
 //! query on out-of-order input yields identical result multisets from
 //! `LocalEngine` and `ParallelEngine`, with epoch closing on or off.
 
-use clash_catalog::{Catalog, Statistics};
+use clash_bench::exactness::{local_results, planned, run_paths};
 use clash_common::{
     AttrId, AttrRef, Duration, EpochConfig, JoinSlot, QueryId, RelationId, SlotAccessor, Timestamp,
     TraceEvent, TraceEventKind, Tuple, Value, Window,
 };
-use clash_optimizer::{Planner, Strategy};
+use clash_datagen::exactness::{five_chain, multiset, received, render, StreamShape};
+use clash_optimizer::Strategy;
 use clash_query::parse_query;
 use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
 use proptest::prelude::*;
@@ -245,120 +246,49 @@ fn tuples_are_send_and_sync() {
 
 // --- deep rope chains through both engines --------------------------------
 
-/// 5-relation chain A(x), B(x,y), C(y,z), D(z,w), E(w): results are built
-/// through two levels of materialized intermediate stores, so rope depth
-/// and Arc sharing are exercised across shard boundaries.
-fn chain_catalog(parallelism: usize) -> (Catalog, Vec<clash_query::JoinQuery>) {
-    chain_catalog_windowed(parallelism, Window::secs(3600))
-}
-
-fn chain_catalog_windowed(
-    parallelism: usize,
-    window: Window,
-) -> (Catalog, Vec<clash_query::JoinQuery>) {
-    let mut catalog = Catalog::new();
-    catalog.register("A", ["x"], window, parallelism).unwrap();
-    catalog
-        .register("B", ["x", "y"], window, parallelism)
-        .unwrap();
-    catalog
-        .register("C", ["y", "z"], window, parallelism)
-        .unwrap();
-    catalog
-        .register("D", ["z", "w"], window, parallelism)
-        .unwrap();
-    catalog.register("E", ["w"], window, 1).unwrap();
-    let q = parse_query(
-        &catalog,
-        QueryId::new(0),
-        "chain5",
-        "A(x), B(x,y), C(y,z), D(z,w), E(w)",
-    )
-    .unwrap();
-    (catalog, vec![q])
-}
-
-/// Out-of-order stream: timestamps jitter backwards relative to arrival.
-fn chain_stream(
-    catalog: &Catalog,
-    n_per_relation: usize,
-    key_domain: i64,
-    seed: u64,
-) -> Vec<(RelationId, Tuple)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut stream = Vec::new();
-    let mut ts = 0u64;
-    for _ in 0..n_per_relation {
-        for name in ["A", "B", "C", "D", "E"] {
-            let meta = catalog.relation_by_name(name).unwrap();
-            ts += 7;
-            let jitter = rng.gen_range(0..20u64);
-            let mut b =
-                clash_common::TupleBuilder::new(&meta.schema, Timestamp::from_millis(ts + jitter));
-            for attr in &meta.schema.attributes {
-                b = b.set(&attr.name, rng.gen_range(0..key_domain));
-            }
-            stream.push((meta.id, b.build()));
-        }
-    }
-    stream
-}
-
-/// One result as a shape-independent string.
-fn render(query: QueryId, tuple: &Tuple) -> String {
-    let mut attrs: Vec<String> = tuple.iter().map(|(a, v)| format!("{a}={v}")).collect();
-    attrs.sort();
-    format!("{query}|{}|{}", tuple.ts, attrs.join(","))
-}
-
-fn multiset(results: &[(QueryId, Tuple)]) -> Vec<String> {
-    let mut rendered: Vec<String> = results.iter().map(|(q, t)| render(*q, t)).collect();
-    rendered.sort();
-    rendered
-}
-
-/// The multiset a subscription received so far.
-fn received(rx: &std::sync::mpsc::Receiver<(QueryId, Tuple)>) -> Vec<String> {
-    multiset(&rx.try_iter().collect::<Vec<_>>())
-}
+/// The five-way chain's relations, 7 ms apart, each timestamp moved
+/// forward by up to 19 ms: timestamps jitter backwards relative to
+/// arrival.
+const CHAIN: StreamShape = StreamShape {
+    relations: &["A", "B", "C", "D", "E"],
+    step_ms: 7,
+    jitter_ms: 20,
+};
 
 #[test]
 fn five_way_chain_multisets_agree_between_engines_on_out_of_order_input() {
-    let (catalog, queries) = chain_catalog(2);
-    let stream = chain_stream(&catalog, 24, 6, 0x5EED);
-    let stats = Statistics::new();
-    let planner = Planner::with_defaults(&catalog, &stats);
+    let (catalog, queries) = five_chain(Window::secs(3600), 2);
+    let stream = CHAIN.draw(&catalog, 24, 0..6, 0x5EED);
     let config = EngineConfig::default();
     for strategy in [Strategy::Shared, Strategy::GlobalIlp] {
-        let report = planner.plan(&queries, strategy).unwrap();
-        let mut local = LocalEngine::new(catalog.clone(), report.plan.clone(), config);
-        let mut parallel = ParallelEngine::new(catalog.clone(), report.plan, config, 3);
-        let (local_rx, parallel_rx) = (local.subscribe(), parallel.subscribe());
-        for (relation, tuple) in &stream {
-            local.ingest(*relation, tuple.clone()).unwrap();
-            parallel.ingest(*relation, tuple.clone()).unwrap();
+        let plan = planned(&catalog, &queries, strategy);
+        let runs = run_paths(&catalog, &plan, config, &stream, &[3], &[]);
+        let (local, parallel) = runs.split_first().unwrap();
+        for run in parallel {
+            assert_eq!(
+                local.metrics.total_results(),
+                run.metrics.total_results(),
+                "{strategy:?} result counts, {}",
+                run.path
+            );
+            assert_eq!(
+                local.results, run.results,
+                "{strategy:?} result multisets, {}",
+                run.path
+            );
         }
-        let local_snap = local.snapshot();
-        let parallel_snap = parallel.snapshot();
-        let local_results: Vec<_> = local_rx.try_iter().collect();
-        let parallel_results: Vec<_> = parallel_rx.try_iter().collect();
-        assert_eq!(
-            local_snap.total_results(),
-            parallel_snap.total_results(),
-            "{strategy:?} result counts"
-        );
-        assert_eq!(
-            multiset(&local_results),
-            multiset(&parallel_results),
-            "{strategy:?} result multisets"
-        );
         assert!(
-            local_snap.total_results() > 0,
+            local.metrics.total_results() > 0,
             "{strategy:?} produced no 5-way results; stream too sparse"
         );
         // The emitted results are genuine deep ropes: 5 constituent
         // relations, at least two join levels.
-        for (_, tuple) in local_results.iter().take(16) {
+        let mut engine = LocalEngine::new(catalog.clone(), plan, config);
+        let results = engine.subscribe();
+        for (relation, tuple) in &stream {
+            engine.ingest(*relation, tuple.clone()).unwrap();
+        }
+        for (_, tuple) in results.try_iter().take(16) {
             assert_eq!(tuple.relations.len(), 5);
             assert!(
                 tuple.depth() >= 2,
@@ -373,30 +303,22 @@ fn five_way_chain_multisets_agree_between_engines_on_out_of_order_input() {
 #[test]
 fn micro_batching_preserves_chain_equivalence() {
     // Same 5-way chain, explicitly sweeping router micro-batch sizes.
-    let (catalog, queries) = chain_catalog(2);
-    let stream = chain_stream(&catalog, 20, 5, 0xBA7C4);
-    let stats = Statistics::new();
-    let planner = Planner::with_defaults(&catalog, &stats);
-    let report = planner.plan(&queries, Strategy::GlobalIlp).unwrap();
-    let base = EngineConfig::default();
-    let mut local = LocalEngine::new(catalog.clone(), report.plan.clone(), base);
-    let results = local.subscribe();
-    for (relation, tuple) in &stream {
-        local.ingest(*relation, tuple.clone()).unwrap();
-    }
-    let reference = received(&results);
+    let (catalog, queries) = five_chain(Window::secs(3600), 2);
+    let stream = CHAIN.draw(&catalog, 20, 0..5, 0xBA7C4);
+    let plan = planned(&catalog, &queries, Strategy::GlobalIlp);
+    let reference = local_results(&catalog, &plan, &stream);
     for micro_batch in [1usize, 7, 1 << 20] {
         let config = EngineConfig {
             micro_batch,
-            ..base
+            ..EngineConfig::default()
         };
-        let mut engine = ParallelEngine::new(catalog.clone(), report.plan.clone(), config, 2);
-        let results = engine.subscribe();
-        for (relation, tuple) in &stream {
-            engine.ingest(*relation, tuple.clone()).unwrap();
+        for run in run_paths(&catalog, &plan, config, &stream, &[2], &[]) {
+            assert_eq!(
+                run.results, reference,
+                "micro_batch={micro_batch}, {}",
+                run.path
+            );
         }
-        engine.flush();
-        assert_eq!(received(&results), reference, "micro_batch={micro_batch}");
     }
 }
 
@@ -407,12 +329,10 @@ fn micro_batching_preserves_chain_equivalence() {
 /// off (`freeze_after_epochs` 0) and on (1), on both engines.
 #[test]
 fn epoch_closing_on_or_off_yields_identical_multisets_on_both_engines() {
-    let (catalog, mut queries) = chain_catalog_windowed(2, Window::secs(3));
+    let (catalog, mut queries) = five_chain(Window::secs(3), 2);
     queries.push(parse_query(&catalog, QueryId::new(1), "mid3", "B(x,y), C(y,z), D(z,w)").unwrap());
-    let stream = chain_stream(&catalog, 400, 40, 0xF02E);
-    let stats = Statistics::new();
-    let planner = Planner::with_defaults(&catalog, &stats);
-    let plan = planner.plan(&queries, Strategy::GlobalIlp).unwrap().plan;
+    let stream = CHAIN.draw(&catalog, 400, 0..40, 0xF02E);
+    let plan = planned(&catalog, &queries, Strategy::GlobalIlp);
     let config = |freeze_after_epochs| EngineConfig {
         epoch: EpochConfig::new(Duration::from_millis(100)),
         expire_every: 64,
@@ -446,18 +366,13 @@ fn epoch_closing_on_or_off_yields_identical_multisets_on_both_engines() {
     assert_eq!(multiset(&held), reference, "LocalEngine, closing on");
 
     for freeze_after in [0, 1] {
-        let mut parallel =
-            ParallelEngine::new(catalog.clone(), plan.clone(), config(freeze_after), 2);
-        let results = parallel.subscribe();
-        for (relation, tuple) in &stream {
-            parallel.ingest(*relation, tuple.clone()).unwrap();
+        for run in run_paths(&catalog, &plan, config(freeze_after), &stream, &[2], &[]) {
+            assert_eq!(
+                run.results, reference,
+                "{}, freeze_after_epochs={freeze_after}",
+                run.path
+            );
         }
-        parallel.flush();
-        assert_eq!(
-            received(&results),
-            reference,
-            "ParallelEngine, freeze_after_epochs={freeze_after}"
-        );
     }
 
     // Lifetime: held results stay readable after a plan install carried
@@ -486,17 +401,15 @@ fn epoch_closing_on_or_off_yields_identical_multisets_on_both_engines() {
 /// `ParallelEngine` subscription form one multiset.
 #[test]
 fn results_read_in_a_sink_equal_results_kept_past_it_on_both_engines() {
-    let (catalog, _) = chain_catalog_windowed(2, Window::secs(1));
+    let (catalog, _) = five_chain(Window::secs(1), 2);
     let queries = [
         (0, "A(x), B(x,y), C(y,z)"),
         (1, "A(x), B(x,y)"),
         (2, "B(x,y), C(y,z)"),
     ]
     .map(|(id, text)| parse_query(&catalog, QueryId::new(id), "q", text).unwrap());
-    let stream = chain_stream(&catalog, 120, 4, 0x5107);
-    let stats = Statistics::new();
-    let planner = Planner::with_defaults(&catalog, &stats);
-    let plan = planner.plan(&queries, Strategy::GlobalIlp).unwrap().plan;
+    let stream = CHAIN.draw(&catalog, 120, 0..4, 0x5107);
+    let plan = planned(&catalog, &queries, Strategy::GlobalIlp);
     let config = EngineConfig::default();
 
     let read = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
