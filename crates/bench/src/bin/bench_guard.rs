@@ -1,5 +1,5 @@
-//! Bench regression guard: fails when `BENCH_hotpath.json` reports a
-//! closed-probe speedup below its checked-in floor
+//! Bench regression guard: fails when `BENCH_hotpath.json` reports an
+//! epoch-span probe ratio below its checked-in floor
 //! (`ci/bench_floors.json`), an ingest or rule-kernel allocation count
 //! above its ceiling, a ten-query ILP solve whose propagation examines more
 //! constraints per node than its ceiling, a telemetry throughput ratio
@@ -37,7 +37,7 @@ fn number_after(text: &str, key: &str, from: usize) -> Option<(f64, usize)> {
     Some((value, at + consumed + end))
 }
 
-/// Extracts the `speedup` of the named `micro` (closed-probe) row.
+/// Extracts the `speedup` of the named `micro` (epoch-span probe) row.
 fn micro_speedup(report: &str, name: &str) -> Option<f64> {
     let marker = format!("\"name\": \"{name}\"");
     let at = report.find(&marker)?;

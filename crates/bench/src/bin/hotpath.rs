@@ -1,4 +1,4 @@
-//! Hot-path report: open vs. closed store probes, allocations per
+//! Hot-path report: one-epoch vs. spread store probes, allocations per
 //! ingested tuple, the Fig. 7 five-query replay, the multi-source and
 //! reconfiguration scenarios, the trace-ring overhead and the ILP solve
 //! rate (see `clash_bench::hotpath`). Writes the machine-readable report
@@ -32,14 +32,14 @@ fn main() {
 
     println!(
         "{:<20} {:>18} {:>18} {:>9}",
-        "suite", "hot[probes/s]", "closed[probes/s]", "speedup"
+        "suite", "one[probes/s]", "spread[probes/s]", "speedup"
     );
     for row in &report.micro {
         println!(
             "{:<20} {:>18.0} {:>18.0} {:>8.2}x",
             row.name,
-            row.hot_probes_per_sec,
-            row.closed_probes_per_sec,
+            row.one_epoch_probes_per_sec,
+            row.spread_probes_per_sec,
             row.speedup()
         );
     }

@@ -5,10 +5,11 @@
 //! this report keeps only what it does not measure, each row with a
 //! correctness cross-check before timing:
 //!
-//! * `store_probe_cold` / `store_probe_skewed` — the same store probed
-//!   with every epoch open and with every epoch closed
-//!   ([`ClosedProbeRow`]): what the closed-epoch bloom buys on
-//!   miss-dominated long state and costs on hit-heavy skewed state.
+//! * `store_probe_cold` / `store_probe_skewed` — the same tuples stored
+//!   with respect to 32 epochs and to one, probed with the same stream
+//!   ([`EpochSpanRow`]): a probe must cost the same however many epochs
+//!   its window spans, on miss-dominated long state and on hit-heavy
+//!   skewed state.
 //! * `allocs` — allocations per tuple on the construct → insert → expire
 //!   path, and per input tuple of the rule kernel at steady state
 //!   (`kernel_allocs`), under the counting allocator; deterministic, so CI
@@ -44,6 +45,7 @@ use clash_optimizer::{
 use clash_query::{parse_query, EquiPredicate, StoreDescriptor};
 use clash_runtime::store::StoreInstance;
 use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,23 +53,26 @@ use std::time::{Duration, Instant};
 /// Every suite takes the best of this many timed runs.
 pub const BEST_OF: usize = 3;
 
-/// One closed-probe result: the same probe stream against a store whose
-/// epochs are all open and against its copy with every epoch closed.
+/// One epoch-span result: the same probe stream against the same tuples
+/// stored with respect to one epoch and spread over many.
 #[derive(Debug, Clone)]
-pub struct ClosedProbeRow {
+pub struct EpochSpanRow {
     /// Suite name.
     pub name: &'static str,
-    /// Probes per second against the open store (best of [`BEST_OF`]).
-    pub hot_probes_per_sec: f64,
-    /// Probes per second against the closed store (best of [`BEST_OF`]).
-    pub closed_probes_per_sec: f64,
+    /// Probes per second against the one-epoch store (best of
+    /// [`BEST_OF`]).
+    pub one_epoch_probes_per_sec: f64,
+    /// Probes per second against the same tuples spread over 32 epochs
+    /// (best of [`BEST_OF`]).
+    pub spread_probes_per_sec: f64,
 }
 
-impl ClosedProbeRow {
-    /// closed / open.
+impl EpochSpanRow {
+    /// spread / one epoch: 1.0 when a probe's cost does not grow with the
+    /// epochs its window spans.
     pub fn speedup(&self) -> f64 {
-        if self.hot_probes_per_sec > 0.0 {
-            self.closed_probes_per_sec / self.hot_probes_per_sec
+        if self.one_epoch_probes_per_sec > 0.0 {
+            self.spread_probes_per_sec / self.one_epoch_probes_per_sec
         } else {
             0.0
         }
@@ -82,8 +87,8 @@ pub struct HotpathReport {
     pub iters: usize,
     /// Stream length of the end-to-end sections.
     pub fig7_tuples: usize,
-    /// Closed-probe rows.
-    pub micro: Vec<ClosedProbeRow>,
+    /// Epoch-span probe rows.
+    pub micro: Vec<EpochSpanRow>,
     /// Allocations per ingested tuple (counting-allocator scenario).
     pub allocs: AllocsRow,
     /// Allocations per input tuple of the rule kernel at steady state.
@@ -240,15 +245,16 @@ fn fresh_store(window: Window, stored_key: AttrRef) -> StoreInstance {
     )
 }
 
-/// Number of epochs the closed-probe suites spread their tuples over:
-/// enough epochs that per-epoch probe overhead (an index lookup per open
-/// epoch, one bloom check for all closed ones) dominates a miss.
+/// Number of epochs the spread store of the epoch-span suites labels its
+/// tuples with: as many as a long window spans, so a probe whose cost
+/// grew with its epochs would show it.
 const PROBE_EPOCHS: usize = 32;
 
-/// Fills a store with `n` tuples in `PROBE_EPOCHS` contiguous epoch
-/// blocks, drawing the key of tuple `i` from `key_of(i)`.
+/// Fills a store with `n` tuples in `epochs` contiguous epoch blocks,
+/// drawing the key of tuple `i` from `key_of(i)`.
 fn fill_epochs(
     n: usize,
+    epochs: usize,
     stored_key: AttrRef,
     window: Window,
     mut key_of: impl FnMut(usize) -> usize,
@@ -256,7 +262,7 @@ fn fill_epochs(
     let mut store = fresh_store(window, stored_key);
     let rel = RelationId::new(0);
     for i in 0..n {
-        let epoch = Epoch((i * PROBE_EPOCHS / n) as u64);
+        let epoch = Epoch((i * epochs / n) as u64);
         let pairs = vec![
             (
                 AttrRef::new(rel, AttrId::new(0)),
@@ -274,24 +280,24 @@ fn fill_epochs(
     store
 }
 
-/// Shared body of the closed-probe suites: identical stores, one left
-/// open and one with every epoch closed, probed with the same key
-/// sequence over every epoch — so the row isolates exactly what closing
-/// buys (or costs) on that workload.
-fn bench_closed_probe(
+/// Shared body of the epoch-span suites: the same tuples (`store(epochs)`
+/// labels them over `epochs` epochs) in one epoch and spread over
+/// [`PROBE_EPOCHS`], each probed over all its epochs with the same key
+/// sequence — so the row isolates what the number of epochs a window
+/// spans costs a probe on that workload.
+fn bench_epoch_span(
     name: &'static str,
     n: usize,
-    store: impl Fn() -> StoreInstance,
+    store: impl Fn(usize) -> StoreInstance,
     probe_keys: Vec<usize>,
     check_keys: Vec<usize>,
-) -> ClosedProbeRow {
+) -> EpochSpanRow {
     let (_, predicate) = store_fixture();
-    let live = store();
-    let mut closed = store();
-    let count = closed.freeze_before(Epoch(PROBE_EPOCHS as u64));
-    assert_eq!(count, PROBE_EPOCHS, "{name}: not every epoch closed");
+    let one = store(1);
+    let spread = store(PROBE_EPOCHS);
+    let one_epochs = Epoch(0)..=Epoch(0);
+    let spread_epochs = Epoch(0)..=Epoch(PROBE_EPOCHS as u64 - 1);
 
-    let epochs: Vec<Epoch> = (0..PROBE_EPOCHS as u64).map(Epoch).collect();
     let probe_ts = Timestamp::from_millis(n as u64 + 10);
     let as_probe = |k: usize| {
         Tuple::base(
@@ -309,30 +315,38 @@ fn bench_closed_probe(
     // the timed stream: both stores return the same match multiset
     // (content-equal tuples; stored timestamps are unique, so sorting by
     // `ts` makes the comparison order-insensitive).
+    let predicates = std::slice::from_ref(&predicate);
+    let matches = |store: &StoreInstance, epochs: &RangeInclusive<Epoch>, probe: &Tuple| {
+        let mut found = Vec::new();
+        store.probe_each(0, epochs.clone(), probe, predicates, None, |hit| {
+            found.push(hit.clone())
+        });
+        found.sort_by_key(|t| t.ts);
+        found
+    };
     let sampled = probes.iter().step_by((probes.len() / 16).max(1)).cloned();
     let mut checked = 0usize;
     for probe in check_keys.iter().map(|&k| as_probe(k)).chain(sampled) {
-        let mut lm = live.probe(0, &epochs, &probe, std::slice::from_ref(&predicate));
-        let mut cm = closed.probe(0, &epochs, &probe, std::slice::from_ref(&predicate));
-        lm.sort_by_key(|t| t.ts);
-        cm.sort_by_key(|t| t.ts);
-        assert_eq!(lm, cm, "{name}: open and closed stores disagree");
-        checked += lm.len();
+        let expected = matches(&one, &one_epochs, &probe);
+        let got = matches(&spread, &spread_epochs, &probe);
+        assert_eq!(
+            got, expected,
+            "{name}: one-epoch and spread stores disagree"
+        );
+        checked += got.len();
     }
     assert!(checked > 0, "{name}: cross-check never exercised a hit");
 
     // Timed through the kernel's probe form and its per-hit work: the
     // visitor joins each match to the probe through one `JoinSlot` and
     // releases the result before the next, as the rule kernel does.
-    let rate = |store: &StoreInstance| {
+    let rate = |store: &StoreInstance, epochs: &RangeInclusive<Epoch>| {
         best_of(|| {
             let started = Instant::now();
             let mut matches = 0usize;
             for probe in &probes {
-                let epochs = epochs.iter().copied();
-                let predicates = std::slice::from_ref(&predicate);
                 let mut slot = JoinSlot::default();
-                store.probe_each(0, epochs, probe, predicates, None, |hit| {
+                store.probe_each(0, epochs.clone(), probe, predicates, None, |hit| {
                     matches += usize::from(std::hint::black_box(slot.join(probe, hit)).is_some());
                 });
             }
@@ -340,30 +354,29 @@ fn bench_closed_probe(
             probes.len() as f64 / started.elapsed().as_secs_f64()
         })
     };
-    ClosedProbeRow {
+    EpochSpanRow {
         name,
-        hot_probes_per_sec: rate(&live),
-        closed_probes_per_sec: rate(&closed),
+        one_epoch_probes_per_sec: rate(&one, &one_epochs),
+        spread_probes_per_sec: rate(&spread, &spread_epochs),
     }
 }
 
-/// Long-state probing: uniform keys across many epochs, probed with keys
-/// that were never stored — the dominant outcome for a probe against
-/// long-retention state. The open store pays a `Value` hash plus an index
-/// miss per epoch; the closed one hashes once per probe and skips every
-/// epoch on the union bloom's answer. (Hit probes are covered by the
-/// cross-check and by the skewed row, which times them.)
-pub fn bench_store_probe_cold(n: usize, probes: usize) -> ClosedProbeRow {
+/// Long-state probing: uniform keys, probed with keys that were never
+/// stored — the dominant outcome for a probe against long-retention
+/// state. One index lookup answers the miss whatever the epoch count.
+/// (Hit probes are covered by the cross-check and by the skewed row,
+/// which times them.)
+pub fn bench_store_probe_cold(n: usize, probes: usize) -> EpochSpanRow {
     let (stored_key, _) = store_fixture();
     let window = Window::secs(3_600);
     let key_domain = (n / 8).max(1);
     let probe_keys = (0..probes).map(|k| key_domain + k).collect();
     // Known hits (stored keys span `0..key_domain`) plus one miss.
     let check_keys = vec![0, 1, key_domain / 2, key_domain - 1, key_domain + 5];
-    bench_closed_probe(
+    bench_epoch_span(
         "store_probe_cold",
         n,
-        || fill_epochs(n, stored_key, window, |i| i % key_domain),
+        |epochs| fill_epochs(n, epochs, stored_key, window, |i| i % key_domain),
         probe_keys,
         check_keys,
     )
@@ -372,10 +385,9 @@ pub fn bench_store_probe_cold(n: usize, probes: usize) -> ClosedProbeRow {
 /// Skewed-store probing: stored keys drawn Zipf(s = 1) — a few hot keys
 /// own most of the stream — probed uniformly over the key domain, so
 /// most probes land on sparse tail keys with the occasional hot-key hit.
-/// A closed store whose bloom answers "maybe" walks the same posting
-/// lists as the open one, so the row prices the bloom check on hit-heavy
-/// state; both pay the kernel's join per match.
-pub fn bench_store_probe_skewed(n: usize, probes: usize) -> ClosedProbeRow {
+/// Both stores walk the same posting lists and pay the kernel's join per
+/// match; the spread one also checks each candidate's epoch.
+pub fn bench_store_probe_skewed(n: usize, probes: usize) -> EpochSpanRow {
     let (stored_key, _) = store_fixture();
     let window = Window::secs(3_600);
     let key_domain = (n / 8).max(1);
@@ -385,14 +397,14 @@ pub fn bench_store_probe_skewed(n: usize, probes: usize) -> ClosedProbeRow {
     let probe_keys = (0..probes).map(|_| probing.next_rank()).collect();
     // Hot head ranks, a tail rank, and an out-of-domain miss.
     let check_keys = vec![0, 1, 2, key_domain - 1, key_domain + 5];
-    bench_closed_probe(
+    bench_epoch_span(
         "store_probe_skewed",
         n,
-        // Clone per call: the fixture is built twice (open and closed)
-        // and both must see the identical key sequence.
-        move || {
+        // Clone per call: the fixture is built twice (one epoch and
+        // spread) and both must see the identical key sequence.
+        move |epochs| {
             let mut keys = stored.clone();
-            fill_epochs(n, stored_key, window, move |_| keys.next_rank())
+            fill_epochs(n, epochs, stored_key, window, move |_| keys.next_rank())
         },
         probe_keys,
         check_keys,
@@ -982,11 +994,11 @@ pub fn report_to_json(report: &HotpathReport) -> String {
     out.push_str("  \"micro\": [\n");
     for (i, row) in report.micro.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"hot_probes_per_sec\": {:.1}, \
-             \"closed_probes_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"name\": \"{}\", \"one_epoch_probes_per_sec\": {:.1}, \
+             \"spread_probes_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
             row.name,
-            row.hot_probes_per_sec,
-            row.closed_probes_per_sec,
+            row.one_epoch_probes_per_sec,
+            row.spread_probes_per_sec,
             row.speedup(),
             if i + 1 < report.micro.len() { "," } else { "" }
         ));
@@ -1107,7 +1119,7 @@ mod tests {
             bench_store_probe_skewed(512, 256),
         ] {
             assert!(
-                row.hot_probes_per_sec > 0.0 && row.closed_probes_per_sec > 0.0,
+                row.one_epoch_probes_per_sec > 0.0 && row.spread_probes_per_sec > 0.0,
                 "{} produced a non-positive rate",
                 row.name
             );
@@ -1267,10 +1279,10 @@ mod tests {
         let report = HotpathReport {
             iters: 10,
             fig7_tuples: 0,
-            micro: vec![ClosedProbeRow {
+            micro: vec![EpochSpanRow {
                 name: "store_probe_cold",
-                hot_probes_per_sec: 1.0,
-                closed_probes_per_sec: 2.0,
+                one_epoch_probes_per_sec: 1.0,
+                spread_probes_per_sec: 2.0,
             }],
             allocs: AllocsRow {
                 tuples: 100,
@@ -1322,7 +1334,7 @@ mod tests {
         assert!(json.contains("\"allocs\""));
         assert!(json.contains("\"allocs_per_tuple\": 1.250"));
         assert!(json.contains("\"kernel_allocs\": {\"tuples\": 50, \"allocs_per_tuple\": 47.500}"));
-        assert!(json.contains("\"closed_probes_per_sec\": 2.0"));
+        assert!(json.contains("\"spread_probes_per_sec\": 2.0"));
         assert!(json.contains("\"producer_threads\": 1"));
         assert!(json.contains("\"multi_source\""));
         assert!(json.contains("\"busy_balance\": 0.500"));

@@ -12,7 +12,6 @@
 //! provides exactly those primitives and nothing query- or plan-specific.
 
 pub mod arena;
-pub mod bloom;
 pub mod diagnostic;
 pub mod error;
 pub mod fxhash;
@@ -26,7 +25,6 @@ pub mod tuple;
 pub mod value;
 
 pub use arena::{arena_stats, ArenaStats};
-pub use bloom::BloomFilter;
 pub use diagnostic::{Diagnostic, Severity};
 pub use error::{ClashError, Result};
 pub use fxhash::{fx_hash, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

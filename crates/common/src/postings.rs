@@ -1,7 +1,7 @@
 //! Small-inline posting lists for the store hash indexes.
 //!
 //! Every distinct join-key value of an indexed attribute owns one posting
-//! list (the offsets of matching tuples inside an epoch container). The
+//! list (the positions of matching tuples in a store partition's log). The
 //! seed used a `Vec<usize>` per value, which costs a heap allocation for
 //! every distinct key — painful for high-cardinality key attributes where
 //! most values have one or two postings. [`PostingList`] stores up to
@@ -120,6 +120,24 @@ impl PostingList {
         }
     }
 
+    /// Drops the leading postings below `bound`: the expiry trim of a list
+    /// whose postings ascend, where the stale ones form a prefix.
+    pub fn trim_below(&mut self, bound: usize) {
+        let stale = self.as_slice().partition_point(|&p| p < bound);
+        if stale == 0 {
+            return;
+        }
+        match self {
+            PostingList::Inline { len, slots } => {
+                slots.copy_within(stale..usize::from(*len), 0);
+                *len -= stale as u8;
+            }
+            PostingList::Heap(v) => {
+                v.drain(..stale);
+            }
+        }
+    }
+
     /// `true` when the list spilled to the heap (diagnostics/tests).
     pub fn is_spilled(&self) -> bool {
         matches!(self, PostingList::Heap(_))
@@ -170,6 +188,21 @@ mod tests {
         // Dropping below the inline capacity keeps the heap representation.
         heap.retain_map(|i| if i == 0 { Some(0) } else { None });
         assert_eq!(heap.as_slice(), &[0]);
+        assert!(heap.is_spilled());
+    }
+
+    #[test]
+    fn trim_below_drops_the_stale_prefix_in_both_representations() {
+        let mut inline: PostingList = [2usize, 5, 7].into_iter().collect();
+        inline.trim_below(3);
+        assert_eq!(inline.as_slice(), &[5, 7]);
+        inline.trim_below(3);
+        assert_eq!(inline.as_slice(), &[5, 7], "nothing left below the bound");
+        inline.trim_below(8);
+        assert!(inline.is_empty());
+        let mut heap: PostingList = (10..20usize).collect();
+        heap.trim_below(15);
+        assert_eq!(heap.as_slice(), &[15, 16, 17, 18, 19]);
         assert!(heap.is_spilled());
     }
 

@@ -247,9 +247,6 @@ pub enum TraceEventKind {
     /// in the queue stage (`a` = deliveries shipped, `b` = trigger:
     /// 0 size, 1 idle, 2 barrier).
     Flush,
-    /// Epochs of a store lagging the stream clock were closed into its
-    /// union blooms (`a` = raw store id, `b` = epochs this pass closed).
-    Close,
 }
 
 impl TraceEventKind {
@@ -268,7 +265,6 @@ impl TraceEventKind {
             TraceEventKind::EpochTick => "epoch_tick",
             TraceEventKind::ControllerDecision => "controller_decision",
             TraceEventKind::Flush => "flush",
-            TraceEventKind::Close => "close",
         }
     }
 }

@@ -29,7 +29,7 @@ pub enum RuntimeMode {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SystemConfig {
     /// Engine configuration (epoch length, expiry cadence, batching,
-    /// tracing, epoch closing).
+    /// tracing).
     pub engine: EngineConfig,
     /// Planner configuration (plan-space limits, solver limits).
     pub planner: PlannerConfig,

@@ -57,11 +57,10 @@ pub struct EngineConfig {
     /// overwrites its oldest events, so tracing can stay on permanently;
     /// `0` disables tracing entirely (record calls reduce to one branch).
     pub trace_capacity: usize,
-    /// Epochs of lag behind the stream clock before an epoch of every
-    /// store closes: its containers stay as they are, and their index
-    /// keys join the partition's union bloom, which lets a probe skip all
-    /// closed epochs at once when it rejects the probe's key (closing runs
-    /// with the expiry sweeps). `0` = never: probes walk every epoch.
+    /// Inert: no engine reads it. A store partition keeps one index across
+    /// all its epochs, so no epoch is ever closed. The field stays while
+    /// the steady-state benchmark (`benchmark/src/layers.rs`) still reads
+    /// it.
     pub freeze_after_epochs: u64,
 }
 
@@ -276,9 +275,8 @@ impl LocalEngine {
         Ok(emitted)
     }
 
-    /// Expires out-of-window tuples from every store, then closes the
-    /// epochs that have fallen [`EngineConfig::freeze_after_epochs`]
-    /// behind the stream clock. Returns the number of expired tuples.
+    /// Expires out-of-window tuples from every store. Returns the number of
+    /// expired tuples.
     pub fn expire_stores(&mut self) -> usize {
         self.shard.expire(self.max_ts)
     }

@@ -7,9 +7,10 @@
 //! stores, rule sets and routing decisions (the substitution is documented
 //! in DESIGN.md):
 //!
-//! * [`StoreInstance`] — a partitioned, epoch-versioned, window-expiring
-//!   relation store with per-attribute hash indexes and a union bloom
-//!   over its closed epochs,
+//! * [`StoreInstance`] — a partitioned, window-expiring relation store:
+//!   per partition, one arrival-order log whose entries keep the epoch
+//!   they were stored with respect to, and one hash index per indexed
+//!   attribute over the whole log,
 //! * one rule kernel (`parallel::shard`) that walks the routing rules of a
 //!   [`clash_optimizer::TopologyPlan`] (Algorithm 3 / 4 of the paper),
 //!   maintains intermediate-result stores, emits join results and tracks

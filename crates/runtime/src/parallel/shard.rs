@@ -41,8 +41,8 @@ use crate::plan::InstalledPlan;
 use crate::stats_collector::StatsCollector;
 use crate::store::{visible, StoreInstance};
 use clash_common::{
-    arena_stats, ArenaStats, EdgeId, Epoch, EpochConfig, FxHashMap, JoinSlot, RelationId,
-    SlotAccessor, StoreId, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Value,
+    arena_stats, ArenaStats, EdgeId, EpochConfig, FxHashMap, JoinSlot, RelationId, SlotAccessor,
+    StoreId, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple, Value,
 };
 use clash_optimizer::{OutputAction, Rule, TopologyPlan};
 use clash_query::{EquiPredicate, StoreDescriptor};
@@ -263,9 +263,6 @@ pub(crate) struct ShardState {
     /// Completion watermark at the last prober sweep.
     swept_at: u64,
     epoch: EpochConfig,
-    /// Epochs of lag before an epoch of every store closes
-    /// (`EngineConfig::freeze_after_epochs`; `0` = never).
-    freeze_after: u64,
     /// Metrics accumulated since they were last taken (a collection
     /// barrier; never, in the local instance).
     pub metrics: EngineMetrics,
@@ -295,7 +292,6 @@ impl ShardState {
             pending: Vec::new(),
             swept_at: 0,
             epoch: config.epoch,
-            freeze_after: config.freeze_after_epochs,
             metrics: EngineMetrics::default(),
             stats: StatsCollector::new(config.epoch.length),
             sinks: Vec::new(),
@@ -417,8 +413,11 @@ impl ShardState {
                     return 0;
                 };
                 store.insert_seq(partition, epoch, delivery.tuple.clone(), delivery.guard);
+                // Stamped from the delivery's start, not a clock read of
+                // its own, as a missed probe is.
+                let kind = TraceEventKind::Insert;
                 self.trace
-                    .record(TraceEventKind::Insert, store_id, delivery.guard);
+                    .record_after(kind, delivery.started, store_id, delivery.guard);
                 let Some(pending) = self.pending.get(index) else {
                     return 0;
                 };
@@ -473,7 +472,7 @@ impl ShardState {
                 let (guard, started) = (delivery.guard, delivery.started);
                 let (mut matches, mut joined) = (0u64, 0u64);
                 for p in delivery.partitions.clone() {
-                    let epochs = (lo.0..=epoch.0).map(Epoch);
+                    let epochs = lo..=epoch;
                     store.probe_each(p, epochs, &delivery.tuple, predicates, Some(guard), |hit| {
                         matches += 1;
                         if let Some(result) = slot.join(&delivery.tuple, hit) {
@@ -558,22 +557,13 @@ impl ShardState {
     }
 
     /// Expires out-of-window tuples from every owned partition, given the
-    /// maximum stream timestamp observed so far, then closes the epochs
-    /// that lag `upto`'s epoch by more than `freeze_after`
-    /// ([`StoreInstance::freeze_before`]), so a probe skips them all when
-    /// their union bloom rejects its key.
+    /// maximum stream timestamp observed so far: each store drops what
+    /// lies before its own window's horizon, exactly
+    /// ([`StoreInstance::expire`]). Returns the number of expired tuples.
     pub fn expire(&mut self, upto: Timestamp) -> usize {
-        let clock = self.epoch.epoch_of(upto).0;
-        let close_below =
-            (self.freeze_after > 0).then(|| Epoch(clock.saturating_sub(self.freeze_after)));
         let mut removed = 0;
-        for (id, store) in self.stores.iter_mut().enumerate() {
+        for store in &mut self.stores {
             removed += store.expire(store.window.horizon(upto));
-            let closed = close_below.map_or(0, |horizon| store.freeze_before(horizon));
-            if closed > 0 {
-                self.trace
-                    .record(TraceEventKind::Close, id as u64, closed as u64);
-            }
         }
         self.trace.record(TraceEventKind::Expire, removed as u64, 0);
         removed

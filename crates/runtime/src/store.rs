@@ -1,45 +1,46 @@
-//! Partitioned, epoch-versioned relation stores with hash indexes.
+//! Partitioned relation stores: one arrival-order log per partition, with
+//! one hash index per indexed attribute beside it.
 //!
-//! Window state has one representation: per partition, one container per
-//! epoch (Algorithm 4 stores and probes "with respect to an epoch"). The
-//! probe hot path is allocation- and hash-lean: candidate lookups borrow
-//! the index posting lists instead of cloning them (unindexed attributes
-//! return a scan *marker*, never a materialized `0..len` vector), the
-//! driving predicate is resolved once per probe on the stack, and matches
-//! are handed to the caller's visitor as they are found instead of being
-//! collected.
+//! Algorithm 4 stores and probes "with respect to an epoch". Each stored
+//! entry keeps the epoch it was stored under, and a probe names the
+//! contiguous run of epochs it reads; but the epoch is a label checked per
+//! candidate, not a container. A partition holds one log of `{tuple, seq,
+//! epoch}` entries in arrival order (a `VecDeque` plus the absolute
+//! position of its front entry) and, per indexed attribute, one map from
+//! value to the ascending absolute positions holding it. A probe therefore
+//! costs one map lookup however many epochs its window spans, then the
+//! epoch, `visible` and predicate checks on each candidate. The probe
+//! hot path allocates nothing: candidates are borrowed posting lists
+//! (unindexed attributes scan the log), the driving predicate is resolved
+//! once per probe on the stack, and matches are handed to the caller's
+//! visitor as they are found.
 //!
-//! Expiry is proportional to the boundary epoch: a container whose oldest
-//! tuple is inside the window is skipped, one whose newest tuple is
-//! outside is dropped whole, and only the container straddling the
-//! horizon retains its survivors in place, repairing its hash indexes
-//! through an old→new offset remap — no drain-and-rebuild.
-//!
-//! Epochs that lag the stream clock are *closed*
-//! ([`StoreInstance::freeze_before`]): nothing moves, but their index keys
-//! join one union bloom per (partition, indexed attribute), so a probe
-//! whose driving value no closed epoch holds skips all of them after one
-//! check. The bloom is only ever a superset of the closed keys, so no
-//! result depends on it (DESIGN.md, "Window state").
+//! Expiry is exact (DESIGN.md, "Window state"). While a partition's log is
+//! in timestamp order, the expired entries are a prefix: the sweep pops
+//! it, then trims each posting list the popped entries touch once, since
+//! stale positions form a prefix of every list. A log that received an
+//! out-of-order insert is compacted instead when an expired entry sits
+//! behind a survivor: survivors keep their order and the posting lists are
+//! remapped to their new positions.
 //!
 //! Hashing cost is kept off the per-tuple path three ways:
 //!
 //! * the per-value maps hash with [`clash_common::FxHasher`] instead of
 //!   SipHash (trusted keys — see the fxhash module docs),
 //! * the *outer* per-attribute level is not a map at all: a store indexes
-//!   a handful of attributes, so each epoch container keeps its value
-//!   maps in a `Vec` positionally aligned with the store's
-//!   `indexed_attrs`, and probes resolve their attribute to a position
-//!   **once** instead of re-hashing an `AttrRef` per epoch, and
+//!   a handful of attributes, so each partition keeps its value maps in a
+//!   `Vec` positionally aligned with the store's `indexed_attrs`, and
+//!   probes resolve their attribute to a position **once**, and
 //! * posting lists are small-inline ([`PostingList`]): a distinct
 //!   join-key value only costs a heap allocation once it exceeds
 //!   [`clash_common::INLINE_POSTINGS`] matches.
 
 use clash_common::{
-    fx_hash, AttrRef, BloomFilter, Epoch, FxHashMap, PostingList, SlotAccessor, Timestamp, Tuple,
-    Value, Window,
+    fx_hash, AttrRef, Epoch, FxHashMap, PostingList, SlotAccessor, Timestamp, Tuple, Value, Window,
 };
 use clash_query::{EquiPredicate, StoreDescriptor};
+use std::collections::VecDeque;
+use std::ops::RangeInclusive;
 
 /// An attribute a store maintains a hash index over, with its precomputed
 /// positional accessor (resolved once per store, reused for every insert
@@ -59,293 +60,162 @@ impl IndexedAttr {
     }
 }
 
-/// Result of an index lookup: either a borrowed posting list, a proof that
-/// no stored tuple matches, or a marker that the attribute is unindexed
-/// and the caller must scan. Borrowing (instead of the seed's
-/// `Vec<usize>` clone per lookup) keeps the probe hot path allocation-free.
-enum Candidates<'a> {
-    /// Tuples whose indexed value equals the probe value.
-    Hit(&'a [usize]),
-    /// The attribute is indexed but the value has no entry.
-    Miss,
-    /// The attribute is not indexed: scan all stored tuples.
-    Scan,
+/// One stored tuple.
+#[derive(Debug)]
+struct Entry {
+    tuple: Tuple,
+    /// Ingest sequence number of the root tuple that caused the insertion
+    /// (the rule kernel's ordering guard; `0` for direct
+    /// [`StoreInstance::insert`]s).
+    seq: u64,
+    /// The epoch the tuple was stored with respect to: a probe sees it
+    /// only when its run of epochs includes this one.
+    epoch: Epoch,
 }
 
-/// One epoch's worth of stored tuples inside a partition, with hash
-/// indexes per indexed attribute (the paper builds an index per distinct
-/// attribute access of the registered probe rules).
+/// One partition of a store: its entries in arrival order, and per
+/// indexed attribute one value → positions map over all of them.
 #[derive(Debug, Default)]
-struct EpochContainer {
-    tuples: Vec<Tuple>,
-    /// Ingest sequence number of the root tuple that caused each insertion
-    /// (the rule kernel's ordering guard; `0` for direct [`StoreInstance::insert`]s).
-    seqs: Vec<u64>,
+struct Partition {
+    /// Entries in arrival order; `log[i]` sits at absolute position
+    /// `front + i`.
+    log: VecDeque<Entry>,
+    /// Absolute position of the log's front entry.
+    front: usize,
     /// Per-attribute value indexes, positionally aligned with the store's
-    /// `indexed_attrs` (inserting keys by position avoids hashing an
-    /// `AttrRef` per index entry; the value maps use the Fx hasher and
-    /// inline posting lists).
+    /// `indexed_attrs`; each posting list holds ascending absolute
+    /// positions, none of them before `front`.
     indexes: Vec<FxHashMap<Value, PostingList>>,
+    /// Approximate bytes of the stored tuples.
     bytes: usize,
-    /// Oldest and newest stored timestamp (while non-empty): expiry skips
-    /// or drops the container whole by them.
-    min_ts: Timestamp,
-    max_ts: Timestamp,
-    /// Whether the epoch is closed: its index keys are covered by the
-    /// partition's [`ClosedBloom`].
-    closed: bool,
+    /// Whether some entry carries a smaller timestamp than one before it,
+    /// so the expired entries need not be a prefix of the log.
+    disordered: bool,
 }
 
-impl EpochContainer {
-    fn insert(&mut self, tuple: Tuple, seq: u64, indexed_attrs: &[IndexedAttr]) {
-        if self.indexes.len() < indexed_attrs.len() {
-            self.indexes
-                .resize_with(indexed_attrs.len(), FxHashMap::default);
+impl Partition {
+    fn new(positions: usize) -> Partition {
+        Partition {
+            indexes: (0..positions).map(|_| FxHashMap::default()).collect(),
+            ..Partition::default()
         }
-        let idx = self.tuples.len();
-        if idx == 0 {
-            (self.min_ts, self.max_ts) = (tuple.ts, tuple.ts);
-        } else {
-            self.min_ts = self.min_ts.min(tuple.ts);
-            self.max_ts = self.max_ts.max(tuple.ts);
-        }
-        self.bytes += tuple.approx_size_bytes();
-        for (pos, indexed) in indexed_attrs.iter().enumerate() {
-            if let Some(value) = indexed.slot.get(&tuple) {
+    }
+
+    fn insert(&mut self, entry: Entry, indexed_attrs: &[IndexedAttr]) {
+        let pos = self.front + self.log.len();
+        self.disordered |= self
+            .log
+            .back()
+            .is_some_and(|last| entry.tuple.ts < last.tuple.ts);
+        self.bytes += entry.tuple.approx_size_bytes();
+        for (by_value, indexed) in self.indexes.iter_mut().zip(indexed_attrs) {
+            if let Some(value) = indexed.slot.get(&entry.tuple) {
                 // Index keys are cheap clones: `Value::Str` shares its
                 // `Arc<str>` with the stored tuple, never reallocating the
                 // string payload.
-                self.indexes[pos]
-                    .entry(value.clone())
-                    .or_default()
-                    .push(idx);
+                by_value.entry(value.clone()).or_default().push(pos);
             }
         }
-        self.tuples.push(tuple);
-        self.seqs.push(seq);
+        self.log.push_back(entry);
     }
 
-    /// Candidate matches via the index at attribute position `pos`
-    /// (resolved once per probe); borrowed, never cloned.
-    fn candidates(&self, pos: usize, value: &Value) -> Candidates<'_> {
-        match self.indexes.get(pos) {
-            Some(by_value) => match by_value.get(value) {
-                Some(postings) => Candidates::Hit(postings.as_slice()),
-                None => Candidates::Miss,
-            },
-            // Containers always carry every registered index (inserts
-            // extend, `add_indexed_attr` backfills); a missing position
-            // means the attribute is not indexed at all.
-            None => Candidates::Scan,
+    /// Drops the entries older than `horizon`; returns how many.
+    fn expire(&mut self, horizon: Timestamp, indexed_attrs: &[IndexedAttr]) -> usize {
+        let cut = self.log.iter().take_while(|e| e.tuple.ts < horizon).count();
+        if self.disordered {
+            let rest = self.log.range(cut..);
+            if rest.clone().any(|e| e.tuple.ts < horizon) {
+                return self.compact(horizon);
+            }
+            self.disordered = !rest.is_sorted_by_key(|e| e.tuple.ts);
         }
-    }
-
-    /// Distinct index keys of the container's widest index: what it adds
-    /// to a [`ClosedBloom`].
-    fn keys(&self) -> usize {
-        self.indexes
-            .iter()
-            .map(|by_value| by_value.len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Drops the tuples older than `horizon` from the container that
-    /// straddles it (the boundary epoch: [`StoreInstance::expire`] skips
-    /// containers wholly inside the window and drops those wholly
-    /// outside), retaining survivors in place and repairing the hash
-    /// indexes incrementally: posting lists keep their entries for
-    /// surviving tuples, remapped to their new offsets instead of being
-    /// cleared and rebuilt from scratch.
-    ///
-    /// Fast path: when the expired tuples form a *prefix* of the container
-    /// (every expired tuple precedes every survivor — the steady state for
-    /// in-order streams, where arrival order and timestamp order agree),
-    /// the remap is a constant subtraction: tuples and seqs shift down via
-    /// one `drain` memmove and postings remap with `idx - cutoff`, with no
-    /// per-tuple offset table built or consulted. Out-of-order containers
-    /// fall back to the general table-driven remap.
-    fn expire(&mut self, horizon: Timestamp) -> usize {
-        let before = self.tuples.len();
-        // One scan: count expired tuples, account their bytes, find the
-        // oldest survivor and the first survivor's offset — the expired
-        // set is a prefix iff that offset equals the expired count.
-        let mut expired = 0usize;
-        let mut freed_bytes = 0usize;
-        let mut first_survivor = before;
-        let mut oldest_survivor = self.max_ts;
-        for (idx, tuple) in self.tuples.iter().enumerate() {
-            if tuple.ts < horizon {
-                expired += 1;
-                freed_bytes += tuple.approx_size_bytes();
-            } else {
-                oldest_survivor = oldest_survivor.min(tuple.ts);
-                if first_survivor == before {
-                    first_survivor = idx;
+        if cut == 0 {
+            return 0;
+        }
+        // Trim before popping, while the popped entries still name the
+        // lists they touch. The first visit of a list drops its whole
+        // stale prefix; later visits of the same list find none, so each
+        // list is trimmed once per sweep, not once per expired entry.
+        let front = self.front + cut;
+        for (by_value, indexed) in self.indexes.iter_mut().zip(indexed_attrs) {
+            for entry in self.log.range(..cut) {
+                let Some(value) = indexed.slot.get(&entry.tuple) else {
+                    continue;
+                };
+                if let Some(postings) = by_value.get_mut(value) {
+                    postings.trim_below(front);
+                    if postings.is_empty() {
+                        by_value.remove(value);
+                    }
                 }
             }
         }
-        self.bytes -= freed_bytes;
-        self.min_ts = oldest_survivor;
-        if first_survivor == expired {
-            // Prefix case: survivors keep their order, offsets shift by a
-            // constant.
-            self.tuples.drain(..expired);
-            self.seqs.drain(..expired);
-            for by_value in &mut self.indexes {
-                by_value.retain(|_, postings| {
-                    postings.retain_map(|idx| idx.checked_sub(expired));
-                    !postings.is_empty()
-                });
-            }
-            return expired;
+        for entry in self.log.drain(..cut) {
+            self.bytes -= entry.tuple.approx_size_bytes();
         }
-        // General case: build the old → new offset table.
+        self.front = front;
+        cut
+    }
+
+    /// Expiry of a disordered log: keeps the survivors in arrival order,
+    /// renumbered from the current front, and remaps every posting list to
+    /// their new positions.
+    fn compact(&mut self, horizon: Timestamp) -> usize {
         const EXPIRED: usize = usize::MAX;
-        let mut remap: Vec<usize> = Vec::with_capacity(before);
-        let mut kept = 0usize;
-        for tuple in &self.tuples {
-            if tuple.ts >= horizon {
+        let mut remap = Vec::with_capacity(self.log.len());
+        let mut kept = self.front;
+        for entry in &self.log {
+            if entry.tuple.ts < horizon {
+                self.bytes -= entry.tuple.approx_size_bytes();
+                remap.push(EXPIRED);
+            } else {
                 remap.push(kept);
                 kept += 1;
-            } else {
-                remap.push(EXPIRED);
             }
         }
-        let mut old_idx = 0usize;
-        self.tuples.retain(|_| {
-            let keep = remap[old_idx] != EXPIRED;
-            old_idx += 1;
-            keep
-        });
-        let mut old_idx = 0usize;
-        self.seqs.retain(|_| {
-            let keep = remap[old_idx] != EXPIRED;
-            old_idx += 1;
-            keep
-        });
+        let removed = self.log.len() - (kept - self.front);
+        self.log.retain(|e| e.tuple.ts >= horizon);
+        let front = self.front;
         for by_value in &mut self.indexes {
             by_value.retain(|_, postings| {
-                postings.retain_map(|idx| {
-                    let new_idx = remap[idx];
-                    (new_idx != EXPIRED).then_some(new_idx)
+                postings.retain_map(|pos| {
+                    let new = remap[pos - front];
+                    (new != EXPIRED).then_some(new)
                 });
                 !postings.is_empty()
             });
         }
-        expired
+        self.disordered = !self.log.iter().is_sorted_by_key(|e| e.tuple.ts);
+        removed
     }
 
-    /// Builds the index at attribute position `pos` over the stored tuples
-    /// (used when a later-installed plan probes on a new attribute).
-    fn index_attr(&mut self, pos: usize, indexed: &IndexedAttr) {
-        if self.indexes.len() <= pos {
-            self.indexes.resize_with(pos + 1, FxHashMap::default);
-        }
-        let by_value = &mut self.indexes[pos];
-        by_value.clear();
-        for (idx, tuple) in self.tuples.iter().enumerate() {
-            if let Some(value) = indexed.slot.get(tuple) {
-                by_value.entry(value.clone()).or_default().push(idx);
+    /// Builds the index of an attribute registered after entries were
+    /// stored (a later-installed plan probes on a new attribute).
+    fn index_attr(&mut self, indexed: &IndexedAttr) {
+        let mut by_value: FxHashMap<Value, PostingList> = FxHashMap::default();
+        for (i, entry) in self.log.iter().enumerate() {
+            if let Some(value) = indexed.slot.get(&entry.tuple) {
+                by_value
+                    .entry(value.clone())
+                    .or_default()
+                    .push(self.front + i);
             }
         }
+        self.indexes.push(by_value);
     }
 }
 
-/// The union bloom of one partition's closed epochs: per indexed
-/// position, a filter over the `fx_hash` of every index key a closed
-/// container holds. Only ever a superset — closing and late inserts add,
-/// expiry never removes — so a rejection proves that no closed container
-/// indexes the value, while a "maybe" walks the containers as usual.
-#[derive(Debug)]
-struct ClosedBloom {
-    /// Filters, positionally aligned with the store's `indexed_attrs`.
-    by_pos: Vec<BloomFilter>,
-    /// Keys the filters were sized for: twice the live count at the build.
-    capacity: usize,
-    /// Keys added since the build, the build's own included.
-    added: usize,
-}
-
-impl ClosedBloom {
-    /// Builds the filters over every closed container of `epochs`, sized
-    /// for twice their live key count.
-    fn build(epochs: &FxHashMap<Epoch, EpochContainer>, positions: usize) -> ClosedBloom {
-        let closed = || epochs.values().filter(|c| c.closed);
-        let capacity = 2 * closed().map(EpochContainer::keys).sum::<usize>();
-        let mut bloom = ClosedBloom {
-            by_pos: (0..positions)
-                .map(|_| BloomFilter::with_capacity(capacity))
-                .collect(),
-            capacity,
-            added: 0,
-        };
-        for container in closed() {
-            bloom.add_container(container);
-        }
-        bloom
-    }
-
-    /// Adds the index keys of a container that just closed; `false` (and
-    /// nothing added) when they would pass the capacity: rebuild instead.
-    fn add_container(&mut self, container: &EpochContainer) -> bool {
-        let keys = container.keys();
-        if self.added + keys > self.capacity {
-            return false;
-        }
-        self.added += keys;
-        for (bloom, by_value) in self.by_pos.iter_mut().zip(&container.indexes) {
-            for value in by_value.keys() {
-                bloom.insert_hash(fx_hash(value));
-            }
-        }
-        true
-    }
-
-    /// Adds the index keys of a tuple inserted late into a closed epoch;
-    /// `false` (and nothing added) when the filters are full.
-    fn add_tuple(&mut self, tuple: &Tuple, indexed_attrs: &[IndexedAttr]) -> bool {
-        if self.added >= self.capacity {
-            return false;
-        }
-        self.added += 1;
-        for (bloom, indexed) in self.by_pos.iter_mut().zip(indexed_attrs) {
-            if let Some(value) = indexed.slot.get(tuple) {
-                bloom.insert_hash(fx_hash(value));
-            }
-        }
-        true
-    }
-
-    /// Whether no closed container indexes `value` at position `pos`.
-    fn rejects(&self, pos: usize, value: &Value) -> bool {
-        self.by_pos
-            .get(pos)
-            .is_some_and(|bloom| !bloom.contains_hash(fx_hash(value)))
-    }
-}
-
-/// One partition of a store: a container per epoch, and the union bloom
-/// over the closed ones (`None` until the next close pass rebuilds it,
-/// after `add_indexed_attr`; probes then walk every closed container).
-#[derive(Debug, Default)]
-struct Partition {
-    epochs: FxHashMap<Epoch, EpochContainer>,
-    bloom: Option<ClosedBloom>,
-}
-
-/// What a probe resolves once, on the stack, before walking its epochs
-/// ([`StoreInstance::probe_key`]).
+/// Where a probe finds its candidates, resolved once on the stack before
+/// it reads the partition ([`StoreInstance::probe_key`]).
 #[derive(Clone, Copy)]
-struct ProbeKey<'t> {
-    /// The driving predicate — the first, whose stored-side attribute
-    /// drives the index lookup — as (stored-side attribute, probe value).
-    drive: Option<(AttrRef, &'t Value)>,
-    /// The driving attribute's index position.
-    index_pos: Option<usize>,
-    /// Whether the partition's closed-epoch bloom rejects the driving
-    /// value, so every closed container can be skipped.
-    skip_closed: bool,
+enum Lookup<'t> {
+    /// The posting list of the driving value at this index position: the
+    /// driving predicate is the first, and its stored-side attribute is
+    /// indexed.
+    Index(usize, &'t Value),
+    /// Every entry of the partition: no predicate, or an unindexed
+    /// driving attribute.
+    Scan,
 }
 
 /// The one visibility rule of a probe: a stored tuple may join a probing
@@ -371,9 +241,8 @@ pub(crate) fn visible(
 }
 
 /// A store holding the tuples of one (possibly intermediate) relation,
-/// split into `parallelism` partitions, each keeping an independent
-/// container per epoch (Algorithm 4 stores and probes "with respect to an
-/// epoch").
+/// split into `parallelism` partitions, each one log with its indexes;
+/// every entry keeps the epoch it was stored with respect to (Algorithm 4).
 #[derive(Debug)]
 pub struct StoreInstance {
     /// The store's descriptor (relations, partitioning, parallelism).
@@ -385,7 +254,7 @@ pub struct StoreInstance {
     partitions: Vec<Partition>,
     /// Live tuples, maintained by insert and expiry, so [`Self::len`] —
     /// read once per probe for the statistics observation — never walks
-    /// the containers.
+    /// the partitions.
     tuples: usize,
 }
 
@@ -404,58 +273,37 @@ impl StoreInstance {
     /// Creates an empty store.
     pub fn new(descriptor: StoreDescriptor, window: Window, indexed_attrs: Vec<AttrRef>) -> Self {
         let parallelism = descriptor.parallelism.max(1);
+        let indexed_attrs: Vec<IndexedAttr> =
+            indexed_attrs.into_iter().map(IndexedAttr::new).collect();
         StoreInstance {
             descriptor,
             window,
-            indexed_attrs: indexed_attrs.into_iter().map(IndexedAttr::new).collect(),
-            partitions: (0..parallelism).map(|_| Partition::default()).collect(),
+            partitions: (0..parallelism)
+                .map(|_| Partition::new(indexed_attrs.len()))
+                .collect(),
+            indexed_attrs,
             tuples: 0,
         }
     }
 
-    /// Closes every epoch container strictly older than `horizon`: its
-    /// tuples stay where they are, and its index keys join the partition's
-    /// closed-epoch bloom (incrementally, or by a rebuild from the live
-    /// closed containers once they would pass its capacity). Returns the
-    /// number of containers this pass closed.
-    pub fn freeze_before(&mut self, horizon: Epoch) -> usize {
-        let positions = self.indexed_attrs.len();
-        let mut closed = 0usize;
-        for Partition { epochs, bloom } in &mut self.partitions {
-            for (_, container) in epochs
-                .iter_mut()
-                .filter(|(epoch, c)| **epoch < horizon && !c.closed)
-            {
-                container.closed = true;
-                closed += 1;
-                if !bloom.as_mut().is_some_and(|b| b.add_container(container)) {
-                    *bloom = None;
-                }
-            }
-            if bloom.is_none() {
-                *bloom = Some(ClosedBloom::build(epochs, positions));
-            }
-        }
-        closed
+    /// Closes nothing and returns 0: a partition keeps one index across
+    /// all its epochs, so an epoch lagging the stream clock has nothing to
+    /// close. Kept for callers that replay the engine's sweep cadence.
+    pub fn freeze_before(&mut self, _horizon: Epoch) -> usize {
+        0
     }
 
     /// Registers an additional indexed attribute (rules installed later may
     /// probe on new attributes). Only the new attribute's index is built
-    /// over existing containers; established indexes are left untouched.
-    /// The closed-epoch blooms lack the new position, so they are dropped
-    /// until the next [`Self::freeze_before`] rebuilds them.
+    /// over the stored entries; established indexes are left untouched.
     pub fn add_indexed_attr(&mut self, attr: AttrRef) {
         if self.indexed_attrs.iter().any(|i| i.attr == attr) {
             return;
         }
         let indexed = IndexedAttr::new(attr);
         self.indexed_attrs.push(indexed);
-        let pos = self.indexed_attrs.len() - 1;
         for partition in &mut self.partitions {
-            for container in partition.epochs.values_mut() {
-                container.index_attr(pos, &indexed);
-            }
-            partition.bloom = None;
+            partition.index_attr(&indexed);
         }
     }
 
@@ -484,24 +332,16 @@ impl StoreInstance {
 
     /// Inserts a tuple tagged with the ingest sequence number of its root
     /// input tuple; the rule kernel uses the tag to restrict probes to
-    /// strictly earlier arrivals (see [`Self::probe_each`]). A late insert
-    /// into a closed epoch adds its keys to the closed-epoch bloom.
+    /// strictly earlier arrivals (see [`Self::probe_each`]).
     pub fn insert_seq(&mut self, partition: usize, epoch: Epoch, tuple: Tuple, seq: u64) {
         let p = partition.min(self.partitions.len().saturating_sub(1));
-        let Partition { epochs, bloom } = &mut self.partitions[p];
-        let container = epochs.entry(epoch).or_default();
-        let rebuild = container.closed
-            && !bloom
-                .as_mut()
-                .is_some_and(|b| b.add_tuple(&tuple, &self.indexed_attrs));
-        container.insert(tuple, seq, &self.indexed_attrs);
-        if rebuild {
-            *bloom = Some(ClosedBloom::build(epochs, self.indexed_attrs.len()));
-        }
+        let entry = Entry { tuple, seq, epoch };
+        self.partitions[p].insert(entry, &self.indexed_attrs);
         self.tuples += 1;
     }
 
-    /// Probes one partition across the given epochs: returns all stored
+    /// Probes one partition across the given epochs, read as the
+    /// contiguous run from the smallest to the largest: returns all stored
     /// tuples that satisfy every predicate against `probe`, arrived
     /// strictly before the probing tuple and lie within the window. A
     /// collecting wrapper over [`Self::probe_each`] (without an ordering
@@ -514,14 +354,11 @@ impl StoreInstance {
         predicates: &[EquiPredicate],
     ) -> Vec<Tuple> {
         let mut matches = Vec::new();
-        self.probe_each(
-            partition,
-            epochs.iter().copied(),
-            probe,
-            predicates,
-            None,
-            |hit| matches.push(hit.clone()),
-        );
+        if let (Some(&lo), Some(&hi)) = (epochs.iter().min(), epochs.iter().max()) {
+            self.probe_each(partition, lo..=hi, probe, predicates, None, |hit| {
+                matches.push(hit.clone())
+            });
+        }
         matches
     }
 
@@ -563,143 +400,108 @@ impl StoreInstance {
             })
     }
 
-    /// Probes one partition across the given epochs and hands every match
-    /// to `visit` the moment it is found: each stored tuple that satisfies
-    /// every predicate against `probe` and is [`visible`] to it — strictly
-    /// older, inside the window and, under an ordering `guard`, stored by
-    /// a root with a strictly smaller ingest sequence number ("probe only
-    /// earlier arrivals", which holds by construction when tuples are
-    /// processed one at a time and must be enforced when shards race ahead
-    /// of each other).
+    /// Probes one partition and hands every match to `visit` the moment
+    /// it is found: each stored tuple that was stored with respect to an
+    /// epoch in `epochs`, satisfies every predicate against `probe` and is
+    /// [`visible`] to it — strictly older, inside the window and, under an
+    /// ordering `guard`, stored by a root with a strictly smaller ingest
+    /// sequence number ("probe only earlier arrivals", which holds by
+    /// construction when tuples are processed one at a time and must be
+    /// enforced when shards race ahead of each other).
     ///
-    /// A match is lent by reference (no refcount bump). The probe
-    /// allocates nothing: the driving predicate and the closed-epoch bloom
-    /// check are resolved once on the stack ([`Self::probe_key`]), and any
-    /// further predicate is read per candidate.
+    /// A match is lent by reference (no refcount bump), in arrival order.
+    /// The probe allocates nothing: the driving predicate is resolved once
+    /// on the stack ([`Self::probe_key`]) into one index lookup for the
+    /// whole partition, and any further predicate is read per candidate.
     pub fn probe_each(
         &self,
         partition: usize,
-        epochs: impl IntoIterator<Item = Epoch>,
+        epochs: RangeInclusive<Epoch>,
         probe: &Tuple,
         predicates: &[EquiPredicate],
         guard: Option<u64>,
         mut visit: impl FnMut(&Tuple),
     ) {
         let p = partition.min(self.partitions.len().saturating_sub(1));
-        let Some(key) = self.probe_key(p, probe, predicates) else {
+        let Some(lookup) = self.probe_key(probe, predicates) else {
             return;
         };
-        let containers = &self.partitions[p].epochs;
-        for epoch in epochs {
-            let Some(container) = containers.get(&epoch) else {
-                continue;
-            };
-            if key.skip_closed && container.closed {
-                continue;
+        let part = &self.partitions[p];
+        // One match check for the indexed and the scan path, past the
+        // `proven` leading predicates: an index *hit* already proves the
+        // driving predicate (the index key equals the probe value, both
+        // non-Null, and map equality coincides with `join_eq` for
+        // non-Null values), so hit candidates skip it.
+        let mut consider = |entry: &Entry, proven: usize| {
+            let stored = &entry.tuple;
+            if epochs.contains(&entry.epoch)
+                && visible(self.window, stored.ts, entry.seq, probe.ts, guard)
+                && self.predicates_hold(predicates, proven, probe, |attr| stored.get(attr))
+            {
+                visit(stored);
             }
-            let candidates = match (key.index_pos, key.drive) {
-                (Some(pos), Some((_, value))) => container.candidates(pos, value),
-                _ => Candidates::Scan,
-            };
-            // One match check for the indexed and the scan path, past the
-            // `proven` leading predicates: an index *hit* already proves
-            // the driving predicate (the index key equals the probe value,
-            // both non-Null, and map equality coincides with `join_eq` for
-            // non-Null values), so hit candidates skip it.
-            let mut consider = |idx: usize, proven: usize| {
-                let stored = &container.tuples[idx];
-                if visible(self.window, stored.ts, container.seqs[idx], probe.ts, guard)
-                    && self.predicates_hold(predicates, proven, probe, |attr| stored.get(attr))
-                {
-                    visit(stored);
+        };
+        match lookup {
+            Lookup::Index(pos, value) => {
+                if let Some(postings) = part.indexes[pos].get(value) {
+                    for &pos in postings.as_slice() {
+                        consider(&part.log[pos - part.front], 1);
+                    }
                 }
-            };
-            match candidates {
-                Candidates::Miss => {}
-                Candidates::Hit(postings) => postings.iter().for_each(|&idx| consider(idx, 1)),
-                Candidates::Scan => (0..container.tuples.len()).for_each(|idx| consider(idx, 0)),
             }
+            Lookup::Scan => part.log.iter().for_each(|entry| consider(entry, 0)),
         }
     }
 
-    /// Resolves what a probe of partition `p` needs before its epoch walk:
-    /// `None` when the probe lacks some predicate's attribute or carries
-    /// `Null` there (which never `join_eq`-matches anything), so it is
-    /// answered empty without touching state.
-    fn probe_key<'t>(
-        &self,
-        p: usize,
-        probe: &'t Tuple,
-        predicates: &[EquiPredicate],
-    ) -> Option<ProbeKey<'t>> {
+    /// Resolves where a probe finds its candidates: `None` when the probe
+    /// lacks some predicate's attribute or carries `Null` there (which
+    /// never `join_eq`-matches anything), so it is answered empty without
+    /// touching state.
+    fn probe_key<'t>(&self, probe: &'t Tuple, predicates: &[EquiPredicate]) -> Option<Lookup<'t>> {
         if !self
             .predicate_sides(predicates)
             .all(|(_, probe_side)| probe.get(&probe_side).is_some_and(|v| !v.is_null()))
         {
             return None;
         }
-        let drive: Option<(AttrRef, &Value)> = self
-            .predicate_sides(predicates)
-            .next()
-            .and_then(|(stored_side, probe_side)| Some((stored_side, probe.get(&probe_side)?)));
-        // The index position of the driving attribute, resolved once per
-        // probe (not re-hashed per epoch).
-        let index_pos =
-            drive.and_then(|(attr, _)| self.indexed_attrs.iter().position(|i| i.attr == attr));
-        // One bloom check answers for every closed epoch of the partition:
-        // a rejected value has no index entry in any of them, so their
-        // lookups could only miss.
-        let skip_closed = match (&self.partitions[p].bloom, index_pos, drive) {
-            (Some(bloom), Some(pos), Some((_, value))) => bloom.rejects(pos, value),
-            _ => false,
-        };
-        Some(ProbeKey {
-            drive,
-            index_pos,
-            skip_closed,
-        })
+        let lookup =
+            self.predicate_sides(predicates)
+                .next()
+                .and_then(|(stored_side, probe_side)| {
+                    let pos = self
+                        .indexed_attrs
+                        .iter()
+                        .position(|i| i.attr == stored_side)?;
+                    Some(Lookup::Index(pos, probe.get(&probe_side)?))
+                });
+        Some(lookup.unwrap_or(Lookup::Scan))
     }
 
-    /// Drops tuples older than `horizon` from every partition: a container
-    /// whose oldest tuple is inside the window is skipped, one whose newest
-    /// tuple is outside is dropped whole, and only a container straddling
-    /// the horizon expires tuple by tuple (indexes repaired in place by an
-    /// incremental remap, not rebuilt). The closed-epoch blooms are left a
-    /// superset. Returns the number of expired tuples.
+    /// Drops tuples older than `horizon` from every partition — the
+    /// expired prefix of an in-order log, every expired entry of a
+    /// disordered one — with the indexes repaired in place. Returns the
+    /// number of expired tuples.
     pub fn expire(&mut self, horizon: Timestamp) -> usize {
-        let mut removed = 0;
-        for partition in &mut self.partitions {
-            partition.epochs.retain(|_, container| {
-                if container.max_ts < horizon {
-                    removed += container.tuples.len();
-                    return false;
-                }
-                if container.min_ts < horizon {
-                    removed += container.expire(horizon);
-                }
-                true
-            });
-        }
+        let removed: usize = self
+            .partitions
+            .iter_mut()
+            .map(|p| p.expire(horizon, &self.indexed_attrs))
+            .sum();
         self.tuples -= removed;
         debug_assert_eq!(self.tuples, self.walked_len());
         removed
     }
 
-    /// Every epoch container of every partition.
-    fn containers(&self) -> impl Iterator<Item = &EpochContainer> {
-        self.partitions.iter().flat_map(|p| p.epochs.values())
-    }
-
-    /// Number of stored tuples across partitions and epochs (a maintained
-    /// count: O(1)).
+    /// Number of stored tuples across partitions (a maintained count:
+    /// O(1)).
     pub fn len(&self) -> usize {
         self.tuples
     }
 
-    /// [`Self::len`] recounted from the containers — what the maintained
-    /// count is checked against in debug builds and tests.
+    /// [`Self::len`] recounted from the logs — what the maintained count
+    /// is checked against in debug builds and tests.
     fn walked_len(&self) -> usize {
-        self.containers().map(|c| c.tuples.len()).sum()
+        self.partitions.iter().map(|p| p.log.len()).sum()
     }
 
     /// `true` when the store holds no tuples.
@@ -709,25 +511,21 @@ impl StoreInstance {
 
     /// Approximate memory footprint of the stored tuples.
     pub fn bytes(&self) -> usize {
-        self.containers().map(|c| c.bytes).sum()
+        self.partitions.iter().map(|p| p.bytes).sum()
     }
 
-    /// Index shape: `(posting_lists, spilled)` across every partition,
-    /// epoch container and indexed attribute — how many distinct
-    /// (attribute, value) posting lists exist and how many have spilled
-    /// past [`clash_common::INLINE_POSTINGS`] to a heap vector. Exposed
-    /// for the telemetry surface; walks the indexes, so call it at
-    /// barriers, not per tuple.
+    /// Index shape: `(posting_lists, spilled)` across every partition and
+    /// indexed attribute — how many distinct (attribute, value) posting
+    /// lists exist and how many have spilled past
+    /// [`clash_common::INLINE_POSTINGS`] to a heap vector. Exposed for the
+    /// telemetry surface; walks the indexes, so call it at barriers, not
+    /// per tuple.
     pub fn posting_stats(&self) -> (usize, usize) {
-        let mut lists = 0;
-        let mut spilled = 0;
-        for container in self.containers() {
-            for by_value in &container.indexes {
-                lists += by_value.len();
-                spilled += by_value.values().filter(|l| l.is_spilled()).count();
-            }
-        }
-        (lists, spilled)
+        let maps = self.partitions.iter().flat_map(|p| &p.indexes);
+        maps.fold((0, 0), |(lists, spilled), by_value| {
+            let spilled_here = by_value.values().filter(|l| l.is_spilled()).count();
+            (lists + by_value.len(), spilled + spilled_here)
+        })
     }
 }
 
@@ -759,6 +557,14 @@ mod tests {
             StoreDescriptor::unpartitioned(RelationSet::singleton(RelationId::new(1)))
         };
         StoreInstance::new(descriptor, Window::secs(10), vec![attr_a])
+    }
+
+    fn a_attr() -> AttrRef {
+        AttrRef::new(RelationId::new(1), AttrId::new(0))
+    }
+
+    fn b_attr() -> AttrRef {
+        AttrRef::new(RelationId::new(1), AttrId::new(1))
     }
 
     fn pred_ra_sa() -> EquiPredicate {
@@ -907,9 +713,10 @@ mod tests {
         assert_eq!(store.bytes(), 0);
     }
 
-    /// Only the epoch straddling the horizon expires tuple by tuple: older
-    /// epochs go whole, newer ones are not touched, and the boundary
-    /// epoch's oldest survivor bounds the next sweep.
+    /// Expiry pops the log's expired prefix across epochs: the older epoch
+    /// goes whole, the boundary epoch loses its expired tuples, the newer
+    /// one is untouched, and the positions left in the index all lie at or
+    /// past the new front.
     #[test]
     fn expiry_drops_whole_epochs_and_trims_only_the_boundary() {
         let mut store = s_store(1);
@@ -921,10 +728,18 @@ mod tests {
         // Epoch 0 (0–600 ms) lies wholly outside, epoch 1 (1 000–1 600 ms)
         // straddles 1 300 ms, epoch 2 lies wholly inside.
         assert_eq!(store.expire(Timestamp::from_millis(1_300)), 4 + 2);
-        let epochs = &store.partitions[0].epochs;
-        assert!(!epochs.contains_key(&Epoch(0)));
-        assert_eq!(epochs[&Epoch(1)].min_ts, Timestamp::from_millis(1_400));
-        assert_eq!(epochs[&Epoch(2)].tuples.len(), 4);
+        let part = &store.partitions[0];
+        assert_eq!(part.front, 6);
+        let kept: Vec<(Epoch, u64)> = part
+            .log
+            .iter()
+            .map(|e| (e.epoch, e.tuple.ts.as_millis()))
+            .collect();
+        let expected = [(1, 1_400), (1, 1_600), (2, 2_000), (2, 2_200)];
+        assert_eq!(kept[..4], expected.map(|(e, ts)| (Epoch(e), ts)));
+        assert_eq!(kept.len(), 6);
+        let postings = part.indexes[0].values().flat_map(|l| l.as_slice());
+        assert!(postings.copied().all(|pos| pos >= part.front));
         assert_eq!(store.expire(Timestamp::from_millis(1_400)), 0);
         assert_eq!(store.len(), 6);
         let probe = r_tuple(1, 5_000);
@@ -1037,108 +852,8 @@ mod tests {
         assert_eq!(store.probe(0, &[Epoch(0)], &probe, &[pred]).len(), 1);
     }
 
-    /// Results as a multiset of flattened values: what a consumer reading
-    /// `(attribute, value)` pairs observes, independent of representation.
-    fn flattened_multiset(tuples: &[Tuple]) -> Vec<String> {
-        let mut rendered: Vec<String> = tuples
-            .iter()
-            .map(|t| format!("{}|{:?}", t.ts, t.flatten()))
-            .collect();
-        rendered.sort();
-        rendered
-    }
-
-    /// Closing epochs must be invisible to probes: same matches, sizes and
-    /// flattened values with and without it.
-    #[test]
-    fn frozen_probe_matches_live_probe_exactly() {
-        let mut live = s_store(1);
-        let mut tiered = s_store(1);
-        for i in 0..16 {
-            let t = s_tuple(i % 4, i, 100 * i as u64 + 1);
-            live.insert(0, Epoch((i % 3) as u64), t.clone());
-            tiered.insert(0, Epoch((i % 3) as u64), t);
-        }
-        assert_eq!(tiered.freeze_before(Epoch(2)), 2, "epochs 0 and 1 close");
-        assert_eq!(tiered.len(), live.len());
-        assert_eq!(tiered.bytes(), live.bytes());
-        let epochs = [Epoch(0), Epoch(1), Epoch(2)];
-        for key in 0..6i64 {
-            let probe = r_tuple(key, 5_000);
-            let mut expect = live.probe(0, &epochs, &probe, &[pred_ra_sa()]);
-            let mut got = tiered.probe(0, &epochs, &probe, &[pred_ra_sa()]);
-            expect.sort_by_key(|t| t.ts);
-            got.sort_by_key(|t| t.ts);
-            assert_eq!(got, expect, "key {key}");
-            assert_eq!(
-                flattened_multiset(&got),
-                flattened_multiset(&expect),
-                "key {key}"
-            );
-            let sizes = |ts: &[Tuple]| ts.iter().map(Tuple::approx_size_bytes).sum::<usize>();
-            assert_eq!(sizes(&got), sizes(&expect), "key {key}");
-        }
-    }
-
-    /// Whether a probe of partition 0 skips every closed epoch.
-    fn skips_closed(store: &StoreInstance, probe: &Tuple, pred: EquiPredicate) -> bool {
-        store
-            .probe_key(0, probe, &[pred])
-            .expect("the probe carries its attribute")
-            .skip_closed
-    }
-
-    /// The closed-epoch bloom answers "skip" only for a driving value no
-    /// closed epoch holds: not for one a closed epoch held at closing, nor
-    /// for one a late insert put there afterwards (beyond the capacity the
-    /// bloom was sized for, too), nor on an attribute indexed after
-    /// closing until a close pass rebuilds the bloom with that position.
-    #[test]
-    fn closed_epoch_bloom_skips_only_keys_no_closed_epoch_holds() {
-        let mut store = s_store(1);
-        store.insert(0, Epoch(0), s_tuple(1, 10, 100));
-        store.insert(0, Epoch(1), s_tuple(2, 20, 1_100));
-        assert_eq!(store.freeze_before(Epoch(1)), 1);
-        let epochs = [Epoch(0), Epoch(1)];
-        let hits = |store: &StoreInstance, a: i64| {
-            store
-                .probe(0, &epochs, &r_tuple(a, 5_000), &[pred_ra_sa()])
-                .len()
-        };
-        // Key 3 is nowhere, key 2 only in the open epoch 1.
-        assert!(skips_closed(&store, &r_tuple(3, 5_000), pred_ra_sa()));
-        assert!(skips_closed(&store, &r_tuple(2, 5_000), pred_ra_sa()));
-        assert_eq!(hits(&store, 2), 1, "the open epoch is still probed");
-        assert!(!skips_closed(&store, &r_tuple(1, 5_000), pred_ra_sa()));
-        assert_eq!(hits(&store, 1), 1);
-
-        // Late inserts into the closed epoch, well past the bloom's
-        // capacity (twice one key): every key stays covered.
-        for a in 100..140 {
-            store.insert(0, Epoch(0), s_tuple(a, 10, 200));
-            assert!(!skips_closed(&store, &r_tuple(a, 5_000), pred_ra_sa()));
-            assert_eq!(hits(&store, a), 1, "late key {a}");
-        }
-        assert!(skips_closed(&store, &r_tuple(3, 5_000), pred_ra_sa()));
-
-        // S.b indexed after closing: no bloom covers it (nor any other
-        // position) until the next close pass rebuilds one.
-        store.add_indexed_attr(AttrRef::new(RelationId::new(1), AttrId::new(1)));
-        let (probe_b10, pred_b) = t_probe(10);
-        let (probe_b99, _) = t_probe(99);
-        assert!(!skips_closed(&store, &probe_b10, pred_b));
-        assert!(!skips_closed(&store, &probe_b99, pred_b));
-        assert!(!skips_closed(&store, &r_tuple(3, 5_000), pred_ra_sa()));
-        assert_eq!(store.probe(0, &epochs, &probe_b10, &[pred_b]).len(), 41);
-        assert_eq!(store.freeze_before(Epoch(1)), 0, "nothing new to close");
-        assert!(skips_closed(&store, &probe_b99, pred_b));
-        assert!(!skips_closed(&store, &probe_b10, pred_b));
-        assert_eq!(store.probe(0, &epochs, &probe_b10, &[pred_b]).len(), 41);
-    }
-
     /// `len()` is a maintained count; it must equal the recount after any
-    /// interleaving of inserts (late ones into closed epochs included),
-    /// closes and expiries.
+    /// interleaving of inserts (late ones included) and expiries.
     #[test]
     fn maintained_len_equals_the_walk_under_random_operations() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -1150,19 +865,17 @@ mod tests {
         };
         let mut store = s_store(3);
         let mut clock = 0u64;
-        let mut closed = 0usize;
+        let mut late = 0usize;
         for _ in 0..2_000 {
             match next(10) {
-                0 => {
-                    closed += store.freeze_before(Epoch((clock / 1_000).saturating_sub(next(3))));
-                }
-                1 => {
+                0 | 1 => {
                     store.expire(Timestamp::from_millis(clock.saturating_sub(next(6_000))));
                 }
                 _ => {
                     clock += next(40);
-                    // Up to 2 s late: lands in epochs that may be closed.
+                    // Up to 2 s late: the log becomes disordered.
                     let ts = clock.saturating_sub(next(2_000));
+                    late += usize::from(ts < clock);
                     let t = s_tuple(next(16) as i64, 0, ts);
                     let p = store.partition_for(&t);
                     store.insert(p, Epoch(ts / 1_000), t);
@@ -1171,37 +884,37 @@ mod tests {
             assert_eq!(store.len(), store.walked_len());
             assert_eq!(store.is_empty(), store.walked_len() == 0);
         }
-        assert!(closed > 0 && !store.is_empty(), "sequence too tame");
+        assert!(late > 0 && !store.is_empty(), "sequence too tame");
         store.expire(Timestamp::from_millis(u64::MAX / 2));
         assert_eq!((store.len(), store.walked_len()), (0, 0));
     }
 
-    /// Late arrivals into an already-closed epoch land in its container
-    /// and are probed; a second pass has nothing new to close.
+    /// `freeze_before` closes nothing, and a tuple that arrives after it
+    /// into an epoch the stream has left behind is probed like any other.
     #[test]
     fn late_insert_after_freeze_is_still_probed() {
         let mut store = s_store(1);
         store.insert(0, Epoch(0), s_tuple(1, 1, 100));
-        assert_eq!(store.freeze_before(Epoch(1)), 1);
-        store.insert(0, Epoch(0), s_tuple(1, 2, 200));
+        store.insert(0, Epoch(1), s_tuple(1, 3, 1_100));
         assert_eq!(store.freeze_before(Epoch(1)), 0);
-        let probe = r_tuple(1, 1_000);
+        store.insert(0, Epoch(0), s_tuple(1, 2, 200));
+        let probe = r_tuple(1, 5_000);
         assert_eq!(
             store.probe(0, &[Epoch(0)], &probe, &[pred_ra_sa()]).len(),
             2
         );
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.len(), 3);
     }
 
-    /// A closed epoch expires like an open one: exact counts, and the
-    /// container goes whole once its newest tuple leaves the window.
+    /// Expiry after a `freeze_before` call counts exactly, and the log and
+    /// its index empty once the newest tuple leaves the window.
     #[test]
     fn frozen_expiry_counts_exactly_and_drops_wholesale() {
         let mut store = s_store(1);
         for i in 0..10 {
             store.insert(0, Epoch(0), s_tuple(1, i, 100 * i as u64));
         }
-        assert_eq!(store.freeze_before(Epoch(1)), 1);
+        assert_eq!(store.freeze_before(Epoch(1)), 0);
         assert_eq!(store.expire(Timestamp::from_millis(500)), 5);
         assert_eq!(store.len(), 5);
         let probe = r_tuple(1, 10_000);
@@ -1211,20 +924,118 @@ mod tests {
         );
         assert_eq!(store.expire(Timestamp::from_millis(100_000)), 5);
         assert!(store.is_empty());
-        assert!(store.partitions[0].epochs.is_empty());
+        assert!(store.partitions[0].log.is_empty());
+        assert_eq!(store.posting_stats(), (0, 0));
     }
 
-    /// An attribute indexed after closing is indexed in the closed
-    /// containers too.
+    /// An attribute indexed after expiry moved the log's front indexes
+    /// the survivors at their absolute positions, in every epoch.
     #[test]
     fn add_indexed_attr_after_freeze_probes_lazily() {
         let mut store = s_store(1);
-        store.insert(0, Epoch(0), s_tuple(5, 50, 100));
-        store.insert(0, Epoch(0), s_tuple(6, 60, 200));
-        assert_eq!(store.freeze_before(Epoch(1)), 1);
+        for i in 0..6 {
+            store.insert(
+                0,
+                Epoch(i as u64 / 2),
+                s_tuple(5, 50 + i % 2, 100 * i as u64),
+            );
+        }
+        assert_eq!(store.freeze_before(Epoch(2)), 0);
+        assert_eq!(store.expire(Timestamp::from_millis(150)), 2);
         store.add_indexed_attr(AttrRef::new(RelationId::new(1), AttrId::new(1)));
         let (probe, pred) = t_probe(50);
-        assert_eq!(store.probe(0, &[Epoch(0)], &probe, &[pred]).len(), 1);
+        let all = [Epoch(0), Epoch(2)];
+        assert_eq!(store.probe(0, &all, &probe, &[pred]).len(), 2);
+        assert_eq!(store.probe(0, &[Epoch(2)], &probe, &[pred]).len(), 1);
+    }
+
+    /// One posting list per key and partition, however many epochs hold
+    /// the key: a key stored in each of 60 one-second epochs owns one
+    /// list of 60 positions.
+    #[test]
+    fn a_key_stored_across_sixty_epochs_owns_one_posting_list() {
+        let mut store = s_store(1);
+        for e in 0..60u64 {
+            store.insert(0, Epoch(e), s_tuple(7, e as i64, 1_000 * e));
+        }
+        assert_eq!(store.posting_stats(), (1, 1));
+        let epochs: Vec<Epoch> = (0..60).map(Epoch).collect();
+        let probe = r_tuple(7, 59_500);
+        assert_eq!(store.probe(0, &epochs, &probe, &[pred_ra_sa()]).len(), 10);
+        store.insert(0, Epoch(59), s_tuple(8, 0, 59_100));
+        assert_eq!(store.posting_stats(), (2, 1));
+    }
+
+    /// Expiry of an in-order log (prefix pops and list trims) and of an
+    /// out-of-order one (compaction) against a scan oracle: the same
+    /// counts, sizes and probe results after every operation, and one
+    /// posting list per live key, none left behind by a trim.
+    #[test]
+    fn in_order_and_out_of_order_expiry_match_a_scan_oracle() {
+        for max_late in [0u64, 1_500] {
+            let mut state = 0x2545_F491_4F6C_DD1Du64 ^ max_late;
+            let mut next = move |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            let mut store = s_store(2);
+            let mut oracle: Vec<Tuple> = Vec::new();
+            let mut clock = 0u64;
+            let mut disordered = false;
+            for step in 0..1_500 {
+                if next(8) == 0 {
+                    let horizon = Timestamp::from_millis(clock.saturating_sub(next(4_000)));
+                    let before = oracle.len();
+                    oracle.retain(|t| t.ts >= horizon);
+                    assert_eq!(store.expire(horizon), before - oracle.len(), "step {step}");
+                } else {
+                    clock += 1 + next(30);
+                    let ts = clock.saturating_sub(next(max_late + 1));
+                    let t = s_tuple(next(12) as i64, step, ts);
+                    let p = store.partition_for(&t);
+                    store.insert(p, Epoch(ts / 1_000), t.clone());
+                    oracle.push(t);
+                }
+                disordered |= store.partitions.iter().any(|p| p.disordered);
+                assert_eq!(store.len(), oracle.len());
+                let bytes: usize = oracle.iter().map(Tuple::approx_size_bytes).sum();
+                assert_eq!(store.bytes(), bytes);
+                let mut keys: Vec<(usize, Option<i64>)> = oracle
+                    .iter()
+                    .map(|t| {
+                        (
+                            store.partition_for(t),
+                            t.get(&a_attr()).and_then(Value::as_int),
+                        )
+                    })
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                assert_eq!(store.posting_stats().0, keys.len(), "step {step}");
+                if step % 50 != 0 {
+                    continue;
+                }
+                let epochs: Vec<Epoch> = (0..=clock / 1_000 + 1).map(Epoch).collect();
+                for key in 0..13 {
+                    let probe = r_tuple(key, clock + 1);
+                    let p = store.partition_for(&s_tuple(key, 0, 0));
+                    let mut got = store.probe(p, &epochs, &probe, &[pred_ra_sa()]);
+                    let mut expected: Vec<Tuple> = oracle
+                        .iter()
+                        .filter(|t| t.get(&a_attr()) == Some(&Value::Int(key)))
+                        .filter(|t| visible(store.window, t.ts, 0, probe.ts, None))
+                        .cloned()
+                        .collect();
+                    let order = |t: &Tuple| (t.ts, t.get(&b_attr()).and_then(Value::as_int));
+                    got.sort_by_key(order);
+                    expected.sort_by_key(order);
+                    assert_eq!(got, expected, "step {step}, key {key}, late {max_late}");
+                }
+            }
+            assert_eq!(disordered, max_late > 0);
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property tests for the allocation- and hash-lean state layer: the
 //! arena-backed `TupleBuilder` against the pair-vector `Tuple::base`
-//! reference, and the store (inline-posting indexes per epoch container,
-//! closed epochs behind a union bloom) against a rebuilt-from-scratch
-//! oracle under interleaved insert / expire / `add_indexed_attr` /
-//! `freeze_before` sequences spread over multiple epochs.
+//! reference, and the store (one arrival-order log per partition with
+//! inline-posting indexes) against a rebuilt-from-scratch oracle under
+//! interleaved insert / expire / `add_indexed_attr` sequences spread over
+//! multiple epochs.
 
 use clash_common::{
     arena_stats, AttrId, AttrRef, Epoch, RelationId, RelationSet, Schema, Timestamp, Tuple,
@@ -157,13 +157,13 @@ fn stored_tuple(schema: &Schema, rng: &mut StdRng, ts: u64, key_domain: i64) -> 
 }
 
 proptest! {
-    /// Interleaved insert / expire / `add_indexed_attr` / `freeze_before`
-    /// sequences over multiple epochs keep the store consistent with a
-    /// scan oracle: every probe (on the originally indexed attribute, the
-    /// later-indexed one and the never-indexed scan fallback) returns
-    /// exactly the oracle's match count, no matter which epochs are closed
-    /// — including late inserts into already-closed epochs and probes
-    /// that the closed-epoch blooms prune wholesale.
+    /// Interleaved insert / expire / `add_indexed_attr` sequences over
+    /// multiple epochs keep the store consistent with a scan oracle: every
+    /// expiry removes exactly the oracle's count, and every probe (on the
+    /// originally indexed attribute, the later-indexed one and the
+    /// never-indexed scan fallback) returns exactly the oracle's match
+    /// count — including after late inserts, which make the log
+    /// disordered.
     #[test]
     fn store_indexes_match_scan_oracle(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -181,7 +181,7 @@ proptest! {
         );
         let mut oracle = Oracle { tuples: Vec::new(), window };
         // Tuples land in one of four epochs; probes always cover all of
-        // them, so which epochs are closed is invisible to results.
+        // them, so the epoch labels are invisible to results.
         const EPOCHS: u64 = 4;
         let epochs: Vec<Epoch> = (0..EPOCHS).map(Epoch).collect();
         let mut now = 0u64;
@@ -197,26 +197,19 @@ proptest! {
                     oracle.tuples.retain(|t| t.ts >= horizon);
                     prop_assert_eq!(removed, before - oracle.tuples.len());
                 }
-                // Index S.b mid-stream (idempotent after the first call;
-                // the closed-epoch blooms wait for the next close pass).
+                // Index S.b mid-stream (idempotent after the first call).
                 2 => {
                     store.add_indexed_attr(attr(1));
                     b_indexed = true;
                 }
-                // Insert out of timestamp order (exercises the general,
-                // table-driven expiry remap rather than the in-order
-                // prefix fast path).
+                // Insert out of timestamp order (exercises the compaction
+                // of a disordered log rather than the in-order prefix
+                // pop).
                 3 => {
                     let ts = now.saturating_sub(rng.gen_range(0..4_000u64)).max(1);
                     let t = stored_tuple(&schema, &mut rng, ts, key_domain);
                     store.insert(0, Epoch(rng.gen_range(0..EPOCHS)), t.clone());
                     oracle.tuples.push(t);
-                }
-                // Close every epoch below a random horizon. Late arrivals
-                // into closed epochs join their blooms. The oracle is
-                // untouched: closing must not change results.
-                4 | 5 => {
-                    store.freeze_before(Epoch(rng.gen_range(0..EPOCHS + 1)));
                 }
                 // Insert at an advancing timestamp.
                 _ => {

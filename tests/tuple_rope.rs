@@ -7,14 +7,14 @@
 //! join-tree shapes and random join orders. A second group checks that
 //! deep rope chains flow end-to-end through both engines: a 5-way join
 //! query on out-of-order input yields identical result multisets from
-//! `LocalEngine` and `ParallelEngine`, with epoch closing on or off.
+//! `LocalEngine` and `ParallelEngine`, under infinite and finite windows.
 
 use clash_bench::exactness::{local_results, planned, run_paths};
 use clash_common::{
     AttrId, AttrRef, Duration, EpochConfig, JoinSlot, QueryId, RelationId, SlotAccessor, Timestamp,
-    TraceEvent, TraceEventKind, Tuple, Value, Window,
+    Tuple, Value, Window,
 };
-use clash_datagen::exactness::{five_chain, multiset, received, render, StreamShape};
+use clash_datagen::exactness::{five_chain, multiset, render, StreamShape};
 use clash_optimizer::Strategy;
 use clash_query::parse_query;
 use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
@@ -322,32 +322,25 @@ fn micro_batching_preserves_chain_equivalence() {
     }
 }
 
-/// Closing epochs is invisible in the results: one finite-window,
-/// out-of-order stream (a 3 s window of 100 ms epochs over ≈ 14 s of
-/// stream time, so epochs close, are probed behind their union bloom and
-/// expire) must produce the same per-query result multisets with closing
-/// off (`freeze_after_epochs` 0) and on (1), on both engines.
+/// Out-of-order input under a finite window: one stream (a 3 s window of
+/// 100 ms epochs over ≈ 14 s of stream time, so the window spans 30
+/// epochs, stores expire every 64 tuples and their logs are disordered)
+/// must produce the same per-query result multisets on every engine path,
+/// and a `LocalEngine` subscription must hold the same results.
 #[test]
-fn epoch_closing_on_or_off_yields_identical_multisets_on_both_engines() {
+fn out_of_order_finite_window_multisets_agree_on_every_path() {
     let (catalog, mut queries) = five_chain(Window::secs(3), 2);
     queries.push(parse_query(&catalog, QueryId::new(1), "mid3", "B(x,y), C(y,z), D(z,w)").unwrap());
     let stream = CHAIN.draw(&catalog, 400, 0..40, 0xF02E);
     let plan = planned(&catalog, &queries, Strategy::GlobalIlp);
-    let config = |freeze_after_epochs| EngineConfig {
+    let config = EngineConfig {
         epoch: EpochConfig::new(Duration::from_millis(100)),
         expire_every: 64,
-        freeze_after_epochs,
         ..EngineConfig::default()
     };
-    let closes = |trace: Vec<TraceEvent>| trace.iter().any(|e| e.kind == TraceEventKind::Close);
 
-    let mut reference_engine = LocalEngine::new(catalog.clone(), plan.clone(), config(0));
-    let results = reference_engine.subscribe();
-    for (relation, tuple) in &stream {
-        reference_engine.ingest(*relation, tuple.clone()).unwrap();
-    }
-    assert!(!closes(reference_engine.drain_trace()));
-    let reference = received(&results);
+    let runs = run_paths(&catalog, &plan, config, &stream, &[1, 2], &[]);
+    let reference = &runs[0].results;
     for query in [QueryId::new(0), QueryId::new(1)] {
         let prefix = format!("{query}|");
         assert!(
@@ -355,41 +348,29 @@ fn epoch_closing_on_or_off_yields_identical_multisets_on_both_engines() {
             "{query} produced no results; stream too sparse"
         );
     }
+    for run in &runs[1..] {
+        assert_eq!(&run.results, reference, "{}", run.path);
+    }
 
-    let mut closing = LocalEngine::new(catalog.clone(), plan.clone(), config(1));
-    let results = closing.subscribe();
+    let mut local = LocalEngine::new(catalog.clone(), plan.clone(), config);
+    let results = local.subscribe();
     for (relation, tuple) in &stream {
-        closing.ingest(*relation, tuple.clone()).unwrap();
+        local.ingest(*relation, tuple.clone()).unwrap();
     }
-    assert!(closes(closing.drain_trace()), "nothing closed");
     let held: Vec<(QueryId, Tuple)> = results.try_iter().collect();
-    assert_eq!(multiset(&held), reference, "LocalEngine, closing on");
-
-    for freeze_after in [0, 1] {
-        for run in run_paths(&catalog, &plan, config(freeze_after), &stream, &[2], &[]) {
-            assert_eq!(
-                run.results, reference,
-                "{}, freeze_after_epochs={freeze_after}",
-                run.path
-            );
-        }
-    }
+    assert_eq!(&multiset(&held), reference, "held by a subscription");
 
     // Lifetime: held results stay readable after a plan install carried
     // the stores over and after expiry dropped every epoch they came from.
-    closing.install_plan(plan).unwrap();
+    local.install_plan(plan).unwrap();
     let far = stream.last().map(|(_, t)| t.ts.as_millis()).unwrap_or(0) + 60_000;
     let (relation, _) = &stream[0];
     let meta = catalog.relation(*relation).unwrap();
     let late = clash_common::TupleBuilder::new(&meta.schema, Timestamp::from_millis(far)).build();
-    closing.ingest(*relation, late).unwrap();
-    closing.expire_stores();
-    assert_eq!(
-        closing.store_tuples(),
-        1,
-        "only the late tuple is in window"
-    );
-    assert_eq!(multiset(&held), reference, "held results survived expiry");
+    local.ingest(*relation, late).unwrap();
+    local.expire_stores();
+    assert_eq!(local.store_tuples(), 1, "only the late tuple is in window");
+    assert_eq!(&multiset(&held), reference, "held results survived expiry");
 }
 
 /// The kernel builds a delivery's results in one node while nobody keeps
